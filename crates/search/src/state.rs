@@ -374,6 +374,23 @@ pub struct StateKey {
     digest: PenaltyDigest,
 }
 
+impl StateKey {
+    /// Unassigned instance count per template.
+    pub fn unassigned(&self) -> &[u16] {
+        &self.unassigned
+    }
+
+    /// The open VM as `(type, wait in ms, last-placed template)`.
+    pub fn open_vm(&self) -> Option<(u32, u64, Option<u32>)> {
+        self.last_vm
+    }
+
+    /// The penalty state future deltas depend on.
+    pub fn digest(&self) -> &PenaltyDigest {
+        &self.digest
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
