@@ -461,6 +461,9 @@ impl ModelGenerator {
         let plan = cache.plan(sigs);
         let solved = self.solve_signatures(&schema, &plan.missing, &plan.frozen)?;
         let hits = (samples.len() - plan.missing.len()) as u64;
+        // Released before the commit, which would otherwise have to copy
+        // the memo out from under this run's snapshot.
+        drop(plan.frozen);
         cache.commit(plan.missing, solved.clone(), hits);
 
         let mut dataset = Dataset::new(schema);

@@ -112,10 +112,10 @@ impl SolvedEntry {
     pub fn searcher_memo(&self) -> HeuristicMemo {
         let mut memo = HeuristicMemo::new();
         if self.seeds_memo {
-            for (key, g) in &self.explored {
+            for (key, g) in self.explored.iter() {
                 let h = self.cost_dollars - g;
                 if h > 0.0 {
-                    memo.raise(key.clone(), h);
+                    memo.raise(key, h);
                 }
             }
         }
@@ -159,8 +159,9 @@ struct CacheInner {
     order: VecDeque<Signature>,
     capacity: usize,
     /// The shared cross-run heuristic memo (capped; see the module docs'
-    /// admissibility argument).
-    memo: HeuristicMemo,
+    /// admissibility argument). Runs hold it by `Arc` as their frozen
+    /// snapshot; a commit copies it only if some run still does.
+    memo: Arc<HeuristicMemo>,
     fingerprint: Fingerprint,
     hits: u64,
     solves: u64,
@@ -183,7 +184,7 @@ impl SolveCache {
                 entries: HashMap::new(),
                 order: VecDeque::new(),
                 capacity: capacity.max(1),
-                memo: HeuristicMemo::new(),
+                memo: Arc::default(),
                 fingerprint: Fingerprint { spec, goal, search },
                 hits: 0,
                 solves: 0,
@@ -234,10 +235,9 @@ impl SolveCache {
     /// every signature, snapshot the memo, and promise the missing
     /// signatures (in first-occurrence order) to the caller to solve.
     ///
-    /// The snapshot is only taken when something is actually missing — the
-    /// frozen memo is consulted exclusively by the missing signatures'
-    /// solves, so an all-hit run (the warm steady state) skips cloning a
-    /// potentially large memo without affecting any result.
+    /// The snapshot shares the memo (an `Arc` bump); whoever commits while
+    /// a snapshot is still held pays for the copy, so a run should drop its
+    /// [`RunPlan::frozen`] before committing.
     pub(crate) fn plan(&self, sigs: Vec<Signature>) -> RunPlan {
         let inner = self.inner.lock().unwrap();
         let mut missing: Vec<Signature> = Vec::new();
@@ -257,13 +257,8 @@ impl SolveCache {
                 }
             })
             .collect();
-        let frozen = if missing.is_empty() {
-            Arc::new(HeuristicMemo::new())
-        } else {
-            Arc::new(inner.memo.clone())
-        };
         RunPlan {
-            frozen,
+            frozen: Arc::clone(&inner.memo),
             lookups,
             missing,
         }
@@ -278,14 +273,16 @@ impl SolveCache {
     pub(crate) fn commit(&self, missing: Vec<Signature>, solved: Vec<Arc<SolvedEntry>>, hits: u64) {
         debug_assert_eq!(missing.len(), solved.len());
         let mut inner = self.inner.lock().unwrap();
+        let inner = &mut *inner;
         inner.hits += hits;
         inner.solves += solved.len() as u64;
         for (sig, entry) in missing.into_iter().zip(solved) {
             if entry.seeds_memo {
-                for (key, g) in &entry.explored {
+                let memo = Arc::make_mut(&mut inner.memo);
+                for (key, g) in entry.explored.iter() {
                     let h = entry.cost_dollars - g;
                     if h > 0.0 {
-                        inner.memo.raise_capped(key.clone(), h, MEMO_CAPACITY);
+                        memo.raise_capped(key, h, MEMO_CAPACITY);
                     }
                 }
             }

@@ -200,6 +200,25 @@ impl PerformanceGoal {
         }
     }
 
+    /// For deadline goals (per-query, max latency): the penalty one query
+    /// of `template` completing at `completion` incurs — final the moment
+    /// it is charged, which is what makes those goals monotone. `None` for
+    /// goals that price the workload as a whole.
+    pub fn deadline_charge(&self, template: TemplateId, completion: Millis) -> Option<Money> {
+        let (deadline, rate) = match self {
+            PerformanceGoal::PerQuery { deadlines, rate } => (
+                deadlines
+                    .get(template.index())
+                    .copied()
+                    .unwrap_or(Millis::ZERO),
+                rate,
+            ),
+            PerformanceGoal::MaxLatency { deadline, rate } => (*deadline, rate),
+            _ => return None,
+        };
+        Some(rate.for_violation(completion.saturating_sub(deadline)))
+    }
+
     /// The penalty `p(R, S)` of a (partial or complete) set of realized
     /// query latencies.
     pub fn penalty(&self, latencies: &[QueryLatency]) -> Money {
@@ -323,10 +342,9 @@ impl PerformanceGoal {
 /// paper scale produce far fewer *distinct* values than completions — the
 /// run-length buckets are the "quantized penalty digest" the percentile
 /// search keys and prices states with. Cloning is an `Arc` bump; pushing
-/// copies only when the buckets are shared. Any order statistic is an
-/// `O(buckets)` cumulative-count walk, and the search heuristic can merge
-/// the digest with a second bucket list without materializing or sorting
-/// the underlying multiset.
+/// copies only when the buckets are shared. Order statistics live on the
+/// borrowed form, [`DigestBuckets`], which the search kernel also builds
+/// directly over its own flat storage.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct PercentileDigest {
     /// Packed `(latency_ms << 16) | count` buckets, ascending by latency
@@ -341,6 +359,21 @@ pub struct PercentileDigest {
 const COUNT_BITS: u32 = 16;
 /// Mask extracting the multiplicity from a packed bucket.
 const COUNT_MASK: u64 = (1 << COUNT_BITS) - 1;
+
+/// Where a completion of `ms` lands in an ascending packed bucket list:
+/// the position, and whether the bucket there absorbs it (same latency,
+/// multiplicity not yet saturated) instead of a new bucket being inserted.
+fn insertion_point(buckets: &[u64], ms: u64) -> (usize, bool) {
+    debug_assert!(ms < (1 << (64 - COUNT_BITS)), "latency {ms}ms overflows");
+    // Packed buckets order by latency first, so the insertion point for
+    // `ms` is right after every bucket of a smaller latency.
+    let pos = buckets.partition_point(|&b| (b >> COUNT_BITS) < ms);
+    let absorbs = matches!(
+        buckets.get(pos),
+        Some(&b) if (b >> COUNT_BITS) == ms && (b & COUNT_MASK) < COUNT_MASK
+    );
+    (pos, absorbs)
+}
 
 impl PercentileDigest {
     /// An empty distribution.
@@ -358,28 +391,110 @@ impl PercentileDigest {
         self.total == 0
     }
 
+    /// The borrowed form every order statistic is computed on.
+    pub fn as_buckets(&self) -> DigestBuckets<'_> {
+        DigestBuckets {
+            packed: &self.buckets,
+            total: self.total,
+        }
+    }
+
     /// The `(latency_ms, count)` buckets, ascending by latency. Buckets of
     /// equal latency may repeat when a multiplicity overflows the packed
     /// count field; cumulative-count walks handle that transparently.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.buckets
-            .iter()
-            .map(|&b| (b >> COUNT_BITS, (b & COUNT_MASK) as u32))
+        self.as_buckets().buckets()
     }
 
     /// Records one completion. Copy-on-write: only materializes a copy of
     /// the bucket vector when it is shared with another digest.
     pub fn push(&mut self, ms: u64) {
-        debug_assert!(ms < (1 << (64 - COUNT_BITS)), "latency {ms}ms overflows");
         let buckets = Arc::make_mut(&mut self.buckets);
-        // Packed buckets order by latency first, so the insertion point for
-        // `ms` is right after every bucket of a smaller latency.
-        let pos = buckets.partition_point(|&b| (b >> COUNT_BITS) < ms);
-        match buckets.get_mut(pos) {
-            Some(b) if (*b >> COUNT_BITS) == ms && (*b & COUNT_MASK) < COUNT_MASK => *b += 1,
-            _ => buckets.insert(pos, (ms << COUNT_BITS) | 1),
+        match insertion_point(buckets, ms) {
+            (pos, true) => buckets[pos] += 1,
+            (pos, false) => buckets.insert(pos, (ms << COUNT_BITS) | 1),
         }
         self.total += 1;
+    }
+
+    /// The `k`-th smallest recorded latency; see
+    /// [`DigestBuckets::value_at_rank`].
+    pub fn value_at_rank(&self, k: u64) -> u64 {
+        self.as_buckets().value_at_rank(k)
+    }
+
+    /// The `k`-th smallest of this distribution merged with a second
+    /// ascending bucket list; see [`DigestBuckets::value_at_rank_merged`].
+    pub fn value_at_rank_merged(&self, k: u64, extra: &[(u64, u32)]) -> u64 {
+        self.as_buckets().value_at_rank_merged(k, extra)
+    }
+
+    /// Nearest-rank percentile index: `k = ⌈percent/100 · n⌉` clamped to
+    /// `1..=n` — the rank whose value is the latency within which
+    /// `percent`% of `n` completions finished. Shared by the penalty
+    /// tracker and the search heuristics so the two can never disagree on
+    /// which order statistic an SLA prices.
+    pub fn nearest_rank(percent: f64, n: u64) -> u64 {
+        (((percent / 100.0) * n as f64).ceil() as u64).clamp(1, n)
+    }
+}
+
+/// A borrowed [`PercentileDigest`]: the packed bucket list plus its total.
+/// The search kernel keeps one such list per interned vertex in flat
+/// per-search storage ([`DigestBuckets::packed`] out,
+/// [`DigestBuckets::from_packed`] back in), so pricing and bounding a
+/// percentile vertex never allocates a digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DigestBuckets<'a> {
+    packed: &'a [u64],
+    total: u64,
+}
+
+impl<'a> DigestBuckets<'a> {
+    /// Rebuilds a view over words previously obtained from
+    /// [`DigestBuckets::packed`] (or written by
+    /// [`DigestBuckets::push_into`]); `total` is their completion count.
+    pub fn from_packed(packed: &'a [u64], total: u64) -> Self {
+        DigestBuckets { packed, total }
+    }
+
+    /// The packed buckets, ascending by latency — opaque words whose only
+    /// contract is the round trip through [`DigestBuckets::from_packed`]
+    /// and that equal multisets built by the same pushes pack equally.
+    pub fn packed(&self) -> &'a [u64] {
+        self.packed
+    }
+
+    /// Number of completions recorded (with multiplicity).
+    pub fn len(&self) -> u64 {
+        self.total
+    }
+
+    /// Whether no completion has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+
+    /// The `(latency_ms, count)` buckets, ascending by latency.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u32)> + 'a {
+        self.packed
+            .iter()
+            .map(|&b| (b >> COUNT_BITS, (b & COUNT_MASK) as u32))
+    }
+
+    /// Writes this list plus one completion of `ms` into `out` (cleared
+    /// first) — exactly the buckets [`PercentileDigest::push`] would leave.
+    pub fn push_into(&self, ms: u64, out: &mut Vec<u64>) {
+        out.clear();
+        let (pos, absorbs) = insertion_point(self.packed, ms);
+        out.extend_from_slice(&self.packed[..pos]);
+        if absorbs {
+            out.push(self.packed[pos] + 1);
+            out.extend_from_slice(&self.packed[pos + 1..]);
+        } else {
+            out.push((ms << COUNT_BITS) | 1);
+            out.extend_from_slice(&self.packed[pos..]);
+        }
     }
 
     /// The `k`-th smallest recorded latency (1-based, `k <= len()`).
@@ -392,7 +507,7 @@ impl PercentileDigest {
             // Rank from the top: the k-th smallest has `total - k` values
             // strictly above it.
             let mut above = 0u64;
-            for &b in self.buckets.iter().rev() {
+            for &b in self.packed.iter().rev() {
                 above += b & COUNT_MASK;
                 if above > self.total - k {
                     return b >> COUNT_BITS;
@@ -400,14 +515,14 @@ impl PercentileDigest {
             }
         } else {
             let mut seen = 0u64;
-            for &b in self.buckets.iter() {
+            for &b in self.packed.iter() {
                 seen += b & COUNT_MASK;
                 if seen >= k {
                     return b >> COUNT_BITS;
                 }
             }
         }
-        self.buckets.last().map(|&b| b >> COUNT_BITS).unwrap_or(0)
+        self.packed.last().map(|&b| b >> COUNT_BITS).unwrap_or(0)
     }
 
     /// The `k`-th smallest of this distribution merged with a second
@@ -416,7 +531,7 @@ impl PercentileDigest {
     /// materializing the union.
     pub fn value_at_rank_merged(&self, k: u64, extra: &[(u64, u32)]) -> u64 {
         debug_assert!(extra.windows(2).all(|w| w[0].0 < w[1].0));
-        let a = &self.buckets;
+        let a = self.packed;
         let (mut i, mut j) = (0usize, 0usize);
         let mut seen = 0u64;
         let mut last = 0u64;
@@ -440,15 +555,6 @@ impl PercentileDigest {
         debug_assert!(false, "rank {k} exceeds merged size {seen}");
         last
     }
-
-    /// Nearest-rank percentile index: `k = ⌈percent/100 · n⌉` clamped to
-    /// `1..=n` — the rank whose value is the latency within which
-    /// `percent`% of `n` completions finished. Shared by the penalty
-    /// tracker and the search heuristics so the two can never disagree on
-    /// which order statistic an SLA prices.
-    pub fn nearest_rank(percent: f64, n: u64) -> u64 {
-        (((percent / 100.0) * n as f64).ceil() as u64).clamp(1, n)
-    }
 }
 
 /// Incremental penalty state. Pushing a completion returns the penalty
@@ -470,9 +576,9 @@ pub enum PenaltyTracker {
     },
     /// Percentile goals need the whole latency distribution, kept as the
     /// quantized [`PercentileDigest`]: run-length buckets behind a
-    /// copy-on-write [`Arc`], so cloning a tracker — which A* does for
-    /// every partial-schedule vertex — shares the distribution instead of
-    /// copying it, and order statistics never re-sort.
+    /// copy-on-write [`Arc`], so cloning a tracker — which every applied
+    /// decision does — shares the distribution instead of copying it, and
+    /// order statistics never re-sort.
     Percentile {
         /// The bucketed completion-latency distribution.
         dist: PercentileDigest,
@@ -489,54 +595,78 @@ impl PenaltyTracker {
         completion: Millis,
     ) -> Money {
         let before = self.penalty(goal);
-        match (self, goal) {
-            (
-                PenaltyTracker::Incremental { total },
-                PerformanceGoal::PerQuery { deadlines, rate },
-            ) => {
-                let deadline = deadlines
-                    .get(template.index())
-                    .copied()
-                    .unwrap_or(Millis::ZERO);
-                let violation = completion.saturating_sub(deadline);
-                let delta = rate.for_violation(violation);
+        match self {
+            PenaltyTracker::Incremental { total } => {
+                let delta = goal
+                    .deadline_charge(template, completion)
+                    .expect("penalty tracker used with a goal of a different kind");
                 *total += delta;
-                delta
+                return delta;
             }
-            (
-                PenaltyTracker::Incremental { total },
-                PerformanceGoal::MaxLatency { deadline, rate },
-            ) => {
-                let violation = completion.saturating_sub(*deadline);
-                let delta = rate.for_violation(violation);
-                *total += delta;
-                delta
+            PenaltyTracker::Average { sum_ms, count } => {
+                *sum_ms += completion.as_millis() as u128;
+                *count += 1;
             }
-            (this @ PenaltyTracker::Average { .. }, PerformanceGoal::AverageLatency { .. }) => {
-                if let PenaltyTracker::Average { sum_ms, count } = this {
-                    *sum_ms += completion.as_millis() as u128;
-                    *count += 1;
-                }
-                this.penalty(goal) - before
-            }
-            (this @ PenaltyTracker::Percentile { .. }, PerformanceGoal::Percentile { .. }) => {
-                if let PenaltyTracker::Percentile { dist } = this {
-                    // Copy-on-write inside the digest: only materializes a
-                    // copy when the buckets are shared with another tracker.
-                    dist.push(completion.as_millis());
-                }
-                this.penalty(goal) - before
-            }
-            _ => panic!("penalty tracker used with a goal of a different kind"),
+            // Copy-on-write inside the digest: only materializes a copy
+            // when the buckets are shared with another tracker.
+            PenaltyTracker::Percentile { dist } => dist.push(completion.as_millis()),
         }
+        self.penalty(goal) - before
     }
 
     /// The penalty of everything pushed so far.
     pub fn penalty(&self, goal: &PerformanceGoal) -> Money {
+        match self {
+            PenaltyTracker::Incremental { total } => *total,
+            _ => self.digest().penalty(goal),
+        }
+    }
+
+    /// A borrowed digest of exactly the state that can influence *future*
+    /// penalty deltas. A* uses it to deduplicate partial schedules: two
+    /// vertices whose digests (and remaining work) match are interchangeable
+    /// cost-wise.
+    pub fn digest(&self) -> PenaltyDigest<'_> {
+        match self {
+            // Per-query/max penalties are already folded into path cost and
+            // future deltas depend only on future completions.
+            PenaltyTracker::Incremental { .. } => PenaltyDigest::None,
+            PenaltyTracker::Average { sum_ms, count } => PenaltyDigest::Average {
+                sum_ms: *sum_ms,
+                count: *count,
+            },
+            PenaltyTracker::Percentile { dist } => PenaltyDigest::Percentile(dist.as_buckets()),
+        }
+    }
+}
+
+/// Borrowed summary of penalty-relevant state; see
+/// [`PenaltyTracker::digest`]. Two digests match iff no sequence of future
+/// completions can tell the trackers apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PenaltyDigest<'a> {
+    /// Future penalties do not depend on past completions.
+    None,
+    /// Mean-tracking state.
+    Average {
+        /// Sum of completion latencies (ms).
+        sum_ms: u128,
+        /// Number of completions.
+        count: u64,
+    },
+    /// Full latency distribution as quantized run-length buckets.
+    Percentile(DigestBuckets<'a>),
+}
+
+impl PenaltyDigest<'_> {
+    /// The penalty future completions can still move: the whole penalty
+    /// of an average or percentile goal, and zero for deadline goals,
+    /// whose charges are final (and already in the path cost).
+    pub fn penalty(&self, goal: &PerformanceGoal) -> Money {
         match (self, goal) {
-            (PenaltyTracker::Incremental { total }, _) => *total,
+            (PenaltyDigest::None, _) => Money::ZERO,
             (
-                PenaltyTracker::Average { sum_ms, count },
+                PenaltyDigest::Average { sum_ms, count },
                 PerformanceGoal::AverageLatency { target, rate },
             ) => {
                 if *count == 0 {
@@ -546,7 +676,7 @@ impl PenaltyTracker {
                 rate.for_violation(mean.saturating_sub(*target))
             }
             (
-                PenaltyTracker::Percentile { dist },
+                PenaltyDigest::Percentile(dist),
                 PerformanceGoal::Percentile {
                     percent,
                     deadline,
@@ -567,44 +697,6 @@ impl PenaltyTracker {
             _ => panic!("penalty tracker used with a goal of a different kind"),
         }
     }
-
-    /// A hashable digest of exactly the state that can influence *future*
-    /// penalty deltas. A* uses it to deduplicate partial schedules: two
-    /// vertices whose digests (and remaining work) match are interchangeable
-    /// cost-wise.
-    pub fn digest(&self) -> PenaltyDigest {
-        match self {
-            // Per-query/max penalties are already folded into path cost and
-            // future deltas depend only on future completions.
-            PenaltyTracker::Incremental { .. } => PenaltyDigest::None,
-            PenaltyTracker::Average { sum_ms, count } => PenaltyDigest::Average {
-                sum_ms: *sum_ms,
-                count: *count,
-            },
-            // An Arc bump, not a copy of the distribution: keying a search
-            // vertex is O(1) even for percentile goals.
-            PenaltyTracker::Percentile { dist } => PenaltyDigest::Percentile(dist.clone()),
-        }
-    }
-}
-
-/// Hashable summary of penalty-relevant state; see
-/// [`PenaltyTracker::digest`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum PenaltyDigest {
-    /// Future penalties do not depend on past completions.
-    None,
-    /// Mean-tracking state.
-    Average {
-        /// Sum of completion latencies (ms).
-        sum_ms: u128,
-        /// Number of completions.
-        count: u64,
-    },
-    /// Full latency distribution as quantized run-length buckets, shared
-    /// with the tracker that produced it. `Hash`/`Eq` go through the
-    /// bucket contents — two digests match iff the underlying multisets do.
-    Percentile(PercentileDigest),
 }
 
 #[cfg(test)]
@@ -892,6 +984,28 @@ mod tests {
         assert_eq!(digest.value_at_rank(2), 42);
         assert_eq!(digest.value_at_rank(n + 1), 42);
         assert!(digest.buckets().count() >= 3, "overflow spilled a bucket");
+    }
+
+    /// The borrowed push writes exactly the buckets the owned push leaves,
+    /// including the spill of a saturated multiplicity.
+    #[test]
+    fn push_into_matches_owned_push() {
+        let mut digest = PercentileDigest::new();
+        let mut scratch = vec![99u64; 3];
+        for v in [120u64, 60, 180, 60, 240, 60, 120, 300, 180, 60, 1, 999] {
+            digest.as_buckets().push_into(v, &mut scratch);
+            digest.push(v);
+            assert_eq!(scratch, digest.as_buckets().packed(), "after {v}");
+            let back = DigestBuckets::from_packed(&scratch, digest.len());
+            assert_eq!(back, digest.as_buckets());
+        }
+        let mut saturated = PercentileDigest::new();
+        for _ in 0..(1u64 << 16) + 3 {
+            saturated.push(42);
+        }
+        saturated.as_buckets().push_into(42, &mut scratch);
+        saturated.push(42);
+        assert_eq!(scratch, saturated.as_buckets().packed());
     }
 
     /// Copy-on-write: cloning shares the buckets; pushing into the clone

@@ -45,7 +45,9 @@ pub mod workload;
 
 pub use cost::{cost_breakdown, total_cost, CostBreakdown};
 pub use error::{CoreError, CoreResult};
-pub use goal::{GoalKind, PenaltyDigest, PenaltyTracker, PercentileDigest, PerformanceGoal};
+pub use goal::{
+    DigestBuckets, GoalKind, PenaltyDigest, PenaltyTracker, PercentileDigest, PerformanceGoal,
+};
 pub use handle::{GoalHandle, SpecHandle};
 pub use money::{Money, PenaltyRate};
 pub use schedule::{Placement, QueryLatency, Schedule, VmInstance};

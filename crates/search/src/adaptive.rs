@@ -87,7 +87,7 @@ impl AdaptiveSearcher {
         let (result, explored) = searcher.solve_with_explored(workload)?;
         if reuse && result.stats.optimal {
             let goal_cost = result.cost.as_dollars();
-            for (key, g) in explored {
+            for (key, g) in explored.iter() {
                 let h = goal_cost - g;
                 if h <= 0.0 {
                     continue;

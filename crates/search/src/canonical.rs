@@ -95,8 +95,14 @@ impl CanonicalOrder {
         let Some(prev) = last.queue.last() else {
             return true;
         };
-        let ranks = &self.rank[last.vm_type.index()];
-        ranks[t.index()] >= ranks[prev.index()]
+        self.in_order(last.vm_type, prev, t)
+    }
+
+    /// Whether `next` may directly follow `prev` in a queue on a VM of
+    /// type `v`: canonical ranks never decrease.
+    pub(crate) fn in_order(&self, v: VmTypeId, prev: TemplateId, next: TemplateId) -> bool {
+        let ranks = &self.rank[v.index()];
+        ranks[next.index()] >= ranks[prev.index()]
     }
 
     /// The canonical rank of `t` on `v` (for tests/inspection).

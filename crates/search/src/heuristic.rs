@@ -6,9 +6,19 @@
 //! paper falls back to the null heuristic; we use a slightly stronger but
 //! still admissible bound that accounts for the fact that future placements
 //! can refund at most the penalty accumulated so far.
+//!
+//! Every bound is a function of the vertex's *key* alone (remaining
+//! counts, open-VM wait, penalty digest) — the key is by construction what
+//! future cost depends on — so the searches bound a successor from its
+//! [`KeyRef`] before any state for it exists, into buffers
+//! ([`BoundScratch`]) the search owns and reuses across vertices.
 
-use wisedb_core::{Millis, Money, PenaltyTracker, PerformanceGoal, TemplateId, WorkloadSpec};
+use wisedb_core::{
+    DigestBuckets, Millis, Money, PenaltyDigest, PenaltyRate, PerformanceGoal, TemplateId,
+    WorkloadSpec,
+};
 
+use crate::key::KeyRef;
 use crate::state::SearchState;
 
 /// Precomputed per-template bounds: `min_i f_r(i) * l(t, i)` (the cheapest
@@ -23,6 +33,23 @@ pub struct HeuristicTable {
     /// without sorting anything at search time.
     exec_order: Vec<(u64, usize)>,
     min_startup: Money,
+}
+
+/// The buffers one vertex's bound is computed in. A search owns one and
+/// hands it to every [`HeuristicTable::estimate_key`] call, so bounding a
+/// vertex allocates nothing once the buffers have grown to the workload's
+/// size; contents never carry over between calls.
+#[derive(Debug, Default)]
+pub(crate) struct BoundScratch {
+    /// Deadline bound: `(deadline, fastest work)` per remaining template,
+    /// then folded into nested classes.
+    per_deadline: Vec<(Millis, u64)>,
+    classes: Vec<(Millis, u64)>,
+    /// Mean and percentile bounds: remaining fastest executions, their
+    /// prefix sums, and the run-length completion floors.
+    execs: Vec<u64>,
+    prefix: Vec<u64>,
+    floors: Vec<(u64, u32)>,
 }
 
 impl HeuristicTable {
@@ -65,15 +92,24 @@ impl HeuristicTable {
     /// Sum of cheapest processing costs over all unassigned queries:
     /// Eq. 3's `h(v)`.
     pub fn remaining_runtime_lower_bound(&self, state: &SearchState) -> Money {
-        state
-            .unassigned
+        self.runtime_lower_bound(&state.unassigned)
+    }
+
+    fn runtime_lower_bound(&self, unassigned: &[u16]) -> Money {
+        unassigned
             .iter()
             .zip(&self.cheapest)
             .map(|(&count, &cost)| cost * count as f64)
             .sum()
     }
 
-    /// The admissible heuristic for `goal` at `state`.
+    /// The admissible heuristic for `goal` at `state`; see
+    /// [`Self::estimate_key`], which the searches call directly.
+    pub fn estimate(&self, goal: &PerformanceGoal, state: &SearchState) -> Money {
+        self.estimate_key(goal, state.key().as_ref(), &mut BoundScratch::default())
+    }
+
+    /// The admissible heuristic for `goal` at the vertex `key` identifies.
     ///
     /// * Monotone goals: future cost ≥ remaining runtime (Eq. 3), *plus* a
     ///   bin-packing bound on unavoidable start-up fees / overflow
@@ -92,27 +128,55 @@ impl HeuristicTable {
     ///   [`Self::percentile_bound`]. At a goal vertex the estimate is
     ///   exactly zero, which the optimality argument for inconsistent
     ///   heuristics relies on.
-    pub fn estimate(&self, goal: &PerformanceGoal, state: &SearchState) -> Money {
-        if state.is_goal() {
+    pub(crate) fn estimate_key(
+        &self,
+        goal: &PerformanceGoal,
+        key: KeyRef<'_>,
+        scratch: &mut BoundScratch,
+    ) -> Money {
+        if key.is_goal() {
             return Money::ZERO;
         }
-        let runtime = self.remaining_runtime_lower_bound(state);
-        match goal {
-            PerformanceGoal::MaxLatency { .. } | PerformanceGoal::PerQuery { .. } => {
-                runtime + self.startup_overflow_bound(goal, state)
+        let runtime = self.runtime_lower_bound(key.unassigned());
+        // The open VM's queued wait, if one is rented.
+        let open_wait = key.open_vm().map(|(_, wait, _)| wait);
+        match (goal, key.digest()) {
+            (PerformanceGoal::MaxLatency { .. } | PerformanceGoal::PerQuery { .. }, _) => {
+                runtime + self.startup_overflow_bound(goal, key.unassigned(), open_wait, scratch)
             }
-            PerformanceGoal::AverageLatency { target, rate } => {
-                let current = state.tracker.penalty(goal);
-                runtime + self.average_bound(state, *target, *rate) - current
+            (
+                PerformanceGoal::AverageLatency { target, rate },
+                PenaltyDigest::Average { sum_ms, count },
+            ) => {
+                let current = key.digest().penalty(goal);
+                let bound = self.average_bound(
+                    key.unassigned(),
+                    open_wait.is_some(),
+                    (sum_ms, count),
+                    (*target, *rate),
+                    scratch,
+                );
+                runtime + bound - current
             }
-            PerformanceGoal::Percentile {
-                percent,
-                deadline,
-                rate,
-            } => {
-                let current = state.tracker.penalty(goal);
-                runtime + self.percentile_bound(state, *percent, *deadline, *rate) - current
+            (
+                PerformanceGoal::Percentile {
+                    percent,
+                    deadline,
+                    rate,
+                },
+                PenaltyDigest::Percentile(dist),
+            ) => {
+                let current = key.digest().penalty(goal);
+                let bound = self.percentile_bound(
+                    key.unassigned(),
+                    open_wait,
+                    dist,
+                    (*percent, *deadline, *rate),
+                    scratch,
+                );
+                runtime + bound - current
             }
+            _ => panic!("vertex key of a different goal kind"),
         }
     }
 
@@ -128,18 +192,18 @@ impl HeuristicTable {
     /// `f_min·V + penalty_floor(V)` over `V`.
     fn average_bound(
         &self,
-        state: &SearchState,
-        target: Millis,
-        rate: wisedb_core::PenaltyRate,
+        unassigned: &[u16],
+        has_open: bool,
+        (sum_ms, count): (u128, u64),
+        (target, rate): (Millis, PenaltyRate),
+        scratch: &mut BoundScratch,
     ) -> Money {
-        let PenaltyTracker::Average { sum_ms, count } = &state.tracker else {
-            return Money::ZERO;
-        };
         // Remaining execution times, longest first (no sort: walk the
         // precomputed ascending exec order backwards).
-        let mut execs: Vec<u64> = Vec::new();
+        let execs = &mut scratch.execs;
+        execs.clear();
         for &(ms, t) in self.exec_order.iter().rev() {
-            let count = state.unassigned.get(t).copied().unwrap_or(0);
+            let count = unassigned.get(t).copied().unwrap_or(0);
             for _ in 0..count {
                 execs.push(ms);
             }
@@ -148,15 +212,15 @@ impl HeuristicTable {
             return Money::ZERO;
         }
         let m = execs.len();
-        let n_final = *count + m as u64;
-        let open = usize::from(state.last_vm.is_some());
+        let n_final = count + m as u64;
+        let open = usize::from(has_open);
         let mut best = Money::from_dollars(f64::INFINITY);
         for v in 0..=m {
             let machines = (v + open).max(1);
             // V new VMs are only "free" capacity if we pay their fee; with
             // no open VM at least one rental is mandatory.
             let paid_vms = if open == 0 { v.max(1) } else { v };
-            let mut sum_c: u128 = *sum_ms;
+            let mut sum_c: u128 = sum_ms;
             for (j, &e) in execs.iter().enumerate() {
                 sum_c += (((j / machines) + 1) as u128) * e as u128;
             }
@@ -187,7 +251,13 @@ impl HeuristicTable {
     /// The bound is the minimum over `V ≥ 0` of that convex piecewise-
     /// linear function — evaluated at the two integers around
     /// `(W − S)/D`.
-    fn startup_overflow_bound(&self, goal: &PerformanceGoal, state: &SearchState) -> Money {
+    fn startup_overflow_bound(
+        &self,
+        goal: &PerformanceGoal,
+        unassigned: &[u16],
+        open_wait: Option<u64>,
+        scratch: &mut BoundScratch,
+    ) -> Money {
         // Deadline classes d₁ < d₂ < … with Wₖ = fastest-possible work of
         // remaining queries whose deadline is ≤ dₖ. For each class, every
         // machine can absorb at most dₖ of that work penalty-free (its
@@ -196,39 +266,40 @@ impl HeuristicTable {
         // `rate·maxₖ (Wₖ − Sₖ − V·dₖ)⁺`. Max-latency goals are the
         // single-class case.
         let rate = goal.rate();
-        let mut classes: Vec<(Millis, u64)> = match goal {
+        let BoundScratch {
+            per_deadline,
+            classes,
+            ..
+        } = scratch;
+        classes.clear();
+        match goal {
             PerformanceGoal::MaxLatency { deadline, .. } => {
                 let mut work = 0u64;
-                for (t, &count) in state.unassigned.iter().enumerate() {
+                for (t, &count) in unassigned.iter().enumerate() {
                     work += self.min_exec[t].as_millis() * count as u64;
                 }
-                vec![(*deadline, work)]
+                classes.push((*deadline, work));
             }
             PerformanceGoal::PerQuery { deadlines, .. } => {
-                let mut per_deadline: Vec<(Millis, u64)> = state
-                    .unassigned
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(t, &c)| {
+                per_deadline.clear();
+                per_deadline.extend(unassigned.iter().enumerate().filter(|&(_, &c)| c > 0).map(
+                    |(t, &c)| {
                         (
                             deadlines.get(t).copied().unwrap_or(Millis::ZERO),
                             self.min_exec[t].as_millis() * c as u64,
                         )
-                    })
-                    .collect();
+                    },
+                ));
                 per_deadline.sort_unstable();
                 // Prefix-accumulate into nested classes.
                 let mut acc = 0u64;
-                let mut out: Vec<(Millis, u64)> = Vec::new();
-                for (d, w) in per_deadline {
+                for &(d, w) in per_deadline.iter() {
                     acc += w;
-                    match out.last_mut() {
+                    match classes.last_mut() {
                         Some((last_d, last_w)) if *last_d == d => *last_w = acc,
-                        _ => out.push((d, acc)),
+                        _ => classes.push((d, acc)),
                     }
                 }
-                out
             }
             _ => return Money::ZERO,
         };
@@ -236,15 +307,11 @@ impl HeuristicTable {
         if classes.is_empty() {
             return Money::ZERO;
         }
-        let wait = state
-            .last_vm
-            .as_ref()
-            .map(|l| l.wait)
-            .unwrap_or(Millis::ZERO);
-        let has_open = state.last_vm.is_some();
+        let wait = Millis::from_millis(open_wait.unwrap_or(0));
+        let has_open = open_wait.is_some();
         let violation_at = |v: u64| -> Millis {
             let mut worst = Millis::ZERO;
-            for &(d, w) in &classes {
+            for &(d, w) in classes.iter() {
                 let slack = if has_open {
                     d.saturating_sub(wait).as_millis()
                 } else {
@@ -310,18 +377,22 @@ impl HeuristicTable {
     /// weaker than the old fastest-execution bound (`h_new ≥ h_old`).
     fn percentile_bound(
         &self,
-        state: &SearchState,
-        percent: f64,
-        deadline: Millis,
-        rate: wisedb_core::PenaltyRate,
+        unassigned: &[u16],
+        open_wait: Option<u64>,
+        dist: DigestBuckets<'_>,
+        (percent, deadline, rate): (f64, Millis, PenaltyRate),
+        scratch: &mut BoundScratch,
     ) -> Money {
-        let PenaltyTracker::Percentile { dist } = &state.tracker else {
-            return Money::ZERO;
-        };
+        let BoundScratch {
+            execs,
+            prefix,
+            floors,
+            ..
+        } = scratch;
         // Remaining executions, ascending (no sort: the precomputed order).
-        let mut execs: Vec<u64> = Vec::new();
+        execs.clear();
         for &(ms, t) in &self.exec_order {
-            let count = state.unassigned.get(t).copied().unwrap_or(0);
+            let count = unassigned.get(t).copied().unwrap_or(0);
             for _ in 0..count {
                 execs.push(ms);
             }
@@ -337,20 +408,15 @@ impl HeuristicTable {
             return rate.for_violation(at.saturating_sub(deadline));
         }
         // Prefix sums: prefix[u-1] = S(u), the u smallest executions.
-        let mut prefix: Vec<u64> = Vec::with_capacity(r);
+        prefix.clear();
         let mut acc = 0u64;
-        for &e in &execs {
+        for &e in execs.iter() {
             acc += e;
             prefix.push(acc);
         }
-        let open = usize::from(state.last_vm.is_some());
-        let wait = state
-            .last_vm
-            .as_ref()
-            .map(|l| l.wait.as_millis())
-            .unwrap_or(0);
+        let open = usize::from(open_wait.is_some());
+        let wait = open_wait.unwrap_or(0);
         let mut best = Money::from_dollars(f64::INFINITY);
-        let mut floors: Vec<(u64, u32)> = Vec::with_capacity(r);
         for v in 0..=r {
             let machines = (v + open).max(1);
             // V new VMs are only "free" capacity if we pay their fee; with
@@ -370,7 +436,7 @@ impl HeuristicTable {
                     _ => floors.push((c, 1)),
                 }
             }
-            let at = Millis::from_millis(dist.value_at_rank_merged(k, &floors));
+            let at = Millis::from_millis(dist.value_at_rank_merged(k, floors));
             let penalty = rate.for_violation(at.saturating_sub(deadline));
             let candidate = self.min_startup * paid_vms as f64 + penalty;
             if candidate < best {

@@ -27,6 +27,7 @@ pub mod astar;
 pub mod canonical;
 pub mod decision;
 pub mod heuristic;
+pub mod key;
 pub mod state;
 pub mod strategy;
 
@@ -35,7 +36,8 @@ pub use astar::AStarSearcher;
 pub use canonical::CanonicalOrder;
 pub use decision::Decision;
 pub use heuristic::HeuristicTable;
-pub use state::{LastVm, SearchState, StateKey};
+pub use key::{KeyRef, StateKey};
+pub use state::{LastVm, SearchState};
 pub use strategy::{
     solve_counts, AnytimeWeightedAStar, BeamSearch, DecisionStep, ExactAStar, ExploredStates,
     HeuristicMemo, OptimalSchedule, PartialExpansionAStar, Plan, SearchConfig, SearchOutcome,

@@ -8,29 +8,31 @@
 //! the path) plus whatever the performance goal needs to price future
 //! placements (the [`PenaltyTracker`]).
 //!
-//! States are built for structural sharing: the open VM's queue is a
-//! persistent stack whose tail is shared between parent and child vertices,
-//! the unassigned counts sit behind a copy-on-write [`Arc`], and the
-//! penalty tracker's heavy variant (percentile distributions) is
-//! copy-on-write inside [`wisedb_core`]. Cloning a [`SearchState`] — which
-//! A* does on every node expansion — is therefore a handful of reference
-//! bumps, and [`SearchState::key`] produces a hashable identity without
-//! copying any of the underlying vectors.
+//! A [`SearchState`] is the *materialised* vertex: what a decision path is
+//! reported in, what feature extraction reads, and what the tree-driven
+//! batch scheduler walks. It is built for structural sharing — the open
+//! VM's queue is a persistent stack whose tail is shared between parent
+//! and child, the unassigned counts sit behind a copy-on-write [`Arc`], and
+//! the percentile tracker is copy-on-write inside [`wisedb_core`] — so
+//! applying a decision costs a few small allocations, never a deep copy.
+//!
+//! The search strategies do **not** hold one per generated vertex: their
+//! expansion kernel prices successors from interned keys ([`crate::key`])
+//! and states are rebuilt only along the path a search returns.
 
 use std::fmt;
 use std::sync::Arc;
 
 use wisedb_core::{
-    Millis, Money, PenaltyDigest, PenaltyTracker, PerformanceGoal, TemplateId, VmTypeId,
-    WorkloadSpec,
+    Millis, Money, PenaltyTracker, PerformanceGoal, TemplateId, VmTypeId, WorkloadSpec,
 };
 
 use crate::decision::Decision;
+use crate::key::{OpenVm, StateKey};
 
 /// A persistent stack of template placements: pushing shares the entire
-/// existing queue with the parent state instead of copying it, which is
-/// what makes child-vertex generation allocation-light (one small node per
-/// placement, ever, instead of one `Vec` copy per generated state).
+/// existing queue with the parent state instead of copying it (one small
+/// node per placement, instead of one `Vec` copy per applied decision).
 ///
 /// Iteration order is newest-first (a stack); [`TemplateStack::to_vec`]
 /// returns placement order for display and tests. Only the queue's length,
@@ -184,7 +186,7 @@ impl LastVm {
 pub struct SearchState {
     /// Unassigned instance count per template (`v_u`), copy-on-write:
     /// renting a VM shares it wholesale, placing a query copies it once.
-    pub unassigned: Arc<Vec<u16>>,
+    pub unassigned: Arc<[u16]>,
     /// The most recently rented VM, if any. `None` only at the start vertex.
     pub last_vm: Option<LastVm>,
     /// Incremental penalty state for the goal.
@@ -197,7 +199,7 @@ impl SearchState {
     /// The start vertex: everything unassigned, nothing rented.
     pub fn initial(unassigned: Vec<u16>, goal: &PerformanceGoal) -> Self {
         SearchState {
-            unassigned: Arc::new(unassigned),
+            unassigned: unassigned.into(),
             last_vm: None,
             tracker: goal.new_tracker(),
             vms_rented: 0,
@@ -349,45 +351,14 @@ impl SearchState {
     /// backlog — the difference between 30-query searches finishing in
     /// thousands of expansions versus millions.
     ///
-    /// Keys are built from shared references (counts `Arc`, digest `Arc`),
-    /// so constructing and cloning one never copies a vector.
-    pub fn key(&self, num_templates: usize) -> StateKey {
-        let _ = num_templates;
-        StateKey {
-            unassigned: Arc::clone(&self.unassigned),
-            last_vm: self
-                .last_vm
-                .as_ref()
-                .map(|l| (l.vm_type.0, l.wait.as_millis(), l.queue.last().map(|t| t.0))),
-            digest: self.tracker.digest(),
-        }
-    }
-}
-
-/// Hashable identity of a search vertex; see [`SearchState::key`].
-/// Clones are reference bumps — the A* interner stores one per distinct
-/// vertex and hands out dense `u32` ids for everything else.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct StateKey {
-    unassigned: Arc<Vec<u16>>,
-    last_vm: Option<(u32, u64, Option<u32>)>,
-    digest: PenaltyDigest,
-}
-
-impl StateKey {
-    /// Unassigned instance count per template.
-    pub fn unassigned(&self) -> &[u16] {
-        &self.unassigned
-    }
-
-    /// The open VM as `(type, wait in ms, last-placed template)`.
-    pub fn open_vm(&self) -> Option<(u32, u64, Option<u32>)> {
-        self.last_vm
-    }
-
-    /// The penalty state future deltas depend on.
-    pub fn digest(&self) -> &PenaltyDigest {
-        &self.digest
+    /// This owned form copies the counts (and a percentile digest's
+    /// buckets); the searches form their keys in place instead.
+    pub fn key(&self) -> StateKey {
+        let open = match &self.last_vm {
+            None => OpenVm::ABSENT,
+            Some(l) => OpenVm::new(l.vm_type.0, l.wait.as_millis(), l.queue.last().map(|t| t.0)),
+        };
+        StateKey::new(&self.unassigned, open, self.tracker.digest())
     }
 }
 
@@ -470,7 +441,7 @@ mod tests {
         assert!(w.approx_eq(Money::from_dollars(0.052 * 2.0 / 60.0), 1e-9));
         let last = s.last_vm.as_ref().unwrap();
         assert_eq!(last.wait, Millis::from_mins(2));
-        assert_eq!(*s.unassigned, vec![0, 1]);
+        assert_eq!(*s.unassigned, [0, 1]);
 
         // Placing T2 now completes at 3m, 2m past its 1m deadline: the
         // edge carries the $1.20 penalty (Eq. 2).
@@ -572,7 +543,7 @@ mod tests {
         let (b, _) = b
             .apply(&spec, &goal, Decision::Place(TemplateId(1)))
             .unwrap();
-        assert_eq!(a.key(2), b.key(2));
+        assert_eq!(a.key(), b.key());
 
         // Different tails (which gate canonical placements) stay distinct.
         let (c, _) = s0
@@ -584,7 +555,7 @@ mod tests {
         let (c, _) = c
             .apply(&spec, &goal, Decision::Place(TemplateId(0)))
             .unwrap();
-        assert_ne!(a.key(2), c.key(2));
+        assert_ne!(a.key(), c.key());
     }
 
     #[test]

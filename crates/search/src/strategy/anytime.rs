@@ -36,8 +36,7 @@ use wisedb_core::Money;
 use crate::state::SearchState;
 
 use super::common::{
-    ensure_slot, finish_explored, generate_successors, reconstruct, HeapEntry, PruneRule, SearchCx,
-    G_EPS, TIME_CHECK_MASK,
+    ensure_slot, expand, HeapEntry, PruneRule, SearchCx, Tables, G_EPS, TIME_CHECK_MASK,
 };
 use super::exact::{open_lower_bound, suboptimality};
 use super::{ExploredStates, SearchOutcome, SearchStats, Strategy};
@@ -72,7 +71,7 @@ impl Strategy for AnytimeWeightedAStar {
         let decay = self.decay.clamp(0.0, 1.0);
         let mut stats = SearchStats::default();
 
-        let (mut t, _, h0) = super::common::Tables::init(cx, &initial);
+        let (mut t, h0) = Tables::init(cx, initial);
         let mut open = BinaryHeap::new();
         open.push(HeapEntry {
             f: w * h0,
@@ -86,11 +85,12 @@ impl Strategy for AnytimeWeightedAStar {
 
         // The greedy completion seeds the *first* incumbent: the search
         // starts with a complete schedule in hand and only ever improves.
-        let greedy = cx.greedy_completion(&initial, stats);
+        let greedy = cx.greedy_completion(&t.root, stats);
         let mut incumbent_cost = greedy.cost.as_dollars();
         // Arena index of the best goal vertex found (None = greedy).
         let mut incumbent_idx: Option<usize> = None;
         let deadline = cx.deadline();
+        let mut successors = Vec::new();
 
         // Adopts a strictly better complete schedule and decays the greed
         // (later exploration is closer to the exact order).
@@ -124,16 +124,16 @@ impl Strategy for AnytimeWeightedAStar {
                 if keep_explored {
                     t.record_explored(sid, g);
                 }
-                let node_state = t.arena[idx].state.clone();
-                for s in generate_successors(
+                expand(
                     cx,
                     &mut t,
                     &mut stats,
-                    &node_state,
                     idx,
                     g,
                     PruneRule::MustBeat(incumbent_cost),
-                ) {
+                    &mut successors,
+                );
+                for s in &successors {
                     if s.is_goal {
                         offer_incumbent!(s.g, s.idx);
                     } else {
@@ -190,22 +190,22 @@ impl Strategy for AnytimeWeightedAStar {
                 break;
             }
 
-            let node_state = t.arena[entry.idx].state.clone();
             stats.expanded += 1;
             *ensure_slot(&mut closed_g, sid, f64::NAN) = entry.g;
             if keep_explored {
                 t.record_explored(sid, entry.g);
             }
 
-            for s in generate_successors(
+            expand(
                 cx,
                 &mut t,
                 &mut stats,
-                &node_state,
                 entry.idx,
                 entry.g,
                 PruneRule::MustBeat(incumbent_cost),
-            ) {
+                &mut successors,
+            );
+            for s in &successors {
                 if s.is_goal {
                     offer_incumbent!(s.g, s.idx);
                 } else {
@@ -237,7 +237,7 @@ impl Strategy for AnytimeWeightedAStar {
 
         let outcome = match incumbent_idx {
             Some(idx) => SearchOutcome {
-                steps: reconstruct(&t.arena, idx),
+                steps: t.reconstruct(cx, idx),
                 cost: Money::from_dollars(incumbent_cost),
                 stats,
             },
@@ -247,6 +247,6 @@ impl Strategy for AnytimeWeightedAStar {
                 stats,
             },
         };
-        (outcome, finish_explored(t.interner, t.explored_g))
+        (outcome, t.finish_explored())
     }
 }

@@ -19,9 +19,7 @@
 
 use crate::state::SearchState;
 
-use super::common::{
-    finish_explored, generate_successors, PruneRule, SearchCx, Tables, G_EPS, TIME_CHECK_MASK,
-};
+use super::common::{expand, PruneRule, SearchCx, Tables, G_EPS, TIME_CHECK_MASK};
 use super::exact::{fallback_result, suboptimality};
 use super::{ExploredStates, SearchOutcome, SearchStats, Strategy};
 
@@ -53,13 +51,14 @@ impl Strategy for BeamSearch {
     ) -> (SearchOutcome, ExploredStates) {
         let width = self.width.max(1);
         let mut stats = SearchStats::default();
-        let (mut t, _, h0) = Tables::init(cx, &initial);
+        let (mut t, h0) = Tables::init(cx, initial);
 
         // Greedy completion: upper bound and guaranteed fallback.
-        let greedy = cx.greedy_completion(&initial, stats);
+        let greedy = cx.greedy_completion(&t.root, stats);
         let upper_bound = greedy.cost.as_dollars() + G_EPS;
         let mut incumbent: Option<(usize, f64)> = None;
         let deadline = cx.deadline();
+        let mut successors = Vec::new();
 
         let mut frontier: Vec<(usize, f64)> = vec![(0, 0.0)];
         'levels: while !frontier.is_empty() {
@@ -82,21 +81,21 @@ impl Strategy for BeamSearch {
                 if keep_explored {
                     t.record_explored(sid, g);
                 }
-                let node_state = t.arena[idx].state.clone();
                 // No path through a successor can beat the best known
                 // complete schedule (greedy or incumbent).
                 let cutoff = incumbent
                     .map(|(_, best)| best + G_EPS)
                     .unwrap_or(upper_bound);
-                for s in generate_successors(
+                expand(
                     cx,
                     &mut t,
                     &mut stats,
-                    &node_state,
                     idx,
                     g,
                     PruneRule::Above(cutoff),
-                ) {
+                    &mut successors,
+                );
+                for s in &successors {
                     if s.is_goal {
                         // Goals challenge the incumbent directly instead
                         // of competing for beam slots.
@@ -137,7 +136,7 @@ impl Strategy for BeamSearch {
         // every vertex exact search could reach under the same pruning, so
         // the best goal found is provably optimal.
         stats.optimal = stats.pruned == 0 && !stats.limit_hit && incumbent.is_some();
-        let mut outcome = fallback_result(&t, incumbent, &greedy, stats);
+        let mut outcome = fallback_result(cx, &t, incumbent, &greedy, stats);
         outcome.stats.bound = if outcome.stats.optimal {
             1.0
         } else {
@@ -145,6 +144,6 @@ impl Strategy for BeamSearch {
             // lower bound.
             suboptimality(outcome.cost, h0)
         };
-        (outcome, finish_explored(t.interner, t.explored_g))
+        (outcome, t.finish_explored())
     }
 }

@@ -1,22 +1,51 @@
 //! Machinery shared by every search strategy.
 //!
 //! The strategies differ only in *which* vertex they expand next and
-//! *when* they stop; everything else — state pricing, the dense state-id
+//! *when* they stop; everything else — successor pricing, the state-id
 //! interner, flat id-indexed tables, heap ordering, greedy completion,
-//! path reconstruction, and budget accounting — lives here so exact, beam,
-//! and anytime searches intern, price, and report identically.
+//! path reconstruction, and budget accounting — lives here so exact,
+//! partial-expansion, beam, and anytime searches intern, price, and report
+//! identically.
+//!
+//! ## The expansion kernel
+//!
+//! A search holds no [`SearchState`] per generated vertex. A vertex *is*
+//! its interned key (remaining counts, open-VM summary, penalty digest —
+//! everything future cost depends on, stored flat in the interner's
+//! [`KeyTable`]) plus a 24-byte arena [`Node`] (parent link, the decision
+//! that reached it, and the two facts the key omits). Each candidate
+//! out-edge of the vertex being expanded goes through, in order:
+//!
+//! 1. **price** — [`Tables::price`] computes the edge weight (Eq. 2) from
+//!    the parent's key and forms the successor's key in a scratch buffer;
+//! 2. **key** — the scratch key is hashed, once;
+//! 3. **intern** — the [`KeyTable`] maps it to a dense id, copying it into
+//!    flat storage only if it is new;
+//! 4. **dedup** — a path no cheaper than the best known to that id stops
+//!    here;
+//! 5. **bound and prune** — `h` is computed from the key on first sight
+//!    (probing the adaptive memo with the hash from step 2), cached per
+//!    id, and `g + h` is tested against the strategy's cutoff;
+//! 6. **materialise** — survivors get an arena node.
+//!
+//! Nothing on that path allocates: the scratch key and the heuristic's
+//! work buffers ([`Scratch`]) belong to the search and are reused for every
+//! successor, and the tables only ever grow by amortised appends. Full
+//! states are rebuilt by replaying decisions from the root, only along the
+//! one path a search returns ([`Tables::reconstruct`]).
 
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::time::Instant;
 
-use wisedb_core::{Money, PerformanceGoal, WorkloadSpec};
+use wisedb_core::{
+    Millis, Money, PenaltyDigest, PerformanceGoal, TemplateId, VmTypeId, WorkloadSpec,
+};
 
 use crate::canonical::CanonicalOrder;
 use crate::decision::Decision;
-use crate::heuristic::HeuristicTable;
-use crate::state::{SearchState, StateKey};
+use crate::heuristic::{BoundScratch, HeuristicTable};
+use crate::key::{DigestBuf, KeyArena, KeyRef, KeyTable, OpenVm, StateKey};
+use crate::state::SearchState;
 
 use super::{
     DecisionStep, ExploredStates, HeuristicMemo, SearchConfig, SearchOutcome, SearchStats,
@@ -76,16 +105,26 @@ impl<'a> SearchCx<'a> {
         self.config
     }
 
-    /// The admissible heuristic for a vertex, memo-combined (§5).
+    /// The admissible heuristic for a vertex, memo-combined (§5) — the
+    /// materialised-state convenience over the kernel's key-level bound.
+    pub fn h(&self, state: &SearchState) -> f64 {
+        self.h_key(state.key().as_ref(), &mut BoundScratch::default())
+    }
+
+    /// The admissible heuristic for the vertex `key` identifies,
+    /// memo-combined (§5).
     ///
     /// At goal vertices the remaining cost is exactly zero; returning
     /// anything below that would let a costly goal pop before cheaper
     /// open paths (the optimality argument needs `f(goal) = g(goal)`).
-    pub fn h(&self, state: &SearchState, key: &StateKey) -> f64 {
-        if state.is_goal() {
+    pub(crate) fn h_key(&self, key: KeyRef<'_>, scratch: &mut BoundScratch) -> f64 {
+        if key.is_goal() {
             return 0.0;
         }
-        let base = self.table.estimate(self.goal, state).as_dollars();
+        let base = self
+            .table
+            .estimate_key(self.goal, key, scratch)
+            .as_dollars();
         match self.memo.and_then(|m| m.get(key)) {
             Some(extra) => base.max(extra),
             None => base,
@@ -99,6 +138,15 @@ impl<'a> SearchCx<'a> {
             (Decision::Place(t), Some(canonical)) => canonical.allows(state, t),
             _ => true,
         }
+    }
+
+    /// Every edge label of the graph, in the order successors are
+    /// generated: placements by template, then start-ups by VM type.
+    pub(crate) fn decisions(&self) -> impl Iterator<Item = Decision> + 'a {
+        let spec = self.spec;
+        spec.template_ids()
+            .map(Decision::Place)
+            .chain(spec.vm_type_ids().map(Decision::CreateVm))
     }
 
     /// One-step-greedy completion: the cheapest out-edge at every vertex,
@@ -168,46 +216,238 @@ impl<'a> SearchCx<'a> {
     }
 }
 
+/// One generated vertex: its interned key plus how it was reached and the
+/// two facts about it the key does not hold.
+#[derive(Clone, Copy)]
+pub(crate) struct Node {
+    /// Interned id of the vertex's key.
+    pub(crate) sid: u32,
+    /// The parent's arena index and the decision taken there; `None` at
+    /// the root.
+    pub(crate) via: Option<(u32, Decision)>,
+    /// Queries still unassigned (zero at goal vertices).
+    pub(crate) remaining: u32,
+    /// Whether this search has placed a query on the open VM — only then
+    /// does the canonical-order reduction constrain the next placement
+    /// (a fresh VM, or one seeded with committed work, takes anything).
+    pub(crate) placed: bool,
+}
+
+/// The vertex being expanded, as [`Tables::price`] needs it.
+#[derive(Clone, Copy)]
+pub(crate) struct Parent {
+    pub(crate) idx: usize,
+    pub(crate) node: Node,
+    /// The penalty its digest carries — what placement deltas of
+    /// non-monotone goals are measured against.
+    before: Money,
+}
+
+/// The buffers a search reuses for every successor it prices and bounds.
+pub(crate) struct Scratch {
+    /// The successor's key, as last formed by [`Tables::price`].
+    pub(crate) child: StateKey,
+    /// The heuristic's work vectors.
+    pub(crate) bounds: BoundScratch,
+}
+
 /// The per-search mutable tables every strategy shares: the node arena,
 /// the state-id interner, and the flat id-indexed best-g / cached-h /
-/// explored-g vectors.
+/// explored-g vectors. All start empty and grow with what the search
+/// actually interns — an online replan touching a few hundred vertices
+/// pays for a few hundred.
 pub(crate) struct Tables {
+    /// The initial vertex, materialised: where [`Tables::reconstruct`]
+    /// replays from.
+    pub(crate) root: SearchState,
     pub(crate) arena: Vec<Node>,
-    pub(crate) interner: Interner,
+    pub(crate) interner: KeyTable,
     pub(crate) best_g: Vec<f64>,
     pub(crate) h_cache: Vec<f64>,
     /// Settle-order g per id (last write wins on reopening); ids double
     /// as the index, so no hashing on the expansion path.
     pub(crate) explored_g: Vec<f64>,
+    pub(crate) scratch: Scratch,
 }
 
 impl Tables {
-    /// Seats `initial` as the root (arena index 0) and returns its
-    /// interned id and heuristic value.
-    pub(crate) fn init(cx: &SearchCx<'_>, initial: &SearchState) -> (Self, u32, f64) {
-        let mut t = Tables {
-            arena: Vec::with_capacity(1024),
-            interner: Interner::default(),
-            best_g: Vec::with_capacity(1024),
-            h_cache: Vec::with_capacity(1024),
-            explored_g: Vec::new(),
+    /// Seats `initial` as the root (arena index 0) and returns the tables
+    /// with its heuristic value.
+    pub(crate) fn init(cx: &SearchCx<'_>, initial: SearchState) -> (Self, f64) {
+        let key = initial.key();
+        let mut bounds = BoundScratch::default();
+        let mut interner = KeyTable::default();
+        let sid = interner.intern(key.as_ref());
+        let h0 = cx.h_key(key.as_ref(), &mut bounds);
+        let root_node = Node {
+            sid,
+            via: None,
+            remaining: initial.remaining(),
+            placed: initial
+                .last_vm
+                .as_ref()
+                .is_some_and(|l| l.queue.len() > l.seeded),
         };
-        let sid0 = t.interner.intern(initial.key(cx.spec.num_templates()));
-        let h0 = cx.h(initial, &t.interner.keys[sid0 as usize]);
-        *ensure_slot(&mut t.best_g, sid0, f64::INFINITY) = 0.0;
-        *ensure_slot(&mut t.h_cache, sid0, f64::NAN) = h0;
-        t.arena.push(Node {
-            state: initial.clone(),
-            parent: None,
-            decision: None,
-            sid: sid0,
-        });
-        (t, sid0, h0)
+        let tables = Tables {
+            root: initial,
+            arena: vec![root_node],
+            interner,
+            best_g: vec![0.0],
+            h_cache: vec![h0],
+            explored_g: Vec::new(),
+            // The root's owned key becomes the successor scratch.
+            scratch: Scratch { child: key, bounds },
+        };
+        (tables, h0)
     }
 
     /// Records the settle-order g of an expanded vertex (adaptive reuse).
     pub(crate) fn record_explored(&mut self, sid: u32, g: f64) {
         *ensure_slot(&mut self.explored_g, sid, f64::NAN) = g;
+    }
+
+    /// Readies the vertex at arena index `idx` for pricing its out-edges.
+    pub(crate) fn parent(&self, cx: &SearchCx<'_>, idx: usize) -> Parent {
+        let node = self.arena[idx];
+        Parent {
+            idx,
+            node,
+            before: self.interner.get(node.sid).digest().penalty(cx.goal),
+        }
+    }
+
+    /// The one successor-pricing routine: the weight of the edge
+    /// `decision` out of `parent` — Eq. 2 for placements
+    /// (`l(q,i)·f_r + Δpenalty`), `f_s` for start-ups — with the
+    /// successor's key left in `self.scratch.child`. `None` when the
+    /// reduced graph has no such edge: a depleted or unsupported template,
+    /// a placement the canonical order forbids, a start-up while the last
+    /// VM is still empty, or a VM type that can process nothing that
+    /// remains (renting it could never reach a goal vertex without a
+    /// further, wasteful start-up).
+    pub(crate) fn price(
+        &mut self,
+        cx: &SearchCx<'_>,
+        parent: &Parent,
+        decision: Decision,
+    ) -> Option<Money> {
+        let key = self.interner.get(parent.node.sid);
+        let counts = key.unassigned();
+        let child = &mut self.scratch.child;
+        match decision {
+            Decision::Place(t) => {
+                let (vm_type, wait, last) = key.open_vm()?;
+                if *counts.get(t.index())? == 0 {
+                    return None;
+                }
+                let vm = VmTypeId(vm_type);
+                let exec = cx.spec.latency(t, vm)?;
+                if let (true, Some(canonical), Some(prev)) =
+                    (parent.node.placed, cx.canonical, last)
+                {
+                    if !canonical.in_order(vm, TemplateId(prev), t) {
+                        return None;
+                    }
+                }
+                let runtime = cx.spec.vm_type(vm).ok()?.runtime_cost(exec);
+                let completion = Millis::from_millis(wait) + exec;
+                child.counts.clear();
+                child.counts.extend_from_slice(counts);
+                child.counts[t.index()] -= 1;
+                child.open = OpenVm::new(vm_type, completion.as_millis(), Some(t.0));
+                let delta = match key.digest() {
+                    PenaltyDigest::None => {
+                        child.digest = DigestBuf::None;
+                        cx.goal
+                            .deadline_charge(t, completion)
+                            .expect("only deadline goals have an empty digest")
+                    }
+                    PenaltyDigest::Average { sum_ms, count } => {
+                        child.digest = DigestBuf::Average {
+                            sum_ms: sum_ms + completion.as_millis() as u128,
+                            count: count + 1,
+                        };
+                        child.digest.as_digest().penalty(cx.goal) - parent.before
+                    }
+                    PenaltyDigest::Percentile(dist) => {
+                        child.digest.set_pushed(dist, completion.as_millis());
+                        child.digest.as_digest().penalty(cx.goal) - parent.before
+                    }
+                };
+                Some(runtime + delta)
+            }
+            Decision::CreateVm(v) => {
+                if matches!(key.open_vm(), Some((_, _, None))) {
+                    return None;
+                }
+                let startup = cx.spec.vm_type(v).ok()?.startup_cost;
+                let useful = cx
+                    .spec
+                    .template_ids()
+                    .any(|t| counts[t.index()] > 0 && cx.spec.latency(t, v).is_some());
+                if !useful {
+                    return None;
+                }
+                child.counts.clear();
+                child.counts.extend_from_slice(counts);
+                child.open = OpenVm::new(v.0, 0, None);
+                child.digest.set(key.digest());
+                Some(startup)
+            }
+        }
+    }
+
+    /// Appends the arena node of the successor reached from `parent` by
+    /// `decision` (whose key is interned as `sid`) and returns its index.
+    pub(crate) fn push_child(&mut self, parent: &Parent, decision: Decision, sid: u32) -> usize {
+        let placement = matches!(decision, Decision::Place(_));
+        self.arena.push(Node {
+            sid,
+            via: Some((parent.idx as u32, decision)),
+            remaining: parent.node.remaining - u32::from(placement),
+            placed: placement,
+        });
+        self.arena.len() - 1
+    }
+
+    /// The decision path from the root to `goal_idx`, in application
+    /// order, each step with the materialised vertex it was taken from:
+    /// parent links give the decisions, replaying them from the root
+    /// rebuilds the states.
+    pub(crate) fn reconstruct(&self, cx: &SearchCx<'_>, goal_idx: usize) -> Vec<DecisionStep> {
+        let mut decisions = Vec::new();
+        let mut idx = goal_idx;
+        while let Some((parent, decision)) = self.arena[idx].via {
+            decisions.push(decision);
+            idx = parent as usize;
+        }
+        let mut steps = Vec::with_capacity(decisions.len());
+        let mut state = self.root.clone();
+        for decision in decisions.into_iter().rev() {
+            let (next, _) = state
+                .apply(cx.spec, cx.goal, decision)
+                .expect("search paths follow edges of the reduced graph");
+            steps.push(DecisionStep { state, decision });
+            state = next;
+        }
+        steps
+    }
+
+    /// Converts the id-indexed settle table into the keyed hand-off, in id
+    /// order: only settled vertices' keys are copied out, into storage
+    /// sized to them, and the rest of the search's tables are dropped.
+    pub(crate) fn finish_explored(self) -> ExploredStates {
+        let mut keys = KeyArena::default();
+        let mut g = Vec::new();
+        for (id, &settled) in self.explored_g.iter().enumerate() {
+            if !settled.is_nan() {
+                keys.push(self.interner.get(id as u32));
+                g.push(settled);
+            }
+        }
+        keys.shrink_to_fit();
+        g.shrink_to_fit();
+        ExploredStates::new(keys, g)
     }
 }
 
@@ -232,7 +472,7 @@ impl PruneRule {
     }
 }
 
-/// One surviving successor of [`generate_successors`].
+/// One surviving successor of [`expand`].
 pub(crate) struct Successor {
     /// Arena index of the new vertex.
     pub(crate) idx: usize,
@@ -244,34 +484,34 @@ pub(crate) struct Successor {
     pub(crate) is_goal: bool,
 }
 
-/// Expands one vertex into the shared tables: enumerates decisions,
-/// applies the canonical-order filter, prices edges, interns and dedups
-/// against best-known g (counting reopenings), caches h per distinct
-/// vertex, and prunes against `rule`. This is the one implementation all
-/// strategies share — they differ only in what they do with the
-/// survivors (exact pushes everything including goals onto its open
-/// list; beam and anytime route goals straight to the incumbent).
-pub(crate) fn generate_successors(
+/// Expands one vertex into the shared tables, leaving the survivors in
+/// `out` (cleared first): every out-edge is priced, keyed, interned,
+/// deduplicated against best-known g (counting reopenings), bounded (h is
+/// cached per distinct vertex) and pruned against `rule`, in that order —
+/// see the module docs. This is the one implementation exact, beam and
+/// anytime share — they differ only in what they do with the survivors
+/// (exact pushes everything including goals onto its open list; beam and
+/// anytime route goals straight to the incumbent). Partial expansion
+/// prices through the same [`Tables::price`] but interns lazily.
+pub(crate) fn expand(
     cx: &SearchCx<'_>,
     t: &mut Tables,
-    stats: &mut super::SearchStats,
-    node_state: &SearchState,
+    stats: &mut SearchStats,
     parent_idx: usize,
     parent_g: f64,
     rule: PruneRule,
-) -> Vec<Successor> {
-    let nt = cx.spec.num_templates();
-    let mut out = Vec::new();
-    for decision in node_state.successors(cx.spec) {
-        if !cx.allows(node_state, decision) {
-            continue;
-        }
-        let Some((next, weight)) = node_state.apply(cx.spec, cx.goal, decision) else {
+    out: &mut Vec<Successor>,
+) {
+    out.clear();
+    let parent = t.parent(cx, parent_idx);
+    for decision in cx.decisions() {
+        let Some(weight) = t.price(cx, &parent, decision) else {
             continue;
         };
         stats.generated += 1;
         let g2 = parent_g + weight.as_dollars();
-        let sid2 = t.interner.intern(next.key(nt));
+        let child = t.scratch.child.as_ref();
+        let sid2 = t.interner.intern(child);
         let known_g = ensure_slot(&mut t.best_g, sid2, f64::INFINITY);
         if known_g.is_finite() {
             if g2 >= *known_g - G_EPS {
@@ -281,59 +521,20 @@ pub(crate) fn generate_successors(
         }
         *known_g = g2;
         let h_slot = ensure_slot(&mut t.h_cache, sid2, f64::NAN);
-        let h2 = if h_slot.is_nan() {
-            let h = cx.h(&next, &t.interner.keys[sid2 as usize]);
-            *h_slot = h;
-            h
-        } else {
-            *h_slot
-        };
+        if h_slot.is_nan() {
+            *h_slot = cx.h_key(child, &mut t.scratch.bounds);
+        }
+        let h2 = *h_slot;
         if rule.drops(g2 + h2) {
             continue;
         }
-        let is_goal = next.is_goal();
-        t.arena.push(Node {
-            state: next,
-            parent: Some(parent_idx),
-            decision: Some(decision),
-            sid: sid2,
-        });
+        let idx = t.push_child(&parent, decision, sid2);
         out.push(Successor {
-            idx: t.arena.len() - 1,
+            idx,
             g: g2,
             h: h2,
-            is_goal,
+            is_goal: t.arena[idx].remaining == 0,
         });
-    }
-    out
-}
-
-/// Dense state-id interner: each distinct [`StateKey`] gets a `u32` on
-/// first sight. Keys are Arc-backed, so storing them twice (map + by-id
-/// vector) costs reference bumps, not vector copies.
-#[derive(Default)]
-pub(crate) struct Interner {
-    ids: HashMap<StateKey, u32>,
-    pub(crate) keys: Vec<StateKey>,
-}
-
-impl Interner {
-    /// Returns the id for `key`, allocating one if unseen.
-    pub(crate) fn intern(&mut self, key: StateKey) -> u32 {
-        let Interner { ids, keys } = self;
-        match ids.entry(key) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = keys.len() as u32;
-                keys.push(e.key().clone());
-                e.insert(id);
-                id
-            }
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.keys.len()
     }
 }
 
@@ -344,15 +545,6 @@ pub(crate) fn ensure_slot(table: &mut Vec<f64>, id: u32, fill: f64) -> &mut f64 
         table.resize(idx + 1, fill);
     }
     &mut table[idx]
-}
-
-/// One generated vertex in the search arena.
-pub(crate) struct Node {
-    pub(crate) state: SearchState,
-    pub(crate) parent: Option<usize>,
-    pub(crate) decision: Option<Decision>,
-    /// Interned id of `state`'s key.
-    pub(crate) sid: u32,
 }
 
 /// A priority-queue entry: `f` is whatever the strategy orders by (plain
@@ -388,31 +580,4 @@ impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
-}
-
-/// Walks parent links from `goal_idx` back to the root, returning the
-/// decision path in application order.
-pub(crate) fn reconstruct(arena: &[Node], goal_idx: usize) -> Vec<DecisionStep> {
-    let mut steps = Vec::new();
-    let mut idx = goal_idx;
-    while let (Some(parent), Some(decision)) = (arena[idx].parent, arena[idx].decision) {
-        steps.push(DecisionStep {
-            state: arena[parent].state.clone(),
-            decision,
-        });
-        idx = parent;
-    }
-    steps.reverse();
-    steps
-}
-
-/// Converts the id-indexed settle table back to keyed pairs, in id order.
-/// Keys come out of the interner by reference bump, not by copy.
-pub(crate) fn finish_explored(interner: Interner, explored_g: Vec<f64>) -> ExploredStates {
-    explored_g
-        .into_iter()
-        .enumerate()
-        .filter(|(_, g)| !g.is_nan())
-        .map(|(id, g)| (interner.keys[id].clone(), g))
-        .collect()
 }

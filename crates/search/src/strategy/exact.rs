@@ -16,15 +16,11 @@
 //!
 //! Every distinct vertex is interned to a dense `u32` id on first sight, so
 //! the per-expansion tables — best-known g, the cached heuristic value, and
-//! the explored set — are flat `Vec`s indexed by id rather than hash maps
-//! keyed by deep [`crate::state::StateKey`]s (see
-//! [`super::common::Tables`], shared with the inexact strategies).
-//! Combined with the structural sharing inside
-//! [`crate::state::SearchState`] (persistent queues, copy-on-write counts
-//! and penalty distributions), expanding a node costs one key hash and
-//! O(successors) small allocations instead of deep clones of the whole
-//! vertex. The [`SearchStats::interned`] counter exposes the dedup-table
-//! size.
+//! the explored set — are flat `Vec`s indexed by id, and the vertex itself
+//! is that id's key in the interner's flat storage: expanding a node
+//! prices, keys, interns, dedups, bounds and prunes each successor without
+//! allocating (see [`super::common`], shared with the other strategies).
+//! The [`SearchStats::interned`] counter exposes the dedup-table size.
 
 use std::collections::BinaryHeap;
 
@@ -32,10 +28,7 @@ use wisedb_core::Money;
 
 use crate::state::SearchState;
 
-use super::common::{
-    finish_explored, generate_successors, reconstruct, HeapEntry, PruneRule, SearchCx, Tables,
-    G_EPS, TIME_CHECK_MASK,
-};
+use super::common::{expand, HeapEntry, PruneRule, SearchCx, Tables, G_EPS, TIME_CHECK_MASK};
 use super::{ExploredStates, SearchOutcome, SearchStats, Strategy};
 
 /// The exact strategy. Stateless — all tunables live in
@@ -59,7 +52,7 @@ impl Strategy for ExactAStar {
             ..SearchStats::default()
         };
 
-        let (mut t, _, h0) = Tables::init(cx, &initial);
+        let (mut t, h0) = Tables::init(cx, initial);
         let mut open = BinaryHeap::new();
         open.push(HeapEntry {
             f: h0,
@@ -70,25 +63,24 @@ impl Strategy for ExactAStar {
         // A quick greedy completion bounds the optimum from above: any
         // vertex whose f exceeds it can never be on an optimal path. Kept
         // whole — it doubles as the budget-exit fallback schedule.
-        let greedy = cx.greedy_completion(&initial, stats);
+        let greedy = cx.greedy_completion(&t.root, stats);
         let upper_bound = greedy.cost.as_dollars() + G_EPS;
 
         // Incumbent: best goal vertex generated so far, as a fallback when
         // the expansion budget is hit.
         let mut incumbent: Option<(usize, f64)> = None;
         let deadline = cx.deadline();
+        let mut successors = Vec::new();
 
         while let Some(entry) = open.pop() {
-            // Cheap clone (reference bumps): lets the arena grow while the
-            // popped state's successors are generated.
-            let node_state = t.arena[entry.idx].state.clone();
-            let sid = t.arena[entry.idx].sid;
+            let node = t.arena[entry.idx];
+            let sid = node.sid;
             if entry.g > t.best_g[sid as usize] + G_EPS {
                 continue; // stale entry
             }
 
-            if node_state.is_goal() {
-                let steps = reconstruct(&t.arena, entry.idx);
+            if node.remaining == 0 {
+                let steps = t.reconstruct(cx, entry.idx);
                 stats.expanded += 1;
                 stats.interned = t.interner.len() as u64;
                 stats.bound = 1.0;
@@ -98,7 +90,7 @@ impl Strategy for ExactAStar {
                         cost: Money::from_dollars(entry.g),
                         stats,
                     },
-                    finish_explored(t.interner, t.explored_g),
+                    t.finish_explored(),
                 );
             }
 
@@ -120,9 +112,9 @@ impl Strategy for ExactAStar {
                 // frontier lower bound sees it.
                 open.push(entry);
                 let lb = open_lower_bound(&open, &t).max(h0);
-                let mut outcome = fallback_result(&t, incumbent, &greedy, stats);
+                let mut outcome = fallback_result(cx, &t, incumbent, &greedy, stats);
                 outcome.stats.bound = suboptimality(outcome.cost, lb);
-                return (outcome, finish_explored(t.interner, t.explored_g));
+                return (outcome, t.finish_explored());
             }
 
             stats.expanded += 1;
@@ -130,15 +122,16 @@ impl Strategy for ExactAStar {
                 t.record_explored(sid, entry.g);
             }
 
-            for s in generate_successors(
+            expand(
                 cx,
                 &mut t,
                 &mut stats,
-                &node_state,
                 entry.idx,
                 entry.g,
                 PruneRule::Above(upper_bound),
-            ) {
+                &mut successors,
+            );
+            for s in &successors {
                 if s.is_goal {
                     match incumbent {
                         Some((_, best)) if best <= s.g => {}
@@ -161,8 +154,8 @@ impl Strategy for ExactAStar {
         // return the incumbent defensively.
         stats.optimal = false;
         stats.interned = t.interner.len() as u64;
-        let outcome = fallback_result(&t, incumbent, &greedy, stats);
-        (outcome, finish_explored(t.interner, t.explored_g))
+        let outcome = fallback_result(cx, &t, incumbent, &greedy, stats);
+        (outcome, t.finish_explored())
     }
 }
 
@@ -172,6 +165,7 @@ impl Strategy for ExactAStar {
 /// generated early in a limited search can be dreadful. `stats` replaces
 /// the stale snapshot embedded in the greedy outcome.
 pub(crate) fn fallback_result(
+    cx: &SearchCx<'_>,
     t: &Tables,
     incumbent: Option<(usize, f64)>,
     greedy: &SearchOutcome,
@@ -180,7 +174,7 @@ pub(crate) fn fallback_result(
     if let Some((idx, g)) = incumbent {
         if g <= greedy.cost.as_dollars() {
             return SearchOutcome {
-                steps: reconstruct(&t.arena, idx),
+                steps: t.reconstruct(cx, idx),
                 cost: Money::from_dollars(g),
                 stats,
             };

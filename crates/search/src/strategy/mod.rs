@@ -24,14 +24,12 @@
 //!   interned frontier on wide branching (percentile goals fan out per
 //!   template × placement).
 //!
-//! All four share the interned-state machinery ([`common`]): the dense
-//! state-id interner, flat id-indexed g/h tables, the persistent-queue
-//! vertices, and the greedy upper bound. [`Solver`] is the single entry
+//! All four share the interned-state machinery ([`common`]): one
+//! successor-pricing routine, the dense state-id interner, flat id-indexed
+//! g/h tables, and the greedy upper bound. [`Solver`] is the single entry
 //! point — [`SearchConfig::strategy`] picks the implementation, and the
 //! historical [`AStarSearcher`](crate::astar::AStarSearcher) name is an
 //! alias of it.
-
-use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +40,8 @@ use wisedb_core::{
 use crate::canonical::CanonicalOrder;
 use crate::decision::Decision;
 use crate::heuristic::HeuristicTable;
-use crate::state::{SearchState, StateKey};
+use crate::key::{KeyArena, KeyRef, KeyTable};
+use crate::state::SearchState;
 
 pub mod anytime;
 pub mod beam;
@@ -345,13 +344,14 @@ pub struct Plan {
 }
 
 /// Extra per-vertex heuristic values (in dollars) layered on top of the base
-/// heuristic — the mechanism behind adaptive A* (§5). Keys are Arc-backed
-/// [`StateKey`]s, so storing one is reference bumps; the searcher consults
-/// the memo at most once per *distinct* vertex (the per-id `h` cache
-/// remembers the combined value for every regeneration).
+/// heuristic — the mechanism behind adaptive A* (§5). A [`KeyTable`] with a
+/// value per id: the searcher probes it at most once per *distinct* vertex
+/// (the per-id `h` cache remembers the combined value for every
+/// regeneration), with the hash the interner already computed.
 #[derive(Debug, Clone, Default)]
 pub struct HeuristicMemo {
-    values: HashMap<StateKey, f64>,
+    keys: KeyTable,
+    values: Vec<f64>,
 }
 
 impl HeuristicMemo {
@@ -371,39 +371,66 @@ impl HeuristicMemo {
     }
 
     /// The memoized heuristic for `key`, if any.
-    pub fn get(&self, key: &StateKey) -> Option<f64> {
-        self.values.get(key).copied()
+    pub fn get(&self, key: KeyRef<'_>) -> Option<f64> {
+        self.keys.find(key).map(|id| self.values[id as usize])
     }
 
     /// Records `h` for `key`, keeping the maximum of all observations
     /// (`max(h, h')` stays admissible when each input is).
-    pub fn raise(&mut self, key: StateKey, h: f64) {
-        let slot = self.values.entry(key).or_insert(f64::NEG_INFINITY);
+    pub fn raise(&mut self, key: KeyRef<'_>, h: f64) {
+        self.raise_capped(key, h, usize::MAX);
+    }
+
+    /// Like [`HeuristicMemo::raise`], but refuses to grow past `cap`
+    /// entries: existing keys may still be raised, new keys are dropped
+    /// once the memo is full. Raising and dropping are both
+    /// order-independent per key, so a sequence of capped raises is
+    /// deterministic for any fixed insertion order.
+    pub fn raise_capped(&mut self, key: KeyRef<'_>, h: f64, cap: usize) {
+        let Some(id) = self.keys.intern_if(key, self.values.len() < cap) else {
+            return;
+        };
+        if id as usize == self.values.len() {
+            self.values.push(f64::NEG_INFINITY);
+        }
+        let slot = &mut self.values[id as usize];
         if h > *slot {
             *slot = h;
         }
     }
-
-    /// Whether the memo holds reuse information for `key`.
-    pub fn contains(&self, key: &StateKey) -> bool {
-        self.values.contains_key(key)
-    }
-
-    /// Like [`HeuristicMemo::raise`], but refuses to grow past `cap`
-    /// entries: existing keys may still be raised (free — no allocation),
-    /// new keys are dropped once the memo is full. Raising and dropping are
-    /// both order-independent per key, so a sequence of capped raises is
-    /// deterministic for any fixed insertion order.
-    pub fn raise_capped(&mut self, key: StateKey, h: f64, cap: usize) {
-        if self.values.contains_key(&key) || self.values.len() < cap {
-            self.raise(key, h);
-        }
-    }
 }
 
-/// The g-values of every settled vertex of one search, in settle order —
-/// what [`crate::adaptive::AdaptiveSearcher`] folds into its memo.
-pub type ExploredStates = Vec<(StateKey, f64)>;
+/// The g-values of every settled vertex of one search, in settle-id order —
+/// what [`crate::adaptive::AdaptiveSearcher`] folds into its memo. Keys
+/// are held flat (and already hashed), so keeping one per cached solve
+/// costs a few dozen bytes per settled vertex.
+#[derive(Debug, Clone, Default)]
+pub struct ExploredStates {
+    keys: KeyArena,
+    g: Vec<f64>,
+}
+
+impl ExploredStates {
+    pub(crate) fn new(keys: KeyArena, g: Vec<f64>) -> Self {
+        debug_assert_eq!(keys.len(), g.len());
+        ExploredStates { keys, g }
+    }
+
+    /// Number of settled vertices.
+    pub fn len(&self) -> usize {
+        self.g.len()
+    }
+
+    /// Whether no vertex was settled (or none were kept).
+    pub fn is_empty(&self) -> bool {
+        self.g.is_empty()
+    }
+
+    /// Each settled vertex's key with its g-value.
+    pub fn iter(&self) -> impl Iterator<Item = (KeyRef<'_>, f64)> {
+        self.keys.iter().zip(self.g.iter().copied())
+    }
+}
 
 /// A search strategy: given the shared pricing/interning context and an
 /// initial vertex, produce a complete decision path. Implementations must
@@ -582,7 +609,7 @@ impl<'a> Solver<'a> {
                     cost: Money::ZERO,
                     stats,
                 },
-                Vec::new(),
+                ExploredStates::default(),
             );
         }
         let cx = SearchCx::new(

@@ -11,7 +11,9 @@
 //! enqueued — the rest stay in a per-vertex cache and the vertex itself is
 //! re-enqueued with `F` raised to the cheapest deferred `f`. Re-popping the
 //! vertex later ([`super::SearchStats::reexpansions`]) promotes the next
-//! tranche without re-pricing.
+//! tranche at its cached `g` and `h`; only the promoted successor's key is
+//! formed again (from the parent, through the shared pricing routine), so
+//! a deferred successor costs three words, not a vertex.
 //!
 //! Optimality is inherited from exact A*: stored `F` values never exceed
 //! the true cost of any completion through their vertex (the heuristic is
@@ -24,20 +26,16 @@ use std::collections::{BinaryHeap, HashMap};
 
 use wisedb_core::Money;
 
-use crate::state::{SearchState, StateKey};
+use crate::decision::Decision;
+use crate::state::SearchState;
 
-use super::common::{
-    ensure_slot, finish_explored, reconstruct, HeapEntry, Node, SearchCx, Tables, G_EPS,
-    TIME_CHECK_MASK,
-};
+use super::common::{ensure_slot, HeapEntry, SearchCx, Tables, G_EPS, TIME_CHECK_MASK};
 use super::exact::{fallback_result, suboptimality};
 use super::{ExploredStates, SearchOutcome, SearchStats, Strategy};
 
 /// One priced-but-not-yet-promoted successor.
 struct Deferred {
-    state: SearchState,
-    key: StateKey,
-    decision: crate::decision::Decision,
+    decision: Decision,
     g: f64,
     h: f64,
 }
@@ -63,7 +61,7 @@ impl Strategy for PartialExpansionAStar {
             ..SearchStats::default()
         };
 
-        let (mut t, _, h0) = Tables::init(cx, &initial);
+        let (mut t, h0) = Tables::init(cx, initial);
         let mut open = BinaryHeap::new();
         open.push(HeapEntry {
             f: h0,
@@ -73,7 +71,7 @@ impl Strategy for PartialExpansionAStar {
 
         // Same upper bound and fallback as the exact strategy: a greedy
         // completion caps useful f, and doubles as the budget-exit plan.
-        let greedy = cx.greedy_completion(&initial, stats);
+        let greedy = cx.greedy_completion(&t.root, stats);
         let upper_bound = greedy.cost.as_dollars() + G_EPS;
 
         // Deferred successors per arena index, sorted descending by f so
@@ -82,20 +80,19 @@ impl Strategy for PartialExpansionAStar {
         // fresh cache); stale entries for the old one never pass the
         // best-g check below.
         let mut cache: HashMap<usize, Vec<Deferred>> = HashMap::new();
-        let nt = cx.spec().num_templates();
 
         let mut incumbent: Option<(usize, f64)> = None;
         let deadline = cx.deadline();
 
         while let Some(entry) = open.pop() {
-            let node_state = t.arena[entry.idx].state.clone();
-            let sid = t.arena[entry.idx].sid;
+            let node = t.arena[entry.idx];
+            let sid = node.sid;
             if entry.g > t.best_g[sid as usize] + G_EPS {
                 continue; // stale entry
             }
 
-            if node_state.is_goal() {
-                let steps = reconstruct(&t.arena, entry.idx);
+            if node.remaining == 0 {
+                let steps = t.reconstruct(cx, entry.idx);
                 stats.expanded += 1;
                 stats.interned = t.interner.len() as u64;
                 stats.bound = 1.0;
@@ -105,7 +102,7 @@ impl Strategy for PartialExpansionAStar {
                         cost: Money::from_dollars(entry.g),
                         stats,
                     },
-                    finish_explored(t.interner, t.explored_g),
+                    t.finish_explored(),
                 );
             }
 
@@ -120,9 +117,9 @@ impl Strategy for PartialExpansionAStar {
                 stats.interned = t.interner.len() as u64;
                 open.push(entry);
                 let lb = pea_lower_bound(&open, &t).max(h0);
-                let mut outcome = fallback_result(&t, incumbent, &greedy, stats);
+                let mut outcome = fallback_result(cx, &t, incumbent, &greedy, stats);
                 outcome.stats.bound = suboptimality(outcome.cost, lb);
-                return (outcome, finish_explored(t.interner, t.explored_g));
+                return (outcome, t.finish_explored());
             }
 
             stats.expanded += 1;
@@ -130,8 +127,9 @@ impl Strategy for PartialExpansionAStar {
                 t.record_explored(sid, entry.g);
             }
 
-            // First visit prices every successor once; re-visits promote
-            // from the cache without touching the pricing path again.
+            // First visit prices and bounds every successor once; re-visits
+            // promote from the cache at those values.
+            let parent = t.parent(cx, entry.idx);
             let mut items = match cache.remove(&entry.idx) {
                 Some(items) => {
                     stats.reexpansions += 1;
@@ -139,24 +137,17 @@ impl Strategy for PartialExpansionAStar {
                 }
                 None => {
                     let mut items = Vec::new();
-                    for decision in node_state.successors(cx.spec()) {
-                        if !cx.allows(&node_state, decision) {
-                            continue;
-                        }
-                        let Some((next, weight)) = node_state.apply(cx.spec(), cx.goal(), decision)
-                        else {
+                    for decision in cx.decisions() {
+                        let Some(weight) = t.price(cx, &parent, decision) else {
                             continue;
                         };
                         stats.generated += 1;
                         let g2 = entry.g + weight.as_dollars();
-                        let key = next.key(nt);
-                        let h2 = cx.h(&next, &key);
+                        let h2 = cx.h_key(t.scratch.child.as_ref(), &mut t.scratch.bounds);
                         if g2 + h2 > upper_bound {
                             continue; // can never beat the greedy schedule
                         }
                         items.push(Deferred {
-                            state: next,
-                            key,
                             decision,
                             g: g2,
                             h: h2,
@@ -173,7 +164,9 @@ impl Strategy for PartialExpansionAStar {
                     break;
                 }
                 let s = items.pop().unwrap();
-                let sid2 = t.interner.intern(s.key);
+                t.price(cx, &parent, s.decision)
+                    .expect("a deferred successor was priced from this vertex before");
+                let sid2 = t.interner.intern(t.scratch.child.as_ref());
                 let known_g = ensure_slot(&mut t.best_g, sid2, f64::INFINITY);
                 if known_g.is_finite() {
                     if s.g >= *known_g - G_EPS {
@@ -183,15 +176,8 @@ impl Strategy for PartialExpansionAStar {
                 }
                 *known_g = s.g;
                 *ensure_slot(&mut t.h_cache, sid2, f64::NAN) = s.h;
-                let is_goal = s.state.is_goal();
-                t.arena.push(Node {
-                    state: s.state,
-                    parent: Some(entry.idx),
-                    decision: Some(s.decision),
-                    sid: sid2,
-                });
-                let idx2 = t.arena.len() - 1;
-                if is_goal {
+                let idx2 = t.push_child(&parent, s.decision, sid2);
+                if t.arena[idx2].remaining == 0 {
                     match incumbent {
                         Some((_, best)) if best <= s.g => {}
                         _ => {
@@ -226,8 +212,8 @@ impl Strategy for PartialExpansionAStar {
         // return the incumbent defensively.
         stats.optimal = false;
         stats.interned = t.interner.len() as u64;
-        let outcome = fallback_result(&t, incumbent, &greedy, stats);
-        (outcome, finish_explored(t.interner, t.explored_g))
+        let outcome = fallback_result(cx, &t, incumbent, &greedy, stats);
+        (outcome, t.finish_explored())
     }
 }
 

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 
 use wisedb::prelude::*;
 use wisedb::search::{
-    AdaptiveSearcher, Decision, LastVm, SearchState, SearchStats, SearchStrategy, StateKey,
+    AdaptiveSearcher, Decision, KeyRef, LastVm, SearchState, SearchStats, SearchStrategy,
 };
 use wisedb_core::{PenaltyDigest, TemplateId, VmTypeId};
 
@@ -50,7 +50,7 @@ impl Fnv {
 }
 
 /// Folds a vertex identity by content, not by representation.
-fn fold_key(h: &mut Fnv, key: &StateKey) {
+fn fold_key(h: &mut Fnv, key: KeyRef<'_>) {
     for &c in key.unassigned() {
         h.word(c as u64);
     }
@@ -66,9 +66,9 @@ fn fold_key(h: &mut Fnv, key: &StateKey) {
         PenaltyDigest::None => h.word(0),
         PenaltyDigest::Average { sum_ms, count } => {
             h.word(1);
-            h.word(*sum_ms as u64);
-            h.word((*sum_ms >> 64) as u64);
-            h.word(*count);
+            h.word(sum_ms as u64);
+            h.word((sum_ms >> 64) as u64);
+            h.word(count);
         }
         PenaltyDigest::Percentile(dist) => {
             h.word(2);
@@ -181,7 +181,7 @@ fn render_spec(out: &mut String, tag: &str, spec: &WorkloadSpec, workloads: &[Ve
                     .solve_with_explored(&workload)
                     .unwrap();
                 let mut fold = Fnv::new();
-                for (key, g) in &explored {
+                for (key, g) in explored.iter() {
                     fold_key(&mut fold, key);
                     fold.word(g.to_bits());
                 }
