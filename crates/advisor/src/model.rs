@@ -594,10 +594,20 @@ impl ModelGenerator {
         goal: &PerformanceGoal,
         artifacts: &mut TrainingArtifacts,
     ) -> CoreResult<DecisionModel> {
+        let mut span = wisedb_obs::span("train.model");
         goal.validate_against(&self.spec)?;
         let start = Instant::now();
         let (samples, searchers) = artifacts.parts_mut();
         let (paths, expanded) = self.solve_samples(goal, samples, searchers)?;
+        // Every sample is re-solved: searcher memos are goal-specific, so
+        // nothing here goes through the solve cache.
+        wisedb_obs::counter_add("wisedb_train_solves_total", paths.len() as u64);
+        if span.recording() {
+            span.attr_str("kind", "tightened");
+            span.attr_u64("samples", paths.len() as u64);
+            span.attr_u64("expanded", expanded);
+            span.attr_str("goal", goal.kind().name());
+        }
         let generator = ModelGenerator {
             spec: self.spec.clone(),
             goal: GoalHandle::new(goal.clone()),

@@ -105,19 +105,13 @@ impl<'a> SearchCx<'a> {
         self.config
     }
 
-    /// The admissible heuristic for a vertex, memo-combined (§5) — the
-    /// materialised-state convenience over the kernel's key-level bound.
-    pub fn h(&self, state: &SearchState) -> f64 {
-        self.h_key(state.key().as_ref(), &mut BoundScratch::default())
-    }
-
     /// The admissible heuristic for the vertex `key` identifies,
     /// memo-combined (§5).
     ///
     /// At goal vertices the remaining cost is exactly zero; returning
     /// anything below that would let a costly goal pop before cheaper
     /// open paths (the optimality argument needs `f(goal) = g(goal)`).
-    pub(crate) fn h_key(&self, key: KeyRef<'_>, scratch: &mut BoundScratch) -> f64 {
+    pub(crate) fn h(&self, key: KeyRef<'_>, scratch: &mut BoundScratch) -> f64 {
         if key.is_goal() {
             return 0.0;
         }
@@ -128,15 +122,6 @@ impl<'a> SearchCx<'a> {
         match self.memo.and_then(|m| m.get(key)) {
             Some(extra) => base.max(extra),
             None => base,
-        }
-    }
-
-    /// Whether the canonical-SPT reduction allows this placement out of
-    /// `state` (always true when the reduction is disabled).
-    pub fn allows(&self, state: &SearchState, decision: Decision) -> bool {
-        match (decision, self.canonical) {
-            (Decision::Place(t), Some(canonical)) => canonical.allows(state, t),
-            _ => true,
         }
     }
 
@@ -233,6 +218,9 @@ pub(crate) struct Node {
     pub(crate) placed: bool,
 }
 
+// The arena holds one node per surviving successor; keep it to three words.
+const _: () = assert!(std::mem::size_of::<Node>() <= 24);
+
 /// The vertex being expanded, as [`Tables::price`] needs it.
 #[derive(Clone, Copy)]
 pub(crate) struct Parent {
@@ -278,7 +266,7 @@ impl Tables {
         let mut bounds = BoundScratch::default();
         let mut interner = KeyTable::default();
         let sid = interner.intern(key.as_ref());
-        let h0 = cx.h_key(key.as_ref(), &mut bounds);
+        let h0 = cx.h(key.as_ref(), &mut bounds);
         let root_node = Node {
             sid,
             via: None,
@@ -401,9 +389,10 @@ impl Tables {
     /// `decision` (whose key is interned as `sid`) and returns its index.
     pub(crate) fn push_child(&mut self, parent: &Parent, decision: Decision, sid: u32) -> usize {
         let placement = matches!(decision, Decision::Place(_));
+        let parent_idx = u32::try_from(parent.idx).expect("arena indices fit 32 bits");
         self.arena.push(Node {
             sid,
-            via: Some((parent.idx as u32, decision)),
+            via: Some((parent_idx, decision)),
             remaining: parent.node.remaining - u32::from(placement),
             placed: placement,
         });
@@ -522,7 +511,7 @@ pub(crate) fn expand(
         *known_g = g2;
         let h_slot = ensure_slot(&mut t.h_cache, sid2, f64::NAN);
         if h_slot.is_nan() {
-            *h_slot = cx.h_key(child, &mut t.scratch.bounds);
+            *h_slot = cx.h(child, &mut t.scratch.bounds);
         }
         let h2 = *h_slot;
         if rule.drops(g2 + h2) {

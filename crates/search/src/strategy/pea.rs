@@ -143,7 +143,7 @@ impl Strategy for PartialExpansionAStar {
                         };
                         stats.generated += 1;
                         let g2 = entry.g + weight.as_dollars();
-                        let h2 = cx.h_key(t.scratch.child.as_ref(), &mut t.scratch.bounds);
+                        let h2 = cx.h(t.scratch.child.as_ref(), &mut t.scratch.bounds);
                         if g2 + h2 > upper_bound {
                             continue; // can never beat the greedy schedule
                         }

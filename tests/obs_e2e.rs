@@ -109,6 +109,62 @@ fn full_span_tracing_never_changes_solver_results() {
     assert!(totals.contains_key("search.solve"));
 }
 
+/// The §5 tightening retrain — the online Shift path — is as visible as
+/// cache-backed training: one `train.model` span tagged `kind=tightened`
+/// carrying its sample and expansion counts, with every sample solve under
+/// it counted in `wisedb_train_solves_total`.
+#[test]
+fn tightened_retrain_is_a_train_model_span_and_counts_its_solves() {
+    use wisedb::obs::{AttrValue, Phase};
+
+    let _hold = obs::testing::hold();
+    let (spec, goal, _) = instance();
+    let config = ModelConfig {
+        num_samples: 12,
+        sample_size: 6,
+        ..ModelConfig::fast()
+    };
+    let generator = ModelGenerator::new(spec.clone(), goal.clone(), config);
+    let (_, mut artifacts) = generator.train_with_artifacts().unwrap();
+    let tightened = goal.tighten_pct(&spec, 0.3);
+    let solves = || {
+        obs::snapshot_metrics()
+            .counters
+            .iter()
+            .find(|(name, _)| name == "wisedb_train_solves_total")
+            .map_or(0, |&(_, v)| v)
+    };
+
+    let collector = obs::install(Level::Spans);
+    let before = solves();
+    generator
+        .retrain_tightened(&tightened, &mut artifacts)
+        .unwrap();
+    let counted = solves() - before;
+    let trace = collector.finish();
+
+    assert_eq!(counted, 12, "one counted solve per sample");
+    let ends: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "train.model" && matches!(e.phase, Phase::End))
+        .collect();
+    assert_eq!(ends.len(), 1, "exactly one train.model span");
+    let attr = |key: &str| {
+        ends[0]
+            .attrs
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    assert_eq!(attr("kind"), Some(AttrValue::Str("tightened".into())));
+    assert_eq!(attr("samples"), Some(AttrValue::U64(12)));
+    assert!(matches!(attr("expanded"), Some(AttrValue::U64(n)) if n > 0));
+    let totals = trace.span_totals();
+    assert_eq!(totals["train.sample"].count, 12);
+    assert_eq!(totals["search.solve"].count, 12);
+}
+
 /// Codepoints across ASCII (including every control character), Latin,
 /// and a few astral-plane samples — whatever `filter_map` keeps is a
 /// valid `String`.

@@ -164,3 +164,50 @@ proptest! {
         }
     }
 }
+
+/// Lemma 5.1 holds only along a *tightening* sequence: reuse values
+/// recorded under a stricter goal overestimate cost-to-go under a looser
+/// one. `OnlineScheduler::plan_arrivals` feeds `retrain_tightened` one
+/// shared set of per-sample searchers in whatever order age buckets
+/// arrive, so a long wait followed by a shorter one replays exactly this:
+/// `shift(240 s)` then `shift(120 s)` through one [`AdaptiveSearcher`].
+/// Today 188 of these 600 reused solves cost more than a fresh solve of
+/// the same goal (worst +3.3 %, typically one spare start-up fee), 108 of
+/// them while still reporting `optimal`.
+#[test]
+#[ignore = "Shift path re-loosens goals; fix moves serve-aged cost, separate PR"]
+fn adaptive_reuse_survives_a_loosening_shift_sequence() {
+    let spec = wisedb::sim::catalog::tpch_like(10);
+    let base = PerformanceGoal::paper_default(GoalKind::PerQuery, &spec).unwrap();
+    let strict = base.shift(Millis::from_secs(240)).unwrap();
+    let loose = base.shift(Millis::from_secs(120)).unwrap();
+    let mut costlier = Vec::new();
+    for seed in 0..600u64 {
+        let workload = wisedb::sim::generator::uniform_workload(&spec, 9, seed);
+        let mut adaptive = AdaptiveSearcher::new();
+        adaptive
+            .solve(&spec, &strict, &workload, SearchConfig::default())
+            .unwrap();
+        let reused = adaptive
+            .solve(&spec, &loose, &workload, SearchConfig::default())
+            .unwrap();
+        let fresh = Solver::new(&spec, &loose).solve(&workload).unwrap();
+        assert!(fresh.stats.optimal);
+        if reused.cost.as_dollars() > fresh.cost.as_dollars() + 1e-9 {
+            costlier.push((
+                seed,
+                reused.stats.optimal,
+                reused.cost.as_dollars() / fresh.cost.as_dollars(),
+            ));
+        }
+    }
+    assert!(
+        costlier.is_empty(),
+        "{} of 600 reused solves cost more than a fresh one ({} of them claiming optimality, \
+         worst x{:.4}); first (seed, optimal, ratio): {:?}",
+        costlier.len(),
+        costlier.iter().filter(|c| c.1).count(),
+        costlier.iter().map(|c| c.2).fold(1.0, f64::max),
+        &costlier[..costlier.len().min(4)]
+    );
+}
