@@ -427,14 +427,14 @@ impl Tables {
     /// sized to them, and the rest of the search's tables are dropped.
     pub(crate) fn finish_explored(self) -> ExploredStates {
         let mut keys = KeyArena::default();
-        let mut g = Vec::new();
-        for (id, &settled) in self.explored_g.iter().enumerate() {
+        for (id, settled) in self.explored_g.iter().enumerate() {
             if !settled.is_nan() {
                 keys.push(self.interner.get(id as u32));
-                g.push(settled);
             }
         }
         keys.shrink_to_fit();
+        let mut g = self.explored_g;
+        g.retain(|settled| !settled.is_nan());
         g.shrink_to_fit();
         ExploredStates::new(keys, g)
     }

@@ -243,17 +243,10 @@ fn render() -> String {
 fn kernel_matches_the_committed_fixture() {
     let expected = std::fs::read_to_string(fixture_path()).expect("fixture is committed");
     let actual = render();
-    if actual == expected {
-        return;
-    }
     for (i, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
         assert_eq!(a, e, "first difference at fixture line {}", i + 1);
     }
-    assert_eq!(
-        actual.lines().count(),
-        expected.lines().count(),
-        "line count differs"
-    );
+    assert!(actual == expected, "line count differs");
 }
 
 #[test]
