@@ -77,14 +77,13 @@ pub fn plan_with_tree(
                 StepSource::Fallback,
             )
         };
-        let (next, _) = state
-            .apply(spec, goal, decision)
+        state
+            .apply_in_place(spec, goal, decision)
             .expect("guarded decisions are always applicable");
         if source == StepSource::Model {
             from_model += 1;
         }
         decisions.push((decision, source));
-        state = next;
     }
     let model_fraction = if decisions.is_empty() {
         1.0

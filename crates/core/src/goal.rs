@@ -525,6 +525,26 @@ impl<'a> DigestBuckets<'a> {
         self.packed.last().map(|&b| b >> COUNT_BITS).unwrap_or(0)
     }
 
+    /// The `k`-th smallest of this distribution with one more completion
+    /// of `ms` in it (`k <= len() + 1`) — what [`Self::value_at_rank`]
+    /// returns after a push, without the push. Inserting `ms` leaves the
+    /// ranks below it alone and shifts the ranks above it up by one, so
+    /// the answer is `ms` clamped between the old ranks `k - 1` and `k`.
+    pub fn value_at_rank_with(&self, k: u64, ms: u64) -> u64 {
+        debug_assert!(
+            k >= 1 && k <= self.total + 1,
+            "rank {k} of {}+1",
+            self.total
+        );
+        let below = if k > 1 { self.value_at_rank(k - 1) } else { 0 };
+        let at = if k <= self.total {
+            ms.min(self.value_at_rank(k))
+        } else {
+            ms
+        };
+        below.max(at)
+    }
+
     /// The `k`-th smallest of this distribution merged with a second
     /// ascending bucket list — the percentile heuristic's order-statistic
     /// lower bound, computed in `O(buckets + extra.len())` without
@@ -594,15 +614,9 @@ impl PenaltyTracker {
         template: TemplateId,
         completion: Millis,
     ) -> Money {
-        let before = self.penalty(goal);
+        let delta = self.delta(goal, template, completion);
         match self {
-            PenaltyTracker::Incremental { total } => {
-                let delta = goal
-                    .deadline_charge(template, completion)
-                    .expect("penalty tracker used with a goal of a different kind");
-                *total += delta;
-                return delta;
-            }
+            PenaltyTracker::Incremental { total } => *total += delta,
             PenaltyTracker::Average { sum_ms, count } => {
                 *sum_ms += completion.as_millis() as u128;
                 *count += 1;
@@ -611,7 +625,41 @@ impl PenaltyTracker {
             // when the buckets are shared with another tracker.
             PenaltyTracker::Percentile { dist } => dist.push(completion.as_millis()),
         }
-        self.penalty(goal) - before
+        delta
+    }
+
+    /// The delta [`PenaltyTracker::push`] would return, without recording
+    /// the completion: pricing a placement that may never be taken (a
+    /// `cost-of-X` feature, a guard's candidate edge) copies nothing.
+    pub fn delta(&self, goal: &PerformanceGoal, template: TemplateId, completion: Millis) -> Money {
+        let after = match (self, goal) {
+            (PenaltyTracker::Incremental { .. }, _) => {
+                return goal
+                    .deadline_charge(template, completion)
+                    .expect("penalty tracker used with a goal of a different kind");
+            }
+            (PenaltyTracker::Average { sum_ms, count }, _) => PenaltyDigest::Average {
+                sum_ms: *sum_ms + completion.as_millis() as u128,
+                count: *count + 1,
+            }
+            .penalty(goal),
+            (
+                PenaltyTracker::Percentile { dist },
+                PerformanceGoal::Percentile {
+                    percent,
+                    deadline,
+                    rate,
+                },
+            ) => {
+                let k = PercentileDigest::nearest_rank(*percent, dist.len() + 1);
+                let at_percentile = dist
+                    .as_buckets()
+                    .value_at_rank_with(k, completion.as_millis());
+                rate.for_violation(Millis::from_millis(at_percentile).saturating_sub(*deadline))
+            }
+            _ => panic!("penalty tracker used with a goal of a different kind"),
+        };
+        after - self.penalty(goal)
     }
 
     /// The penalty of everything pushed so far.
@@ -1006,6 +1054,79 @@ mod tests {
         saturated.as_buckets().push_into(42, &mut scratch);
         saturated.push(42);
         assert_eq!(scratch, saturated.as_buckets().packed());
+    }
+
+    /// The order statistic with one hypothetical completion equals the
+    /// one read back after really pushing it — every rank, with the extra
+    /// value below, tied with, between and above the recorded ones.
+    #[test]
+    fn value_at_rank_with_matches_a_push() {
+        let mut digest = PercentileDigest::new();
+        for v in [120u64, 60, 180, 60, 240, 60, 120, 300, 180, 60] {
+            for extra in [0u64, 59, 60, 61, 120, 179, 240, 300, 301] {
+                let mut pushed = digest.clone();
+                pushed.push(extra);
+                for k in 1..=pushed.len() {
+                    assert_eq!(
+                        digest.as_buckets().value_at_rank_with(k, extra),
+                        pushed.value_at_rank(k),
+                        "rank {k} with {extra} on {digest:?}"
+                    );
+                }
+            }
+            digest.push(v);
+        }
+    }
+
+    /// `delta` prices exactly what `push` then charges, and the charge is
+    /// still the step between the penalties either side of the push — for
+    /// every kind of tracker, including deltas that go negative.
+    #[test]
+    fn tracker_delta_matches_push() {
+        let spec = fig3_spec();
+        let rate = PenaltyRate::CENT_PER_SECOND;
+        let goals = [
+            PerformanceGoal::PerQuery {
+                deadlines: vec![Millis::from_mins(3), Millis::from_mins(1)],
+                rate,
+            },
+            PerformanceGoal::MaxLatency {
+                deadline: Millis::from_mins(2),
+                rate,
+            },
+            PerformanceGoal::AverageLatency {
+                target: Millis::from_mins(2),
+                rate,
+            },
+            PerformanceGoal::Percentile {
+                percent: 90.0,
+                deadline: Millis::from_mins(2),
+                rate,
+            },
+        ];
+        for goal in &goals {
+            goal.validate_against(&spec).unwrap();
+            let mut tracker = goal.new_tracker();
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for step in 0..200u32 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let template = TemplateId(step % 2);
+                let completion = Millis::from_secs(30 * ((x >> 33) % 12));
+                let priced = tracker.delta(goal, template, completion);
+                let before = tracker.penalty(goal);
+                let charged = tracker.push(goal, template, completion);
+                assert_eq!(priced, charged, "{goal:?} step {step}");
+                let after = tracker.penalty(goal);
+                if goal.deadline_charge(template, completion).is_some() {
+                    // Deadline charges are final: a running total of them.
+                    assert_eq!(after, before + charged, "{goal:?} step {step}");
+                } else {
+                    assert_eq!(charged, after - before, "{goal:?} step {step}");
+                }
+            }
+        }
     }
 
     /// Copy-on-write: cloning shares the buckets; pushing into the clone

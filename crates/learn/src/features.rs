@@ -165,9 +165,7 @@ pub fn hypothetical_placement_cost(
     let exec = spec.latency(t, last.vm_type)?;
     let runtime = spec.vm_type(last.vm_type).ok()?.runtime_cost(exec);
     let completion = last.wait + exec;
-    let mut tracker = state.tracker.clone();
-    let delta = tracker.push(goal, t, completion);
-    Some(runtime + delta)
+    Some(runtime + state.tracker.delta(goal, t, completion))
 }
 
 #[cfg(test)]

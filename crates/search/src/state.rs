@@ -267,9 +267,7 @@ impl SearchState {
                 let exec = spec.latency(t, last.vm_type)?;
                 let runtime = spec.vm_type(last.vm_type).ok()?.runtime_cost(exec);
                 let completion = last.wait + exec;
-                let mut tracker = self.tracker.clone();
-                let delta = tracker.push(goal, t, completion);
-                Some(runtime + delta)
+                Some(runtime + self.tracker.delta(goal, t, completion))
             }
         }
     }
@@ -282,29 +280,45 @@ impl SearchState {
         goal: &PerformanceGoal,
         decision: Decision,
     ) -> Option<(SearchState, Money)> {
+        let mut next = self.clone();
+        let weight = next.apply_in_place(spec, goal, decision)?;
+        Some((next, weight))
+    }
+
+    /// Applies `decision` to this state itself, returning the edge weight;
+    /// an invalid decision returns `None` and leaves the state untouched.
+    /// A walk that keeps no vertex behind it (the tree-driven batch
+    /// scheduler) advances this way: nothing is shared with a parent, so
+    /// the copy-on-write counts and percentile buckets are updated where
+    /// they are instead of being copied once per decision.
+    pub fn apply_in_place(
+        &mut self,
+        spec: &WorkloadSpec,
+        goal: &PerformanceGoal,
+        decision: Decision,
+    ) -> Option<Money> {
         if !self.is_valid(spec, decision) {
             return None;
         }
-        let mut next = self.clone();
-        let weight = match decision {
+        match decision {
             Decision::CreateVm(v) => {
-                next.last_vm = Some(LastVm::new(v));
-                next.vms_rented += 1;
-                spec.vm_type(v).ok()?.startup_cost
+                let startup = spec.vm_type(v).ok()?.startup_cost;
+                self.last_vm = Some(LastVm::new(v));
+                self.vms_rented += 1;
+                Some(startup)
             }
             Decision::Place(t) => {
-                let last = next.last_vm.as_mut()?;
+                let last = self.last_vm.as_mut()?;
                 let exec = spec.latency(t, last.vm_type)?;
                 let runtime = spec.vm_type(last.vm_type).ok()?.runtime_cost(exec);
                 last.queue.push(t);
                 last.wait += exec;
                 let completion = last.wait;
-                Arc::make_mut(&mut next.unassigned)[t.index()] -= 1;
-                let delta = next.tracker.push(goal, t, completion);
-                runtime + delta
+                Arc::make_mut(&mut self.unassigned)[t.index()] -= 1;
+                let delta = self.tracker.push(goal, t, completion);
+                Some(runtime + delta)
             }
-        };
-        Some((next, weight))
+        }
     }
 
     /// All decisions labelling out-edges of this vertex in the reduced
