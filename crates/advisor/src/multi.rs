@@ -35,8 +35,10 @@ use crate::online::{ArrivalPlan, ClusterView, OnlineConfig, OnlineScheduler, Pen
 pub struct MultiScheduler {
     spec: SpecHandle,
     classes: Vec<SlaClass>,
-    /// One scheduler per class, indexed by [`TenantId`].
-    schedulers: Vec<OnlineScheduler>,
+    /// One scheduler per class, indexed by [`TenantId`]. A slot is `None`
+    /// only while its scheduler is [lent](MultiScheduler::lend) to a
+    /// planner thread.
+    schedulers: Vec<Option<OnlineScheduler>>,
     config: OnlineConfig,
 }
 
@@ -52,7 +54,9 @@ impl MultiScheduler {
         validate_classes(&classes, &spec)?;
         let schedulers = classes
             .iter()
-            .map(|class| OnlineScheduler::train(spec.clone(), class.goal.clone(), config.clone()))
+            .map(|class| {
+                OnlineScheduler::train(spec.clone(), class.goal.clone(), config.clone()).map(Some)
+            })
             .collect::<CoreResult<Vec<_>>>()?;
         Ok(MultiScheduler {
             spec,
@@ -93,7 +97,7 @@ impl MultiScheduler {
         Ok(MultiScheduler {
             spec,
             classes,
-            schedulers,
+            schedulers: schedulers.into_iter().map(Some).collect(),
             config,
         })
     }
@@ -103,27 +107,22 @@ impl MultiScheduler {
         &self.spec
     }
 
-    /// The shared online configuration every class scheduler was built
-    /// with (swapped-in models inherit it too).
-    pub fn config(&self) -> &OnlineConfig {
-        &self.config
+    /// Takes one class's scheduler out of the table so it can plan on
+    /// another thread; [`restore`](Self::restore) brings it home. While it
+    /// is out, the class reads as unknown to [`scheduler`](Self::scheduler)
+    /// and [`plan_arrivals`](Self::plan_arrivals), and so does a second
+    /// `lend`.
+    pub fn lend(&mut self, class: TenantId) -> CoreResult<OnlineScheduler> {
+        self.schedulers
+            .get_mut(class.index())
+            .and_then(Option::take)
+            .ok_or(CoreError::UnknownTenantClass { class })
     }
 
-    /// Dismantles the multiplexer into its parts — `(spec, classes,
-    /// schedulers, config)`, schedulers in [`TenantId`] order — the split
-    /// accessor the sharded runtime uses to hand each class scheduler to
-    /// its own planner thread. [`with_schedulers`](Self::with_schedulers)
-    /// is the inverse: reassembling the same parts yields a scheduler
-    /// bit-identical to the original (caches ride along untouched).
-    pub fn into_parts(
-        self,
-    ) -> (
-        SpecHandle,
-        Vec<SlaClass>,
-        Vec<OnlineScheduler>,
-        OnlineConfig,
-    ) {
-        (self.spec, self.classes, self.schedulers, self.config)
+    /// Puts back the scheduler [`lend`](Self::lend) handed out for `class`,
+    /// caches and all.
+    pub fn restore(&mut self, class: TenantId, scheduler: OnlineScheduler) {
+        self.schedulers[class.index()] = Some(scheduler);
     }
 
     /// The configured SLA classes, indexed by [`TenantId`].
@@ -147,6 +146,7 @@ impl MultiScheduler {
     pub fn scheduler(&self, class: TenantId) -> CoreResult<&OnlineScheduler> {
         self.schedulers
             .get(class.index())
+            .and_then(Option::as_ref)
             .ok_or(CoreError::UnknownTenantClass { class })
     }
 
@@ -164,6 +164,7 @@ impl MultiScheduler {
         let scheduler = self
             .schedulers
             .get_mut(class.index())
+            .and_then(Option::as_mut)
             .ok_or(CoreError::UnknownTenantClass { class })?;
         scheduler.plan_arrivals(view, batch, now)
     }
@@ -196,8 +197,11 @@ impl MultiScheduler {
                 detail: format!("model goal differs from {class}'s SLA goal"),
             });
         }
-        self.schedulers[class.index()] =
-            OnlineScheduler::with_model(model, artifacts, self.config.clone());
+        self.schedulers[class.index()] = Some(OnlineScheduler::with_model(
+            model,
+            artifacts,
+            self.config.clone(),
+        ));
         Ok(())
     }
 }
@@ -342,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn into_parts_round_trips_through_with_schedulers() {
+    fn lend_and_restore_round_trip_keeps_the_scheduler() {
         let spec = spec();
         let class_set = classes(&spec);
         let mut multi = MultiScheduler::train(spec, class_set, tiny()).unwrap();
@@ -352,25 +356,29 @@ mod tests {
             template: TemplateId(0),
             arrival: Millis::ZERO,
         }];
-        let before = multi
-            .plan_arrivals(TenantId(0), &view, &batch, Millis::ZERO)
-            .unwrap();
+        let plan = |multi: &mut MultiScheduler| {
+            multi.plan_arrivals(TenantId(0), &view, &batch, Millis::ZERO)
+        };
+        let before = plan(&mut multi).unwrap();
 
-        // Split, reassemble, and replan: the round trip preserves the
-        // schedulers (including their caches) bit for bit.
-        let (spec_handle, class_set, schedulers, config) = multi.into_parts();
-        let mut rebuilt =
-            MultiScheduler::with_schedulers(class_set, schedulers, config.clone()).unwrap();
-        assert!(rebuilt.spec_handle().ptr_eq(&spec_handle));
-        assert_eq!(rebuilt.config().reuse, config.reuse);
-        let after = rebuilt
-            .plan_arrivals(TenantId(0), &view, &batch, Millis::ZERO)
-            .unwrap();
+        // While the scheduler is out, its class reads as unknown — to
+        // readers, to planning, and to a second lend — and the other
+        // class is untouched.
+        let lent = multi.lend(TenantId(0)).unwrap();
+        assert!(multi.scheduler(TenantId(0)).is_err());
+        assert!(matches!(
+            plan(&mut multi),
+            Err(CoreError::UnknownTenantClass { .. })
+        ));
+        assert!(multi.lend(TenantId(0)).is_err());
+        assert!(multi.lend(TenantId(9)).is_err());
+        assert!(multi.scheduler(TenantId(1)).is_ok());
+
+        // It comes home with its trained base model and caches.
+        multi.restore(TenantId(0), lent);
+        let after = plan(&mut multi).unwrap();
         assert_eq!(before.steps, after.steps);
-        assert!(
-            !after.retrained,
-            "the trained base model survived the round trip"
-        );
+        assert!(!after.retrained, "the trained base model survived the trip");
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   the per-verdict determinism asserts — concurrency reorders
 //!   admission, so only the aggregate counts stay exact.
 //! * `--shards N` / `WISEDB_SERVE_SHARDS` — run the server's scheduler
-//!   with `N` shards (concurrent mode only; `1` keeps the classic
-//!   single-threaded scheduler).
+//!   with `N` shards (concurrent mode only). Every shard count
+//!   coalesces a wakeup's backlog into one multi-class tick; `1` plans
+//!   it on the scheduler thread, `N > 1` on `N` shard worker threads.
 //! * `--trace <path>` — record the replay with full `wisedb-obs` spans,
 //!   write a Chrome trace-event JSON to `path`, validate it by parsing
 //!   it back (see `wisedb_bench::trace_check`), and require the serve

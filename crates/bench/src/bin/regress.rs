@@ -402,7 +402,7 @@ fn multitenant_loop(scale: Scale, out: &mut Vec<Measurement>) {
 }
 
 /// The sharded-scheduler loop: a 3-class trace replayed through a 2-shard
-/// [`wisedb_runtime::ShardedService`] under an *eager* rebalance
+/// [`wisedb_runtime::WorkloadService`] under an *eager* rebalance
 /// configuration (deterministic batch-size load signal, tight skew
 /// threshold), then through a 1-shard service for the identity check.
 /// Everything here is virtual-clocked and merge-ordered, so the decision,

@@ -6,7 +6,7 @@
 //!
 //! Trains one model per tenant class (once), generates one multi-class
 //! trace (10⁶ queries at paper scale), then replays it through
-//! identically built [`ShardedService`]s at each swept shard count,
+//! identically built [`WorkloadService`]s at each swept shard count,
 //! printing the throughput curve. Two invariants are *asserted*, not just
 //! reported:
 //!
@@ -22,7 +22,7 @@
 //! shards=2 must reach ≥ 1.15× the shards=1 throughput, asserted only
 //! when the host has more than one CPU (printed as skipped otherwise).
 //!
-//! [`ShardedService`]: wisedb_runtime::ShardedService
+//! [`WorkloadService`]: wisedb_runtime::WorkloadService
 
 use wisedb_bench::{scaling, Scale, Table};
 

@@ -2,9 +2,9 @@
 //! shard count over one large generated multi-class trace.
 //!
 //! K tenant SLA classes (goal kinds cycled, priorities staggered) drive
-//! one [`ShardedService`] through `run_ticked` — each tick coalesces up
-//! to `tick_size` arrivals into per-class groups that plan in parallel on
-//! the shard workers. The measured number is **decisions per wall-clock
+//! one [`WorkloadService`] through `run_ticked` — each tick coalesces up
+//! to `tick_size` arrivals into per-class groups that plan on the shard
+//! workers (on the calling thread at one shard). The measured number is **decisions per wall-clock
 //! second** (plan calls; the admissions-per-second figure rides along),
 //! swept over shard counts on *identically trained* services: the base
 //! models are trained once and cloned into every run, so the sweep
@@ -30,7 +30,7 @@ use std::time::Instant;
 use wisedb::prelude::*;
 use wisedb_advisor::{MultiScheduler, TrainingArtifacts};
 use wisedb_core::ArrivingQuery;
-use wisedb_runtime::{LoadSignal, ShardConfig, ShardStats, ShardedService};
+use wisedb_runtime::{LoadSignal, ShardConfig, ShardStats};
 
 use crate::Scale;
 
@@ -138,14 +138,14 @@ pub fn train_models(
         .collect()
 }
 
-/// One sharded service over clones of the trained models. Rebalancing
+/// One `shards`-way service over clones of the trained models. Rebalancing
 /// runs on the deterministic batch-size signal so the whole sweep —
 /// including the `shard/rebalances` counter — is exactly reproducible.
 pub fn build_service(
     class_set: &[SlaClass],
     trained: &[(DecisionModel, TrainingArtifacts)],
     shards: usize,
-) -> ShardedService {
+) -> WorkloadService {
     build_service_with(
         class_set,
         trained,
@@ -165,7 +165,7 @@ pub fn build_service_with(
     class_set: &[SlaClass],
     trained: &[(DecisionModel, TrainingArtifacts)],
     config: ShardConfig,
-) -> ShardedService {
+) -> WorkloadService {
     let online = online_config();
     let schedulers: Vec<OnlineScheduler> = trained
         .iter()
@@ -173,7 +173,7 @@ pub fn build_service_with(
         .collect();
     let multi = MultiScheduler::with_schedulers(class_set.to_vec(), schedulers, online.clone())
         .expect("class schedulers share the spec");
-    wisedb_runtime::WorkloadService::with_multi(
+    WorkloadService::with_multi(
         multi,
         RuntimeConfig {
             online,

@@ -26,13 +26,16 @@
 //!   `OnlineConfig` selects (`OnlineConfig::with_strategy`): exact A* by
 //!   default, or bounded-suboptimality beam/anytime replanning under the
 //!   per-arrival expansion budget.
-//! * [`shard`] — [`ShardedService`], the N-way tenant-partitioned form of
-//!   the service: classes fan out to persistent shard worker threads that
-//!   plan in parallel against an epoch-snapshot cluster view, and a serial
-//!   tick-order merge keeps billing, completions, and metrics
-//!   bit-identical to the unsharded service for any shard count. A greedy
-//!   EMA-driven rebalancer moves hot classes between shards under
-//!   [`ShardConfig`].
+//!   One engine serves both entry points: a same-class burst plans inline
+//!   against the live cluster, and a multi-class
+//!   [`offer_tick`](WorkloadService::offer_tick) admits every group, plans
+//!   them all against one epoch snapshot and merges in tick order.
+//! * [`shard`] — *where* a multi-class tick is planned, under
+//!   [`ShardConfig`]: on the calling thread with one shard (the default:
+//!   no worker thread, no channel), or fanned out to persistent shard
+//!   worker threads with more, a greedy EMA-driven rebalancer moving hot
+//!   classes between them. The serial tick-order merge keeps billing,
+//!   completions, and metrics bit-identical for any shard count.
 //!
 //! ## Quickstart
 //!
@@ -94,6 +97,6 @@ pub mod prelude {
     };
     pub use crate::metrics::MetricsCollector;
     pub use crate::service::{OfferOutcome, RuntimeConfig, StreamReport, WorkloadService};
-    pub use crate::shard::{LoadSignal, ShardConfig, ShardStats, ShardedService};
+    pub use crate::shard::{LoadSignal, ShardConfig, ShardStats};
     pub use wisedb_core::{ClassMetrics, LatencySummary, MetricsSnapshot, SlaClass, TenantId};
 }

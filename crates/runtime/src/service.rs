@@ -17,6 +17,15 @@
 //!    shared cluster, which bills them — attributed to the class — as
 //!    they execute.
 //!
+//! That loop is one engine with two entry points. A same-class burst
+//! ([`offer_batch_as`](WorkloadService::offer_batch_as), and so
+//! `offer_as` and every one-group tick) runs it inline against the live
+//! cluster. A multi-class tick ([`offer_tick`](WorkloadService::offer_tick))
+//! admits every group, plans them all against one epoch snapshot — on the
+//! calling thread with one shard, on the shard workers otherwise — and
+//! merges in tick order; see [`crate::shard`] for the layout and the
+//! determinism argument.
+//!
 //! A single-class service (what [`train`](WorkloadService::train) builds)
 //! degenerates to the original single-goal pipeline **bit-identically**:
 //! recalling "the arrival's class" recalls everything, the one model plans
@@ -46,6 +55,7 @@ use wisedb_sim::{Completion, LiveCluster, LiveOptions, RecalledQuery};
 use crate::admission::{AdmissionPolicy, LoadStatus};
 use crate::arrivals::ArrivalProcess;
 use crate::metrics::MetricsCollector;
+use crate::shard::{PlanTask, ShardConfig, ShardLayout, ShardStats, TickGroup};
 
 /// Configuration of a [`WorkloadService`].
 #[derive(Debug, Clone)]
@@ -100,32 +110,45 @@ pub struct StreamReport {
 /// A streaming online workload-management service over a virtual clock,
 /// scheduling one or more tenant SLA classes onto one shared fleet.
 pub struct WorkloadService {
+    /// The class table: every class's definition and scheduler. A
+    /// scheduler leaves it only for the plan phase of a multi-group tick.
     scheduler: MultiScheduler,
     core: ServiceCore,
+    /// Where multi-group ticks are planned.
+    pub(crate) shards: ShardLayout,
 }
 
 /// Everything of the service *except* the planner: the live cluster, the
 /// metrics collector, and the arrival/completion ledgers, plus the staged
-/// offer pipeline (admit → prepare → validate → apply → rollback) those
-/// books drive.
-///
-/// [`WorkloadService`] and the sharded service
-/// ([`ShardedService`](crate::ShardedService)) both own exactly one
-/// `ServiceCore` and differ only in *who* runs `plan_arrivals` between
-/// the stages — one `MultiScheduler` inline, or per-class schedulers on
-/// worker threads. Keeping every stage here is what makes the 1-shard
-/// case bit-identical to the unsharded service: both walk the same code.
-pub(crate) struct ServiceCore {
-    pub(crate) cluster: LiveCluster,
-    pub(crate) metrics: MetricsCollector,
-    pub(crate) config: RuntimeConfig,
+/// offer pipeline (admit → prepare → view → settle: validate, then apply
+/// or roll back) those books drive. The inline burst and the multi-group
+/// tick walk the same stages; the tick just admits and prepares every
+/// group before it takes the view, and may plan on other threads.
+struct ServiceCore {
+    cluster: LiveCluster,
+    metrics: MetricsCollector,
+    config: RuntimeConfig,
     /// Original arrival time per admitted query, indexed by [`QueryId`].
     /// (The query's SLA class needs no sibling table: it rides the cluster
     /// queue entries into each [`Completion`].)
-    pub(crate) arrival_of: Vec<Millis>,
+    arrival_of: Vec<Millis>,
     /// Completions observed so far (completion order).
-    pub(crate) completions: Vec<Completion>,
+    completions: Vec<Completion>,
 }
+
+/// One admitted group between its admission and its merge: what a failed
+/// plan must undo.
+struct Prepared {
+    /// Stream id of the group's first newcomer.
+    first_id: usize,
+    /// Newcomers admitted.
+    admitted: usize,
+    /// The class's unstarted queries, recalled to be replanned.
+    recalled: Vec<RecalledQuery>,
+}
+
+/// The open VM a plan was made against — its index and type — if any.
+type OpenVm = Option<(usize, VmTypeId)>;
 
 impl WorkloadService {
     /// Trains a base model for `(spec, goal)` and opens a single-class
@@ -165,27 +188,25 @@ impl WorkloadService {
         Self::with_multi(multi, config)
     }
 
-    /// Opens a service around a pre-built multi-class scheduler.
+    /// Opens a service around a pre-built multi-class scheduler, on the
+    /// default one-shard layout.
     pub fn with_multi(scheduler: MultiScheduler, config: RuntimeConfig) -> Self {
         let spec: SpecHandle = scheduler.spec_handle().clone();
         let classes = scheduler.classes().to_vec();
         WorkloadService {
+            shards: ShardLayout::new(ShardConfig::default(), classes.len()),
             scheduler,
             core: ServiceCore::new(spec, classes, config),
         }
     }
 
-    /// Splits the service into its planner and its books — the seam the
-    /// sharded service is built on.
-    pub(crate) fn into_parts(self) -> (MultiScheduler, ServiceCore) {
-        (self.scheduler, self.core)
-    }
-
-    /// Reassembles a service from parts (the inverse of
-    /// [`into_parts`](Self::into_parts): same scheduler, same books, no
-    /// state reset).
-    pub(crate) fn from_parts(scheduler: MultiScheduler, core: ServiceCore) -> Self {
-        WorkloadService { scheduler, core }
+    /// Re-lays the service out over `config`'s shards. The books (cluster,
+    /// metrics, ledgers) and every class scheduler stay untouched, so the
+    /// service continues the same session; the old layout's workers are
+    /// joined and the tick counters start over.
+    pub fn into_sharded(mut self, config: ShardConfig) -> WorkloadService {
+        self.shards = ShardLayout::new(config, self.scheduler.num_classes());
+        self
     }
 
     /// The workload specification in force.
@@ -216,6 +237,16 @@ impl WorkloadService {
     /// The live cluster session (fleet state, running bill).
     pub fn cluster(&self) -> &LiveCluster {
         &self.core.cluster
+    }
+
+    /// Aggregate tick counters: ticks, epochs, plan calls, merges,
+    /// rebalances, and per-shard lanes. `decisions` and `merged_plans`
+    /// are deterministic for a fixed trace and tick structure;
+    /// `rebalances` is too under [`LoadSignal::BatchSize`].
+    ///
+    /// [`LoadSignal::BatchSize`]: crate::LoadSignal::BatchSize
+    pub fn stats(&self) -> ShardStats {
+        self.shards.stats()
     }
 
     /// Hot-swaps one class's decision model — the background-retraining
@@ -263,17 +294,20 @@ impl WorkloadService {
     }
 
     /// Offers a burst of same-class arrivals (`(template, at)` pairs in
-    /// non-decreasing `at` order), coalescing every admitted newcomer into
-    /// **one** `plan_arrivals` call instead of one per arrival — the
-    /// request-batching path a network server takes when load outruns the
-    /// scheduler thread (drain the queue, plan once).
+    /// non-decreasing `at` order) — a one-group tick — coalescing every
+    /// admitted newcomer into **one** `plan_arrivals` call instead of one
+    /// per arrival: the request-batching path a network server takes when
+    /// load outruns the scheduler thread (drain the queue, plan once).
+    /// With a single group there is nothing to fan out, so the class's
+    /// scheduler plans in place against the live cluster at every shard
+    /// count: no epoch snapshot, no channel round trip.
     ///
     /// Each arrival still advances the clock and passes through admission
     /// individually (earlier newcomers of the same burst count toward the
     /// later ones' queue-depth signals), so a one-element burst is
-    /// **bit-identical** to [`offer_as`](WorkloadService::offer_as) —
-    /// asserted by tests. Admitted arrivals are then planned together with
-    /// the class's recalled pending work at the last admitted instant.
+    /// [`offer_as`](WorkloadService::offer_as). Admitted arrivals are then
+    /// planned together with the class's recalled pending work at the
+    /// last admitted instant.
     ///
     /// On error the planning rollback restores recalled queries and drops
     /// the whole burst's newcomers; arrivals shed before the error keep
@@ -292,25 +326,155 @@ impl WorkloadService {
             batch_span.attr_u64("arrivals", arrivals.len() as u64);
             batch_span.virt(arrivals[arrivals.len() - 1].1);
         }
-        let sla = self.scheduler.class(class)?;
-        for &(template, _) in arrivals {
-            if !sla.allows(template) {
-                return Err(CoreError::TemplateNotInClass { template, class });
+        let priority = self.check_group(class, arrivals)?;
+
+        self.shards.begin_tick();
+        let (outcomes, admitted) = self.core.admit_burst(class, priority, arrivals, 0);
+        let mut result = Ok(());
+        if let Some(&(_, planned_at)) = admitted.last() {
+            let (group, batch) = self.core.prepare_batch(class, &admitted);
+            let (view, open) = self.core.plan_view();
+            let started = Instant::now();
+            let mut plan_span = wisedb_obs::span("runtime.plan");
+            if plan_span.recording() {
+                plan_span.attr_u64("batch", batch.len() as u64);
+                plan_span.attr_u64("recalled", group.recalled.len() as u64);
+                plan_span.virt(planned_at);
+            }
+            let planned = self
+                .scheduler
+                .plan_arrivals(class, &view, &batch, planned_at);
+            drop(plan_span);
+            let secs = started.elapsed().as_secs_f64();
+            // Counted like any tick's plan call, so the stats and the
+            // rebalancer see workloads driven through offer_as/run_stream.
+            self.shards.record(&[(class, secs, arrivals.len())]);
+            result = self.core.settle(class, planned, secs, open, group);
+            if result.is_ok() {
+                self.shards.merged();
             }
         }
-        let priority = sla.priority;
-
-        let WorkloadService { scheduler, core } = self;
-        offer_batch_with(core, class, priority, arrivals, |view, batch, at| {
-            scheduler.plan_arrivals(class, view, batch, at)
-        })
+        self.shards.maybe_rebalance(self.core.cluster.now());
+        result.map(|()| outcomes)
     }
 
-    /// Checks a plan against the live cluster before applying it; see
-    /// [`ServiceCore::validate_plan`].
-    #[cfg(test)]
-    fn validate_plan(&self, plan: &ArrivalPlan, target_type: Option<VmTypeId>) -> CoreResult<()> {
-        self.core.validate_plan(plan, target_type)
+    /// A group's admission priority, or why the group cannot be offered:
+    /// its class is unknown, or a template falls outside the class subset.
+    fn check_group(&self, class: TenantId, arrivals: &[(TemplateId, Millis)]) -> CoreResult<u8> {
+        let sla = self.scheduler.class(class)?;
+        match arrivals.iter().find(|&&(t, _)| !sla.allows(t)) {
+            Some(&(template, _)) => Err(CoreError::TemplateNotInClass { template, class }),
+            None => Ok(sla.priority),
+        }
+    }
+
+    /// Processes one scheduling tick: admit every group in tick order,
+    /// take one view of the cluster (the tick's *epoch*), plan all groups
+    /// against it — in parallel on the shard workers when there are any —
+    /// and merge the plans back in tick order. Returns one verdict list
+    /// per input group, aligned with `groups`; a group whose class is
+    /// unknown, whose template falls outside the class subset, or whose
+    /// plan fails gets an `Err` — other groups proceed (failed groups
+    /// roll back their recall, like a failed burst). A one-group tick is
+    /// [`offer_batch_as`](Self::offer_batch_as).
+    ///
+    /// Groups should be tick-ordered (non-decreasing first-arrival
+    /// times). A class heads at most one planned group per tick — its
+    /// scheduler can be in one place only — so a second group of a class
+    /// that already admitted arrivals this tick gets an `Err`. The outer
+    /// error fires only on infrastructure failure (a dead worker), which
+    /// poisons the tick.
+    #[allow(clippy::type_complexity)]
+    pub fn offer_tick(
+        &mut self,
+        groups: &[TickGroup],
+    ) -> CoreResult<Vec<CoreResult<Vec<OfferOutcome>>>> {
+        if let [(class, arrivals)] = groups {
+            return Ok(vec![self.offer_batch_as(*class, arrivals)]);
+        }
+        if groups.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.shards.begin_tick();
+
+        // Phase 1 — admit serially in tick order. Newcomers admitted by
+        // earlier groups are folded into later groups' admission signals,
+        // mirroring how one serial burst's own earlier arrivals gate its
+        // later ones. A group that needs no plan gets its result here;
+        // the rest wait in `prepared`/`tasks`.
+        let mut results: Vec<Option<CoreResult<Vec<OfferOutcome>>>> = Vec::new();
+        let mut prepared: Vec<(Vec<OfferOutcome>, Prepared)> = Vec::new();
+        let mut tasks: Vec<PlanTask> = Vec::new();
+        let mut carried = 0usize;
+        for (seq, (class, arrivals)) in groups.iter().enumerate() {
+            let class = *class;
+            let checked = self.check_group(class, arrivals).and_then(|priority| {
+                if tasks.iter().any(|t| t.class == class) {
+                    return Err(CoreError::InconsistentPlan {
+                        detail: format!("{class} already has a planned group in this tick"),
+                    });
+                }
+                Ok(priority)
+            });
+            let priority = match checked {
+                Ok(priority) => priority,
+                Err(err) => {
+                    results.push(Some(Err(err)));
+                    continue;
+                }
+            };
+            let (outcomes, admitted) = self.core.admit_burst(class, priority, arrivals, carried);
+            let Some(&(_, planned_at)) = admitted.last() else {
+                results.push(Some(Ok(outcomes)));
+                continue;
+            };
+            carried += admitted.len();
+            let (group, batch) = self.core.prepare_batch(class, &admitted);
+            tasks.push(PlanTask {
+                seq,
+                class,
+                scheduler: self
+                    .scheduler
+                    .lend(class)
+                    .expect("each class is admitted at most once per tick"),
+                batch,
+                planned_at,
+                planned: None,
+            });
+            prepared.push((outcomes, group));
+            results.push(None);
+        }
+
+        if !tasks.is_empty() {
+            // Phase 2 — one epoch view, planned wherever the layout says.
+            let (view, open) = self.core.plan_view();
+            let planned = self.shards.plan(view, tasks)?;
+
+            // Phase 3 — merge in tick order: validate + apply each plan
+            // against the live cluster; assignments before a plan's first
+            // provision target the epoch's open VM.
+            let mut merge_span = wisedb_obs::span("shard.merge");
+            if merge_span.recording() {
+                merge_span.attr_u64("epoch", self.shards.epoch());
+                merge_span.attr_u64("plans", planned.len() as u64);
+                merge_span.virt(self.core.cluster.now());
+            }
+            for (task, (outcomes, group)) in planned.into_iter().zip(prepared) {
+                self.scheduler.restore(task.class, task.scheduler);
+                let (plan, secs) = task.planned.expect("plan() plans every task");
+                let settled = self.core.settle(task.class, plan, secs, open, group);
+                if settled.is_ok() {
+                    self.shards.merged();
+                }
+                results[task.seq] = Some(settled.map(|()| outcomes));
+            }
+        }
+
+        self.shards.maybe_rebalance(self.core.cluster.now());
+        Ok(results
+            .into_iter()
+            .map(|r| r.expect("every group settled"))
+            .collect())
     }
 
     /// Runs everything still queued to completion.
@@ -329,14 +493,33 @@ impl WorkloadService {
         &self.core.completions
     }
 
-    /// Replays an explicit arrival stream (possibly multi-class — each
-    /// arrival's tag routes it) through the loop, then drains.
-    pub fn run_stream(&mut self, stream: &[ArrivingQuery]) -> CoreResult<StreamReport> {
+    /// Replays a class-tagged arrival stream in ticks of up to
+    /// `tick_size` arrivals: each chunk is grouped by class (one group
+    /// per class, first-appearance order) and processed as one
+    /// [`offer_tick`](Self::offer_tick), then the cluster drains. An
+    /// interim snapshot is taken at each tick boundary that crosses a
+    /// multiple of [`RuntimeConfig::snapshot_every`] offered arrivals.
+    pub fn run_ticked(
+        &mut self,
+        stream: &[ArrivingQuery],
+        tick_size: usize,
+    ) -> CoreResult<StreamReport> {
+        let every = self.core.config.snapshot_every;
         let mut snapshots = Vec::new();
-        for (i, arrival) in stream.iter().enumerate() {
-            self.offer_as(arrival.template, arrival.class, arrival.arrival)?;
-            let every = self.core.config.snapshot_every;
-            if every > 0 && (i + 1) % every == 0 {
+        let mut offered = 0usize;
+        for chunk in stream.chunks(tick_size.max(1)) {
+            let mut groups: Vec<TickGroup> = Vec::new();
+            for q in chunk {
+                match groups.iter_mut().find(|(c, _)| *c == q.class) {
+                    Some((_, arrivals)) => arrivals.push((q.template, q.arrival)),
+                    None => groups.push((q.class, vec![(q.template, q.arrival)])),
+                }
+            }
+            for result in self.offer_tick(&groups)? {
+                result?;
+            }
+            offered += chunk.len();
+            if every > 0 && offered / every > (offered - chunk.len()) / every {
                 snapshots.push(self.snapshot());
             }
         }
@@ -346,6 +529,12 @@ impl WorkloadService {
             last: self.snapshot(),
             completions: self.core.completions.clone(),
         })
+    }
+
+    /// Replays an explicit arrival stream (possibly multi-class — each
+    /// arrival's tag routes it) one arrival per tick, then drains.
+    pub fn run_stream(&mut self, stream: &[ArrivingQuery]) -> CoreResult<StreamReport> {
+        self.run_ticked(stream, 1)
     }
 
     /// Draws `n` arrivals from `process` (seeded by the config, tagged
@@ -357,94 +546,22 @@ impl WorkloadService {
         n: usize,
     ) -> CoreResult<StreamReport> {
         let mut rng = StdRng::seed_from_u64(self.core.config.seed);
-        let mut snapshots = Vec::new();
         let mut now = self.core.cluster.now();
-        for i in 0..n {
-            let (gap, template) = process.next(now, &mut rng);
-            now += gap;
-            self.offer(template, now)?;
-            let every = self.core.config.snapshot_every;
-            if every > 0 && (i + 1) % every == 0 {
-                snapshots.push(self.snapshot());
-            }
-        }
-        self.drain();
-        Ok(StreamReport {
-            snapshots,
-            last: self.snapshot(),
-            completions: self.core.completions.clone(),
-        })
+        let stream: Vec<ArrivingQuery> = (0..n)
+            .map(|_| {
+                let (gap, template) = process.next(now, &mut rng);
+                now += gap;
+                ArrivingQuery::new(template, now)
+            })
+            .collect();
+        self.run_stream(&stream)
     }
-}
-
-/// The single-burst offer pipeline with the planner abstracted out:
-/// admit each arrival (advancing the clock), assign ids and recall the
-/// class's unstarted work, build the live [`ClusterView`], call
-/// `plan_fn` on the batch, then validate + apply the plan (or roll the
-/// recall back on failure).
-///
-/// [`WorkloadService::offer_batch_as`] passes its `MultiScheduler` as
-/// `plan_fn`; the sharded service's single-group path passes the class's
-/// own scheduler. Both therefore run *this exact code* stage for stage —
-/// which is the mechanism behind the 1-shard bit-identity guarantee, not
-/// just an argument about equivalent implementations.
-pub(crate) fn offer_batch_with(
-    core: &mut ServiceCore,
-    class: TenantId,
-    priority: u8,
-    arrivals: &[(TemplateId, Millis)],
-    plan_fn: impl FnOnce(&ClusterView, &[PendingArrival], Millis) -> CoreResult<ArrivalPlan>,
-) -> CoreResult<Vec<OfferOutcome>> {
-    let (outcomes, admitted) = core.admit_burst(class, priority, arrivals, 0, 0);
-    let Some(&(_, planned_at)) = admitted.last() else {
-        return Ok(outcomes);
-    };
-    let (first_id, batch, recalled) = core.prepare_batch(class, &admitted);
-
-    let open = core.cluster.open_vm();
-    // Assignments before the first provision step go to the open VM.
-    let target = open.as_ref().map(|(index, _)| *index);
-    let target_type = open.as_ref().map(|(_, view)| view.vm_type);
-    let view = ClusterView {
-        vms_rented: core.cluster.vms_provisioned() as u32,
-        open_vm: open.map(|(_, view)| view),
-    };
-
-    let started = Instant::now();
-    let mut plan_span = wisedb_obs::span("runtime.plan");
-    if plan_span.recording() {
-        plan_span.attr_u64("batch", batch.len() as u64);
-        plan_span.attr_u64("recalled", recalled.len() as u64);
-        plan_span.virt(planned_at);
-    }
-    let planned = plan_fn(&view, &batch, planned_at);
-    drop(plan_span);
-    let plan = match planned {
-        Ok(plan) => {
-            core.metrics.decision(started.elapsed().as_secs_f64());
-            wisedb_obs::observe_us(
-                "wisedb_runtime_decision_us",
-                started.elapsed().as_micros() as u64,
-            );
-            // A plan the cluster cannot honor (malformed or stale) must
-            // fail this request, not the process: check it in full before
-            // mutating anything.
-            match core.validate_plan(&plan, target_type) {
-                Ok(()) => plan,
-                Err(err) => return core.rollback_offer(recalled, first_id, admitted.len(), err),
-            }
-        }
-        // Planning failed (e.g. a retrain hit its search limits).
-        Err(err) => return core.rollback_offer(recalled, first_id, admitted.len(), err),
-    };
-    core.apply_plan(class, plan, target, admitted.len())?;
-    Ok(outcomes)
 }
 
 impl ServiceCore {
     /// Opens the books: a fresh cluster session over `spec` and a metrics
     /// collector with one row per class.
-    pub(crate) fn new(spec: SpecHandle, classes: Vec<SlaClass>, config: RuntimeConfig) -> Self {
+    fn new(spec: SpecHandle, classes: Vec<SlaClass>, config: RuntimeConfig) -> Self {
         ServiceCore {
             cluster: LiveCluster::new(spec, config.cluster.clone()),
             metrics: MetricsCollector::with_classes(classes),
@@ -460,23 +577,21 @@ impl ServiceCore {
     /// signals (they are not yet queued on the cluster, but they are
     /// committed to be).
     ///
-    /// `carried` / `carried_class` extend that fold to newcomers admitted
-    /// by *earlier groups of the same scheduling tick* (total and
-    /// same-class respectively) — the sharded tick admits several groups
-    /// before any of them is planned, and each must see its predecessors'
-    /// commitments exactly like a later arrival of one serial burst would.
-    /// Both are `0` on the unsharded path, which makes this the original
-    /// single-burst admission loop verbatim.
+    /// `carried` extends that fold to newcomers admitted by *earlier
+    /// groups of the same scheduling tick* — a multi-group tick admits
+    /// several groups before any of them is planned, and each must see
+    /// its predecessors' commitments exactly like a later arrival of one
+    /// serial burst would. (They are all of other classes: a class heads
+    /// one planned group per tick.) It is `0` on the inline one-group path.
     ///
     /// Returns the per-arrival outcomes plus the admitted `(template, at)`
     /// pairs; rejections are recorded against `class` as they happen.
-    pub(crate) fn admit_burst(
+    fn admit_burst(
         &mut self,
         class: TenantId,
         priority: u8,
         arrivals: &[(TemplateId, Millis)],
         carried: usize,
-        carried_class: usize,
     ) -> (Vec<OfferOutcome>, Vec<(TemplateId, Millis)>) {
         let mut outcomes = Vec::with_capacity(arrivals.len());
         let mut admitted: Vec<(TemplateId, Millis)> = Vec::new();
@@ -490,7 +605,7 @@ impl ServiceCore {
                 vms_in_flight: self.cluster.vms_in_flight(),
                 class,
                 priority,
-                class_pending: self.cluster.pending_of(class) + admitted.len() + carried_class,
+                class_pending: self.cluster.pending_of(class) + admitted.len(),
             };
             if self.config.admission.admits(&status) {
                 admitted.push((template, at));
@@ -515,13 +630,11 @@ impl ServiceCore {
     /// ids to the newcomers (recording their arrival times) and recalls
     /// every *same-class* query queued unstarted. Other classes' queued
     /// placements stay put — their own next arrival may replan them.
-    /// Returns `(first_id, batch, recalled)`; the recalled list is what a
-    /// failed plan must restore.
-    pub(crate) fn prepare_batch(
+    fn prepare_batch(
         &mut self,
         class: TenantId,
         admitted: &[(TemplateId, Millis)],
-    ) -> (usize, Vec<PendingArrival>, Vec<RecalledQuery>) {
+    ) -> (Prepared, Vec<PendingArrival>) {
         let first_id = self.arrival_of.len();
         let mut batch: Vec<PendingArrival> = Vec::with_capacity(admitted.len());
         for (i, &(template, at)) in admitted.iter().enumerate() {
@@ -540,7 +653,51 @@ impl ServiceCore {
                 arrival: self.arrival_of[r.query.index()],
             });
         }
-        (first_id, batch, recalled)
+        let group = Prepared {
+            first_id,
+            admitted: admitted.len(),
+            recalled,
+        };
+        (group, batch)
+    }
+
+    /// The fleet as a planner sees it at this instant, plus the open VM
+    /// that assignments before a plan's first provision step go to.
+    fn plan_view(&self) -> (ClusterView, OpenVm) {
+        let open = self.cluster.open_vm();
+        let target = open.as_ref().map(|(index, view)| (*index, view.vm_type));
+        let view = ClusterView {
+            vms_rented: self.cluster.vms_provisioned() as u32,
+            open_vm: open.map(|(_, view)| view),
+        };
+        (view, target)
+    }
+
+    /// Books one group's planning outcome. A plan is recorded as a
+    /// decision, checked in full against the live cluster **before**
+    /// anything is mutated — a malformed or stale plan must fail this
+    /// request, not the process — and applied. A failed or rejected plan
+    /// rolls the group back.
+    fn settle(
+        &mut self,
+        class: TenantId,
+        planned: CoreResult<ArrivalPlan>,
+        plan_secs: f64,
+        open: OpenVm,
+        group: Prepared,
+    ) -> CoreResult<()> {
+        let checked = planned.and_then(|plan| {
+            self.metrics.decision(plan_secs);
+            wisedb_obs::observe_us("wisedb_runtime_decision_us", (plan_secs * 1e6) as u64);
+            self.validate_plan(&plan, open.map(|(_, vm_type)| vm_type))?;
+            Ok(plan)
+        });
+        match checked {
+            Ok(plan) => self.apply_plan(class, plan, open.map(|(index, _)| index), group.admitted),
+            // Planning failed (e.g. a retrain hit its search limits), or
+            // the plan was inconsistent.
+            Err(err) => Err(self.rollback_offer(group, err)),
+        }
     }
 
     /// Checks a plan's steps against the live cluster **before** any of
@@ -550,7 +707,7 @@ impl ServiceCore {
     /// A malformed or stale plan is rejected as a typed
     /// [`CoreError::InconsistentPlan`] while the service state is still
     /// untouched (and therefore restorable).
-    pub(crate) fn validate_plan(
+    fn validate_plan(
         &self,
         plan: &ArrivalPlan,
         mut target_type: Option<VmTypeId>,
@@ -595,7 +752,7 @@ impl ServiceCore {
     /// failure mid-application still answers with a typed error, but the
     /// already-applied prefix stands (no time passes mid-dispatch, so
     /// validated steps cannot actually fail).
-    pub(crate) fn apply_plan(
+    fn apply_plan(
         &mut self,
         class: TenantId,
         plan: ArrivalPlan,
@@ -641,19 +798,13 @@ impl ServiceCore {
     /// continue. The newcomers' ids are reclaimed when they sit at the
     /// tail of the ledger (always true for a lone burst; in a multi-group
     /// tick only the last group's are — earlier groups leave a gap of
-    /// never-queued ids, which nothing ever completes). Always returns
-    /// `Err` — either the original error, or a
-    /// [`CoreError::InconsistentPlan`] if even the restore failed (a
-    /// cluster-state inconsistency the caller must know about).
-    pub(crate) fn rollback_offer<T>(
-        &mut self,
-        recalled: Vec<RecalledQuery>,
-        first_id: usize,
-        count: usize,
-        err: CoreError,
-    ) -> CoreResult<T> {
+    /// never-queued ids, which nothing ever completes). Returns the error
+    /// to report — the original one, or a [`CoreError::InconsistentPlan`]
+    /// if even the restore failed (a cluster-state inconsistency the
+    /// caller must know about).
+    fn rollback_offer(&mut self, group: Prepared, err: CoreError) -> CoreError {
         let mut restore_failure = None;
-        for r in recalled {
+        for r in group.recalled {
             if let Err(e) = self
                 .cluster
                 .enqueue_as(r.vm_index, r.query, r.template, r.class)
@@ -666,15 +817,28 @@ impl ServiceCore {
                 });
             }
         }
-        if self.arrival_of.len() == first_id + count {
-            self.arrival_of.truncate(first_id);
+        if self.arrival_of.len() == group.first_id + group.admitted {
+            self.arrival_of.truncate(group.first_id);
         }
-        Err(restore_failure.unwrap_or(err))
+        restore_failure.unwrap_or(err)
     }
 
     /// Advances the virtual clock, harvesting completions into the metrics.
-    pub(crate) fn step_to(&mut self, at: Millis) {
-        for completion in self.cluster.advance_to(at) {
+    fn step_to(&mut self, at: Millis) {
+        let finished = self.cluster.advance_to(at);
+        self.harvest(finished);
+    }
+
+    /// Runs everything still queued to completion.
+    fn drain(&mut self) {
+        let finished = self.cluster.drain();
+        self.harvest(finished);
+    }
+
+    /// Books finished executions: metrics, the completions counter, the
+    /// completion ledger.
+    fn harvest(&mut self, finished: Vec<Completion>) {
+        for completion in finished {
             self.metrics
                 .complete(&completion, self.arrival_of[completion.query.index()]);
             wisedb_obs::counter_add("wisedb_runtime_completions_total", 1);
@@ -682,18 +846,9 @@ impl ServiceCore {
         }
     }
 
-    /// Runs everything still queued to completion.
-    pub(crate) fn drain(&mut self) {
-        for completion in self.cluster.drain() {
-            self.metrics
-                .complete(&completion, self.arrival_of[completion.query.index()]);
-            self.completions.push(completion);
-        }
-    }
-
     /// A metrics snapshot at the current virtual instant, with per-class
     /// rows carrying the cluster's dollar attribution.
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+    fn snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot_with_billing(
             self.cluster.now(),
             self.cluster.billed(),
@@ -705,7 +860,7 @@ impl ServiceCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::arrivals::{
         generate_class_stream, generate_stream, merge_streams, PoissonProcess, TemplateMix,
@@ -713,7 +868,7 @@ mod tests {
     use wisedb_advisor::{ModelConfig, ModelGenerator};
     use wisedb_core::{GoalKind, Money, PerformanceGoal, VmType};
 
-    fn spec() -> WorkloadSpec {
+    pub(crate) fn spec() -> WorkloadSpec {
         WorkloadSpec::single_vm(
             vec![("T1", Millis::from_mins(2)), ("T2", Millis::from_mins(1))],
             VmType::t2_medium(),
@@ -721,7 +876,7 @@ mod tests {
         .unwrap()
     }
 
-    fn config() -> RuntimeConfig {
+    pub(crate) fn config() -> RuntimeConfig {
         RuntimeConfig {
             online: OnlineConfig {
                 training: ModelConfig {
@@ -742,7 +897,7 @@ mod tests {
         WorkloadService::train(spec, goal, config()).unwrap()
     }
 
-    fn three_classes(spec: &WorkloadSpec) -> Vec<SlaClass> {
+    pub(crate) fn three_classes(spec: &WorkloadSpec) -> Vec<SlaClass> {
         vec![
             SlaClass::new(
                 "gold",
@@ -761,7 +916,7 @@ mod tests {
         ]
     }
 
-    fn tagged_stream(n_per_class: usize) -> Vec<ArrivingQuery> {
+    pub(crate) fn tagged_stream(n_per_class: usize) -> Vec<ArrivingQuery> {
         let streams = (0..3)
             .map(|c| {
                 let mut process =
@@ -770,6 +925,14 @@ mod tests {
             })
             .collect();
         merge_streams(streams)
+    }
+
+    /// Decision latency is wall-clock (reported, never steering), so it is
+    /// the one legitimately nondeterministic snapshot field.
+    pub(crate) fn scrub(mut s: MetricsSnapshot) -> MetricsSnapshot {
+        s.mean_decision_secs = 0.0;
+        s.p95_decision_secs = 0.0;
+        s
     }
 
     #[test]
@@ -864,12 +1027,22 @@ mod tests {
         let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
         let mut cfg = config();
         cfg.snapshot_every = 5;
-        let mut svc = WorkloadService::train(spec, goal, cfg).unwrap();
+        let mut svc = WorkloadService::train(spec.clone(), goal, cfg.clone()).unwrap();
         let mut process = PoissonProcess::per_second(0.1, TemplateMix::uniform(2));
         let report = svc.run_process(&mut process, 12).unwrap();
         assert_eq!(report.snapshots.len(), 2);
-        assert!(report.snapshots[0].admitted <= report.snapshots[1].admitted);
+        assert_eq!(report.snapshots[0].admitted, 5);
+        assert_eq!(report.snapshots[1].admitted, 10);
         assert!(report.snapshots[0].at <= report.snapshots[1].at);
+
+        // Ticks of 4 end at 4, 8 and 12 offered arrivals: the boundaries
+        // at 8 and 12 are the ones that cross a multiple of 5.
+        let classes = three_classes(&spec);
+        let mut svc = WorkloadService::train_classes(spec, classes, cfg).unwrap();
+        let report = svc.run_ticked(&tagged_stream(4), 4).unwrap();
+        assert_eq!(report.snapshots.len(), 2);
+        assert_eq!(report.snapshots[0].admitted, 8);
+        assert_eq!(report.snapshots[1].admitted, 12);
     }
 
     #[test]
@@ -974,14 +1147,7 @@ mod tests {
         b.drain();
 
         assert_eq!(a.completions(), b.completions());
-        // Decision latency is wall-clock (reported, never steering), so it
-        // is the one legitimately nondeterministic field.
-        let (mut sa, mut sb) = (a.snapshot(), b.snapshot());
-        sa.mean_decision_secs = 0.0;
-        sa.p95_decision_secs = 0.0;
-        sb.mean_decision_secs = 0.0;
-        sb.p95_decision_secs = 0.0;
-        assert_eq!(sa, sb);
+        assert_eq!(scrub(a.snapshot()), scrub(b.snapshot()));
     }
 
     #[test]
@@ -1040,7 +1206,7 @@ mod tests {
             shifted: false,
         };
         assert!(matches!(
-            svc.validate_plan(&bad_target, None),
+            svc.core.validate_plan(&bad_target, None),
             Err(CoreError::InconsistentPlan { .. })
         ));
         let bad_type = ArrivalPlan {
@@ -1050,7 +1216,7 @@ mod tests {
             shifted: false,
         };
         assert!(matches!(
-            svc.validate_plan(&bad_type, None),
+            svc.core.validate_plan(&bad_type, None),
             Err(CoreError::InconsistentPlan { .. })
         ));
         // A well-formed plan passes.
@@ -1066,7 +1232,7 @@ mod tests {
             cache_hit: false,
             shifted: false,
         };
-        assert!(svc.validate_plan(&good, None).is_ok());
+        assert!(svc.core.validate_plan(&good, None).is_ok());
     }
 
     #[test]

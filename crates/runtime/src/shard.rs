@@ -1,72 +1,45 @@
-//! N-way tenant-partitioned scheduling: parallel planning over an
-//! epoch-snapshot cluster view.
+//! The shard layout: which planner lane owns which tenant class, the
+//! persistent worker threads behind the lanes, and the tick counters.
 //!
-//! The serve layer funnels every request through one scheduler thread
-//! because [`WorkloadService`] is single-threaded by construction — one
-//! `MultiScheduler`, one `LiveCluster`, one lock-free owner. That thread
-//! is the scalability ceiling. [`ShardedService`] removes it by
-//! exploiting the seam the multi-tenant design already has: **classes are
-//! independent at plan time**. Each tenant class's batch is planned by
-//! its own `OnlineScheduler` against a read-only view of the fleet, so
-//! the plan calls — the expensive part of the loop — can run on parallel
-//! worker threads while the cluster, billing, and metrics stay under one
-//! owner.
-//!
-//! A scheduling **tick** processes a set of per-class arrival groups in
-//! three phases:
-//!
-//! 1. **Admit (serial)** — in tick order, each group's arrivals advance
-//!    the virtual clock and pass admission individually, with newcomers
-//!    admitted by earlier groups of the same tick folded into the load
-//!    signals; admitted newcomers get stream ids and the class's
-//!    unstarted work is recalled.
-//! 2. **Plan (parallel)** — one immutable [`ClusterSnapshot`] is taken
-//!    (the tick's *epoch*) and converted to a [`ClusterView`] shared as
-//!    an `Arc`; each group is fanned out to the shard that owns its class
-//!    and planned there by the class's own scheduler. Shards never touch
-//!    — or lock — the live cluster.
-//! 3. **Merge (serial)** — plans are validated and applied to the one
-//!    `LiveCluster` in **tick order** (the order the groups were given,
-//!    *not* shard order), so billing, completions, and metrics come out
-//!    identical no matter how classes are spread over shards.
+//! [`WorkloadService::offer_tick`] admits a tick's class groups serially,
+//! plans every group against one epoch-stamped [`ClusterView`], and
+//! merges the plans in tick order. This module is the *where* of the
+//! middle phase. With [`ShardConfig::shards`] `== 1` (the default) there
+//! is no worker thread and no channel: the groups are planned on the
+//! calling thread, in tick order. With `shards > 1` each group travels
+//! over an mpsc channel to the persistent worker that owns its class and
+//! the shards plan in parallel. The workers are persistent on purpose:
+//! pinned to one CPU, a 2-shard fan-out costs 11.8 µs per tick with
+//! persistent workers, 27.5 µs with one scoped spawn plus inline
+//! planning, and 115.6 µs with two scoped spawns. A one-group tick never
+//! gets here — it has nothing to fan out and takes the service's inline
+//! [`offer_batch_as`](WorkloadService::offer_batch_as) path.
 //!
 //! ## Determinism
 //!
-//! A group's plan depends only on the epoch snapshot, the group's batch,
-//! and its class's scheduler state — none of which depend on the shard
-//! count or the class→shard assignment. The merge applies plans in tick
-//! order, which is also assignment-independent. Hence the sharded service
-//! produces **bit-identical** verdicts, completions, bills, and metrics
-//! for *any* shard count — and the single-group path
-//! ([`offer_batch_as`](ShardedService::offer_batch_as)) runs the exact
-//! [`offer_batch_with`] pipeline of the unsharded service, making the
-//! 1-shard case bit-identical to [`WorkloadService`] by shared code, not
-//! by argument. It also means the greedy load-skew **rebalancer** (which
-//! moves hot classes between shards on a wall-clock EMA, an inherently
-//! nondeterministic signal) can never perturb outputs: it only changes
-//! *where* a plan is computed.
-//!
-//! [`ClusterSnapshot`]: wisedb_sim::ClusterSnapshot
+//! A group's plan depends only on the epoch view, the group's batch, and
+//! its class's scheduler state — none of which depend on the shard count
+//! or the class→shard assignment — and the merge applies plans in tick
+//! order. Hence verdicts, completions, bills, and metrics are
+//! **bit-identical** for *any* shard count, and the greedy load-skew
+//! **rebalancer** (which moves hot classes between shards on a
+//! wall-clock EMA, an inherently nondeterministic signal) can never
+//! perturb outputs: it only changes *where* a plan is computed.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use wisedb_advisor::multi::MultiScheduler;
-use wisedb_advisor::online::{
-    ArrivalPlan, ClusterView, OnlineConfig, OnlineScheduler, PendingArrival,
-};
-use wisedb_advisor::{DecisionModel, TrainingArtifacts};
-use wisedb_core::{
-    ArrivingQuery, CoreError, CoreResult, MetricsSnapshot, Millis, SlaClass, SpecHandle,
-    TemplateId, TenantId, WorkloadSpec,
-};
-use wisedb_sim::{Completion, LiveCluster};
+use wisedb_advisor::online::{ArrivalPlan, ClusterView, OnlineScheduler, PendingArrival};
+use wisedb_core::{CoreError, CoreResult, Millis, TemplateId, TenantId};
 
-use crate::service::{
-    offer_batch_with, OfferOutcome, RuntimeConfig, ServiceCore, StreamReport, WorkloadService,
-};
+use crate::service::WorkloadService;
+
+/// The one engine under its former name. `benchmark/` still says
+/// `ShardedService`; the alias and the `into_sharded` name wait for a
+/// benchmark PR to be renamed.
+pub type ShardedService = WorkloadService;
 
 /// The load signal the rebalancer ranks shards and classes by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,12 +53,12 @@ pub enum LoadSignal {
     BatchSize,
 }
 
-/// Configuration of a [`ShardedService`].
+/// The shard layout of a [`WorkloadService`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Number of scheduler shards (planner worker threads). `0` is
-    /// treated as `1`; one shard still exercises the full tick pipeline
-    /// (snapshot, fan-out, merge) on multi-group ticks.
+    /// Number of scheduler shards. `0` is treated as `1`. One shard plans
+    /// every tick on the calling thread; `N > 1` starts `N` planner
+    /// worker threads that multi-group ticks fan out to.
     pub shards: usize,
     /// Check for load skew every this many ticks (`0` disables
     /// rebalancing entirely).
@@ -127,46 +100,51 @@ impl ShardConfig {
 /// be tick-ordered by their first arrival).
 pub type TickGroup = (TenantId, Vec<(TemplateId, Millis)>);
 
-/// A planning task shipped to a shard worker: the class's scheduler
-/// travels with the batch and comes back with the plan.
-struct PlanTask {
+/// One group's planning work: the class's scheduler travels with the
+/// batch and comes back with the plan.
+pub(crate) struct PlanTask {
     /// Position of the group in the tick (the merge order).
-    seq: usize,
-    class: TenantId,
-    scheduler: OnlineScheduler,
-    batch: Vec<PendingArrival>,
-    planned_at: Millis,
+    pub(crate) seq: usize,
+    pub(crate) class: TenantId,
+    pub(crate) scheduler: OnlineScheduler,
+    pub(crate) batch: Vec<PendingArrival>,
+    pub(crate) planned_at: Millis,
+    /// The plan and the wall-clock seconds it took, once planned.
+    pub(crate) planned: Option<(CoreResult<ArrivalPlan>, f64)>,
 }
 
-/// A planned task on its way back from a worker.
-struct PlannedTask {
-    seq: usize,
-    class: TenantId,
-    scheduler: OnlineScheduler,
-    result: CoreResult<ArrivalPlan>,
-    plan_secs: f64,
-    batch_len: usize,
-}
-
-/// One epoch's work for one shard.
+/// One epoch's work for one shard worker, and the same tasks coming back
+/// planned.
 struct ShardJob {
-    shard: usize,
     epoch: u64,
     view: Arc<ClusterView>,
     tasks: Vec<PlanTask>,
 }
 
-/// One shard's finished epoch.
-struct ShardDone {
-    shard: usize,
-    /// Wall-clock microseconds the shard spent planning this epoch.
-    plan_us: u64,
-    tasks: Vec<PlannedTask>,
+/// Plans one shard's share of an epoch, in the order given — the body of
+/// a worker's loop, and all of the plan phase when there is one shard.
+fn plan_tasks(shard: usize, epoch: u64, view: &ClusterView, tasks: &mut [PlanTask]) {
+    let mut span = wisedb_obs::span("shard.plan");
+    if span.recording() {
+        span.attr_u64("shard", shard as u64);
+        span.attr_u64("epoch", epoch);
+        span.attr_u64("groups", tasks.len() as u64);
+    }
+    let started = Instant::now();
+    for task in tasks {
+        let t0 = Instant::now();
+        let result = task
+            .scheduler
+            .plan_arrivals(view, &task.batch, task.planned_at);
+        task.planned = Some((result, t0.elapsed().as_secs_f64()));
+    }
+    drop(span);
+    wisedb_obs::observe_us("wisedb_shard_plan_us", started.elapsed().as_micros() as u64);
 }
 
 /// A persistent shard worker thread. Dropping it closes its job channel,
-/// which ends the worker's loop; the join on drop is what makes
-/// [`ShardedService`] safe to dismantle at any point between ticks.
+/// which ends the worker's loop; the join on drop is what makes the
+/// layout safe to replace at any point between ticks.
 struct ShardWorker {
     tx: Option<Sender<ShardJob>>,
     handle: Option<JoinHandle<()>>,
@@ -181,41 +159,14 @@ impl Drop for ShardWorker {
     }
 }
 
-fn spawn_worker(shard: usize, done_tx: Sender<ShardDone>) -> ShardWorker {
+fn spawn_worker(shard: usize, done_tx: Sender<ShardJob>) -> ShardWorker {
     let (tx, rx): (Sender<ShardJob>, Receiver<ShardJob>) = channel();
     let handle = std::thread::Builder::new()
         .name(format!("wisedb-shard-{shard}"))
         .spawn(move || {
-            while let Ok(job) = rx.recv() {
-                let mut span = wisedb_obs::span("shard.plan");
-                if span.recording() {
-                    span.attr_u64("shard", job.shard as u64);
-                    span.attr_u64("epoch", job.epoch);
-                    span.attr_u64("groups", job.tasks.len() as u64);
-                }
-                let started = Instant::now();
-                let mut done = Vec::with_capacity(job.tasks.len());
-                for mut task in job.tasks {
-                    let t0 = Instant::now();
-                    let result =
-                        task.scheduler
-                            .plan_arrivals(&job.view, &task.batch, task.planned_at);
-                    done.push(PlannedTask {
-                        seq: task.seq,
-                        class: task.class,
-                        scheduler: task.scheduler,
-                        result,
-                        plan_secs: t0.elapsed().as_secs_f64(),
-                        batch_len: task.batch.len(),
-                    });
-                }
-                drop(span);
-                let finished = ShardDone {
-                    shard: job.shard,
-                    plan_us: started.elapsed().as_micros() as u64,
-                    tasks: done,
-                };
-                if done_tx.send(finished).is_err() {
+            while let Ok(mut job) = rx.recv() {
+                plan_tasks(shard, job.epoch, &job.view, &mut job.tasks);
+                if done_tx.send(job).is_err() {
                     // The service is gone; schedulers die with the batch.
                     break;
                 }
@@ -228,17 +179,17 @@ fn spawn_worker(shard: usize, done_tx: Sender<ShardDone>) -> ShardWorker {
     }
 }
 
-/// Aggregate counters of a sharded run; see
-/// [`stats`](ShardedService::stats).
+/// Aggregate counters of a service's scheduling ticks; see
+/// [`stats`](WorkloadService::stats).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// Configured shard count.
     pub shards: usize,
-    /// Scheduling ticks processed (single-group fast-path calls count as
+    /// Scheduling ticks processed (inline one-group calls count as
     /// one-group ticks).
     pub ticks: u64,
-    /// Epochs snapshotted — multi-group ticks that reached the parallel
-    /// plan phase.
+    /// Epochs snapshotted — multi-group ticks that reached the plan
+    /// phase. Independent of the shard count.
     pub epochs: u64,
     /// Plan calls issued across all shards (deterministic for a fixed
     /// trace and tick structure).
@@ -259,615 +210,179 @@ pub struct ShardLaneStats {
     /// Plan calls this shard has executed.
     pub decisions: u64,
     /// The shard's current load EMA (microseconds or batch size,
-    /// depending on [`ShardConfig::signal`]).
+    /// depending on [`ShardConfig::signal`]). Stays `0` with one shard,
+    /// where there is nothing to balance.
     pub load_ema: f64,
 }
 
-/// A tenant-partitioned [`WorkloadService`]: per-class planning fans out
-/// to N persistent shard workers against an epoch-snapshot cluster view,
-/// and a serial merge keeps the virtual clock, billing, completions, and
-/// metrics bit-identical to the unsharded service. See the module docs
-/// for the phase/determinism story.
-pub struct ShardedService {
-    core: ServiceCore,
-    spec: SpecHandle,
-    classes: Vec<SlaClass>,
-    online: OnlineConfig,
-    /// Class schedulers, indexed by [`TenantId`]. A slot is `None` only
-    /// while its scheduler is out planning on a worker (within one
-    /// `offer_tick` call); between ticks every scheduler is home.
-    schedulers: Vec<Option<OnlineScheduler>>,
+/// Where a [`WorkloadService`]'s plans are computed: the class → shard
+/// assignment, the worker pool behind it (none with one shard), the load
+/// EMAs the rebalancer moves classes by, and the tick counters.
+pub(crate) struct ShardLayout {
+    config: ShardConfig,
     /// Class → shard, rewritten by the rebalancer.
     assignment: Vec<usize>,
-    config: ShardConfig,
-    workers: Vec<ShardWorker>,
-    done_rx: Receiver<ShardDone>,
-    epoch: u64,
-    ticks: u64,
-    decisions: u64,
-    merged_plans: u64,
-    rebalances: u64,
-    /// Per-shard load EMA under the configured signal.
-    shard_ema: Vec<f64>,
-    /// Per-shard plan-call counters.
-    shard_decisions: Vec<u64>,
+    /// The workers, indexed by shard, and the channel their finished jobs
+    /// come back on. `None` with one shard: no thread, no channel.
+    pool: Option<(Vec<ShardWorker>, Receiver<ShardJob>)>,
+    /// The counters as reported; the lanes' `classes` are filled in from
+    /// `assignment` on the way out.
+    stats: ShardStats,
     /// Per-class load EMA (what the rebalancer moves by).
     class_ema: Vec<f64>,
 }
 
-impl WorkloadService {
-    /// Converts this service into a [`ShardedService`] with `config`'s
-    /// shard layout. The books (cluster, metrics, ledgers) and every
-    /// class scheduler move over untouched, so the sharded service
-    /// continues the same session — and
-    /// [`ShardedService::into_service`] is the exact inverse.
-    pub fn into_sharded(self, config: ShardConfig) -> ShardedService {
-        let (scheduler, core) = self.into_parts();
-        let (spec, classes, schedulers, online) = scheduler.into_parts();
-        ShardedService::assemble(core, spec, classes, schedulers, online, config)
-    }
-}
-
-impl ShardedService {
-    /// Trains one model per class and opens a sharded service directly —
-    /// [`WorkloadService::train_classes`] followed by
-    /// [`into_sharded`](WorkloadService::into_sharded).
-    pub fn train_classes(
-        spec: impl Into<SpecHandle>,
-        classes: Vec<SlaClass>,
-        runtime: RuntimeConfig,
-        config: ShardConfig,
-    ) -> CoreResult<Self> {
-        Ok(WorkloadService::train_classes(spec, classes, runtime)?.into_sharded(config))
-    }
-
-    fn assemble(
-        core: ServiceCore,
-        spec: SpecHandle,
-        classes: Vec<SlaClass>,
-        schedulers: Vec<OnlineScheduler>,
-        online: OnlineConfig,
-        mut config: ShardConfig,
-    ) -> Self {
+impl ShardLayout {
+    /// Lays `classes` classes out over `config.shards` shards round-robin
+    /// (the rebalancer refines it under load) and starts the workers.
+    pub(crate) fn new(mut config: ShardConfig, classes: usize) -> Self {
         config.shards = config.shards.max(1);
         let shards = config.shards;
-        let (done_tx, done_rx) = channel();
-        let workers = (0..shards)
-            .map(|s| spawn_worker(s, done_tx.clone()))
-            .collect();
-        let n = classes.len();
-        ShardedService {
-            core,
-            spec,
-            classes,
-            online,
-            schedulers: schedulers.into_iter().map(Some).collect(),
-            // Round-robin start; the rebalancer refines it under load.
-            assignment: (0..n).map(|c| c % shards).collect(),
-            config,
-            workers,
-            done_rx,
-            epoch: 0,
-            ticks: 0,
-            decisions: 0,
-            merged_plans: 0,
-            rebalances: 0,
-            shard_ema: vec![0.0; shards],
-            shard_decisions: vec![0; shards],
-            class_ema: vec![0.0; n],
-        }
-    }
-
-    /// Dismantles the sharded service back into a plain
-    /// [`WorkloadService`] — same books, same schedulers (caches intact).
-    /// Workers are joined; the tick counters are dropped.
-    pub fn into_service(self) -> WorkloadService {
-        let ShardedService {
-            core,
-            classes,
-            schedulers,
-            online,
-            workers,
-            ..
-        } = self;
-        drop(workers);
-        let schedulers = schedulers
-            .into_iter()
-            .map(|s| s.expect("schedulers are home between ticks"))
-            .collect();
-        let scheduler = MultiScheduler::with_schedulers(classes, schedulers, online)
-            .expect("the parts came from a valid MultiScheduler");
-        WorkloadService::from_parts(scheduler, core)
-    }
-
-    /// The workload specification in force.
-    pub fn spec(&self) -> &WorkloadSpec {
-        self.core.cluster.spec()
-    }
-
-    /// The configured SLA classes, indexed by [`TenantId`].
-    pub fn classes(&self) -> &[SlaClass] {
-        &self.classes
-    }
-
-    /// One class's scheduler (base model + caches).
-    pub fn scheduler(&self, class: TenantId) -> CoreResult<&OnlineScheduler> {
-        self.schedulers
-            .get(class.index())
-            .and_then(|s| s.as_ref())
-            .ok_or(CoreError::UnknownTenantClass { class })
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> Millis {
-        self.core.cluster.now()
-    }
-
-    /// The runtime configuration the service was opened with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.core.config
-    }
-
-    /// The shard layout configuration.
-    pub fn shard_config(&self) -> &ShardConfig {
-        &self.config
-    }
-
-    /// The live cluster session (fleet state, running bill).
-    pub fn cluster(&self) -> &LiveCluster {
-        &self.core.cluster
-    }
-
-    /// Current class → shard assignment, indexed by [`TenantId`].
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
-    }
-
-    /// Aggregate shard counters: ticks, epochs, plan calls, merges,
-    /// rebalances, and per-shard lanes. `decisions` and `merged_plans`
-    /// are deterministic for a fixed trace and tick structure;
-    /// `rebalances` is too under [`LoadSignal::BatchSize`].
-    pub fn stats(&self) -> ShardStats {
-        let per_shard = (0..self.config.shards)
-            .map(|s| ShardLaneStats {
-                classes: (0..self.assignment.len())
-                    .filter(|&c| self.assignment[c] == s)
-                    .map(|c| TenantId(c as u32))
-                    .collect(),
-                decisions: self.shard_decisions[s],
-                load_ema: self.shard_ema[s],
-            })
-            .collect();
-        ShardStats {
-            shards: self.config.shards,
-            ticks: self.ticks,
-            epochs: self.epoch,
-            decisions: self.decisions,
-            merged_plans: self.merged_plans,
-            rebalances: self.rebalances,
-            per_shard,
-        }
-    }
-
-    /// A metrics snapshot at the current virtual instant, with per-class
-    /// rows carrying the cluster's dollar attribution.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.core.snapshot()
-    }
-
-    /// Completions observed so far, in completion order.
-    pub fn completions(&self) -> &[Completion] {
-        &self.core.completions
-    }
-
-    /// Runs everything still queued to completion.
-    pub fn drain(&mut self) {
-        self.core.drain();
-    }
-
-    /// Hot-swaps one class's decision model; semantics identical to
-    /// [`WorkloadService::swap_model`] (the new model, with fresh caches,
-    /// plans that class's next batch). The model must match the service's
-    /// spec and the class's goal.
-    pub fn swap_model(
-        &mut self,
-        class: TenantId,
-        model: DecisionModel,
-        artifacts: TrainingArtifacts,
-    ) -> CoreResult<()> {
-        let result = (|| {
-            let slot = self
-                .classes
-                .get(class.index())
-                .ok_or(CoreError::UnknownTenantClass { class })?;
-            if *model.spec_handle() != self.spec {
-                return Err(CoreError::ModelMismatch {
-                    detail: format!("model spec differs from the service spec ({class})"),
-                });
-            }
-            if *model.goal_handle() != slot.goal {
-                return Err(CoreError::ModelMismatch {
-                    detail: format!("model goal differs from {class}'s SLA goal"),
-                });
-            }
-            self.schedulers[class.index()] = Some(OnlineScheduler::with_model(
-                model,
-                artifacts,
-                self.online.clone(),
-            ));
-            Ok(())
-        })();
-        wisedb_obs::counter_add("wisedb_runtime_model_swaps_total", 1);
-        wisedb_obs::instant("runtime.swap_model")
-            .virt(self.core.cluster.now())
-            .attr_u64("class", class.index() as u64)
-            .attr_bool("applied", result.is_ok())
-            .emit();
-        result
-    }
-
-    /// Offers one arrival of an SLA class at virtual time `at`. Returns
-    /// `true` if admitted — exactly [`WorkloadService::offer_as`].
-    pub fn offer_as(
-        &mut self,
-        template: TemplateId,
-        class: TenantId,
-        at: Millis,
-    ) -> CoreResult<bool> {
-        let outcomes = self.offer_batch_as(class, &[(template, at)])?;
-        Ok(outcomes[0] == OfferOutcome::Admitted)
-    }
-
-    /// Offers one same-class burst — a one-group tick. This is the
-    /// unsharded [`WorkloadService::offer_batch_as`] pipeline verbatim
-    /// (same admission, recall, live view, plan, apply), with the plan
-    /// computed inline by the class's own scheduler: with a single group
-    /// there is nothing to parallelize, and routing through a worker
-    /// would only add a channel round trip. Bit-identical to the
-    /// unsharded service for every shard count — by shared code.
-    pub fn offer_batch_as(
-        &mut self,
-        class: TenantId,
-        arrivals: &[(TemplateId, Millis)],
-    ) -> CoreResult<Vec<OfferOutcome>> {
-        if arrivals.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut batch_span = wisedb_obs::span("runtime.offer_batch");
-        if batch_span.recording() {
-            batch_span.attr_u64("class", class.index() as u64);
-            batch_span.attr_u64("arrivals", arrivals.len() as u64);
-            batch_span.virt(arrivals[arrivals.len() - 1].1);
-        }
-        let sla = self
-            .classes
-            .get(class.index())
-            .ok_or(CoreError::UnknownTenantClass { class })?;
-        for &(template, _) in arrivals {
-            if !sla.allows(template) {
-                return Err(CoreError::TemplateNotInClass { template, class });
-            }
-        }
-        let priority = sla.priority;
-        let scheduler = self.schedulers[class.index()]
-            .as_mut()
-            .expect("schedulers are home between ticks");
-
-        let started = Instant::now();
-        let mut planned = false;
-        let result = offer_batch_with(
-            &mut self.core,
-            class,
-            priority,
-            arrivals,
-            |view, batch, at| {
-                planned = true;
-                scheduler.plan_arrivals(view, batch, at)
-            },
-        );
-
-        // Account the fast path as a one-group tick so the stats and the
-        // rebalancer see workloads driven through offer_as/run_stream too.
-        self.ticks += 1;
-        if planned {
-            let shard = self.assignment[class.index()];
-            self.decisions += 1;
-            self.shard_decisions[shard] += 1;
-            wisedb_obs::counter_add("wisedb_shard_decisions_total", 1);
-            if result.is_ok() {
-                self.merged_plans += 1;
-                wisedb_obs::counter_add("wisedb_shard_merged_plans_total", 1);
-            }
-            let load = match self.config.signal {
-                LoadSignal::PlanTime => started.elapsed().as_micros() as f64,
-                LoadSignal::BatchSize => arrivals.len() as f64,
-            };
-            self.fold_load(&[(shard, class, load)]);
-        }
-        self.maybe_rebalance();
-        result
-    }
-
-    /// Processes one multi-group scheduling tick: admit every group in
-    /// tick order, snapshot the cluster once (epoch), plan all groups in
-    /// parallel on the shard workers, and merge the plans back in tick
-    /// order. Returns one verdict list per input group, aligned with
-    /// `groups`; a group whose class is unknown, whose template falls
-    /// outside the class subset, or whose plan fails gets an `Err` —
-    /// other groups proceed (failed groups roll back their recall, like
-    /// a failed unsharded burst).
-    ///
-    /// Groups should be tick-ordered (non-decreasing first-arrival
-    /// times); the same class may appear more than once (later groups of
-    /// a class simply recall nothing). The outer error fires only on
-    /// infrastructure failure (a dead worker), which poisons the tick.
-    #[allow(clippy::type_complexity)]
-    pub fn offer_tick(
-        &mut self,
-        groups: &[TickGroup],
-    ) -> CoreResult<Vec<CoreResult<Vec<OfferOutcome>>>> {
-        if groups.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.ticks += 1;
-        let mut results: Vec<Option<CoreResult<Vec<OfferOutcome>>>> = Vec::new();
-        results.resize_with(groups.len(), || None);
-
-        // Phase 1 — admit serially in tick order. Newcomers admitted by
-        // earlier groups are folded into later groups' admission signals
-        // (total and same-class), mirroring how one serial burst's own
-        // earlier arrivals gate its later ones.
-        struct Prepared {
-            seq: usize,
-            class: TenantId,
-            outcomes: Vec<OfferOutcome>,
-            admitted: usize,
-            planned_at: Millis,
-            first_id: usize,
-            batch: Vec<PendingArrival>,
-            recalled: Vec<wisedb_sim::RecalledQuery>,
-        }
-        let mut prepared: Vec<Prepared> = Vec::new();
-        let mut carried = 0usize;
-        let mut carried_of = vec![0usize; self.classes.len()];
-        for (seq, (class, arrivals)) in groups.iter().enumerate() {
-            let class = *class;
-            let Some(sla) = self.classes.get(class.index()) else {
-                results[seq] = Some(Err(CoreError::UnknownTenantClass { class }));
-                continue;
-            };
-            if let Some(&(template, _)) = arrivals.iter().find(|&&(t, _)| !sla.allows(t)) {
-                results[seq] = Some(Err(CoreError::TemplateNotInClass { template, class }));
-                continue;
-            }
-            if arrivals.is_empty() {
-                results[seq] = Some(Ok(Vec::new()));
-                continue;
-            }
-            let (outcomes, admitted) = self.core.admit_burst(
-                class,
-                sla.priority,
-                arrivals,
-                carried,
-                carried_of[class.index()],
-            );
-            if admitted.is_empty() {
-                results[seq] = Some(Ok(outcomes));
-                continue;
-            }
-            carried += admitted.len();
-            carried_of[class.index()] += admitted.len();
-            let planned_at = admitted[admitted.len() - 1].1;
-            let (first_id, batch, recalled) = self.core.prepare_batch(class, &admitted);
-            prepared.push(Prepared {
-                seq,
-                class,
-                outcomes,
-                admitted: admitted.len(),
-                planned_at,
-                first_id,
-                batch,
-                recalled,
-            });
-        }
-        if prepared.is_empty() {
-            self.maybe_rebalance();
-            return Ok(results
-                .into_iter()
-                .map(|r| r.expect("every group settled"))
-                .collect());
-        }
-
-        // Phase 2 — one epoch snapshot, fanned out by class assignment.
-        self.epoch += 1;
-        let snap = self.core.cluster.snapshot();
-        let open_target = snap.open_vm.as_ref().map(|(index, _)| *index);
-        let target_type = snap.open_vm.as_ref().map(|(_, view)| view.vm_type);
-        let view = Arc::new(ClusterView {
-            vms_rented: snap.vms_provisioned as u32,
-            open_vm: snap.open_vm.map(|(_, view)| view),
+        let pool = (shards > 1).then(|| {
+            let (done_tx, done_rx) = channel();
+            let workers = (0..shards).map(|s| spawn_worker(s, done_tx.clone()));
+            (workers.collect(), done_rx)
         });
+        let lane = ShardLaneStats {
+            classes: Vec::new(),
+            decisions: 0,
+            load_ema: 0.0,
+        };
+        ShardLayout {
+            config,
+            assignment: (0..classes).map(|c| c % shards).collect(),
+            pool,
+            stats: ShardStats {
+                shards,
+                ticks: 0,
+                epochs: 0,
+                decisions: 0,
+                merged_plans: 0,
+                rebalances: 0,
+                per_shard: vec![lane; shards],
+            },
+            class_ema: vec![0.0; classes],
+        }
+    }
 
-        let mut meta: Vec<(
-            usize,
-            Vec<OfferOutcome>,
-            usize,
-            usize,
-            Vec<wisedb_sim::RecalledQuery>,
-        )> = Vec::new();
-        let mut by_shard: Vec<Vec<PlanTask>> =
-            (0..self.config.shards).map(|_| Vec::new()).collect();
-        for p in prepared {
-            let shard = self.assignment[p.class.index()];
-            let scheduler = self.schedulers[p.class.index()]
-                .take()
-                .expect("one scheduler per class, taken at most once per tick");
-            by_shard[shard].push(PlanTask {
-                seq: p.seq,
-                class: p.class,
-                scheduler,
-                batch: p.batch,
-                planned_at: p.planned_at,
-            });
-            meta.push((p.seq, p.outcomes, p.admitted, p.first_id, p.recalled));
+    /// Worker threads alive (`0` with one shard).
+    #[cfg(test)]
+    pub(crate) fn worker_threads(&self) -> usize {
+        self.pool.as_ref().map_or(0, |(workers, _)| workers.len())
+    }
+
+    pub(crate) fn stats(&self) -> ShardStats {
+        let mut stats = self.stats.clone();
+        for (class, &shard) in self.assignment.iter().enumerate() {
+            stats.per_shard[shard].classes.push(TenantId(class as u32));
         }
-        let mut jobs_sent = 0usize;
-        for (shard, tasks) in by_shard.into_iter().enumerate() {
-            if tasks.is_empty() {
-                continue;
+        stats
+    }
+
+    /// Opens a tick.
+    pub(crate) fn begin_tick(&mut self) {
+        self.stats.ticks += 1;
+    }
+
+    /// Counts one plan the merge validated and applied.
+    pub(crate) fn merged(&mut self) {
+        self.stats.merged_plans += 1;
+        wisedb_obs::counter_add("wisedb_shard_merged_plans_total", 1);
+    }
+
+    /// Phase 2 of a multi-group tick: stamps the epoch and plans every
+    /// task against `view` — here, in order, with one shard; on the
+    /// workers that own the tasks' classes otherwise. Returns the tasks,
+    /// planned, in tick (`seq`) order. The error fires only on
+    /// infrastructure failure (a dead worker), which poisons the tick.
+    pub(crate) fn plan(
+        &mut self,
+        view: ClusterView,
+        mut tasks: Vec<PlanTask>,
+    ) -> CoreResult<Vec<PlanTask>> {
+        self.stats.epochs += 1;
+        let epoch = self.stats.epochs;
+        if let Some((workers, done_rx)) = &self.pool {
+            let view = Arc::new(view);
+            let mut by_shard: Vec<Vec<PlanTask>> = workers.iter().map(|_| Vec::new()).collect();
+            for task in tasks.drain(..) {
+                by_shard[self.assignment[task.class.index()]].push(task);
             }
-            self.shard_decisions[shard] += tasks.len() as u64;
-            self.decisions += tasks.len() as u64;
-            wisedb_obs::counter_add("wisedb_shard_decisions_total", tasks.len() as u64);
-            let job = ShardJob {
-                shard,
-                epoch: self.epoch,
-                view: Arc::clone(&view),
-                tasks,
-            };
-            self.workers[shard]
-                .tx
-                .as_ref()
-                .expect("workers hold their sender until drop")
-                .send(job)
-                .map_err(|_| CoreError::InconsistentPlan {
-                    detail: format!("shard {shard} worker is gone"),
-                })?;
-            jobs_sent += 1;
-        }
-        let mut planned: Vec<PlannedTask> = Vec::new();
-        let mut loads: Vec<(usize, TenantId, f64)> = Vec::new();
-        for _ in 0..jobs_sent {
-            let done = self
-                .done_rx
-                .recv()
-                .map_err(|_| CoreError::InconsistentPlan {
+            let mut jobs_sent = 0usize;
+            for (shard, tasks) in by_shard.into_iter().enumerate() {
+                if tasks.is_empty() {
+                    continue;
+                }
+                let job = ShardJob {
+                    epoch,
+                    view: Arc::clone(&view),
+                    tasks,
+                };
+                workers[shard]
+                    .tx
+                    .as_ref()
+                    .expect("workers hold their sender until drop")
+                    .send(job)
+                    .map_err(|_| CoreError::InconsistentPlan {
+                        detail: format!("shard {shard} worker is gone"),
+                    })?;
+                jobs_sent += 1;
+            }
+            for _ in 0..jobs_sent {
+                let done = done_rx.recv().map_err(|_| CoreError::InconsistentPlan {
                     detail: "a shard worker died mid-epoch".to_string(),
                 })?;
-            for task in &done.tasks {
-                let load = match self.config.signal {
-                    LoadSignal::PlanTime => task.plan_secs * 1e6,
-                    LoadSignal::BatchSize => task.batch_len as f64,
-                };
-                loads.push((done.shard, task.class, load));
+                tasks.extend(done.tasks);
             }
-            wisedb_obs::observe_us("wisedb_shard_plan_us", done.plan_us);
-            planned.extend(done.tasks);
+            tasks.sort_by_key(|t| t.seq);
+        } else {
+            plan_tasks(0, epoch, &view, &mut tasks);
         }
-        planned.sort_by_key(|t| t.seq);
-
-        // Phase 3 — merge in tick order: validate + apply each plan
-        // against the live cluster; assignments before a plan's first
-        // provision target the epoch's open VM.
-        let mut merge_span = wisedb_obs::span("shard.merge");
-        if merge_span.recording() {
-            merge_span.attr_u64("epoch", self.epoch);
-            merge_span.attr_u64("plans", planned.len() as u64);
-            merge_span.virt(snap.now);
-        }
-        for task in planned {
-            let PlannedTask {
-                seq,
-                class,
-                scheduler,
-                result,
-                plan_secs,
-                ..
-            } = task;
-            self.schedulers[class.index()] = Some(scheduler);
-            let (_, outcomes, admitted, first_id, recalled) = meta
-                .iter()
-                .position(|(s, ..)| *s == seq)
-                .map(|i| meta.swap_remove(i))
-                .expect("every planned task was prepared");
-            let group_result = match result {
-                Ok(plan) => {
-                    self.core.metrics.decision(plan_secs);
-                    wisedb_obs::observe_us("wisedb_runtime_decision_us", (plan_secs * 1e6) as u64);
-                    match self.core.validate_plan(&plan, target_type) {
-                        Ok(()) => self
-                            .core
-                            .apply_plan(class, plan, open_target, admitted)
-                            .map(|()| {
-                                self.merged_plans += 1;
-                                wisedb_obs::counter_add("wisedb_shard_merged_plans_total", 1);
-                                outcomes
-                            }),
-                        Err(err) => self.core.rollback_offer(recalled, first_id, admitted, err),
-                    }
-                }
-                Err(err) => self.core.rollback_offer(recalled, first_id, admitted, err),
-            };
-            results[seq] = Some(group_result);
-        }
-        drop(merge_span);
-
-        self.fold_load(&loads);
-        self.maybe_rebalance();
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every group settled"))
-            .collect())
+        let planned: Vec<_> = tasks
+            .iter()
+            .map(|t| {
+                let secs = t.planned.as_ref().map_or(0.0, |(_, secs)| *secs);
+                (t.class, secs, t.batch.len())
+            })
+            .collect();
+        self.record(&planned);
+        Ok(tasks)
     }
 
-    /// Replays a class-tagged arrival stream in ticks of up to
-    /// `tick_size` arrivals: each chunk is grouped by class (one group
-    /// per class, first-appearance order) and processed as one
-    /// [`offer_tick`](Self::offer_tick), then the cluster drains. With
-    /// `tick_size <= 1` every arrival is its own one-group tick, which is
-    /// bit-identical to [`WorkloadService::run_stream`].
-    pub fn run_ticked(
-        &mut self,
-        stream: &[ArrivingQuery],
-        tick_size: usize,
-    ) -> CoreResult<StreamReport> {
-        let tick_size = tick_size.max(1);
-        for chunk in stream.chunks(tick_size) {
-            let mut groups: Vec<TickGroup> = Vec::new();
-            for q in chunk {
-                match groups.iter_mut().find(|(c, _)| *c == q.class) {
-                    Some((_, arrivals)) => arrivals.push((q.template, q.arrival)),
-                    None => groups.push((q.class, vec![(q.template, q.arrival)])),
-                }
-            }
-            if let [(class, arrivals)] = &groups[..] {
-                // One class in the chunk: nothing to fan out — take the
-                // inline fast path (the unsharded pipeline verbatim).
-                self.offer_batch_as(*class, arrivals)?;
-            } else {
-                for result in self.offer_tick(&groups)? {
-                    result?;
-                }
-            }
+    /// The epoch [`plan`](Self::plan) last stamped.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.stats.epochs
+    }
+
+    /// Counts one tick's plan calls — `(class, wall-clock seconds, batch
+    /// size)` each; [`plan`](Self::plan) reports its own, the service
+    /// reports the one it makes inline for a one-group tick — against
+    /// their shards and, with more than one shard, folds their load into
+    /// the EMAs the rebalancer reads. Every shard decays each tick — idle
+    /// shards drift toward zero, so a shard whose classes went quiet
+    /// eventually reads cold.
+    pub(crate) fn record(&mut self, planned: &[(TenantId, f64, usize)]) {
+        self.stats.decisions += planned.len() as u64;
+        wisedb_obs::counter_add("wisedb_shard_decisions_total", planned.len() as u64);
+        for &(class, ..) in planned {
+            self.stats.per_shard[self.assignment[class.index()]].decisions += 1;
         }
-        self.drain();
-        Ok(StreamReport {
-            snapshots: Vec::new(),
-            last: self.snapshot(),
-            completions: self.core.completions.clone(),
-        })
-    }
-
-    /// Replays an explicit arrival stream one arrival at a time — the
-    /// unsharded [`WorkloadService::run_stream`] loop on the sharded
-    /// fast path.
-    pub fn run_stream(&mut self, stream: &[ArrivingQuery]) -> CoreResult<StreamReport> {
-        self.run_ticked(stream, 1)
-    }
-
-    /// Folds one tick's per-(shard, class) load observations into the
-    /// EMAs. Every shard decays each tick — idle shards drift toward
-    /// zero, so a shard whose classes went quiet eventually reads cold.
-    fn fold_load(&mut self, loads: &[(usize, TenantId, f64)]) {
-        let alpha = self.config.ema_alpha.clamp(0.0, 1.0);
+        if self.config.shards < 2 {
+            return;
+        }
         let mut shard_load = vec![0.0f64; self.config.shards];
-        let mut class_load = vec![0.0f64; self.classes.len()];
-        for &(shard, class, load) in loads {
-            shard_load[shard] += load;
+        let mut class_load = vec![0.0f64; self.class_ema.len()];
+        for &(class, secs, batch) in planned {
+            let load = match self.config.signal {
+                LoadSignal::PlanTime => secs * 1e6,
+                LoadSignal::BatchSize => batch as f64,
+            };
+            shard_load[self.assignment[class.index()]] += load;
             class_load[class.index()] += load;
         }
-        for (ema, load) in self.shard_ema.iter_mut().zip(&shard_load) {
-            *ema = alpha * load + (1.0 - alpha) * *ema;
+        let alpha = self.config.ema_alpha.clamp(0.0, 1.0);
+        for (lane, load) in self.stats.per_shard.iter_mut().zip(&shard_load) {
+            lane.load_ema = alpha * load + (1.0 - alpha) * lane.load_ema;
         }
         for (ema, load) in self.class_ema.iter_mut().zip(&class_load) {
             *ema = alpha * load + (1.0 - alpha) * *ema;
@@ -880,22 +395,23 @@ impl ShardedService {
     /// hottest class to the coldest shard. Because plans are a function
     /// of (snapshot, batch, class scheduler) and merges run in tick
     /// order, moving a class never changes any output — only where its
-    /// plans are computed.
-    fn maybe_rebalance(&mut self) {
+    /// plans are computed. Called once at the end of every tick.
+    pub(crate) fn maybe_rebalance(&mut self, now: Millis) {
         let every = self.config.rebalance_every;
-        if self.config.shards < 2 || every == 0 || self.ticks % every != 0 {
+        if self.config.shards < 2 || every == 0 || self.stats.ticks % every != 0 {
             return;
         }
+        let ema = |s: usize| self.stats.per_shard[s].load_ema;
         let (mut hot, mut cold) = (0usize, 0usize);
         for s in 1..self.config.shards {
-            if self.shard_ema[s] > self.shard_ema[hot] {
+            if ema(s) > ema(hot) {
                 hot = s;
             }
-            if self.shard_ema[s] < self.shard_ema[cold] {
+            if ema(s) < ema(cold) {
                 cold = s;
             }
         }
-        if hot == cold || self.shard_ema[hot] <= self.config.skew_threshold * self.shard_ema[cold] {
+        if hot == cold || ema(hot) <= self.config.skew_threshold * ema(cold) {
             return;
         }
         let mover = (0..self.assignment.len())
@@ -911,10 +427,10 @@ impl ShardedService {
             return;
         }
         self.assignment[mover] = cold;
-        self.rebalances += 1;
+        self.stats.rebalances += 1;
         wisedb_obs::counter_add("wisedb_shard_rebalances_total", 1);
         wisedb_obs::instant("shard.rebalance")
-            .virt(self.core.cluster.now())
+            .virt(now)
             .attr_u64("class", mover as u64)
             .attr_u64("from", hot as u64)
             .attr_u64("to", cold as u64)
@@ -925,160 +441,79 @@ impl ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::{generate_class_stream, merge_streams, PoissonProcess, TemplateMix};
+    use crate::service::tests::{config, scrub, spec, tagged_stream, three_classes};
+    use crate::service::OfferOutcome;
     use wisedb_advisor::ModelConfig;
-    use wisedb_core::{GoalKind, MetricsSnapshot, PerformanceGoal, VmType};
 
-    fn spec() -> WorkloadSpec {
-        WorkloadSpec::single_vm(
-            vec![("T1", Millis::from_mins(2)), ("T2", Millis::from_mins(1))],
-            VmType::t2_medium(),
-        )
-        .unwrap()
-    }
-
-    fn config() -> RuntimeConfig {
-        RuntimeConfig {
-            online: OnlineConfig {
-                training: ModelConfig {
-                    num_samples: 40,
-                    sample_size: 5,
-                    seed: 3,
-                    ..ModelConfig::fast()
-                },
-                ..OnlineConfig::default()
-            },
-            ..RuntimeConfig::default()
-        }
-    }
-
-    fn three_classes(spec: &WorkloadSpec) -> Vec<SlaClass> {
-        vec![
-            SlaClass::new(
-                "gold",
-                PerformanceGoal::paper_default(GoalKind::PerQuery, spec).unwrap(),
-            )
-            .with_priority(2),
-            SlaClass::new(
-                "silver",
-                PerformanceGoal::paper_default(GoalKind::MaxLatency, spec).unwrap(),
-            )
-            .with_priority(1),
-            SlaClass::new(
-                "bronze",
-                PerformanceGoal::paper_default(GoalKind::AverageLatency, spec).unwrap(),
-            ),
-        ]
-    }
-
-    fn tagged_stream(n_per_class: usize) -> Vec<ArrivingQuery> {
-        let streams = (0..3)
-            .map(|c| {
-                let mut process =
-                    PoissonProcess::per_second(0.02 + 0.01 * c as f64, TemplateMix::uniform(2));
-                generate_class_stream(&mut process, n_per_class, 100 + c as u64, TenantId(c))
-            })
-            .collect();
-        merge_streams(streams)
-    }
-
-    /// Decision latency is wall-clock (reported, never steering), so it is
-    /// the one legitimately nondeterministic snapshot field.
-    fn scrub(mut s: MetricsSnapshot) -> MetricsSnapshot {
-        s.mean_decision_secs = 0.0;
-        s.p95_decision_secs = 0.0;
-        s
-    }
-
-    #[test]
-    fn one_shard_stream_is_bit_identical_to_unsharded() {
+    /// A three-class service over `shards` shards.
+    fn service(shard_config: ShardConfig) -> WorkloadService {
         let spec = spec();
-        let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
-        let mut process = PoissonProcess::per_second(0.05, TemplateMix::uniform(2));
-        let stream = crate::arrivals::generate_stream(&mut process, 20, 77);
-
-        let mut plain = WorkloadService::train(spec.clone(), goal.clone(), config()).unwrap();
-        let plain_report = plain.run_stream(&stream).unwrap();
-
-        let mut sharded = WorkloadService::train(spec, goal, config())
+        let classes = three_classes(&spec);
+        WorkloadService::train_classes(spec, classes, config())
             .unwrap()
-            .into_sharded(ShardConfig::default());
-        let sharded_report = sharded.run_stream(&stream).unwrap();
-
-        assert_eq!(plain_report.completions, sharded_report.completions);
-        assert_eq!(scrub(plain_report.last), scrub(sharded_report.last));
-        let stats = sharded.stats();
-        assert_eq!(stats.shards, 1);
-        assert_eq!(stats.ticks, 20);
-        assert_eq!(stats.decisions, 20);
-        assert_eq!(stats.merged_plans, 20);
-        assert_eq!(stats.epochs, 0, "one-group ticks take the fast path");
+            .into_sharded(shard_config)
     }
 
     #[test]
     fn multi_group_ticks_are_deterministic_across_shard_counts() {
-        let spec = spec();
-        let classes = three_classes(&spec);
         let stream = tagged_stream(8);
 
         let mut reports = Vec::new();
         let mut stats = Vec::new();
         for shards in [1usize, 2, 3] {
-            let mut svc = ShardedService::train_classes(
-                spec.clone(),
-                classes.clone(),
-                config(),
-                ShardConfig::with_shards(shards),
-            )
-            .unwrap();
+            let mut svc = service(ShardConfig::with_shards(shards));
             reports.push(svc.run_ticked(&stream, 4).unwrap());
+            // One shard ran those multi-group ticks on this thread: it has
+            // no worker to send them to. More shards, that many workers.
+            let workers = if shards == 1 { 0 } else { shards };
+            assert_eq!(svc.shards.worker_threads(), workers);
             stats.push(svc.stats());
+            assert_eq!(stats[shards - 1].per_shard.len(), shards);
         }
         let last = scrub(reports[0].last.clone());
         for report in &reports[1..] {
             assert_eq!(reports[0].completions, report.completions);
             assert_eq!(last, scrub(report.last.clone()));
         }
-        // The tick structure (and hence the plan-call count) is also
-        // independent of the shard count.
-        assert_eq!(stats[0].decisions, stats[1].decisions);
-        assert_eq!(stats[1].decisions, stats[2].decisions);
-        assert_eq!(stats[0].merged_plans, stats[2].merged_plans);
+        // The tick structure (and hence the epoch and plan-call counts)
+        // is also independent of the shard count.
+        for other in &stats[1..] {
+            assert_eq!(stats[0].epochs, other.epochs);
+            assert_eq!(stats[0].decisions, other.decisions);
+            assert_eq!(stats[0].merged_plans, other.merged_plans);
+        }
+        assert!(stats[0].epochs > 0, "ticks of 4 span several classes");
         assert_eq!(last.completed, 24);
     }
 
     #[test]
     fn ticked_replay_matches_per_arrival_replay_for_singleton_ticks() {
-        let spec = spec();
-        let classes = three_classes(&spec);
         let stream = tagged_stream(5);
 
-        let mut plain =
-            WorkloadService::train_classes(spec.clone(), classes.clone(), config()).unwrap();
-        let plain_report = plain.run_stream(&stream).unwrap();
+        let mut by_hand = service(ShardConfig::default());
+        for q in &stream {
+            assert!(by_hand.offer_as(q.template, q.class, q.arrival).unwrap());
+        }
+        by_hand.drain();
 
-        let mut sharded =
-            ShardedService::train_classes(spec, classes, config(), ShardConfig::with_shards(2))
-                .unwrap();
-        let sharded_report = sharded.run_ticked(&stream, 1).unwrap();
+        let mut ticked = service(ShardConfig::with_shards(2));
+        let report = ticked.run_ticked(&stream, 1).unwrap();
 
-        assert_eq!(plain_report.completions, sharded_report.completions);
-        assert_eq!(scrub(plain_report.last), scrub(sharded_report.last));
+        assert_eq!(by_hand.completions(), &report.completions[..]);
+        assert_eq!(scrub(by_hand.snapshot()), scrub(report.last));
+        // One-group ticks are planned inline at any shard count: counted,
+        // but never snapshotted or fanned out.
+        for stats in [by_hand.stats(), ticked.stats()] {
+            assert_eq!((stats.ticks, stats.epochs), (15, 0));
+            assert_eq!((stats.decisions, stats.merged_plans), (15, 15));
+        }
     }
 
     #[test]
     fn rebalancer_moves_classes_without_perturbing_outputs() {
-        let spec = spec();
-        let classes = three_classes(&spec);
         let stream = tagged_stream(10);
         let run = |shard_config: ShardConfig| {
-            let mut svc = ShardedService::train_classes(
-                spec.clone(),
-                classes.clone(),
-                config(),
-                shard_config,
-            )
-            .unwrap();
+            let mut svc = service(shard_config);
             let report = svc.run_ticked(&stream, 3).unwrap();
             (report, svc.stats())
         };
@@ -1108,66 +543,58 @@ mod tests {
 
     #[test]
     fn tick_groups_fail_independently() {
-        let spec = spec();
-        let classes = three_classes(&spec);
-        let mut svc =
-            ShardedService::train_classes(spec, classes, config(), ShardConfig::with_shards(2))
-                .unwrap();
+        let mut svc = service(ShardConfig::with_shards(2));
         let at = Millis::from_secs(5);
         let results = svc
             .offer_tick(&[
                 (TenantId(0), vec![(TemplateId(0), at)]),
                 (TenantId(9), vec![(TemplateId(0), at)]),
                 (TenantId(1), vec![(TemplateId(1), at)]),
+                // Class 0's scheduler is already out planning the first
+                // group: a second group is refused, not planned.
+                (TenantId(0), vec![(TemplateId(1), at)]),
             ])
             .unwrap();
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 4);
         assert_eq!(results[0].as_ref().unwrap(), &vec![OfferOutcome::Admitted]);
         assert!(matches!(
             results[1],
             Err(CoreError::UnknownTenantClass { class: TenantId(9) })
         ));
         assert_eq!(results[2].as_ref().unwrap(), &vec![OfferOutcome::Admitted]);
+        assert!(matches!(
+            results[3],
+            Err(CoreError::InconsistentPlan { .. })
+        ));
         svc.drain();
         assert_eq!(svc.snapshot().completed, 2);
     }
 
     #[test]
-    fn into_service_round_trips_mid_session() {
-        let spec = spec();
-        let classes = three_classes(&spec);
+    fn into_sharded_mid_session_continues_the_same_session() {
         let stream = tagged_stream(4);
         let (head, tail) = stream.split_at(6);
 
-        let mut plain =
-            WorkloadService::train_classes(spec.clone(), classes.clone(), config()).unwrap();
+        let mut svc = service(ShardConfig::default());
         for q in head {
-            plain.offer_as(q.template, q.class, q.arrival).unwrap();
+            svc.offer_as(q.template, q.class, q.arrival).unwrap();
         }
-        let mut sharded = plain.into_sharded(ShardConfig::with_shards(3));
-        for q in tail {
-            sharded.offer_as(q.template, q.class, q.arrival).unwrap();
-        }
-        let mut back = sharded.into_service();
-        back.drain();
+        let mut svc = svc.into_sharded(ShardConfig::with_shards(3));
+        assert_eq!(svc.snapshot().admitted, 6, "the books moved over");
+        let report = svc.run_ticked(tail, 3).unwrap();
 
-        let mut reference = WorkloadService::train_classes(spec, classes, config()).unwrap();
-        let reference_report = reference.run_stream(&stream).unwrap();
-        assert_eq!(back.completions(), &reference_report.completions[..]);
-        assert_eq!(scrub(back.snapshot()), scrub(reference_report.last));
+        let mut reference = service(ShardConfig::default());
+        for q in head {
+            reference.offer_as(q.template, q.class, q.arrival).unwrap();
+        }
+        let reference_report = reference.run_ticked(tail, 3).unwrap();
+        assert_eq!(report.completions, reference_report.completions);
+        assert_eq!(scrub(report.last), scrub(reference_report.last));
     }
 
     #[test]
     fn swap_model_rejects_mismatches_and_applies_matches() {
-        let spec = spec();
-        let classes = three_classes(&spec);
-        let mut svc = ShardedService::train_classes(
-            spec.clone(),
-            classes,
-            config(),
-            ShardConfig::with_shards(2),
-        )
-        .unwrap();
+        let mut svc = service(ShardConfig::with_shards(2));
 
         // A model trained for class 1's goal fits class 1, not class 0.
         let goal = svc.classes()[1].goal.clone();

@@ -5,12 +5,13 @@
 //! them onto one mpsc queue; a single scheduler thread owns the
 //! `WorkloadService` and consumes them. When load outruns the scheduler,
 //! commands pile up behind the in-progress plan — so each wakeup
-//! [`drain`]s everything already queued and [`coalesce`]s *consecutive
-//! same-class offers* into one group, which the server answers with one
-//! `offer_batch_as` call (one `plan_arrivals`) instead of one per
-//! request. Order is never reshuffled: coalescing only merges neighbors,
-//! so cross-class interleavings plan in arrival order and the k=1 case
-//! is bit-identical to the unbatched path.
+//! [`drain`]s everything already queued and [`coalesce`]s every run of
+//! offers between two control commands into one scheduling *tick*,
+//! grouped per class, which the server answers with one `offer_tick`
+//! call (one `plan_arrivals` per class) instead of one per request.
+//! Same-class offers keep their queue order and control commands are
+//! barriers nothing moves across; a lone offer is a one-group tick,
+//! which the service plans inline exactly like an unbatched `offer_as`.
 //!
 //! This module is pure queue-and-group logic — no sockets — so the
 //! coalescing policy is unit-tested in isolation.
@@ -80,20 +81,6 @@ pub struct OfferEntry {
     pub queued: Option<Instant>,
 }
 
-/// What one scheduler wakeup executes: either a coalesced run of offers
-/// (one plan call) or a single non-offer command.
-pub enum Group {
-    /// Consecutive same-class offers, planned together.
-    Offers {
-        /// The shared SLA class.
-        class: TenantId,
-        /// The arrivals, in queue order.
-        offers: Vec<OfferEntry>,
-    },
-    /// Any other command, executed on its own.
-    Other(Command),
-}
-
 /// Drains the queue without blocking: `first` (already received) plus
 /// whatever else is waiting, up to [`MAX_DRAIN`] commands.
 pub fn drain(rx: &Receiver<Command>, first: Command) -> Vec<Command> {
@@ -107,10 +94,10 @@ pub fn drain(rx: &Receiver<Command>, first: Command) -> Vec<Command> {
     commands
 }
 
-/// What one *sharded* scheduler wakeup executes: every offer between
-/// non-offer commands folds into one scheduling tick (grouped per class),
-/// so a multi-tenant backlog becomes one parallel `offer_tick` fan-out
-/// instead of one plan call per class run.
+/// What one scheduler wakeup executes: every offer between non-offer
+/// commands folds into one scheduling tick (grouped per class), so a
+/// multi-tenant backlog becomes one `offer_tick` instead of one plan call
+/// per request.
 pub enum Work {
     /// All offers up to the next non-offer command, grouped by class in
     /// first-appearance order. Within a class, queue order is preserved.
@@ -119,13 +106,13 @@ pub enum Work {
     Other(Command),
 }
 
-/// The sharded counterpart of [`coalesce`]: adjacent offers merge into
-/// one tick *across* class changes (per-class groups in first-appearance
-/// order), and non-offer commands still act as barriers. The relative
-/// order of same-class offers is preserved exactly; cross-class order
-/// within one tick is resolved by the sharded service's admit phase,
-/// which walks groups in this first-appearance order.
-pub fn coalesce_tick(commands: Vec<Command>) -> Vec<Work> {
+/// Folds a drained backlog into ticks: adjacent offers merge into one
+/// tick *across* class changes (per-class groups in first-appearance
+/// order), and non-offer commands act as barriers. The relative order of
+/// same-class offers is preserved exactly; cross-class order within one
+/// tick is resolved by the service's admit phase, which walks groups in
+/// this first-appearance order.
+pub fn coalesce(commands: Vec<Command>) -> Vec<Work> {
     let mut work: Vec<Work> = Vec::new();
     for cmd in commands {
         match cmd {
@@ -159,42 +146,6 @@ pub fn coalesce_tick(commands: Vec<Command>) -> Vec<Work> {
     work
 }
 
-/// Groups consecutive same-class offers; everything else passes through
-/// in place. Queue order is preserved exactly.
-pub fn coalesce(commands: Vec<Command>) -> Vec<Group> {
-    let mut groups: Vec<Group> = Vec::new();
-    for cmd in commands {
-        match cmd {
-            Command::Offer {
-                class,
-                template,
-                at,
-                reply,
-                queued,
-            } => {
-                let entry = OfferEntry {
-                    template,
-                    at,
-                    reply,
-                    queued,
-                };
-                match groups.last_mut() {
-                    Some(Group::Offers {
-                        class: open_class,
-                        offers,
-                    }) if *open_class == class => offers.push(entry),
-                    _ => groups.push(Group::Offers {
-                        class,
-                        offers: vec![entry],
-                    }),
-                }
-            }
-            other => groups.push(Group::Other(other)),
-        }
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,47 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_same_class_offers_merge_into_one_group() {
-        let cmds = vec![offer(0, 0, 1).0, offer(0, 1, 2).0, offer(0, 0, 3).0];
-        let groups = coalesce(cmds);
-        assert_eq!(groups.len(), 1);
-        match &groups[0] {
-            Group::Offers { class, offers } => {
-                assert_eq!(*class, TenantId(0));
-                assert_eq!(offers.len(), 3);
-                // Queue order survives coalescing.
-                let ats: Vec<u64> = offers.iter().map(|o| o.at.as_millis() / 1000).collect();
-                assert_eq!(ats, vec![1, 2, 3]);
-            }
-            Group::Other(_) => panic!("expected a coalesced offer group"),
-        }
-    }
-
-    #[test]
-    fn class_changes_and_interleaved_commands_split_groups() {
-        let (metrics_reply, _keep) = channel();
-        let cmds = vec![
-            offer(0, 0, 1).0,
-            offer(1, 0, 2).0, // class change: new group
-            offer(1, 1, 3).0,
-            Command::Metrics {
-                reply: metrics_reply,
-            }, // interleaved non-offer: barrier
-            offer(1, 0, 4).0, // same class as before the barrier, but a new group
-        ];
-        let groups = coalesce(cmds);
-        assert_eq!(groups.len(), 4);
-        let sizes: Vec<usize> = groups
-            .iter()
-            .map(|g| match g {
-                Group::Offers { offers, .. } => offers.len(),
-                Group::Other(_) => 0,
-            })
-            .collect();
-        assert_eq!(sizes, vec![1, 2, 0, 1]);
-    }
-
-    #[test]
     fn tick_coalescing_merges_across_class_changes_with_barriers() {
         let (metrics_reply, _keep) = channel();
         let cmds = vec![
@@ -267,7 +177,7 @@ mod tests {
             }, // barrier
             offer(1, 0, 4).0, // a fresh tick after the barrier
         ];
-        let work = coalesce_tick(cmds);
+        let work = coalesce(cmds);
         assert_eq!(work.len(), 3);
         match &work[0] {
             Work::Tick(groups) => {

@@ -14,8 +14,8 @@
 //!   `Metrics`, `Ok`, `Error`), built on the workspace's serde'd core
 //!   types.
 //! * [`batch`] — the scheduler thread's command queue plus the
-//!   drain-and-coalesce policy: under load, consecutive same-class
-//!   offers plan as one `offer_batch_as` burst.
+//!   drain-and-coalesce policy: under load, the offers between two
+//!   control commands plan as one per-class-grouped `offer_tick`.
 //! * [`server`] — accept loop, bounded worker pool, ONE scheduler
 //!   thread owning the service (determinism preserved), background
 //!   trainer threads for hot model swaps.

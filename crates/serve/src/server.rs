@@ -22,10 +22,10 @@
 //! Only the scheduler thread touches the [`WorkloadService`]; connection
 //! workers parse frames and wait on per-request reply channels, so the
 //! virtual clock and every plan stays single-threaded and deterministic.
-//! Each scheduler wakeup drains the queued backlog and coalesces
-//! consecutive same-class offers into one `offer_batch_as` call (see
-//! [`crate::batch`]) — request batching kicks in exactly when load
-//! outruns planning. Overload never drops a connection: admission
+//! Each scheduler wakeup drains the queued backlog and coalesces the
+//! offers between control commands into one per-class-grouped
+//! `offer_tick` call (see [`crate::batch`]) — request batching kicks in
+//! exactly when load outruns planning. Overload never drops a connection: admission
 //! control's verdict travels back as a first-class [`Response::Shed`].
 //!
 //! No `expect()`/`unwrap()` sits on the request path: malformed frames,
@@ -44,9 +44,9 @@ use std::time::Duration;
 use threadpool::ThreadPool;
 use wisedb_advisor::{DecisionModel, ModelGenerator, TrainingArtifacts};
 use wisedb_core::TenantId;
-use wisedb_runtime::{OfferOutcome, ShardConfig, ShardedService, WorkloadService};
+use wisedb_runtime::{OfferOutcome, ShardConfig, WorkloadService};
 
-use crate::batch::{coalesce, coalesce_tick, drain, Command, Group, OfferEntry, Work};
+use crate::batch::{coalesce, drain, Command, OfferEntry, Work};
 use crate::error::ServeError;
 use crate::frame::{read_frame, write_frame, FrameKind, FrameRead};
 use crate::wire::{decode_request, encode_response, Request, Response};
@@ -63,12 +63,13 @@ pub struct ServeConfig {
     /// Read-timeout tick on accepted connections: how often an idle
     /// worker re-checks the shutdown flag.
     pub poll_interval: Duration,
-    /// Scheduler shards. `1` (the default) keeps the classic
-    /// single-threaded [`WorkloadService`] scheduler; `> 1` runs a
-    /// [`ShardedService`] whose wakeups coalesce the whole multi-class
-    /// backlog into one scheduling tick and plan its class groups in
-    /// parallel on shard worker threads. Outputs are bit-identical either
-    /// way (see `wisedb_runtime::shard`).
+    /// Scheduler shards, applied to the service with
+    /// [`WorkloadService::into_sharded`]. Every wakeup coalesces its
+    /// multi-class backlog into one scheduling tick; `1` (the default)
+    /// plans the tick's class groups on the scheduler thread itself (no
+    /// further threads), `> 1` plans them in parallel on that many shard
+    /// worker threads. Outputs are bit-identical either way (see
+    /// `wisedb_runtime::shard`).
     pub shards: usize,
     /// Command-queue depth for offers (`0` = unbounded). When more than
     /// this many offers are already waiting on the scheduler, new ones
@@ -158,16 +159,12 @@ impl Server {
         // and recv() could never disconnect at shutdown.
         let (swap_tx, swap_rx) = channel::<FinishedSwap>();
 
-        let engine = if config.shards > 1 {
-            Engine::Sharded(service.into_sharded(ShardConfig::with_shards(config.shards)))
-        } else {
-            Engine::Single(service)
-        };
+        let service = service.into_sharded(ShardConfig::with_shards(config.shards));
         let scheduler = {
             let gate = Arc::clone(&gate);
             thread::Builder::new()
                 .name("wisedb-scheduler".to_string())
-                .spawn(move || scheduler_loop(engine, cmd_rx, swap_rx, swap_tx, gate))?
+                .spawn(move || scheduler_loop(service, cmd_rx, swap_rx, swap_tx, gate))?
         };
 
         let accept = {
@@ -474,70 +471,18 @@ struct FinishedSwap {
     artifacts: Box<TrainingArtifacts>,
 }
 
-/// What the scheduler thread runs: the classic single-threaded service,
-/// or its tenant-partitioned form. The engine choice changes *where*
-/// plans are computed (inline vs. shard workers) and how a backlog
-/// coalesces (per-class runs vs. one multi-class tick) — never the
-/// outputs, which are bit-identical by the sharded service's design.
-enum Engine {
-    /// One `MultiScheduler`, planning inline ([`ServeConfig::shards`]
-    /// `<= 1`).
-    Single(WorkloadService),
-    /// N shard workers planning in parallel against epoch snapshots.
-    Sharded(ShardedService),
-}
-
-impl Engine {
-    fn classes(&self) -> &[wisedb_core::SlaClass] {
-        match self {
-            Engine::Single(s) => s.classes(),
-            Engine::Sharded(s) => s.classes(),
-        }
-    }
-
-    fn snapshot(&self) -> wisedb_core::MetricsSnapshot {
-        match self {
-            Engine::Single(s) => s.snapshot(),
-            Engine::Sharded(s) => s.snapshot(),
-        }
-    }
-
-    fn swap_model(
-        &mut self,
-        class: TenantId,
-        model: DecisionModel,
-        artifacts: TrainingArtifacts,
-    ) -> wisedb_core::CoreResult<()> {
-        match self {
-            Engine::Single(s) => s.swap_model(class, model, artifacts),
-            Engine::Sharded(s) => s.swap_model(class, model, artifacts),
-        }
-    }
-
-    fn into_service(self) -> WorkloadService {
-        match self {
-            Engine::Single(s) => s,
-            Engine::Sharded(s) => s.into_service(),
-        }
-    }
-}
-
 /// The single thread that owns the service. Each wakeup applies any
 /// finished model swaps (so the next arrival plans on the new model),
-/// then drains the backlog, coalesces it, and executes group by group.
-/// It exits (handing the service back) when every command sender is
-/// gone — the swap channel is only ever `try_recv`'d, so holding its
-/// sender here cannot wedge shutdown.
+/// then drains the backlog and [`execute`]s it. It exits (handing the
+/// service back) when every command sender is gone — the swap channel is
+/// only ever `try_recv`'d, so holding its sender here cannot wedge
+/// shutdown.
 ///
-/// A [`Engine::Single`] wakeup coalesces consecutive same-class offers
-/// and plans them inline; a [`Engine::Sharded`] wakeup folds the whole
-/// drained backlog (up to the next control command) into one scheduling
-/// tick whose class groups plan in parallel on the shard workers. Either
-/// way, every drained offer's gate slot is released before the wakeup
-/// plans, so admission verdicts — not queue slots — are what throttles a
-/// steady overload.
+/// Every drained offer's gate slot is released before the wakeup plans,
+/// so admission verdicts — not queue slots — are what throttles a steady
+/// overload.
 fn scheduler_loop(
-    mut engine: Engine,
+    mut service: WorkloadService,
     cmd_rx: Receiver<Command>,
     swap_rx: Receiver<FinishedSwap>,
     swap_tx: Sender<FinishedSwap>,
@@ -547,7 +492,7 @@ fn scheduler_loop(
         while let Ok(swap) = swap_rx.try_recv() {
             // A failed apply (model/goal mismatch) drops the retrained
             // model; the serving model stays.
-            let _ = engine.swap_model(swap.class, *swap.model, *swap.artifacts);
+            let _ = service.swap_model(swap.class, *swap.model, *swap.artifacts);
         }
         let mut tick = wisedb_obs::span("serve.tick");
         let backlog = drain(&cmd_rx, first);
@@ -557,134 +502,57 @@ fn scheduler_loop(
             .filter(|c| matches!(c, Command::Offer { .. }))
             .count();
         gate.release(offers_drained);
-        if matches!(engine, Engine::Sharded(_)) {
-            let work = coalesce_tick(backlog);
-            tick.attr_u64("groups", work.len() as u64);
-            for item in work {
-                match item {
-                    Work::Tick(groups) => {
-                        if let Engine::Sharded(service) = &mut engine {
-                            handle_tick(service, groups);
-                        }
-                    }
-                    Work::Other(command) => handle_command(&mut engine, command, &swap_tx),
-                }
-            }
-        } else {
-            let groups = coalesce(backlog);
-            tick.attr_u64("groups", groups.len() as u64);
-            for group in groups {
-                match group {
-                    Group::Offers { class, offers } => {
-                        if let Engine::Single(service) = &mut engine {
-                            handle_offers(service, class, offers);
-                        }
-                    }
-                    Group::Other(command) => handle_command(&mut engine, command, &swap_tx),
-                }
-            }
-        }
+        let groups = execute(&mut service, backlog, &swap_tx);
+        tick.attr_u64("groups", groups as u64);
     }
-    engine.into_service()
+    service
 }
 
-/// One coalesced burst: pre-validate each offer individually (a bad
-/// request must not fail its batch neighbors), then plan the valid rest
-/// with a single `offer_batch_as` call and route each outcome to its
-/// reply channel. If planning itself fails, the service has rolled the
-/// burst back — the whole group shares that fate.
-fn handle_offers(service: &mut WorkloadService, class: TenantId, offers: Vec<OfferEntry>) {
-    // How long each offer sat on the command queue before this wakeup
-    // picked it up. Stamped at dispatch only while span tracing is on;
-    // rendered as a Chrome `X` (complete) event so the retroactive
-    // timestamps never violate B/E nesting.
-    for offer in &offers {
-        if let Some(queued) = offer.queued {
-            wisedb_obs::observe_us(
-                "wisedb_serve_queue_wait_us",
-                queued.elapsed().as_micros() as u64,
-            );
-            wisedb_obs::complete("serve.queue_wait", queued)
-                .attr_u64("class", class.index() as u64)
-                .emit();
+/// Executes one drained backlog in queue order: the offers between
+/// control commands fold into one scheduling tick each (see
+/// [`coalesce`]), and control commands run on their own between the
+/// ticks. Returns how many work items the backlog coalesced into.
+fn execute(
+    service: &mut WorkloadService,
+    backlog: Vec<Command>,
+    swap_tx: &Sender<FinishedSwap>,
+) -> usize {
+    let work = coalesce(backlog);
+    let items = work.len();
+    for item in work {
+        match item {
+            Work::Tick(groups) => handle_tick(service, groups),
+            Work::Other(command) => handle_command(service, command, swap_tx),
         }
     }
-    let Some(sla) = service.classes().get(class.index()).cloned() else {
-        let message = format!(
-            "unknown tenant class {class:?} (service has {} classes)",
-            service.classes().len()
-        );
-        for offer in offers {
-            let _ = offer.reply.send(Response::Error {
-                message: message.clone(),
-            });
-        }
-        return;
-    };
-    let num_templates = service.spec().num_templates();
+    items
+}
 
-    let mut valid: Vec<OfferEntry> = Vec::with_capacity(offers.len());
+/// Fails every offer of `offers` with the same typed reason.
+fn fail<'a>(offers: impl IntoIterator<Item = &'a OfferEntry>, message: &str) {
     for offer in offers {
-        if offer.template.index() >= num_templates {
-            let _ = offer.reply.send(Response::Error {
-                message: format!(
-                    "{} is outside the spec ({num_templates} templates)",
-                    offer.template
-                ),
-            });
-        } else if !sla.allows(offer.template) {
-            let _ = offer.reply.send(Response::Error {
-                message: format!("{} is not in class {:?}'s subset", offer.template, class),
-            });
-        } else {
-            valid.push(offer);
-        }
-    }
-    if valid.is_empty() {
-        return;
-    }
-
-    let batch: Vec<_> = valid.iter().map(|o| (o.template, o.at)).collect();
-    let planned = {
-        let mut span = wisedb_obs::span("serve.plan");
-        span.attr_u64("class", class.index() as u64);
-        span.attr_u64("batch", batch.len() as u64);
-        service.offer_batch_as(class, &batch)
-    };
-    match planned {
-        Ok(outcomes) => {
-            for (offer, outcome) in valid.into_iter().zip(outcomes) {
-                let response = match outcome {
-                    OfferOutcome::Admitted => Response::Admitted,
-                    OfferOutcome::Shed => Response::Shed,
-                };
-                let _ = offer.reply.send(response);
-            }
-        }
-        // The service rolled the burst back; every member fails with the
-        // same typed reason, and the server keeps accepting.
-        Err(err) => {
-            let message = err.to_string();
-            for offer in valid {
-                let _ = offer.reply.send(Response::Error {
-                    message: message.clone(),
-                });
-            }
-        }
+        let _ = offer.reply.send(Response::Error {
+            message: message.to_string(),
+        });
     }
 }
 
-/// One sharded scheduling tick: the wakeup's whole multi-class backlog,
-/// pre-validated per offer exactly like [`handle_offers`] (a bad request
-/// must not fail its batch neighbors), then planned in parallel with a
-/// single [`ShardedService::offer_tick`] fan-out. Per-group failures
-/// answer that group's offers with the typed error; the other groups'
-/// verdicts stand — mirroring how one class's failed burst never touched
-/// another class's on the unsharded path.
-fn handle_tick(service: &mut ShardedService, tick: Vec<(TenantId, Vec<OfferEntry>)>) {
+/// One scheduling tick: a wakeup's multi-class backlog up to the next
+/// control command. Each offer is pre-validated on its own (a bad request
+/// must not fail its batch neighbors), then the valid rest is planned
+/// with a single [`WorkloadService::offer_tick`] — which is the inline
+/// `offer_batch_as` path when one class is left — and each outcome is
+/// routed to its reply channel. A group whose plan fails has been rolled
+/// back by the service: its offers share that typed error, and the other
+/// groups' verdicts stand.
+fn handle_tick(service: &mut WorkloadService, tick: Vec<(TenantId, Vec<OfferEntry>)>) {
     let num_templates = service.spec().num_templates();
     let mut valid: Vec<(TenantId, Vec<OfferEntry>)> = Vec::with_capacity(tick.len());
-    for (class, offers) in tick {
+    for (class, mut offers) in tick {
+        // How long each offer sat on the command queue before this wakeup
+        // picked it up. Stamped at dispatch only while span tracing is on;
+        // rendered as a Chrome `X` (complete) event so the retroactive
+        // timestamps never violate B/E nesting.
         for offer in &offers {
             if let Some(queued) = offer.queued {
                 wisedb_obs::observe_us(
@@ -696,37 +564,28 @@ fn handle_tick(service: &mut ShardedService, tick: Vec<(TenantId, Vec<OfferEntry
                     .emit();
             }
         }
-        let Some(sla) = service.classes().get(class.index()).cloned() else {
+        let Some(sla) = service.classes().get(class.index()) else {
             let message = format!(
                 "unknown tenant class {class:?} (service has {} classes)",
                 service.classes().len()
             );
-            for offer in offers {
-                let _ = offer.reply.send(Response::Error {
-                    message: message.clone(),
-                });
-            }
+            fail(&offers, &message);
             continue;
         };
-        let mut entries: Vec<OfferEntry> = Vec::with_capacity(offers.len());
-        for offer in offers {
-            if offer.template.index() >= num_templates {
-                let _ = offer.reply.send(Response::Error {
-                    message: format!(
-                        "{} is outside the spec ({num_templates} templates)",
-                        offer.template
-                    ),
-                });
-            } else if !sla.allows(offer.template) {
-                let _ = offer.reply.send(Response::Error {
-                    message: format!("{} is not in class {:?}'s subset", offer.template, class),
-                });
+        offers.retain(|offer| {
+            let template = offer.template;
+            let problem = if template.index() >= num_templates {
+                format!("{template} is outside the spec ({num_templates} templates)")
+            } else if !sla.allows(template) {
+                format!("{template} is not in class {class:?}'s subset")
             } else {
-                entries.push(offer);
-            }
-        }
-        if !entries.is_empty() {
-            valid.push((class, entries));
+                return true;
+            };
+            fail([offer], &problem);
+            false
+        });
+        if !offers.is_empty() {
+            valid.push((class, offers));
         }
     }
     if valid.is_empty() {
@@ -739,62 +598,43 @@ fn handle_tick(service: &mut ShardedService, tick: Vec<(TenantId, Vec<OfferEntry
         .collect();
     let planned = {
         let mut span = wisedb_obs::span("serve.plan");
-        span.attr_u64("groups", groups.len() as u64);
-        span.attr_u64(
-            "batch",
-            valid.iter().map(|(_, e)| e.len() as u64).sum::<u64>(),
-        );
+        if span.recording() {
+            span.attr_u64("groups", groups.len() as u64);
+            span.attr_u64(
+                "batch",
+                valid.iter().map(|(_, e)| e.len() as u64).sum::<u64>(),
+            );
+        }
         service.offer_tick(&groups)
     };
-    match planned {
-        Ok(results) => {
-            for ((_, entries), result) in valid.into_iter().zip(results) {
-                match result {
-                    Ok(outcomes) => {
-                        for (offer, outcome) in entries.into_iter().zip(outcomes) {
-                            let response = match outcome {
-                                OfferOutcome::Admitted => Response::Admitted,
-                                OfferOutcome::Shed => Response::Shed,
-                            };
-                            let _ = offer.reply.send(response);
-                        }
-                    }
-                    Err(err) => {
-                        let message = err.to_string();
-                        for offer in entries {
-                            let _ = offer.reply.send(Response::Error {
-                                message: message.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Infrastructure failure (a dead shard worker): every offer of
-        // the tick fails with the same typed reason.
-        Err(err) => {
-            let message = err.to_string();
-            for (_, entries) in valid {
-                for offer in entries {
-                    let _ = offer.reply.send(Response::Error {
-                        message: message.clone(),
+    // Infrastructure failure (a dead shard worker): every group of the
+    // tick fails with the same typed reason.
+    let results = planned.unwrap_or_else(|err| vec![Err(err); valid.len()]);
+    for ((_, entries), result) in valid.into_iter().zip(results) {
+        match result {
+            Ok(outcomes) => {
+                for (offer, outcome) in entries.into_iter().zip(outcomes) {
+                    let _ = offer.reply.send(match outcome {
+                        OfferOutcome::Admitted => Response::Admitted,
+                        OfferOutcome::Shed => Response::Shed,
                     });
                 }
             }
+            Err(err) => fail(&entries, &err.to_string()),
         }
     }
 }
 
-fn handle_command(engine: &mut Engine, command: Command, swap_tx: &Sender<FinishedSwap>) {
+fn handle_command(service: &mut WorkloadService, command: Command, swap_tx: &Sender<FinishedSwap>) {
     match command {
         Command::Metrics { reply } => {
-            let _ = reply.send(Response::Metrics(engine.snapshot()));
+            let _ = reply.send(Response::Metrics(service.snapshot()));
         }
         Command::Telemetry { reply } => {
             // Refresh the live-service gauges right before rendering so
             // the exposition reflects this instant, not the last event.
             if wisedb_obs::enabled(wisedb_obs::Level::Counters) {
-                let snapshot = engine.snapshot();
+                let snapshot = service.snapshot();
                 wisedb_obs::gauge_set("wisedb_virtual_now_ms", snapshot.at.as_millis() as f64);
                 wisedb_obs::gauge_set("wisedb_fleet_vms", snapshot.vms_in_flight as f64);
                 wisedb_obs::gauge_set("wisedb_in_flight_queries", snapshot.in_flight as f64);
@@ -804,7 +644,7 @@ fn handle_command(engine: &mut Engine, command: Command, swap_tx: &Sender<Finish
             });
         }
         Command::Swap { class, seed, reply } => {
-            let _ = reply.send(schedule_retrain(engine, class, seed, swap_tx));
+            let _ = reply.send(schedule_retrain(service, class, seed, swap_tx));
         }
         // Offers are grouped before they get here.
         Command::Offer { reply, .. } => {
@@ -827,16 +667,12 @@ fn handle_command(engine: &mut Engine, command: Command, swap_tx: &Sender<Finish
 /// only changes which signatures are *drawn* — overlap with the cache is
 /// still served for free.
 fn schedule_retrain(
-    engine: &Engine,
+    service: &WorkloadService,
     class: TenantId,
     seed: u64,
     swap_tx: &Sender<FinishedSwap>,
 ) -> Response {
-    let scheduler = match engine {
-        Engine::Single(s) => s.scheduler(class),
-        Engine::Sharded(s) => s.scheduler(class),
-    };
-    let scheduler = match scheduler {
+    let scheduler = match service.scheduler(class) {
         Ok(s) => s,
         Err(err) => {
             return Response::Error {
@@ -846,15 +682,8 @@ fn schedule_retrain(
     };
     let spec = scheduler.base_model().spec_handle().clone();
     let warm = scheduler.warm_start();
-    let goal = engine.classes()[class.index()].goal.clone();
-    let training = match engine {
-        Engine::Single(s) => s.config(),
-        Engine::Sharded(s) => s.config(),
-    }
-    .online
-    .training
-    .clone()
-    .with_seed(seed);
+    let goal = service.classes()[class.index()].goal.clone();
+    let training = service.config().online.training.clone().with_seed(seed);
     let swap_tx = swap_tx.clone();
     let spawned = thread::Builder::new()
         .name(format!("wisedb-trainer-{}", class.index()))
@@ -880,6 +709,106 @@ fn schedule_retrain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wisedb_advisor::ModelConfig;
+    use wisedb_core::{
+        GoalKind, MetricsSnapshot, Millis, PerformanceGoal, SlaClass, TemplateId, VmType,
+        WorkloadSpec,
+    };
+    use wisedb_runtime::RuntimeConfig;
+
+    /// Wall-clock decision latency is the one nondeterministic field.
+    fn scrub(mut s: MetricsSnapshot) -> MetricsSnapshot {
+        s.mean_decision_secs = 0.0;
+        s.p95_decision_secs = 0.0;
+        s
+    }
+
+    /// A backlog interleaving three classes, a `Metrics` barrier in the
+    /// middle: two multi-group ticks around one control command.
+    fn scripted_backlog() -> (Vec<Command>, Vec<Receiver<Response>>) {
+        let mut commands = Vec::new();
+        let mut replies = Vec::new();
+        for i in 0..14u32 {
+            let (reply, rx) = channel();
+            replies.push(rx);
+            commands.push(if i == 7 {
+                Command::Metrics { reply }
+            } else {
+                Command::Offer {
+                    class: TenantId(i % 3),
+                    template: TemplateId(i % 2),
+                    at: Millis::from_secs(10 * u64::from(i)),
+                    reply,
+                    queued: None,
+                }
+            });
+        }
+        (commands, replies)
+    }
+
+    #[test]
+    fn a_scripted_backlog_is_answered_identically_at_one_and_two_shards() {
+        let spec = WorkloadSpec::single_vm(
+            vec![("T1", Millis::from_mins(2)), ("T2", Millis::from_mins(1))],
+            VmType::t2_medium(),
+        )
+        .unwrap();
+        let classes: Vec<SlaClass> = [
+            ("gold", GoalKind::PerQuery),
+            ("silver", GoalKind::MaxLatency),
+            ("bronze", GoalKind::AverageLatency),
+        ]
+        .into_iter()
+        .map(|(name, kind)| {
+            SlaClass::new(name, PerformanceGoal::paper_default(kind, &spec).unwrap())
+        })
+        .collect();
+        let mut config = RuntimeConfig::default();
+        config.online.training = ModelConfig {
+            num_samples: 40,
+            sample_size: 5,
+            seed: 3,
+            ..ModelConfig::fast()
+        };
+        // Training is deterministic, so both services plan on equal models.
+        let (swap_tx, _swap_rx) = channel();
+        let run = |shards: usize| {
+            let mut service =
+                WorkloadService::train_classes(spec.clone(), classes.clone(), config.clone())
+                    .unwrap()
+                    .into_sharded(ShardConfig::with_shards(shards));
+            let (backlog, replies) = scripted_backlog();
+            assert_eq!(execute(&mut service, backlog, &swap_tx), 3);
+            let replies: Vec<Response> = replies
+                .iter()
+                .map(
+                    |rx| match rx.try_recv().expect("every command is answered") {
+                        Response::Metrics(snapshot) => Response::Metrics(scrub(snapshot)),
+                        other => other,
+                    },
+                )
+                .collect();
+            service.drain();
+            (replies, service)
+        };
+        let (one_replies, one) = run(1);
+        let (two_replies, two) = run(2);
+
+        assert_eq!(one_replies.len(), 14);
+        assert!(matches!(one_replies[7], Response::Metrics(ref m) if m.admitted == 7));
+        assert_eq!(one_replies, two_replies);
+        assert_eq!(one.completions(), two.completions());
+        assert_eq!(scrub(one.snapshot()), scrub(two.snapshot()));
+        assert_eq!(one.snapshot().completed, 13);
+
+        // Same two multi-group ticks either way; only the 2-shard service
+        // has shard lanes beyond the scheduler thread's own.
+        let (one, two) = (one.stats(), two.stats());
+        assert_eq!((one.ticks, one.epochs, one.decisions), (2, 2, 6));
+        assert_eq!((two.ticks, two.epochs, two.decisions), (2, 2, 6));
+        assert_eq!(one.per_shard.len(), 1);
+        assert_eq!(two.per_shard.len(), 2);
+    }
 
     #[test]
     fn queue_gate_sheds_exactly_past_its_depth_and_recovers_on_release() {

@@ -106,11 +106,11 @@ pub use wisedb_core::OpenVmView;
 /// online planner consults, captured once and shareable across threads
 /// (`Arc<ClusterSnapshot>`) without locking the session.
 ///
-/// The sharded runtime takes one snapshot per scheduling tick (an
-/// *epoch*) and plans every class's batch against it in parallel; the
-/// cluster itself is only touched again at the serial merge step. The
-/// snapshot is a value, not a lease: mutating the cluster after
-/// [`LiveCluster::snapshot`] never changes an existing snapshot.
+/// The snapshot is a value, not a lease: mutating the cluster after
+/// [`LiveCluster::snapshot`] never changes an existing snapshot. (The
+/// runtime's per-tick epoch view needs only the fleet counter and the
+/// open VM, so it reads [`LiveCluster::open_vm`] and
+/// [`LiveCluster::vms_provisioned`] directly and skips the load scans.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSnapshot {
     /// The virtual clock at capture time.

@@ -137,8 +137,8 @@ pub mod prelude {
     };
     pub use wisedb_runtime::{
         generate_class_stream, merge_streams, AdmissionPolicy, ArrivalProcess, DiurnalProcess,
-        DriftProcess, OnOffProcess, PoissonProcess, RuntimeConfig, ShardConfig, ShardedService,
-        StreamReport, TemplateMix, WorkloadService,
+        DriftProcess, OnOffProcess, PoissonProcess, RuntimeConfig, ShardConfig, StreamReport,
+        TemplateMix, WorkloadService,
     };
     pub use wisedb_search::astar::{AStarSearcher, OptimalSchedule};
     pub use wisedb_search::strategy::{SearchConfig, SearchStrategy, Solver};

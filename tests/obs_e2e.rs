@@ -165,6 +165,41 @@ fn tightened_retrain_is_a_train_model_span_and_counts_its_solves() {
     assert_eq!(totals["search.solve"].count, 12);
 }
 
+/// Every completion is counted wherever it was harvested: most of a short
+/// stream's queries finish during the final drain, not while the clock
+/// steps between arrivals, and the exposition must not read low by them.
+#[test]
+fn completions_counter_matches_the_snapshot_after_a_drain() {
+    let _hold = obs::testing::hold();
+    let (spec, goal, _) = instance();
+    let config = RuntimeConfig {
+        online: OnlineConfig {
+            training: ModelConfig {
+                num_samples: 12,
+                sample_size: 6,
+                ..ModelConfig::fast()
+            },
+            ..OnlineConfig::default()
+        },
+        ..RuntimeConfig::default()
+    };
+    let mut service = WorkloadService::train(spec.clone(), goal, config).unwrap();
+    let mut process = PoissonProcess::per_second(0.05, TemplateMix::uniform(spec.num_templates()));
+    let stream = wisedb::runtime::generate_stream(&mut process, 12, 7);
+
+    let collector = obs::install(Level::Counters);
+    let report = service.run_stream(&stream).unwrap();
+    let counted = obs::snapshot_metrics()
+        .counters
+        .iter()
+        .find(|(name, _)| name == "wisedb_runtime_completions_total")
+        .map_or(0, |&(_, v)| v);
+    drop(collector.finish());
+
+    assert_eq!(report.last.completed, 12);
+    assert_eq!(counted, report.last.completed);
+}
+
 /// Codepoints across ASCII (including every control character), Latin,
 /// and a few astral-plane samples — whatever `filter_map` keeps is a
 /// valid `String`.

@@ -1,20 +1,21 @@
 //! Scheduler sharding, end to end (tier 1).
 //!
-//! Four guarantees the sharded scheduler must keep:
+//! Four guarantees the one engine must keep at every shard count:
 //!
-//! 1. **1 shard == unsharded, bit-identically, for every goal kind.** A
-//!    `ShardedService` with one shard must place, time, bill, and account
-//!    every query exactly like the unsharded `WorkloadService` it wraps —
-//!    the singleton-tick fast path literally *is* the unsharded pipeline.
-//! 2. **Shard count is invisible.** Multi-class ticks fan out to worker
-//!    threads, but the merge applies plans in tick order, so completions
-//!    and metrics are identical across any shard count.
+//! 1. **Per-arrival replay is shard-blind, for every goal kind.** A
+//!    stream offered one arrival at a time places, times, bills, and
+//!    accounts every query identically at 1 and 3 shards, and never
+//!    takes an epoch snapshot: one-group ticks are planned inline.
+//! 2. **Shard count is invisible.** Multi-class ticks plan on the calling
+//!    thread at one shard and fan out to worker threads at more, but the
+//!    merge applies plans in tick order, so completions and metrics are
+//!    identical across any shard count.
 //! 3. **Rebalancing moves classes, not outcomes.** An eager rebalancer
 //!    (deterministic batch-size signal) must fire without perturbing any
 //!    per-class metric row, and the rows keep partitioning the fleet
 //!    totals.
-//! 4. **The wire keeps all of it.** A sharded server replays a lockstep
-//!    trace verdict-for-verdict like the in-process unsharded service,
+//! 4. **The wire keeps all of it.** A 2-shard server replays a lockstep
+//!    trace verdict-for-verdict like the in-process 1-shard service,
 //!    and a tiny command-queue depth converts overflow into typed `Shed`
 //!    frames — every concurrent request gets exactly one answer, never a
 //!    dropped connection.
@@ -22,7 +23,7 @@
 use wisedb::prelude::*;
 use wisedb::runtime::{generate_class_stream, generate_stream, OfferOutcome};
 use wisedb_core::ArrivingQuery;
-use wisedb_runtime::{LoadSignal, ShardConfig, ShardedService};
+use wisedb_runtime::{LoadSignal, ShardConfig};
 use wisedb_serve::{Client, ServeConfig, Server};
 
 fn spec() -> WorkloadSpec {
@@ -92,9 +93,9 @@ fn scrub(mut snapshot: MetricsSnapshot) -> MetricsSnapshot {
 }
 
 /// Guarantee 1: for every goal kind — including the percentile goal,
-/// whose model is the heaviest — the 1-shard sharded service reproduces
-/// the unsharded service bit for bit on the same fixed-seed trace, and
-/// never pays a fan-out epoch doing it.
+/// whose model is the heaviest — per-arrival replay of the same
+/// fixed-seed trace is bit-identical at 1 and 3 shards, and neither pays
+/// a fan-out epoch doing it.
 #[test]
 fn one_shard_replay_is_bit_identical_to_unsharded_for_every_goal_kind() {
     let spec = spec();
@@ -103,62 +104,56 @@ fn one_shard_replay_is_bit_identical_to_unsharded_for_every_goal_kind() {
 
     for kind in GoalKind::ALL {
         let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
-        let classes = vec![SlaClass::solo(goal)];
-
-        let mut plain =
-            WorkloadService::train_classes(spec.clone(), classes.clone(), config()).unwrap();
-        let plain_report = plain.run_stream(&stream).unwrap();
-
-        let mut sharded = ShardedService::train_classes(
-            spec.clone(),
-            classes,
-            config(),
-            ShardConfig::with_shards(1),
-        )
-        .unwrap();
-        let sharded_report = sharded.run_stream(&stream).unwrap();
+        let run = |shards: usize| {
+            let mut svc = WorkloadService::train(spec.clone(), goal.clone(), config())
+                .unwrap()
+                .into_sharded(ShardConfig::with_shards(shards));
+            let report = svc.run_stream(&stream).unwrap();
+            (report, svc.stats())
+        };
+        let (one, one_stats) = run(1);
+        let (three, three_stats) = run(3);
 
         assert_eq!(
-            sharded_report.completions,
-            plain_report.completions,
-            "{}: 1-shard changed a placement or finish time",
+            three.completions,
+            one.completions,
+            "{}: 3 shards changed a placement or finish time",
             kind.name()
         );
         assert_eq!(
-            scrub(sharded_report.last),
-            scrub(plain_report.last),
-            "{}: 1-shard changed the metrics",
+            scrub(three.last),
+            scrub(one.last),
+            "{}: 3 shards changed the metrics",
             kind.name()
         );
-        // Singleton ticks ride the shared unsharded pipeline directly:
+        // One-group ticks are planned inline against the live cluster:
         // no snapshot epoch, no worker round trip.
-        let stats = sharded.stats();
-        assert_eq!(stats.epochs, 0, "{}", kind.name());
-        assert_eq!(stats.decisions, stats.merged_plans, "{}", kind.name());
+        for stats in [one_stats, three_stats] {
+            assert_eq!(stats.epochs, 0, "{}", kind.name());
+            assert_eq!(stats.decisions, 14, "{}", kind.name());
+            assert_eq!(stats.decisions, stats.merged_plans, "{}", kind.name());
+        }
     }
 }
 
 /// Guarantee 2: the same class-disjoint traffic replayed through 1, 2,
 /// and 3 shards — with multi-group ticks forcing the epoch-snapshot
-/// fan-out — produces identical completions and identical per-class
+/// pipeline — produces identical completions and identical per-class
 /// metric rows. The merge order, not the shard layout, decides outputs.
 #[test]
 fn ticked_replay_is_deterministic_across_shard_counts() {
     let spec = spec();
     let stream = tagged_stream(&spec, 10);
     let run = |shards: usize| {
-        let mut svc = ShardedService::train_classes(
-            spec.clone(),
-            three_classes(&spec),
-            config(),
-            ShardConfig::with_shards(shards),
-        )
-        .unwrap();
+        let mut svc = WorkloadService::train_classes(spec.clone(), three_classes(&spec), config())
+            .unwrap()
+            .into_sharded(ShardConfig::with_shards(shards));
         let report = svc.run_ticked(&stream, 4).unwrap();
         (report, svc.stats())
     };
     let (base, base_stats) = run(1);
     assert_eq!(base.last.completed, 30);
+    assert!(base_stats.epochs > 0, "multi-group ticks must snapshot");
     for shards in [2, 3] {
         let (report, stats) = run(shards);
         assert_eq!(
@@ -174,7 +169,7 @@ fn ticked_replay_is_deterministic_across_shard_counts() {
         // Same plans, same work — only the lanes differ.
         assert_eq!(stats.decisions, base_stats.decisions);
         assert_eq!(stats.merged_plans, base_stats.merged_plans);
-        assert!(stats.epochs > 0, "multi-group ticks must fan out");
+        assert_eq!(stats.epochs, base_stats.epochs);
     }
 }
 
@@ -187,19 +182,15 @@ fn rebalancing_preserves_per_class_metric_sums() {
     let spec = spec();
     let stream = tagged_stream(&spec, 10);
     let run = |rebalance_every: u64| {
-        let mut svc = ShardedService::train_classes(
-            spec.clone(),
-            three_classes(&spec),
-            config(),
-            ShardConfig {
+        let mut svc = WorkloadService::train_classes(spec.clone(), three_classes(&spec), config())
+            .unwrap()
+            .into_sharded(ShardConfig {
                 shards: 2,
                 rebalance_every,
                 skew_threshold: 1.01,
                 signal: LoadSignal::BatchSize,
                 ..ShardConfig::default()
-            },
-        )
-        .unwrap();
+            });
         let report = svc.run_ticked(&stream, 4).unwrap();
         (report, svc.stats())
     };
@@ -229,10 +220,10 @@ fn rebalancing_preserves_per_class_metric_sums() {
     assert!(penalty.approx_eq(last.penalty, 1e-9));
 }
 
-/// Guarantee 4a: a *sharded* server replays a lockstep trace with the
+/// Guarantee 4a: a 2-shard server replays a lockstep trace with the
 /// same verdict per arrival and the same final metrics as the in-process
-/// unsharded service — each lockstep offer is a singleton tick, so the
-/// shared pipeline keeps the wire bit-identical.
+/// 1-shard service — each lockstep offer is a one-group tick, planned
+/// inline on both sides of the wire.
 #[test]
 fn sharded_server_matches_in_process_unsharded_replay() {
     let spec = spec();
