@@ -291,7 +291,7 @@ mod tests {
     use super::*;
     use wisedb_core::{Millis, PenaltyRate, TemplateId, VmType, VmTypeId};
     use wisedb_learn::{Dataset, TreeParams};
-    use wisedb_search::AStarSearcher;
+    use wisedb_search::Solver;
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec::single_vm(
@@ -313,7 +313,7 @@ mod tests {
         let mut paths = Vec::new();
         for counts in [[1u32, 1], [2, 1], [1, 2], [2, 2], [0, 2], [2, 0], [1, 3]] {
             let w = Workload::from_counts(&counts);
-            paths.push(AStarSearcher::new(spec, goal).solve(&w).unwrap());
+            paths.push(Solver::new(spec, goal).solve(&w).unwrap());
         }
         let ds = Dataset::from_paths(spec, goal, &paths);
         let tree = DecisionTree::train(&ds, &TreeParams::default());
@@ -354,7 +354,7 @@ mod tests {
         let w = Workload::from_counts(&[3, 3]);
         let (schedule, _) = schedule_batch(&spec, &goal, &schema, &tree, &w).unwrap();
         let model_cost = wisedb_core::total_cost(&spec, &goal, &schedule).unwrap();
-        let optimal = AStarSearcher::new(&spec, &goal).solve(&w).unwrap().cost;
+        let optimal = Solver::new(&spec, &goal).solve(&w).unwrap().cost;
         // Within 25% of optimal on this toy spec (the paper reports ≤ 8%
         // on the full setup; the tiny training set here is far cruder).
         assert!(

@@ -748,7 +748,6 @@ impl ModelGenerator {
 mod tests {
     use super::*;
     use wisedb_core::{total_cost, GoalKind, Millis, VmType};
-    use wisedb_search::AStarSearcher;
 
     fn small_spec() -> WorkloadSpec {
         WorkloadSpec::single_vm(
@@ -812,7 +811,7 @@ mod tests {
             let w = Workload::from_counts(&[3, 3, 3]);
             let schedule = model.schedule_batch(&w).unwrap();
             let cost = total_cost(&spec, &goal, &schedule).unwrap();
-            let optimal = AStarSearcher::new(&spec, &goal).solve(&w).unwrap().cost;
+            let optimal = Solver::new(&spec, &goal).solve(&w).unwrap().cost;
             assert!(
                 cost.as_dollars() <= optimal.as_dollars() * 1.30 + 1e-9,
                 "{kind:?}: model {cost} vs optimal {optimal}"

@@ -34,7 +34,7 @@ use wisedb_core::{
     CoreResult, GoalHandle, Millis, Money, PerformanceGoal, QueryId, QueryLatency, QueryTemplate,
     SpecHandle, TemplateId, VmTypeId, WorkloadSpec,
 };
-use wisedb_search::{AStarSearcher, Decision, LastVm, SearchConfig, SearchState};
+use wisedb_search::{Decision, LastVm, SearchConfig, SearchState, Solver};
 
 use crate::batch::plan_with_tree;
 use crate::model::{DecisionModel, ModelConfig, ModelGenerator, TrainingArtifacts};
@@ -685,7 +685,7 @@ impl OnlineScheduler {
                     .collect()
             }
             Planner::Optimal => {
-                AStarSearcher::new(sched_spec, sched_goal)
+                Solver::new(sched_spec, sched_goal)
                     .with_config(self.config.oracle_search.clone())
                     .plan_from(state)?
                     .decisions

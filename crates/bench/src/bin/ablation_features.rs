@@ -12,7 +12,7 @@
 use wisedb::prelude::*;
 use wisedb_bench::{oracle_cost, pct_above, Scale, Table};
 use wisedb_learn::{Dataset, DecisionTree, FeatureKind, FeatureSchema};
-use wisedb_search::{AStarSearcher, Decision, SearchState};
+use wisedb_search::{Decision, SearchState};
 
 /// A feature family to suppress.
 #[derive(Clone, Copy, PartialEq)]
@@ -110,7 +110,7 @@ fn main() {
     let paths: Vec<_> = samples
         .iter()
         .map(|w| {
-            AStarSearcher::new(&spec, &goal)
+            Solver::new(&spec, &goal)
                 .solve(w)
                 .expect("training searches succeed")
         })

@@ -1,26 +1,21 @@
-//! Hot-path regression harness.
+//! Hot-path regression harness: exact work counters, no clocks.
 //!
-//! Runs the hot-path benches — the A* kernel (one optimal solve per
-//! goal kind), the PEA* kernel (same instances, partial-expansion
-//! counters exact), the percentile bound-tightness guard (budgeted exact
-//! solve, certified bound exact), the percentile-pathology strategy guard
-//! (beam + anytime under a tight budget, certified-bound counters
-//! compared exactly), batch
-//! scheduling throughput, the streaming event loop, the multi-tenant
-//! consolidation loop (3 SLA classes, shared vs isolated fleets), the
-//! sharded-scheduler loop (2-shard eager-rebalance replay, exact decision
-//! / merge / rebalance counters plus the 1-shard identity assert), and the
-//! serve layer's wire loop (loopback TCP, exact admit/shed counters plus
-//! round-trip percentiles), and the warm-training guard (cold train vs
-//! warm retrain through the solve cache: solve/dedup/row/node counters
-//! exact, zero-solve warm retrain asserted) — plus the observability
-//! guard (the same
-//! stream run at every tracing level: identical outcomes asserted, trace
-//! shape compared exactly, overhead recorded) — writes
-//! `BENCH_current.json`, and diffs it against the committed
-//! `crates/bench/BENCH_baseline.json` (see [`wisedb_bench::regress`] for
-//! the comparison semantics: counters exact, times informational unless
-//! `WISEDB_REGRESS_TIME_TOL` is set).
+//! Runs each hot path once — the A* kernel (one optimal solve per goal
+//! kind), the PEA* kernel (same instances, partial-expansion counters),
+//! the percentile bound-tightness guard (budgeted exact solve, certified
+//! bound), the percentile-pathology strategy guard (beam + anytime under a
+//! tight budget), batch scheduling, the streaming event loop, the
+//! multi-tenant consolidation loop (3 SLA classes, shared vs isolated
+//! fleets), the sharded-scheduler loop (2-shard eager-rebalance replay
+//! plus the 1-shard identity assert), the serve layer's wire loop
+//! (loopback TCP, admit/shed verdicts), the warm-training guard (cold
+//! train vs warm retrain through the solve cache, zero-solve warm retrain
+//! asserted) and the observability guard (the same stream at every
+//! tracing level: identical outcomes asserted, trace shape recorded) —
+//! writes `BENCH_current.json`, and diffs it against the committed
+//! `crates/bench/BENCH_baseline.json`. Every row is a deterministic
+//! counter compared exactly in both directions (see
+//! [`wisedb_bench::regress`]); timing lives in `benchmark/`.
 //!
 //! ```text
 //! WISEDB_SCALE=quick cargo run --release -p wisedb-bench --bin regress
@@ -28,26 +23,24 @@
 //! cargo run --release -p wisedb-bench --bin regress -- --write-baseline
 //! ```
 //!
-//! Environment:
-//! * `WISEDB_SCALE` — `quick` / `std` (default) / `paper`.
-//! * `WISEDB_REGRESS_TOL` — fractional counter tolerance (default `0`).
-//! * `WISEDB_REGRESS_TIME_TOL` — fractional time tolerance; unset means
-//!   times are reported but never fail the run.
-//! * `WISEDB_BENCH_BASELINE` — baseline path override.
+//! `WISEDB_SCALE` selects `quick` / `std` (default) / `paper`;
+//! `--baseline <path>` reads (and with `--write-baseline` writes) another
+//! baseline file, `--out <path>` moves `BENCH_current.json`.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use wisedb::advisor::{OnlineConfig, OnlineScheduler};
 use wisedb::prelude::*;
 use wisedb::runtime::generate_stream;
-use wisedb_bench::regress::{
-    diff, render_diff, BaselineFile, BenchReport, Measurement, MetricKind, Tolerances,
-};
+use wisedb_bench::regress::{diff, render_diff, BaselineFile, BenchReport, Measurement};
 use wisedb_bench::Scale;
 
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
+/// Appends one bench's `(metric, value)` counters to `out`.
+fn record(out: &mut Vec<Measurement>, bench: &str, rows: &[(&str, f64)]) {
+    out.extend(
+        rows.iter()
+            .map(|&(metric, value)| Measurement::new(bench, metric, value)),
+    );
 }
 
 /// Per-goal workload sizes for the A* kernel. Percentile goals carry the
@@ -62,51 +55,23 @@ fn astar_size(scale: Scale, kind: GoalKind) -> usize {
     }
 }
 
-fn samples(scale: Scale) -> usize {
-    match scale {
-        Scale::Quick => 3,
-        _ => 5,
-    }
-}
-
 fn astar_kernel(scale: Scale, out: &mut Vec<Measurement>) {
     let spec = wisedb::sim::catalog::tpch_like(10);
     for kind in GoalKind::ALL {
         let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
         let workload = wisedb::sim::generator::uniform_workload(&spec, astar_size(scale, kind), 7);
         let bench = format!("astar_kernel/{}", kind.name());
-        let mut stats = None;
-        let median = criterion::measure(samples(scale), || {
-            let result = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
-            stats = Some(result.stats);
-            result.cost
-        });
-        let stats = stats.unwrap();
-        out.push(Measurement::new(
+        let stats = Solver::new(&spec, &goal).solve(&workload).unwrap().stats;
+        record(
+            out,
             &bench,
-            "time_ms",
-            ms(median),
-            MetricKind::Time,
-        ));
-        out.push(Measurement::new(
-            &bench,
-            "expanded",
-            stats.expanded as f64,
-            MetricKind::Counter,
-        ));
-        out.push(Measurement::new(
-            &bench,
-            "generated",
-            stats.generated as f64,
-            MetricKind::Counter,
-        ));
-        out.push(Measurement::new(
-            &bench,
-            "interned",
-            stats.interned as f64,
-            MetricKind::Counter,
-        ));
-        eprintln!("  {bench}: {median:?} ({} expanded)", stats.expanded);
+            &[
+                ("expanded", stats.expanded as f64),
+                ("generated", stats.generated as f64),
+                ("interned", stats.interned as f64),
+            ],
+        );
+        eprintln!("  {bench}: {} expanded", stats.expanded);
     }
 }
 
@@ -121,33 +86,24 @@ fn pea_kernel(scale: Scale, out: &mut Vec<Measurement>) {
         let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
         let workload = wisedb::sim::generator::uniform_workload(&spec, astar_size(scale, kind), 7);
         let bench = format!("pea/{}", kind.name());
-        let mut stats = None;
-        let median = criterion::measure(samples(scale), || {
-            let result = Solver::new(&spec, &goal)
-                .with_strategy(SearchStrategy::Pea)
-                .solve(&workload)
-                .unwrap();
-            stats = Some(result.stats);
-            result.cost
-        });
-        let stats = stats.unwrap();
-        out.push(Measurement::new(
+        let stats = Solver::new(&spec, &goal)
+            .with_strategy(SearchStrategy::Pea)
+            .solve(&workload)
+            .unwrap()
+            .stats;
+        record(
+            out,
             &bench,
-            "time_ms",
-            ms(median),
-            MetricKind::Time,
-        ));
-        for (metric, value) in [
-            ("expanded", stats.expanded as f64),
-            ("generated", stats.generated as f64),
-            ("reexpansions", stats.reexpansions as f64),
-            ("deferred", stats.deferred as f64),
-            ("bound_pct", (stats.bound - 1.0) * 100.0),
-        ] {
-            out.push(Measurement::new(&bench, metric, value, MetricKind::Counter));
-        }
+            &[
+                ("expanded", stats.expanded as f64),
+                ("generated", stats.generated as f64),
+                ("reexpansions", stats.reexpansions as f64),
+                ("deferred", stats.deferred as f64),
+                ("bound_pct", (stats.bound - 1.0) * 100.0),
+            ],
+        );
         eprintln!(
-            "  {bench}: {median:?} ({} expanded, {} reexpansions, {} deferred)",
+            "  {bench}: {} expanded, {} reexpansions, {} deferred",
             stats.expanded, stats.reexpansions, stats.deferred
         );
     }
@@ -165,32 +121,26 @@ fn bound_tight(scale: Scale, out: &mut Vec<Measurement>) {
     let budget = 30_000usize;
     let workload = wisedb::sim::generator::uniform_workload(&spec, queries, 7);
     let bench = format!("bound_tight/{queries}q");
-    let started = std::time::Instant::now();
-    let result = Solver::new(&spec, &goal)
+    let stats = Solver::new(&spec, &goal)
         .with_config(SearchConfig {
             node_limit: budget,
             ..SearchConfig::default()
         })
         .solve(&workload)
-        .unwrap();
-    let elapsed = started.elapsed();
-    let stats = result.stats;
-    out.push(Measurement::new(
+        .unwrap()
+        .stats;
+    record(
+        out,
         &bench,
-        "time_ms",
-        ms(elapsed),
-        MetricKind::Time,
-    ));
-    for (metric, value) in [
-        ("expanded", stats.expanded as f64),
-        ("generated", stats.generated as f64),
-        ("reexpansions", stats.reexpansions as f64),
-        ("bound_pct", (stats.bound - 1.0) * 100.0),
-    ] {
-        out.push(Measurement::new(&bench, metric, value, MetricKind::Counter));
-    }
+        &[
+            ("expanded", stats.expanded as f64),
+            ("generated", stats.generated as f64),
+            ("reexpansions", stats.reexpansions as f64),
+            ("bound_pct", (stats.bound - 1.0) * 100.0),
+        ],
+    );
     eprintln!(
-        "  {bench}: {elapsed:?} ({} expanded, bound {:.4})",
+        "  {bench}: {} expanded, bound {:.4}",
         stats.expanded, stats.bound
     );
 }
@@ -213,27 +163,9 @@ fn batch_throughput(scale: Scale, out: &mut Vec<Measurement>) {
     let size = if scale == Scale::Quick { 2_000 } else { 10_000 };
     let workload = wisedb::sim::generator::uniform_workload(&spec, size, 99);
     let bench = format!("batch_schedule/{size}");
-    let mut vms = 0usize;
-    let median = criterion::measure(samples(scale), || {
-        let schedule = model.schedule_batch(&workload).unwrap();
-        vms = schedule.num_vms();
-        vms
-    });
-    // All time metrics are lower-is-better so one tolerance rule fits;
-    // throughput is derivable as size / time_ms.
-    out.push(Measurement::new(
-        &bench,
-        "time_ms",
-        ms(median),
-        MetricKind::Time,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "vms",
-        vms as f64,
-        MetricKind::Counter,
-    ));
-    eprintln!("  {bench}: {median:?} ({vms} VMs)");
+    let vms = model.schedule_batch(&workload).unwrap().num_vms();
+    record(out, &bench, &[("vms", vms as f64)]);
+    eprintln!("  {bench}: {vms} VMs");
 }
 
 fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {
@@ -252,50 +184,26 @@ fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {
     let mut process = PoissonProcess::per_second(2.0, TemplateMix::uniform(spec.num_templates()));
     let stream = generate_stream(&mut process, n, 42);
     let bench = format!("streaming_loop/{n}");
-    let mut last = None;
-    let median = criterion::measure_batched(
-        samples(scale),
-        || {
-            let online = OnlineConfig {
-                training: training.clone(),
-                age_quantum: Millis::from_secs(30),
-                ..OnlineConfig::default()
-            };
-            let scheduler = OnlineScheduler::with_model(model.clone(), artifacts.clone(), online);
-            WorkloadService::with_scheduler(scheduler, RuntimeConfig::default())
-        },
-        |mut svc| {
-            let report = svc.run_stream(&stream).unwrap();
-            last = Some(report.last);
-        },
+    let online = OnlineConfig {
+        training,
+        age_quantum: Millis::from_secs(30),
+        ..OnlineConfig::default()
+    };
+    let scheduler = OnlineScheduler::with_model(model, artifacts, online);
+    let snapshot = WorkloadService::with_scheduler(scheduler, RuntimeConfig::default())
+        .run_stream(&stream)
+        .unwrap()
+        .last;
+    record(
+        out,
+        &bench,
+        &[
+            ("completed", snapshot.completed as f64),
+            ("vms_provisioned", snapshot.vms_provisioned as f64),
+        ],
     );
-    let snapshot = last.unwrap();
-    out.push(Measurement::new(
-        &bench,
-        "time_ms",
-        ms(median),
-        MetricKind::Time,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "us_per_arrival",
-        median.as_secs_f64() * 1e6 / n as f64,
-        MetricKind::Time,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "completed",
-        snapshot.completed as f64,
-        MetricKind::Counter,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "vms_provisioned",
-        snapshot.vms_provisioned as f64,
-        MetricKind::Counter,
-    ));
     eprintln!(
-        "  {bench}: {median:?} ({} completed, {} VMs)",
+        "  {bench}: {} completed, {} VMs",
         snapshot.completed, snapshot.vms_provisioned
     );
 }
@@ -331,31 +239,25 @@ fn strategy_pathology(scale: Scale, out: &mut Vec<Measurement>) {
             strategy,
             ..SearchConfig::default()
         };
-        let started = std::time::Instant::now();
         let result = Solver::new(&spec, &goal)
             .with_config(config)
             .solve(&workload)
             .unwrap();
-        let elapsed = started.elapsed();
         let stats = result.stats;
-        out.push(Measurement::new(
+        record(
+            out,
             &bench,
-            "time_ms",
-            ms(elapsed),
-            MetricKind::Time,
-        ));
-        for (metric, value) in [
-            ("expanded", stats.expanded as f64),
-            ("interned", stats.interned as f64),
-            ("incumbents", stats.incumbents as f64),
-            ("pruned", stats.pruned as f64),
-            ("bound_pct", (stats.bound - 1.0) * 100.0),
-            ("cost_cents", result.cost.as_cents()),
-        ] {
-            out.push(Measurement::new(&bench, metric, value, MetricKind::Counter));
-        }
+            &[
+                ("expanded", stats.expanded as f64),
+                ("interned", stats.interned as f64),
+                ("incumbents", stats.incumbents as f64),
+                ("pruned", stats.pruned as f64),
+                ("bound_pct", (stats.bound - 1.0) * 100.0),
+                ("cost_cents", result.cost.as_cents()),
+            ],
+        );
         eprintln!(
-            "  {bench}: {elapsed:?} (cost {}, bound {:.4}, {} expanded)",
+            "  {bench}: cost {}, bound {:.4}, {} expanded",
             result.cost, stats.bound, stats.expanded
         );
     }
@@ -365,35 +267,18 @@ fn multitenant_loop(scale: Scale, out: &mut Vec<Measurement>) {
     let spec = wisedb::sim::catalog::tpch_like(10);
     let n = wisedb_bench::multitenant::arrivals_per_class(scale);
     let bench = format!("multitenant_loop/{n}x3");
-    let started = std::time::Instant::now();
     let outcome = wisedb_bench::multitenant::run(&spec, scale);
-    let elapsed = started.elapsed();
-    out.push(Measurement::new(
+    record(
+        out,
         &bench,
-        "time_ms",
-        ms(elapsed),
-        MetricKind::Time,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "completed",
-        outcome.shared.last.completed as f64,
-        MetricKind::Counter,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "shared_vms",
-        outcome.shared_vms() as f64,
-        MetricKind::Counter,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "isolated_vms",
-        outcome.isolated_vms() as f64,
-        MetricKind::Counter,
-    ));
+        &[
+            ("completed", outcome.shared.last.completed as f64),
+            ("shared_vms", outcome.shared_vms() as f64),
+            ("isolated_vms", outcome.isolated_vms() as f64),
+        ],
+    );
     eprintln!(
-        "  {bench}: {elapsed:?} ({} completed, {} vs {} VMs, {:.1}% saving)",
+        "  {bench}: {} completed, {} vs {} VMs, {:.1}% saving",
         outcome.shared.last.completed,
         outcome.shared_vms(),
         outcome.isolated_vms(),
@@ -430,14 +315,11 @@ fn shard_loop(scale: Scale, out: &mut Vec<Measurement>) {
         rebalance_every: 4,
         skew_threshold: 1.05,
         signal: LoadSignal::BatchSize,
-        ..ShardConfig::default()
     };
     let mut sharded = scaling::build_service_with(&class_set, &trained, eager);
-    let started = std::time::Instant::now();
     let report = sharded
         .run_ticked(&stream, cfg.tick_size)
         .expect("the generated trace replays cleanly");
-    let elapsed = started.elapsed();
     let stats = sharded.stats();
     let snapshot = scaling::scrub(report.last);
     let fingerprint = scaling::fingerprint(&report.completions);
@@ -459,27 +341,20 @@ fn shard_loop(scale: Scale, out: &mut Vec<Measurement>) {
         "2-shard eager-rebalance replay diverged from the 1-shard completions"
     );
 
-    for (metric, value, kind) in [
-        ("time_ms", ms(elapsed), MetricKind::Time),
-        ("decisions", stats.decisions as f64, MetricKind::Counter),
-        (
-            "merged_plans",
-            stats.merged_plans as f64,
-            MetricKind::Counter,
-        ),
-        ("epochs", stats.epochs as f64, MetricKind::Counter),
-        ("rebalances", stats.rebalances as f64, MetricKind::Counter),
-        ("completed", snapshot.completed as f64, MetricKind::Counter),
-        (
-            "vms_provisioned",
-            snapshot.vms_provisioned as f64,
-            MetricKind::Counter,
-        ),
-    ] {
-        out.push(Measurement::new(&bench, metric, value, kind));
-    }
+    record(
+        out,
+        &bench,
+        &[
+            ("decisions", stats.decisions as f64),
+            ("merged_plans", stats.merged_plans as f64),
+            ("epochs", stats.epochs as f64),
+            ("rebalances", stats.rebalances as f64),
+            ("completed", snapshot.completed as f64),
+            ("vms_provisioned", snapshot.vms_provisioned as f64),
+        ],
+    );
     eprintln!(
-        "  {bench}: {elapsed:?} ({} decisions, {} merges, {} rebalances, {} completed)",
+        "  {bench}: {} decisions, {} merges, {} rebalances, {} completed",
         stats.decisions, stats.merged_plans, stats.rebalances, snapshot.completed
     );
 }
@@ -487,32 +362,25 @@ fn shard_loop(scale: Scale, out: &mut Vec<Measurement>) {
 /// The serve layer over loopback: a seeded hot trace replayed through one
 /// wire connection (see [`wisedb_bench::serve_load`]). The sequential
 /// replay keeps admission deterministic, so `admitted`/`shed`/`shed_rate`
-/// are exact counters; the round-trip percentiles are times, gated
-/// against the serve SLO by `--bin loadgen` and compared here only under
-/// `WISEDB_REGRESS_TIME_TOL`.
+/// are exact counters; round-trip latency is `benchmark/`'s to measure.
 fn serve_loop(scale: Scale, out: &mut Vec<Measurement>) {
     let n = wisedb_bench::serve_load::requests(scale);
     let bench = format!("serve/{n}");
     let service = wisedb_bench::serve_load::build_service(scale);
     let report = wisedb_bench::serve_load::run(service, scale);
-    for (metric, value, kind) in [
-        ("p50_us", report.p50_us, MetricKind::Time),
-        ("p95_us", report.p95_us, MetricKind::Time),
-        ("p99_us", report.p99_us, MetricKind::Time),
-        ("admitted", report.admitted as f64, MetricKind::Counter),
-        ("shed", report.shed as f64, MetricKind::Counter),
-        ("shed_rate", report.shed_rate(), MetricKind::Counter),
-        (
-            "completed",
-            report.snapshot.completed as f64,
-            MetricKind::Counter,
-        ),
-    ] {
-        out.push(Measurement::new(&bench, metric, value, kind));
-    }
+    record(
+        out,
+        &bench,
+        &[
+            ("admitted", report.admitted as f64),
+            ("shed", report.shed as f64),
+            ("shed_rate", report.shed_rate()),
+            ("completed", report.snapshot.completed as f64),
+        ],
+    );
     eprintln!(
-        "  {bench}: p95 {:.0}us / p99 {:.0}us ({} admitted, {} shed)",
-        report.p95_us, report.p99_us, report.admitted, report.shed
+        "  {bench}: {} admitted, {} shed",
+        report.admitted, report.shed
     );
 }
 
@@ -521,9 +389,7 @@ fn serve_loop(scale: Scale, out: &mut Vec<Measurement>) {
 /// The work counters are exact — distinct A* solves, dedup/cache hits,
 /// dataset rows, and flat-tree nodes are all pure functions of the seed —
 /// and the warm retrain must perform **zero** solves and reproduce the
-/// cold model bit for bit (asserted here on every regress run). The
-/// cold/warm wall-clock pair is what EXPERIMENTS.md's warm-retrain table
-/// regenerates from.
+/// cold model bit for bit (asserted here on every regress run).
 fn train_warm(scale: Scale, out: &mut Vec<Measurement>) {
     let spec = wisedb::sim::catalog::tpch_like(10);
     let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
@@ -536,14 +402,8 @@ fn train_warm(scale: Scale, out: &mut Vec<Measurement>) {
     let bench = format!("train/{}x{}", config.num_samples, config.sample_size);
     let generator = ModelGenerator::new(spec, goal, config);
 
-    let started = std::time::Instant::now();
     let (cold, artifacts) = generator.train_with_artifacts().unwrap();
-    let cold_ms = ms(started.elapsed());
-
-    let warm_start = artifacts.warm_start();
-    let started = std::time::Instant::now();
-    let (warm, _) = generator.retrain_from(&warm_start).unwrap();
-    let warm_ms = ms(started.elapsed());
+    let (warm, _) = generator.retrain_from(&artifacts.warm_start()).unwrap();
 
     assert_eq!(
         warm.stats().solves,
@@ -557,53 +417,35 @@ fn train_warm(scale: Scale, out: &mut Vec<Measurement>) {
     );
     assert_eq!(warm.stats().num_rows, cold.stats().num_rows);
 
-    for (metric, value, kind) in [
-        ("cold_ms", cold_ms, MetricKind::Time),
-        ("warm_ms", warm_ms, MetricKind::Time),
-        ("solves", cold.stats().solves as f64, MetricKind::Counter),
-        (
-            "cache_hits",
-            cold.stats().cache_hits as f64,
-            MetricKind::Counter,
-        ),
-        (
-            "warm_solves",
-            warm.stats().solves as f64,
-            MetricKind::Counter,
-        ),
-        (
-            "dataset_rows",
-            cold.stats().num_rows as f64,
-            MetricKind::Counter,
-        ),
-        (
-            "tree_nodes",
-            cold.tree().num_nodes() as f64,
-            MetricKind::Counter,
-        ),
-    ] {
-        out.push(Measurement::new(&bench, metric, value, kind));
-    }
+    record(
+        out,
+        &bench,
+        &[
+            ("solves", cold.stats().solves as f64),
+            ("cache_hits", cold.stats().cache_hits as f64),
+            ("warm_solves", warm.stats().solves as f64),
+            ("dataset_rows", cold.stats().num_rows as f64),
+            ("tree_nodes", cold.tree().num_nodes() as f64),
+        ],
+    );
     eprintln!(
-        "  {bench}: cold {cold_ms:.1}ms ({} solves, {} dedup hits) → warm {warm_ms:.1}ms (0 solves, {:.1}x)",
+        "  {bench}: cold {} solves, {} dedup hits; warm 0 solves",
         cold.stats().solves,
         cold.stats().cache_hits,
-        cold_ms / warm_ms.max(1e-9),
     );
 }
 
 /// The observability guard: the same deterministic in-process stream run
-/// with tracing **off**, **counters-only**, and with **full spans**.
+/// with tracing **off**, **counters-only**, and with **full spans**, once
+/// each.
 ///
 /// * The three runs' metrics snapshots must be identical (after zeroing
 ///   the wall-clock decision-time fields) — the "instrumentation changes
 ///   nothing" contract, asserted here on every regress run.
-/// * One clean full-span run's event/span counts are **exact counters**:
-///   the run is virtual-clocked and single-threaded, so an accidental
-///   extra span in a hot loop fails the diff on any machine.
-/// * The timing overheads are **times** (machine-dependent), recorded so
-///   EXPERIMENTS.md's overhead table regenerates from this binary.
-fn obs_overhead(scale: Scale, out: &mut Vec<Measurement>) {
+/// * The full-span run's event/span counts are **exact counters**: the
+///   run is virtual-clocked and single-threaded, so an accidental extra
+///   span in a hot loop fails the diff on any machine.
+fn obs_guard(scale: Scale, out: &mut Vec<Measurement>) {
     let spec = wisedb::sim::catalog::tpch_like(10);
     let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
     let training = ModelConfig {
@@ -620,6 +462,9 @@ fn obs_overhead(scale: Scale, out: &mut Vec<Measurement>) {
     let stream = generate_stream(&mut process, n, 42);
     let bench = format!("obs/{n}");
 
+    // The only non-deterministic snapshot fields are the wall-clock
+    // decision times; everything else must be byte-identical across
+    // tracing levels.
     let run_once = || {
         let online = OnlineConfig {
             training: training.clone(),
@@ -628,112 +473,37 @@ fn obs_overhead(scale: Scale, out: &mut Vec<Measurement>) {
         };
         let scheduler = OnlineScheduler::with_model(model.clone(), artifacts.clone(), online);
         let mut svc = WorkloadService::with_scheduler(scheduler, RuntimeConfig::default());
-        svc.run_stream(&stream).unwrap().last
+        let mut snapshot = svc.run_stream(&stream).unwrap().last;
+        snapshot.mean_decision_secs = 0.0;
+        snapshot.p95_decision_secs = 0.0;
+        snapshot
     };
-    // The only non-deterministic snapshot fields are the wall-clock
-    // decision times; everything else must be byte-identical across
-    // tracing levels.
-    let scrub = |mut m: wisedb_core::MetricsSnapshot| {
-        m.mean_decision_secs = 0.0;
-        m.p95_decision_secs = 0.0;
-        m
-    };
-    // One run is ~half a millisecond, so the regular sample count would
-    // leave the overhead deltas at the mercy of scheduler jitter; medians
-    // over a larger pool keep the percentages meaningful.
-    let obs_samples = samples(scale) * 10;
 
     wisedb_obs::set_level(wisedb_obs::Level::Off);
-    let mut snap_off = None;
-    let t_off = criterion::measure(obs_samples, || {
-        let s = run_once();
-        let c = s.completed;
-        snap_off = Some(s);
-        c
-    });
-
+    let off = run_once();
     wisedb_obs::set_level(wisedb_obs::Level::Counters);
-    let mut snap_counters = None;
-    let t_counters = criterion::measure(obs_samples, || {
-        let s = run_once();
-        let c = s.completed;
-        snap_counters = Some(s);
-        c
-    });
-
-    let timing_collector = wisedb_obs::install(wisedb_obs::Level::Spans);
-    let mut snap_spans = None;
-    let t_spans = criterion::measure(obs_samples, || {
-        let s = run_once();
-        let c = s.completed;
-        snap_spans = Some(s);
-        c
-    });
-    drop(timing_collector.finish());
-
-    let off = scrub(snap_off.unwrap());
+    let counters = run_once();
+    let collector = wisedb_obs::install(wisedb_obs::Level::Spans);
+    let spans = run_once();
+    let trace = collector.finish();
     assert_eq!(
-        off,
-        scrub(snap_counters.unwrap()),
+        off, counters,
         "counters-only tracing changed the run's outcome"
     );
-    assert_eq!(
-        off,
-        scrub(snap_spans.unwrap()),
-        "full-span tracing changed the run's outcome"
-    );
+    assert_eq!(off, spans, "full-span tracing changed the run's outcome");
 
-    // One clean instrumented run for the deterministic trace shape.
-    let collector = wisedb_obs::install(wisedb_obs::Level::Spans);
-    run_once();
-    let trace = collector.finish();
     let events = trace.events.len();
     let spans = trace
         .events
         .iter()
         .filter(|e| matches!(e.phase, wisedb_obs::Phase::Begin))
         .count();
-
-    let pct = |t: std::time::Duration| (t.as_secs_f64() / t_off.as_secs_f64() - 1.0) * 100.0;
-    out.push(Measurement::new(
+    record(
+        out,
         &bench,
-        "events",
-        events as f64,
-        MetricKind::Counter,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "spans",
-        spans as f64,
-        MetricKind::Counter,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "time_ms",
-        ms(t_off),
-        MetricKind::Time,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "counters_overhead_pct",
-        pct(t_counters),
-        MetricKind::Time,
-    ));
-    out.push(Measurement::new(
-        &bench,
-        "overhead_pct",
-        pct(t_spans),
-        MetricKind::Time,
-    ));
-    eprintln!(
-        "  {bench}: {events} events / {spans} spans; off {t_off:?}, counters {:+.2}%, spans {:+.2}%",
-        pct(t_counters),
-        pct(t_spans)
+        &[("events", events as f64), ("spans", spans as f64)],
     );
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok().and_then(|s| s.parse().ok())
+    eprintln!("  {bench}: {events} events / {spans} spans");
 }
 
 fn main() {
@@ -743,7 +513,6 @@ fn main() {
         .iter()
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| std::env::var("WISEDB_BENCH_BASELINE").ok())
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_baseline.json"));
     let out_path = args
@@ -754,11 +523,7 @@ fn main() {
         .unwrap_or_else(|| PathBuf::from("BENCH_current.json"));
 
     let scale = Scale::from_env();
-    let scale_name = match scale {
-        Scale::Quick => "quick",
-        Scale::Std => "std",
-        Scale::Paper => "paper",
-    };
+    let scale_name = scale.name();
     eprintln!("regress: running hot-path benches at {scale_name} scale");
 
     let mut measurements = Vec::new();
@@ -774,7 +539,7 @@ fn main() {
     train_warm(scale, &mut measurements);
     // Last: it flips the global tracing level, and nothing after it may
     // record under the instrumented levels.
-    obs_overhead(scale, &mut measurements);
+    obs_guard(scale, &mut measurements);
     let current = BenchReport {
         scale: scale_name.to_string(),
         measurements,
@@ -810,11 +575,7 @@ fn main() {
         );
         return;
     };
-    let tol = Tolerances {
-        counter: env_f64("WISEDB_REGRESS_TOL").unwrap_or(0.0),
-        time: env_f64("WISEDB_REGRESS_TIME_TOL"),
-    };
-    let lines = diff(base, &current, &tol);
+    let lines = diff(base, &current);
     println!("{}", render_diff(&lines));
     let regressions = lines.iter().filter(|l| l.is_regression()).count();
     if regressions > 0 {

@@ -1,16 +1,21 @@
 //! # wisedb-bench
 //!
-//! The benchmark harness that regenerates every data-bearing figure of the
-//! WiSeDB evaluation (§7, Figures 9–22). One report binary per figure
-//! (`cargo run -p wisedb-bench --release --bin figNN`), plus Criterion
-//! benches for the timing-centric figures, plus the `streaming` binary and
-//! bench that sweep the online runtime's arrival rate to saturation.
+//! What only this crate does: the report binary per data-bearing figure of
+//! the WiSeDB evaluation (§7, Figures 9–22; `cargo run -p wisedb-bench
+//! --release --bin figNN`), the `streaming` / `multitenant` / `scaling` /
+//! `loadgen` / `strategies` / `train_warm` reports and CI smokes with
+//! their in-run correctness and conservation asserts, and `regress`, which
+//! compares exact work counters against `BENCH_baseline.json`. Times
+//! printed here are reports, not measurements anything gates on: the
+//! repo's one timing instrument is `benchmark/` (see `BENCHMARK.json`).
 //!
 //! Scale is controlled by the `WISEDB_SCALE` environment variable:
 //!
 //! * `quick` — minutes-scale smoke run (small training sets, few repeats);
 //! * `std` *(default)* — the calibration used for EXPERIMENTS.md;
 //! * `paper` — the paper's full N = 3000 × m = 18 training configuration.
+//!
+//! Any other value aborts the run.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,12 +46,32 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `WISEDB_SCALE` (default [`Scale::Std`]).
+    /// The `WISEDB_SCALE` spelling of this scale.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Std => "std",
+            Scale::Paper => "paper",
+        }
+    }
+
+    /// Parses a `WISEDB_SCALE` value; anything but the three names is an
+    /// error that lists them.
+    pub fn parse(raw: &str) -> Result<Scale, String> {
+        [Scale::Quick, Scale::Std, Scale::Paper]
+            .into_iter()
+            .find(|scale| scale.name() == raw)
+            .ok_or_else(|| format!("invalid WISEDB_SCALE {raw:?}: expected quick, std or paper"))
+    }
+
+    /// Reads `WISEDB_SCALE` (default [`Scale::Std`] when unset). An
+    /// unknown value aborts — a typo must not silently run the slow
+    /// default scale.
     pub fn from_env() -> Scale {
-        match std::env::var("WISEDB_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Std,
+        match std::env::var("WISEDB_SCALE") {
+            Ok(raw) => Scale::parse(&raw).unwrap_or_else(|e| panic!("{e}")),
+            Err(std::env::VarError::NotPresent) => Scale::Std,
+            Err(e) => panic!("invalid WISEDB_SCALE: {e}"),
         }
     }
 
@@ -187,23 +212,15 @@ pub fn node_limit_override() -> Option<usize> {
 }
 
 /// The oracle's solver configuration: exact A* with a 2 M-expansion budget
-/// by default; `WISEDB_ORACLE_LIMIT` (legacy) or `WISEDB_NODE_LIMIT` set
-/// the budget, and [`strategy_override`] selects the strategy — so nightly
-/// can sweep `exact`/`beam`/`anytime` oracles without recompiling.
+/// by default; `WISEDB_NODE_LIMIT` sets the budget, and
+/// [`strategy_override`] selects the strategy — so nightly can sweep
+/// `exact`/`beam`/`anytime` oracles without recompiling.
 pub fn oracle_config() -> wisedb_search::SearchConfig {
     let mut config = wisedb_search::SearchConfig {
-        node_limit: std::env::var("WISEDB_ORACLE_LIMIT")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(2_000_000usize),
+        node_limit: 2_000_000,
         ..wisedb_search::SearchConfig::default()
     };
-    if let Some(limit) = node_limit_override() {
-        config.node_limit = limit;
-    }
-    if let Some(strategy) = strategy_override() {
-        config.strategy = strategy;
-    }
+    apply_search_overrides(&mut config);
     config
 }
 
@@ -277,6 +294,18 @@ mod tests {
             10.000000000000009
         );
         assert_eq!(pct_above(Money::ZERO, Money::ZERO), 0.0);
+    }
+
+    #[test]
+    fn scale_parses_its_three_names_and_rejects_the_rest() {
+        assert_eq!(Scale::parse("quick"), Ok(Scale::Quick));
+        assert_eq!(Scale::parse("std"), Ok(Scale::Std));
+        assert_eq!(Scale::parse("paper"), Ok(Scale::Paper));
+        let err = Scale::parse("qiuck").unwrap_err();
+        assert!(err.contains("\"qiuck\""), "{err}");
+        assert!(err.contains("quick, std or paper"), "{err}");
+        assert!(Scale::parse("").is_err());
+        assert!(Scale::parse("Quick").is_err());
     }
 
     #[test]

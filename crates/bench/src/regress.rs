@@ -1,44 +1,29 @@
 //! Bench-regression bookkeeping for `wisedb-bench --bin regress`.
 //!
-//! The regress binary measures the four hot paths (A* kernel, batch
-//! scheduling throughput, streaming event loop, multi-tenant consolidation
-//! loop), writes the results to `BENCH_current.json`, and diffs them
-//! against the committed `BENCH_baseline.json`. Two metric kinds get
-//! different treatment:
-//!
-//! * [`MetricKind::Counter`] — deterministic work counters (A* expansions,
-//!   interned states, VMs rented, retrains). Identical on every machine
-//!   for a fixed scale and seed, so the default tolerance is **zero**: a
-//!   hot-path PR that silently does more work fails the diff.
-//! * [`MetricKind::Time`] — wall-clock medians. Machine-dependent, so they
-//!   are compared only when a tolerance is explicitly configured
-//!   (`WISEDB_REGRESS_TIME_TOL`); otherwise they are reported but not
-//!   enforced. CI therefore enforces counters and archives times.
+//! The regress binary runs each hot path once, records its deterministic
+//! work counters (A* expansions, interned states, VMs rented, retrains,
+//! admit/shed verdicts), writes them to `BENCH_current.json`, and diffs
+//! them against the committed `BENCH_baseline.json`. Every counter is a
+//! pure function of the scale and seed, identical on every machine, so
+//! the comparison is **exact in both directions**: a counter that rises
+//! *or* drops, or a baseline row the run no longer produces, fails the
+//! diff. A PR that changes a counter on purpose refreshes the baseline in
+//! the same commit. Nothing here is a wall-clock time; `benchmark/` is the
+//! repo's one timing instrument.
 
 use serde::{Deserialize, Serialize};
 
-/// How a measurement is compared across runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MetricKind {
-    /// Wall-clock duration (milliseconds); machine-dependent.
-    Time,
-    /// Deterministic work counter; machine-independent at fixed scale.
-    Counter,
-}
-
-/// One recorded metric of one benchmark.
+/// One recorded counter of one benchmark.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Benchmark name, e.g. `astar_kernel/Max`.
     pub bench: String,
-    /// Metric name, e.g. `time_ms` or `expanded`.
+    /// Metric name, e.g. `expanded`.
     pub metric: String,
     /// The measured value. [`f64::INFINITY`] means "unset" (e.g. a
     /// suboptimality bound a strategy could not establish) and round-trips
     /// through JSON as `null`.
     pub value: f64,
-    /// How the value is compared across runs.
-    pub kind: MetricKind,
 }
 
 // Hand-written serde: JSON cannot represent non-finite floats, and an
@@ -58,7 +43,6 @@ impl Serialize for Measurement {
                     serde::Value::Null
                 },
             ),
-            ("kind".to_string(), self.kind.to_value()),
         ])
     }
 }
@@ -83,19 +67,17 @@ impl Deserialize for Measurement {
             bench: String::from_value(field("bench")?)?,
             metric: String::from_value(field("metric")?)?,
             value,
-            kind: MetricKind::from_value(field("kind")?)?,
         })
     }
 }
 
 impl Measurement {
     /// Convenience constructor.
-    pub fn new(bench: &str, metric: &str, value: f64, kind: MetricKind) -> Self {
+    pub fn new(bench: &str, metric: &str, value: f64) -> Self {
         Measurement {
             bench: bench.to_string(),
             metric: metric.to_string(),
             value,
-            kind,
         }
     }
 
@@ -135,29 +117,10 @@ impl BaselineFile {
     }
 }
 
-/// Relative tolerances for the diff, per metric kind.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerances {
-    /// Allowed fractional increase for counters (default 0.0: exact).
-    pub counter: f64,
-    /// Allowed fractional increase for times; `None` disables time
-    /// enforcement (they are still reported).
-    pub time: Option<f64>,
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            counter: 0.0,
-            time: None,
-        }
-    }
-}
-
 /// One line of the diff between a baseline and a current report.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DiffLine {
-    /// Current value exceeds baseline beyond the tolerance.
+    /// Current value differs from the baseline, in either direction.
     Regression {
         /// `bench/metric`.
         what: String,
@@ -168,27 +131,23 @@ pub enum DiffLine {
         /// Fractional change (`current/baseline - 1`).
         change: f64,
     },
-    /// Current value within tolerance (reported for the table).
+    /// Current value equals the baseline.
     Ok {
         /// `bench/metric`.
         what: String,
-        /// Baseline value.
-        baseline: f64,
-        /// Current value.
-        current: f64,
-        /// Fractional change (`current/baseline - 1`).
-        change: f64,
-        /// Whether the change was enforced (counters / time with tol).
-        enforced: bool,
+        /// The value both reports hold.
+        value: f64,
     },
-    /// Metric exists only in the current report (new bench or metric).
+    /// Metric exists only in the current report (new bench or metric):
+    /// reported, never a failure.
     New {
         /// `bench/metric`.
         what: String,
         /// Current value.
         current: f64,
     },
-    /// Metric exists only in the baseline (bench removed or renamed).
+    /// Metric exists only in the baseline (bench removed or renamed): a
+    /// failure, since the baseline now describes work nobody checks.
     Missing {
         /// `bench/metric`.
         what: String,
@@ -198,13 +157,29 @@ pub enum DiffLine {
 impl DiffLine {
     /// Whether this line should fail the run.
     pub fn is_regression(&self) -> bool {
-        matches!(self, DiffLine::Regression { .. })
+        matches!(self, DiffLine::Regression { .. } | DiffLine::Missing { .. })
     }
 }
 
-/// Diffs `current` against `baseline` under `tol`. Lines come out in
+/// Fractional change from `baseline` to `current`; infinite when a zero
+/// baseline became non-zero.
+fn change(baseline: f64, current: f64) -> f64 {
+    if baseline == current {
+        0.0
+    } else if baseline.abs() < f64::EPSILON {
+        if current.abs() < f64::EPSILON {
+            0.0
+        } else {
+            f64::INFINITY
+        }
+    } else {
+        current / baseline - 1.0
+    }
+}
+
+/// Diffs `current` against `baseline`, exactly. Lines come out in
 /// current-report order, then baseline-only leftovers.
-pub fn diff(baseline: &BenchReport, current: &BenchReport, tol: &Tolerances) -> Vec<DiffLine> {
+pub fn diff(baseline: &BenchReport, current: &BenchReport) -> Vec<DiffLine> {
     let mut out = Vec::new();
     let mut seen: Vec<(String, String)> = Vec::new();
     for m in &current.measurements {
@@ -220,35 +195,21 @@ pub fn diff(baseline: &BenchReport, current: &BenchReport, tol: &Tolerances) -> 
                 current: m.value,
             }),
             Some(b) => {
-                let change = if b.value.abs() < f64::EPSILON {
-                    if m.value.abs() < f64::EPSILON {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
+                let change = change(b.value, m.value);
+                // A sliver of relative slack keeps the exact comparison
+                // immune to float formatting round-trips.
+                if change.abs() > 1e-9 {
+                    out.push(DiffLine::Regression {
+                        what,
+                        baseline: b.value,
+                        current: m.value,
+                        change,
+                    });
                 } else {
-                    m.value / b.value - 1.0
-                };
-                let limit = match m.kind {
-                    MetricKind::Counter => Some(tol.counter),
-                    MetricKind::Time => tol.time,
-                };
-                match limit {
-                    // A sliver of absolute slack keeps exact-match counter
-                    // diffs immune to float formatting round-trips.
-                    Some(limit) if change > limit + 1e-9 => out.push(DiffLine::Regression {
+                    out.push(DiffLine::Ok {
                         what,
-                        baseline: b.value,
-                        current: m.value,
-                        change,
-                    }),
-                    enforced => out.push(DiffLine::Ok {
-                        what,
-                        baseline: b.value,
-                        current: m.value,
-                        change,
-                        enforced: enforced.is_some(),
-                    }),
+                        value: m.value,
+                    });
                 }
             }
         }
@@ -283,18 +244,12 @@ pub fn render_diff(lines: &[DiffLine]) -> String {
                 format!("{:+.1}", change * 100.0),
                 "REGRESSION".to_string(),
             ]),
-            DiffLine::Ok {
-                what,
-                baseline,
-                current,
-                change,
-                enforced,
-            } => table.row(&[
+            DiffLine::Ok { what, value } => table.row(&[
                 what.clone(),
-                format!("{baseline:.3}"),
-                format!("{current:.3}"),
-                format!("{:+.1}", change * 100.0),
-                if *enforced { "ok" } else { "info" }.to_string(),
+                format!("{value:.3}"),
+                format!("{value:.3}"),
+                "0.0".to_string(),
+                "ok".to_string(),
             ]),
             DiffLine::New { what, current } => table.row(&[
                 what.clone(),
@@ -308,7 +263,7 @@ pub fn render_diff(lines: &[DiffLine]) -> String {
                 "?".to_string(),
                 "-".to_string(),
                 "-".to_string(),
-                "missing".to_string(),
+                "MISSING".to_string(),
             ]),
         }
     }
@@ -319,107 +274,62 @@ pub fn render_diff(lines: &[DiffLine]) -> String {
 mod tests {
     use super::*;
 
-    fn report(scale: &str, ms: &[(&str, &str, f64, MetricKind)]) -> BenchReport {
+    fn report(scale: &str, ms: &[(&str, &str, f64)]) -> BenchReport {
         BenchReport {
             scale: scale.to_string(),
             measurements: ms
                 .iter()
-                .map(|&(b, m, v, k)| Measurement::new(b, m, v, k))
+                .map(|&(b, m, v)| Measurement::new(b, m, v))
                 .collect(),
         }
     }
 
     #[test]
     fn counters_are_exact_by_default() {
-        let base = report(
-            "quick",
-            &[("astar/Max", "expanded", 100.0, MetricKind::Counter)],
-        );
-        let same = report(
-            "quick",
-            &[("astar/Max", "expanded", 100.0, MetricKind::Counter)],
-        );
-        let worse = report(
-            "quick",
-            &[("astar/Max", "expanded", 101.0, MetricKind::Counter)],
-        );
-        let better = report(
-            "quick",
-            &[("astar/Max", "expanded", 90.0, MetricKind::Counter)],
-        );
-        let tol = Tolerances::default();
-        assert!(!diff(&base, &same, &tol).iter().any(DiffLine::is_regression));
-        assert!(diff(&base, &worse, &tol)
-            .iter()
-            .any(DiffLine::is_regression));
-        assert!(!diff(&base, &better, &tol)
-            .iter()
-            .any(DiffLine::is_regression));
+        let base = report("quick", &[("astar/Max", "expanded", 100.0)]);
+        let same = report("quick", &[("astar/Max", "expanded", 100.0)]);
+        let worse = report("quick", &[("astar/Max", "expanded", 101.0)]);
+        let better = report("quick", &[("astar/Max", "expanded", 90.0)]);
+        assert!(!diff(&base, &same).iter().any(DiffLine::is_regression));
+        assert!(diff(&base, &worse).iter().any(DiffLine::is_regression));
+        // A drop is a change too: the baseline would go stale, and a
+        // later return to the old value would pass unnoticed.
+        assert!(diff(&base, &better).iter().any(DiffLine::is_regression));
     }
 
     #[test]
-    fn counter_tolerance_is_configurable() {
-        let base = report("quick", &[("b", "expanded", 100.0, MetricKind::Counter)]);
-        let worse = report("quick", &[("b", "expanded", 104.0, MetricKind::Counter)]);
-        let tol = Tolerances {
-            counter: 0.05,
-            time: None,
-        };
-        assert!(!diff(&base, &worse, &tol)
-            .iter()
-            .any(DiffLine::is_regression));
-    }
-
-    #[test]
-    fn times_are_informational_unless_tolerance_set() {
-        let base = report("quick", &[("b", "time_ms", 10.0, MetricKind::Time)]);
-        let slower = report("quick", &[("b", "time_ms", 30.0, MetricKind::Time)]);
-        assert!(!diff(&base, &slower, &Tolerances::default())
-            .iter()
-            .any(DiffLine::is_regression));
-        let tol = Tolerances {
-            counter: 0.0,
-            time: Some(0.5),
-        };
-        assert!(diff(&base, &slower, &tol)
-            .iter()
-            .any(DiffLine::is_regression));
-        // Within the 50% envelope: fine.
-        let ok = report("quick", &[("b", "time_ms", 14.0, MetricKind::Time)]);
-        assert!(!diff(&base, &ok, &tol).iter().any(DiffLine::is_regression));
-    }
-
-    #[test]
-    fn new_and_missing_metrics_do_not_fail() {
-        let base = report("quick", &[("old", "expanded", 1.0, MetricKind::Counter)]);
-        let cur = report("quick", &[("new", "expanded", 2.0, MetricKind::Counter)]);
-        let lines = diff(&base, &cur, &Tolerances::default());
+    fn new_metrics_do_not_fail() {
+        let base = report("quick", &[("old", "expanded", 1.0)]);
+        let cur = report(
+            "quick",
+            &[("old", "expanded", 1.0), ("new", "expanded", 2.0)],
+        );
+        let lines = diff(&base, &cur);
         assert!(lines.iter().any(|l| matches!(l, DiffLine::New { .. })));
-        assert!(lines.iter().any(|l| matches!(l, DiffLine::Missing { .. })));
         assert!(!lines.iter().any(DiffLine::is_regression));
+    }
+
+    #[test]
+    fn missing_metrics_fail() {
+        let base = report("quick", &[("old", "expanded", 1.0)]);
+        let cur = report("quick", &[("new", "expanded", 2.0)]);
+        let lines = diff(&base, &cur);
+        assert!(lines.iter().any(|l| matches!(l, DiffLine::Missing { .. })));
+        assert!(lines.iter().any(DiffLine::is_regression));
     }
 
     #[test]
     fn baseline_file_round_trips_through_json() {
         let mut file = BaselineFile::default();
-        file.upsert(report(
-            "quick",
-            &[("astar/Max", "expanded", 123.0, MetricKind::Counter)],
-        ));
-        file.upsert(report(
-            "std",
-            &[("astar/Max", "time_ms", 4.5, MetricKind::Time)],
-        ));
+        file.upsert(report("quick", &[("astar/Max", "expanded", 123.0)]));
+        file.upsert(report("std", &[("astar/Max", "expanded", 4.5)]));
         let json = serde_json::to_string_pretty(&file).unwrap();
         let back: BaselineFile = serde_json::from_str(&json).unwrap();
         assert_eq!(back, file);
         assert!(back.for_scale("quick").is_some());
         assert!(back.for_scale("paper").is_none());
         // Upsert replaces in place.
-        file.upsert(report(
-            "quick",
-            &[("astar/Max", "expanded", 99.0, MetricKind::Counter)],
-        ));
+        file.upsert(report("quick", &[("astar/Max", "expanded", 99.0)]));
         assert_eq!(file.reports.len(), 2);
         assert_eq!(file.for_scale("quick").unwrap().measurements[0].value, 99.0);
     }
@@ -429,15 +339,7 @@ mod tests {
         // An unset suboptimality bound is f64::INFINITY; JSON cannot
         // express that, so it must become `null` (valid JSON!) and read
         // back as infinity instead of erroring out of report export.
-        let report = report(
-            "quick",
-            &[(
-                "strategies/exact",
-                "bound_pct",
-                f64::INFINITY,
-                MetricKind::Counter,
-            )],
-        );
+        let report = report("quick", &[("strategies/exact", "bound_pct", f64::INFINITY)]);
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"value\":null"), "got {json}");
         assert!(!json.contains("inf"), "got {json}");
@@ -452,17 +354,14 @@ mod tests {
     }
 
     fn report_for_scale_finite() -> BenchReport {
-        report(
-            "quick",
-            &[("strategies/anytime", "bound_pct", 3.51, MetricKind::Counter)],
-        )
+        report("quick", &[("strategies/anytime", "bound_pct", 3.51)])
     }
 
     #[test]
     fn render_diff_flags_regressions() {
-        let base = report("quick", &[("b", "expanded", 100.0, MetricKind::Counter)]);
-        let cur = report("quick", &[("b", "expanded", 120.0, MetricKind::Counter)]);
-        let text = render_diff(&diff(&base, &cur, &Tolerances::default()));
+        let base = report("quick", &[("b", "expanded", 100.0)]);
+        let cur = report("quick", &[("b", "expanded", 120.0)]);
+        let text = render_diff(&diff(&base, &cur));
         assert!(text.contains("REGRESSION"));
         assert!(text.contains("+20.0"));
     }

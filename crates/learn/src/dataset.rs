@@ -81,7 +81,7 @@ impl Dataset {
 mod tests {
     use super::*;
     use wisedb_core::{Millis, PenaltyRate, VmType, Workload};
-    use wisedb_search::AStarSearcher;
+    use wisedb_search::Solver;
 
     #[test]
     fn dataset_collects_one_row_per_decision() {
@@ -95,7 +95,7 @@ mod tests {
             rate: PenaltyRate::CENT_PER_SECOND,
         };
         let workload = Workload::from_counts(&[1, 2]);
-        let path = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let path = Solver::new(&spec, &goal).solve(&workload).unwrap();
         let ds = Dataset::from_paths(&spec, &goal, &[path.clone()]);
         assert_eq!(ds.len(), path.steps.len());
         assert!(!ds.is_empty());

@@ -53,6 +53,10 @@ pub enum LoadSignal {
     BatchSize,
 }
 
+/// EMA smoothing factor for the per-shard and per-class load averages;
+/// higher weighs recent ticks more.
+const EMA_ALPHA: f64 = 0.2;
+
 /// The shard layout of a [`WorkloadService`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
@@ -63,9 +67,6 @@ pub struct ShardConfig {
     /// Check for load skew every this many ticks (`0` disables
     /// rebalancing entirely).
     pub rebalance_every: u64,
-    /// EMA smoothing factor in `(0, 1]` for the per-shard and per-class
-    /// load averages; higher weighs recent ticks more.
-    pub ema_alpha: f64,
     /// Rebalance when the hottest shard's load EMA exceeds the coldest's
     /// by this factor (and the hot shard has at least two classes).
     pub skew_threshold: f64,
@@ -78,7 +79,6 @@ impl Default for ShardConfig {
         ShardConfig {
             shards: 1,
             rebalance_every: 64,
-            ema_alpha: 0.2,
             skew_threshold: 2.0,
             signal: LoadSignal::PlanTime,
         }
@@ -380,12 +380,11 @@ impl ShardLayout {
             shard_load[self.assignment[class.index()]] += load;
             class_load[class.index()] += load;
         }
-        let alpha = self.config.ema_alpha.clamp(0.0, 1.0);
         for (lane, load) in self.stats.per_shard.iter_mut().zip(&shard_load) {
-            lane.load_ema = alpha * load + (1.0 - alpha) * lane.load_ema;
+            lane.load_ema = EMA_ALPHA * load + (1.0 - EMA_ALPHA) * lane.load_ema;
         }
         for (ema, load) in self.class_ema.iter_mut().zip(&class_load) {
-            *ema = alpha * load + (1.0 - alpha) * *ema;
+            *ema = EMA_ALPHA * load + (1.0 - EMA_ALPHA) * *ema;
         }
     }
 
@@ -525,7 +524,6 @@ mod tests {
             rebalance_every: 2,
             skew_threshold: 1.01,
             signal: LoadSignal::BatchSize,
-            ..ShardConfig::default()
         };
         let frozen = ShardConfig {
             rebalance_every: 0,

@@ -102,7 +102,6 @@ impl AdaptiveSearcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::astar::AStarSearcher;
     use wisedb_core::{GoalKind, Millis, VmType};
 
     fn spec() -> WorkloadSpec {
@@ -129,7 +128,7 @@ mod tests {
                 let reused = adaptive
                     .solve(&spec, &goal, &workload, SearchConfig::default())
                     .unwrap();
-                let fresh = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+                let fresh = Solver::new(&spec, &goal).solve(&workload).unwrap();
                 assert!(
                     reused.cost.approx_eq(fresh.cost, 1e-9),
                     "{kind:?} at {pct}: adaptive={} fresh={}",
@@ -155,9 +154,7 @@ mod tests {
         let reused = adaptive
             .solve(&spec, &tightened, &workload, SearchConfig::default())
             .unwrap();
-        let fresh = AStarSearcher::new(&spec, &tightened)
-            .solve(&workload)
-            .unwrap();
+        let fresh = Solver::new(&spec, &tightened).solve(&workload).unwrap();
         assert!(reused.cost.approx_eq(fresh.cost, 1e-9));
         assert!(
             reused.stats.expanded <= fresh.stats.expanded,

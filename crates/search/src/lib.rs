@@ -23,7 +23,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod adaptive;
-pub mod astar;
 pub mod canonical;
 pub mod decision;
 pub mod heuristic;
@@ -32,7 +31,6 @@ pub mod state;
 pub mod strategy;
 
 pub use adaptive::AdaptiveSearcher;
-pub use astar::AStarSearcher;
 pub use canonical::CanonicalOrder;
 pub use decision::Decision;
 pub use heuristic::HeuristicTable;

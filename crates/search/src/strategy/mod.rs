@@ -27,9 +27,7 @@
 //! All four share the interned-state machinery ([`common`]): one
 //! successor-pricing routine, the dense state-id interner, flat id-indexed
 //! g/h tables, and the greedy upper bound. [`Solver`] is the single entry
-//! point — [`SearchConfig::strategy`] picks the implementation, and the
-//! historical [`AStarSearcher`](crate::astar::AStarSearcher) name is an
-//! alias of it.
+//! point — [`SearchConfig::strategy`] picks the implementation.
 
 use serde::{Deserialize, Serialize};
 
@@ -455,9 +453,8 @@ pub trait Strategy {
 
 /// The solver: owns the heuristic table and symmetry reduction for one
 /// (spec, goal) pair and runs whichever [`SearchStrategy`] its
-/// configuration selects. The historical `AStarSearcher` name is an alias
-/// of this type; with the default configuration it behaves bit-identically
-/// to the pre-strategy exact searcher.
+/// configuration selects. With the default configuration it behaves
+/// bit-identically to the pre-strategy exact searcher.
 pub struct Solver<'a> {
     spec: &'a WorkloadSpec,
     goal: &'a PerformanceGoal,

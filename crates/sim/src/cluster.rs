@@ -196,7 +196,7 @@ mod tests {
     use crate::catalog::{tpch_like, tpch_like_two_types};
     use crate::generator::uniform_workload;
     use wisedb_core::{total_cost, GoalKind, Placement, VmInstance, Workload};
-    use wisedb_search::AStarSearcher;
+    use wisedb_search::Solver;
 
     fn simple_schedule(_spec: &WorkloadSpec, workload: &Workload) -> Schedule {
         // Everything on one VM of type 0 in workload order.
@@ -215,10 +215,7 @@ mod tests {
         let spec = tpch_like(10);
         let workload = uniform_workload(&spec, 12, 3);
         let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
-        let schedule = AStarSearcher::new(&spec, &goal)
-            .solve(&workload)
-            .unwrap()
-            .schedule;
+        let schedule = Solver::new(&spec, &goal).solve(&workload).unwrap().schedule;
         let trace = execute(&spec, &schedule, &SimOptions::default()).unwrap();
         let simulated = trace.total_cost(&goal);
         let analytic = total_cost(&spec, &goal, &schedule).unwrap();

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. Compare against the optimal schedule and first-fit decreasing.
-    let optimal = AStarSearcher::new(&spec, &goal).solve(&workload)?;
+    let optimal = Solver::new(&spec, &goal).solve(&workload)?;
     let ffd = Heuristic::FirstFitDecreasing.schedule(&spec, &goal, &workload)?;
     let ffd_cost = total_cost(&spec, &goal, &ffd)?;
     println!("\nComparison:");

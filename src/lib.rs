@@ -42,9 +42,9 @@
 //! ## Building and running
 //!
 //! The repo is a self-contained Cargo workspace — external dependencies
-//! (`serde`, `serde_json`, `rand`, `proptest`, `criterion`) are vendored as
-//! minimal offline stand-ins under `vendor/`, so a plain toolchain with no
-//! network access suffices:
+//! (`serde`, `serde_derive`, `serde_json`, `rand`, `proptest`, `byteorder`,
+//! `threadpool`) are vendored as minimal offline stand-ins under
+//! `vendor/`, so a plain toolchain with no network access suffices:
 //!
 //! ```text
 //! cargo build --release          # all seven crates + this facade
@@ -52,7 +52,7 @@
 //! cargo run --release --example quickstart
 //! cargo run --release -p wisedb-bench --bin fig09      # paper figures
 //! cargo run --release -p wisedb-bench --bin streaming  # streaming runtime
-//! cargo bench -p wisedb-bench    # timing benches (incl. streaming)
+//! bash benchmark/run.sh          # the timing benchmark (BENCHMARK.json)
 //! ```
 //!
 //! See `ARCHITECTURE.md` for the crate map and data flow, and
@@ -140,8 +140,7 @@ pub mod prelude {
         DriftProcess, OnOffProcess, PoissonProcess, RuntimeConfig, ShardConfig, StreamReport,
         TemplateMix, WorkloadService,
     };
-    pub use wisedb_search::astar::{AStarSearcher, OptimalSchedule};
-    pub use wisedb_search::strategy::{SearchConfig, SearchStrategy, Solver};
+    pub use wisedb_search::strategy::{OptimalSchedule, SearchConfig, SearchStrategy, Solver};
     pub use wisedb_serve::{Client, ServeConfig, Server, ServerHandle};
     pub use wisedb_sim::{LiveCluster, LiveOptions};
 }

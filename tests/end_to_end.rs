@@ -37,7 +37,7 @@ fn full_pipeline_for_every_goal_kind() {
             "{kind:?}: simulator disagrees with Eq. 1"
         );
 
-        let optimal = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let optimal = Solver::new(&spec, &goal).solve(&workload).unwrap();
         assert!(
             analytic.as_dollars() <= optimal.cost.as_dollars() * 1.5 + 1e-9,
             "{kind:?}: model {analytic} vs optimal {}",
@@ -115,12 +115,10 @@ fn multi_vm_type_pipeline() {
 
     // The two-type optimal is no costlier than the one-type optimal: more
     // choice can only help (Figure 12's observation).
-    let optimal_2t = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+    let optimal_2t = Solver::new(&spec, &goal).solve(&workload).unwrap();
     let spec_1t = wisedb::sim::catalog::tpch_like(6);
     let goal_1t = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec_1t).unwrap();
-    let optimal_1t = AStarSearcher::new(&spec_1t, &goal_1t)
-        .solve(&workload)
-        .unwrap();
+    let optimal_1t = Solver::new(&spec_1t, &goal_1t).solve(&workload).unwrap();
     assert!(optimal_2t.cost <= optimal_1t.cost + Money::from_dollars(1e-9));
 }
 
@@ -137,7 +135,7 @@ fn skewed_batches_remain_competitive() {
         let schedule = model.schedule_batch(&workload).unwrap();
         schedule.validate_complete(&workload).unwrap();
         let cost = total_cost(&spec, &goal, &schedule).unwrap();
-        let optimal = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let optimal = Solver::new(&spec, &goal).solve(&workload).unwrap();
         assert!(
             cost.as_dollars() <= optimal.cost.as_dollars() * 1.5 + 1e-9,
             "skew {skew}: model {cost} vs optimal {}",

@@ -106,7 +106,7 @@ fn online_cost_is_comparable_to_batch_optimal() {
     // Batch optimal with all queries available at t = 0 is a lower-ish
     // bound (arrivals only remove options).
     let workload = Workload::from_templates(stream.iter().map(|a| a.template));
-    let optimal = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+    let optimal = Solver::new(&spec, &goal).solve(&workload).unwrap();
     assert!(
         online_cost.as_dollars() <= optimal.cost.as_dollars() * 2.0 + 0.01,
         "online {online_cost} vs batch optimal {}",

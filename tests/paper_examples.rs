@@ -26,7 +26,7 @@ fn fig3() -> (WorkloadSpec, PerformanceGoal) {
 fn figure_three_optimal_uses_three_vms() {
     let (spec, goal) = fig3();
     let workload = Workload::from_counts(&[1, 3]);
-    let best = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+    let best = Solver::new(&spec, &goal).solve(&workload).unwrap();
     assert!(best.stats.optimal);
     assert_eq!(best.schedule.num_vms(), 3);
     let breakdown = cost_breakdown(&spec, &goal, &best.schedule).unwrap();
@@ -59,7 +59,7 @@ fn section_three_ffd_ffi_and_the_better_strategy() {
     let ffi = Heuristic::FirstFitIncreasing
         .schedule(&spec, &goal, &workload)
         .unwrap();
-    let optimal = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+    let optimal = Solver::new(&spec, &goal).solve(&workload).unwrap();
 
     assert_eq!(ffd.num_vms(), 3, "SFFD = {{[q1,q2],[q3,q4,q5],[q6]}}");
     assert_eq!(ffi.num_vms(), 3, "SFFI = {{[q5,q6,q3],[q4,q1],[q2]}}");
@@ -105,7 +105,7 @@ fn section_four_five_walkthrough_schedule_shape() {
     // The optimal schedule costs 2 startups + 4 query-minutes (T2 first,
     // then T1 on one VM; the other T2 alone). The learned model must match
     // that cost exactly here — the paper walks through precisely this case.
-    let optimal = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+    let optimal = Solver::new(&spec, &goal).solve(&workload).unwrap();
     let model_cost = total_cost(&spec, &goal, &schedule).unwrap();
     assert!(
         model_cost.approx_eq(optimal.cost, 1e-6),

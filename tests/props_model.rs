@@ -50,7 +50,7 @@ proptest! {
             .unwrap()
             .tighten_pct(&spec, tighten);
         let workload = Workload::from_counts(counts);
-        let schedule = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap().schedule;
+        let schedule = Solver::new(&spec, &goal).solve(&workload).unwrap().schedule;
         let analytic = total_cost(&spec, &goal, &schedule).unwrap();
         let trace = sim::execute(&spec, &schedule, &SimOptions::default()).unwrap();
         prop_assert!(trace.total_cost(&goal).approx_eq(analytic, 1e-9));

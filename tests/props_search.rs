@@ -80,7 +80,7 @@ proptest! {
     #[test]
     fn astar_beats_every_baseline((spec, goal, counts) in arb_instance()) {
         let workload = Workload::from_counts(&counts);
-        let result = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let result = Solver::new(&spec, &goal).solve(&workload).unwrap();
         prop_assert!(result.stats.optimal);
         result.schedule.validate_complete(&workload).unwrap();
 
@@ -105,7 +105,7 @@ proptest! {
     fn heuristic_is_admissible_along_optimal_paths((spec, goal, counts) in arb_instance()) {
         use wisedb::search::HeuristicTable;
         let workload = Workload::from_counts(&counts);
-        let result = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let result = Solver::new(&spec, &goal).solve(&workload).unwrap();
         let table = HeuristicTable::new(&spec);
         // Remaining cost after step i = total − prefix(i).
         let mut prefix = Money::ZERO;
@@ -132,7 +132,7 @@ proptest! {
             let reused = adaptive
                 .solve(&spec, &tightened, &workload, SearchConfig::default())
                 .unwrap();
-            let fresh = AStarSearcher::new(&spec, &tightened).solve(&workload).unwrap();
+            let fresh = Solver::new(&spec, &tightened).solve(&workload).unwrap();
             prop_assert!(reused.cost.approx_eq(fresh.cost, 1e-9),
                 "at {}: adaptive {} vs fresh {}", pct, reused.cost, fresh.cost);
         }
@@ -143,9 +143,9 @@ proptest! {
     fn tightening_is_monotone_in_cost((spec, goal, counts) in arb_instance(),
                                       p in 0.1f64..1.0) {
         let workload = Workload::from_counts(&counts);
-        let base = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let base = Solver::new(&spec, &goal).solve(&workload).unwrap();
         let tightened_goal = goal.tighten_pct(&spec, p);
-        let tightened = AStarSearcher::new(&spec, &tightened_goal).solve(&workload).unwrap();
+        let tightened = Solver::new(&spec, &tightened_goal).solve(&workload).unwrap();
         prop_assert!(
             tightened.cost.as_dollars() >= base.cost.as_dollars() - 1e-9,
             "tightening lowered cost: {} -> {}", base.cost, tightened.cost

@@ -32,7 +32,7 @@ fn golden_figure_three_cost_is_bit_identical() {
         rate: PenaltyRate::CENT_PER_SECOND,
     };
     let workload = Workload::from_counts(&[1, 3]);
-    let result = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+    let result = Solver::new(&spec, &goal).solve(&workload).unwrap();
     assert!(result.stats.optimal);
     assert_eq!(result.schedule.num_vms(), 3);
     // 3 start-ups + 5 query-minutes of t2.medium, no penalty — the value
@@ -68,7 +68,7 @@ fn golden_section_three_interleaving() {
         rate: PenaltyRate::CENT_PER_SECOND,
     };
     let workload = Workload::from_counts(&[2, 2, 2]);
-    let result = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+    let result = Solver::new(&spec, &goal).solve(&workload).unwrap();
     result.schedule.validate_complete(&workload).unwrap();
     assert_eq!(result.schedule.num_vms(), 2);
     // 2 start-ups + 18 query-minutes, zero penalty.
@@ -87,7 +87,7 @@ fn golden_catalog_costs_match_brute_force_for_every_goal() {
         let goal = PerformanceGoal::paper_default(kind, &spec)
             .unwrap()
             .tighten_pct(&spec, 0.6);
-        let result = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let result = Solver::new(&spec, &goal).solve(&workload).unwrap();
         assert!(result.stats.optimal, "{kind:?}");
         result.schedule.validate_complete(&workload).unwrap();
         let analytic = total_cost(&spec, &goal, &result.schedule).unwrap();
@@ -121,7 +121,7 @@ fn adaptive_memo_is_equivalent_and_no_slower() {
             let reused = adaptive
                 .solve(&spec, &goal, &workload, SearchConfig::default())
                 .unwrap();
-            let fresh = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+            let fresh = Solver::new(&spec, &goal).solve(&workload).unwrap();
             assert!(
                 reused.cost.approx_eq(fresh.cost, 1e-9),
                 "{kind:?}@{pct}: adaptive {} vs fresh {}",
@@ -254,7 +254,7 @@ proptest! {
     #[test]
     fn interned_astar_matches_brute_force((spec, goal, counts) in arb_instance()) {
         let workload = Workload::from_counts(&counts);
-        let result = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let result = Solver::new(&spec, &goal).solve(&workload).unwrap();
         prop_assert!(result.stats.optimal);
         result.schedule.validate_complete(&workload).unwrap();
         let brute = brute_force_best(&spec, &goal, &workload);

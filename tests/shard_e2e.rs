@@ -189,7 +189,6 @@ fn rebalancing_preserves_per_class_metric_sums() {
                 rebalance_every,
                 skew_threshold: 1.01,
                 signal: LoadSignal::BatchSize,
-                ..ShardConfig::default()
             });
         let report = svc.run_ticked(&stream, 4).unwrap();
         (report, svc.stats())

@@ -58,7 +58,7 @@ fn exact_strategy_is_bit_identical_to_default() {
             let goal = PerformanceGoal::paper_default(kind, spec)
                 .unwrap()
                 .tighten_pct(spec, 0.6);
-            let default_run = AStarSearcher::new(spec, &goal).solve(workload).unwrap();
+            let default_run = Solver::new(spec, &goal).solve(workload).unwrap();
             let explicit = Solver::new(spec, &goal)
                 .with_strategy(SearchStrategy::Exact)
                 .solve(workload)
@@ -106,7 +106,7 @@ fn inexact_strategies_bound_the_optimum() {
         let goal = PerformanceGoal::paper_default(kind, &spec)
             .unwrap()
             .tighten_pct(&spec, 0.5);
-        let exact = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let exact = Solver::new(&spec, &goal).solve(&workload).unwrap();
         assert!(exact.stats.optimal, "{kind:?}");
         for strategy in [
             SearchStrategy::Beam { width: 2 },
@@ -160,7 +160,7 @@ fn exhaustive_beam_matches_exact() {
         let goal = PerformanceGoal::paper_default(kind, &spec)
             .unwrap()
             .tighten_pct(&spec, 0.5);
-        let exact = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let exact = Solver::new(&spec, &goal).solve(&workload).unwrap();
         let beam = Solver::new(&spec, &goal)
             .with_strategy(SearchStrategy::Beam { width: 100_000 })
             .solve(&workload)
@@ -187,7 +187,7 @@ fn unbudgeted_anytime_proves_optimality() {
         let goal = PerformanceGoal::paper_default(kind, &spec)
             .unwrap()
             .tighten_pct(&spec, 0.5);
-        let exact = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let exact = Solver::new(&spec, &goal).solve(&workload).unwrap();
         let anytime = Solver::new(&spec, &goal)
             .with_strategy(SearchStrategy::anytime())
             .solve(&workload)
@@ -308,7 +308,7 @@ proptest! {
             last = Some(result.cost.as_dollars());
         }
         // The unbudgeted run is exact.
-        let exact = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let exact = Solver::new(&spec, &goal).solve(&workload).unwrap();
         prop_assert!((last.unwrap() - exact.cost.as_dollars()).abs() <= 1e-9);
     }
 
@@ -370,7 +370,7 @@ proptest! {
         let counts16: Vec<u16> = counts.iter().map(|&c| c as u16).collect();
         let start = SearchState::initial(counts16, &goal);
         let h0 = table.estimate(&goal, &start);
-        let exact = AStarSearcher::new(&spec, &goal).solve(&workload).unwrap();
+        let exact = Solver::new(&spec, &goal).solve(&workload).unwrap();
         prop_assert!(exact.stats.optimal);
         prop_assert!(
             h0.as_dollars() <= exact.cost.as_dollars() + 1e-9,
