@@ -27,7 +27,7 @@ use crate::batch::{self, BatchPlan};
 use crate::warm::{Lookup, Signature, SolveCache, SolvedEntry, WarmStart, DEFAULT_CACHE_CAPACITY};
 
 /// Training configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelConfig {
     /// Number of sample workloads `N` (paper default: 3000).
     pub num_samples: usize,
@@ -168,7 +168,7 @@ impl Default for ModelConfig {
 }
 
 /// What training produced, beyond the tree itself.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrainingStats {
     /// Sample workloads solved.
     pub num_samples: usize,
@@ -190,6 +190,12 @@ pub struct TrainingStats {
     /// signature dedup. Serde-defaults to `0` for legacy payloads.
     #[serde(default)]
     pub cache_hits: u64,
+    /// Solves among [`solves`](Self::solves) that exhausted the node
+    /// budget and fell back to a best-found path
+    /// ([`SearchStats::limit_hit`](wisedb_search::SearchStats::limit_hit)).
+    /// Serde-defaults to `0` for legacy payloads.
+    #[serde(default)]
+    pub limit_hits: u64,
     /// Wall-clock training time in seconds.
     pub training_secs: f64,
 }
@@ -496,8 +502,15 @@ impl ModelGenerator {
             searchers.push(Arc::clone(entry));
         }
 
-        let solves = solved.len() as u64;
-        let model = self.fit_dataset(dataset, samples.len(), expanded, solves, hits, start);
+        let work = TrainingStats {
+            num_samples: samples.len(),
+            search_expanded: expanded,
+            solves: solved.len() as u64,
+            cache_hits: hits,
+            limit_hits: solved.iter().filter(|e| e.stats.limit_hit).count() as u64,
+            ..TrainingStats::default()
+        };
+        let model = self.fit_dataset(dataset, work, start);
         if span.recording() {
             span.attr_u64("samples", samples.len() as u64);
             span.attr_u64("expanded", expanded);
@@ -703,36 +716,32 @@ impl ModelGenerator {
         started: Instant,
     ) -> DecisionModel {
         let dataset = Dataset::from_paths(&self.spec, &self.goal, paths);
-        self.fit_dataset(
-            dataset,
-            paths.len(),
-            expanded,
-            paths.len() as u64,
-            0,
-            started,
-        )
+        let work = TrainingStats {
+            num_samples: paths.len(),
+            search_expanded: expanded,
+            solves: paths.len() as u64,
+            limit_hits: paths.iter().filter(|p| p.stats.limit_hit).count() as u64,
+            ..TrainingStats::default()
+        };
+        self.fit_dataset(dataset, work, started)
     }
 
+    /// Fits the tree and completes `work` (the search counters) with the
+    /// dataset and tree statistics.
     fn fit_dataset(
         &self,
         dataset: Dataset,
-        num_samples: usize,
-        expanded: u64,
-        solves: u64,
-        cache_hits: u64,
+        work: TrainingStats,
         started: Instant,
     ) -> DecisionModel {
         let tree = DecisionTree::train(&dataset, &self.config.tree);
         let stats = TrainingStats {
-            num_samples,
             num_rows: dataset.len(),
             training_accuracy: tree.accuracy(&dataset),
             tree_depth: tree.depth(),
             tree_leaves: tree.num_leaves(),
-            search_expanded: expanded,
-            solves,
-            cache_hits,
             training_secs: started.elapsed().as_secs_f64(),
+            ..work
         };
         DecisionModel {
             spec: self.spec.clone(),
@@ -847,6 +856,33 @@ mod tests {
                 parallel.schedule_batch(&w).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn a_tiny_node_limit_makes_every_solve_hit_it() {
+        let spec = small_spec();
+        let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
+        let mut config = tiny_config();
+        config.search.node_limit = 2;
+        let generator = ModelGenerator::new(spec.clone(), goal.clone(), config);
+        let (model, mut artifacts) = generator.train_with_artifacts().unwrap();
+        let stats = model.stats();
+        assert!(stats.solves > 0);
+        assert_eq!(stats.limit_hits, stats.solves);
+        // The tightening retrain re-solves every sample under the same
+        // budget, so it counts a hit per sample too.
+        let tightened = generator
+            .retrain_tightened(&goal.tighten_pct(&spec, 0.2), &mut artifacts)
+            .unwrap();
+        let samples = tiny_config().num_samples as u64;
+        assert_eq!(tightened.stats().solves, samples);
+        assert_eq!(tightened.stats().limit_hits, samples);
+
+        // The default budget finishes these small samples.
+        let full = ModelGenerator::new(spec, goal, tiny_config())
+            .train()
+            .unwrap();
+        assert_eq!(full.stats().limit_hits, 0);
     }
 
     #[test]

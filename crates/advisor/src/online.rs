@@ -26,7 +26,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -204,12 +203,10 @@ pub struct OnlineReport {
     pub outcomes: Vec<OnlineOutcome>,
     /// VM types provisioned, in order.
     pub vm_types: Vec<VmTypeId>,
-    /// Wall-clock scheduling overhead per arrival (model selection +
-    /// retraining + planning) — the Figure 19 metric.
-    pub overhead_secs: Vec<f64>,
     /// Batch size at each arrival.
     pub batch_sizes: Vec<usize>,
-    /// Full model retrainings performed.
+    /// Full model retrainings performed. With `cache_hits` and `shifts`,
+    /// the Figure 19 work counters.
     pub retrains: usize,
     /// Model-cache hits (Reuse).
     pub cache_hits: usize,
@@ -245,14 +242,6 @@ impl OnlineReport {
         }
         cost += goal.penalty(&self.latencies());
         Ok(cost)
-    }
-
-    /// Mean scheduling overhead per arrival, in seconds.
-    pub fn mean_overhead_secs(&self) -> f64 {
-        if self.overhead_secs.is_empty() {
-            return 0.0;
-        }
-        self.overhead_secs.iter().sum::<f64>() / self.overhead_secs.len() as f64
     }
 }
 
@@ -440,7 +429,6 @@ impl OnlineScheduler {
         let mut report = OnlineReport {
             outcomes: Vec::with_capacity(stream.len()),
             vm_types: Vec::new(),
-            overhead_secs: Vec::with_capacity(stream.len()),
             batch_sizes: Vec::with_capacity(stream.len()),
             retrains: 0,
             cache_hits: 0,
@@ -470,9 +458,7 @@ impl OnlineScheduler {
             }
             report.batch_sizes.push(batch.len());
 
-            let started = Instant::now();
             self.plan_batch(&mut vms, &mut report, &batch, now)?;
-            report.overhead_secs.push(started.elapsed().as_secs_f64());
         }
 
         // Drain: run everything still tentative.
@@ -892,7 +878,6 @@ mod tests {
         }
         assert!(patched_cost(&report, &spec, &goal) > Money::ZERO);
         assert_eq!(report.batch_sizes.len(), 6);
-        assert_eq!(report.overhead_secs.len(), 6);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! plus the 1-shard identity assert), the serve layer's wire loop
 //! (loopback TCP, admit/shed verdicts), the warm-training guard (cold
 //! train vs warm retrain through the solve cache, zero-solve warm retrain
-//! asserted) and the observability guard (the same stream at every
-//! tracing level: identical outcomes asserted, trace shape recorded) —
+//! asserted), the paper-figure costs that need no oracle (Fig 12's and
+//! Fig 13's typed cells, in milli-cents) and the observability guard (the
+//! same stream at every tracing level: identical outcomes asserted, trace
+//! shape recorded) —
 //! writes `BENCH_current.json`, and diffs it against the committed
 //! `crates/bench/BENCH_baseline.json`. Every row is a deterministic
 //! counter compared exactly in both directions (see
@@ -32,8 +34,9 @@ use std::path::PathBuf;
 use wisedb::advisor::{OnlineConfig, OnlineScheduler};
 use wisedb::prelude::*;
 use wisedb::runtime::generate_stream;
+use wisedb_bench::figures::{self, Context};
 use wisedb_bench::regress::{diff, render_diff, BaselineFile, BenchReport, Measurement};
-use wisedb_bench::Scale;
+use wisedb_bench::{Cell, Scale};
 
 /// Appends one bench's `(metric, value)` counters to `out`.
 fn record(out: &mut Vec<Measurement>, bench: &str, rows: &[(&str, f64)]) {
@@ -435,6 +438,32 @@ fn train_warm(scale: Scale, out: &mut Vec<Measurement>) {
     );
 }
 
+/// The figure costs that need no oracle, read from the registry's typed
+/// rows: every milli-cent cell of Figs 12 and 13 (WiSeDB on one and two VM
+/// types; FFD, FFI, Pack9 and WiSeDB on 5000-query batches), one bench per
+/// figure and goal kind. Costs are a pure function of the seed, so a
+/// decision change fails the diff and has to state its price. The oracle
+/// cells are left out: Fig 9 alone spends about a minute in the oracle.
+fn figure_costs(scale: Scale, out: &mut Vec<Measurement>) {
+    let mut ctx = Context::new(scale, false);
+    for fig in figures::select(&["12".into(), "13".into()]).expect("registered ids") {
+        let table = (fig.run)(&mut ctx);
+        for row in table.rows() {
+            let Some(Cell::Text(label)) = row.first() else {
+                continue;
+            };
+            let bench = format!("fig/{}/{label}", fig.id);
+            for (header, cell) in table.headers().iter().zip(row) {
+                if let Cell::MilliCents(mc) = cell {
+                    let metric = format!("{}_mc", header.to_lowercase().replace(' ', "_"));
+                    out.push(Measurement::new(&bench, &metric, *mc));
+                }
+            }
+        }
+        eprintln!("  fig/{}: {} goal kinds", fig.id, table.rows().len());
+    }
+}
+
 /// The observability guard: the same deterministic in-process stream run
 /// with tracing **off**, **counters-only**, and with **full spans**, once
 /// each.
@@ -537,6 +566,7 @@ fn main() {
     shard_loop(scale, &mut measurements);
     serve_loop(scale, &mut measurements);
     train_warm(scale, &mut measurements);
+    figure_costs(scale, &mut measurements);
     // Last: it flips the global tracing level, and nothing after it may
     // record under the instrumented levels.
     obs_guard(scale, &mut measurements);

@@ -1,8 +1,9 @@
 //! # wisedb-bench
 //!
-//! What only this crate does: the report binary per data-bearing figure of
-//! the WiSeDB evaluation (§7, Figures 9–22; `cargo run -p wisedb-bench
-//! --release --bin figNN`), the `streaming` / `multitenant` / `scaling` /
+//! What only this crate does: the paper-figure registry ([`figures`]:
+//! §7's Figures 9–22 plus the feature ablation, run by one binary —
+//! `cargo run -p wisedb-bench --release --bin fig -- 9 13`), the
+//! `streaming` / `multitenant` / `scaling` /
 //! `loadgen` / `strategies` / `train_warm` reports and CI smokes with
 //! their in-run correctness and conservation asserts, and `regress`, which
 //! compares exact work counters against `BENCH_baseline.json`. Times
@@ -20,11 +21,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::io::Write as _;
+use wisedb_advisor::ModelConfig;
+use wisedb_core::Money;
 
-use wisedb_advisor::{ModelConfig, ModelGenerator};
-use wisedb_core::{GoalKind, Money, PerformanceGoal, WorkloadSpec};
-
+pub mod figures;
 pub mod multitenant;
 pub mod regress;
 pub mod scaling;
@@ -32,7 +32,7 @@ pub mod serve_load;
 pub mod table;
 pub mod trace_check;
 
-pub use table::Table;
+pub use table::{Cell, Table};
 
 /// Benchmark scale, from `WISEDB_SCALE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,27 +104,6 @@ impl Scale {
             Scale::Std | Scale::Paper => 5,
         }
     }
-}
-
-/// Trains one model per goal kind on `spec`, reporting progress.
-pub fn train_all_goals(
-    spec: &WorkloadSpec,
-    scale: Scale,
-) -> Vec<(GoalKind, PerformanceGoal, wisedb_advisor::DecisionModel)> {
-    GoalKind::ALL
-        .iter()
-        .map(|&kind| {
-            let goal = PerformanceGoal::paper_default(kind, spec)
-                .expect("catalog specs always admit defaults");
-            eprint!("  training {} model... ", kind.name());
-            std::io::stderr().flush().ok();
-            let model = ModelGenerator::new(spec.clone(), goal.clone(), scale.training())
-                .train()
-                .expect("training on catalog specs succeeds");
-            eprintln!("{:.2}s", model.stats().training_secs);
-            (kind, goal, model)
-        })
-        .collect()
 }
 
 /// `(x / reference − 1)` as a percentage; the "% above optimal" metric.
@@ -234,53 +213,6 @@ pub fn apply_search_overrides(config: &mut wisedb_search::SearchConfig) {
     if let Some(strategy) = strategy_override() {
         config.strategy = strategy;
     }
-}
-
-/// The optimal-schedule oracle used by the "vs Optimal" figures: the
-/// [`oracle_config`] solver (exact A* with a node budget unless
-/// overridden). Returns the cost and whether optimality was *proven*;
-/// unproven values are best-found upper bounds and are flagged in the
-/// reports.
-pub fn oracle_cost(
-    spec: &WorkloadSpec,
-    goal: &PerformanceGoal,
-    workload: &wisedb_core::Workload,
-) -> (Money, bool) {
-    let (cost, stats) = oracle_cost_detailed(spec, goal, workload);
-    (cost, stats.optimal)
-}
-
-/// Like [`oracle_cost`], also returning the full search counters (the
-/// suboptimality bound, incumbent improvements, prunes).
-pub fn oracle_cost_detailed(
-    spec: &WorkloadSpec,
-    goal: &PerformanceGoal,
-    workload: &wisedb_core::Workload,
-) -> (Money, wisedb_search::SearchStats) {
-    let result = wisedb_search::Solver::new(spec, goal)
-        .with_config(oracle_config())
-        .solve(workload)
-        .expect("oracle search on catalog specs succeeds");
-    (result.cost, result.stats)
-}
-
-/// Formats an oracle cost, starring unproven (upper-bound) values.
-pub fn oracle_note(proven: bool) -> &'static str {
-    if proven {
-        ""
-    } else {
-        "*"
-    }
-}
-
-/// Formats money in the paper's cents.
-pub fn cents(m: Money) -> String {
-    format!("{:.1}", m.as_cents())
-}
-
-/// Formats money in dollars.
-pub fn dollars(m: Money) -> String {
-    format!("{:.2}", m.as_dollars())
 }
 
 #[cfg(test)]

@@ -31,7 +31,5 @@ pub mod stats;
 
 pub use cluster::{execute, ExecutionTrace, QueryTrace, SimOptions, VmTrace};
 pub use generator::{sample_workloads, skewed_workload, uniform_workload, Arrivals};
-pub use live::{
-    ClusterSnapshot, Completion, LiveCluster, LiveOptions, OpenVmView, QueuedQuery, RecalledQuery,
-};
+pub use live::{Completion, LiveCluster, LiveOptions, OpenVmView, QueuedQuery, RecalledQuery};
 pub use noise::{perceive_workload, PerceivedWorkload};

@@ -102,30 +102,6 @@ pub struct Completion {
 
 pub use wisedb_core::OpenVmView;
 
-/// An immutable point-in-time view of the live cluster — everything the
-/// online planner consults, captured once and shareable across threads
-/// (`Arc<ClusterSnapshot>`) without locking the session.
-///
-/// The snapshot is a value, not a lease: mutating the cluster after
-/// [`LiveCluster::snapshot`] never changes an existing snapshot. (The
-/// runtime's per-tick epoch view needs only the fleet counter and the
-/// open VM, so it reads [`LiveCluster::open_vm`] and
-/// [`LiveCluster::vms_provisioned`] directly and skips the load scans.)
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterSnapshot {
-    /// The virtual clock at capture time.
-    pub now: Millis,
-    /// VMs ever provisioned (the planner's fleet counter).
-    pub vms_provisioned: usize,
-    /// VMs provisioned and not yet released.
-    pub vms_in_flight: usize,
-    /// Queries queued but not started, across all VMs.
-    pub pending: usize,
-    /// The open VM — index in provisioning order plus the planner's view
-    /// of it — if the most recently provisioned VM still accepts work.
-    pub open_vm: Option<(usize, OpenVmView)>,
-}
-
 /// One rented VM of the live session.
 #[derive(Debug, Clone)]
 struct LiveVm {
@@ -474,21 +450,6 @@ impl LiveCluster {
         ))
     }
 
-    /// Captures a read-only [`ClusterSnapshot`] of the session at the
-    /// current instant: clock, fleet counters, pending total, and the
-    /// open-VM view. O(open-VM queue length); borrows `&self` only, so
-    /// callers can wrap the result in an `Arc` and hand it to planner
-    /// threads while the session stays exclusively owned elsewhere.
-    pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot {
-            now: self.now,
-            vms_provisioned: self.vms_provisioned(),
-            vms_in_flight: self.vms_in_flight(),
-            pending: self.pending(),
-            open_vm: self.open_vm(),
-        }
-    }
-
     /// VMs provisioned and not yet released.
     pub fn vms_in_flight(&self) -> usize {
         self.vms.iter().filter(|vm| !vm.released).count()
@@ -755,33 +716,6 @@ mod tests {
         let attributed: Money = c.billed_by_class().iter().copied().sum();
         assert!(attributed.approx_eq(c.billed(), 1e-9));
         assert_eq!(c.billed_for(TenantId(9)), Money::ZERO);
-    }
-
-    #[test]
-    fn snapshot_is_immutable_and_matches_accessors() {
-        let mut c = cluster(3);
-        let v = c.provision_as(VmTypeId(0), TenantId(1)).unwrap();
-        c.enqueue_as(v, QueryId(0), TemplateId(0), TenantId(0))
-            .unwrap();
-        c.advance_to(Millis::from_millis(1));
-        c.enqueue_as(v, QueryId(1), TemplateId(1), TenantId(1))
-            .unwrap();
-
-        let snap = c.snapshot();
-        assert_eq!(snap.now, c.now());
-        assert_eq!(snap.vms_provisioned, c.vms_provisioned());
-        assert_eq!(snap.vms_in_flight, c.vms_in_flight());
-        assert_eq!(snap.pending, c.pending());
-        assert_eq!(snap.open_vm, c.open_vm());
-
-        // Mutating the session afterwards leaves the snapshot untouched —
-        // it is a value, not a lease on live state.
-        let frozen = snap.clone();
-        let w = c.provision(VmTypeId(0)).unwrap();
-        c.enqueue(w, QueryId(2), TemplateId(2)).unwrap();
-        c.advance_to(Millis::from_secs(5));
-        assert_eq!(snap, frozen);
-        assert_ne!(c.snapshot(), frozen, "the live view moved on");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Replays a stream of queries through the online scheduler under the four
 //! §6.3.1 optimization settings (None / Reuse / Shift / Shift+Reuse) and
-//! reports scheduling overhead and realized cost for each — Figure 19's
-//! experiment in miniature — plus an A*-planned run as the quality yardstick
+//! reports the model work each one pays (full retrains, cache hits,
+//! shift-derived models) and its realized cost — Figure 19's experiment
+//! in miniature — plus an A*-planned run as the quality yardstick
 //! (Figure 18's comparator).
 //!
 //! Run with: `cargo run --release --example online_scheduling`
@@ -37,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!(
-        "{:<14} {:>12} {:>10} {:>10} {:>8} {:>14}",
-        "variant", "overhead/q", "retrains", "cacheHits", "shifts", "cost"
+        "{:<14} {:>10} {:>10} {:>8} {:>14}",
+        "variant", "retrains", "cacheHits", "shifts", "cost"
     );
     let variants: [(&str, bool, bool); 4] = [
         ("None", false, false),
@@ -56,9 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut scheduler = OnlineScheduler::train(spec.clone(), goal.clone(), config)?;
         let report = scheduler.run(&stream)?;
         println!(
-            "{:<14} {:>10.0}ms {:>10} {:>10} {:>8} {:>14}",
+            "{:<14} {:>10} {:>10} {:>8} {:>14}",
             name,
-            report.mean_overhead_secs() * 1e3,
             report.retrains,
             report.cache_hits,
             report.shifts,
@@ -78,9 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let report = oracle.run(&stream)?;
     println!(
-        "{:<14} {:>10.0}ms {:>10} {:>10} {:>8} {:>14}",
+        "{:<14} {:>10} {:>10} {:>8} {:>14}",
         "A*-per-batch",
-        report.mean_overhead_secs() * 1e3,
         report.retrains,
         report.cache_hits,
         report.shifts,

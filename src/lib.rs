@@ -50,7 +50,7 @@
 //! cargo build --release          # all seven crates + this facade
 //! cargo test -q                  # tier-1: unit + integration + doc tests
 //! cargo run --release --example quickstart
-//! cargo run --release -p wisedb-bench --bin fig09      # paper figures
+//! cargo run --release -p wisedb-bench --bin fig -- 9   # paper figures
 //! cargo run --release -p wisedb-bench --bin streaming  # streaming runtime
 //! bash benchmark/run.sh          # the timing benchmark (BENCHMARK.json)
 //! ```
