@@ -35,10 +35,8 @@ use crate::online::{ArrivalPlan, ClusterView, OnlineConfig, OnlineScheduler, Pen
 pub struct MultiScheduler {
     spec: SpecHandle,
     classes: Vec<SlaClass>,
-    /// One scheduler per class, indexed by [`TenantId`]. A slot is `None`
-    /// only while its scheduler is [lent](MultiScheduler::lend) to a
-    /// planner thread.
-    schedulers: Vec<Option<OnlineScheduler>>,
+    /// One scheduler per class, indexed by [`TenantId`].
+    schedulers: Vec<OnlineScheduler>,
     config: OnlineConfig,
 }
 
@@ -54,9 +52,7 @@ impl MultiScheduler {
         validate_classes(&classes, &spec)?;
         let schedulers = classes
             .iter()
-            .map(|class| {
-                OnlineScheduler::train(spec.clone(), class.goal.clone(), config.clone()).map(Some)
-            })
+            .map(|class| OnlineScheduler::train(spec.clone(), class.goal.clone(), config.clone()))
             .collect::<CoreResult<Vec<_>>>()?;
         Ok(MultiScheduler {
             spec,
@@ -97,7 +93,7 @@ impl MultiScheduler {
         Ok(MultiScheduler {
             spec,
             classes,
-            schedulers: schedulers.into_iter().map(Some).collect(),
+            schedulers,
             config,
         })
     }
@@ -105,24 +101,6 @@ impl MultiScheduler {
     /// The shared workload specification.
     pub fn spec_handle(&self) -> &SpecHandle {
         &self.spec
-    }
-
-    /// Takes one class's scheduler out of the table so it can plan on
-    /// another thread; [`restore`](Self::restore) brings it home. While it
-    /// is out, the class reads as unknown to [`scheduler`](Self::scheduler)
-    /// and [`plan_arrivals`](Self::plan_arrivals), and so does a second
-    /// `lend`.
-    pub fn lend(&mut self, class: TenantId) -> CoreResult<OnlineScheduler> {
-        self.schedulers
-            .get_mut(class.index())
-            .and_then(Option::take)
-            .ok_or(CoreError::UnknownTenantClass { class })
-    }
-
-    /// Puts back the scheduler [`lend`](Self::lend) handed out for `class`,
-    /// caches and all.
-    pub fn restore(&mut self, class: TenantId, scheduler: OnlineScheduler) {
-        self.schedulers[class.index()] = Some(scheduler);
     }
 
     /// The configured SLA classes, indexed by [`TenantId`].
@@ -146,7 +124,6 @@ impl MultiScheduler {
     pub fn scheduler(&self, class: TenantId) -> CoreResult<&OnlineScheduler> {
         self.schedulers
             .get(class.index())
-            .and_then(Option::as_ref)
             .ok_or(CoreError::UnknownTenantClass { class })
     }
 
@@ -164,7 +141,6 @@ impl MultiScheduler {
         let scheduler = self
             .schedulers
             .get_mut(class.index())
-            .and_then(Option::as_mut)
             .ok_or(CoreError::UnknownTenantClass { class })?;
         scheduler.plan_arrivals(view, batch, now)
     }
@@ -197,11 +173,8 @@ impl MultiScheduler {
                 detail: format!("model goal differs from {class}'s SLA goal"),
             });
         }
-        self.schedulers[class.index()] = Some(OnlineScheduler::with_model(
-            model,
-            artifacts,
-            self.config.clone(),
-        ));
+        self.schedulers[class.index()] =
+            OnlineScheduler::with_model(model, artifacts, self.config.clone());
         Ok(())
     }
 }
@@ -343,42 +316,6 @@ mod tests {
                 .unwrap();
             assert_eq!(a.steps, b.steps);
         }
-    }
-
-    #[test]
-    fn lend_and_restore_round_trip_keeps_the_scheduler() {
-        let spec = spec();
-        let class_set = classes(&spec);
-        let mut multi = MultiScheduler::train(spec, class_set, tiny()).unwrap();
-        let view = ClusterView::default();
-        let batch = [PendingArrival {
-            id: QueryId(0),
-            template: TemplateId(0),
-            arrival: Millis::ZERO,
-        }];
-        let plan = |multi: &mut MultiScheduler| {
-            multi.plan_arrivals(TenantId(0), &view, &batch, Millis::ZERO)
-        };
-        let before = plan(&mut multi).unwrap();
-
-        // While the scheduler is out, its class reads as unknown — to
-        // readers, to planning, and to a second lend — and the other
-        // class is untouched.
-        let lent = multi.lend(TenantId(0)).unwrap();
-        assert!(multi.scheduler(TenantId(0)).is_err());
-        assert!(matches!(
-            plan(&mut multi),
-            Err(CoreError::UnknownTenantClass { .. })
-        ));
-        assert!(multi.lend(TenantId(0)).is_err());
-        assert!(multi.lend(TenantId(9)).is_err());
-        assert!(multi.scheduler(TenantId(1)).is_ok());
-
-        // It comes home with its trained base model and caches.
-        multi.restore(TenantId(0), lent);
-        let after = plan(&mut multi).unwrap();
-        assert_eq!(before.steps, after.steps);
-        assert!(!after.retrained, "the trained base model survived the trip");
     }
 
     #[test]

@@ -19,10 +19,6 @@
 //!   trace slices). The default `1` is the classic sequential replay;
 //!   concurrency reorders admission, so only the aggregate counts stay
 //!   exact.
-//! * `--shards N` — run the server's scheduler with `N` shards. Every
-//!   shard count coalesces a wakeup's backlog into one multi-class tick;
-//!   `1` plans it on the scheduler thread, `N > 1` on `N` shard worker
-//!   threads.
 //! * `--trace <path>` — record the replay with full `wisedb-obs` spans,
 //!   write a Chrome trace-event JSON to `path`, validate it by parsing
 //!   it back (see `wisedb_bench::trace_check`), and require the serve
@@ -114,8 +110,6 @@ fn validate_trace(path: &std::path::Path, report: &serve_load::LoadReport) {
 fn main() {
     let scale = Scale::from_env();
     let clients = usize_arg("clients", 1);
-    let shards = usize_arg("shards", 1);
-    let concurrent = clients > 1 || shards > 1;
     eprintln!(
         "loadgen: training the serve scenario service ({} requests)...",
         serve_load::requests(scale)
@@ -124,13 +118,9 @@ fn main() {
     // The collector installs after training: a `--trace` artifact covers
     // the serve replay itself, not model construction.
     let tracing = wisedb_bench::trace_collector_from_args();
-    let report = if concurrent {
-        eprintln!(
-            "loadgen: replaying the trace over {clients} loopback connections \
-             ({shards} scheduler shard{})...",
-            if shards == 1 { "" } else { "s" }
-        );
-        serve_load::run_concurrent(service, scale, clients, shards)
+    let report = if clients > 1 {
+        eprintln!("loadgen: replaying the trace over {clients} loopback connections...");
+        serve_load::run_concurrent(service, scale, clients)
     } else {
         eprintln!("loadgen: replaying the trace over loopback TCP...");
         serve_load::run(service, scale)

@@ -6,8 +6,8 @@
 //! bound), the percentile-pathology strategy guard (beam + anytime under a
 //! tight budget), batch scheduling, the streaming event loop, the
 //! multi-tenant consolidation loop (3 SLA classes, shared vs isolated
-//! fleets), the sharded-scheduler loop (2-shard eager-rebalance replay
-//! plus the 1-shard identity assert), the serve layer's wire loop
+//! fleets), the multi-class tick loop (a 3-class `run_ticked` replay),
+//! the serve layer's wire loop
 //! (loopback TCP, admit/shed verdicts), the warm-training guard (cold
 //! train vs warm retrain through the solve cache, zero-solve warm retrain
 //! asserted), the paper-figure costs that need no oracle (Fig 12's and
@@ -35,7 +35,7 @@ use wisedb::advisor::{OnlineConfig, OnlineScheduler};
 use wisedb::prelude::*;
 use wisedb::runtime::generate_stream;
 use wisedb_bench::figures::{self, Context};
-use wisedb_bench::regress::{diff, render_diff, BaselineFile, BenchReport, Measurement};
+use wisedb_bench::regress::{self, diff, render_diff, BaselineFile, BenchReport, Measurement};
 use wisedb_bench::{Cell, Scale};
 
 /// Appends one bench's `(metric, value)` counters to `out`.
@@ -289,60 +289,25 @@ fn multitenant_loop(scale: Scale, out: &mut Vec<Measurement>) {
     );
 }
 
-/// The sharded-scheduler loop: a 3-class trace replayed through a 2-shard
-/// [`wisedb_runtime::WorkloadService`] under an *eager* rebalance
-/// configuration (deterministic batch-size load signal, tight skew
-/// threshold), then through a 1-shard service for the identity check.
-/// Everything here is virtual-clocked and merge-ordered, so the decision,
-/// merge, and rebalance counters — and the final snapshot — are exact on
-/// every machine; a change that perturbs shard planning, the merge order,
-/// or the rebalancer fails the diff.
+/// The multi-class tick loop: a 3-class trace replayed through
+/// `run_ticked`, so most ticks are multi-group (admit → one epoch view →
+/// plan and merge in tick order). Everything is virtual-clocked and
+/// merge-ordered, so the decision, merge and epoch counters and the final
+/// snapshot are exact on every machine; a change that perturbs tick
+/// planning or the merge order fails the diff. (The `shard/` bench name
+/// predates the removal of the shard worker pool; it stays so the rows
+/// keep their baseline keys.)
 fn shard_loop(scale: Scale, out: &mut Vec<Measurement>) {
-    use wisedb_bench::scaling;
-    use wisedb_runtime::{LoadSignal, ShardConfig};
-
+    let classes = 3;
+    let queries = if scale == Scale::Quick { 300 } else { 600 };
+    let bench = format!("shard/{queries}x{classes}");
     let spec = wisedb::sim::catalog::tpch_like(10);
-    let cfg = scaling::ScalingConfig {
-        classes: 3,
-        queries: if scale == Scale::Quick { 300 } else { 600 },
-        tick_size: 16,
-        shard_counts: vec![1, 2],
-    };
-    let bench = format!("shard/{}x{}", cfg.queries, cfg.classes);
-    let class_set = scaling::classes(&spec, cfg.classes);
-    let trained = scaling::train_models(&spec, &class_set, scale);
-    let stream = scaling::trace(&cfg);
-
-    let eager = ShardConfig {
-        shards: 2,
-        rebalance_every: 4,
-        skew_threshold: 1.05,
-        signal: LoadSignal::BatchSize,
-    };
-    let mut sharded = scaling::build_service_with(&class_set, &trained, eager);
-    let report = sharded
-        .run_ticked(&stream, cfg.tick_size)
+    let mut service = regress::tick_service(&spec, classes, scale);
+    let report = service
+        .run_ticked(&regress::tick_trace(classes, queries), 16)
         .expect("the generated trace replays cleanly");
-    let stats = sharded.stats();
-    let snapshot = scaling::scrub(report.last);
-    let fingerprint = scaling::fingerprint(&report.completions);
-
-    // The 1-shard replay of the same trace must agree bit for bit — the
-    // determinism contract, asserted on every regress run.
-    let mut single = scaling::build_service(&class_set, &trained, 1);
-    let base = single
-        .run_ticked(&stream, cfg.tick_size)
-        .expect("the generated trace replays cleanly");
-    assert_eq!(
-        scaling::scrub(base.last),
-        snapshot,
-        "2-shard eager-rebalance replay diverged from the 1-shard snapshot"
-    );
-    assert_eq!(
-        scaling::fingerprint(&base.completions),
-        fingerprint,
-        "2-shard eager-rebalance replay diverged from the 1-shard completions"
-    );
+    let stats = service.stats();
+    let last = report.last;
 
     record(
         out,
@@ -351,14 +316,13 @@ fn shard_loop(scale: Scale, out: &mut Vec<Measurement>) {
             ("decisions", stats.decisions as f64),
             ("merged_plans", stats.merged_plans as f64),
             ("epochs", stats.epochs as f64),
-            ("rebalances", stats.rebalances as f64),
-            ("completed", snapshot.completed as f64),
-            ("vms_provisioned", snapshot.vms_provisioned as f64),
+            ("completed", last.completed as f64),
+            ("vms_provisioned", last.vms_provisioned as f64),
         ],
     );
     eprintln!(
-        "  {bench}: {} decisions, {} merges, {} rebalances, {} completed",
-        stats.decisions, stats.merged_plans, stats.rebalances, snapshot.completed
+        "  {bench}: {} decisions, {} merges, {} epochs, {} completed",
+        stats.decisions, stats.merged_plans, stats.epochs, last.completed
     );
 }
 

@@ -3,8 +3,8 @@
 //! What only this crate does: the paper-figure registry ([`figures`]:
 //! §7's Figures 9–22 plus the feature ablation, run by one binary —
 //! `cargo run -p wisedb-bench --release --bin fig -- 9 13`), the
-//! `streaming` / `multitenant` / `scaling` /
-//! `loadgen` / `strategies` / `train_warm` reports and CI smokes with
+//! `streaming` / `multitenant` / `loadgen` / `strategies` /
+//! `train_warm` reports and CI smokes with
 //! their in-run correctness and conservation asserts, and `regress`, which
 //! compares exact work counters against `BENCH_baseline.json`. Times
 //! printed here are reports, not measurements anything gates on: the
@@ -27,7 +27,6 @@ use wisedb_core::Money;
 pub mod figures;
 pub mod multitenant;
 pub mod regress;
-pub mod scaling;
 pub mod serve_load;
 pub mod table;
 pub mod trace_check;

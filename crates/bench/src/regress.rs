@@ -12,6 +12,11 @@
 //! repo's one timing instrument.
 
 use serde::{Deserialize, Serialize};
+use wisedb::prelude::*;
+use wisedb_advisor::MultiScheduler;
+use wisedb_core::ArrivingQuery;
+
+use crate::Scale;
 
 /// One recorded counter of one benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,6 +275,83 @@ pub fn render_diff(lines: &[DiffLine]) -> String {
     table.render()
 }
 
+/// The `shard/*` suite's service: `classes` SLA classes over `spec`
+/// (the cheap-to-train goal kinds cycled, priorities staggered), each
+/// with a base model trained once at `scale`. The one-hour age quantum
+/// (against ≤ 6-minute queries) collapses each tick's ageing patterns
+/// into Reuse hits, so the replay measures planning and placement, not
+/// retraining.
+pub fn tick_service(spec: &WorkloadSpec, classes: usize, scale: Scale) -> WorkloadService {
+    let kinds = [
+        GoalKind::MaxLatency,
+        GoalKind::PerQuery,
+        GoalKind::AverageLatency,
+    ];
+    let class_set: Vec<SlaClass> = (0..classes)
+        .map(|i| {
+            let kind = kinds[i % kinds.len()];
+            SlaClass::new(
+                format!("tenant-{i}"),
+                PerformanceGoal::paper_default(kind, spec).expect("defaults exist"),
+            )
+            .with_priority((classes - 1 - i) as u8)
+        })
+        .collect();
+    let online = OnlineConfig {
+        training: ModelConfig {
+            num_samples: 150,
+            sample_size: 9,
+            seed: 0xBE7C4,
+            ..ModelConfig::fast()
+        },
+        age_quantum: Millis::from_secs(3600),
+        ..OnlineConfig::default()
+    };
+    let schedulers: Vec<OnlineScheduler> = class_set
+        .iter()
+        .map(|class| {
+            let (model, artifacts) = wisedb_advisor::ModelGenerator::new(
+                spec.clone(),
+                class.goal.clone(),
+                scale.training().with_seed(0x5CA1E),
+            )
+            .train_with_artifacts()
+            .expect("training on catalog specs succeeds");
+            OnlineScheduler::with_model(model, artifacts, online.clone())
+        })
+        .collect();
+    let multi = MultiScheduler::with_schedulers(class_set, schedulers, online.clone())
+        .expect("class schedulers share the spec");
+    WorkloadService::with_multi(
+        multi,
+        RuntimeConfig {
+            online,
+            ..RuntimeConfig::default()
+        },
+    )
+}
+
+/// The `shard/*` suite's trace: one sparse Poisson sub-stream per class
+/// (queries run minutes, the gaps keep recall batches bounded), merged by
+/// arrival time, `queries` in all.
+pub fn tick_trace(classes: usize, queries: usize) -> Vec<ArrivingQuery> {
+    let streams = (0..classes)
+        .map(|c| {
+            let mut process = PoissonProcess::per_second(
+                1.0 / (250.0 + 25.0 * c as f64),
+                TemplateMix::uniform(10),
+            );
+            wisedb_runtime::generate_class_stream(
+                &mut process,
+                queries / classes,
+                0x5EED + c as u64,
+                TenantId(c as u32),
+            )
+        })
+        .collect();
+    wisedb_runtime::merge_streams(streams)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,5 +446,16 @@ mod tests {
         let text = render_diff(&diff(&base, &cur));
         assert!(text.contains("REGRESSION"));
         assert!(text.contains("+20.0"));
+    }
+
+    #[test]
+    fn tick_traces_are_seeded_and_class_tagged() {
+        let (a, b) = (tick_trace(3, 90), tick_trace(3, 90));
+        assert_eq!(a, b, "the trace is deterministic under its seeds");
+        assert_eq!(a.len(), 90);
+        for c in 0..3u32 {
+            assert!(a.iter().any(|q| q.class == TenantId(c)));
+        }
+        assert!(a.windows(2).all(|w| w[0].arrival <= w[1].arrival));
     }
 }

@@ -156,7 +156,7 @@ pub fn run(service: WorkloadService, scale: Scale) -> LoadReport {
 }
 
 /// Replays the trace over `clients` concurrent connections against a
-/// server with `shards` scheduler shards. The trace is dealt round-robin,
+/// default-configured server. The trace is dealt round-robin,
 /// so each client's slice keeps non-decreasing virtual arrival times; the
 /// live cluster clamps stale instants (`advance_to` never rewinds), so
 /// cross-client interleaving is safe — but it *does* change the admission
@@ -166,18 +166,9 @@ pub fn run(service: WorkloadService, scale: Scale) -> LoadReport {
 /// Each client runs lockstep (offer, await, next), so at most `clients`
 /// offers ever wait on the scheduler — far inside the default
 /// `queue_depth`, meaning no queue sheds pollute the counters.
-pub fn run_concurrent(
-    service: WorkloadService,
-    scale: Scale,
-    clients: usize,
-    shards: usize,
-) -> LoadReport {
+pub fn run_concurrent(service: WorkloadService, scale: Scale, clients: usize) -> LoadReport {
     let clients = clients.max(1);
-    let config = ServeConfig {
-        shards,
-        ..ServeConfig::default()
-    };
-    let handle = Server::spawn(service, config).expect("loopback bind succeeds");
+    let handle = Server::spawn(service, ServeConfig::default()).expect("loopback bind succeeds");
     let addr = handle.addr();
 
     let stream = trace(scale);

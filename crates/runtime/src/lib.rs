@@ -28,14 +28,12 @@
 //!   per-arrival expansion budget.
 //!   One engine serves both entry points: a same-class burst plans inline
 //!   against the live cluster, and a multi-class
-//!   [`offer_tick`](WorkloadService::offer_tick) admits every group, plans
-//!   them all against one epoch snapshot and merges in tick order.
-//! * [`shard`] — *where* a multi-class tick is planned, under
-//!   [`ShardConfig`]: on the calling thread with one shard (the default:
-//!   no worker thread, no channel), or fanned out to persistent shard
-//!   worker threads with more, a greedy EMA-driven rebalancer moving hot
-//!   classes between them. The serial tick-order merge keeps billing,
-//!   completions, and metrics bit-identical for any shard count.
+//!   [`offer_tick`](WorkloadService::offer_tick) admits every group, takes
+//!   one epoch view, and plans and merges each group against it in tick
+//!   order, all on the calling thread.
+//! * [`shard`] — the names `benchmark/` still uses from the sharding era
+//!   ([`ShardedService`], [`ShardConfig`], [`LoadSignal`], [`ShardStats`],
+//!   `into_sharded`), accepted and ignored.
 //!
 //! ## Quickstart
 //!
@@ -85,8 +83,10 @@ pub use arrivals::{
     DriftProcess, OnOffProcess, PoissonProcess, TemplateMix,
 };
 pub use metrics::MetricsCollector;
-pub use service::{OfferOutcome, RuntimeConfig, StreamReport, WorkloadService};
-pub use shard::{LoadSignal, ShardConfig, ShardLaneStats, ShardStats, ShardedService, TickGroup};
+pub use service::{
+    OfferOutcome, RuntimeConfig, StreamReport, TickGroup, TickStats, WorkloadService,
+};
+pub use shard::{LoadSignal, ShardConfig, ShardStats, ShardedService};
 
 /// One-stop imports for driving the streaming runtime.
 pub mod prelude {
@@ -96,7 +96,8 @@ pub mod prelude {
         DriftProcess, OnOffProcess, PoissonProcess, TemplateMix,
     };
     pub use crate::metrics::MetricsCollector;
-    pub use crate::service::{OfferOutcome, RuntimeConfig, StreamReport, WorkloadService};
-    pub use crate::shard::{LoadSignal, ShardConfig, ShardStats};
+    pub use crate::service::{
+        OfferOutcome, RuntimeConfig, StreamReport, TickStats, WorkloadService,
+    };
     pub use wisedb_core::{ClassMetrics, LatencySummary, MetricsSnapshot, SlaClass, TenantId};
 }

@@ -21,10 +21,9 @@
 //! ([`offer_batch_as`](WorkloadService::offer_batch_as), and so
 //! `offer_as` and every one-group tick) runs it inline against the live
 //! cluster. A multi-class tick ([`offer_tick`](WorkloadService::offer_tick))
-//! admits every group, plans them all against one epoch snapshot — on the
-//! calling thread with one shard, on the shard workers otherwise — and
-//! merges in tick order; see [`crate::shard`] for the layout and the
-//! determinism argument.
+//! admits every group in tick order, takes one epoch view of the cluster,
+//! and then plans each group against that view and merges its plan, again
+//! in tick order, all on the calling thread.
 //!
 //! A single-class service (what [`train`](WorkloadService::train) builds)
 //! degenerates to the original single-goal pipeline **bit-identically**:
@@ -55,7 +54,6 @@ use wisedb_sim::{Completion, LiveCluster, LiveOptions, RecalledQuery};
 use crate::admission::{AdmissionPolicy, LoadStatus};
 use crate::arrivals::ArrivalProcess;
 use crate::metrics::MetricsCollector;
-use crate::shard::{PlanTask, ShardConfig, ShardLayout, ShardStats, TickGroup};
 
 /// Configuration of a [`WorkloadService`].
 #[derive(Debug, Clone)]
@@ -107,15 +105,34 @@ pub struct StreamReport {
     pub completions: Vec<Completion>,
 }
 
+/// One class group of a scheduling tick: the class plus its arrivals
+/// (`(template, at)` pairs in non-decreasing `at` order; groups must also
+/// be tick-ordered by their first arrival).
+pub type TickGroup = (TenantId, Vec<(TemplateId, Millis)>);
+
+/// Counters of a service's scheduling ticks; see
+/// [`stats`](WorkloadService::stats). All four are deterministic for a
+/// fixed trace and tick structure.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TickStats {
+    /// Scheduling ticks processed (inline one-group calls count as
+    /// one-group ticks).
+    pub ticks: u64,
+    /// Epoch views taken: multi-group ticks that reached the plan phase.
+    pub epochs: u64,
+    /// Plan calls issued.
+    pub decisions: u64,
+    /// Plans validated and applied by the merge step.
+    pub merged_plans: u64,
+}
+
 /// A streaming online workload-management service over a virtual clock,
 /// scheduling one or more tenant SLA classes onto one shared fleet.
 pub struct WorkloadService {
-    /// The class table: every class's definition and scheduler. A
-    /// scheduler leaves it only for the plan phase of a multi-group tick.
+    /// The class table: every class's definition and scheduler.
     scheduler: MultiScheduler,
     core: ServiceCore,
-    /// Where multi-group ticks are planned.
-    pub(crate) shards: ShardLayout,
+    stats: TickStats,
 }
 
 /// Everything of the service *except* the planner: the live cluster, the
@@ -123,7 +140,7 @@ pub struct WorkloadService {
 /// offer pipeline (admit → prepare → view → settle: validate, then apply
 /// or roll back) those books drive. The inline burst and the multi-group
 /// tick walk the same stages; the tick just admits and prepares every
-/// group before it takes the view, and may plan on other threads.
+/// group before it takes the view.
 struct ServiceCore {
     cluster: LiveCluster,
     metrics: MetricsCollector,
@@ -145,6 +162,19 @@ struct Prepared {
     admitted: usize,
     /// The class's unstarted queries, recalled to be replanned.
     recalled: Vec<RecalledQuery>,
+}
+
+/// One group of a multi-group tick between admission and planning.
+struct Admitted {
+    /// Position of the group in the tick.
+    seq: usize,
+    class: TenantId,
+    outcomes: Vec<OfferOutcome>,
+    group: Prepared,
+    /// The newcomers plus the class's recalled pending work.
+    batch: Vec<PendingArrival>,
+    /// The last admitted instant of the group.
+    planned_at: Millis,
 }
 
 /// The open VM a plan was made against — its index and type — if any.
@@ -188,25 +218,15 @@ impl WorkloadService {
         Self::with_multi(multi, config)
     }
 
-    /// Opens a service around a pre-built multi-class scheduler, on the
-    /// default one-shard layout.
+    /// Opens a service around a pre-built multi-class scheduler.
     pub fn with_multi(scheduler: MultiScheduler, config: RuntimeConfig) -> Self {
         let spec: SpecHandle = scheduler.spec_handle().clone();
         let classes = scheduler.classes().to_vec();
         WorkloadService {
-            shards: ShardLayout::new(ShardConfig::default(), classes.len()),
             scheduler,
             core: ServiceCore::new(spec, classes, config),
+            stats: TickStats::default(),
         }
-    }
-
-    /// Re-lays the service out over `config`'s shards. The books (cluster,
-    /// metrics, ledgers) and every class scheduler stay untouched, so the
-    /// service continues the same session; the old layout's workers are
-    /// joined and the tick counters start over.
-    pub fn into_sharded(mut self, config: ShardConfig) -> WorkloadService {
-        self.shards = ShardLayout::new(config, self.scheduler.num_classes());
-        self
     }
 
     /// The workload specification in force.
@@ -239,14 +259,9 @@ impl WorkloadService {
         &self.core.cluster
     }
 
-    /// Aggregate tick counters: ticks, epochs, plan calls, merges,
-    /// rebalances, and per-shard lanes. `decisions` and `merged_plans`
-    /// are deterministic for a fixed trace and tick structure;
-    /// `rebalances` is too under [`LoadSignal::BatchSize`].
-    ///
-    /// [`LoadSignal::BatchSize`]: crate::LoadSignal::BatchSize
-    pub fn stats(&self) -> ShardStats {
-        self.shards.stats()
+    /// Aggregate tick counters: ticks, epochs, plan calls and merges.
+    pub fn stats(&self) -> TickStats {
+        self.stats.clone()
     }
 
     /// Hot-swaps one class's decision model — the background-retraining
@@ -298,9 +313,8 @@ impl WorkloadService {
     /// admitted newcomer into **one** `plan_arrivals` call instead of one
     /// per arrival: the request-batching path a network server takes when
     /// load outruns the scheduler thread (drain the queue, plan once).
-    /// With a single group there is nothing to fan out, so the class's
-    /// scheduler plans in place against the live cluster at every shard
-    /// count: no epoch snapshot, no channel round trip.
+    /// With a single group the class's scheduler plans in place against
+    /// the live cluster: no epoch view is counted.
     ///
     /// Each arrival still advances the clock and passes through admission
     /// individually (earlier newcomers of the same burst count toward the
@@ -328,34 +342,47 @@ impl WorkloadService {
         }
         let priority = self.check_group(class, arrivals)?;
 
-        self.shards.begin_tick();
+        self.stats.ticks += 1;
         let (outcomes, admitted) = self.core.admit_burst(class, priority, arrivals, 0);
-        let mut result = Ok(());
-        if let Some(&(_, planned_at)) = admitted.last() {
-            let (group, batch) = self.core.prepare_batch(class, &admitted);
-            let (view, open) = self.core.plan_view();
-            let started = Instant::now();
-            let mut plan_span = wisedb_obs::span("runtime.plan");
-            if plan_span.recording() {
-                plan_span.attr_u64("batch", batch.len() as u64);
-                plan_span.attr_u64("recalled", group.recalled.len() as u64);
-                plan_span.virt(planned_at);
-            }
-            let planned = self
-                .scheduler
-                .plan_arrivals(class, &view, &batch, planned_at);
-            drop(plan_span);
-            let secs = started.elapsed().as_secs_f64();
-            // Counted like any tick's plan call, so the stats and the
-            // rebalancer see workloads driven through offer_as/run_stream.
-            self.shards.record(&[(class, secs, arrivals.len())]);
-            result = self.core.settle(class, planned, secs, open, group);
-            if result.is_ok() {
-                self.shards.merged();
-            }
+        let Some(&(_, planned_at)) = admitted.last() else {
+            return Ok(outcomes);
+        };
+        let (group, batch) = self.core.prepare_batch(class, &admitted);
+        let (view, open) = self.core.plan_view();
+        self.plan_and_settle(class, &view, open, group, &batch, planned_at)
+            .map(|()| outcomes)
+    }
+
+    /// Plans one admitted group against `view` and books the plan: the
+    /// step both entry points share. Counts the plan call, and the merge
+    /// when the plan validated and applied.
+    fn plan_and_settle(
+        &mut self,
+        class: TenantId,
+        view: &ClusterView,
+        open: OpenVm,
+        group: Prepared,
+        batch: &[PendingArrival],
+        planned_at: Millis,
+    ) -> CoreResult<()> {
+        let started = Instant::now();
+        let mut plan_span = wisedb_obs::span("runtime.plan");
+        if plan_span.recording() {
+            plan_span.attr_u64("batch", batch.len() as u64);
+            plan_span.attr_u64("recalled", group.recalled.len() as u64);
+            plan_span.virt(planned_at);
         }
-        self.shards.maybe_rebalance(self.core.cluster.now());
-        result.map(|()| outcomes)
+        let planned = self.scheduler.plan_arrivals(class, view, batch, planned_at);
+        drop(plan_span);
+        let secs = started.elapsed().as_secs_f64();
+        self.stats.decisions += 1;
+        wisedb_obs::counter_add("wisedb_runtime_decisions_total", 1);
+        let settled = self.core.settle(class, planned, secs, open, group);
+        if settled.is_ok() {
+            self.stats.merged_plans += 1;
+            wisedb_obs::counter_add("wisedb_runtime_merged_plans_total", 1);
+        }
+        settled
     }
 
     /// A group's admission priority, or why the group cannot be offered:
@@ -368,22 +395,26 @@ impl WorkloadService {
         }
     }
 
-    /// Processes one scheduling tick: admit every group in tick order,
-    /// take one view of the cluster (the tick's *epoch*), plan all groups
-    /// against it — in parallel on the shard workers when there are any —
-    /// and merge the plans back in tick order. Returns one verdict list
-    /// per input group, aligned with `groups`; a group whose class is
-    /// unknown, whose template falls outside the class subset, or whose
-    /// plan fails gets an `Err` — other groups proceed (failed groups
-    /// roll back their recall, like a failed burst). A one-group tick is
-    /// [`offer_batch_as`](Self::offer_batch_as).
+    /// Processes one scheduling tick in three phases: admit every group
+    /// in tick order, take one view of the cluster (the tick's *epoch*),
+    /// then plan each group against that view and merge its plan, in tick
+    /// order. Returns one verdict list per input group, aligned with
+    /// `groups`; a group whose class is unknown, whose template falls
+    /// outside the class subset, or whose plan fails gets an `Err` — other
+    /// groups proceed (failed groups roll back their recall, like a failed
+    /// burst). A one-group tick is [`offer_batch_as`](Self::offer_batch_as).
+    ///
+    /// Every plan depends only on the epoch view, the group's batch and
+    /// its class's scheduler, none of which an earlier group's merge
+    /// touches, so the outputs are those of planning every group before
+    /// merging any.
     ///
     /// Groups should be tick-ordered (non-decreasing first-arrival
-    /// times). A class heads at most one planned group per tick — its
-    /// scheduler can be in one place only — so a second group of a class
-    /// that already admitted arrivals this tick gets an `Err`. The outer
-    /// error fires only on infrastructure failure (a dead worker), which
-    /// poisons the tick.
+    /// times). A class heads at most one planned group per tick: its
+    /// pending work was recalled into the first group's batch, so a
+    /// second group of a class that already admitted arrivals this tick
+    /// gets a [`CoreError::InconsistentPlan`]. The outer `CoreResult`
+    /// never fails; it stays because `benchmark/` unwraps it.
     #[allow(clippy::type_complexity)]
     pub fn offer_tick(
         &mut self,
@@ -395,21 +426,20 @@ impl WorkloadService {
         if groups.is_empty() {
             return Ok(Vec::new());
         }
-        self.shards.begin_tick();
+        self.stats.ticks += 1;
 
         // Phase 1 — admit serially in tick order. Newcomers admitted by
         // earlier groups are folded into later groups' admission signals,
         // mirroring how one serial burst's own earlier arrivals gate its
         // later ones. A group that needs no plan gets its result here;
-        // the rest wait in `prepared`/`tasks`.
+        // the rest wait in `planned`.
         let mut results: Vec<Option<CoreResult<Vec<OfferOutcome>>>> = Vec::new();
-        let mut prepared: Vec<(Vec<OfferOutcome>, Prepared)> = Vec::new();
-        let mut tasks: Vec<PlanTask> = Vec::new();
+        let mut planned: Vec<Admitted> = Vec::new();
         let mut carried = 0usize;
         for (seq, (class, arrivals)) in groups.iter().enumerate() {
             let class = *class;
             let checked = self.check_group(class, arrivals).and_then(|priority| {
-                if tasks.iter().any(|t| t.class == class) {
+                if planned.iter().any(|a| a.class == class) {
                     return Err(CoreError::InconsistentPlan {
                         detail: format!("{class} already has a planned group in this tick"),
                     });
@@ -430,47 +460,30 @@ impl WorkloadService {
             };
             carried += admitted.len();
             let (group, batch) = self.core.prepare_batch(class, &admitted);
-            tasks.push(PlanTask {
+            planned.push(Admitted {
                 seq,
                 class,
-                scheduler: self
-                    .scheduler
-                    .lend(class)
-                    .expect("each class is admitted at most once per tick"),
+                outcomes,
+                group,
                 batch,
                 planned_at,
-                planned: None,
             });
-            prepared.push((outcomes, group));
             results.push(None);
         }
 
-        if !tasks.is_empty() {
-            // Phase 2 — one epoch view, planned wherever the layout says.
-            let (view, open) = self.core.plan_view();
-            let planned = self.shards.plan(view, tasks)?;
-
-            // Phase 3 — merge in tick order: validate + apply each plan
-            // against the live cluster; assignments before a plan's first
+        if !planned.is_empty() {
+            // Phase 2 — one epoch view. Assignments before a plan's first
             // provision target the epoch's open VM.
-            let mut merge_span = wisedb_obs::span("shard.merge");
-            if merge_span.recording() {
-                merge_span.attr_u64("epoch", self.shards.epoch());
-                merge_span.attr_u64("plans", planned.len() as u64);
-                merge_span.virt(self.core.cluster.now());
-            }
-            for (task, (outcomes, group)) in planned.into_iter().zip(prepared) {
-                self.scheduler.restore(task.class, task.scheduler);
-                let (plan, secs) = task.planned.expect("plan() plans every task");
-                let settled = self.core.settle(task.class, plan, secs, open, group);
-                if settled.is_ok() {
-                    self.shards.merged();
-                }
-                results[task.seq] = Some(settled.map(|()| outcomes));
+            let (view, open) = self.core.plan_view();
+            self.stats.epochs += 1;
+            // Phase 3 — plan against the epoch and merge, in tick order.
+            for a in planned {
+                let settled =
+                    self.plan_and_settle(a.class, &view, open, a.group, &a.batch, a.planned_at);
+                results[a.seq] = Some(settled.map(|()| a.outcomes));
             }
         }
 
-        self.shards.maybe_rebalance(self.core.cluster.now());
         Ok(results
             .into_iter()
             .map(|r| r.expect("every group settled"))

@@ -44,7 +44,7 @@ use std::time::Duration;
 use threadpool::ThreadPool;
 use wisedb_advisor::{DecisionModel, ModelGenerator, TrainingArtifacts};
 use wisedb_core::TenantId;
-use wisedb_runtime::{OfferOutcome, ShardConfig, WorkloadService};
+use wisedb_runtime::{OfferOutcome, WorkloadService};
 
 use crate::batch::{coalesce, drain, Command, OfferEntry, Work};
 use crate::error::ServeError;
@@ -63,13 +63,10 @@ pub struct ServeConfig {
     /// Read-timeout tick on accepted connections: how often an idle
     /// worker re-checks the shutdown flag.
     pub poll_interval: Duration,
-    /// Scheduler shards, applied to the service with
-    /// [`WorkloadService::into_sharded`]. Every wakeup coalesces its
-    /// multi-class backlog into one scheduling tick; `1` (the default)
-    /// plans the tick's class groups on the scheduler thread itself (no
-    /// further threads), `> 1` plans them in parallel on that many shard
-    /// worker threads. Outputs are bit-identical either way (see
-    /// `wisedb_runtime::shard`).
+    /// Read by nothing: every wakeup coalesces its multi-class backlog
+    /// into one scheduling tick planned on the scheduler thread itself.
+    /// Accepted and ignored; kept only because `benchmark/` names it;
+    /// ROADMAP 3(c) deletes it in a benchmark PR.
     pub shards: usize,
     /// Command-queue depth for offers (`0` = unbounded). When more than
     /// this many offers are already waiting on the scheduler, new ones
@@ -159,7 +156,6 @@ impl Server {
         // and recv() could never disconnect at shutdown.
         let (swap_tx, swap_rx) = channel::<FinishedSwap>();
 
-        let service = service.into_sharded(ShardConfig::with_shards(config.shards));
         let scheduler = {
             let gate = Arc::clone(&gate);
             thread::Builder::new()
@@ -607,8 +603,8 @@ fn handle_tick(service: &mut WorkloadService, tick: Vec<(TenantId, Vec<OfferEntr
         }
         service.offer_tick(&groups)
     };
-    // Infrastructure failure (a dead shard worker): every group of the
-    // tick fails with the same typed reason.
+    // `offer_tick`'s outer error never fires; were it to, every group of
+    // the tick would fail with the same typed reason.
     let results = planned.unwrap_or_else(|err| vec![Err(err); valid.len()]);
     for ((_, entries), result) in valid.into_iter().zip(results) {
         match result {
@@ -711,17 +707,9 @@ mod tests {
     use super::*;
     use wisedb_advisor::ModelConfig;
     use wisedb_core::{
-        GoalKind, MetricsSnapshot, Millis, PerformanceGoal, SlaClass, TemplateId, VmType,
-        WorkloadSpec,
+        GoalKind, Millis, PerformanceGoal, SlaClass, TemplateId, VmType, WorkloadSpec,
     };
     use wisedb_runtime::RuntimeConfig;
-
-    /// Wall-clock decision latency is the one nondeterministic field.
-    fn scrub(mut s: MetricsSnapshot) -> MetricsSnapshot {
-        s.mean_decision_secs = 0.0;
-        s.p95_decision_secs = 0.0;
-        s
-    }
 
     /// A backlog interleaving three classes, a `Metrics` barrier in the
     /// middle: two multi-group ticks around one control command.
@@ -747,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn a_scripted_backlog_is_answered_identically_at_one_and_two_shards() {
+    fn a_scripted_backlog_is_answered_as_two_ticks_around_a_barrier() {
         let spec = WorkloadSpec::single_vm(
             vec![("T1", Millis::from_mins(2)), ("T2", Millis::from_mins(1))],
             VmType::t2_medium(),
@@ -770,44 +758,23 @@ mod tests {
             seed: 3,
             ..ModelConfig::fast()
         };
-        // Training is deterministic, so both services plan on equal models.
         let (swap_tx, _swap_rx) = channel();
-        let run = |shards: usize| {
-            let mut service =
-                WorkloadService::train_classes(spec.clone(), classes.clone(), config.clone())
-                    .unwrap()
-                    .into_sharded(ShardConfig::with_shards(shards));
-            let (backlog, replies) = scripted_backlog();
-            assert_eq!(execute(&mut service, backlog, &swap_tx), 3);
-            let replies: Vec<Response> = replies
-                .iter()
-                .map(
-                    |rx| match rx.try_recv().expect("every command is answered") {
-                        Response::Metrics(snapshot) => Response::Metrics(scrub(snapshot)),
-                        other => other,
-                    },
-                )
-                .collect();
-            service.drain();
-            (replies, service)
-        };
-        let (one_replies, one) = run(1);
-        let (two_replies, two) = run(2);
+        let mut service = WorkloadService::train_classes(spec, classes, config).unwrap();
+        let (backlog, replies) = scripted_backlog();
+        assert_eq!(execute(&mut service, backlog, &swap_tx), 3);
+        let replies: Vec<Response> = replies
+            .iter()
+            .map(|rx| rx.try_recv().expect("every command is answered"))
+            .collect();
+        service.drain();
 
-        assert_eq!(one_replies.len(), 14);
-        assert!(matches!(one_replies[7], Response::Metrics(ref m) if m.admitted == 7));
-        assert_eq!(one_replies, two_replies);
-        assert_eq!(one.completions(), two.completions());
-        assert_eq!(scrub(one.snapshot()), scrub(two.snapshot()));
-        assert_eq!(one.snapshot().completed, 13);
-
-        // Same two multi-group ticks either way; only the 2-shard service
-        // has shard lanes beyond the scheduler thread's own.
-        let (one, two) = (one.stats(), two.stats());
-        assert_eq!((one.ticks, one.epochs, one.decisions), (2, 2, 6));
-        assert_eq!((two.ticks, two.epochs, two.decisions), (2, 2, 6));
-        assert_eq!(one.per_shard.len(), 1);
-        assert_eq!(two.per_shard.len(), 2);
+        assert_eq!(replies.len(), 14);
+        // The barrier sees exactly the first tick's seven offers.
+        assert!(matches!(replies[7], Response::Metrics(ref m) if m.admitted == 7));
+        assert_eq!(service.snapshot().completed, 13);
+        // Each side of the barrier is one multi-group tick of three classes.
+        let stats = service.stats();
+        assert_eq!((stats.ticks, stats.epochs, stats.decisions), (2, 2, 6));
     }
 
     #[test]

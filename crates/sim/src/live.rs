@@ -126,6 +126,10 @@ pub struct LiveCluster {
     spec: SpecHandle,
     options: LiveOptions,
     vms: Vec<LiveVm>,
+    /// Indices of the VMs not yet released, ascending. A released VM holds
+    /// no work and takes none, so every per-step pass walks only these:
+    /// the fleet ever rented grows with the session, the live one does not.
+    live: Vec<usize>,
     now: Millis,
     noise: Option<(Gaussian, StdRng)>,
     /// Queries that have started executing but whose finish lies beyond
@@ -156,6 +160,7 @@ impl LiveCluster {
             spec: spec.into(),
             options,
             vms: Vec::new(),
+            live: Vec::new(),
             now: Millis::ZERO,
             noise,
             executing: Vec::new(),
@@ -213,6 +218,7 @@ impl LiveCluster {
             pending: Vec::new(),
             released: false,
         });
+        self.live.push(self.vms.len() - 1);
         wisedb_obs::counter_add("wisedb_cluster_vms_provisioned_total", 1);
         wisedb_obs::instant("cluster.provision")
             .virt(self.now)
@@ -275,8 +281,8 @@ impl LiveCluster {
     /// fails can restore the previous assignment.
     pub fn recall_pending(&mut self) -> Vec<RecalledQuery> {
         let mut out = Vec::new();
-        for (vm_index, vm) in self.vms.iter_mut().enumerate() {
-            for q in vm.pending.drain(..) {
+        for &vm_index in &self.live {
+            for q in self.vms[vm_index].pending.drain(..) {
                 out.push(RecalledQuery {
                     vm_index,
                     query: q.query,
@@ -295,7 +301,8 @@ impl LiveCluster {
     /// [`recall_pending`](Self::recall_pending).
     pub fn recall_pending_of(&mut self, class: TenantId) -> Vec<RecalledQuery> {
         let mut out = Vec::new();
-        for (vm_index, vm) in self.vms.iter_mut().enumerate() {
+        for &vm_index in &self.live {
+            let vm = &mut self.vms[vm_index];
             let mut kept = Vec::with_capacity(vm.pending.len());
             for q in vm.pending.drain(..) {
                 if q.class == class {
@@ -337,7 +344,8 @@ impl LiveCluster {
         let now = now.max(self.now);
         self.now = now;
         let mut by_class = std::mem::take(&mut self.billed_by_class);
-        for (v, vm) in self.vms.iter_mut().enumerate() {
+        for &v in &self.live {
+            let vm = &mut self.vms[v];
             vm.running.retain(|&(_, finish)| finish > now);
             let mut started = 0;
             for q in &vm.pending {
@@ -389,6 +397,7 @@ impl LiveCluster {
             }
         }
         self.billed_by_class = by_class;
+        self.live.retain(|&v| !self.vms[v].released);
         let mut completions: Vec<Completion> = Vec::new();
         self.executing.retain(|c| {
             if c.finish <= now {
@@ -452,7 +461,7 @@ impl LiveCluster {
 
     /// VMs provisioned and not yet released.
     pub fn vms_in_flight(&self) -> usize {
-        self.vms.iter().filter(|vm| !vm.released).count()
+        self.live.len()
     }
 
     /// VMs ever provisioned.
@@ -467,14 +476,14 @@ impl LiveCluster {
 
     /// Queries queued but not started, across all VMs.
     pub fn pending(&self) -> usize {
-        self.vms.iter().map(|vm| vm.pending.len()).sum()
+        self.live.iter().map(|&v| self.vms[v].pending.len()).sum()
     }
 
     /// Queries of one SLA class queued but not started, across all VMs.
     pub fn pending_of(&self, class: TenantId) -> usize {
-        self.vms
+        self.live
             .iter()
-            .flat_map(|vm| &vm.pending)
+            .flat_map(|&v| &self.vms[v].pending)
             .filter(|q| q.class == class)
             .count()
     }

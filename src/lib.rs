@@ -137,8 +137,8 @@ pub mod prelude {
     };
     pub use wisedb_runtime::{
         generate_class_stream, merge_streams, AdmissionPolicy, ArrivalProcess, DiurnalProcess,
-        DriftProcess, OnOffProcess, PoissonProcess, RuntimeConfig, ShardConfig, StreamReport,
-        TemplateMix, WorkloadService,
+        DriftProcess, OnOffProcess, PoissonProcess, RuntimeConfig, StreamReport, TemplateMix,
+        WorkloadService,
     };
     pub use wisedb_search::strategy::{OptimalSchedule, SearchConfig, SearchStrategy, Solver};
     pub use wisedb_serve::{Client, ServeConfig, Server, ServerHandle};

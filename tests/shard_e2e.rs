@@ -1,29 +1,19 @@
-//! Scheduler sharding, end to end (tier 1).
+//! Multi-class ticks and the serve path around them, end to end (tier 1).
 //!
-//! Four guarantees the one engine must keep at every shard count:
+//! Three guarantees the one engine must keep:
 //!
-//! 1. **Per-arrival replay is shard-blind, for every goal kind.** A
-//!    stream offered one arrival at a time places, times, bills, and
-//!    accounts every query identically at 1 and 3 shards, and never
-//!    takes an epoch snapshot: one-group ticks are planned inline.
-//! 2. **Shard count is invisible.** Multi-class ticks plan on the calling
-//!    thread at one shard and fan out to worker threads at more, but the
-//!    merge applies plans in tick order, so completions and metrics are
-//!    identical across any shard count.
-//! 3. **Rebalancing moves classes, not outcomes.** An eager rebalancer
-//!    (deterministic batch-size signal) must fire without perturbing any
-//!    per-class metric row, and the rows keep partitioning the fleet
-//!    totals.
-//! 4. **The wire keeps all of it.** A 2-shard server replays a lockstep
-//!    trace verdict-for-verdict like the in-process 1-shard service,
-//!    and a tiny command-queue depth converts overflow into typed `Shed`
-//!    frames — every concurrent request gets exactly one answer, never a
-//!    dropped connection.
+//! 1. **Per-class rows partition the fleet.** Under multi-group ticks
+//!    (admit → one epoch view → plan and merge in tick order) the
+//!    per-class metric rows sum to the fleet totals.
+//! 2. **The wire keeps the verdicts.** A server replays a lockstep trace
+//!    verdict-for-verdict like the in-process service.
+//! 3. **Overflow is shed, not dropped.** A tiny command-queue depth
+//!    converts overflow into typed `Shed` frames — every concurrent
+//!    request gets exactly one answer, never a dropped connection.
 
 use wisedb::prelude::*;
-use wisedb::runtime::{generate_class_stream, generate_stream, OfferOutcome};
+use wisedb::runtime::{generate_class_stream, OfferOutcome};
 use wisedb_core::ArrivingQuery;
-use wisedb_runtime::{LoadSignal, ShardConfig};
 use wisedb_serve::{Client, ServeConfig, Server};
 
 fn spec() -> WorkloadSpec {
@@ -92,121 +82,20 @@ fn scrub(mut snapshot: MetricsSnapshot) -> MetricsSnapshot {
     snapshot
 }
 
-/// Guarantee 1: for every goal kind — including the percentile goal,
-/// whose model is the heaviest — per-arrival replay of the same
-/// fixed-seed trace is bit-identical at 1 and 3 shards, and neither pays
-/// a fan-out epoch doing it.
+/// Guarantee 1: class-disjoint traffic replayed in ticks of four, so
+/// most ticks carry several classes, keeps every per-class row summing
+/// to the fleet totals.
 #[test]
-fn one_shard_replay_is_bit_identical_to_unsharded_for_every_goal_kind() {
-    let spec = spec();
-    let mut process = PoissonProcess::per_second(0.02, TemplateMix::uniform(spec.num_templates()));
-    let stream = generate_stream(&mut process, 14, 0x5EA2D);
-
-    for kind in GoalKind::ALL {
-        let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
-        let run = |shards: usize| {
-            let mut svc = WorkloadService::train(spec.clone(), goal.clone(), config())
-                .unwrap()
-                .into_sharded(ShardConfig::with_shards(shards));
-            let report = svc.run_stream(&stream).unwrap();
-            (report, svc.stats())
-        };
-        let (one, one_stats) = run(1);
-        let (three, three_stats) = run(3);
-
-        assert_eq!(
-            three.completions,
-            one.completions,
-            "{}: 3 shards changed a placement or finish time",
-            kind.name()
-        );
-        assert_eq!(
-            scrub(three.last),
-            scrub(one.last),
-            "{}: 3 shards changed the metrics",
-            kind.name()
-        );
-        // One-group ticks are planned inline against the live cluster:
-        // no snapshot epoch, no worker round trip.
-        for stats in [one_stats, three_stats] {
-            assert_eq!(stats.epochs, 0, "{}", kind.name());
-            assert_eq!(stats.decisions, 14, "{}", kind.name());
-            assert_eq!(stats.decisions, stats.merged_plans, "{}", kind.name());
-        }
-    }
-}
-
-/// Guarantee 2: the same class-disjoint traffic replayed through 1, 2,
-/// and 3 shards — with multi-group ticks forcing the epoch-snapshot
-/// pipeline — produces identical completions and identical per-class
-/// metric rows. The merge order, not the shard layout, decides outputs.
-#[test]
-fn ticked_replay_is_deterministic_across_shard_counts() {
+fn multi_group_ticks_preserve_per_class_metric_sums() {
     let spec = spec();
     let stream = tagged_stream(&spec, 10);
-    let run = |shards: usize| {
-        let mut svc = WorkloadService::train_classes(spec.clone(), three_classes(&spec), config())
-            .unwrap()
-            .into_sharded(ShardConfig::with_shards(shards));
-        let report = svc.run_ticked(&stream, 4).unwrap();
-        (report, svc.stats())
-    };
-    let (base, base_stats) = run(1);
-    assert_eq!(base.last.completed, 30);
-    assert!(base_stats.epochs > 0, "multi-group ticks must snapshot");
-    for shards in [2, 3] {
-        let (report, stats) = run(shards);
-        assert_eq!(
-            report.completions, base.completions,
-            "{shards} shards changed the schedule"
-        );
-        assert_eq!(
-            scrub(report.last.clone()),
-            scrub(base.last.clone()),
-            "{shards} shards changed the metrics"
-        );
-        assert_eq!(report.last.classes, base.last.classes);
-        // Same plans, same work — only the lanes differ.
-        assert_eq!(stats.decisions, base_stats.decisions);
-        assert_eq!(stats.merged_plans, base_stats.merged_plans);
-        assert_eq!(stats.epochs, base_stats.epochs);
-    }
-}
+    let mut svc =
+        WorkloadService::train_classes(spec.clone(), three_classes(&spec), config()).unwrap();
+    let report = svc.run_ticked(&stream, 4).unwrap();
+    assert!(svc.stats().epochs > 0, "multi-group ticks take epoch views");
 
-/// Guarantee 3: an eager rebalancer (deterministic batch-size load
-/// signal, hair-trigger skew threshold) actually fires — and every
-/// per-class metric row is still identical to the run with rebalancing
-/// disabled, with the rows partitioning the fleet totals.
-#[test]
-fn rebalancing_preserves_per_class_metric_sums() {
-    let spec = spec();
-    let stream = tagged_stream(&spec, 10);
-    let run = |rebalance_every: u64| {
-        let mut svc = WorkloadService::train_classes(spec.clone(), three_classes(&spec), config())
-            .unwrap()
-            .into_sharded(ShardConfig {
-                shards: 2,
-                rebalance_every,
-                skew_threshold: 1.01,
-                signal: LoadSignal::BatchSize,
-            });
-        let report = svc.run_ticked(&stream, 4).unwrap();
-        (report, svc.stats())
-    };
-    let (pinned, pinned_stats) = run(0);
-    let (moved, moved_stats) = run(2);
-    assert_eq!(pinned_stats.rebalances, 0);
-    assert!(
-        moved_stats.rebalances > 0,
-        "the eager configuration must actually move a class"
-    );
-
-    assert_eq!(moved.completions, pinned.completions);
-    assert_eq!(scrub(moved.last.clone()), scrub(pinned.last.clone()));
-    assert_eq!(moved.last.classes, pinned.last.classes);
-
-    // The rows still partition the fleet totals after classes moved.
-    let last = &moved.last;
+    let last = &report.last;
+    assert_eq!(last.completed, 30);
     assert_eq!(last.classes.len(), 3);
     let sum = |f: &dyn Fn(&ClassMetrics) -> u64| last.classes.iter().map(|c| f(c)).sum::<u64>();
     assert_eq!(sum(&|c| c.completed), last.completed);
@@ -219,10 +108,10 @@ fn rebalancing_preserves_per_class_metric_sums() {
     assert!(penalty.approx_eq(last.penalty, 1e-9));
 }
 
-/// Guarantee 4a: a 2-shard server replays a lockstep trace with the
-/// same verdict per arrival and the same final metrics as the in-process
-/// 1-shard service — each lockstep offer is a one-group tick, planned
-/// inline on both sides of the wire.
+/// Guarantee 2: a server replays a lockstep trace with the same verdict
+/// per arrival and the same final metrics as the in-process service —
+/// each lockstep offer is a one-group tick, planned inline on both sides
+/// of the wire.
 #[test]
 fn sharded_server_matches_in_process_unsharded_replay() {
     let spec = spec();
@@ -242,14 +131,7 @@ fn sharded_server_matches_in_process_unsharded_replay() {
 
     let served =
         WorkloadService::train_classes(spec.clone(), three_classes(&spec), config()).unwrap();
-    let handle = Server::spawn(
-        served,
-        ServeConfig {
-            shards: 2,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let handle = Server::spawn(served, ServeConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     let wire_outcomes: Vec<OfferOutcome> = stream
         .iter()
@@ -264,7 +146,7 @@ fn sharded_server_matches_in_process_unsharded_replay() {
     assert_eq!(scrub(snapshot), scrub(local.snapshot()));
 }
 
-/// Guarantee 4b: with the command queue bounded to a single slot, a
+/// Guarantee 3: with the command queue bounded to a single slot, a
 /// concurrent burst from several connections still gets exactly one
 /// answer per request — `Admitted` or a typed `Shed`, never a hang or a
 /// dropped connection — and the server keeps serving afterwards. The
@@ -278,7 +160,6 @@ fn tiny_queue_depth_sheds_overflow_without_dropping_requests() {
     let handle = Server::spawn(
         service,
         ServeConfig {
-            shards: 2,
             queue_depth: 1,
             ..ServeConfig::default()
         },
