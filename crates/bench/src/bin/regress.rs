@@ -11,7 +11,8 @@
 //! (loopback TCP, admit/shed verdicts), the warm-training guard (cold
 //! train vs warm retrain through the solve cache, zero-solve warm retrain
 //! asserted), the paper-figure costs that need no oracle (Fig 12's and
-//! Fig 13's typed cells, in milli-cents) and the observability guard (the
+//! Fig 13's typed cells, in milli-cents), the shape and hash of each goal
+//! kind's default tree, and the observability guard (the
 //! same stream at every tracing level: identical outcomes asserted, trace
 //! shape recorded) —
 //! writes `BENCH_current.json`, and diffs it against the committed
@@ -408,10 +409,9 @@ fn train_warm(scale: Scale, out: &mut Vec<Measurement>) {
 /// figure and goal kind. Costs are a pure function of the seed, so a
 /// decision change fails the diff and has to state its price. The oracle
 /// cells are left out: Fig 9 alone spends about a minute in the oracle.
-fn figure_costs(scale: Scale, out: &mut Vec<Measurement>) {
-    let mut ctx = Context::new(scale, false);
+fn figure_costs(ctx: &mut Context, out: &mut Vec<Measurement>) {
     for fig in figures::select(&["12".into(), "13".into()]).expect("registered ids") {
-        let table = (fig.run)(&mut ctx);
+        let table = (fig.run)(ctx);
         for row in table.rows() {
             let Some(Cell::Text(label)) = row.first() else {
                 continue;
@@ -425,6 +425,31 @@ fn figure_costs(scale: Scale, out: &mut Vec<Measurement>) {
             }
         }
         eprintln!("  fig/{}: {} goal kinds", fig.id, table.rows().len());
+    }
+}
+
+/// The learner's output, pinned: each goal kind's default tree (the models
+/// [`figure_costs`] already trained) as node, leaf and depth counts plus
+/// `fp32`, a 32-bit FNV-1a hash of its serialized form. The hash covers
+/// every threshold bit for bit, so a learner change that alters any split
+/// fails the diff even where no downstream cost moves.
+fn tree_shapes(ctx: &mut Context, out: &mut Vec<Measurement>) {
+    for kind in GoalKind::ALL {
+        let tree = ctx.default_tree(kind);
+        let json = serde_json::to_string(&tree).expect("trees serialize");
+        let fp32 = regress::fnv1a32(json.as_bytes());
+        let bench = format!("learn/{}", kind.name());
+        record(
+            out,
+            &bench,
+            &[
+                ("nodes", tree.num_nodes() as f64),
+                ("leaves", tree.num_leaves() as f64),
+                ("depth", tree.depth() as f64),
+                ("fp32", f64::from(fp32)),
+            ],
+        );
+        eprintln!("  {bench}: {} nodes, fp32 {fp32:08x}", tree.num_nodes());
     }
 }
 
@@ -530,7 +555,9 @@ fn main() {
     shard_loop(scale, &mut measurements);
     serve_loop(scale, &mut measurements);
     train_warm(scale, &mut measurements);
-    figure_costs(scale, &mut measurements);
+    let mut ctx = Context::new(scale, false);
+    figure_costs(&mut ctx, &mut measurements);
+    tree_shapes(&mut ctx, &mut measurements);
     // Last: it flips the global tracing level, and nothing after it may
     // record under the instrumented levels.
     obs_guard(scale, &mut measurements);

@@ -95,7 +95,7 @@ fn main() {
         let workload = wisedb::sim::generator::uniform_workload(&spec, PATHOLOGY_QUERIES, 42);
 
         let mut table = Table::new(
-            &format!(
+            format!(
                 "Search strategies, {} goal, {PATHOLOGY_QUERIES}q / 10 templates",
                 kind.name()
             ),

@@ -173,7 +173,7 @@ fn main() {
         for &r in rates {
             let mut process = PoissonProcess::per_second(r, mix.clone());
             // Same seeded stream per (goal, rate) — comparable across goals.
-            let stream = generate_stream(&mut process, sweep_n, 0x5EED_57 + (r * 8.0) as u64);
+            let stream = generate_stream(&mut process, sweep_n, 0x005E_ED57 + (r * 8.0) as u64);
             let mut svc = service(model, artifacts);
             let report = svc.run_stream(&stream).expect("streams run");
             let m = &report.last;

@@ -1,10 +1,12 @@
-//! Warm-retrain bench: cold training vs [`ModelGenerator::retrain_from`].
+//! Warm-retrain check: cold training vs [`ModelGenerator::retrain_from`].
 //!
-//! Training cost is dominated by the per-sample A* solves. The solve
-//! cache canonicalizes every sample to its template multiset and memoizes
-//! the solve, so a retrain whose sample mix overlaps a previous run's —
-//! the drift loop's steady state — skips the overlapping searches
-//! entirely. This binary measures that end to end, per goal kind:
+//! A cold train runs one A* solve per distinct sample. The solve cache
+//! canonicalizes every sample to its template multiset and memoizes the
+//! solve, so a retrain whose sample mix overlaps a previous run's — the
+//! drift loop's steady state — skips the overlapping searches entirely,
+//! and an identical-config warm retrain is all feature extraction and
+//! tree induction. This binary reports the work of each path per goal
+//! kind (solves, dedup hits, dataset rows, tree nodes):
 //!
 //! 1. **cold** — a fresh `train_with_artifacts` (empty cache).
 //! 2. **warm identical** — `retrain_from` with the same seed: zero A*
@@ -19,10 +21,8 @@
 //!
 //! `--smoke` exits non-zero unless every goal kind's identical-seed warm
 //! retrain performed **zero** solves and reproduced the cold model bit
-//! for bit. Wall-clock speedups are reported but never gated — they
-//! regenerate EXPERIMENTS.md's warm-retrain table.
-
-use std::time::Instant;
+//! for bit. Nothing here reads a clock: `benchmark/` times the warm path
+//! (`train_warm_s`).
 
 use wisedb::prelude::*;
 use wisedb_bench::{Scale, Table};
@@ -63,12 +63,10 @@ fn main() {
         &[
             "goal",
             "queries",
-            "cold ms",
-            "warm ms",
-            "speedup",
             "solves",
             "hits",
-            "reseed ms",
+            "rows",
+            "tree nodes",
             "reseed solves",
         ],
     );
@@ -85,15 +83,11 @@ fn main() {
         let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
         let generator = ModelGenerator::new(spec.clone(), goal, cfg.clone());
 
-        let started = Instant::now();
         let (cold, artifacts) = generator.train_with_artifacts().unwrap();
-        let cold_ms = started.elapsed().as_secs_f64() * 1e3;
         let warm_start = artifacts.warm_start();
 
         // Same seed, same mix: every signature is already cached.
-        let started = Instant::now();
         let (warm, _) = generator.retrain_from(&warm_start).unwrap();
-        let warm_ms = started.elapsed().as_secs_f64() * 1e3;
 
         if warm.stats().solves != 0 {
             eprintln!(
@@ -118,19 +112,15 @@ fn main() {
             PerformanceGoal::paper_default(kind, &spec).unwrap(),
             cfg.clone().with_seed(cfg.seed ^ 0xD1F7),
         );
-        let started = Instant::now();
         let (shifted, _) = reseeded.retrain_from(&warm_start).unwrap();
-        let reseed_ms = started.elapsed().as_secs_f64() * 1e3;
 
         table.row(&[
             kind.name().to_string(),
             cfg.sample_size.to_string(),
-            format!("{cold_ms:.1}"),
-            format!("{warm_ms:.1}"),
-            format!("{:.1}x", cold_ms / warm_ms.max(1e-9)),
             cold.stats().solves.to_string(),
             cold.stats().cache_hits.to_string(),
-            format!("{reseed_ms:.1}"),
+            cold.stats().num_rows.to_string(),
+            cold.tree().num_nodes().to_string(),
             shifted.stats().solves.to_string(),
         ]);
     }

@@ -115,6 +115,11 @@ impl Context {
         self.model(&spec, default_goal(kind, &spec), &config)
     }
 
+    /// The default model's tree for `kind`, trained on first use.
+    pub fn default_tree(&mut self, kind: GoalKind) -> DecisionTree {
+        self.default_model(kind).0.tree().clone()
+    }
+
     /// WiSeDB's and the oracle's mean cost and the gap between them over
     /// seeds `seed, seed + 1, …`; `run` builds a seed's workload and prices
     /// WiSeDB on it. A budget-limited oracle stars the gap.

@@ -275,6 +275,13 @@ pub fn render_diff(lines: &[DiffLine]) -> String {
     table.render()
 }
 
+/// 32-bit FNV-1a of `bytes`. As a `regress` row it fits an `f64` exactly.
+pub fn fnv1a32(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h, &b| {
+        (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+    })
+}
+
 /// The `shard/*` suite's service: `classes` SLA classes over `spec`
 /// (the cheap-to-train goal kinds cycled, priorities staggered), each
 /// with a base model trained once at `scale`. The one-hour age quantum
@@ -446,6 +453,13 @@ mod tests {
         let text = render_diff(&diff(&base, &cur));
         assert!(text.contains("REGRESSION"));
         assert!(text.contains("+20.0"));
+    }
+
+    #[test]
+    fn fnv1a32_matches_the_reference_vectors() {
+        assert_eq!(fnv1a32(b""), 0x811c_9dc5);
+        assert_eq!(fnv1a32(b"a"), 0xe40c_292c);
+        assert_eq!(fnv1a32(b"foobar"), 0xbf9c_f968);
     }
 
     #[test]

@@ -151,18 +151,18 @@ impl PerformanceGoal {
     /// Validates the goal against a specification.
     pub fn validate_against(&self, spec: &WorkloadSpec) -> CoreResult<()> {
         match self {
-            PerformanceGoal::PerQuery { deadlines, .. } => {
-                if deadlines.len() != spec.num_templates() {
-                    return Err(CoreError::DeadlineArityMismatch {
-                        got: deadlines.len(),
-                        expected: spec.num_templates(),
-                    });
-                }
+            PerformanceGoal::PerQuery { deadlines, .. }
+                if deadlines.len() != spec.num_templates() =>
+            {
+                return Err(CoreError::DeadlineArityMismatch {
+                    got: deadlines.len(),
+                    expected: spec.num_templates(),
+                });
             }
-            PerformanceGoal::Percentile { percent, .. } => {
-                if !(*percent > 0.0 && *percent <= 100.0) {
-                    return Err(CoreError::InvalidPercentile { percent: *percent });
-                }
+            PerformanceGoal::Percentile { percent, .. }
+                if !(*percent > 0.0 && *percent <= 100.0) =>
+            {
+                return Err(CoreError::InvalidPercentile { percent: *percent });
             }
             _ => {}
         }

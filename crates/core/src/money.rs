@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn total_cmp_orders() {
-        let mut v = vec![
+        let mut v = [
             Money::from_dollars(2.0),
             Money::from_dollars(-1.0),
             Money::ZERO,

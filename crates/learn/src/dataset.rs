@@ -96,7 +96,7 @@ mod tests {
         };
         let workload = Workload::from_counts(&[1, 2]);
         let path = Solver::new(&spec, &goal).solve(&workload).unwrap();
-        let ds = Dataset::from_paths(&spec, &goal, &[path.clone()]);
+        let ds = Dataset::from_paths(&spec, &goal, std::slice::from_ref(&path));
         assert_eq!(ds.len(), path.steps.len());
         assert!(!ds.is_empty());
         // Labels are within the decision domain |T| + |V|.

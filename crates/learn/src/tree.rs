@@ -15,13 +15,29 @@
 //!   bottom-up during induction (subtree replacement; subtree raising is not
 //!   implemented).
 //!
-//! Induction presorts each feature column once at the root and keeps every
-//! node's rows contiguous and value-sorted in those arrays by stably
-//! partitioning the node's span at each split, so split search is a linear
-//! scan instead of an `O(n log n)` per-node, per-feature sort. Candidate
+//! Induction copies the row-major [`Dataset`] once into column-major
+//! arrays: per feature, every row id in value order (`total_cmp`) with its
+//! value and label alongside. Each node owns one contiguous span of every
+//! column, kept value-sorted by stably partitioning the span at each split,
+//! so split search is a sequential scan rather than an `O(n log n)`
+//! per-node sort with a `rows[row][f]` lookup per step. Candidate
 //! thresholds sit between distinct values and their prefix label counts are
-//! tie-order independent, so this picks exactly the splits the sort-per-node
-//! builder picked.
+//! tie-order independent, so the scan picks exactly the splits a
+//! sort-per-node builder picks. Two shortcuts keep the result bit-identical:
+//!
+//! * a span whose first and last values have the same bits holds one value,
+//!   offers no threshold, and stays constant in every descendant, so it is
+//!   neither scanned nor partitioned again;
+//! * an **entropy screen** prices each boundary from a `c·log2 c` table and
+//!   skips the exact entropies only where even the approximate gain plus a
+//!   margin far above its worst-case rounding error (see [`MARGIN`]) could
+//!   not beat the best split so far. Every split that can win is scored with
+//!   the exact arithmetic, so every chosen threshold and gain ratio is the
+//!   same `f64` a full scan computes; debug builds recompute every screened
+//!   candidate and assert that it would have lost.
+//!
+//! Feature values must not be NaN (the schema emits finite values and
+//! `+∞`).
 //!
 //! The trained tree is stored **flat**: a structure-of-arrays in preorder,
 //! with the left child of node `i` implicitly at `i + 1` and the right child
@@ -46,7 +62,8 @@ pub struct TreeParams {
     /// Whether to apply pessimistic pruning.
     pub prune: bool,
     /// Pruning confidence factor (J48's `CF`, default 0.25; smaller prunes
-    /// more aggressively).
+    /// more aggressively, above 0.5 disables the correction). Must be
+    /// positive.
     pub confidence: f64,
 }
 
@@ -90,39 +107,17 @@ impl DecisionTree {
     /// Trains a tree on `dataset`.
     ///
     /// # Panics
-    /// Panics if the dataset is empty (there is nothing to learn from).
+    /// Panics if the dataset is empty (there is nothing to learn from) or
+    /// `params.confidence` is not positive.
     pub fn train(dataset: &Dataset, params: &TreeParams) -> DecisionTree {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
         let mut span = wisedb_obs::span("learn.fit_tree");
-        let n = dataset.len();
-        let num_features = dataset.schema.num_features();
-        let mut indices: Vec<usize> = (0..n).collect();
-        let orders: Vec<Vec<u32>> = (0..num_features)
-            .map(|f| {
-                let mut order: Vec<u32> = (0..n as u32).collect();
-                order.sort_unstable_by(|&a, &b| {
-                    dataset.rows[a as usize][f].total_cmp(&dataset.rows[b as usize][f])
-                });
-                order
-            })
-            .collect();
-        let mut builder = Builder {
-            dataset,
-            params,
-            tree: DecisionTree {
-                feature: Vec::new(),
-                threshold: Vec::new(),
-                right: Vec::new(),
-                samples: Vec::new(),
-                errors: Vec::new(),
-                num_features,
-                num_labels: dataset.schema.num_labels(),
-            },
-            orders,
-            in_left: vec![false; n],
-            scratch: vec![0u32; n],
-        };
-        builder.build(&mut indices, 0, 0);
+        let mut counts = vec![0usize; dataset.schema.num_labels()];
+        for &label in &dataset.labels {
+            counts[label] += 1;
+        }
+        let mut builder = Builder::new(dataset, params);
+        builder.build(0, counts, 0);
         let tree = builder.tree;
         if span.recording() {
             span.attr_u64("rows", dataset.len() as u64);
@@ -426,23 +421,117 @@ fn flatten_legacy(node: &Value, tree: &mut DecisionTree) -> Result<(), serde::Er
 // Induction
 // ---------------------------------------------------------------------------
 
+/// Slack the entropy screen adds to its approximate gain: a boundary is
+/// skipped without exact entropies only when `(approx + MARGIN) /
+/// split_info` still falls short of the best gain ratio so far.
+///
+/// `MARGIN` is over 1e3 times the worst-case gap between
+/// [`Boundary::approx_gain`] and [`Boundary::gain`] in `f64`, so `approx +
+/// MARGIN` bounds the exact gain from above. Let `u = 2^-53`, `L` the label
+/// count, `m < 2^32` the node's rows (row ids are `u32`) and `g` the gain
+/// in real arithmetic from the same `f64` parent entropy; libm's `log2` is
+/// within one ulp.
+///
+/// * `approx_gain` is within `(L + 9)·u·log2 m + 2u·(log2 L + 1)` of `g`:
+///   each `c·log2 c` table entry is within `3u·c·log2 c`; the `2L + 2`
+///   entries read sum to at most `2·m·log2 m` (counts summing to `k` have
+///   `Σ c·log2 c ≤ k·log2 k`), so entry errors and the `2L + 2` rounded
+///   additions stay within `(L + 9)·u·m·log2 m`; dividing by `m` and
+///   subtracting from the parent entropy add the rest.
+/// * `gain` is within `1.5u + (L + 7)·u·log2 L` of `g`: each `-p·log2 p`
+///   term is within `1.5u + 4u·|p·log2 p|` (`p` rounded, `log2`, one
+///   product), so a child entropy is within `1.5u + (L + 3)·u·log2 L` after
+///   its sum, and the weights and two subtractions add `4u·log2 L`.
+///
+/// Together `|approx − gain| ≤ (2L + 20)·u·(log2 m + log2 L + 2) < 4.2e-11`
+/// for `L ≤` [`SCREENED_LABELS`], and 1e3 × 4.2e-11 < `MARGIN`. With more
+/// labels the builder uses an infinite margin, which screens nothing. Debug
+/// builds assert the 1e3 factor (`|approx − gain| ≤ MARGIN · 1e-3`) on
+/// every screened boundary.
+const MARGIN: f64 = 1e-6;
+
+/// The most labels [`MARGIN`]'s error argument covers.
+const SCREENED_LABELS: usize = 4096;
+
 struct Builder<'a> {
-    dataset: &'a Dataset,
     params: &'a TreeParams,
     tree: DecisionTree,
-    /// One permutation of all row indices per feature, sorted by that
-    /// feature's value. Invariant: every node's rows occupy a contiguous,
-    /// still-sorted span in each array — maintained by stably partitioning
-    /// the span at every split, so `best_split` never sorts. Split choice is
-    /// unaffected by tie order among equal values (candidate boundaries sit
-    /// between *distinct* values and the prefix label counts there are
-    /// order-independent), so this evaluates the exact same candidates with
-    /// the exact same arithmetic as a per-node sort.
-    orders: Vec<Vec<u32>>,
+    /// One column per feature. Invariant: every node's rows occupy the same
+    /// contiguous span `[lo, lo + len)` of every column, value-sorted —
+    /// maintained by stably partitioning the span at every split, so
+    /// `best_split` never sorts. A column that was constant over some
+    /// ancestor's span is no longer partitioned; its span still holds that
+    /// one value, which is all `best_split` and `partition` read of it.
+    columns: Vec<Column>,
+    /// `clog[c] = c·log2 c` for every count `c ≤ n`: the screen's table.
+    clog: Vec<f64>,
+    /// [`MARGIN`], or `∞` when the label count is outside its argument.
+    margin: f64,
+    /// `normal_inverse(1 - confidence)`, once per fit (see [`add_errs`]).
+    z: f64,
     /// Scratch: `in_left[row]` during a split's partition step, else false.
     in_left: Vec<bool>,
     /// Scratch for the stable partition (holds a span's right-side rows).
-    scratch: Vec<u32>,
+    spill: Column,
+}
+
+/// One feature's rows in value order, each with its value and label
+/// alongside, so the split scan reads memory sequentially.
+struct Column {
+    rows: Vec<u32>,
+    vals: Vec<f64>,
+    labs: Vec<u32>,
+}
+
+impl Column {
+    fn sorted(dataset: &Dataset, feature: usize) -> Column {
+        let mut keyed: Vec<(f64, u32)> = (0..dataset.len())
+            .map(|r| (dataset.rows[r][feature], r as u32))
+            .collect();
+        keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        Column {
+            rows: keyed.iter().map(|&(_, r)| r).collect(),
+            vals: keyed.iter().map(|&(v, _)| v).collect(),
+            labs: keyed
+                .iter()
+                .map(|&(_, r)| dataset.labels[r as usize] as u32)
+                .collect(),
+        }
+    }
+
+    /// Whether the span holds a single value. It is sorted by `total_cmp`,
+    /// under which only bit-identical values are equal, so equal end bits
+    /// mean every value in between matches too.
+    fn is_constant(&self, lo: usize, len: usize) -> bool {
+        self.vals[lo].to_bits() == self.vals[lo + len - 1].to_bits()
+    }
+
+    /// Stably moves the span's rows marked in `in_left` to its front.
+    fn partition(&mut self, lo: usize, len: usize, in_left: &[bool], spill: &mut Column) {
+        let (rows, vals, labs) = (
+            &mut self.rows[lo..lo + len],
+            &mut self.vals[lo..lo + len],
+            &mut self.labs[lo..lo + len],
+        );
+        // Branch-free: every row is written to both sides and only the
+        // cursor of its own side advances.
+        let (mut keep, mut spilled) = (0usize, 0usize);
+        for i in 0..len {
+            let (r, v, l) = (rows[i], vals[i], labs[i]);
+            let left = in_left[r as usize];
+            rows[keep] = r;
+            vals[keep] = v;
+            labs[keep] = l;
+            spill.rows[spilled] = r;
+            spill.vals[spilled] = v;
+            spill.labs[spilled] = l;
+            keep += usize::from(left);
+            spilled += usize::from(!left);
+        }
+        rows[keep..].copy_from_slice(&spill.rows[..spilled]);
+        vals[keep..].copy_from_slice(&spill.vals[..spilled]);
+        labs[keep..].copy_from_slice(&spill.labs[..spilled]);
+    }
 }
 
 struct SplitChoice {
@@ -451,75 +540,129 @@ struct SplitChoice {
     gain_ratio: f64,
 }
 
-impl Builder<'_> {
-    fn label_counts(&self, idx: &[usize]) -> Vec<usize> {
-        let mut counts = vec![0usize; self.dataset.schema.num_labels()];
-        for &i in idx {
-            counts[self.dataset.labels[i]] += 1;
-        }
-        counts
+/// A candidate threshold: the node's label counts, those left of the
+/// threshold (the right side's are the difference), and the side weights.
+struct Boundary<'c> {
+    counts: &'c [usize],
+    left: &'c [usize],
+    left_n: usize,
+    right_n: usize,
+    pl: f64,
+    pr: f64,
+}
+
+impl Boundary<'_> {
+    /// Information gain over a parent of entropy `base`: the arithmetic
+    /// every chosen split is scored with, so part of the tree's identity.
+    fn gain(&self, base: f64) -> f64 {
+        base - self.pl * entropy(self.left.iter().copied(), self.left_n)
+            - self.pr * entropy(self.right(), self.right_n)
     }
 
-    /// Appends the subtree for `idx` (the span `[lo, lo + idx.len())` of
-    /// every feature order) to the flat arrays and returns its pessimistic
-    /// error estimate (per-leaf observed errors plus the confidence
-    /// correction, summed bottom-up in tree order — the same quantity the
-    /// recursive builder recomputed by walking each subtree).
-    fn build(&mut self, idx: &mut [usize], lo: usize, depth: usize) -> f64 {
-        let counts = self.label_counts(idx);
+    fn right(&self) -> impl Iterator<Item = usize> + '_ {
+        self.counts.iter().zip(self.left).map(|(c, l)| c - l)
+    }
+
+    /// [`gain`](Self::gain) from the `c·log2 c` table, using
+    /// `k·H(counts) = k·log2 k − Σ c·log2 c`; within `MARGIN · 1e-3` of it.
+    fn approx_gain(&self, base: f64, n: f64, clog: &[f64]) -> f64 {
+        let mut sum = 0.0;
+        for (&l, r) in self.left.iter().zip(self.right()) {
+            sum += clog[l] + clog[r];
+        }
+        base - (clog[self.left_n] + clog[self.right_n] - sum) / n
+    }
+
+    /// C4.5's split information: the entropy of the left/right weights.
+    fn split_info(&self) -> f64 {
+        -(self.pl * self.pl.log2() + self.pr * self.pr.log2())
+    }
+}
+
+impl<'a> Builder<'a> {
+    fn new(dataset: &Dataset, params: &'a TreeParams) -> Builder<'a> {
+        let n = dataset.len();
+        let num_labels = dataset.schema.num_labels();
+        // Row ids are `u32`, which `MARGIN`'s argument relies on too.
+        assert!(u32::try_from(n).is_ok(), "a fit takes under 2^32 rows");
+        debug_assert!(
+            dataset.rows.iter().flatten().all(|v| !v.is_nan()),
+            "feature values must not be NaN"
+        );
+        let columns = (0..dataset.schema.num_features())
+            .map(|f| Column::sorted(dataset, f))
+            .collect();
+        let cf = params.confidence;
+        Builder {
+            params,
+            tree: DecisionTree {
+                feature: Vec::new(),
+                threshold: Vec::new(),
+                right: Vec::new(),
+                samples: Vec::new(),
+                errors: Vec::new(),
+                num_features: dataset.schema.num_features(),
+                num_labels,
+            },
+            columns,
+            clog: (0..=n)
+                .map(|c| match c {
+                    0 => 0.0,
+                    _ => c as f64 * (c as f64).log2(),
+                })
+                .collect(),
+            margin: if num_labels <= SCREENED_LABELS {
+                MARGIN
+            } else {
+                f64::INFINITY
+            },
+            // `add_errs` never reads `z` when cf > 0.5.
+            z: if cf > 0.5 {
+                0.0
+            } else {
+                normal_inverse(1.0 - cf)
+            },
+            in_left: vec![false; n],
+            spill: Column {
+                rows: vec![0; n],
+                vals: vec![0.0; n],
+                labs: vec![0; n],
+            },
+        }
+    }
+
+    /// Appends the subtree for the node with label `counts` occupying span
+    /// `[lo, lo + Σ counts)` of every column to the flat arrays and returns
+    /// its pessimistic error estimate (per-leaf observed errors plus the
+    /// confidence correction, summed bottom-up in tree order — the same
+    /// quantity the recursive builder recomputed by walking each subtree).
+    fn build(&mut self, lo: usize, counts: Vec<usize>, depth: usize) -> f64 {
+        let len: usize = counts.iter().sum();
         let (majority, majority_count) = argmax(&counts);
-        let errors = idx.len() - majority_count;
-        let leaf_errs =
-            errors as f64 + add_errs(idx.len() as f64, errors as f64, self.params.confidence);
+        let errors = len - majority_count;
+        let cf = self.params.confidence;
+        let leaf_errs = errors as f64 + add_errs(len as f64, errors as f64, cf, self.z);
         let at = self.tree.feature.len();
-        if errors == 0 || idx.len() < self.params.min_split || depth >= self.params.max_depth {
-            self.tree.push_leaf(majority, idx.len(), errors);
+        if errors == 0 || len < self.params.min_split || depth >= self.params.max_depth {
+            self.tree.push_leaf(majority, len, errors);
             return leaf_errs;
         }
-        let Some(split) = self.best_split(lo, idx.len(), &counts) else {
-            self.tree.push_leaf(majority, idx.len(), errors);
+        let Some(split) = self.best_split(lo, len, &counts) else {
+            self.tree.push_leaf(majority, len, errors);
             return leaf_errs;
         };
-        // Partition indices in place: left = `< threshold`.
-        let mut mid = 0;
-        for i in 0..idx.len() {
-            if self.dataset.rows[idx[i]][split.feature] < split.threshold {
-                idx.swap(i, mid);
-                mid += 1;
-            }
-        }
-        debug_assert!(mid > 0 && mid < idx.len());
-        // Stably partition this node's span of every feature order, so both
-        // children keep the contiguous-and-sorted invariant.
-        for &r in &idx[..mid] {
-            self.in_left[r] = true;
-        }
-        let n = idx.len();
-        for order in &mut self.orders {
-            let span = &mut order[lo..lo + n];
-            let mut keep = 0usize;
-            let mut spill = 0usize;
-            for i in 0..n {
-                let r = span[i];
-                if self.in_left[r as usize] {
-                    span[keep] = r;
-                    keep += 1;
-                } else {
-                    self.scratch[spill] = r;
-                    spill += 1;
-                }
-            }
-            span[keep..].copy_from_slice(&self.scratch[..spill]);
-        }
-        for &r in &idx[..mid] {
-            self.in_left[r] = false;
-        }
-        self.tree
-            .push_split(split.feature, split.threshold, idx.len());
-        let (left_idx, right_idx) = idx.split_at_mut(mid);
-        let left_errs = self.build(left_idx, lo, depth + 1);
+        let left_counts = self.partition(lo, len, &split);
+        let right_counts: Vec<usize> = counts
+            .iter()
+            .zip(&left_counts)
+            .map(|(c, l)| c - l)
+            .collect();
+        let mid: usize = left_counts.iter().sum();
+        debug_assert!(mid > 0 && mid < len);
+        self.tree.push_split(split.feature, split.threshold, len);
+        let left_errs = self.build(lo, left_counts, depth + 1);
         let right_at = self.tree.feature.len();
-        let right_errs = self.build(right_idx, lo + mid, depth + 1);
+        let right_errs = self.build(lo + mid, right_counts, depth + 1);
         self.tree.right[at] = right_at as u32;
         let subtree_errs = left_errs + right_errs;
         if self.params.prune {
@@ -528,69 +671,103 @@ impl Builder<'_> {
             // truncation.
             if leaf_errs <= subtree_errs + 0.1 {
                 self.tree.truncate(at);
-                self.tree.push_leaf(majority, idx.len(), errors);
+                self.tree.push_leaf(majority, len, errors);
                 return leaf_errs;
             }
         }
         subtree_errs
     }
 
-    /// Finds the best gain-ratio split over the node occupying span
-    /// `[lo, lo + len)` of the presorted feature orders.
+    /// Splits the node's span of every column that can still split — left
+    /// child (`feature < threshold`) first, stably — and returns the left
+    /// child's label counts.
+    fn partition(&mut self, lo: usize, len: usize, split: &SplitChoice) -> Vec<usize> {
+        let mut left_counts = vec![0usize; self.tree.num_labels];
+        let chosen = &self.columns[split.feature];
+        for i in lo..lo + len {
+            if chosen.vals[i] < split.threshold {
+                self.in_left[chosen.rows[i] as usize] = true;
+                left_counts[chosen.labs[i] as usize] += 1;
+            }
+        }
+        for column in &mut self.columns {
+            // A constant column stays constant below this node, so its
+            // arrays are never read in row order again.
+            if !column.is_constant(lo, len) {
+                column.partition(lo, len, &self.in_left, &mut self.spill);
+            }
+        }
+        let mid: usize = left_counts.iter().sum();
+        for &r in &self.columns[split.feature].rows[lo..lo + mid] {
+            self.in_left[r as usize] = false;
+        }
+        left_counts
+    }
+
+    /// Finds the best gain-ratio split of the node occupying span `[lo, lo +
+    /// len)` of the columns. Candidates are visited in (feature, threshold)
+    /// order and one replaces the incumbent only if its gain ratio is higher
+    /// by more than 1e-12, so the lowest feature, then the lowest threshold,
+    /// wins a tie within 1e-12.
     fn best_split(&self, lo: usize, len: usize, counts: &[usize]) -> Option<SplitChoice> {
         let n = len as f64;
-        let base_entropy = entropy(counts, len);
+        let base_entropy = entropy(counts.iter().copied(), len);
         let mut best: Option<SplitChoice> = None;
 
-        let num_features = self.dataset.schema.num_features();
         let mut left_counts = vec![0usize; counts.len()];
-        let mut right_counts = vec![0usize; counts.len()];
-        for feature in 0..num_features {
-            let order = &self.orders[feature][lo..lo + len];
-            left_counts.iter_mut().for_each(|c| *c = 0);
-            right_counts.copy_from_slice(counts);
-            let mut left_n = 0usize;
-            for w in 0..order.len() - 1 {
-                let row = order[w] as usize;
-                let label = self.dataset.labels[row];
-                left_counts[label] += 1;
-                right_counts[label] -= 1;
-                left_n += 1;
-                let v = self.dataset.rows[row][feature];
-                let v_next = self.dataset.rows[order[w + 1] as usize][feature];
+        for (feature, column) in self.columns.iter().enumerate() {
+            if column.is_constant(lo, len) {
+                continue; // no two distinct values, so no threshold
+            }
+            let vals = &column.vals[lo..lo + len];
+            let labs = &column.labs[lo..lo + len];
+            left_counts.fill(0);
+            for w in 0..len - 1 {
+                left_counts[labs[w] as usize] += 1;
+                let (v, v_next) = (vals[w], vals[w + 1]);
                 if v_next <= v {
                     continue; // not a boundary between distinct values
                 }
+                let left_n = w + 1;
                 let right_n = len - left_n;
                 if left_n < self.params.min_leaf || right_n < self.params.min_leaf {
                     continue;
                 }
-                let h_left = entropy(&left_counts, left_n);
-                let h_right = entropy(&right_counts, right_n);
-                let gain =
-                    base_entropy - (left_n as f64 / n) * h_left - (right_n as f64 / n) * h_right;
-                if gain <= 1e-12 {
-                    continue;
+                let boundary = Boundary {
+                    counts,
+                    left: &left_counts,
+                    left_n,
+                    right_n,
+                    pl: left_n as f64 / n,
+                    pr: right_n as f64 / n,
+                };
+                let split_info = boundary.split_info();
+                if let Some(b) = &best {
+                    let approx = boundary.approx_gain(base_entropy, n, &self.clog);
+                    if (approx + self.margin) / split_info <= b.gain_ratio - 1e-12 {
+                        debug_assert!(
+                            {
+                                let gain = boundary.gain(base_entropy);
+                                (approx - gain).abs() <= self.margin * 1e-3
+                                    && !(gain > 1e-12 && gain / split_info > b.gain_ratio + 1e-12)
+                            },
+                            "the entropy screen dropped a boundary that could win"
+                        );
+                        continue;
+                    }
                 }
-                let pl = left_n as f64 / n;
-                let pr = right_n as f64 / n;
-                let split_info = -(pl * pl.log2() + pr * pr.log2());
-                if split_info <= 1e-12 {
+                let gain = boundary.gain(base_entropy);
+                if gain <= 1e-12 || split_info <= 1e-12 {
                     continue;
                 }
                 let gain_ratio = gain / split_info;
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        gain_ratio > b.gain_ratio + 1e-12
-                            || (gain_ratio > b.gain_ratio - 1e-12 && feature < b.feature)
-                    }
-                };
-                if better {
-                    let threshold = midpoint(v, v_next);
+                if best
+                    .as_ref()
+                    .is_none_or(|b| gain_ratio > b.gain_ratio + 1e-12)
+                {
                     best = Some(SplitChoice {
                         feature,
-                        threshold,
+                        threshold: midpoint(v, v_next),
                         gain_ratio,
                     });
                 }
@@ -611,15 +788,15 @@ fn argmax(counts: &[usize]) -> (usize, usize) {
 }
 
 /// Shannon entropy (bits) of a label distribution.
-fn entropy(counts: &[usize], total: usize) -> f64 {
+fn entropy(counts: impl IntoIterator<Item = usize>, total: usize) -> f64 {
     if total == 0 {
         return 0.0;
     }
     let n = total as f64;
     counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
+        .into_iter()
+        .filter(|&c| c > 0)
+        .map(|c| {
             let p = c as f64 / n;
             -p * p.log2()
         })
@@ -644,8 +821,9 @@ fn midpoint(lo: f64, hi: f64) -> f64 {
 /// J48's `addErrs`: the expected number of *additional* errors at a leaf of
 /// `n` examples with `e` observed errors, at confidence factor `cf`, using
 /// the upper bound of the binomial confidence interval (normal
-/// approximation with continuity correction).
-fn add_errs(n: f64, e: f64, cf: f64) -> f64 {
+/// approximation with continuity correction). `z` is the quantile
+/// `normal_inverse(1 - cf)`, which a fit computes once.
+fn add_errs(n: f64, e: f64, cf: f64, z: f64) -> f64 {
     if cf > 0.5 {
         return 0.0;
     }
@@ -654,12 +832,11 @@ fn add_errs(n: f64, e: f64, cf: f64) -> f64 {
     }
     if e < 1.0 {
         let base = n * (1.0 - cf.powf(1.0 / n));
-        return base + e * (add_errs(n, 1.0, cf) - base);
+        return base + e * (add_errs(n, 1.0, cf, z) - base);
     }
     if e + 0.5 >= n {
         return (n - e).max(0.0);
     }
-    let z = normal_inverse(1.0 - cf);
     let f = (e + 0.5) / n;
     let r = (f + z * z / (2.0 * n) + z * (f / n - f * f / n + z * z / (4.0 * n * n)).sqrt())
         / (1.0 + z * z / n);
@@ -674,7 +851,7 @@ fn normal_inverse(p: f64) -> f64 {
         -3.969683028665376e+01,
         2.209460984245205e+02,
         -2.759285104469687e+02,
-        1.383577518672690e+02,
+        1.38357751867269e+02,
         -3.066479806614716e+01,
         2.506628277459239e+00,
     ];
@@ -715,6 +892,9 @@ fn normal_inverse(p: f64) -> f64 {
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     }
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {
@@ -962,10 +1142,10 @@ mod tests {
 
     #[test]
     fn entropy_basics() {
-        assert_eq!(entropy(&[10, 0], 10), 0.0);
-        assert!((entropy(&[5, 5], 10) - 1.0).abs() < 1e-12);
-        assert!(entropy(&[9, 1], 10) < 1.0);
-        assert_eq!(entropy(&[], 0), 0.0);
+        assert_eq!(entropy([10, 0], 10), 0.0);
+        assert!((entropy([5, 5], 10) - 1.0).abs() < 1e-12);
+        assert!(entropy([9, 1], 10) < 1.0);
+        assert_eq!(entropy([], 0), 0.0);
     }
 
     #[test]
@@ -978,16 +1158,17 @@ mod tests {
 
     #[test]
     fn add_errs_matches_j48_semantics() {
+        let z = normal_inverse(0.75);
         // Zero observed errors still get a positive correction.
-        assert!(add_errs(10.0, 0.0, 0.25) > 0.0);
+        assert!(add_errs(10.0, 0.0, 0.25, z) > 0.0);
         // More data, same error rate => smaller correction rate.
-        let small = add_errs(10.0, 1.0, 0.25) / 10.0;
-        let large = add_errs(1000.0, 100.0, 0.25) / 1000.0;
+        let small = add_errs(10.0, 1.0, 0.25, z) / 10.0;
+        let large = add_errs(1000.0, 100.0, 0.25, z) / 1000.0;
         assert!(large < small);
         // CF above 0.5 disables the correction.
-        assert_eq!(add_errs(10.0, 3.0, 0.6), 0.0);
+        assert_eq!(add_errs(10.0, 3.0, 0.6, 0.0), 0.0);
         // Nearly-all-errors leaf caps at n - e.
-        assert!(add_errs(10.0, 9.6, 0.25) <= 0.4 + 1e-12);
+        assert!(add_errs(10.0, 9.6, 0.25, z) <= 0.4 + 1e-12);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub fn observe_us(name: &'static str, micros: u64) {
     }
     lock(&HISTOGRAMS)
         .entry(name)
-        .or_insert_with(LatencyHistogram::new)
+        .or_default()
         .push(Millis::from_millis(micros)); // ticks are µs here
 }
 

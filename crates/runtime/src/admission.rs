@@ -34,9 +34,10 @@ pub struct LoadStatus {
 }
 
 /// When to accept an arriving query.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub enum AdmissionPolicy {
     /// Accept everything (the default; matches §6.3 replay semantics).
+    #[default]
     AcceptAll,
     /// Reject once this many queries are already queued unstarted,
     /// fleet-wide (the value is a capacity: `MaxPending(5)` admits while
@@ -80,12 +81,6 @@ impl AdmissionPolicy {
             }
             AdmissionPolicy::Custom(f) => f(status),
         }
-    }
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        AdmissionPolicy::AcceptAll
     }
 }
 

@@ -79,7 +79,7 @@ impl Default for RuntimeConfig {
             online: OnlineConfig::default(),
             admission: AdmissionPolicy::AcceptAll,
             cluster: LiveOptions::default(),
-            seed: 0x57EA_4,
+            seed: 0x0005_7EA4,
             snapshot_every: 0,
         }
     }

@@ -597,7 +597,7 @@ mod tests {
                 };
                 let completed: Vec<u64> = dist
                     .buckets()
-                    .flat_map(|(v, c)| std::iter::repeat(v).take(c as usize))
+                    .flat_map(|(v, c)| std::iter::repeat_n(v, c as usize))
                     .collect();
                 let mut execs: Vec<u64> = Vec::new();
                 for (t, &remaining) in state.unassigned.iter().enumerate() {

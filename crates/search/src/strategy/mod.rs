@@ -58,9 +58,10 @@ pub use pea::PartialExpansionAStar;
 /// (`exact`, `beam[:width]`, `anytime[:weight[:decay]]`) so benchmark
 /// sweeps can select one from an environment variable or CLI flag without
 /// recompiling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum SearchStrategy {
     /// Exact A* — provably optimal, the historical behaviour.
+    #[default]
     Exact,
     /// Level-synchronous beam search.
     Beam {
@@ -109,12 +110,6 @@ impl SearchStrategy {
     /// Whether this strategy can prove optimality on an unbounded budget.
     pub fn is_exact(&self) -> bool {
         matches!(self, SearchStrategy::Exact | SearchStrategy::Pea)
-    }
-}
-
-impl Default for SearchStrategy {
-    fn default() -> Self {
-        SearchStrategy::Exact
     }
 }
 

@@ -68,7 +68,7 @@ impl Client {
     /// Fetches a live metrics snapshot.
     pub fn metrics(&mut self) -> ServeResult<MetricsSnapshot> {
         match self.request(&Request::Metrics)? {
-            Response::Metrics(snapshot) => Ok(snapshot),
+            Response::Metrics(snapshot) => Ok(*snapshot),
             other => Err(unexpected(other)),
         }
     }

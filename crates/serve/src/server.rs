@@ -624,7 +624,7 @@ fn handle_tick(service: &mut WorkloadService, tick: Vec<(TenantId, Vec<OfferEntr
 fn handle_command(service: &mut WorkloadService, command: Command, swap_tx: &Sender<FinishedSwap>) {
     match command {
         Command::Metrics { reply } => {
-            let _ = reply.send(Response::Metrics(service.snapshot()));
+            let _ = reply.send(Response::Metrics(Box::new(service.snapshot())));
         }
         Command::Telemetry { reply } => {
             // Refresh the live-service gauges right before rendering so

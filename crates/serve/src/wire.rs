@@ -57,8 +57,9 @@ pub enum Response {
     /// degradation under overload, a first-class answer rather than a
     /// dropped connection.
     Shed,
-    /// The requested metrics snapshot.
-    Metrics(MetricsSnapshot),
+    /// The requested metrics snapshot (boxed: it is far larger than every
+    /// other response).
+    Metrics(Box<MetricsSnapshot>),
     /// The observability exposition text (see [`Request::Telemetry`]).
     Telemetry {
         /// Prometheus-style text exposition, newline-delimited.

@@ -114,14 +114,14 @@ pub fn lower_regularized_gamma(s: f64, x: f64) -> f64 {
 pub fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma domain is x > 0");
     const COEFFS: [f64; 9] = [
-        0.999_999_999_999_809_93,
+        0.999_999_999_999_809_9,
         676.520_368_121_885_1,
         -1_259.139_216_722_402_8,
-        771.323_428_777_653_13,
+        771.323_428_777_653_1,
         -176.615_029_162_140_6,
         12.507_343_278_686_905,
         -0.138_571_095_265_720_12,
-        9.984_369_578_019_571_6e-6,
+        9.984_369_578_019_572e-6,
         1.505_632_735_149_311_6e-7,
     ];
     if x < 0.5 {

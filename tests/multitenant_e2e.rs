@@ -146,7 +146,7 @@ fn per_class_accounting_partitions_the_fleet_totals() {
     let last = &report.last;
     assert_eq!(last.classes.len(), 3);
 
-    let sum = |f: &dyn Fn(&ClassMetrics) -> u64| last.classes.iter().map(|c| f(c)).sum::<u64>();
+    let sum = |f: &dyn Fn(&ClassMetrics) -> u64| last.classes.iter().map(f).sum::<u64>();
     assert_eq!(sum(&|c| c.completed), last.completed);
     assert_eq!(sum(&|c| c.admitted), last.admitted);
     assert_eq!(sum(&|c| c.rejected), last.rejected);

@@ -97,7 +97,7 @@ fn multi_group_ticks_preserve_per_class_metric_sums() {
     let last = &report.last;
     assert_eq!(last.completed, 30);
     assert_eq!(last.classes.len(), 3);
-    let sum = |f: &dyn Fn(&ClassMetrics) -> u64| last.classes.iter().map(|c| f(c)).sum::<u64>();
+    let sum = |f: &dyn Fn(&ClassMetrics) -> u64| last.classes.iter().map(f).sum::<u64>();
     assert_eq!(sum(&|c| c.completed), last.completed);
     assert_eq!(sum(&|c| c.admitted), last.admitted);
     assert_eq!(sum(&|c| c.sla_violations), last.sla_violations);
