@@ -1,10 +1,13 @@
 //! Tree-driven schedule generation (§4.5, §6.2).
 //!
-//! Given a trained decision tree, scheduling a batch is a loop: extract the
-//! features of the current partial-schedule vertex, descend the tree, apply
-//! the suggested action, repeat until every query is placed — `O(h·n)`
-//! overall, which is what lets WiSeDB schedule 30k-query batches in about a
-//! second (Figure 17).
+//! Given a trained decision tree, scheduling a batch is a loop: descend the
+//! tree from the current partial-schedule vertex, apply the suggested
+//! action, repeat until every query is placed — `O(h·n)` overall, which is
+//! what lets WiSeDB schedule 30k-query batches in about a second
+//! (Figure 17). The descent computes a feature of the vertex only when a
+//! split on its path tests it ([`FeatureSchema::feature`]): a path reads a
+//! handful of the `1 + 4·templates` columns, so no feature vector is ever
+//! materialised.
 //!
 //! A learned tree can suggest an action that is invalid at the current
 //! vertex (assign a depleted or unsupported template, rent a VM while the
@@ -66,8 +69,8 @@ pub fn plan_with_tree(
     let mut decisions = Vec::new();
     let mut from_model = 0usize;
     while !state.is_goal() {
-        let features = schema.extract(spec, goal, &state);
-        let suggested = Decision::from_label(tree.predict(&features), spec.num_templates());
+        let label = tree.predict_with(|f| schema.feature(spec, goal, &state, f));
+        let suggested = Decision::from_label(label, spec.num_templates());
         let (decision, source) = if is_applicable(spec, goal, &state, canonical.as_ref(), suggested)
         {
             (suggested, StepSource::Model)
@@ -249,12 +252,7 @@ pub fn schedule_batch(
     workload: &Workload,
 ) -> CoreResult<(Schedule, BatchPlan)> {
     workload.validate_against(spec)?;
-    let counts: Vec<u16> = workload
-        .template_counts(spec.num_templates())
-        .into_iter()
-        .map(|c| c as u16)
-        .collect();
-    let initial = SearchState::initial(counts, goal);
+    let initial = SearchState::for_counts(&workload.template_counts(spec.num_templates()), goal)?;
     let plan = plan_with_tree(spec, goal, schema, tree, initial);
 
     // Hand out concrete query ids per template, in workload order.
@@ -285,6 +283,9 @@ pub fn schedule_batch(
     }
     Ok((schedule, plan))
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {
@@ -373,6 +374,26 @@ mod tests {
         assert_eq!(schedule.num_vms(), 0);
         assert!(plan.decisions.is_empty());
         assert_eq!(plan.model_fraction, 1.0);
+    }
+
+    /// A vertex counts each template in a `u16`: a bigger batch is a typed
+    /// error, not a truncated count that schedules a fraction of it.
+    #[test]
+    fn oversized_template_counts_are_a_typed_error() {
+        let spec = spec();
+        let goal = goal();
+        let (schema, tree) = trained_tree(&spec, &goal);
+        let w = Workload::from_counts(&[65_536, 1]);
+        match schedule_batch(&spec, &goal, &schema, &tree, &w) {
+            Err(e) => assert_eq!(
+                e,
+                wisedb_core::CoreError::TemplateCountOverflow {
+                    template: TemplateId(0),
+                    count: 65_536,
+                }
+            ),
+            Ok((schedule, _)) => panic!("placed {} of {} queries", schedule.num_queries(), w.len()),
+        }
     }
 
     /// A malicious tree that always answers the same action never wedges

@@ -638,7 +638,7 @@ impl OnlineScheduler {
         };
 
         // -- Build the initial vertex: counts + the open VM (if any). --
-        let mut counts = vec![0u16; sched_spec.num_templates()];
+        let mut counts = vec![0u32; sched_spec.num_templates()];
         let mut by_template: HashMap<TemplateId, Vec<PendingArrival>> = HashMap::new();
         for q in batch {
             let st = sched_template(q);
@@ -651,7 +651,7 @@ impl OnlineScheduler {
             queue.reverse(); // pop from the back
         }
 
-        let mut state = SearchState::initial(counts, sched_goal);
+        let mut state = SearchState::for_counts(&counts, sched_goal)?;
         if let Some(open) = &view.open_vm {
             state.last_vm = Some(LastVm::seeded(
                 open.vm_type,

@@ -32,7 +32,7 @@
 
 use std::path::PathBuf;
 
-use wisedb::advisor::{OnlineConfig, OnlineScheduler};
+use wisedb::advisor::{OnlineConfig, OnlineScheduler, StepSource};
 use wisedb::prelude::*;
 use wisedb::runtime::generate_stream;
 use wisedb_bench::figures::{self, Context};
@@ -149,27 +149,62 @@ fn bound_tight(scale: Scale, out: &mut Vec<Measurement>) {
     );
 }
 
+/// Tree-driven batch scheduling, one model per goal kind over the same
+/// batch: the VM count, the number of guard (`StepSource::Fallback`)
+/// steps, and `fp32`, a 32-bit FNV-1a hash of the decision labels in
+/// order. A change to the descent or the guard that alters any decision
+/// fails the diff. `batch_schedule/<size>` keeps the Max-latency VM count
+/// under its original key.
 fn batch_throughput(scale: Scale, out: &mut Vec<Measurement>) {
     let spec = wisedb::sim::catalog::tpch_like(10);
-    let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
-    let model = ModelGenerator::new(
-        spec.clone(),
-        goal.clone(),
-        ModelConfig {
-            num_samples: if scale == Scale::Quick { 60 } else { 120 },
-            sample_size: 9,
-            seed: 0xFACADE,
-            ..ModelConfig::fast()
-        },
-    )
-    .train()
-    .unwrap();
     let size = if scale == Scale::Quick { 2_000 } else { 10_000 };
     let workload = wisedb::sim::generator::uniform_workload(&spec, size, 99);
-    let bench = format!("batch_schedule/{size}");
-    let vms = model.schedule_batch(&workload).unwrap().num_vms();
-    record(out, &bench, &[("vms", vms as f64)]);
-    eprintln!("  {bench}: {vms} VMs");
+    for kind in GoalKind::ALL {
+        let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
+        let model = ModelGenerator::new(
+            spec.clone(),
+            goal,
+            ModelConfig {
+                num_samples: if scale == Scale::Quick { 60 } else { 120 },
+                sample_size: 9,
+                seed: 0xFACADE,
+                ..ModelConfig::fast()
+            },
+        )
+        .train()
+        .unwrap();
+        let (schedule, plan) = model.schedule_batch_with_plan(&workload).unwrap();
+        let vms = schedule.num_vms();
+        if kind == GoalKind::MaxLatency {
+            record(
+                out,
+                &format!("batch_schedule/{size}"),
+                &[("vms", vms as f64)],
+            );
+        }
+        let fallback = plan
+            .decisions
+            .iter()
+            .filter(|(_, source)| *source == StepSource::Fallback)
+            .count();
+        let labels: Vec<u8> = plan
+            .decisions
+            .iter()
+            .flat_map(|(d, _)| (d.label(spec.num_templates()) as u32).to_le_bytes())
+            .collect();
+        let fp32 = regress::fnv1a32(&labels);
+        let bench = format!("batch_schedule/{size}/{}", kind.name());
+        record(
+            out,
+            &bench,
+            &[
+                ("vms", vms as f64),
+                ("fallback", fallback as f64),
+                ("fp32", f64::from(fp32)),
+            ],
+        );
+        eprintln!("  {bench}: {vms} VMs, {fallback} guard steps, fp32 {fp32:08x}");
+    }
 }
 
 fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {

@@ -475,7 +475,7 @@ fn ablation(ctx: &mut Context) -> Table {
     let base = Dataset::from_paths(spec, &goal, &paths);
     let guarded = |tree: &DecisionTree, w: &Workload| {
         let counts = w.template_counts(spec.num_templates());
-        let mut state = SearchState::initial(counts.into_iter().map(|c| c as u16).collect(), &goal);
+        let mut state = SearchState::for_counts(&counts, &goal).expect("batch fits a vertex");
         let mut total = Money::ZERO;
         while !state.is_goal() {
             let label = tree.predict(&base.schema.extract(spec, &goal, &state));

@@ -117,6 +117,14 @@ pub enum CoreError {
         /// What the plan asked for that the cluster could not honor.
         detail: String,
     },
+    /// A batch holds more queries of one template than a search vertex can
+    /// count (`u16::MAX`).
+    TemplateCountOverflow {
+        /// The template with too many queries.
+        template: TemplateId,
+        /// Its query count in the batch.
+        count: u32,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -184,6 +192,11 @@ impl fmt::Display for CoreError {
             CoreError::InconsistentPlan { detail } => {
                 write!(f, "plan is inconsistent with the live cluster: {detail}")
             }
+            CoreError::TemplateCountOverflow { template, count } => write!(
+                f,
+                "template {template} has {count} queries in one batch, more than the {} a search vertex can hold",
+                u16::MAX
+            ),
         }
     }
 }

@@ -10,6 +10,12 @@
 //! * `supports-X` — whether that VM's type can process template X;
 //! * `cost-of-X` — the placement-edge weight for X (infinite if impossible);
 //! * `have-X` — whether an instance of X is still unassigned.
+//!
+//! [`FeatureSchema::feature`] is the one definition of every column.
+//! Training materialises whole rows with [`FeatureSchema::extract`];
+//! scheduling never does: a tree descent asks for a column only when a
+//! split on its path tests it (`DecisionTree::predict_with`), which reads
+//! a handful of the `1 + 4·templates` columns per decision.
 
 use wisedb_core::{Money, PerformanceGoal, TemplateId, WorkloadSpec};
 use wisedb_search::SearchState;
@@ -112,43 +118,52 @@ impl FeatureSchema {
         1 + 3 * self.num_templates + t.index()
     }
 
-    /// Extracts the feature vector of a search vertex.
+    /// Extracts the whole feature vector of a search vertex (training rows
+    /// and tests); column `i` is [`feature`](Self::feature)`(.., i)`.
     pub fn extract(
         &self,
         spec: &WorkloadSpec,
         goal: &PerformanceGoal,
         state: &SearchState,
     ) -> Vec<f64> {
-        let mut out = vec![0.0; self.num_features()];
+        (0..self.num_features())
+            .map(|i| self.feature(spec, goal, state, i))
+            .collect()
+    }
+
+    /// Computes column `index` of a search vertex's feature vector alone:
+    /// the one definition of every column, so a tree descent can compute
+    /// just the columns its path tests.
+    pub fn feature(
+        &self,
+        spec: &WorkloadSpec,
+        goal: &PerformanceGoal,
+        state: &SearchState,
+        index: usize,
+    ) -> f64 {
         let last = state.last_vm.as_ref();
-        out[0] = last.map(|l| l.wait.as_secs_f64()).unwrap_or(0.0);
-
-        let queue_len = last.map(|l| l.queue.len()).unwrap_or(0);
-        let counts = last.map(|l| l.queue_counts(self.num_templates));
-
-        for i in 0..self.num_templates {
-            let t = TemplateId(i as u32);
-            // proportion-of-X
-            if queue_len > 0 {
-                if let Some(counts) = &counts {
-                    out[self.proportion_index(t)] = counts[i] as f64 / queue_len as f64;
+        let indicator = |b: bool| if b { 1.0 } else { 0.0 };
+        match self.kind(index) {
+            FeatureKind::WaitTime => last.map(|l| l.wait.as_secs_f64()).unwrap_or(0.0),
+            FeatureKind::ProportionOf(t) => match last {
+                Some(l) if !l.queue.is_empty() => {
+                    let count = l.queue.iter().filter(|&q| q == t).count();
+                    count as f64 / l.queue.len() as f64
                 }
+                _ => 0.0,
+            },
+            FeatureKind::Supports(t) => {
+                indicator(last.is_some_and(|l| spec.latency(t, l.vm_type).is_some()))
             }
-            // supports-X
-            let supported = last
-                .map(|l| spec.latency(t, l.vm_type).is_some())
-                .unwrap_or(false);
-            out[self.supports_index(t)] = if supported { 1.0 } else { 0.0 };
-            // cost-of-X: hypothetical placement-edge weight, even when the
-            // template is depleted (have-X carries availability).
-            out[self.cost_index(t)] = hypothetical_placement_cost(spec, goal, state, t)
+            // The hypothetical placement-edge weight, even when the template
+            // is depleted (have-X carries availability).
+            FeatureKind::CostOf(t) => hypothetical_placement_cost(spec, goal, state, t)
                 .map(|m| m.as_dollars())
-                .unwrap_or(f64::INFINITY);
-            // have-X
-            let have = state.unassigned.get(i).map(|&c| c > 0).unwrap_or(false);
-            out[self.have_index(t)] = if have { 1.0 } else { 0.0 };
+                .unwrap_or(f64::INFINITY),
+            FeatureKind::Have(t) => {
+                indicator(state.unassigned.get(t.index()).is_some_and(|&c| c > 0))
+            }
         }
-        out
     }
 }
 

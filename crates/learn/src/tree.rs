@@ -41,9 +41,12 @@
 //!
 //! The trained tree is stored **flat**: a structure-of-arrays in preorder,
 //! with the left child of node `i` implicitly at `i + 1` and the right child
-//! index stored explicitly. `predict` — which sits on the per-arrival hot
-//! path of `WorkloadService`/`MultiScheduler` — is a tight iterative loop
-//! over three contiguous arrays with no recursion or pointer chasing.
+//! index stored explicitly. The descent — `predict_with`, which sits on the
+//! per-decision hot path of `schedule_batch` and every online plan — is a
+//! tight iterative loop over three contiguous arrays with no recursion or
+//! pointer chasing. It takes the feature values from a closure, so a caller
+//! computes only the columns the path tests; `predict` is the same loop
+//! over a materialised row.
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -139,13 +142,22 @@ impl DecisionTree {
             features.len(),
             self.num_features
         );
+        self.predict_with(|f| features[f])
+    }
+
+    /// Predicts the decision label, asking `feature(column)` for a value
+    /// only when a split on the path tests that column — once per split,
+    /// so a column tested twice on one path is asked for twice. Columns
+    /// are below the training schema's width.
+    #[inline]
+    pub fn predict_with(&self, mut feature: impl FnMut(usize) -> f64) -> usize {
         let mut i = 0usize;
         loop {
             let f = self.feature[i];
             if f == LEAF {
                 return self.right[i] as usize;
             }
-            i = if features[f as usize] < self.threshold[i] {
+            i = if feature(f as usize) < self.threshold[i] {
                 i + 1
             } else {
                 self.right[i] as usize

@@ -24,7 +24,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use wisedb_core::{
-    Millis, Money, PenaltyTracker, PerformanceGoal, TemplateId, VmTypeId, WorkloadSpec,
+    CoreError, CoreResult, Millis, Money, PenaltyTracker, PerformanceGoal, TemplateId, VmTypeId,
+    WorkloadSpec,
 };
 
 use crate::decision::Decision;
@@ -91,17 +92,6 @@ impl TemplateStack {
     /// Iterates newest-to-oldest.
     pub fn iter(&self) -> impl Iterator<Item = TemplateId> + '_ {
         std::iter::successors(self.head.as_deref(), |n| n.prev.as_deref()).map(|n| n.template)
-    }
-
-    /// Per-template counts, sized to `num_templates`.
-    pub fn counts(&self, num_templates: usize) -> Vec<u16> {
-        let mut counts = vec![0u16; num_templates];
-        for t in self.iter() {
-            if let Some(c) = counts.get_mut(t.index()) {
-                *c += 1;
-            }
-        }
-        counts
     }
 
     /// The queue in placement (oldest-first) order.
@@ -173,11 +163,6 @@ impl LastVm {
             seeded,
         }
     }
-
-    /// Per-template counts of the queue, sized to `num_templates`.
-    pub fn queue_counts(&self, num_templates: usize) -> Vec<u16> {
-        self.queue.counts(num_templates)
-    }
 }
 
 /// A vertex of the (reduced) scheduling graph. Cloning is cheap — see the
@@ -204,6 +189,25 @@ impl SearchState {
             tracker: goal.new_tracker(),
             vms_rented: 0,
         }
+    }
+
+    /// The start vertex for per-template query counts, as
+    /// [`Workload::template_counts`](wisedb_core::Workload::template_counts)
+    /// returns them. A vertex holds each count in a `u16`, so a count above
+    /// `u16::MAX` is a [`CoreError::TemplateCountOverflow`], never a
+    /// truncation.
+    pub fn for_counts(counts: &[u32], goal: &PerformanceGoal) -> CoreResult<Self> {
+        let unassigned = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &count)| {
+                u16::try_from(count).map_err(|_| CoreError::TemplateCountOverflow {
+                    template: TemplateId(i as u32),
+                    count,
+                })
+            })
+            .collect::<CoreResult<Vec<u16>>>()?;
+        Ok(SearchState::initial(unassigned, goal))
     }
 
     /// A goal vertex has no unassigned queries.
@@ -412,7 +416,6 @@ mod tests {
             b.to_vec(),
             vec![TemplateId(0), TemplateId(1), TemplateId(2)]
         );
-        assert_eq!(b.counts(3), vec![1, 1, 1]);
         assert_eq!(
             a,
             TemplateStack::from_slice(&[TemplateId(0), TemplateId(1)])
@@ -570,6 +573,19 @@ mod tests {
             .apply(&spec, &goal, Decision::Place(TemplateId(0)))
             .unwrap();
         assert_ne!(a.key(), c.key());
+    }
+
+    #[test]
+    fn start_vertices_hold_counts_up_to_u16_max() {
+        let s = SearchState::for_counts(&[3, 65_535], &goal()).unwrap();
+        assert_eq!(*s.unassigned, [3, 65_535]);
+        assert_eq!(
+            SearchState::for_counts(&[3, 65_536], &goal()),
+            Err(CoreError::TemplateCountOverflow {
+                template: TemplateId(1),
+                count: 65_536,
+            })
+        );
     }
 
     #[test]

@@ -502,7 +502,7 @@ impl<'a> Solver<'a> {
     /// (beam/anytime) complete schedule for `workload`.
     pub fn solve(&self, workload: &Workload) -> CoreResult<OptimalSchedule> {
         workload.validate_against(self.spec)?;
-        let (result, _) = self.run(self.initial_state(workload), false);
+        let (result, _) = self.run(self.initial_state(workload)?, false);
         Ok(finish_schedule(result, workload))
     }
 
@@ -514,7 +514,7 @@ impl<'a> Solver<'a> {
         workload: &Workload,
     ) -> CoreResult<(OptimalSchedule, ExploredStates)> {
         workload.validate_against(self.spec)?;
-        let (result, explored) = self.run(self.initial_state(workload), true);
+        let (result, explored) = self.run(self.initial_state(workload)?, true);
         Ok((finish_schedule(result, workload), explored))
     }
 
@@ -615,13 +615,11 @@ impl<'a> Solver<'a> {
         strategy.search(&cx, initial, keep_explored)
     }
 
-    fn initial_state(&self, workload: &Workload) -> SearchState {
-        let counts: Vec<u16> = workload
-            .template_counts(self.spec.num_templates())
-            .into_iter()
-            .map(|c| c as u16)
-            .collect();
-        SearchState::initial(counts, self.goal)
+    fn initial_state(&self, workload: &Workload) -> CoreResult<SearchState> {
+        SearchState::for_counts(
+            &workload.template_counts(self.spec.num_templates()),
+            self.goal,
+        )
     }
 }
 

@@ -147,7 +147,6 @@ fn stats_of(s: &SearchStats) -> String {
 /// An initial vertex whose open VM already queues the two most common
 /// templates of the workload — what the online scheduler hands the solver.
 fn seeded_initial(spec: &WorkloadSpec, goal: &PerformanceGoal, counts: &[u32]) -> SearchState {
-    let counts16: Vec<u16> = counts.iter().map(|&c| c as u16).collect();
     let mut by_count: Vec<usize> = (0..counts.len()).collect();
     by_count.sort_by_key(|&t| (std::cmp::Reverse(counts[t]), t));
     let vm_type = VmTypeId(0);
@@ -160,7 +159,7 @@ fn seeded_initial(spec: &WorkloadSpec, goal: &PerformanceGoal, counts: &[u32]) -
         .iter()
         .map(|&t| spec.latency(t, vm_type).expect("type 0 runs everything"))
         .sum();
-    let mut state = SearchState::initial(counts16, goal);
+    let mut state = SearchState::for_counts(counts, goal).unwrap();
     state.last_vm = Some(LastVm::seeded(vm_type, queue, wait));
     state.vms_rented = 1;
     state

@@ -367,8 +367,7 @@ proptest! {
     ) {
         let workload = Workload::from_counts(&counts);
         let table = HeuristicTable::new(&spec);
-        let counts16: Vec<u16> = counts.iter().map(|&c| c as u16).collect();
-        let start = SearchState::initial(counts16, &goal);
+        let start = SearchState::for_counts(&counts, &goal).unwrap();
         let h0 = table.estimate(&goal, &start);
         let exact = Solver::new(&spec, &goal).solve(&workload).unwrap();
         prop_assert!(exact.stats.optimal);
@@ -426,8 +425,7 @@ fn random_walk(
     counts: &[u32],
     steps: &[usize],
 ) -> SearchState {
-    let counts16: Vec<u16> = counts.iter().map(|&c| c as u16).collect();
-    let mut state = SearchState::initial(counts16, goal);
+    let mut state = SearchState::for_counts(counts, goal).unwrap();
     for &pick in steps {
         if state.is_goal() {
             break;
