@@ -1,7 +1,11 @@
-//! The paper figures of [`wisedb_bench::figures`] in one process: `fig
-//! --list` names the ids, `fig 9 13 ablation` runs those, `fig` runs them
-//! all. `WISEDB_SCALE` picks the scale; `--strategy` / `WISEDB_STRATEGY`
-//! and `WISEDB_NODE_LIMIT` configure the oracle
+//! The tables of [`wisedb_bench::figures`] in one process: `fig --list`
+//! names the ids (Figs 9–22, then `ablation`, `streaming`,
+//! `streaming_rates`, `streaming_overload`, `multitenant`, `strategies`
+//! and `train_warm`), `fig 9 13 strategies` runs those, `fig` runs them
+//! all, training each distinct model once. `strategies` and `train_warm`
+//! panic when their gate fails, so the run exits non-zero.
+//! `WISEDB_SCALE` picks the scale; `--strategy` / `WISEDB_STRATEGY` and
+//! `WISEDB_NODE_LIMIT` configure the oracle
 //! ([`wisedb_bench::oracle_config`]).
 
 use wisedb_bench::figures::{self, Context, FIGURES};
@@ -14,7 +18,7 @@ fn main() {
         match arg.as_str() {
             "--list" => {
                 for fig in FIGURES {
-                    println!("{:>8}  {}", fig.id, fig.title);
+                    println!("{:<18}  {}", fig.id, fig.title);
                 }
                 return;
             }

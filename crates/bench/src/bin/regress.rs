@@ -28,7 +28,9 @@
 //!
 //! `WISEDB_SCALE` selects `quick` / `std` (default) / `paper`;
 //! `--baseline <path>` reads (and with `--write-baseline` writes) another
-//! baseline file, `--out <path>` moves `BENCH_current.json`.
+//! baseline file, `--out <path>` moves `BENCH_current.json`. Without
+//! `--write-baseline`, a baseline file that is missing, does not parse or
+//! lacks the scale fails the run.
 
 use std::path::PathBuf;
 
@@ -608,12 +610,17 @@ fn main() {
     .expect("write BENCH_current.json");
     eprintln!("regress: wrote {}", out_path.display());
 
-    let mut baseline: BaselineFile = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => serde_json::from_str(&text).expect("baseline parses"),
-        Err(_) => BaselineFile::default(),
+    // Writing may start a new file; comparing needs this scale's baseline.
+    let fail = |e: String| -> ! {
+        eprintln!("regress: {e}");
+        std::process::exit(1);
     };
-
     if write_baseline {
+        let mut baseline = if baseline_path.exists() {
+            BaselineFile::load(&baseline_path, None).unwrap_or_else(|e| fail(e))
+        } else {
+            BaselineFile::default()
+        };
         baseline.upsert(current);
         std::fs::write(
             &baseline_path,
@@ -624,13 +631,10 @@ fn main() {
         return;
     }
 
-    let Some(base) = baseline.for_scale(scale_name) else {
-        eprintln!(
-            "regress: no {scale_name}-scale baseline in {} — run with --write-baseline to record one",
-            baseline_path.display()
-        );
-        return;
-    };
+    let baseline = BaselineFile::load(&baseline_path, Some(scale_name)).unwrap_or_else(|e| fail(e));
+    let base = baseline
+        .for_scale(scale_name)
+        .expect("load checked the scale");
     let lines = diff(base, &current);
     println!("{}", render_diff(&lines));
     let regressions = lines.iter().filter(|l| l.is_regression()).count();

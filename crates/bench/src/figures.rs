@@ -1,19 +1,24 @@
 //! The paper-figure registry: one [`Figure`] per table of arXiv
-//! 1601.08221 §7 (Figures 9–22) plus the §4.4 feature ablation, run by the
-//! `fig` binary over one [`Context`]. Cost-valued figures go through one
-//! gap helper ([`Context::gap`]); models come from the context's memo, one
-//! training per distinct (spec, goal, config). Figs 14–17 and 19 report
-//! work counters: only `benchmark/` times code.
+//! 1601.08221 §7 (Figures 9–22), then the extensions — the §4.4 feature
+//! ablation, the streaming runtime, multi-tenant consolidation, the search
+//! strategy shoot-out and warm retraining — run by the `fig` binary over
+//! one [`Context`]. Cost-valued figures go through one gap helper
+//! ([`Context::gap`]); models come from the context's memo, one training
+//! per distinct (spec, goal, config). Every cell is a cost, a work counter
+//! or a virtual-clock reading: only `benchmark/` times code.
+//! `strategies` and `train_warm` gate: each panics when its contract
+//! breaks.
 
 use std::rc::Rc;
 
-use wisedb::advisor::{ArrivingQuery, OnlineReport, Planner, StepSource, TrainingArtifacts};
+use wisedb::advisor::{self, ArrivingQuery, OnlineReport, Planner, StepSource, TrainingArtifacts};
 use wisedb::prelude::*;
+use wisedb::runtime::generate_stream;
 use wisedb::sim::{self, catalog, generator, stats, Arrivals, SimOptions};
 use wisedb_learn::{Dataset, DecisionTree, FeatureKind, TreeParams};
-use wisedb_search::{Decision, SearchState};
+use wisedb_search::SearchStats;
 
-use crate::{apply_search_overrides, oracle_config, pct_above, Cell, Scale, Table};
+use crate::{apply_search_overrides, multitenant, oracle_config, pct_above, Cell, Scale, Table};
 
 /// One registered figure.
 pub struct Figure {
@@ -43,6 +48,12 @@ pub const FIGURES: &[Figure] = &[
     Figure { id: "21", title: "WiSeDB cost distribution vs skew (Max goal, cents)", run: fig21 },
     Figure { id: "22", title: "% realized cost above optimal vs prediction error", run: fig22 },
     Figure { id: "ablation", title: "feature ablation (Max goal, 30-query batches)", run: ablation },
+    Figure { id: "streaming", title: "streams per arrival process, Max goal, 0.5 q/s mean", run: streaming },
+    Figure { id: "streaming_rates", title: "streams per Poisson rate: p95 latency and VMs", run: streaming_rates },
+    Figure { id: "streaming_overload", title: "admission control under an 8 q/s Poisson burst, Max goal", run: streaming_overload },
+    Figure { id: "multitenant", title: "three SLA classes on one shared fleet vs isolated fleets", run: multitenant },
+    Figure { id: "strategies", title: "search strategies on the 18-query, 10-template instance", run: strategies },
+    Figure { id: "train_warm", title: "cold training vs warm retrain through the solve cache", run: train_warm },
 ];
 
 /// The figures named by `ids`, all of them when `ids` is empty; an unknown
@@ -462,10 +473,9 @@ fn fig22(ctx: &mut Context) -> Table {
 }
 
 /// Retrains the tree with each §4.4 feature family zeroed out of the same
-/// training set. A tree splits only between distinct values, so it never
-/// reads a zeroed column and prediction needs no mask. An invalid label
-/// falls back to the cheapest valid placement, else a new VM of type 0:
-/// the ablation's own guard, not the advisor's.
+/// training set, and prices it with the advisor's own batch scheduler,
+/// guard included. A tree splits only between distinct values, so no split
+/// tests a zeroed column: the unmasked schema serves every masked tree.
 fn ablation(ctx: &mut Context) -> Table {
     let spec = &ctx.spec;
     let goal = default_goal(GoalKind::MaxLatency, spec);
@@ -473,26 +483,6 @@ fn ablation(ctx: &mut Context) -> Table {
     let solve = |w: &Workload| Solver::new(spec, &goal).solve(w).expect("training solves");
     let paths: Vec<_> = samples.sample_workloads().iter().map(solve).collect();
     let base = Dataset::from_paths(spec, &goal, &paths);
-    let guarded = |tree: &DecisionTree, w: &Workload| {
-        let counts = w.template_counts(spec.num_templates());
-        let mut state = SearchState::for_counts(&counts, &goal).expect("batch fits a vertex");
-        let mut total = Money::ZERO;
-        while !state.is_goal() {
-            let label = tree.predict(&base.schema.extract(spec, &goal, &state));
-            let mut decision = Decision::from_label(label, spec.num_templates());
-            if !state.is_valid(spec, decision) {
-                let place = |t| Some((t, state.edge_weight(spec, &goal, Decision::Place(t))?));
-                let valid = spec.template_ids().filter_map(place);
-                let cheapest = valid.min_by(|a, b| a.1.total_cmp(&b.1));
-                let fallback = Decision::CreateVm(VmTypeId(0));
-                decision = cheapest.map_or(fallback, |c| Decision::Place(c.0));
-            }
-            let (next, weight) = state.apply(spec, &goal, decision).expect("applies");
-            total += weight;
-            state = next;
-        }
-        total
-    };
     type Masked = fn(FeatureKind) -> bool;
     let families: [(&str, Masked); 5] = [
         ("full feature set", |_| false),
@@ -516,7 +506,9 @@ fn ablation(ctx: &mut Context) -> Table {
         let tree = DecisionTree::train(&dataset, &TreeParams::default());
         let run = |seed| {
             let w = generator::uniform_workload(spec, 30, seed);
-            let cost = guarded(&tree, &w);
+            let planned = advisor::schedule_batch(spec, &goal, &base.schema, &tree, &w);
+            let (schedule, _) = planned.expect("scheduling succeeds");
+            let cost = total_cost(spec, &goal, &schedule).expect("cost computes");
             (w, cost)
         };
         let pct = pct(ctx.gap(spec, &goal, 31_000, run));
@@ -526,6 +518,366 @@ fn ablation(ctx: &mut Context) -> Table {
     table
 }
 
+/// Queries per stream in the `streaming*` figures; the rate sweep and the
+/// overload burst stop at 500.
+fn stream_len(scale: Scale) -> usize {
+    [500, 1000, 2000][scale as usize]
+}
+
+/// The `streaming*` figures' model for `kind`: the default one, except that
+/// Percentile samples stay at 9 queries. Percentile A* sample solves grow
+/// super-exponentially in the sample size (one std model takes the better
+/// part of an hour); Figs 9–22 pay for the full-size training.
+fn streaming_model(ctx: &mut Context, kind: GoalKind) -> Trained {
+    let (spec, mut config) = (ctx.spec.clone(), ctx.scale.training());
+    if kind == GoalKind::Percentile {
+        config.sample_size = config.sample_size.min(9);
+    }
+    ctx.model(&spec, default_goal(kind, &spec), &config)
+}
+
+/// A fresh single-class service over `m`, retraining online as the
+/// multi-tenant scenario does.
+fn service(m: &Trained, runtime: RuntimeConfig) -> WorkloadService {
+    let artifacts = m.1.clone().expect(KEPT);
+    let online = multitenant::online_config();
+    WorkloadService::with_scheduler(
+        OnlineScheduler::with_model(m.0.clone(), artifacts, online),
+        runtime,
+    )
+}
+
+/// A virtual-clock latency, in whole seconds.
+fn secs(m: Millis) -> Cell {
+    Cell::Text(format!("{:.0}s", m.as_secs_f64()))
+}
+
+/// A share of queries, as a percentage.
+fn share(x: f64) -> Cell {
+    Cell::Text(format!("{:.1}%", x * 100.0))
+}
+
+/// A stream's last three columns: violation share, $/h and VMs rented.
+fn fleet(s: &MetricsSnapshot) -> [Cell; 3] {
+    let per_hour = Cell::Text(format!("{:.2}", s.dollars_per_hour));
+    [
+        share(s.violation_rate),
+        per_hour,
+        Cell::Count(s.vms_provisioned),
+    ]
+}
+
+fn streaming(ctx: &mut Context) -> Table {
+    let (n, rate, nt) = (stream_len(ctx.scale), 0.5, ctx.spec.num_templates());
+    let mix = TemplateMix::uniform(nt);
+    let mut processes: Vec<Box<dyn ArrivalProcess>> = vec![
+        Box::new(PoissonProcess::per_second(rate, mix.clone())),
+        Box::new(OnOffProcess::new(0.25, 24.0, 8, mix.clone())),
+    ];
+    if ctx.scale != Scale::Quick {
+        let period = Millis::from_mins(10);
+        let diurnal = DiurnalProcess::new(rate, 0.8, period, mix.clone());
+        let hot = TemplateMix::hot(nt, 0, 0.7);
+        let half = Millis::from_secs(n as u64 / 2);
+        processes.push(Box::new(diurnal));
+        processes.push(Box::new(DriftProcess::new(rate, mix, hot, half)));
+    }
+    let m = streaming_model(ctx, GoalKind::MaxLatency);
+    let headers = ["process", "done", "p50", "p95", "p99", "viol", "$/h", "vms"];
+    let mut table = Table::new("", &headers);
+    for process in &mut processes {
+        let report = service(&m, RuntimeConfig::default()).run_process(process.as_mut(), n);
+        let s = report.expect("streams run").last;
+        let latency = [s.latency.p50, s.latency.p95, s.latency.p99].map(secs);
+        let head = [Cell::Text(process.label()), Cell::Count(s.completed)];
+        table.row(head.into_iter().chain(latency).chain(fleet(&s)));
+    }
+    table.note(format!("{n}-query streams."));
+    table
+}
+
+fn streaming_rates(ctx: &mut Context) -> Table {
+    let rates: &[f64] = match ctx.scale {
+        Scale::Quick => &[0.5, 2.0],
+        _ => &[0.25, 0.5, 1.0, 2.0, 4.0],
+    };
+    let n = stream_len(ctx.scale).min(500);
+    let cols = rates
+        .iter()
+        .flat_map(|r| [format!("p95@{r}/s"), format!("vms@{r}/s")]);
+    let cols: Vec<String> = cols.collect();
+    let headers: Vec<&str> = cols.iter().map(String::as_str).collect();
+    let mix = TemplateMix::uniform(ctx.spec.num_templates());
+    let mut table = by_goal(ctx, &headers, |ctx, kind| {
+        let m = streaming_model(ctx, kind);
+        let cells = rates.iter().flat_map(|&r| {
+            // One seeded stream per rate, the same for every goal kind.
+            let mut process = PoissonProcess::per_second(r, mix.clone());
+            let stream = generate_stream(&mut process, n, 0x005E_ED57 + (r * 8.0) as u64);
+            let report = service(&m, RuntimeConfig::default()).run_stream(&stream);
+            let s = report.expect("streams run").last;
+            [secs(s.latency.p95), Cell::Count(s.vms_provisioned)]
+        });
+        cells.collect::<Vec<_>>()
+    });
+    table.note(format!("{n}-query Poisson streams."));
+    table
+}
+
+fn streaming_overload(ctx: &mut Context) -> Table {
+    let n = stream_len(ctx.scale).min(500);
+    let mix = TemplateMix::uniform(ctx.spec.num_templates());
+    let m = streaming_model(ctx, GoalKind::MaxLatency);
+    let headers = ["admission", "admitted", "shed", "p95", "viol", "$/h", "vms"];
+    let mut table = Table::new("", &headers);
+    for (label, admission) in [
+        ("AcceptAll", AdmissionPolicy::AcceptAll),
+        ("MaxVms(24)", AdmissionPolicy::MaxVms(24)),
+    ] {
+        let runtime = RuntimeConfig {
+            admission,
+            ..RuntimeConfig::default()
+        };
+        let mut process = PoissonProcess::per_second(8.0, mix.clone());
+        let report = service(&m, runtime).run_process(&mut process, n);
+        let s = report.expect("streams run").last;
+        let head = [
+            label.into(),
+            Cell::Count(s.admitted),
+            Cell::Count(s.rejected),
+        ];
+        table.row(
+            head.into_iter()
+                .chain([secs(s.latency.p95)])
+                .chain(fleet(&s)),
+        );
+    }
+    table.note(format!("{n}-query streams."));
+    table
+}
+
+/// Per-class rows for both deployments, then each deployment's totals.
+/// A shared-fleet class row bills the class's share and counts the whole
+/// fleet's VMs.
+fn multitenant(ctx: &mut Context) -> Table {
+    let outcome = multitenant::run(&ctx.spec, ctx.scale);
+    let headers = [
+        "deployment",
+        "class",
+        "completed",
+        "p50",
+        "p95",
+        "viol%",
+        "billed ¢",
+        "penalty ¢",
+        "fleet VMs",
+    ];
+    let mut table = Table::new("", &headers);
+    let shared = &outcome.shared.last;
+    let per_class = shared
+        .classes
+        .iter()
+        .map(|c| ("shared", c, c.billed, shared));
+    let isolated = outcome
+        .isolated
+        .iter()
+        .map(|r| ("isolated", &r.last.classes[0], r.last.billed, &r.last));
+    let classes = outcome.classes.iter().cycle();
+    for ((deployment, c, billed, fleet), class) in per_class.chain(isolated).zip(classes) {
+        let head = [
+            deployment.into(),
+            Cell::from(&class.name),
+            Cell::Count(c.completed),
+        ];
+        let latency = [
+            secs(c.latency.p50),
+            secs(c.latency.p95),
+            share(c.violation_rate),
+        ];
+        let tail = [
+            Cell::money(billed),
+            Cell::money(c.penalty),
+            Cell::Count(fleet.vms_provisioned),
+        ];
+        table.row(head.into_iter().chain(latency).chain(tail));
+    }
+    let isolated = outcome.isolated.iter().map(|r| &r.last);
+    let sums = isolated.fold(Default::default(), |(n, b, p), s| {
+        (n + s.completed, b + s.billed, p + s.penalty)
+    });
+    let own = (shared.completed, shared.billed, shared.penalty);
+    let totals = [
+        ("shared", own, outcome.shared_vms()),
+        ("isolated×3", sums, outcome.isolated_vms()),
+    ];
+    for (deployment, (completed, billed, penalty), vms) in totals {
+        let head = [deployment.into(), "total".into(), Cell::Count(completed)];
+        let tail = [Cell::money(billed), Cell::money(penalty), Cell::Count(vms)];
+        let blank = ["-", "-", "-"].map(Cell::from);
+        table.row(head.into_iter().chain(blank).chain(tail));
+    }
+    let [shared, isolated] = [outcome.shared_total(), outcome.isolated_total()].map(Cell::money);
+    table.note(format!(
+        "Consolidation saving: {:.1}% of the isolated fleets' total cost ({}¢ shared vs {}¢ isolated).",
+        outcome.saving_pct(),
+        shared.render(),
+        isolated.render(),
+    ));
+    table
+}
+
+/// Queries in the strategy shoot-out: the paper's training sample size.
+const PATHOLOGY_QUERIES: usize = 18;
+/// The bounded arms' expansion budget, about 1 % of what exact A* burns on
+/// the Percentile instance before giving up.
+const PATHOLOGY_BUDGET: usize = 50_000;
+/// The largest certified cost/optimal ratio the gated solve may report.
+const PATHOLOGY_MAX_BOUND: f64 = 1.05;
+
+/// The percentile-pathology gate on the Percentile anytime solve: it stays
+/// inside [`PATHOLOGY_BUDGET`] expansions and certifies a bound of at most
+/// [`PATHOLOGY_MAX_BOUND`].
+fn pathology_gate(s: &SearchStats) -> Result<(), String> {
+    if s.expanded <= PATHOLOGY_BUDGET as u64 && s.bound <= PATHOLOGY_MAX_BOUND {
+        return Ok(());
+    }
+    Err(format!(
+        "Percentile anytime expanded {} (budget {PATHOLOGY_BUDGET}), bound {:.4} (max {PATHOLOGY_MAX_BOUND})",
+        s.expanded, s.bound
+    ))
+}
+
+/// Every strategy on one instance per goal kind. The bounded arms always
+/// run; std and paper add exact A* and a 10× anytime budget. Panics when
+/// [`pathology_gate`] fails.
+fn strategies(ctx: &mut Context) -> Table {
+    let (gated, budget, exact) = ("anytime @50k", PATHOLOGY_BUDGET, SearchConfig::default());
+    let mut arms = vec![
+        ("pea @50k", SearchStrategy::Pea, budget),
+        ("beam:64", SearchStrategy::Beam { width: 64 }, budget),
+        ("beam:512", SearchStrategy::Beam { width: 512 }, budget),
+        (gated, SearchStrategy::anytime(), budget),
+    ];
+    if ctx.scale != Scale::Quick {
+        arms.insert(0, ("exact (4M budget)", exact.strategy, exact.node_limit));
+        arms.push(("anytime @500k", SearchStrategy::anytime(), 10 * budget));
+    }
+    let headers = [
+        "goal",
+        "strategy",
+        "cost ¢",
+        "bound",
+        "bound_gap_pct",
+        "optimal",
+        "expanded",
+        "interned",
+        "incumb",
+        "pruned",
+    ];
+    let mut table = Table::new("", &headers);
+    let workload = generator::uniform_workload(&ctx.spec, PATHOLOGY_QUERIES, 42);
+    for kind in GoalKind::ALL {
+        let goal = default_goal(kind, &ctx.spec);
+        for &(arm, strategy, node_limit) in &arms {
+            let config = SearchConfig {
+                node_limit,
+                strategy,
+                ..exact.clone()
+            };
+            let solver = Solver::new(&ctx.spec, &goal).with_config(config);
+            let solved = solver.solve(&workload).expect("catalog solves succeed");
+            let s = solved.stats;
+            if kind == GoalKind::Percentile && arm == gated {
+                pathology_gate(&s).unwrap_or_else(|e| panic!("strategies gate: {e}"));
+            }
+            let bound = if s.bound.is_finite() {
+                format!("{:.4}", s.bound)
+            } else {
+                "∞".into()
+            };
+            let gap = Cell::Pct {
+                value: (s.bound - 1.0) * 100.0,
+                proven: true,
+            };
+            let head = [kind.name().into(), arm.into(), Cell::money(solved.cost)];
+            let certified = [Cell::Text(bound), gap, Cell::Text(s.optimal.to_string())];
+            let counts = [s.expanded, s.interned, s.incumbents, s.pruned].map(Cell::Count);
+            table.row(head.into_iter().chain(certified).chain(counts));
+        }
+    }
+    table.note("bound = certified cost/optimal ratio, bound_gap_pct = (bound − 1)·100.");
+    table
+}
+
+/// `train_warm`'s training config. Larger samples tilt a cold run toward
+/// its A* solves, the cost the warm path removes; Percentile goals run the
+/// anytime search and train on smaller samples.
+fn warm_config(scale: Scale, kind: GoalKind) -> ModelConfig {
+    let sample_size = match (scale, kind) {
+        (Scale::Quick, _) => 9,
+        (Scale::Std, GoalKind::Percentile) => 12,
+        (Scale::Std, _) => 16,
+        (Scale::Paper, GoalKind::Percentile) => 14,
+        (Scale::Paper, _) => 18,
+    };
+    ModelConfig {
+        num_samples: [150, 600, 3000][scale as usize],
+        sample_size,
+        seed: 0x7EA1,
+        ..ModelConfig::fast()
+    }
+}
+
+/// The warm-retrain contract: an identical-seed retrain from the cold
+/// model's solve cache runs no solve and reproduces its tree and rows.
+fn warm_contract(cold: &DecisionModel, warm: &DecisionModel) -> Result<(), String> {
+    match warm.stats().solves {
+        0 if warm.tree() == cold.tree() && warm.stats().num_rows == cold.stats().num_rows => Ok(()),
+        0 => Err("the warm retrain diverged from the cold model".into()),
+        n => Err(format!("the warm retrain ran {n} A* solves")),
+    }
+}
+
+/// A cold training per goal kind, then two retrains from its solve cache:
+/// the identical seed (gated by [`warm_contract`]) and a reseeded draw,
+/// which solves only the signatures the cache lacks.
+fn train_warm(ctx: &mut Context) -> Table {
+    let headers = [
+        "queries",
+        "solves",
+        "hits",
+        "rows",
+        "tree nodes",
+        "reseed solves",
+    ];
+    by_goal(ctx, &headers, |ctx, kind| {
+        let (spec, config) = (&ctx.spec, warm_config(ctx.scale, kind));
+        let generator = |seed| {
+            let config = config.clone().with_seed(seed);
+            ModelGenerator::new(spec.clone(), default_goal(kind, spec), config)
+        };
+        let trained = generator(config.seed).train_with_artifacts();
+        let (cold, artifacts) = trained.expect("training succeeds");
+        let warm_start = artifacts.warm_start();
+        let (warm, _) = generator(config.seed)
+            .retrain_from(&warm_start)
+            .expect("retrains");
+        if let Err(e) = warm_contract(&cold, &warm) {
+            panic!("train_warm gate, {}: {e}", kind.name());
+        }
+        let reseeded = generator(config.seed ^ 0xD1F7).retrain_from(&warm_start);
+        let s = cold.stats();
+        let shape = [s.num_rows, cold.tree().num_nodes()].map(|c| c as u64);
+        let reseed_solves = reseeded.expect("retrains").0.stats().solves;
+        [config.sample_size as u64, s.solves, s.cache_hits]
+            .into_iter()
+            .chain(shape)
+            .chain([reseed_solves])
+            .map(Cell::Count)
+            .collect::<Vec<_>>()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,7 +885,8 @@ mod tests {
     #[test]
     fn ids_cover_the_paper_and_an_unknown_one_lists_them() {
         let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
-        let expected = "9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, ablation";
+        let expected = "9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, ablation, \
+            streaming, streaming_rates, streaming_overload, multitenant, strategies, train_warm";
         assert_eq!(ids.join(", "), expected, "unique, in paper order");
         assert_eq!(select(&[]).unwrap().len(), FIGURES.len());
         assert_eq!(select(&["ablation".into()]).unwrap()[0].id, "ablation");
@@ -560,5 +913,43 @@ mod tests {
         stats.training_secs = memo.0.stats().training_secs;
         assert_eq!(*memo.0.stats(), stats, "the same counters");
         assert_eq!(memo.0.tree(), fresh.tree());
+    }
+
+    #[test]
+    fn the_pathology_gate_bounds_expansions_and_the_certified_bound() {
+        let spec = catalog::tpch_like(10);
+        let goal = default_goal(GoalKind::Percentile, &spec);
+        let w = generator::uniform_workload(&spec, 4, 42);
+        let solver = Solver::new(&spec, &goal).with_strategy(SearchStrategy::anytime());
+        let ok = solver.solve(&w).unwrap().stats;
+        assert_eq!(pathology_gate(&ok), Ok(()));
+
+        let over_budget = SearchStats {
+            expanded: PATHOLOGY_BUDGET as u64 + 1,
+            ..ok
+        };
+        let err = pathology_gate(&over_budget).unwrap_err();
+        assert!(err.contains("expanded 50001 (budget 50000)"), "{err}");
+        let loose = SearchStats { bound: 1.06, ..ok };
+        assert!(pathology_gate(&loose).unwrap_err().contains("bound 1.0600"));
+    }
+
+    #[test]
+    fn the_warm_contract_holds_for_a_warm_retrain_and_not_for_a_cold_one() {
+        let spec = catalog::tpch_like(4);
+        let config = ModelConfig {
+            num_samples: 20,
+            sample_size: 5,
+            ..ModelConfig::fast()
+        };
+        let goal = default_goal(GoalKind::MaxLatency, &spec);
+        let generator = ModelGenerator::new(spec, goal, config);
+        let (cold, artifacts) = generator.train_with_artifacts().unwrap();
+        let (warm, _) = generator.retrain_from(&artifacts.warm_start()).unwrap();
+        assert_eq!(warm_contract(&cold, &warm), Ok(()));
+
+        // A cold training solved its samples.
+        let err = warm_contract(&cold, &cold).unwrap_err();
+        assert!(err.contains("A* solves"), "{err}");
     }
 }

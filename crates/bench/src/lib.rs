@@ -1,14 +1,15 @@
 //! # wisedb-bench
 //!
-//! What only this crate does: the paper-figure registry ([`figures`]:
-//! §7's Figures 9–22 plus the feature ablation, run by one binary —
-//! `cargo run -p wisedb-bench --release --bin fig -- 9 13`), the
-//! `streaming` / `multitenant` / `loadgen` / `strategies` /
-//! `train_warm` reports and CI smokes with
-//! their in-run correctness and conservation asserts, and `regress`, which
-//! compares exact work counters against `BENCH_baseline.json`. Times
-//! printed here are reports, not measurements anything gates on: the
-//! repo's one timing instrument is `benchmark/` (see `BENCHMARK.json`).
+//! What only this crate does, in three binaries: `fig`, the table
+//! registry ([`figures`]: §7's Figures 9–22, then the feature ablation,
+//! the streaming runtime, multi-tenant consolidation, the search-strategy
+//! shoot-out and warm retraining, the last two gated in-run —
+//! `cargo run -p wisedb-bench --release --bin fig -- 9 13`); `loadgen`,
+//! the wire-protocol load generator with its conservation asserts; and
+//! `regress`, which compares exact work counters against
+//! `BENCH_baseline.json`. Only `loadgen` prints times, as a report that
+//! nothing gates on: the repo's one timing instrument is `benchmark/` (see
+//! `BENCHMARK.json`).
 //!
 //! Scale is controlled by the `WISEDB_SCALE` environment variable:
 //!

@@ -17,7 +17,7 @@
 //! fees. Both runs reuse the same per-class base models, so the
 //! comparison isolates *fleet sharing* — not model quality.
 //!
-//! Used by `--bin multitenant` (the report) and `--bin regress` (counter
+//! Used by `fig multitenant` (the report) and `--bin regress` (counter
 //! guards: completions, shared/isolated VM rentals).
 
 use wisedb::prelude::*;
@@ -108,8 +108,9 @@ impl MultiTenantOutcome {
     }
 }
 
-/// Online configuration shared by both deployments: light in-loop
-/// retraining, coarse age quantum (minutes-scale queries).
+/// Online configuration shared by both deployments and the `streaming*`
+/// figures: light in-loop retraining, coarse age quantum (minutes-scale
+/// queries).
 pub fn online_config() -> OnlineConfig {
     OnlineConfig {
         training: ModelConfig {
@@ -144,7 +145,6 @@ pub fn run(spec: &WorkloadSpec, scale: Scale) -> MultiTenantOutcome {
         let (model, artifacts) = generator
             .train_with_artifacts()
             .expect("training on catalog specs succeeds");
-        eprintln!("  {}: {:.2}s", class.name, model.stats().training_secs);
         trained.push((model, artifacts));
     }
 

@@ -11,6 +11,8 @@
 //! the same commit. Nothing here is a wall-clock time; `benchmark/` is the
 //! repo's one timing instrument.
 
+use std::path::Path;
+
 use serde::{Deserialize, Serialize};
 use wisedb::prelude::*;
 use wisedb_advisor::MultiScheduler;
@@ -108,6 +110,24 @@ pub struct BaselineFile {
 }
 
 impl BaselineFile {
+    /// Reads the baseline file at `path`; with `Some(scale)`, it must also
+    /// hold a report at that scale. A missing or unreadable file, a parse
+    /// failure and a missing scale are errors that name the path (and the
+    /// scale): a comparison with no baseline must not pass.
+    pub fn load(path: &Path, scale: Option<&str>) -> Result<BaselineFile, String> {
+        let path_name = path.display();
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read baseline {path_name}: {e}"))?;
+        let file: BaselineFile = serde_json::from_str(&text)
+            .map_err(|e| format!("baseline {path_name} does not parse: {e}"))?;
+        match scale {
+            Some(scale) if file.for_scale(scale).is_none() => Err(format!(
+                "no {scale}-scale baseline in {path_name}; run with --write-baseline to record one"
+            )),
+            _ => Ok(file),
+        }
+    }
+
     /// The baseline report for `scale`, if one was recorded.
     pub fn for_scale(&self, scale: &str) -> Option<&BenchReport> {
         self.reports.iter().find(|r| r.scale == scale)
@@ -421,6 +441,34 @@ mod tests {
         file.upsert(report("quick", &[("astar/Max", "expanded", 99.0)]));
         assert_eq!(file.reports.len(), 2);
         assert_eq!(file.for_scale("quick").unwrap().measurements[0].value, 99.0);
+    }
+
+    #[test]
+    fn loading_a_missing_garbled_or_scaleless_baseline_fails() {
+        let dir = std::env::temp_dir().join(format!("wisedb-regress-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let missing = dir.join("missing.json");
+        let err = BaselineFile::load(&missing, Some("quick")).unwrap_err();
+        assert!(err.contains("missing.json"), "{err}");
+        assert!(BaselineFile::load(&missing, None).is_err());
+
+        let garbage = dir.join("garbage.json");
+        std::fs::write(&garbage, "{ not json").unwrap();
+        let err = BaselineFile::load(&garbage, Some("quick")).unwrap_err();
+        assert!(
+            err.contains("garbage.json") && err.contains("parse"),
+            "{err}"
+        );
+
+        let std_only = dir.join("std_only.json");
+        let mut file = BaselineFile::default();
+        file.upsert(report("std", &[("astar/Max", "expanded", 4.5)]));
+        std::fs::write(&std_only, serde_json::to_string(&file).unwrap()).unwrap();
+        let err = BaselineFile::load(&std_only, Some("quick")).unwrap_err();
+        assert!(err.contains("no quick-scale baseline in") && err.contains("std_only.json"));
+        assert_eq!(BaselineFile::load(&std_only, Some("std")), Ok(file.clone()));
+        assert_eq!(BaselineFile::load(&std_only, None), Ok(file));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -47,11 +47,10 @@
 //! `vendor/`, so a plain toolchain with no network access suffices:
 //!
 //! ```text
-//! cargo build --release          # all seven crates + this facade
+//! cargo build --release          # all nine crates + this facade
 //! cargo test -q                  # tier-1: unit + integration + doc tests
 //! cargo run --release --example quickstart
 //! cargo run --release -p wisedb-bench --bin fig -- 9   # paper figures
-//! cargo run --release -p wisedb-bench --bin streaming  # streaming runtime
 //! bash benchmark/run.sh          # the timing benchmark (BENCHMARK.json)
 //! ```
 //!
