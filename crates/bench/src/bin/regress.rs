@@ -10,7 +10,9 @@
 //! the serve layer's wire loop
 //! (loopback TCP, admit/shed verdicts), the warm-training guard (cold
 //! train vs warm retrain through the solve cache, zero-solve warm retrain
-//! asserted), the paper-figure costs that need no oracle (Fig 12's and
+//! asserted), the tightening ladder (§5 retrains at +20 %, +40 %, +10 %
+//! on the same artifacts: expansions, rows and tree hash), the
+//! paper-figure costs that need no oracle (Fig 12's and
 //! Fig 13's typed cells, in milli-cents), the shape and hash of each goal
 //! kind's default tree, and the observability guard (the
 //! same stream at every tracing level: identical outcomes asserted, trace
@@ -440,6 +442,50 @@ fn train_warm(scale: Scale, out: &mut Vec<Measurement>) {
     );
 }
 
+/// The tightening ladder (§5), pinned: the `train/` configuration trains
+/// each goal kind once, then [`ModelGenerator::retrain_tightened`] walks
+/// +20 %, +40 % and back to +10 % (a loosening step, as the online Shift
+/// path produces) on the same artifacts. Each step records its A*
+/// expansions, dataset rows, tree nodes and `fp32`, the FNV-1a hash of the
+/// serialized tree (as in `learn/<goal>`), so a change to how tightened
+/// retrains solve or fit fails the diff even where no figure moves.
+fn adapt_ladder(scale: Scale, out: &mut Vec<Measurement>) {
+    let spec = wisedb::sim::catalog::tpch_like(10);
+    let config = ModelConfig {
+        num_samples: if scale == Scale::Quick { 120 } else { 400 },
+        sample_size: 9,
+        seed: 0x7EA1,
+        ..ModelConfig::fast()
+    };
+    for kind in GoalKind::ALL {
+        let base = PerformanceGoal::paper_default(kind, &spec).unwrap();
+        let generator = ModelGenerator::new(spec.clone(), base.clone(), config.clone());
+        let (_, mut artifacts) = generator.train_with_artifacts().unwrap();
+        for pct in [20u32, 40, 10] {
+            let goal = base.tighten_pct(&spec, f64::from(pct) / 100.0);
+            let model = generator.retrain_tightened(&goal, &mut artifacts).unwrap();
+            let json = serde_json::to_string(model.tree()).expect("trees serialize");
+            let fp32 = regress::fnv1a32(json.as_bytes());
+            let stats = model.stats();
+            let bench = format!("adapt/{}/{pct}", kind.name());
+            record(
+                out,
+                &bench,
+                &[
+                    ("expanded", stats.search_expanded as f64),
+                    ("rows", stats.num_rows as f64),
+                    ("nodes", model.tree().num_nodes() as f64),
+                    ("fp32", f64::from(fp32)),
+                ],
+            );
+            eprintln!(
+                "  {bench}: {} expanded, {} rows, fp32 {fp32:08x}",
+                stats.search_expanded, stats.num_rows
+            );
+        }
+    }
+}
+
 /// The figure costs that need no oracle, read from the registry's typed
 /// rows: every milli-cent cell of Figs 12 and 13 (WiSeDB on one and two VM
 /// types; FFD, FFI, Pack9 and WiSeDB on 5000-query batches), one bench per
@@ -592,6 +638,7 @@ fn main() {
     shard_loop(scale, &mut measurements);
     serve_loop(scale, &mut measurements);
     train_warm(scale, &mut measurements);
+    adapt_ladder(scale, &mut measurements);
     let mut ctx = Context::new(scale, false);
     figure_costs(&mut ctx, &mut measurements);
     tree_shapes(&mut ctx, &mut measurements);
