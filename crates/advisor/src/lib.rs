@@ -14,8 +14,8 @@
 //!   on one shared cluster view.
 //! * [`strategy`] — the strategy-recommendation ladder with EMD pruning
 //!   and per-template cost estimation functions (§6.1).
-//! * [`warm`] — the canonical solve cache and shared heuristic memo behind
-//!   warm retraining: duplicate sample signatures never re-run A*.
+//! * [`warm`] — the canonical solve cache behind warm retraining:
+//!   duplicate sample signatures never re-run A*.
 //! * [`baselines`] — FFD / FFI / Pack9, the metric-specific heuristics the
 //!   paper compares against (§3, §7.2).
 //! * [`emd`] — 1-D Earth Mover's Distance.

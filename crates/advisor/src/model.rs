@@ -6,7 +6,20 @@
 //! (§4.4), and trains the decision-tree strategy (§4.5). The resulting
 //! [`DecisionModel`] is the artifact applications keep: it schedules any
 //! number of future batches without further search.
+//!
+//! Every kind of training runs one pipeline. The samples are reduced to
+//! their distinct template-count signatures (see [`crate::warm`]), each
+//! signature is solved at most once on [`ModelConfig::threads`] workers,
+//! and the rows are assembled in sample order, a duplicate sample
+//! repeating its signature's rows. A cold or warm train
+//! ([`ModelGenerator::train_with_artifacts`],
+//! [`ModelGenerator::retrain_from`]) solves only the signatures its
+//! [`SolveCache`] lacks. A tightened retrain
+//! ([`ModelGenerator::retrain_tightened`], §5) re-solves every signature
+//! with that signature's adaptive searcher, kept in the
+//! [`TrainingArtifacts`].
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,12 +32,10 @@ use wisedb_core::{
     WorkloadSpec,
 };
 use wisedb_learn::{Dataset, DecisionTree, FeatureSchema, TreeParams};
-use wisedb_search::{
-    AdaptiveSearcher, HeuristicMemo, OptimalSchedule, SearchConfig, SearchStrategy, Solver,
-};
+use wisedb_search::{AdaptiveSearcher, ExploredStates, SearchConfig, SearchStrategy, Solver};
 
 use crate::batch::{self, BatchPlan};
-use crate::warm::{Lookup, Signature, SolveCache, SolvedEntry, WarmStart, DEFAULT_CACHE_CAPACITY};
+use crate::warm::{Signature, SolveCache, SolvedEntry, WarmStart, DEFAULT_CACHE_CAPACITY};
 
 /// Training configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,26 +48,17 @@ pub struct ModelConfig {
     pub seed: u64,
     /// Decision-tree induction parameters.
     pub tree: TreeParams,
-    /// Solver configuration for the per-sample searches: the expansion
+    /// Solver configuration for the training searches: the expansion
     /// budget **and** the [`SearchStrategy`] — training may safely use
     /// beam/anytime solves (the learned model needs near-optimal decision
     /// paths, not proofs), while exact remains the default so committed
     /// models stay bit-identical. Serialized with the model config, so a
     /// persisted training setup records which solver produced it; absent
-    /// fields default to the exact strategy.
+    /// fields default to the exact strategy. Percentile goals train with
+    /// anytime where this says exact; see
+    /// [`search_for`](ModelConfig::search_for).
     #[serde(default)]
     pub search: SearchConfig,
-    /// Pick the per-sample solver by goal kind: percentile goals — whose
-    /// exact searches blow any practical node budget (the state space
-    /// distinguishes every completion multiset) — train with the
-    /// certified-bound `anytime` strategy instead of exact A*, at the same
-    /// node budget. Only applies while [`search`](ModelConfig::search)
-    /// still holds the default exact strategy; an explicit
-    /// [`with_strategy`](ModelConfig::with_strategy) choice always wins.
-    /// Serde-defaults to `false`, so persisted legacy configurations keep
-    /// deserializing to plain exact training.
-    #[serde(default)]
-    pub goal_aware_strategy: bool,
     /// Capacity of the per-generator [`SolveCache`] in distinct sample
     /// signatures (`0` means [`DEFAULT_CACHE_CAPACITY`]). Training
     /// canonicalizes every sample to its template multiset and memoizes the
@@ -66,9 +68,9 @@ pub struct ModelConfig {
     /// to `0`, so persisted legacy configurations keep deserializing.
     #[serde(default)]
     pub cache_capacity: usize,
-    /// Worker threads for the per-sample A* solves, which are
+    /// Worker threads for the per-signature A* solves, which are
     /// embarrassingly parallel. `0` means one per available CPU core; `1`
-    /// forces the serial path. Results are merged in sample order, so the
+    /// forces the serial path. Results are merged in signature order, so the
     /// trained model is **bit-identical** across thread counts for a fixed
     /// seed (asserted by tests).
     #[serde(skip, default)]
@@ -84,7 +86,6 @@ impl ModelConfig {
             seed: 0x5EED_0001,
             tree: TreeParams::default(),
             search: SearchConfig::default(),
-            goal_aware_strategy: true,
             cache_capacity: 0,
             threads: 0,
         }
@@ -100,7 +101,6 @@ impl ModelConfig {
             seed: 0x5EED_0002,
             tree: TreeParams::default(),
             search: SearchConfig::default(),
-            goal_aware_strategy: true,
             cache_capacity: 0,
             threads: 0,
         }
@@ -126,26 +126,14 @@ impl ModelConfig {
         self
     }
 
-    /// Overrides the per-sample solver strategy (see
-    /// [`search`](ModelConfig::search)). An explicit choice disables the
-    /// [`goal_aware_strategy`](ModelConfig::goal_aware_strategy) default.
-    pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.search.strategy = strategy;
-        self.goal_aware_strategy = false;
-        self
-    }
-
     /// The search configuration the training solves for `goal` actually
-    /// use: the configured one, except that with
-    /// [`goal_aware_strategy`](ModelConfig::goal_aware_strategy) set and
-    /// the strategy still at its exact default, percentile goals swap in
-    /// the anytime strategy (same node budget, certified bound).
+    /// use: the configured one, except that a percentile goal under the
+    /// exact strategy trains with anytime instead (same node budget,
+    /// certified bound). Its exact searches blow any practical node budget,
+    /// because the state space distinguishes every completion multiset.
     pub fn search_for(&self, goal: &PerformanceGoal) -> SearchConfig {
         let mut search = self.search.clone();
-        if self.goal_aware_strategy
-            && search.strategy == SearchStrategy::Exact
-            && goal.kind() == GoalKind::Percentile
-        {
+        if search.strategy == SearchStrategy::Exact && goal.kind() == GoalKind::Percentile {
             search.strategy = SearchStrategy::anytime();
         }
         search
@@ -308,33 +296,27 @@ impl DecisionModel {
 }
 
 /// Everything kept from training that adaptive re-training (§5) can reuse:
-/// the sample workloads, each one's adaptive searcher, and the solve cache
-/// the run was trained through. Cloning copies the warmed search memos but
-/// *shares* the solve cache, so independent consumers (e.g. several online
-/// schedulers over one base model) each keep adapting cheaply while warm
-/// retrains keep deduplicating against one signature store.
+/// the distinct sample signatures with their solves, one adaptive searcher
+/// per signature, and the solve cache the run was trained through. Cloning
+/// copies the warmed search memos but *shares* the solve cache, so
+/// independent consumers (e.g. several online schedulers over one base
+/// model) each keep adapting cheaply while warm retrains keep deduplicating
+/// against one signature store.
 #[derive(Clone)]
 pub struct TrainingArtifacts {
-    /// The sampled training workloads.
-    pub samples: Vec<Workload>,
-    /// Per-sample adaptive searchers (possibly still pending
-    /// materialization from the cached solve entries).
-    searchers: SearcherState,
+    /// Each sample's index into `signatures`, in sample order.
+    of_sample: Vec<usize>,
+    /// The distinct sample signatures, in first-occurrence order.
+    signatures: Vec<Signature>,
+    /// Each signature's solve from the training run.
+    entries: Vec<Arc<SolvedEntry>>,
+    /// One adaptive searcher per signature. Empty until the first
+    /// tightened retrain builds them from `entries`: most artifacts never
+    /// retrain, and the rebuilt memo is exactly the one the signature's own
+    /// solve would have left behind.
+    searchers: Vec<AdaptiveSearcher>,
     /// The solve cache this model was trained through.
     warm: WarmStart,
-}
-
-/// Per-sample searcher storage. Training stores the solve entries and
-/// defers building each sample's [`AdaptiveSearcher`] memo until a
-/// tightening retrain actually needs it — most artifacts never retrain,
-/// and the rebuild is exactly the memo the sample's own solve would have
-/// left behind, so materialization is invisible to results.
-#[derive(Clone)]
-enum SearcherState {
-    /// Materialized per-sample searchers.
-    Ready(Vec<AdaptiveSearcher>),
-    /// The cached pipeline's per-sample solve entries, one per sample.
-    Pending(Vec<Arc<SolvedEntry>>),
 }
 
 impl TrainingArtifacts {
@@ -343,23 +325,6 @@ impl TrainingArtifacts {
     /// sample signature.
     pub fn warm_start(&self) -> WarmStart {
         self.warm.clone()
-    }
-
-    /// The sample workloads alongside their (materialized) adaptive
-    /// searchers, for the tightening-retrain solve loop.
-    fn parts_mut(&mut self) -> (&[Workload], &mut [AdaptiveSearcher]) {
-        if let SearcherState::Pending(entries) = &self.searchers {
-            self.searchers = SearcherState::Ready(
-                entries
-                    .iter()
-                    .map(|e| AdaptiveSearcher::warmed(e.searcher_memo()))
-                    .collect(),
-            );
-        }
-        match &mut self.searchers {
-            SearcherState::Ready(s) => (&self.samples, s),
-            SearcherState::Pending(_) => unreachable!("materialized above"),
-        }
     }
 }
 
@@ -445,11 +410,9 @@ impl ModelGenerator {
         ))
     }
 
-    /// The shared train pipeline: sample, resolve signatures against the
-    /// cache, solve only the missing ones (against the run's frozen memo
-    /// snapshot), then assemble the dataset and per-sample searchers in
-    /// sample order. See [`crate::warm`] for why the result is
-    /// bit-identical to the historical uncached pipeline.
+    /// The cold and warm train pipeline: sample, dedup to distinct
+    /// signatures, solve only those the cache lacks, then fit. See
+    /// [`crate::warm`] for why the result does not depend on the cache.
     fn train_cached(
         &self,
         cache: Arc<SolveCache>,
@@ -457,37 +420,196 @@ impl ModelGenerator {
         let mut span = wisedb_obs::span("train.model");
         self.goal.validate_against(&self.spec)?;
         let schema = FeatureSchema::for_spec(&self.spec);
-        let samples = self.sample_workloads();
         let start = Instant::now();
 
-        let sigs: Vec<Signature> = samples
+        let mut index: HashMap<Signature, usize> = HashMap::new();
+        let mut signatures: Vec<Signature> = Vec::new();
+        let of_sample: Vec<usize> = self
+            .sample_workloads()
             .iter()
-            .map(|w| w.template_counts(self.spec.num_templates()))
+            .map(|w| {
+                let sig = w.template_counts(self.spec.num_templates());
+                *index.entry(sig).or_insert_with_key(|sig| {
+                    signatures.push(sig.clone());
+                    signatures.len() - 1
+                })
+            })
             .collect();
-        let plan = cache.plan(sigs);
-        let solved = self.solve_signatures(&schema, &plan.missing, &plan.frozen)?;
-        let hits = (samples.len() - plan.missing.len()) as u64;
-        // Released before the commit, which would otherwise have to copy
-        // the memo out from under this run's snapshot.
-        drop(plan.frozen);
-        cache.commit(plan.missing, solved.clone(), hits);
+        let cached = cache.lookup(&signatures);
+        let mut missing: Vec<&Signature> = signatures
+            .iter()
+            .zip(&cached)
+            .filter_map(|(sig, entry)| entry.is_none().then_some(sig))
+            .collect();
+        let search = self.config.search_for(&self.goal);
+        let solved = self.fan_out(&mut missing, |sig| {
+            let solver = Solver::new(&self.spec, &self.goal).with_config(search.clone());
+            let (solved, explored) = solver.solve_with_explored(&Workload::from_counts(sig))?;
+            wisedb_obs::counter_add("wisedb_train_solves_total", 1);
+            Ok(Arc::new(SolvedEntry::from_solve(
+                &self.spec, &self.goal, &schema, &solved, explored,
+            )))
+        })?;
+        cache.commit(
+            missing
+                .iter()
+                .map(|&sig| sig.clone())
+                .zip(solved.iter().cloned())
+                .collect(),
+            (of_sample.len() - solved.len()) as u64,
+        );
+        let fresh: Vec<bool> = cached.iter().map(Option::is_none).collect();
+        let mut solved = solved.into_iter();
+        let entries: Vec<Arc<SolvedEntry>> = cached
+            .into_iter()
+            .map(|hit| hit.unwrap_or_else(|| solved.next().expect("one solve per miss")))
+            .collect();
 
+        let model = self.fit_samples(&mut span, schema, &of_sample, &entries, &fresh, start);
+        let artifacts = TrainingArtifacts {
+            of_sample,
+            signatures,
+            entries,
+            searchers: Vec::new(),
+            warm: WarmStart::new(cache),
+        };
+        Ok((model, artifacts))
+    }
+
+    /// Runs `solve` over `items` on up to [`ModelConfig::threads`] workers,
+    /// each owning a contiguous chunk. Every call is independent of the
+    /// others and results are merged in item order, so the output is
+    /// identical to the serial loop's regardless of thread count or
+    /// scheduling.
+    fn fan_out<T: Send, R: Send>(
+        &self,
+        items: &mut [T],
+        solve: impl Fn(&mut T) -> CoreResult<R> + Sync,
+    ) -> CoreResult<Vec<R>> {
+        let requested = if self.config.threads == 0 {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        } else {
+            self.config.threads
+        };
+        let threads = requested.clamp(1, items.len().max(1));
+        if threads == 1 {
+            return items.iter_mut().map(&solve).collect();
+        }
+
+        let chunk = items.len().div_ceil(threads);
+        let results: Vec<CoreResult<Vec<R>>> = std::thread::scope(|scope| {
+            let solve = &solve;
+            let handles: Vec<_> = items
+                .chunks_mut(chunk)
+                .map(|c| scope.spawn(move || c.iter_mut().map(solve).collect()))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(result) => result,
+                    // Surface the worker's own panic, not a stand-in.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        });
+        let mut out = Vec::with_capacity(items.len());
+        for result in results {
+            out.extend(result?);
+        }
+        Ok(out)
+    }
+
+    /// Re-trains for a goal **at least as strict** as the one the artifacts
+    /// were produced under, reusing each signature's search memo (§5). The
+    /// generator's own goal is *not* consulted; `goal` rules. Each distinct
+    /// signature is solved once, like a cold train, and duplicate samples
+    /// repeat its rows.
+    pub fn retrain_tightened(
+        &self,
+        goal: &PerformanceGoal,
+        artifacts: &mut TrainingArtifacts,
+    ) -> CoreResult<DecisionModel> {
+        let mut span = wisedb_obs::span("train.model");
+        goal.validate_against(&self.spec)?;
+        let schema = FeatureSchema::for_spec(&self.spec);
+        let start = Instant::now();
+        if span.recording() {
+            span.attr_str("kind", "tightened");
+        }
+
+        if artifacts.searchers.is_empty() {
+            artifacts.searchers = artifacts
+                .entries
+                .iter()
+                .map(|e| AdaptiveSearcher::warmed(e.searcher_memo()))
+                .collect();
+        }
+        let mut jobs: Vec<_> = artifacts
+            .signatures
+            .iter()
+            .zip(&mut artifacts.searchers)
+            .collect();
+        let search = self.config.search_for(goal);
+        let entries = self.fan_out(&mut jobs, |(sig, searcher)| {
+            let solved = searcher.solve(
+                &self.spec,
+                goal,
+                &Workload::from_counts(sig),
+                search.clone(),
+            )?;
+            wisedb_obs::counter_add("wisedb_train_solves_total", 1);
+            // The searcher keeps its own memo; the entry is never cached.
+            Ok(Arc::new(SolvedEntry::from_solve(
+                &self.spec,
+                goal,
+                &schema,
+                &solved,
+                ExploredStates::default(),
+            )))
+        })?;
+
+        let generator = ModelGenerator {
+            spec: self.spec.clone(),
+            goal: GoalHandle::new(goal.clone()),
+            config: self.config.clone(),
+        };
+        let fresh = vec![true; entries.len()];
+        Ok(generator.fit_samples(
+            &mut span,
+            schema,
+            &artifacts.of_sample,
+            &entries,
+            &fresh,
+            start,
+        ))
+    }
+
+    /// Assembles the dataset in sample order (a duplicate sample repeats
+    /// its signature's rows), emits one `train.sample` span per sample, and
+    /// fits the tree. `fresh[j]` says whether signature `j` was solved by
+    /// this run; every other sample counts as a cache hit.
+    /// `training_secs` runs from `started`.
+    fn fit_samples(
+        &self,
+        span: &mut wisedb_obs::Span,
+        schema: FeatureSchema,
+        of_sample: &[usize],
+        entries: &[Arc<SolvedEntry>],
+        fresh: &[bool],
+        started: Instant,
+    ) -> DecisionModel {
         let mut dataset = Dataset::new(schema);
-        let mut searchers = Vec::with_capacity(samples.len());
         let mut expanded = 0u64;
-        let mut first_solve_spent = vec![false; solved.len()];
-        for (workload, lookup) in samples.iter().zip(&plan.lookups) {
-            let (entry, hit) = match lookup {
-                Lookup::Hit(entry) => (entry, true),
-                Lookup::Missing(i) => {
-                    let duplicate = first_solve_spent[*i];
-                    first_solve_spent[*i] = true;
-                    (&solved[*i], duplicate)
-                }
-            };
+        let mut seen = vec![false; entries.len()];
+        for &j in of_sample {
+            let entry = &entries[j];
+            let hit = !fresh[j] || seen[j];
+            seen[j] = true;
             let mut sample_span = wisedb_obs::span("train.sample");
             if sample_span.recording() {
-                sample_span.attr_u64("queries", workload.len() as u64);
+                sample_span.attr_u64("queries", self.config.sample_size as u64);
                 sample_span.attr_u64("expanded", entry.stats.expanded);
                 sample_span.attr_bool("cache_hit", hit);
             }
@@ -499,250 +621,34 @@ impl ModelGenerator {
             expanded += entry.stats.expanded;
             dataset.rows.extend(entry.rows.iter().cloned());
             dataset.labels.extend(entry.labels.iter().cloned());
-            searchers.push(Arc::clone(entry));
         }
 
-        let work = TrainingStats {
-            num_samples: samples.len(),
-            search_expanded: expanded,
-            solves: solved.len() as u64,
-            cache_hits: hits,
-            limit_hits: solved.iter().filter(|e| e.stats.limit_hit).count() as u64,
-            ..TrainingStats::default()
-        };
-        let model = self.fit_dataset(dataset, work, start);
-        if span.recording() {
-            span.attr_u64("samples", samples.len() as u64);
-            span.attr_u64("expanded", expanded);
-            span.attr_str("goal", self.goal.kind().name());
-            span.attr_u64("cache_hits", hits);
-            span.attr_f64("dedup_rate", hits as f64 / (samples.len().max(1)) as f64);
-            span.attr_u64("dataset_rows", model.stats.num_rows as u64);
-        }
-        let warm = WarmStart::new(cache);
-        Ok((
-            model,
-            TrainingArtifacts {
-                samples,
-                searchers: SearcherState::Pending(searchers),
-                warm,
-            },
-        ))
-    }
-
-    /// A*-solves the canonical workload of every missing signature against
-    /// the run's frozen memo snapshot, fanning across
-    /// [`ModelConfig::threads`] workers. Each solve is a pure function of
-    /// `(spec, goal, search, signature, frozen memo)` and results are
-    /// merged in signature order, so the output is identical to the serial
-    /// loop's regardless of thread count or scheduling.
-    fn solve_signatures(
-        &self,
-        schema: &FeatureSchema,
-        sigs: &[Signature],
-        frozen: &HeuristicMemo,
-    ) -> CoreResult<Vec<Arc<SolvedEntry>>> {
-        let requested = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
-        let threads = requested.clamp(1, sigs.len().max(1));
-        let search = self.config.search_for(&self.goal);
-        let reuse = self.goal.is_monotone();
-
-        let solve_chunk = |chunk: &[Signature]| -> CoreResult<Vec<Arc<SolvedEntry>>> {
-            let mut entries = Vec::with_capacity(chunk.len());
-            for sig in chunk {
-                let workload = Workload::from_counts(sig);
-                let solver = Solver::new(&self.spec, &self.goal).with_config(search.clone());
-                let solver = if reuse {
-                    solver.with_memo(frozen)
-                } else {
-                    solver
-                };
-                let (solved, explored) = solver.solve_with_explored(&workload)?;
-                wisedb_obs::counter_add("wisedb_train_solves_total", 1);
-                entries.push(Arc::new(SolvedEntry::from_solve(
-                    &self.spec, &self.goal, schema, &solved, explored,
-                )));
-            }
-            Ok(entries)
-        };
-
-        if threads <= 1 || sigs.is_empty() {
-            return solve_chunk(sigs);
-        }
-
-        let chunk = sigs.len().div_ceil(threads);
-        let results: Vec<CoreResult<Vec<Arc<SolvedEntry>>>> = std::thread::scope(|scope| {
-            let solve_chunk = &solve_chunk;
-            let handles: Vec<_> = sigs
-                .chunks(chunk)
-                .map(|c| scope.spawn(move || solve_chunk(c)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    // Surface the worker's own panic, not a stand-in.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut entries = Vec::with_capacity(sigs.len());
-        for result in results {
-            entries.extend(result?);
-        }
-        Ok(entries)
-    }
-
-    /// Re-trains for a goal **at least as strict** as the one the artifacts
-    /// were produced under, reusing each sample's search memo (§5). The
-    /// generator's own goal is *not* consulted; `goal` rules.
-    pub fn retrain_tightened(
-        &self,
-        goal: &PerformanceGoal,
-        artifacts: &mut TrainingArtifacts,
-    ) -> CoreResult<DecisionModel> {
-        let mut span = wisedb_obs::span("train.model");
-        goal.validate_against(&self.spec)?;
-        let start = Instant::now();
-        let (samples, searchers) = artifacts.parts_mut();
-        let (paths, expanded) = self.solve_samples(goal, samples, searchers)?;
-        // Every sample is re-solved: searcher memos are goal-specific, so
-        // nothing here goes through the solve cache.
-        wisedb_obs::counter_add("wisedb_train_solves_total", paths.len() as u64);
-        if span.recording() {
-            span.attr_str("kind", "tightened");
-            span.attr_u64("samples", paths.len() as u64);
-            span.attr_u64("expanded", expanded);
-            span.attr_str("goal", goal.kind().name());
-        }
-        let generator = ModelGenerator {
-            spec: self.spec.clone(),
-            goal: GoalHandle::new(goal.clone()),
-            config: self.config.clone(),
-        };
-        Ok(generator.fit_tree(&paths, expanded, start))
-    }
-
-    /// Solves every sample workload optimally, fanning the independent
-    /// per-sample searches across [`ModelConfig::threads`] workers.
-    ///
-    /// Each worker owns a contiguous chunk of (workload, searcher) pairs
-    /// and results are merged back in sample order, so the output — paths,
-    /// expansion counts, and updated searcher memos — is identical to the
-    /// serial loop's regardless of thread count or scheduling.
-    fn solve_samples(
-        &self,
-        goal: &PerformanceGoal,
-        samples: &[Workload],
-        searchers: &mut [AdaptiveSearcher],
-    ) -> CoreResult<(Vec<OptimalSchedule>, u64)> {
-        let requested = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
-        let threads = requested.clamp(1, samples.len().max(1));
-        let search = self.config.search_for(goal);
-
-        let solve_chunk = |ws: &[Workload],
-                           ss: &mut [AdaptiveSearcher]|
-         -> CoreResult<(Vec<OptimalSchedule>, u64)> {
-            let mut paths = Vec::with_capacity(ws.len());
-            let mut expanded = 0u64;
-            for (workload, searcher) in ws.iter().zip(ss.iter_mut()) {
-                // Per-sample training span: worker threads share the
-                // collector through the global sender, and the merge
-                // below stays in sample order regardless.
-                let mut sample_span = wisedb_obs::span("train.sample");
-                let solved = searcher.solve(&self.spec, goal, workload, search.clone())?;
-                if sample_span.recording() {
-                    sample_span.attr_u64("queries", workload.len() as u64);
-                    sample_span.attr_u64("expanded", solved.stats.expanded);
-                }
-                drop(sample_span);
-                wisedb_obs::counter_add("wisedb_train_samples_total", 1);
-                expanded += solved.stats.expanded;
-                paths.push(solved);
-            }
-            Ok((paths, expanded))
-        };
-
-        if threads == 1 {
-            return solve_chunk(samples, searchers);
-        }
-
-        let chunk = samples.len().div_ceil(threads);
-        let results: Vec<CoreResult<(Vec<OptimalSchedule>, u64)>> = std::thread::scope(|scope| {
-            let solve_chunk = &solve_chunk;
-            let handles: Vec<_> = samples
-                .chunks(chunk)
-                .zip(searchers.chunks_mut(chunk))
-                .map(|(ws, ss)| scope.spawn(move || solve_chunk(ws, ss)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    // Surface the worker's own panic, not a stand-in.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut paths = Vec::with_capacity(samples.len());
-        let mut expanded = 0u64;
-        for result in results {
-            let (p, e) = result?;
-            paths.extend(p);
-            expanded += e;
-        }
-        Ok((paths, expanded))
-    }
-
-    /// The uncached fit path (per-sample solves already in hand): used by
-    /// [`retrain_tightened`](Self::retrain_tightened), whose per-sample
-    /// searcher memos are goal-specific and must not mix with the cache.
-    fn fit_tree(
-        &self,
-        paths: &[OptimalSchedule],
-        expanded: u64,
-        started: Instant,
-    ) -> DecisionModel {
-        let dataset = Dataset::from_paths(&self.spec, &self.goal, paths);
-        let work = TrainingStats {
-            num_samples: paths.len(),
-            search_expanded: expanded,
-            solves: paths.len() as u64,
-            limit_hits: paths.iter().filter(|p| p.stats.limit_hit).count() as u64,
-            ..TrainingStats::default()
-        };
-        self.fit_dataset(dataset, work, started)
-    }
-
-    /// Fits the tree and completes `work` (the search counters) with the
-    /// dataset and tree statistics.
-    fn fit_dataset(
-        &self,
-        dataset: Dataset,
-        work: TrainingStats,
-        started: Instant,
-    ) -> DecisionModel {
+        let samples = of_sample.len();
+        let solves = fresh.iter().filter(|&&f| f).count();
+        let hits = (samples - solves) as u64;
         let tree = DecisionTree::train(&dataset, &self.config.tree);
         let stats = TrainingStats {
+            num_samples: samples,
             num_rows: dataset.len(),
             training_accuracy: tree.accuracy(&dataset),
             tree_depth: tree.depth(),
             tree_leaves: tree.num_leaves(),
+            search_expanded: expanded,
+            solves: solves as u64,
+            cache_hits: hits,
+            limit_hits: (entries.iter().zip(fresh))
+                .filter(|&(e, &f)| f && e.stats.limit_hit)
+                .count() as u64,
             training_secs: started.elapsed().as_secs_f64(),
-            ..work
         };
+        if span.recording() {
+            span.attr_u64("samples", samples as u64);
+            span.attr_u64("expanded", expanded);
+            span.attr_str("goal", self.goal.kind().name());
+            span.attr_u64("cache_hits", hits);
+            span.attr_f64("dedup_rate", hits as f64 / (samples.max(1)) as f64);
+            span.attr_u64("dataset_rows", stats.num_rows as u64);
+        }
         DecisionModel {
             spec: self.spec.clone(),
             goal: self.goal.clone(),
@@ -777,7 +683,6 @@ mod tests {
             seed: 7,
             tree: TreeParams::default(),
             search: SearchConfig::default(),
-            goal_aware_strategy: true,
             cache_capacity: 0,
             threads: 0,
         }
@@ -869,20 +774,45 @@ mod tests {
         let stats = model.stats();
         assert!(stats.solves > 0);
         assert_eq!(stats.limit_hits, stats.solves);
-        // The tightening retrain re-solves every sample under the same
-        // budget, so it counts a hit per sample too.
+        // The tightening retrain re-solves every distinct signature under
+        // the same budget, so it counts a hit per solve too.
         let tightened = generator
             .retrain_tightened(&goal.tighten_pct(&spec, 0.2), &mut artifacts)
             .unwrap();
-        let samples = tiny_config().num_samples as u64;
-        assert_eq!(tightened.stats().solves, samples);
-        assert_eq!(tightened.stats().limit_hits, samples);
+        assert_eq!(tightened.stats().solves, stats.solves);
+        assert_eq!(tightened.stats().limit_hits, stats.solves);
 
         // The default budget finishes these small samples.
         let full = ModelGenerator::new(spec, goal, tiny_config())
             .train()
             .unwrap();
         assert_eq!(full.stats().limit_hits, 0);
+    }
+
+    #[test]
+    fn every_sample_is_a_solve_or_a_cache_hit() {
+        let spec = small_spec();
+        let goal = PerformanceGoal::paper_default(GoalKind::PerQuery, &spec).unwrap();
+        let generator = ModelGenerator::new(spec.clone(), goal.clone(), tiny_config());
+        let (cold, mut artifacts) = generator.train_with_artifacts().unwrap();
+        let (warm, _) = generator.retrain_from(&artifacts.warm_start()).unwrap();
+        let tightened = generator
+            .retrain_tightened(&goal.tighten_pct(&spec, 0.2), &mut artifacts)
+            .unwrap();
+        for (kind, model) in [("cold", &cold), ("warm", &warm), ("tightened", &tightened)] {
+            let stats = model.stats();
+            assert_eq!(stats.num_samples, tiny_config().num_samples, "{kind}");
+            assert_eq!(
+                stats.solves + stats.cache_hits,
+                stats.num_samples as u64,
+                "{kind}"
+            );
+        }
+        // 60 samples of 6 queries over 3 templates repeat signatures, and
+        // a tightened retrain solves each distinct one once, as cold does.
+        assert!(cold.stats().cache_hits > 0);
+        assert_eq!(tightened.stats().solves, cold.stats().solves);
+        assert_eq!(warm.stats().solves, 0);
     }
 
     #[test]
@@ -959,19 +889,12 @@ mod tests {
         let legacy: ModelConfig =
             serde_json::from_str(&json.replace("\"search\"", "\"search_unused\"")).unwrap();
         assert_eq!(legacy.search, SearchConfig::default());
-        // Legacy payloads without `goal_aware_strategy` default to plain
-        // exact training for every goal kind.
-        let legacy: ModelConfig =
-            serde_json::from_str(&json.replace("\"goal_aware_strategy\"", "\"goal_aware_unused\""))
-                .unwrap();
-        assert!(!legacy.goal_aware_strategy);
     }
 
     #[test]
     fn goal_aware_default_trains_percentile_with_anytime() {
         let spec = small_spec();
         let config = ModelConfig::fast();
-        assert!(config.goal_aware_strategy);
         let percentile = PerformanceGoal::paper_default(GoalKind::Percentile, &spec).unwrap();
         let max_latency = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
         // Percentile training swaps in anytime (same node budget)...
@@ -983,8 +906,9 @@ mod tests {
             config.search_for(&max_latency).strategy,
             SearchStrategy::Exact
         );
-        // ...and an explicit strategy choice always wins.
-        let explicit = config.with_strategy(SearchStrategy::Beam { width: 8 });
+        // ...and a non-exact strategy is kept as configured.
+        let mut explicit = config;
+        explicit.search.strategy = SearchStrategy::Beam { width: 8 };
         assert_eq!(
             explicit.search_for(&percentile).strategy,
             SearchStrategy::Beam { width: 8 }

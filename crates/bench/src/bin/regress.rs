@@ -448,7 +448,9 @@ fn train_warm(scale: Scale, out: &mut Vec<Measurement>) {
 /// path produces) on the same artifacts. Each step records its A*
 /// expansions, dataset rows, tree nodes and `fp32`, the FNV-1a hash of the
 /// serialized tree (as in `learn/<goal>`), so a change to how tightened
-/// retrains solve or fit fails the diff even where no figure moves.
+/// retrains solve or fit fails the diff even where no figure moves. It also
+/// records `solves` (one per distinct sample signature) and `cache_hits`
+/// (the samples that repeat one).
 fn adapt_ladder(scale: Scale, out: &mut Vec<Measurement>) {
     let spec = wisedb::sim::catalog::tpch_like(10);
     let config = ModelConfig {
@@ -476,11 +478,13 @@ fn adapt_ladder(scale: Scale, out: &mut Vec<Measurement>) {
                     ("rows", stats.num_rows as f64),
                     ("nodes", model.tree().num_nodes() as f64),
                     ("fp32", f64::from(fp32)),
+                    ("solves", stats.solves as f64),
+                    ("cache_hits", stats.cache_hits as f64),
                 ],
             );
             eprintln!(
-                "  {bench}: {} expanded, {} rows, fp32 {fp32:08x}",
-                stats.search_expanded, stats.num_rows
+                "  {bench}: {} expanded, {} rows, {} solves, fp32 {fp32:08x}",
+                stats.search_expanded, stats.num_rows, stats.solves
             );
         }
     }

@@ -3,7 +3,7 @@
 //! ablation, the streaming runtime, multi-tenant consolidation, the search
 //! strategy shoot-out and warm retraining — run by the `fig` binary over
 //! one [`Context`]. Cost-valued figures go through one gap helper
-//! ([`Context::gap`]); models come from the context's memo, one training
+//! (`Context::gap`); models come from the context's memo, one training
 //! per distinct (spec, goal, config). Every cell is a cost, a work counter
 //! or a virtual-clock reading: only `benchmark/` times code.
 //! `strategies` and `train_warm` gate: each panics when its contract
@@ -85,7 +85,7 @@ pub struct Context {
 }
 
 impl Context {
-    /// A context at `scale`. Without `oracle`, [`gap`](Self::gap) skips the
+    /// A context at `scale`. Without `oracle`, `gap` skips the
     /// optimal solves and their cells read `-` (`regress`'s cheap subset).
     pub fn new(scale: Scale, oracle: bool) -> Self {
         let (spec, models) = (catalog::tpch_like(10), Vec::new());

@@ -30,7 +30,7 @@
 //!   neither scanned nor partitioned again;
 //! * an **entropy screen** prices each boundary from a `c·log2 c` table and
 //!   skips the exact entropies only where even the approximate gain plus a
-//!   margin far above its worst-case rounding error (see [`MARGIN`]) could
+//!   margin far above its worst-case rounding error (see `MARGIN`) could
 //!   not beat the best split so far. Every split that can win is scored with
 //!   the exact arithmetic, so every chosen threshold and gain ratio is the
 //!   same `f64` a full scan computes; debug builds recompute every screened

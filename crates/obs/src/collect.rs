@@ -1,16 +1,15 @@
-//! The collector: per-thread event buffers drained by one background
-//! thread, the process wall-clock epoch, and the [`Trace`] it produces.
+//! The collector: per-thread event buffers, the process wall-clock epoch,
+//! and the [`Trace`] they produce.
 //!
 //! The emit path is deliberately contention-free: each producing thread
 //! appends to its **own** buffer (an `Arc<Mutex<Vec<Event>>>` that only
-//! the collector thread ever locks besides the owner), and sequence
-//! numbers come from one relaxed `fetch_add`. The collector thread wakes
-//! every few milliseconds, swaps every registered buffer empty, and
-//! accumulates the events; `finish` performs a final drain and sorts by
-//! sequence number. Compared to sending each event over a shared mpsc
-//! channel under a global lock, this keeps the per-event cost to one
-//! uncontended lock and a `Vec` push — which is what lets full-span
-//! tracing ride the serve layer's microsecond-scale SLO path.
+//! `finish` ever locks besides the owner), and sequence numbers come from
+//! one relaxed `fetch_add`. [`Collector::finish`] drains every registered
+//! buffer once and sorts by sequence number. Compared to sending each
+//! event over a shared mpsc channel under a global lock, this keeps the
+//! per-event cost to one uncontended lock and a `Vec` push — which is what
+//! lets full-span tracing ride the serve layer's microsecond-scale SLO
+//! path.
 //!
 //! Sequence numbers respect causality: the counter's modification order
 //! is total, and any cross-thread happens-before edge (an mpsc send, a
@@ -19,10 +18,8 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::event::{Event, Phase};
 use crate::{export, registry, set_level, Level};
@@ -38,9 +35,6 @@ static ACTIVE_GEN: AtomicU64 = AtomicU64::new(0);
 static NEXT_GEN: AtomicU64 = AtomicU64::new(1);
 static SEQ: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-/// How often the collector thread sweeps the per-thread buffers.
-const DRAIN_TICK: Duration = Duration::from_millis(5);
 
 thread_local! {
     /// This thread's buffer, tagged with the generation it registered for.
@@ -105,37 +99,14 @@ pub(crate) fn emit(mut event: Event) {
     });
 }
 
-/// Moves every registered buffer's contents into `into` — but only while
-/// `gen` is still the live generation, so a lingering collector from a
-/// replaced install cannot steal its successor's events.
-fn drain_buffers(gen: u64, into: &mut Vec<Event>) {
-    let live = ACTIVE_GEN.load(Ordering::Acquire);
-    if live != gen && live != 0 {
-        return;
-    }
-    let buffers: Vec<Buffer> = BUFFERS
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .iter()
-        .map(Arc::clone)
-        .collect();
-    for buffer in buffers {
-        let mut guard = buffer.lock().unwrap_or_else(|p| p.into_inner());
-        into.append(&mut guard);
-    }
-}
-
 /// A live collector: finish it to get the [`Trace`].
 pub struct Collector {
     gen: u64,
-    stop: Sender<()>,
-    thread: JoinHandle<Vec<Event>>,
 }
 
-/// Pins the epoch, resets the metrics registry and sequence counter,
-/// spawns the collector thread, and raises the level. One collector at a
-/// time; installing another replaces it (the older collector's `finish`
-/// then only returns what its thread had already drained).
+/// Pins the epoch, resets the metrics registry and sequence counter, and
+/// raises the level. One collector at a time; installing another replaces
+/// it, and the older collector's `finish` then returns an empty trace.
 pub fn install(level: Level) -> Collector {
     epoch();
     registry::reset();
@@ -147,40 +118,29 @@ pub fn install(level: Level) -> Collector {
         buffers.clear();
     }
     SEQ.store(0, Ordering::Relaxed);
-    let (stop, stop_rx) = channel::<()>();
-    let thread = std::thread::Builder::new()
-        .name("wisedb-obs-collector".to_string())
-        .spawn(move || {
-            let mut events = Vec::new();
-            loop {
-                match stop_rx.recv_timeout(DRAIN_TICK) {
-                    Err(RecvTimeoutError::Timeout) => drain_buffers(gen, &mut events),
-                    // Stop requested (or the Collector was leaked and its
-                    // sender dropped): one final sweep, then hand back.
-                    Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-                        drain_buffers(gen, &mut events);
-                        return events;
-                    }
-                }
-            }
-        })
-        .expect("collector thread spawns");
     ACTIVE_GEN.store(gen, Ordering::Release);
     set_level(level);
-    Collector { gen, stop, thread }
+    Collector { gen }
 }
 
 impl Collector {
-    /// Lowers the level to [`Level::Off`], stops the collector thread
-    /// (which sweeps the buffers one last time), and returns the trace,
-    /// ordered by sequence number.
+    /// Lowers the level to [`Level::Off`], drains every thread's buffer,
+    /// and returns the trace, ordered by sequence number.
     pub fn finish(self) -> Trace {
         set_level(Level::Off);
-        // Only clear the live generation if it is still ours — finishing
-        // a replaced collector must not mute its successor.
-        let _ = ACTIVE_GEN.compare_exchange(self.gen, 0, Ordering::AcqRel, Ordering::Acquire);
-        let _ = self.stop.send(());
-        let mut events = self.thread.join().unwrap_or_default();
+        // Only a collector that is still live clears the generation and
+        // drains: finishing a replaced collector must neither mute its
+        // successor nor steal its events.
+        let mut events = Vec::new();
+        if ACTIVE_GEN
+            .compare_exchange(self.gen, 0, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            let buffers = std::mem::take(&mut *BUFFERS.lock().unwrap_or_else(|p| p.into_inner()));
+            for buffer in buffers {
+                events.append(&mut buffer.lock().unwrap_or_else(|p| p.into_inner()));
+            }
+        }
         events.sort_by_key(|e| e.seq);
         Trace { events }
     }

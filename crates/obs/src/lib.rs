@@ -8,7 +8,7 @@
 //!
 //! ## How the near-zero-overhead gate works
 //!
-//! A process-global [`AtomicU8`](std::sync::atomic::AtomicU8) holds the
+//! A process-global [`std::sync::atomic::AtomicU8`] holds the
 //! enable [`Level`]:
 //!
 //! | level | what records |
@@ -27,9 +27,8 @@
 //! ## Recording pipeline
 //!
 //! [`install`] pins the process wall-clock epoch, resets the metrics
-//! registry, opens a global mpsc sender, and spawns one collector thread
-//! that drains [`Event`]s into a `Vec`. Producers (span guards, event
-//! builders) stamp each event with:
+//! registry, and starts a new generation of per-thread [`Event`] buffers.
+//! Producers (span guards, event builders) stamp each event with:
 //!
 //! * a global sequence number (total order, independent of clocks),
 //! * the **wall clock** in microseconds since the epoch (`Instant`-based,
@@ -38,8 +37,8 @@
 //!   event loop, so traces of the deterministic simulator stay
 //!   deterministic and can be lined up across runs.
 //!
-//! [`Collector::finish`] flips the level off, disconnects the sender,
-//! joins the collector, and hands back a [`Trace`] with three exporters:
+//! [`Collector::finish`] flips the level off, drains the per-thread
+//! buffers once, and hands back a [`Trace`] with three exporters:
 //! [`Trace::to_chrome`] (Chrome trace-event JSON, loadable in Perfetto /
 //! `chrome://tracing`), [`Trace::to_jsonl`] (one JSON object per event),
 //! and — independent of any trace — [`telemetry_text`] renders the
@@ -54,7 +53,7 @@
 //! need no nesting.
 //!
 //! Only one collector can be live at a time; installing a second one
-//! replaces the first (whose `finish` then returns what it had). Tests
+//! replaces the first (whose `finish` then returns an empty trace). Tests
 //! that install a collector serialize on a shared mutex.
 
 #![warn(missing_docs)]
@@ -92,7 +91,7 @@ pub enum Level {
 static LEVEL: AtomicU8 = AtomicU8::new(0);
 
 /// Sets the process-global enable level. Usually done via [`install`];
-/// exposed so counters-only runs need no collector thread.
+/// exposed so counters-only runs need no collector.
 pub fn set_level(level: Level) {
     LEVEL.store(level as u8, Ordering::Release);
 }

@@ -34,7 +34,7 @@ impl AdaptiveSearcher {
     }
 
     /// A searcher pre-seeded with reuse information from an earlier solve of
-    /// the **same workload** (the warm-training path rebuilds per-sample
+    /// the **same workload** (the warm-training path rebuilds per-signature
     /// searchers from cached solves this way). The caller is responsible for
     /// the memo's admissibility: every entry must be a sound lower bound on
     /// the cost-to-go of that vertex in this workload's scheduling graph.

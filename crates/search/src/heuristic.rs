@@ -11,7 +11,7 @@
 //! counts, open-VM wait, penalty digest) — the key is by construction what
 //! future cost depends on — so the searches bound a successor from its
 //! [`KeyRef`] before any state for it exists, into buffers
-//! ([`BoundScratch`]) the search owns and reuses across vertices.
+//! (`BoundScratch`) the search owns and reuses across vertices.
 
 use wisedb_core::{
     DigestBuckets, Millis, Money, PenaltyDigest, PenaltyRate, PerformanceGoal, TemplateId,
@@ -104,7 +104,7 @@ impl HeuristicTable {
     }
 
     /// The admissible heuristic for `goal` at `state`; see
-    /// [`Self::estimate_key`], which the searches call directly.
+    /// `estimate_key`, which the searches call directly.
     pub fn estimate(&self, goal: &PerformanceGoal, state: &SearchState) -> Money {
         self.estimate_key(goal, state.key().as_ref(), &mut BoundScratch::default())
     }

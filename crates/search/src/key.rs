@@ -9,13 +9,13 @@
 //! worth storing:
 //!
 //! * a [`KeyRef`] borrows its parts — from a [`SearchState`](crate::SearchState),
-//!   from the kernel's scratch child, or from a [`KeyArena`] — and carries
+//!   from the kernel's scratch child, or from a `KeyArena` — and carries
 //!   its hash, computed once when the view is made and reused by every
 //!   table that is probed with it (the interner, then the heuristic memo);
-//! * a [`KeyArena`] stores keys back to back in a handful of flat vectors,
+//! * a `KeyArena` stores keys back to back in a handful of flat vectors,
 //!   addressed by dense `u32` ids, so interning a new vertex appends a few
 //!   words instead of allocating;
-//! * a [`KeyTable`] adds an open-addressing index over an arena.
+//! * a `KeyTable` adds an open-addressing index over an arena.
 //!
 //! The hash is a fixed function of the key's content (no per-table seed):
 //! a hash computed against one table is valid for every other. Keys are
@@ -402,29 +402,20 @@ impl KeyTable {
         (id != EMPTY).then_some(id)
     }
 
-    /// The id of `key`, storing it first if it is new and `may_store`
-    /// allows; new ids are dense (`len()` before the call).
-    pub(crate) fn intern_if(&mut self, key: KeyRef<'_>, may_store: bool) -> Option<u32> {
+    /// The id of `key`, storing it first if it is new; new ids are dense
+    /// (`len()` before the call).
+    pub(crate) fn intern(&mut self, key: KeyRef<'_>) -> u32 {
         if (self.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
         let slot = self.probe(key);
         let id = self.slots[slot];
         if id != EMPTY {
-            return Some(id);
-        }
-        if !may_store {
-            return None;
+            return id;
         }
         let id = self.arena.push(key);
         self.slots[slot] = id;
-        Some(id)
-    }
-
-    /// The id of `key`, storing it first if it is new.
-    pub(crate) fn intern(&mut self, key: KeyRef<'_>) -> u32 {
-        self.intern_if(key, true)
-            .expect("storing was allowed, so the key has an id")
+        id
     }
 
     fn grow(&mut self) {
@@ -468,11 +459,6 @@ mod tests {
             assert_eq!(table.get(i as u32), key.as_ref());
             assert_eq!(table.get(i as u32).unassigned(), &key.counts[..]);
         }
-        // A full table refuses new keys when asked to, and only those.
-        let extra = deadline_key(&[9, 9, 9], 1);
-        assert_eq!(table.intern_if(extra.as_ref(), false), None);
-        assert_eq!(table.intern_if(keys[3].as_ref(), false), Some(3));
-        assert_eq!(table.len(), keys.len());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! search under a node/time budget.
 //!
 //! Two phases share one interner, arena, and g/h table
-//! ([`super::common::Tables`]):
+//! (`common::Tables`):
 //!
 //! 1. **Incumbent seeding** — a narrow beam dive (width
 //!    [`SEED_WIDTH`](AnytimeWeightedAStar::SEED_WIDTH)) plants a strong

@@ -19,7 +19,7 @@
 //! the explored set — are flat `Vec`s indexed by id, and the vertex itself
 //! is that id's key in the interner's flat storage: expanding a node
 //! prices, keys, interns, dedups, bounds and prunes each successor without
-//! allocating (see [`super::common`], shared with the other strategies).
+//! allocating (see `common`, shared with the other strategies).
 //! The [`SearchStats::interned`] counter exposes the dedup-table size.
 
 use std::collections::BinaryHeap;

@@ -24,7 +24,7 @@
 //!   interned frontier on wide branching (percentile goals fan out per
 //!   template × placement).
 //!
-//! All four share the interned-state machinery ([`common`]): one
+//! All four share the interned-state machinery (`common`): one
 //! successor-pricing routine, the dense state-id interner, flat id-indexed
 //! g/h tables, and the greedy upper bound. [`Solver`] is the single entry
 //! point — [`SearchConfig::strategy`] picks the implementation.
@@ -337,7 +337,7 @@ pub struct Plan {
 }
 
 /// Extra per-vertex heuristic values (in dollars) layered on top of the base
-/// heuristic — the mechanism behind adaptive A* (§5). A [`KeyTable`] with a
+/// heuristic — the mechanism behind adaptive A* (§5). A `KeyTable` with a
 /// value per id: the searcher probes it at most once per *distinct* vertex
 /// (the per-id `h` cache remembers the combined value for every
 /// regeneration), with the hash the interner already computed.
@@ -371,18 +371,7 @@ impl HeuristicMemo {
     /// Records `h` for `key`, keeping the maximum of all observations
     /// (`max(h, h')` stays admissible when each input is).
     pub fn raise(&mut self, key: KeyRef<'_>, h: f64) {
-        self.raise_capped(key, h, usize::MAX);
-    }
-
-    /// Like [`HeuristicMemo::raise`], but refuses to grow past `cap`
-    /// entries: existing keys may still be raised, new keys are dropped
-    /// once the memo is full. Raising and dropping are both
-    /// order-independent per key, so a sequence of capped raises is
-    /// deterministic for any fixed insertion order.
-    pub fn raise_capped(&mut self, key: KeyRef<'_>, h: f64, cap: usize) {
-        let Some(id) = self.keys.intern_if(key, self.values.len() < cap) else {
-            return;
-        };
+        let id = self.keys.intern(key);
         if id as usize == self.values.len() {
             self.values.push(f64::NEG_INFINITY);
         }

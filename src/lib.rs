@@ -16,25 +16,25 @@
 //! a decision-tree policy from optimal schedules of small sample workloads
 //! and then applies it to arbitrarily large batch or online workloads.
 //!
-//! This facade crate re-exports the five subsystem crates:
+//! This facade crate re-exports the eight subsystem crates:
 //!
-//! * [`core`](wisedb_core) — templates, VM types, schedules, SLAs, Eq. 1.
-//! * [`search`](wisedb_search) — the scheduling graph and (adaptive) A*.
-//! * [`learn`](wisedb_learn) — feature extraction and the decision-tree
+//! * [`core`] — templates, VM types, schedules, SLAs, Eq. 1.
+//! * [`search`] — the scheduling graph and (adaptive) A*.
+//! * [`learn`] — feature extraction and the decision-tree
 //!   learner.
-//! * [`advisor`](wisedb_advisor) — model generation (parallel per-sample
+//! * [`advisor`] — model generation (parallel per-signature
 //!   solves), batch/online scheduling, strategy recommendation, and
 //!   baseline heuristics.
-//! * [`sim`](wisedb_sim) — the simulated IaaS cloud, workload generators,
+//! * [`sim`] — the simulated IaaS cloud, workload generators,
 //!   the TPC-H-like catalog used by the experiments, and the steppable
 //!   live-cluster session.
-//! * [`runtime`](wisedb_runtime) — the streaming online service: arrival
+//! * [`runtime`] — the streaming online service: arrival
 //!   processes, admission control, the virtual-clock event loop, and live
 //!   SLA metrics.
-//! * [`serve`](wisedb_serve) — the network-facing deployment: the runtime
+//! * [`serve`] — the network-facing deployment: the runtime
 //!   loop behind a versioned TCP wire protocol, with request batching,
 //!   graceful shedding, and hot model swaps over the wire.
-//! * [`obs`](wisedb_obs) — the observability layer: near-zero-overhead
+//! * [`obs`] — the observability layer: near-zero-overhead
 //!   tracing spans and events threaded through every crate above, a
 //!   metrics registry, and Chrome-trace / JSONL / Prometheus-style
 //!   exporters (see ARCHITECTURE.md's span taxonomy).
@@ -83,7 +83,7 @@
 //! ## Streaming runtime
 //!
 //! The batch quickstart schedules a workload that is fully known up front.
-//! The [`runtime`](wisedb_runtime) crate instead *streams*: arrivals from a
+//! The [`runtime`] crate instead *streams*: arrivals from a
 //! pluggable process (Poisson, bursty ON-OFF, diurnal, template-drift) are
 //! pushed through the §6.3 rescheduling loop against a live simulated
 //! cluster, with admission control and live SLA metrics:

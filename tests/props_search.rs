@@ -168,7 +168,7 @@ proptest! {
 /// Lemma 5.1 holds only along a *tightening* sequence: reuse values
 /// recorded under a stricter goal overestimate cost-to-go under a looser
 /// one. `OnlineScheduler::plan_arrivals` feeds `retrain_tightened` one
-/// shared set of per-sample searchers in whatever order age buckets
+/// shared set of per-signature searchers in whatever order age buckets
 /// arrive, so a long wait followed by a shorter one replays exactly this:
 /// `shift(240 s)` then `shift(120 s)` through one [`AdaptiveSearcher`].
 /// Today 188 of these 600 reused solves cost more than a fresh solve of

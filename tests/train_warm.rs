@@ -1,15 +1,18 @@
 //! Warm-path training contracts, end to end through the public API.
 //!
 //! The solve cache canonicalizes every training sample to its template
-//! multiset and memoizes the A* solve, and all solves in a run consult one
-//! frozen snapshot of the shared heuristic memo taken at plan time. Those
-//! two design points buy the properties pinned here:
+//! multiset and memoizes the A* solve, and every solve starts from an
+//! empty heuristic memo. Those two design points buy the properties pinned
+//! here:
 //!
 //! * **Thread invariance** — cold training is bit-identical across any
 //!   `ModelConfig::threads`, because each solve is a pure function of
-//!   `(spec, goal, search config, signature, frozen memo)`.
+//!   `(spec, goal, search config, signature)`.
 //! * **Zero-solve warm retrain** — `retrain_from` on an unchanged template
 //!   mix re-runs no A* searches and reproduces the cold model bit for bit.
+//! * **Warm equals cold** — a reseeded `retrain_from` builds the same tree
+//!   as a cold `train` of the reseeded configuration: what the cache holds
+//!   changes how many solves run, never the model.
 //! * **Eviction-safe determinism** — a capacity-1 cache evicts almost
 //!   everything, yet rebuilding the identical scenario from scratch yields
 //!   the identical model: eviction affects cost, never results.
@@ -19,7 +22,7 @@
 
 use proptest::prelude::*;
 
-use wisedb::advisor::{ModelConfig, ModelGenerator};
+use wisedb::advisor::{DecisionModel, ModelConfig, ModelGenerator};
 use wisedb::learn::DecisionTree;
 use wisedb::prelude::*;
 
@@ -68,7 +71,7 @@ proptest! {
 
     /// Cold training is bit-identical across thread counts: the sharded
     /// solver merges per-signature results in deterministic order and every
-    /// solve consults the same (empty) frozen memo snapshot.
+    /// solve starts from an empty memo.
     #[test]
     fn cold_training_is_thread_invariant(
         kind in arb_goal_kind(),
@@ -135,7 +138,8 @@ proptest! {
 
     /// Reseeded warm retrains (the drift loop's realistic step) are
     /// reproducible: two independently built caches produce the same
-    /// retrained model and the same solve/hit split.
+    /// retrained model and the same solve/hit split, and that model is the
+    /// one a cold train of the reseeded configuration builds.
     #[test]
     fn reseeded_retrain_is_deterministic(
         kind in arb_goal_kind(),
@@ -143,20 +147,37 @@ proptest! {
         threads_b in 1usize..=4,
         seed in 1u64..1000,
     ) {
-        let retrain = |threads: usize| {
-            let (_, artifacts) = generator(kind, tiny_config(threads, 0, seed))
-                .train_with_artifacts()
-                .unwrap();
-            let reseeded = generator(kind, tiny_config(threads, 0, seed.wrapping_mul(31) + 7));
-            reseeded.retrain_from(&artifacts.warm_start()).unwrap().0
-        };
-        let a = retrain(threads_a);
-        let b = retrain(threads_b);
+        let (a, cold) = reseeded_retrain(kind, threads_a, seed);
+        let (b, _) = reseeded_retrain(kind, threads_b, seed);
         prop_assert_eq!(a.tree(), b.tree());
         prop_assert_eq!(a.stats().solves, b.stats().solves);
         prop_assert_eq!(a.stats().cache_hits, b.stats().cache_hits);
         prop_assert_eq!(a.stats().num_rows, b.stats().num_rows);
+        prop_assert_eq!(a.tree(), cold.tree());
     }
+}
+
+/// Trains `seed` through a fresh cache, then retrains a reseeded draw from
+/// that cache. Returns the warm retrain and a cold train of the reseeded
+/// configuration.
+fn reseeded_retrain(kind: GoalKind, threads: usize, seed: u64) -> (DecisionModel, DecisionModel) {
+    let (_, artifacts) = generator(kind, tiny_config(threads, 0, seed))
+        .train_with_artifacts()
+        .unwrap();
+    let reseeded = generator(kind, tiny_config(threads, 0, seed.wrapping_mul(31) + 7));
+    let warm = reseeded.retrain_from(&artifacts.warm_start()).unwrap().0;
+    (warm, reseeded.train().unwrap())
+}
+
+/// A fixed case of the warm-equals-cold property: seed 6 is one where a
+/// heuristic memo carried over from the first train's solves changes the
+/// reseeded retrain's tree, so a retrain must not consult one.
+#[test]
+fn reseeded_per_query_retrain_equals_cold_train() {
+    let (warm, cold) = reseeded_retrain(GoalKind::PerQuery, 1, 6);
+    assert!(warm.stats().cache_hits > 0, "the draws share no signature");
+    assert_eq!(warm.tree(), cold.tree());
+    assert_eq!(warm.stats().num_rows, cold.stats().num_rows);
 }
 
 // ---------------------------------------------------------------------------
