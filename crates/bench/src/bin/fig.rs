@@ -4,29 +4,19 @@
 //! and `train_warm`), `fig 9 13 strategies` runs those, `fig` runs them
 //! all, training each distinct model once. `strategies` and `train_warm`
 //! panic when their gate fails, so the run exits non-zero.
-//! `WISEDB_SCALE` picks the scale; `--strategy` / `WISEDB_STRATEGY` and
-//! `WISEDB_NODE_LIMIT` configure the oracle
-//! ([`wisedb_bench::oracle_config`]).
+//! `WISEDB_SCALE` picks the scale; the oracle is
+//! [`wisedb_bench::oracle_config`].
 
 use wisedb_bench::figures::{self, Context, FIGURES};
 use wisedb_bench::Scale;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut ids = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--list" => {
-                for fig in FIGURES {
-                    println!("{:<18}  {}", fig.id, fig.title);
-                }
-                return;
-            }
-            // Read by `oracle_config`.
-            "--strategy" => drop(args.next()),
-            _ if arg.starts_with("--strategy=") => {}
-            _ => ids.push(arg),
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    if ids.iter().any(|arg| arg == "--list") {
+        for fig in FIGURES {
+            println!("{:<18}  {}", fig.id, fig.title);
         }
+        return;
     }
     let selected = figures::select(&ids).unwrap_or_else(|e| {
         eprintln!("fig: {e}");

@@ -1,9 +1,8 @@
 //! Hot-path regression harness: exact work counters, no clocks.
 //!
 //! Runs each hot path once — the A* kernel (one optimal solve per goal
-//! kind), the PEA* kernel (same instances, partial-expansion counters),
-//! the percentile bound-tightness guard (budgeted exact solve, certified
-//! bound), the percentile-pathology strategy guard (beam + anytime under a
+//! kind), the percentile bound-tightness guard (budgeted exact solve,
+//! certified bound), the percentile-pathology guard (anytime under a
 //! tight budget), batch scheduling, the streaming event loop, the
 //! multi-tenant consolidation loop (3 SLA classes, shared vs isolated
 //! fleets), the multi-class tick loop (a 3-class `run_ticked` replay),
@@ -83,40 +82,6 @@ fn astar_kernel(scale: Scale, out: &mut Vec<Measurement>) {
     }
 }
 
-/// Partial-expansion A* on the same instances as [`astar_kernel`]: one
-/// optimal solve per goal kind, with the PEA*-specific counters
-/// (`reexpansions`, `deferred`) compared exactly. Guards both the
-/// strategy's exactness (`bound_pct` must stay 0 wherever the solve
-/// completes) and its successor appetite.
-fn pea_kernel(scale: Scale, out: &mut Vec<Measurement>) {
-    let spec = wisedb::sim::catalog::tpch_like(10);
-    for kind in GoalKind::ALL {
-        let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
-        let workload = wisedb::sim::generator::uniform_workload(&spec, astar_size(scale, kind), 7);
-        let bench = format!("pea/{}", kind.name());
-        let stats = Solver::new(&spec, &goal)
-            .with_strategy(SearchStrategy::Pea)
-            .solve(&workload)
-            .unwrap()
-            .stats;
-        record(
-            out,
-            &bench,
-            &[
-                ("expanded", stats.expanded as f64),
-                ("generated", stats.generated as f64),
-                ("reexpansions", stats.reexpansions as f64),
-                ("deferred", stats.deferred as f64),
-                ("bound_pct", (stats.bound - 1.0) * 100.0),
-            ],
-        );
-        eprintln!(
-            "  {bench}: {} expanded, {} reexpansions, {} deferred",
-            stats.expanded, stats.reexpansions, stats.deferred
-        );
-    }
-}
-
 /// The queue-wait-aware percentile bound guard: a budgeted exact solve of
 /// a percentile instance one notch past the kernel size. If the bound
 /// loosens, the search either expands more vertices before finishing or
@@ -143,7 +108,6 @@ fn bound_tight(scale: Scale, out: &mut Vec<Measurement>) {
         &[
             ("expanded", stats.expanded as f64),
             ("generated", stats.generated as f64),
-            ("reexpansions", stats.reexpansions as f64),
             ("bound_pct", (stats.bound - 1.0) * 100.0),
         ],
     );
@@ -251,12 +215,11 @@ fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {
     );
 }
 
-/// The percentile-pathology strategy guard: beam and anytime solves of the
-/// scenario that motivated the strategy layer, under a tight expansion
-/// budget. Fully deterministic, so the certified suboptimality bound and
-/// the new strategy counters (incumbent improvements, beam prunes) are
-/// compared exactly — a solver change that silently loosens the bound or
-/// does more work fails the diff.
+/// The percentile-pathology guard: an anytime solve of the scenario that
+/// motivated anytime search, under a tight expansion budget. Fully
+/// deterministic, so the certified suboptimality bound and the incumbent
+/// improvements are compared exactly — a solver change that silently
+/// loosens the bound or does more work fails the diff.
 fn strategy_pathology(scale: Scale, out: &mut Vec<Measurement>) {
     let spec = wisedb::sim::catalog::tpch_like(10);
     let goal = PerformanceGoal::paper_default(GoalKind::Percentile, &spec).unwrap();
@@ -265,45 +228,31 @@ fn strategy_pathology(scale: Scale, out: &mut Vec<Measurement>) {
         _ => (18, 50_000),
     };
     let workload = wisedb::sim::generator::uniform_workload(&spec, queries, 42);
-    for strategy in [
-        SearchStrategy::Beam { width: 64 },
-        SearchStrategy::anytime(),
-    ] {
-        let bench = format!(
-            "strategy_pathology/{}{}q",
-            match strategy {
-                SearchStrategy::Beam { .. } => "beam",
-                _ => "anytime",
-            },
-            queries
-        );
-        let config = SearchConfig {
-            node_limit: budget,
-            strategy,
-            ..SearchConfig::default()
-        };
-        let result = Solver::new(&spec, &goal)
-            .with_config(config)
-            .solve(&workload)
-            .unwrap();
-        let stats = result.stats;
-        record(
-            out,
-            &bench,
-            &[
-                ("expanded", stats.expanded as f64),
-                ("interned", stats.interned as f64),
-                ("incumbents", stats.incumbents as f64),
-                ("pruned", stats.pruned as f64),
-                ("bound_pct", (stats.bound - 1.0) * 100.0),
-                ("cost_cents", result.cost.as_cents()),
-            ],
-        );
-        eprintln!(
-            "  {bench}: cost {}, bound {:.4}, {} expanded",
-            result.cost, stats.bound, stats.expanded
-        );
-    }
+    let bench = format!("strategy_pathology/anytime{queries}q");
+    let config = SearchConfig {
+        node_limit: budget,
+        strategy: SearchStrategy::Anytime,
+    };
+    let result = Solver::new(&spec, &goal)
+        .with_config(config)
+        .solve(&workload)
+        .unwrap();
+    let stats = result.stats;
+    record(
+        out,
+        &bench,
+        &[
+            ("expanded", stats.expanded as f64),
+            ("interned", stats.interned as f64),
+            ("incumbents", stats.incumbents as f64),
+            ("bound_pct", (stats.bound - 1.0) * 100.0),
+            ("cost_cents", result.cost.as_cents()),
+        ],
+    );
+    eprintln!(
+        "  {bench}: cost {}, bound {:.4}, {} expanded",
+        result.cost, stats.bound, stats.expanded
+    );
 }
 
 fn multitenant_loop(scale: Scale, out: &mut Vec<Measurement>) {
@@ -633,7 +582,6 @@ fn main() {
 
     let mut measurements = Vec::new();
     astar_kernel(scale, &mut measurements);
-    pea_kernel(scale, &mut measurements);
     bound_tight(scale, &mut measurements);
     strategy_pathology(scale, &mut measurements);
     batch_throughput(scale, &mut measurements);

@@ -18,7 +18,7 @@ use wisedb::sim::{self, catalog, generator, stats, Arrivals, SimOptions};
 use wisedb_learn::{Dataset, DecisionTree, FeatureKind, TreeParams};
 use wisedb_search::SearchStats;
 
-use crate::{apply_search_overrides, multitenant, oracle_config, pct_above, Cell, Scale, Table};
+use crate::{multitenant, oracle_config, pct_above, Cell, Scale, Table};
 
 /// One registered figure.
 pub struct Figure {
@@ -347,11 +347,10 @@ fn replay(m: &Trained, config: OnlineConfig, stream: &[ArrivingQuery]) -> Online
 }
 
 fn fig18(ctx: &mut Context) -> Table {
-    let mut base = OnlineConfig {
+    let base = OnlineConfig {
         training: ctx.scale.training(),
         ..OnlineConfig::default()
     };
-    apply_search_overrides(&mut base.oracle_search);
     let headers = ["0", "0.25", "0.5", "0.75", "1.0"];
     let delays = [0.0, 0.25, 0.5, 0.75, 1.0];
     grid(ctx, &headers, &delays, |ctx, kind, _, delay| {
@@ -359,16 +358,18 @@ fn fig18(ctx: &mut Context) -> Table {
         let (spec, goal) = (m.0.spec(), m.0.goal());
         let w = generator::uniform_workload(spec, 30, 18_000 + (delay * 100.0) as u64);
         let stream = stream(&w, (0..).map(|i| Millis::from_secs_f64(delay * i as f64)));
-        let cost = |planner| {
+        let replay_with = |planner| {
             let mut config = base.clone();
             config.planner = planner;
             let report = replay(&m, config, &stream);
-            report.total_cost(spec, goal).expect("cost computes")
+            let cost = report.total_cost(spec, goal).expect("cost computes");
+            (cost, report.oracle_limit_hits)
         };
-        let value = pct_above(cost(Planner::Model), cost(Planner::Optimal));
+        let (wisedb, _) = replay_with(Planner::Model);
+        let (optimal, limit_hits) = replay_with(Planner::Optimal);
         Cell::Pct {
-            value,
-            proven: true,
+            value: pct_above(wisedb, optimal),
+            proven: limit_hits == 0,
         }
     })
 }
@@ -378,7 +379,6 @@ fn fig19(ctx: &mut Context) -> Table {
     // deployment would; the base model shares it.
     let mut training = ctx.scale.training();
     training.num_samples = (training.num_samples / 4).max(50);
-    apply_search_overrides(&mut training.search);
     let base = OnlineConfig {
         training,
         ..OnlineConfig::default()
@@ -747,20 +747,18 @@ fn pathology_gate(s: &SearchStats) -> Result<(), String> {
     ))
 }
 
-/// Every strategy on one instance per goal kind. The bounded arms always
-/// run; std and paper add exact A* and a 10× anytime budget. Panics when
-/// [`pathology_gate`] fails.
+/// Both strategies on one instance per goal kind at the same expansion
+/// budget; std and paper add exact A* at its default budget and a 10×
+/// anytime budget. Panics when [`pathology_gate`] fails.
 fn strategies(ctx: &mut Context) -> Table {
     let (gated, budget, exact) = ("anytime @50k", PATHOLOGY_BUDGET, SearchConfig::default());
     let mut arms = vec![
-        ("pea @50k", SearchStrategy::Pea, budget),
-        ("beam:64", SearchStrategy::Beam { width: 64 }, budget),
-        ("beam:512", SearchStrategy::Beam { width: 512 }, budget),
-        (gated, SearchStrategy::anytime(), budget),
+        ("exact @50k", SearchStrategy::Exact, budget),
+        (gated, SearchStrategy::Anytime, budget),
     ];
     if ctx.scale != Scale::Quick {
         arms.insert(0, ("exact (4M budget)", exact.strategy, exact.node_limit));
-        arms.push(("anytime @500k", SearchStrategy::anytime(), 10 * budget));
+        arms.push(("anytime @500k", SearchStrategy::Anytime, 10 * budget));
     }
     let headers = [
         "goal",
@@ -772,7 +770,6 @@ fn strategies(ctx: &mut Context) -> Table {
         "expanded",
         "interned",
         "incumb",
-        "pruned",
     ];
     let mut table = Table::new("", &headers);
     let workload = generator::uniform_workload(&ctx.spec, PATHOLOGY_QUERIES, 42);
@@ -782,7 +779,6 @@ fn strategies(ctx: &mut Context) -> Table {
             let config = SearchConfig {
                 node_limit,
                 strategy,
-                ..exact.clone()
             };
             let solver = Solver::new(&ctx.spec, &goal).with_config(config);
             let solved = solver.solve(&workload).expect("catalog solves succeed");
@@ -801,7 +797,7 @@ fn strategies(ctx: &mut Context) -> Table {
             };
             let head = [kind.name().into(), arm.into(), Cell::money(solved.cost)];
             let certified = [Cell::Text(bound), gap, Cell::Text(s.optimal.to_string())];
-            let counts = [s.expanded, s.interned, s.incumbents, s.pruned].map(Cell::Count);
+            let counts = [s.expanded, s.interned, s.incumbents].map(Cell::Count);
             table.row(head.into_iter().chain(certified).chain(counts));
         }
     }
@@ -920,7 +916,7 @@ mod tests {
         let spec = catalog::tpch_like(10);
         let goal = default_goal(GoalKind::Percentile, &spec);
         let w = generator::uniform_workload(&spec, 4, 42);
-        let solver = Solver::new(&spec, &goal).with_strategy(SearchStrategy::anytime());
+        let solver = Solver::new(&spec, &goal).with_strategy(SearchStrategy::Anytime);
         let ok = solver.solve(&w).unwrap().stats;
         assert_eq!(pathology_gate(&ok), Ok(()));
 

@@ -114,33 +114,9 @@ pub fn pct_above(x: Money, reference: Money) -> f64 {
     (x.as_dollars() / reference.as_dollars() - 1.0) * 100.0
 }
 
-/// The search strategy requested for this bench run, if any: the
-/// `--strategy` CLI flag wins, then the `WISEDB_STRATEGY` environment
-/// variable (`exact` | `beam[:width]` | `anytime[:weight[:decay]]`).
-/// Invalid values abort with the parse error — a nightly sweep must not
-/// silently fall back to the default solver.
-pub fn strategy_override() -> Option<wisedb_search::SearchStrategy> {
-    let args: Vec<String> = std::env::args().collect();
-    let from_cli = args
-        .iter()
-        .position(|a| a == "--strategy")
-        .map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("--strategy requires a value"))
-                .clone()
-        })
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--strategy=").map(str::to_string))
-        });
-    let raw = from_cli.or_else(|| std::env::var("WISEDB_STRATEGY").ok())?;
-    Some(raw.parse().unwrap_or_else(|e| panic!("{e}")))
-}
-
 /// The Chrome-trace output path requested for this bench run, if any:
-/// `--trace <path>` or `--trace=<path>` (mirrors [`strategy_override`]'s
-/// CLI conventions). An absent value aborts — a CI smoke must not
-/// silently run untraced.
+/// `--trace <path>` or `--trace=<path>`. An absent value aborts — a CI
+/// smoke must not silently run untraced.
 pub fn trace_path_from_args() -> Option<std::path::PathBuf> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -179,39 +155,12 @@ pub fn finish_trace(collector: wisedb_obs::Collector, path: &std::path::Path) {
     );
 }
 
-/// The expansion-budget override, if any: `WISEDB_NODE_LIMIT` (all
-/// strategies honor it — see
-/// [`SearchConfig::node_limit`](wisedb_search::SearchConfig::node_limit)).
-pub fn node_limit_override() -> Option<usize> {
-    let raw = std::env::var("WISEDB_NODE_LIMIT").ok()?;
-    Some(
-        raw.parse()
-            .unwrap_or_else(|_| panic!("invalid WISEDB_NODE_LIMIT {raw:?}")),
-    )
-}
-
-/// The oracle's solver configuration: exact A* with a 2 M-expansion budget
-/// by default; `WISEDB_NODE_LIMIT` sets the budget, and
-/// [`strategy_override`] selects the strategy — so nightly can sweep
-/// `exact`/`beam`/`anytime` oracles without recompiling.
+/// The oracle's solver configuration: exact A* with a 2 M-expansion
+/// budget.
 pub fn oracle_config() -> wisedb_search::SearchConfig {
-    let mut config = wisedb_search::SearchConfig {
+    wisedb_search::SearchConfig {
         node_limit: 2_000_000,
         ..wisedb_search::SearchConfig::default()
-    };
-    apply_search_overrides(&mut config);
-    config
-}
-
-/// Applies the `--strategy`/`WISEDB_STRATEGY` and `WISEDB_NODE_LIMIT`
-/// overrides to an existing solver configuration, leaving other tunables
-/// (e.g. a bench's own default budget) untouched.
-pub fn apply_search_overrides(config: &mut wisedb_search::SearchConfig) {
-    if let Some(limit) = node_limit_override() {
-        config.node_limit = limit;
-    }
-    if let Some(strategy) = strategy_override() {
-        config.strategy = strategy;
     }
 }
 

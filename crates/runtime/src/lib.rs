@@ -23,9 +23,9 @@
 //!   service is bit-identical to the legacy single-goal one. Every solve
 //!   the service triggers — (re)training and per-arrival oracle replans —
 //!   runs whichever `wisedb_search::SearchStrategy` the embedded
-//!   `OnlineConfig` selects (`OnlineConfig::with_strategy`): exact A* by
-//!   default, or bounded-suboptimality beam/anytime replanning under the
-//!   per-arrival expansion budget.
+//!   `OnlineConfig` selects (its `training.search` and `oracle_search`
+//!   configs): exact A* by default, or bounded-suboptimality anytime
+//!   search under the expansion budget.
 //!   One engine serves both entry points: a same-class burst plans inline
 //!   against the live cluster, and a multi-class
 //!   [`offer_tick`](WorkloadService::offer_tick) admits every group, takes

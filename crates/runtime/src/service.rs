@@ -1217,6 +1217,7 @@ pub(crate) mod tests {
             retrained: false,
             cache_hit: false,
             shifted: false,
+            oracle_limit_hit: false,
         };
         assert!(matches!(
             svc.core.validate_plan(&bad_target, None),
@@ -1227,6 +1228,7 @@ pub(crate) mod tests {
             retrained: false,
             cache_hit: false,
             shifted: false,
+            oracle_limit_hit: false,
         };
         assert!(matches!(
             svc.core.validate_plan(&bad_type, None),
@@ -1244,6 +1246,7 @@ pub(crate) mod tests {
             retrained: false,
             cache_hit: false,
             shifted: false,
+            oracle_limit_hit: false,
         };
         assert!(svc.core.validate_plan(&good, None).is_ok());
     }

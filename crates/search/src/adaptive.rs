@@ -62,8 +62,8 @@ impl AdaptiveSearcher {
     /// (which still benefits from the strengthened base heuristic), keeping
     /// every returned schedule provably optimal.
     ///
-    /// With an inexact [`crate::strategy::SearchStrategy`] in `config`
-    /// (beam/anytime), the memo is still *consulted* — layering more
+    /// With [`SearchStrategy::Anytime`](crate::strategy::SearchStrategy::Anytime)
+    /// in `config`, the memo is still *consulted* — layering more
     /// admissible information under an inflated heuristic is sound — but
     /// new entries are recorded only from solves whose result is **provably
     /// optimal** ([`crate::strategy::SearchStats::optimal`]): Lemma 5.1's

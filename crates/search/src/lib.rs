@@ -8,12 +8,11 @@
 //! a query on the most recently rented VM (*placement edges*, weight
 //! `l(q,i)·f_r + Δpenalty`, Eq. 2). A minimum-cost path from "everything
 //! unassigned" to "nothing unassigned" is a minimum-cost schedule under
-//! Eq. 1 — found here by the pluggable solver layer ([`strategy`]): exact
-//! A* ([`strategy::ExactAStar`], the default), partial-expansion A*
-//! ([`strategy::PartialExpansionAStar`], exact with a bounded successor
-//! appetite), beam search ([`strategy::BeamSearch`]), anytime weighted A*
-//! ([`strategy::AnytimeWeightedAStar`]), and, for families of tightening
-//! goals, adaptive A* ([`adaptive::AdaptiveSearcher`]).
+//! Eq. 1 — found here by the solver layer ([`strategy`]): exact A*
+//! ([`SearchStrategy::Exact`], the default) or anytime weighted A*
+//! ([`SearchStrategy::Anytime`], bounded suboptimality under the expansion
+//! budget), and, for families of tightening goals, adaptive A*
+//! ([`adaptive::AdaptiveSearcher`]).
 //!
 //! The searcher also reports the *decision path* (which edge was taken at
 //! which vertex), which is exactly the training signal the learning crate
@@ -37,7 +36,6 @@ pub use heuristic::HeuristicTable;
 pub use key::{KeyRef, StateKey};
 pub use state::{LastVm, SearchState};
 pub use strategy::{
-    solve_counts, AnytimeWeightedAStar, BeamSearch, DecisionStep, ExactAStar, ExploredStates,
-    HeuristicMemo, OptimalSchedule, PartialExpansionAStar, Plan, SearchConfig, SearchOutcome,
-    SearchStats, SearchStrategy, Solver, Strategy,
+    solve_counts, DecisionStep, ExploredStates, HeuristicMemo, OptimalSchedule, Plan, SearchConfig,
+    SearchOutcome, SearchStats, SearchStrategy, Solver,
 };

@@ -1,11 +1,10 @@
-//! Machinery shared by every search strategy.
+//! Machinery shared by both search strategies.
 //!
-//! The strategies differ only in *which* vertex they expand next and
+//! Exact and anytime A* differ only in *which* vertex they expand next and
 //! *when* they stop; everything else — successor pricing, the state-id
-//! interner, flat id-indexed tables, heap ordering, greedy completion,
-//! path reconstruction, and budget accounting — lives here so exact,
-//! partial-expansion, beam, and anytime searches intern, price, and report
-//! identically.
+//! interner, flat id-indexed tables, heap ordering, greedy completion, and
+//! path reconstruction — lives here so both searches intern, price, and
+//! report identically.
 //!
 //! ## The expansion kernel
 //!
@@ -35,7 +34,6 @@
 //! one path a search returns ([`Tables::reconstruct`]).
 
 use std::cmp::Ordering;
-use std::time::Instant;
 
 use wisedb_core::{
     Millis, Money, PenaltyDigest, PerformanceGoal, TemplateId, VmTypeId, WorkloadSpec,
@@ -54,15 +52,11 @@ use super::{
 /// Float slack when comparing path costs, in dollars.
 pub(crate) const G_EPS: f64 = 1e-12;
 
-/// How many expansions pass between wall-clock checks when a time budget
-/// is configured — coarse enough to keep `Instant::now` off the hot path.
-pub(crate) const TIME_CHECK_MASK: u64 = 0x0FFF;
-
 /// The shared pricing/enumeration context one [`super::Solver`] hands to
 /// its strategy: the (spec, goal) pair, the configuration, the admissible
 /// heuristic (base table plus optional adaptive memo), and the canonical
 /// placement-order reduction when the goal admits it.
-pub struct SearchCx<'a> {
+pub(crate) struct SearchCx<'a> {
     pub(crate) spec: &'a WorkloadSpec,
     pub(crate) goal: &'a PerformanceGoal,
     pub(crate) config: &'a SearchConfig,
@@ -88,21 +82,6 @@ impl<'a> SearchCx<'a> {
             memo,
             canonical,
         }
-    }
-
-    /// The workload specification being scheduled.
-    pub fn spec(&self) -> &WorkloadSpec {
-        self.spec
-    }
-
-    /// The performance goal pricing the edges.
-    pub fn goal(&self) -> &PerformanceGoal {
-        self.goal
-    }
-
-    /// The active search configuration.
-    pub fn config(&self) -> &SearchConfig {
-        self.config
     }
 
     /// The admissible heuristic for the vertex `key` identifies,
@@ -138,7 +117,11 @@ impl<'a> SearchCx<'a> {
     /// comparing placements (Eq. 2) against renting plus the fresh VM's
     /// cheapest first placement. Always reaches a goal vertex, so every
     /// strategy has a complete-schedule fallback and an upper bound.
-    pub fn greedy_completion(&self, initial: &SearchState, stats: SearchStats) -> SearchOutcome {
+    pub(crate) fn greedy_completion(
+        &self,
+        initial: &SearchState,
+        stats: SearchStats,
+    ) -> SearchOutcome {
         let mut state = initial.clone();
         let mut steps = Vec::new();
         let mut cost = Money::ZERO;
@@ -191,13 +174,6 @@ impl<'a> SearchCx<'a> {
             state = next;
         }
         SearchOutcome { steps, cost, stats }
-    }
-
-    /// The wall-clock deadline, if a time budget is configured.
-    pub(crate) fn deadline(&self) -> Option<Instant> {
-        self.config
-            .time_limit_ms
-            .map(|ms| Instant::now() + std::time::Duration::from_millis(ms))
     }
 }
 
@@ -445,7 +421,7 @@ impl Tables {
 #[derive(Clone, Copy)]
 pub(crate) enum PruneRule {
     /// Drop successors with `g + h > cutoff` (the cutoff already carries
-    /// any slack): exact/beam pruning against a static or slackened bound.
+    /// any slack): exact A*'s pruning against the greedy upper bound.
     Above(f64),
     /// Drop successors with `g + h ≥ cutoff − G_EPS`: anytime's pruning —
     /// only paths that can *strictly* beat the incumbent survive.
@@ -477,11 +453,10 @@ pub(crate) struct Successor {
 /// `out` (cleared first): every out-edge is priced, keyed, interned,
 /// deduplicated against best-known g (counting reopenings), bounded (h is
 /// cached per distinct vertex) and pruned against `rule`, in that order —
-/// see the module docs. This is the one implementation exact, beam and
-/// anytime share — they differ only in what they do with the survivors
-/// (exact pushes everything including goals onto its open list; beam and
-/// anytime route goals straight to the incumbent). Partial expansion
-/// prices through the same [`Tables::price`] but interns lazily.
+/// see the module docs. This is the one implementation exact and anytime
+/// share — they differ only in what they do with the survivors (exact
+/// pushes everything including goals onto its open list; anytime routes
+/// goals straight to the incumbent).
 pub(crate) fn expand(
     cx: &SearchCx<'_>,
     t: &mut Tables,

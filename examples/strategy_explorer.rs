@@ -4,7 +4,8 @@
 //! application's goal (via adaptive retraining, §5), prices each per query
 //! template, prunes near-duplicates with Earth Mover's Distance, and lets
 //! the application *estimate* what any future workload mix would cost under
-//! each strategy — before renting a single VM.
+//! each strategy — before renting a single VM. The ladder lives in
+//! `wisedb::advisor::recommend`.
 //!
 //! Run with: `cargo run --release --example strategy_explorer`
 

@@ -127,7 +127,7 @@ pub mod prelude {
     pub use wisedb_advisor::model::{DecisionModel, ModelConfig, ModelGenerator};
     pub use wisedb_advisor::multi::MultiScheduler;
     pub use wisedb_advisor::online::{OnlineConfig, OnlineScheduler};
-    pub use wisedb_advisor::strategy::{RecommenderConfig, StrategyRecommender};
+    pub use wisedb_advisor::recommend::{RecommenderConfig, StrategyRecommender};
     pub use wisedb_core::{
         cost_breakdown, total_cost, ClassMetrics, CostBreakdown, GoalHandle, GoalKind,
         LatencySummary, MetricsSnapshot, Millis, Money, PenaltyRate, PerformanceGoal, Query,

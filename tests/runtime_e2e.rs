@@ -49,9 +49,9 @@ fn scrub_wall_clock(mut snapshot: MetricsSnapshot) -> MetricsSnapshot {
     snapshot
 }
 
-/// The search-strategy choice threads through the runtime config
-/// (`OnlineConfig::with_strategy` reaches training and per-arrival oracle
-/// replans): a service trained with an inexact solver still completes
+/// The search-strategy choice threads through the runtime config (the
+/// training and oracle `SearchConfig`s reach training and per-arrival
+/// oracle replans): a service trained with anytime search still completes
 /// every arrival, deterministically, and an explicit exact strategy is
 /// bit-identical to the default.
 #[test]
@@ -65,7 +65,8 @@ fn runtime_honors_search_strategy_choice() {
             ..OnlineConfig::default()
         };
         if let Some(strategy) = strategy {
-            online = online.with_strategy(strategy);
+            online.oracle_search.strategy = strategy;
+            online.training.search.strategy = strategy;
         }
         let config = RuntimeConfig {
             online,
@@ -81,15 +82,13 @@ fn runtime_honors_search_strategy_choice() {
         default_run.completions, exact.completions,
         "explicit exact == default"
     );
-    for strategy in [SearchStrategy::beam(), SearchStrategy::anytime()] {
-        let inexact_a = run(Some(strategy));
-        let inexact_b = run(Some(strategy));
-        assert_eq!(inexact_a.completions.len(), 30, "{strategy:?} completes");
-        assert_eq!(
-            inexact_a.completions, inexact_b.completions,
-            "{strategy:?} deterministic"
-        );
-    }
+    let anytime_a = run(Some(SearchStrategy::Anytime));
+    let anytime_b = run(Some(SearchStrategy::Anytime));
+    assert_eq!(anytime_a.completions.len(), 30, "anytime completes");
+    assert_eq!(
+        anytime_a.completions, anytime_b.completions,
+        "anytime deterministic"
+    );
 }
 
 #[test]

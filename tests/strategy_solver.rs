@@ -1,15 +1,15 @@
-//! Differential tests for the pluggable search-strategy layer.
+//! Differential tests for the search-strategy layer.
 //!
-//! The refactor extracted the monolithic A* into a `Solver` running one of
-//! four strategies. Contracts pinned here:
+//! A `Solver` runs one of two strategies, exact A* and anytime weighted
+//! A*. Contracts pinned here:
 //!
 //! * **exact == refactored-exact, bit-identically** — the default-config
 //!   solver and an explicit `SearchStrategy::Exact` agree with each other
 //!   and with the historical goldens on cost, schedule shape, and every
 //!   search counter;
-//! * **inexact strategies are sound** — beam/anytime always return valid
-//!   complete schedules costing at least the optimum, and whenever they
-//!   report a finite suboptimality bound, `cost ≤ bound × optimal` holds;
+//! * **anytime is sound** — it always returns a valid complete schedule
+//!   costing at least the optimum, and whenever it reports a finite
+//!   suboptimality bound, `cost ≤ bound × optimal` holds;
 //! * **anytime is monotone in its budget** — growing the expansion budget
 //!   never worsens the incumbent (proptest);
 //! * **budget outcomes are observable** — `limit_hit` is set, and the
@@ -17,9 +17,7 @@
 //! * **the queue-wait-aware percentile bound dominates the old one and
 //!   stays admissible** — on random reachable states the new estimate is
 //!   ≥ the pre-PR-9 fastest-execution reference, and at the start vertex
-//!   it never exceeds the true optimum (proptests);
-//! * **PEA\* is exact** — partial expansion returns bit-identical costs to
-//!   exact A* across all four goal kinds (proptest).
+//!   it never exceeds the true optimum (proptests).
 
 use proptest::prelude::*;
 
@@ -95,9 +93,9 @@ fn exact_strategy_reproduces_figure_three_golden() {
     assert_eq!(result.schedule.num_vms(), 3);
 }
 
-/// Beam and anytime never beat the optimum (they cannot — their schedules
-/// are real), always return complete schedules, and respect any finite
-/// bound they report: `cost ≤ bound × optimal`.
+/// Anytime never beats the optimum (it cannot — its schedules are real),
+/// always returns complete schedules, and respects any finite bound it
+/// reports: `cost ≤ bound × optimal`.
 #[test]
 fn inexact_strategies_bound_the_optimum() {
     let spec = wisedb::sim::catalog::tpch_like(4);
@@ -108,72 +106,32 @@ fn inexact_strategies_bound_the_optimum() {
             .tighten_pct(&spec, 0.5);
         let exact = Solver::new(&spec, &goal).solve(&workload).unwrap();
         assert!(exact.stats.optimal, "{kind:?}");
-        for strategy in [
-            SearchStrategy::Beam { width: 2 },
-            SearchStrategy::Beam { width: 64 },
-            SearchStrategy::anytime(),
-            SearchStrategy::Anytime {
-                weight: 3.0,
-                decay: 0.9,
-            },
-        ] {
-            let inexact = Solver::new(&spec, &goal)
-                .with_strategy(strategy)
-                .solve(&workload)
-                .unwrap();
-            inexact.schedule.validate_complete(&workload).unwrap();
-            // Never better than optimal (same cost model).
-            assert!(
-                inexact.cost.as_dollars() >= exact.cost.as_dollars() - 1e-9,
-                "{kind:?} {strategy:?}: inexact {} < optimal {}",
-                inexact.cost,
-                exact.cost
-            );
-            // A reported bound is a real guarantee.
-            let bound = inexact.stats.bound;
-            assert!(bound >= 1.0, "{kind:?} {strategy:?}");
-            if bound.is_finite() {
-                assert!(
-                    inexact.cost.as_dollars() <= bound * exact.cost.as_dollars() + 1e-9,
-                    "{kind:?} {strategy:?}: cost {} exceeds bound {bound} × optimal {}",
-                    inexact.cost,
-                    exact.cost
-                );
-            }
-            // The analytic cost model agrees with the reported cost.
-            let analytic = total_cost(&spec, &goal, &inexact.schedule).unwrap();
-            assert!(
-                inexact.cost.approx_eq(analytic, 1e-9),
-                "{kind:?} {strategy:?}"
-            );
-        }
-    }
-}
-
-/// A wide, unbudgeted beam on a tiny instance never truncates, so it can
-/// prove optimality and must match exact search.
-#[test]
-fn exhaustive_beam_matches_exact() {
-    let spec = fig3_spec();
-    let workload = Workload::from_counts(&[1, 2]);
-    for kind in GoalKind::ALL {
-        let goal = PerformanceGoal::paper_default(kind, &spec)
-            .unwrap()
-            .tighten_pct(&spec, 0.5);
-        let exact = Solver::new(&spec, &goal).solve(&workload).unwrap();
-        let beam = Solver::new(&spec, &goal)
-            .with_strategy(SearchStrategy::Beam { width: 100_000 })
+        let anytime = Solver::new(&spec, &goal)
+            .with_strategy(SearchStrategy::Anytime)
             .solve(&workload)
             .unwrap();
-        assert_eq!(beam.stats.pruned, 0, "{kind:?}");
-        assert!(beam.stats.optimal, "{kind:?}");
-        assert_eq!(beam.stats.bound, 1.0, "{kind:?}");
+        anytime.schedule.validate_complete(&workload).unwrap();
+        // Never better than optimal (same cost model).
         assert!(
-            beam.cost.approx_eq(exact.cost, 1e-9),
-            "{kind:?}: beam {} vs exact {}",
-            beam.cost,
+            anytime.cost.as_dollars() >= exact.cost.as_dollars() - 1e-9,
+            "{kind:?}: anytime {} < optimal {}",
+            anytime.cost,
             exact.cost
         );
+        // A reported bound is a real guarantee.
+        let bound = anytime.stats.bound;
+        assert!(bound >= 1.0, "{kind:?}");
+        if bound.is_finite() {
+            assert!(
+                anytime.cost.as_dollars() <= bound * exact.cost.as_dollars() + 1e-9,
+                "{kind:?}: cost {} exceeds bound {bound} × optimal {}",
+                anytime.cost,
+                exact.cost
+            );
+        }
+        // The analytic cost model agrees with the reported cost.
+        let analytic = total_cost(&spec, &goal, &anytime.schedule).unwrap();
+        assert!(anytime.cost.approx_eq(analytic, 1e-9), "{kind:?}");
     }
 }
 
@@ -189,7 +147,7 @@ fn unbudgeted_anytime_proves_optimality() {
             .tighten_pct(&spec, 0.5);
         let exact = Solver::new(&spec, &goal).solve(&workload).unwrap();
         let anytime = Solver::new(&spec, &goal)
-            .with_strategy(SearchStrategy::anytime())
+            .with_strategy(SearchStrategy::Anytime)
             .solve(&workload)
             .unwrap();
         assert!(anytime.stats.optimal, "{kind:?}");
@@ -203,23 +161,18 @@ fn unbudgeted_anytime_proves_optimality() {
     }
 }
 
-/// Stopping on the expansion budget is observable (`limit_hit`) for every
-/// strategy, and the fallback schedule is still complete.
+/// Stopping on the expansion budget is observable (`limit_hit`) for both
+/// strategies, and the fallback schedule is still complete.
 #[test]
 fn budget_outcomes_are_observable_and_complete() {
     let spec = wisedb::sim::catalog::tpch_like(4);
     let workload = wisedb::sim::generator::uniform_workload(&spec, 8, 7);
     let goal = PerformanceGoal::paper_default(GoalKind::Percentile, &spec).unwrap();
-    for strategy in [
-        SearchStrategy::Exact,
-        SearchStrategy::Beam { width: 512 },
-        SearchStrategy::anytime(),
-    ] {
+    for strategy in [SearchStrategy::Exact, SearchStrategy::Anytime] {
         let result = Solver::new(&spec, &goal)
             .with_config(SearchConfig {
                 node_limit: 10,
                 strategy,
-                ..SearchConfig::default()
             })
             .solve(&workload)
             .unwrap();
@@ -292,8 +245,7 @@ proptest! {
             let result = Solver::new(&spec, &goal)
                 .with_config(SearchConfig {
                     node_limit: budget,
-                    strategy: SearchStrategy::anytime(),
-                    ..SearchConfig::default()
+                    strategy: SearchStrategy::Anytime,
                 })
                 .solve(&workload)
                 .unwrap();
@@ -310,35 +262,6 @@ proptest! {
         // The unbudgeted run is exact.
         let exact = Solver::new(&spec, &goal).solve(&workload).unwrap();
         prop_assert!((last.unwrap() - exact.cost.as_dollars()).abs() <= 1e-9);
-    }
-
-    /// PEA* is an exact strategy: identical costs to exact A* (to the bit)
-    /// and a proven 1.0 bound, for every goal kind.
-    #[test]
-    fn pea_star_costs_are_bit_identical_to_exact((spec, counts) in arb_workload_instance()) {
-        let workload = Workload::from_counts(&counts);
-        for kind in GoalKind::ALL {
-            let goal = PerformanceGoal::paper_default(kind, &spec)
-                .unwrap()
-                .tighten_pct(&spec, 0.5);
-            let exact = Solver::new(&spec, &goal)
-                .with_strategy(SearchStrategy::Exact)
-                .solve(&workload)
-                .unwrap();
-            let pea = Solver::new(&spec, &goal)
-                .with_strategy(SearchStrategy::Pea)
-                .solve(&workload)
-                .unwrap();
-            prop_assert!(pea.stats.optimal, "{kind:?}");
-            prop_assert_eq!(pea.stats.bound, 1.0, "{kind:?}");
-            prop_assert!(
-                pea.cost.approx_eq(exact.cost, 0.0),
-                "{kind:?}: pea {} != exact {}",
-                pea.cost,
-                exact.cost
-            );
-            pea.schedule.validate_complete(&workload).unwrap();
-        }
     }
 
     /// The queue-wait-aware percentile bound dominates the old
@@ -377,17 +300,6 @@ proptest! {
             exact.cost
         );
     }
-}
-
-fn arb_workload_instance() -> impl Strategy<Value = (WorkloadSpec, Vec<u32>)> {
-    arb_spec().prop_flat_map(|spec| {
-        let nt = spec.num_templates();
-        let counts = proptest::collection::vec(0u32..=3, nt).prop_filter("1..=6 queries", |c| {
-            let total: u32 = c.iter().sum();
-            total > 0 && total <= 6
-        });
-        (Just(spec), counts)
-    })
 }
 
 /// A percentile instance plus a random decision walk (indices into each
