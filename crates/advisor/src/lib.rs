@@ -38,8 +38,8 @@ pub use emd::emd_1d;
 pub use model::{DecisionModel, ModelConfig, ModelGenerator, TrainingArtifacts, TrainingStats};
 pub use multi::MultiScheduler;
 pub use online::{
-    ArrivalPlan, ArrivingQuery, ClusterView, OnlineConfig, OnlineOutcome, OnlineReport,
-    OnlineScheduler, OpenVmView, PendingArrival, PlannedStep, Planner,
+    ClusterView, OnlineConfig, OnlineCounters, OnlineScheduler, PendingArrival, PlannedStep,
+    Planner,
 };
 pub use recommend::{
     attribute_costs, CostEstimator, RecommenderConfig, Strategy, StrategyRecommender,

@@ -29,7 +29,7 @@ use wisedb_core::{
 };
 
 use crate::model::{DecisionModel, TrainingArtifacts};
-use crate::online::{ArrivalPlan, ClusterView, OnlineConfig, OnlineScheduler, PendingArrival};
+use crate::online::{ClusterView, OnlineConfig, OnlineScheduler, PendingArrival, PlannedStep};
 
 /// Per-class online schedulers multiplexed over one shared cluster view.
 pub struct MultiScheduler {
@@ -137,7 +137,7 @@ impl MultiScheduler {
         view: &ClusterView,
         batch: &[PendingArrival],
         now: Millis,
-    ) -> CoreResult<ArrivalPlan> {
+    ) -> CoreResult<Vec<PlannedStep>> {
         let scheduler = self
             .schedulers
             .get_mut(class.index())
@@ -256,7 +256,7 @@ mod tests {
             let plan = multi
                 .plan_arrivals(class, &view, &batch, Millis::ZERO)
                 .unwrap();
-            assert!(!plan.steps.is_empty(), "{class} plans the batch");
+            assert!(!plan.is_empty(), "{class} plans the batch");
         }
         assert!(matches!(
             multi.plan_arrivals(TenantId(9), &view, &batch, Millis::ZERO),
@@ -314,7 +314,7 @@ mod tests {
             let b = multi
                 .plan_arrivals(TenantId::DEFAULT, &view, &batch, now)
                 .unwrap();
-            assert_eq!(a.steps, b.steps);
+            assert_eq!(a, b);
         }
     }
 
@@ -335,6 +335,6 @@ mod tests {
         let plan = multi
             .plan_arrivals(TenantId(1), &ClusterView::default(), &batch, Millis::ZERO)
             .unwrap();
-        assert!(!plan.steps.is_empty());
+        assert!(!plan.is_empty());
     }
 }

@@ -23,6 +23,12 @@
 //!   waited ω is scheduled by the *base* model's goal tightened by ω,
 //!   derived via adaptive retraining (§5) instead of training from scratch.
 //!   Mixed-age batches use the oldest wait, a conservative tightening.
+//!
+//! This module only plans: [`OnlineScheduler::plan_arrivals`] turns one
+//! batch and a [`ClusterView`] into [`PlannedStep`]s and counts its model
+//! work in [`OnlineScheduler::counters`]. The caller owns the cluster; in
+//! this workspace that is `wisedb-runtime`'s `WorkloadService` over the
+//! simulator's `LiveCluster`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,7 +36,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use wisedb_core::{
-    CoreResult, GoalHandle, Millis, Money, PerformanceGoal, QueryId, QueryLatency, QueryTemplate,
+    CoreResult, GoalHandle, Millis, OpenVmView, PerformanceGoal, QueryId, QueryTemplate,
     SpecHandle, TemplateId, VmTypeId, WorkloadSpec,
 };
 use wisedb_search::{Decision, LastVm, SearchConfig, SearchState, Solver};
@@ -162,94 +168,6 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruCache<K, V> {
     }
 }
 
-pub use wisedb_core::ArrivingQuery;
-
-/// Where and when one query ended up running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OnlineOutcome {
-    /// The query (ids follow stream order).
-    pub query: QueryId,
-    /// Its (base) template.
-    pub template: TemplateId,
-    /// Index of the VM that ran it, in provisioning order.
-    pub vm_index: usize,
-    /// Arrival time.
-    pub arrival: Millis,
-    /// Execution start.
-    pub start: Millis,
-    /// Execution completion.
-    pub finish: Millis,
-}
-
-/// The result of replaying an online stream.
-#[derive(Debug, Clone)]
-pub struct OnlineReport {
-    /// Per-query outcomes in stream order.
-    pub outcomes: Vec<OnlineOutcome>,
-    /// VM types provisioned, in order.
-    pub vm_types: Vec<VmTypeId>,
-    /// Batch size at each arrival.
-    pub batch_sizes: Vec<usize>,
-    /// Full model retrainings performed. With `cache_hits` and `shifts`,
-    /// the Figure 19 work counters.
-    pub retrains: usize,
-    /// Model-cache hits (Reuse).
-    pub cache_hits: usize,
-    /// Shift-derived models built (Shift).
-    pub shifts: usize,
-    /// Oracle batch plans ([`Planner::Optimal`]) that stopped on
-    /// [`oracle_search`](OnlineConfig::oracle_search)'s expansion budget
-    /// and fell back to a best-found plan. Zero means every replan was
-    /// proven optimal; always zero under [`Planner::Model`].
-    pub oracle_limit_hits: usize,
-}
-
-impl OnlineReport {
-    /// Realized SLA latencies (completion − arrival).
-    pub fn latencies(&self) -> Vec<QueryLatency> {
-        self.outcomes
-            .iter()
-            .map(|o| QueryLatency {
-                query: o.query,
-                template: o.template,
-                latency: o.finish.saturating_sub(o.arrival),
-            })
-            .collect()
-    }
-
-    /// Total cost: VM start-ups + busy-time rental + SLA penalty — the
-    /// online analogue of Eq. 1.
-    pub fn total_cost(&self, spec: &WorkloadSpec, goal: &PerformanceGoal) -> CoreResult<Money> {
-        let mut cost = Money::ZERO;
-        let mut busy: Vec<Millis> = vec![Millis::ZERO; self.vm_types.len()];
-        for o in &self.outcomes {
-            busy[o.vm_index] += o.finish - o.start;
-        }
-        for (v, &vm_type) in self.vm_types.iter().enumerate() {
-            let vt = spec.vm_type(vm_type)?;
-            cost += vt.startup_cost;
-            cost += vt.runtime_cost(busy[v]);
-        }
-        cost += goal.penalty(&self.latencies());
-        Ok(cost)
-    }
-}
-
-/// A VM in the online simulation.
-struct OnlineVm {
-    vm_type: VmTypeId,
-    /// When all committed (started) work finishes.
-    avail: Millis,
-    /// Templates of committed queries still running at the current time
-    /// (for the open VM's feature vector).
-    running: Vec<(TemplateId, Millis /* finish */)>,
-    /// Assigned but not yet started: (query id, base template, time of the
-    /// batch that assigned it — a query cannot start earlier).
-    tentative: Vec<(QueryId, TemplateId, Millis)>,
-    /// Released VMs accept no further work.
-    released: bool,
-}
-
 /// An unstarted query awaiting (re)scheduling: the new arrival plus every
 /// recalled tentative query form one batch (§6.3's augmented workload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,8 +179,6 @@ pub struct PendingArrival {
     /// Original arrival time.
     pub arrival: Millis,
 }
-
-pub use wisedb_core::OpenVmView;
 
 /// What the planner needs to know about the cluster at scheduling time.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -289,23 +205,24 @@ pub enum PlannedStep {
     },
 }
 
-/// A planned batch plus what producing it cost the model machinery.
-#[derive(Debug, Clone)]
-pub struct ArrivalPlan {
-    /// Provision/assign steps, in application order.
-    pub steps: Vec<PlannedStep>,
-    /// A full model retraining happened (the Figure 19 "None" arm, or an
-    /// aged batch missing the Reuse cache).
-    pub retrained: bool,
-    /// A cached model (Reuse or Shift) served the batch.
-    pub cache_hit: bool,
-    /// A new Shift-derived model was built via adaptive retraining.
-    pub shifted: bool,
-    /// The oracle ([`Planner::Optimal`]) planned this batch and stopped on
-    /// its expansion budget
-    /// ([`SearchStats::limit_hit`](wisedb_search::SearchStats::limit_hit)),
-    /// so the steps are a best-found plan, not a proven optimum.
-    pub oracle_limit_hit: bool,
+/// Cumulative model work of a scheduler's
+/// [`plan_arrivals`](OnlineScheduler::plan_arrivals) calls: the Figure 19
+/// counters plus the oracle's budget stops (Figure 18's proof marks).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OnlineCounters {
+    /// Full model retrainings: the Figure 19 "None" arm, or an aged batch
+    /// missing the Reuse cache.
+    pub retrains: usize,
+    /// Batches served by a cached model (Reuse or Shift).
+    pub cache_hits: usize,
+    /// Shift-derived models built via adaptive retraining.
+    pub shifts: usize,
+    /// Oracle batch plans ([`Planner::Optimal`]) that stopped on
+    /// [`oracle_search`](OnlineConfig::oracle_search)'s expansion budget
+    /// ([`SearchStats::limit_hit`](wisedb_search::SearchStats::limit_hit))
+    /// and fell back to a best-found plan. Zero means every replan was
+    /// proven optimal; always zero under [`Planner::Model`].
+    pub oracle_limit_hits: usize,
 }
 
 /// An augmented scheduling view for a batch with waited queries: the base
@@ -345,6 +262,7 @@ pub struct OnlineScheduler {
     /// bucket) pairs — shared by the Reuse-cached, no-reuse, and oracle
     /// aged paths (LRU-bounded).
     augment_cache: LruCache<Vec<(u32, u64)>, AugmentedView>,
+    counters: OnlineCounters,
 }
 
 impl OnlineScheduler {
@@ -369,6 +287,7 @@ impl OnlineScheduler {
             reuse_cache: LruCache::new(capacity),
             shift_cache: LruCache::new(capacity),
             augment_cache: LruCache::new(capacity),
+            counters: OnlineCounters::default(),
         })
     }
 
@@ -392,6 +311,7 @@ impl OnlineScheduler {
             reuse_cache: LruCache::new(capacity),
             shift_cache: LruCache::new(capacity),
             augment_cache: LruCache::new(capacity),
+            counters: OnlineCounters::default(),
         }
     }
 
@@ -418,102 +338,11 @@ impl OnlineScheduler {
         )
     }
 
-    /// Replays a stream of arrivals through the online scheduling loop.
-    pub fn run(&mut self, stream: &[ArrivingQuery]) -> CoreResult<OnlineReport> {
-        let mut vms: Vec<OnlineVm> = Vec::new();
-        let mut report = OnlineReport {
-            outcomes: Vec::with_capacity(stream.len()),
-            vm_types: Vec::new(),
-            batch_sizes: Vec::with_capacity(stream.len()),
-            retrains: 0,
-            cache_hits: 0,
-            shifts: 0,
-            oracle_limit_hits: 0,
-        };
-        let mut outcomes: Vec<Option<OnlineOutcome>> = vec![None; stream.len()];
-
-        let arrival_times: Vec<Millis> = stream.iter().map(|a| a.arrival).collect();
-        for (i, arriving) in stream.iter().enumerate() {
-            let now = arriving.arrival;
-            advance_to(&mut vms, now, &self.spec, &mut outcomes, &arrival_times);
-
-            // Collect the batch: the new query plus everything unstarted.
-            let mut batch: Vec<PendingArrival> = vec![PendingArrival {
-                id: QueryId(i as u32),
-                template: arriving.template,
-                arrival: now,
-            }];
-            for vm in vms.iter_mut() {
-                for (qid, template, _) in vm.tentative.drain(..) {
-                    batch.push(PendingArrival {
-                        id: qid,
-                        template,
-                        arrival: stream[qid.index()].arrival,
-                    });
-                }
-            }
-            report.batch_sizes.push(batch.len());
-
-            self.plan_batch(&mut vms, &mut report, &batch, now)?;
-        }
-
-        // Drain: run everything still tentative.
-        advance_to(
-            &mut vms,
-            Millis::from_millis(u64::MAX),
-            &self.spec,
-            &mut outcomes,
-            &arrival_times,
-        );
-        report.vm_types = vms.iter().map(|vm| vm.vm_type).collect();
-        report.outcomes = outcomes
-            .into_iter()
-            .map(|o| o.expect("every arrived query is eventually executed"))
-            .collect();
-        Ok(report)
-    }
-
-    /// Plans one batch and records tentative assignments on the VMs.
-    fn plan_batch(
-        &mut self,
-        vms: &mut Vec<OnlineVm>,
-        report: &mut OnlineReport,
-        batch: &[PendingArrival],
-        now: Millis,
-    ) -> CoreResult<()> {
-        let view = ClusterView {
-            vms_rented: vms.len() as u32,
-            open_vm: vms.last().filter(|vm| !vm.released).map(|vm| OpenVmView {
-                vm_type: vm.vm_type,
-                running: vm.running.iter().map(|&(t, _)| t).collect(),
-                backlog: vm.avail.saturating_sub(now),
-            }),
-        };
-        let plan = self.plan_arrivals(&view, batch, now)?;
-        report.retrains += plan.retrained as usize;
-        report.cache_hits += plan.cache_hit as usize;
-        report.shifts += plan.shifted as usize;
-        report.oracle_limit_hits += plan.oracle_limit_hit as usize;
-        for step in plan.steps {
-            match step {
-                PlannedStep::Provision(v) => {
-                    vms.push(OnlineVm {
-                        vm_type: v,
-                        avail: now,
-                        running: Vec::new(),
-                        tentative: Vec::new(),
-                        released: false,
-                    });
-                }
-                PlannedStep::Assign { query, template } => {
-                    let vm = vms
-                        .last_mut()
-                        .expect("plans rent before placing when no VM is open");
-                    vm.tentative.push((query, template, now));
-                }
-            }
-        }
-        Ok(())
+    /// The model work of every [`plan_arrivals`](Self::plan_arrivals)
+    /// call since this scheduler was built (a hot model swap builds a new
+    /// one, so its counters start from zero).
+    pub fn counters(&self) -> OnlineCounters {
+        self.counters
     }
 
     /// Plans one online batch against an externally owned cluster (§6.3):
@@ -522,14 +351,15 @@ impl OnlineScheduler {
     /// `batch` is the new arrival plus every recalled unstarted query;
     /// `view` describes the cluster at `now` (the open VM seeds the initial
     /// search vertex). The returned steps apply in order — see
-    /// [`PlannedStep`]. Model selection (Reuse/Shift caches, aged-template
-    /// augmentation, full retrains) is identical to [`run`](Self::run)'s.
+    /// [`PlannedStep`]. The model work each call does (retrains, cache
+    /// hits, shifts, oracle budget stops) accumulates in
+    /// [`counters`](Self::counters).
     pub fn plan_arrivals(
         &mut self,
         view: &ClusterView,
         batch: &[PendingArrival],
         now: Millis,
-    ) -> CoreResult<ArrivalPlan> {
+    ) -> CoreResult<Vec<PlannedStep>> {
         let quantum = self.config.age_quantum.as_millis().max(1);
         let bucket_of = |q: &PendingArrival| age_bucket(now.saturating_sub(q.arrival), quantum);
         let max_bucket = batch.iter().map(bucket_of).max().unwrap_or(0);
@@ -537,7 +367,6 @@ impl OnlineScheduler {
         let shiftable = self.goal.is_linearly_shiftable();
         #[allow(unused_assignments)] // only the aged no-reuse arm assigns it
         let mut owned_model: Option<DecisionModel> = None;
-        let (mut retrained, mut cache_hit, mut shifted) = (false, false, false);
 
         // -- Choose the scheduling view: (spec, goal, model, template map) --
         enum View<'m> {
@@ -554,7 +383,7 @@ impl OnlineScheduler {
         } else if self.config.shift && shiftable && self.config.planner == Planner::Model {
             let shift = Millis::from_millis(max_bucket * quantum);
             if self.shift_cache.get(&max_bucket).is_some() {
-                cache_hit = true;
+                self.counters.cache_hits += 1;
             } else {
                 let shifted_goal = self
                     .goal
@@ -564,7 +393,7 @@ impl OnlineScheduler {
                     .generator
                     .retrain_tightened(&shifted_goal, &mut self.artifacts)?;
                 self.shift_cache.insert(max_bucket, model);
-                shifted = true;
+                self.counters.shifts += 1;
             }
             View::Shifted(
                 self.shift_cache
@@ -582,7 +411,7 @@ impl OnlineScheduler {
             let use_cache = self.config.reuse && self.config.planner == Planner::Model;
             let model_ref: &DecisionModel = if use_cache {
                 if self.reuse_cache.get(&pairs).is_some() {
-                    cache_hit = true;
+                    self.counters.cache_hits += 1;
                 } else {
                     let generator = ModelGenerator::new(
                         view.spec.clone(),
@@ -590,7 +419,7 @@ impl OnlineScheduler {
                         self.config.training.clone(),
                     );
                     let model = generator.train()?;
-                    retrained = true;
+                    self.counters.retrains += 1;
                     self.reuse_cache.insert(pairs.clone(), model);
                 }
                 self.reuse_cache.peek(&pairs).expect("hit or just inserted")
@@ -602,8 +431,8 @@ impl OnlineScheduler {
                     view.goal.clone(),
                     self.config.training.clone(),
                 );
-                retrained = true;
                 owned_model = Some(generator.train()?);
+                self.counters.retrains += 1;
                 owned_model.as_ref().expect("just assigned")
             };
             View::Aged {
@@ -659,18 +488,18 @@ impl OnlineScheduler {
         }
 
         // -- Plan. --
-        let (decisions, oracle_limit_hit): (Vec<Decision>, bool) = match self.config.planner {
+        let decisions: Vec<Decision> = match self.config.planner {
             Planner::Model => {
                 let tree_plan =
                     plan_with_tree(sched_spec, sched_goal, model.schema(), model.tree(), state);
-                let decisions = tree_plan.decisions.into_iter().map(|(d, _)| d).collect();
-                (decisions, false)
+                tree_plan.decisions.into_iter().map(|(d, _)| d).collect()
             }
             Planner::Optimal => {
                 let plan = Solver::new(sched_spec, sched_goal)
                     .with_config(self.config.oracle_search.clone())
                     .plan_from(state)?;
-                (plan.decisions, plan.stats.limit_hit)
+                self.counters.oracle_limit_hits += plan.stats.limit_hit as usize;
+                plan.decisions
             }
         };
 
@@ -691,13 +520,7 @@ impl OnlineScheduler {
                 }
             })
             .collect();
-        Ok(ArrivalPlan {
-            steps,
-            retrained,
-            cache_hit,
-            shifted,
-            oracle_limit_hit,
-        })
+        Ok(steps)
     }
 
     /// The augmented scheduling view for a batch with waited queries: one
@@ -763,283 +586,9 @@ fn aged_pairs(batch: &[PendingArrival], now: Millis, quantum: u64) -> Vec<(u32, 
     pairs
 }
 
-/// Starts tentative queries whose start time is strictly before `now`,
-/// recording their outcomes; releases VMs that fall idle with no work.
-fn advance_to(
-    vms: &mut [OnlineVm],
-    now: Millis,
-    spec: &WorkloadSpec,
-    outcomes: &mut [Option<OnlineOutcome>],
-    arrivals: &[Millis],
-) {
-    for (v, vm) in vms.iter_mut().enumerate() {
-        // Retire finished committed work from the running set.
-        vm.running.retain(|&(_, finish)| finish > now);
-        let mut i = 0;
-        while i < vm.tentative.len() {
-            let (qid, template, assigned_at) = vm.tentative[i];
-            // A query starts when the VM is free, but never before the
-            // batch that assigned it.
-            let start = vm.avail.max(assigned_at);
-            if start >= now {
-                break;
-            }
-            let exec = spec
-                .latency(template, vm.vm_type)
-                .expect("online placements are validated at scheduling time");
-            let finish = start + exec;
-            outcomes[qid.index()] = Some(OnlineOutcome {
-                query: qid,
-                template,
-                vm_index: v,
-                arrival: arrivals[qid.index()],
-                start,
-                finish,
-            });
-            vm.avail = finish;
-            if finish > now {
-                vm.running.push((template, finish));
-            }
-            i += 1;
-        }
-        vm.tentative.drain(..i);
-        if vm.tentative.is_empty() && vm.avail <= now {
-            vm.released = true;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wisedb_core::{GoalKind, VmType};
-
-    fn spec() -> WorkloadSpec {
-        WorkloadSpec::single_vm(
-            vec![("T1", Millis::from_mins(2)), ("T2", Millis::from_mins(1))],
-            VmType::t2_medium(),
-        )
-        .unwrap()
-    }
-
-    fn tiny_training() -> ModelConfig {
-        ModelConfig {
-            num_samples: 40,
-            sample_size: 5,
-            seed: 3,
-            ..ModelConfig::fast()
-        }
-    }
-
-    fn stream(templates: &[u32], gap: Millis) -> Vec<ArrivingQuery> {
-        templates
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| ArrivingQuery::new(TemplateId(t), gap * i as u64))
-            .collect()
-    }
-
-    fn run_online(
-        goal_kind: GoalKind,
-        config: OnlineConfig,
-        templates: &[u32],
-        gap: Millis,
-    ) -> (OnlineReport, WorkloadSpec, PerformanceGoal) {
-        let spec = spec();
-        let goal = PerformanceGoal::paper_default(goal_kind, &spec).unwrap();
-        let mut scheduler = OnlineScheduler::train(spec.clone(), goal.clone(), config).unwrap();
-        let report = scheduler.run(&stream(templates, gap)).unwrap();
-        (report, spec, goal)
-    }
-
-    fn patched_cost(report: &OnlineReport, spec: &WorkloadSpec, goal: &PerformanceGoal) -> Money {
-        report.total_cost(spec, goal).unwrap()
-    }
-
-    #[test]
-    fn every_query_is_executed_once() {
-        let (report, spec, goal) = run_online(
-            GoalKind::MaxLatency,
-            OnlineConfig {
-                training: tiny_training(),
-                ..OnlineConfig::default()
-            },
-            &[0, 1, 0, 1, 1, 0],
-            Millis::from_secs(30),
-        );
-        assert_eq!(report.outcomes.len(), 6);
-        // Starts never precede... the batch's scheduling time; and finishes
-        // are consistent with execution times.
-        for o in &report.outcomes {
-            assert!(o.finish > o.start);
-        }
-        assert!(patched_cost(&report, &spec, &goal) > Money::ZERO);
-        assert_eq!(report.batch_sizes.len(), 6);
-    }
-
-    #[test]
-    fn slow_arrivals_reuse_few_vms() {
-        // With 10-minute gaps every query finds an empty cluster: each
-        // batch is a single fresh query, so no retraining is ever needed
-        // and the cost approaches sequential execution.
-        let (report, _, _) = run_online(
-            GoalKind::MaxLatency,
-            OnlineConfig {
-                training: tiny_training(),
-                ..OnlineConfig::default()
-            },
-            &[0, 0, 0],
-            Millis::from_mins(10),
-        );
-        assert_eq!(report.retrains, 0);
-        assert_eq!(report.shifts, 0);
-        // Queries never overlap; each runs immediately on arrival.
-        for (i, o) in report.outcomes.iter().enumerate() {
-            assert_eq!(o.start, Millis::from_mins(10) * i as u64);
-        }
-    }
-
-    #[test]
-    fn burst_arrivals_stack_or_spread_depending_on_goal() {
-        // All queries arrive within a second; the scheduler must use the
-        // open VM's wait-time to decide between stacking and new VMs.
-        let (report, spec, goal) = run_online(
-            GoalKind::PerQuery,
-            OnlineConfig {
-                training: tiny_training(),
-                ..OnlineConfig::default()
-            },
-            &[1, 1, 1, 1],
-            Millis::from_millis(100),
-        );
-        // T2's deadline is 3 minutes (3x60s); stacking four 1-minute
-        // queries would blow it for the last one, so at least 2 VMs.
-        assert!(report.vm_types.len() >= 2, "vms={}", report.vm_types.len());
-        let cost = patched_cost(&report, &spec, &goal);
-        assert!(cost > Money::ZERO);
-    }
-
-    #[test]
-    fn shift_cache_kicks_in_for_shiftable_goals() {
-        let (report, _, _) = run_online(
-            GoalKind::MaxLatency,
-            OnlineConfig {
-                training: tiny_training(),
-                reuse: false,
-                shift: true,
-                ..OnlineConfig::default()
-            },
-            &[0, 0, 0, 0, 0, 0],
-            Millis::from_secs(10),
-        );
-        // Aged batches exist (queries wait behind each other), and the
-        // shift path must have served them: zero full retrains.
-        assert_eq!(report.retrains, 0);
-        assert!(report.shifts > 0 || report.batch_sizes.iter().all(|&b| b == 1));
-    }
-
-    #[test]
-    fn reuse_never_trains_more_than_no_reuse() {
-        // Average latency is not linearly shiftable, so aged batches go
-        // through the (cached) aged-template path. With reuse on, the
-        // retrain count can only drop, and the cost must stay comparable.
-        let templates = [1u32, 1, 1, 1, 1, 1, 1, 1];
-        let gap = Millis::from_secs(20);
-        let (with_reuse, spec, goal) = run_online(
-            GoalKind::AverageLatency,
-            OnlineConfig {
-                training: tiny_training(),
-                reuse: true,
-                shift: false,
-                ..OnlineConfig::default()
-            },
-            &templates,
-            gap,
-        );
-        let (without, _, _) = run_online(
-            GoalKind::AverageLatency,
-            OnlineConfig {
-                training: tiny_training(),
-                reuse: false,
-                shift: false,
-                ..OnlineConfig::default()
-            },
-            &templates,
-            gap,
-        );
-        assert!(
-            with_reuse.retrains <= without.retrains,
-            "reuse={} vs none={}",
-            with_reuse.retrains,
-            without.retrains
-        );
-        assert_eq!(without.cache_hits, 0);
-        let c_reuse = patched_cost(&with_reuse, &spec, &goal);
-        let c_none = patched_cost(&without, &spec, &goal);
-        assert!(c_reuse.as_dollars() <= c_none.as_dollars() * 2.0 + 0.01);
-    }
-
-    #[test]
-    fn optimal_planner_completes_and_is_no_worse() {
-        let templates = [0u32, 1, 1, 0];
-        let gap = Millis::from_secs(45);
-        let (model_report, spec, goal) = run_online(
-            GoalKind::MaxLatency,
-            OnlineConfig {
-                training: tiny_training(),
-                ..OnlineConfig::default()
-            },
-            &templates,
-            gap,
-        );
-        let (oracle_report, _, _) = run_online(
-            GoalKind::MaxLatency,
-            OnlineConfig {
-                training: tiny_training(),
-                planner: Planner::Optimal,
-                ..OnlineConfig::default()
-            },
-            &templates,
-            gap,
-        );
-        let c_model = patched_cost(&model_report, &spec, &goal);
-        let c_oracle = patched_cost(&oracle_report, &spec, &goal);
-        assert_eq!(oracle_report.outcomes.len(), templates.len());
-        // The oracle plans each batch optimally; the model should be close
-        // (and can tie). Generous bound: within 50% on this toy setup.
-        assert!(
-            c_model.as_dollars() <= c_oracle.as_dollars() * 1.5 + 1e-6,
-            "model {c_model} vs oracle {c_oracle}"
-        );
-        // Every replan of these small batches is proven optimal.
-        assert_eq!(model_report.oracle_limit_hits, 0);
-        assert_eq!(oracle_report.oracle_limit_hits, 0);
-    }
-
-    #[test]
-    fn oracle_replans_that_hit_the_budget_are_counted() {
-        // One expansion cannot reach a goal vertex when a batch must rent
-        // (rent, then place): those batches fall back to the greedy plan,
-        // which is still complete.
-        let templates = [0u32, 1, 1, 0];
-        let (report, _, _) = run_online(
-            GoalKind::MaxLatency,
-            OnlineConfig {
-                training: tiny_training(),
-                planner: Planner::Optimal,
-                oracle_search: SearchConfig {
-                    node_limit: 1,
-                    ..SearchConfig::default()
-                },
-                ..OnlineConfig::default()
-            },
-            &templates,
-            Millis::from_secs(45),
-        );
-        assert_eq!(report.outcomes.len(), templates.len());
-        assert!(report.oracle_limit_hits > 0);
-        assert!(report.oracle_limit_hits <= report.batch_sizes.len());
-    }
 
     #[test]
     fn lru_cache_bounds_and_recency() {
@@ -1060,63 +609,5 @@ mod tests {
             open.insert(i, i);
         }
         assert_eq!(open.len(), 100);
-    }
-
-    #[test]
-    fn bounded_caches_hold_capacity_and_keep_the_reuse_win() {
-        // A long stream at a *fine* age quantum: nearly every aged batch
-        // has a fresh ageing signature, so an unbounded Reuse cache grows
-        // with the stream (the ROADMAP leak). The LRU must pin all three
-        // caches at capacity while repeated signatures still hit.
-        let spec = spec();
-        // Average latency is not shiftable => the aged-template (Reuse)
-        // path, the cache-hungry one.
-        let goal = PerformanceGoal::paper_default(GoalKind::AverageLatency, &spec).unwrap();
-        let capacity = 4;
-        let mut scheduler = OnlineScheduler::train(
-            spec,
-            goal,
-            OnlineConfig {
-                training: tiny_training(),
-                age_quantum: Millis::from_millis(50),
-                cache_capacity: capacity,
-                shift: false,
-                ..OnlineConfig::default()
-            },
-        )
-        .unwrap();
-        // 40 arrivals of a 1-minute template every 2 s: deep queues, many
-        // distinct wait patterns.
-        let report = scheduler
-            .run(&stream(&[1; 40], Millis::from_secs(2)))
-            .unwrap();
-        let (reuse, shift, augment) = scheduler.cache_sizes();
-        assert!(reuse <= capacity, "reuse cache leaked: {reuse}");
-        assert!(shift <= capacity, "shift cache leaked: {shift}");
-        assert!(augment <= capacity, "augment cache leaked: {augment}");
-        // The Figure 19 win survives bounding: repeated signatures hit.
-        assert!(report.cache_hits > 0, "bounded cache must still hit");
-        assert_eq!(report.outcomes.len(), 40, "stream completes");
-    }
-
-    #[test]
-    fn arrivals_recorded_in_outcomes() {
-        let spec = spec();
-        let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
-        let mut scheduler = OnlineScheduler::train(
-            spec.clone(),
-            goal.clone(),
-            OnlineConfig {
-                training: tiny_training(),
-                ..OnlineConfig::default()
-            },
-        )
-        .unwrap();
-        let arrivals = stream(&[0, 1], Millis::from_secs(30));
-        let report = scheduler.run(&arrivals).unwrap();
-        for (o, a) in report.outcomes.iter().zip(&arrivals) {
-            assert_eq!(o.arrival, a.arrival);
-            assert!(o.start >= o.arrival);
-        }
     }
 }

@@ -3,8 +3,8 @@
 //! Runs each hot path once — the A* kernel (one optimal solve per goal
 //! kind), the percentile bound-tightness guard (budgeted exact solve,
 //! certified bound), the percentile-pathology guard (anytime under a
-//! tight budget), batch scheduling, the streaming event loop, the
-//! multi-tenant consolidation loop (3 SLA classes, shared vs isolated
+//! tight budget), batch scheduling, the streaming event loop (with its
+//! scheduler's retrain, cache-hit and shift counters), the multi-tenant consolidation loop (3 SLA classes, shared vs isolated
 //! fleets), the multi-class tick loop (a 3-class `run_ticked` replay),
 //! the serve layer's wire loop
 //! (loopback TCP, admit/shed verdicts), the warm-training guard (cold
@@ -197,21 +197,23 @@ fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {
         ..OnlineConfig::default()
     };
     let scheduler = OnlineScheduler::with_model(model, artifacts, online);
-    let snapshot = WorkloadService::with_scheduler(scheduler, RuntimeConfig::default())
-        .run_stream(&stream)
-        .unwrap()
-        .last;
+    let mut service = WorkloadService::with_scheduler(scheduler, RuntimeConfig::default());
+    let snapshot = service.run_stream(&stream).unwrap().last;
+    let work = service.scheduler(TenantId::DEFAULT).unwrap().counters();
     record(
         out,
         &bench,
         &[
             ("completed", snapshot.completed as f64),
             ("vms_provisioned", snapshot.vms_provisioned as f64),
+            ("retrains", work.retrains as f64),
+            ("cache_hits", work.cache_hits as f64),
+            ("shifts", work.shifts as f64),
         ],
     );
     eprintln!(
-        "  {bench}: {} completed, {} VMs",
-        snapshot.completed, snapshot.vms_provisioned
+        "  {bench}: {} completed, {} VMs, {} retrains, {} cache hits, {} shifts",
+        snapshot.completed, snapshot.vms_provisioned, work.retrains, work.cache_hits, work.shifts
     );
 }
 

@@ -11,10 +11,11 @@
 
 use std::rc::Rc;
 
-use wisedb::advisor::{self, ArrivingQuery, OnlineReport, Planner, StepSource, TrainingArtifacts};
+use wisedb::advisor::{self, OnlineCounters, Planner, StepSource, TrainingArtifacts};
 use wisedb::prelude::*;
 use wisedb::runtime::generate_stream;
 use wisedb::sim::{self, catalog, generator, stats, Arrivals, SimOptions};
+use wisedb_core::ArrivingQuery;
 use wisedb_learn::{Dataset, DecisionTree, FeatureKind, TreeParams};
 use wisedb_search::SearchStats;
 
@@ -340,10 +341,15 @@ fn stream(w: &Workload, times: impl IntoIterator<Item = Millis>) -> Vec<Arriving
     w.queries().iter().zip(times).map(arriving).collect()
 }
 
-/// Replays `stream` online over `m`, a model that kept its artifacts.
-fn replay(m: &Trained, config: OnlineConfig, stream: &[ArrivingQuery]) -> OnlineReport {
-    let mut scheduler = OnlineScheduler::with_model(m.0.clone(), m.1.clone().expect(KEPT), config);
-    scheduler.run(stream).expect("replay succeeds")
+/// Replays `stream` through the runtime's online loop over `m`, a model
+/// that kept its artifacts: the drained service's cost (Eq. 1) and its
+/// scheduler's model work.
+fn replay(m: &Trained, config: OnlineConfig, stream: &[ArrivingQuery]) -> (Money, OnlineCounters) {
+    let scheduler = OnlineScheduler::with_model(m.0.clone(), m.1.clone().expect(KEPT), config);
+    let mut service = WorkloadService::with_scheduler(scheduler, RuntimeConfig::default());
+    let report = service.run_stream(stream).expect("replay succeeds");
+    let work = service.scheduler(TenantId::DEFAULT).expect("one class");
+    (report.last.total_cost(), work.counters())
 }
 
 fn fig18(ctx: &mut Context) -> Table {
@@ -355,21 +361,18 @@ fn fig18(ctx: &mut Context) -> Table {
     let delays = [0.0, 0.25, 0.5, 0.75, 1.0];
     grid(ctx, &headers, &delays, |ctx, kind, _, delay| {
         let m = ctx.default_model(kind);
-        let (spec, goal) = (m.0.spec(), m.0.goal());
-        let w = generator::uniform_workload(spec, 30, 18_000 + (delay * 100.0) as u64);
+        let w = generator::uniform_workload(m.0.spec(), 30, 18_000 + (delay * 100.0) as u64);
         let stream = stream(&w, (0..).map(|i| Millis::from_secs_f64(delay * i as f64)));
         let replay_with = |planner| {
             let mut config = base.clone();
             config.planner = planner;
-            let report = replay(&m, config, &stream);
-            let cost = report.total_cost(spec, goal).expect("cost computes");
-            (cost, report.oracle_limit_hits)
+            replay(&m, config, &stream)
         };
         let (wisedb, _) = replay_with(Planner::Model);
-        let (optimal, limit_hits) = replay_with(Planner::Optimal);
+        let (optimal, oracle) = replay_with(Planner::Optimal);
         Cell::Pct {
             value: pct_above(wisedb, optimal),
-            proven: limit_hits == 0,
+            proven: oracle.oracle_limit_hits == 0,
         }
     })
 }
@@ -396,8 +399,8 @@ fn fig19(ctx: &mut Context) -> Table {
         for arm in ["Shift+Reuse", "Shift", "Reuse", "None"] {
             let mut config = base.clone();
             (config.reuse, config.shift) = (arm.contains("Reuse"), arm.contains("Shift"));
-            let r = replay(&m, config, &stream);
-            let counts = [r.retrains, r.cache_hits, r.shifts].map(|c| Cell::Count(c as u64));
+            let (_, w) = replay(&m, config, &stream);
+            let counts = [w.retrains, w.cache_hits, w.shifts].map(|c| Cell::Count(c as u64));
             table.row([kind.name(), arm].map(Cell::from).into_iter().chain(counts));
         }
     }

@@ -20,7 +20,9 @@
 //!   swaps) to `LiveCluster` (incremental provisioning, execution,
 //!   per-class billing). Multiple tenant SLA classes multiplex onto one
 //!   shared fleet via [`WorkloadService::train_classes`]; a single-class
-//!   service is bit-identical to the legacy single-goal one. Every solve
+//!   service is bit-identical to the legacy single-goal one. It is the
+//!   one online loop: the advisor plans, `LiveCluster` executes, and the
+//!   paper's online figures replay streams through it. Every solve
 //!   the service triggers — (re)training and per-arrival oracle replans —
 //!   runs whichever `wisedb_search::SearchStrategy` the embedded
 //!   `OnlineConfig` selects (its `training.search` and `oracle_search`

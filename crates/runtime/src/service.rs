@@ -29,7 +29,11 @@
 //! degenerates to the original single-goal pipeline **bit-identically**:
 //! recalling "the arrival's class" recalls everything, the one model plans
 //! every batch, and the per-class metrics row mirrors the fleet totals
-//! (asserted by `tests/multitenant_e2e.rs`).
+//! (asserted by `tests/multitenant_e2e.rs` against an independent replay
+//! of the §6.3 loop). This is the only online executor: the advisor only
+//! plans, and the Figure 18/19 replays run through
+//! [`run_stream`](WorkloadService::run_stream), reading the model work
+//! back from [`scheduler`](WorkloadService::scheduler)`(class).counters()`.
 //!
 //! Everything is deterministic under a fixed seed — same stream, same
 //! placements, same bill — except scheduler *decision latency*, which is
@@ -42,7 +46,7 @@ use rand::SeedableRng;
 
 use wisedb_advisor::multi::MultiScheduler;
 use wisedb_advisor::online::{
-    ArrivalPlan, ClusterView, OnlineConfig, OnlineScheduler, PendingArrival, PlannedStep,
+    ClusterView, OnlineConfig, OnlineScheduler, PendingArrival, PlannedStep,
 };
 use wisedb_advisor::{DecisionModel, TrainingArtifacts};
 use wisedb_core::{
@@ -63,7 +67,7 @@ pub struct RuntimeConfig {
     pub online: OnlineConfig,
     /// The overload valve.
     pub admission: AdmissionPolicy,
-    /// Cluster execution options (start-up delays, latency noise).
+    /// Cluster execution options (start-up delays).
     pub cluster: LiveOptions,
     /// Seed for arrival generation in
     /// [`run_process`](WorkloadService::run_process).
@@ -694,7 +698,7 @@ impl ServiceCore {
     fn settle(
         &mut self,
         class: TenantId,
-        planned: CoreResult<ArrivalPlan>,
+        planned: CoreResult<Vec<PlannedStep>>,
         plan_secs: f64,
         open: OpenVm,
         group: Prepared,
@@ -722,11 +726,11 @@ impl ServiceCore {
     /// untouched (and therefore restorable).
     fn validate_plan(
         &self,
-        plan: &ArrivalPlan,
+        plan: &[PlannedStep],
         mut target_type: Option<VmTypeId>,
     ) -> CoreResult<()> {
         let spec = self.cluster.spec();
-        for step in &plan.steps {
+        for step in plan {
             match *step {
                 PlannedStep::Provision(vm_type) => {
                     spec.vm_type(vm_type)
@@ -768,14 +772,14 @@ impl ServiceCore {
     fn apply_plan(
         &mut self,
         class: TenantId,
-        plan: ArrivalPlan,
+        plan: Vec<PlannedStep>,
         mut target: Option<usize>,
         admitted: usize,
     ) -> CoreResult<()> {
         for _ in 0..admitted {
             self.metrics.admit_as(class);
         }
-        for step in plan.steps {
+        for step in plan {
             match step {
                 PlannedStep::Provision(vm_type) => {
                     // validate_plan checked the type against the spec; a
@@ -986,40 +990,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn service_matches_the_batch_online_replayer() {
-        // The incremental loop must reproduce OnlineScheduler::run exactly:
-        // same stream, same per-query placements and times.
-        let spec = spec();
-        let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
-        let mut process = PoissonProcess::per_second(0.05, TemplateMix::uniform(2));
-        let stream = generate_stream(&mut process, 25, 99);
-
-        let mut svc = WorkloadService::train(spec.clone(), goal.clone(), config()).unwrap();
-        let report = svc.run_stream(&stream).unwrap();
-
-        let mut replayer =
-            OnlineScheduler::train(spec.clone(), goal.clone(), config().online).unwrap();
-        let batch_report = replayer.run(&stream).unwrap();
-
-        let mut by_query = report.completions.clone();
-        by_query.sort_by_key(|c| c.query);
-        assert_eq!(by_query.len(), batch_report.outcomes.len());
-        for (c, o) in by_query.iter().zip(&batch_report.outcomes) {
-            assert_eq!(c.query, o.query);
-            assert_eq!(c.vm_index, o.vm_index);
-            assert_eq!(c.start, o.start);
-            assert_eq!(c.finish, o.finish);
-        }
-        // And the money agrees with the replayer's Eq. 1 analogue.
-        let total = report.last.total_cost();
-        let batch_total = batch_report.total_cost(&spec, &goal).unwrap();
-        assert!(
-            total.approx_eq(batch_total, 1e-9),
-            "service {total} vs replayer {batch_total}"
-        );
-    }
-
-    #[test]
     fn admission_sheds_load_under_pressure() {
         let spec = spec();
         let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
@@ -1136,9 +1106,9 @@ pub(crate) mod tests {
     #[test]
     fn single_element_bursts_are_bit_identical_to_offer_as() {
         // offer_as delegates to offer_batch_as; this pins that a stream
-        // pushed through explicit one-element bursts reproduces the
-        // replayer exactly — the coalescing path's k=1 case is the
-        // legacy path.
+        // pushed through explicit one-element bursts reproduces offer_as
+        // exactly — the coalescing path's k=1 case is the per-arrival
+        // path.
         let spec = spec();
         let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
         let mut process = PoissonProcess::per_second(0.05, TemplateMix::uniform(2));
@@ -1209,45 +1179,27 @@ pub(crate) mod tests {
         // with no VM to target, a provision outside the spec, and an
         // unsupported placement must all come back as typed errors.
         let svc = service(GoalKind::MaxLatency);
-        let bad_target = ArrivalPlan {
-            steps: vec![PlannedStep::Assign {
-                query: QueryId(0),
-                template: TemplateId(0),
-            }],
-            retrained: false,
-            cache_hit: false,
-            shifted: false,
-            oracle_limit_hit: false,
-        };
+        let bad_target = [PlannedStep::Assign {
+            query: QueryId(0),
+            template: TemplateId(0),
+        }];
         assert!(matches!(
             svc.core.validate_plan(&bad_target, None),
             Err(CoreError::InconsistentPlan { .. })
         ));
-        let bad_type = ArrivalPlan {
-            steps: vec![PlannedStep::Provision(wisedb_core::VmTypeId(99))],
-            retrained: false,
-            cache_hit: false,
-            shifted: false,
-            oracle_limit_hit: false,
-        };
+        let bad_type = [PlannedStep::Provision(wisedb_core::VmTypeId(99))];
         assert!(matches!(
             svc.core.validate_plan(&bad_type, None),
             Err(CoreError::InconsistentPlan { .. })
         ));
         // A well-formed plan passes.
-        let good = ArrivalPlan {
-            steps: vec![
-                PlannedStep::Provision(wisedb_core::VmTypeId(0)),
-                PlannedStep::Assign {
-                    query: QueryId(0),
-                    template: TemplateId(1),
-                },
-            ],
-            retrained: false,
-            cache_hit: false,
-            shifted: false,
-            oracle_limit_hit: false,
-        };
+        let good = [
+            PlannedStep::Provision(wisedb_core::VmTypeId(0)),
+            PlannedStep::Assign {
+                query: QueryId(0),
+                template: TemplateId(1),
+            },
+        ];
         assert!(svc.core.validate_plan(&good, None).is_ok());
     }
 

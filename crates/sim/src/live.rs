@@ -9,14 +9,11 @@
 //!
 //! [`LiveCluster`] is that session. Execution semantics deliberately match
 //! both the analytic Eq. 1 model and the batch simulator: with start-up
-//! delays and latency noise off, the final bill for the same placements is
+//! delays off, the final bill for the same placements is
 //! exactly `Σ startup + Σ runtime` (asserted by tests and by the runtime's
 //! property suite).
 //!
 //! [`Schedule`]: wisedb_core::Schedule
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use serde::{Deserialize, Serialize};
 
@@ -25,32 +22,13 @@ use wisedb_core::{
     WorkloadSpec,
 };
 
-use crate::generator::Gaussian;
-use rand::distributions::Distribution;
-
 /// Options of a live cluster session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LiveOptions {
     /// Delay each VM's first query by the VM type's start-up delay (off by
     /// default, matching the analytic model that folds provisioning time
     /// into the start-up fee).
     pub include_startup_delay: bool,
-    /// Multiplicative Gaussian latency noise: a query's true execution time
-    /// is `predicted × max(0.05, 1 + N(0, σ))`. `None` means predictions
-    /// are exact.
-    pub latency_noise_sigma: Option<f64>,
-    /// Seed for the noise RNG (unused when noise is off).
-    pub noise_seed: u64,
-}
-
-impl Default for LiveOptions {
-    fn default() -> Self {
-        LiveOptions {
-            include_startup_delay: false,
-            latency_noise_sigma: None,
-            noise_seed: 0x11FE,
-        }
-    }
 }
 
 /// A query queued on a live VM but not yet started.
@@ -131,7 +109,6 @@ pub struct LiveCluster {
     /// the fleet ever rented grows with the session, the live one does not.
     live: Vec<usize>,
     now: Millis,
-    noise: Option<(Gaussian, StdRng)>,
     /// Queries that have started executing but whose finish lies beyond
     /// the clock: their [`Completion`] is emitted once the clock passes it.
     executing: Vec<Completion>,
@@ -150,19 +127,12 @@ impl LiveCluster {
     /// shared [`SpecHandle`] — the runtime passes the scheduler's handle,
     /// so the whole stack shares one spec allocation.
     pub fn new(spec: impl Into<SpecHandle>, options: LiveOptions) -> Self {
-        let noise = options.latency_noise_sigma.map(|sigma| {
-            (
-                Gaussian::new(0.0, sigma),
-                StdRng::seed_from_u64(options.noise_seed),
-            )
-        });
         LiveCluster {
             spec: spec.into(),
             options,
             vms: Vec::new(),
             live: Vec::new(),
             now: Millis::ZERO,
-            noise,
             executing: Vec::new(),
             startup_billed: Money::ZERO,
             runtime_billed: Money::ZERO,
@@ -338,8 +308,7 @@ impl LiveCluster {
     /// callers' live gauges never count executing work as done.
     ///
     /// A pending query starts at `max(vm ready/avail, its queueing time)`;
-    /// its execution time is the spec's predicted latency, optionally
-    /// perturbed by the session's noise model.
+    /// its execution time is the spec's predicted latency.
     pub fn advance_to(&mut self, now: Millis) -> Vec<Completion> {
         let now = now.max(self.now);
         self.now = now;
@@ -353,17 +322,10 @@ impl LiveCluster {
                 if start >= now {
                     break;
                 }
-                let predicted = self
+                let exec = self
                     .spec
                     .latency(q.template, vm.vm_type)
                     .expect("enqueue validated the placement");
-                let exec = match &mut self.noise {
-                    Some((gaussian, rng)) => {
-                        let factor = (1.0 + gaussian.sample(rng)).max(0.05);
-                        predicted.mul_f64(factor).max(Millis::from_millis(1))
-                    }
-                    None => predicted,
-                };
                 let finish = start + exec;
                 self.executing.push(Completion {
                     query: q.query,
@@ -494,8 +456,8 @@ impl LiveCluster {
     }
 
     /// Infrastructure billed so far: start-up fees of every provisioned VM
-    /// plus rental for committed execution time. With noise and start-up
-    /// delays off, the post-drain value equals Eq. 1's infrastructure terms
+    /// plus rental for committed execution time. With start-up delays
+    /// off, the post-drain value equals Eq. 1's infrastructure terms
     /// for the same placements.
     pub fn billed(&self) -> Money {
         self.startup_billed + self.runtime_billed
@@ -624,7 +586,6 @@ mod tests {
             spec.clone(),
             LiveOptions {
                 include_startup_delay: true,
-                ..LiveOptions::default()
             },
         );
         let v = c.provision(VmTypeId(0)).unwrap();
@@ -632,28 +593,6 @@ mod tests {
         let done = c.drain();
         let delay = spec.vm_type(VmTypeId(0)).unwrap().startup_delay;
         assert_eq!(done[0].start, delay);
-    }
-
-    #[test]
-    fn noise_perturbs_execution_deterministically() {
-        let spec = tpch_like(2);
-        let run = |seed: u64| {
-            let mut c = LiveCluster::new(
-                spec.clone(),
-                LiveOptions {
-                    latency_noise_sigma: Some(0.3),
-                    noise_seed: seed,
-                    ..LiveOptions::default()
-                },
-            );
-            let v = c.provision(VmTypeId(0)).unwrap();
-            c.enqueue(v, QueryId(0), TemplateId(0)).unwrap();
-            c.drain()[0].finish
-        };
-        assert_eq!(run(1), run(1), "same seed, same execution");
-        let predicted = spec.latency(TemplateId(0), VmTypeId(0)).unwrap();
-        // Across seeds, some run must differ from the exact prediction.
-        assert!((0..8).any(|s| run(s) != predicted));
     }
 
     #[test]

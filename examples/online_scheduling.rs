@@ -1,17 +1,42 @@
 //! Online scheduling: queries arriving one at a time (§6.3).
 //!
-//! Replays a stream of queries through the online scheduler under the four
-//! §6.3.1 optimization settings (None / Reuse / Shift / Shift+Reuse) and
-//! reports the model work each one pays (full retrains, cache hits,
-//! shift-derived models) and its realized cost — Figure 19's experiment
-//! in miniature — plus an A*-planned run as the quality yardstick
-//! (Figure 18's comparator).
+//! Replays a stream of queries through the streaming runtime's online
+//! loop under the four §6.3.1 optimization settings (None / Reuse / Shift
+//! / Shift+Reuse) and reports the model work each one pays (full
+//! retrains, cache hits, shift-derived models, read from the scheduler's
+//! counters) and its realized cost — Figure 19's experiment in miniature —
+//! plus an A*-planned run as the quality yardstick (Figure 18's
+//! comparator).
 //!
 //! Run with: `cargo run --release --example online_scheduling`
 
-use wisedb::advisor::{ArrivingQuery, OnlineConfig, OnlineScheduler, Planner};
+use wisedb::advisor::Planner;
 use wisedb::prelude::*;
 use wisedb::sim::Arrivals;
+use wisedb_core::ArrivingQuery;
+
+/// Runs `stream` through a one-class service planned under `online` and
+/// prints the scheduler's model work and the drained stream's cost.
+fn report(
+    name: &str,
+    spec: &WorkloadSpec,
+    goal: &PerformanceGoal,
+    online: OnlineConfig,
+    stream: &[ArrivingQuery],
+) -> Result<(), Box<dyn std::error::Error>> {
+    let config = RuntimeConfig {
+        online,
+        ..RuntimeConfig::default()
+    };
+    let mut service = WorkloadService::train(spec.clone(), goal.clone(), config)?;
+    let cost = service.run_stream(stream)?.last.total_cost();
+    let work = service.scheduler(TenantId::DEFAULT)?.counters();
+    println!(
+        "{:<14} {:>10} {:>10} {:>8} {:>14}",
+        name, work.retrains, work.cache_hits, work.shifts, cost
+    );
+    Ok(())
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = wisedb::sim::catalog::tpch_like(10);
@@ -54,36 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             training: training.clone(),
             ..OnlineConfig::default()
         };
-        let mut scheduler = OnlineScheduler::train(spec.clone(), goal.clone(), config)?;
-        let report = scheduler.run(&stream)?;
-        println!(
-            "{:<14} {:>10} {:>10} {:>8} {:>14}",
-            name,
-            report.retrains,
-            report.cache_hits,
-            report.shifts,
-            report.total_cost(&spec, &goal)?
-        );
+        report(name, &spec, &goal, config, &stream)?;
     }
 
     // Quality yardstick: plan every batch with A* instead of the tree.
-    let mut oracle = OnlineScheduler::train(
-        spec.clone(),
-        goal.clone(),
-        OnlineConfig {
-            planner: Planner::Optimal,
-            training: training.clone(),
-            ..OnlineConfig::default()
-        },
-    )?;
-    let report = oracle.run(&stream)?;
-    println!(
-        "{:<14} {:>10} {:>10} {:>8} {:>14}",
-        "A*-per-batch",
-        report.retrains,
-        report.cache_hits,
-        report.shifts,
-        report.total_cost(&spec, &goal)?
-    );
-    Ok(())
+    let config = OnlineConfig {
+        planner: Planner::Optimal,
+        training,
+        ..OnlineConfig::default()
+    };
+    report("A*-per-batch", &spec, &goal, config, &stream)
 }

@@ -4,9 +4,9 @@
 //!
 //! 1. **Single-class == legacy single-goal, bit-identically.** A
 //!    one-class service must place, time, bill, and account every query
-//!    exactly like the pre-refactor single-goal pipeline — represented
-//!    here by `OnlineScheduler::run`, the §6.3 batch replayer that the
-//!    original service was differentially tested against.
+//!    exactly like the §6.3 loop run by hand — represented here by
+//!    `support/replayer.rs`, an independent replay over the public
+//!    `plan_arrivals` API with its own VM simulator.
 //! 2. **Per-class accounting partitions the fleet totals.** Completions,
 //!    violations, penalties, dollars, and latency populations reported
 //!    per class must sum (or merge) to the fleet-wide numbers.
@@ -15,8 +15,12 @@
 //!    settings (per-class training merges per-sample results in index
 //!    order).
 
+#[path = "support/replayer.rs"]
+mod replayer;
+
+use wisedb::advisor::Planner;
 use wisedb::prelude::*;
-use wisedb::runtime::generate_class_stream;
+use wisedb::runtime::{generate_class_stream, generate_stream};
 use wisedb_core::ArrivingQuery;
 
 fn spec() -> WorkloadSpec {
@@ -74,64 +78,85 @@ fn tagged_stream(spec: &WorkloadSpec, n_per_class: usize) -> Vec<ArrivingQuery> 
     merge_streams(streams)
 }
 
-/// Invariant 1: a single-class service reproduces the legacy single-goal
-/// pipeline bit-identically, for every goal kind — same placements, same
-/// virtual times, same total cost — and its one metrics row mirrors the
-/// fleet-wide numbers.
+/// Invariant 1: a single-class service reproduces the reference §6.3
+/// replay bit-identically — same placements, same virtual times, same
+/// total cost — and its one metrics row mirrors the fleet-wide numbers.
+/// Inputs: every goal kind under the learned model and the A* oracle for
+/// Max, each over a sparse and a dense Poisson stream and a burst with
+/// every arrival at t = 0 (Fig 18's delay-0 shape).
 #[test]
 fn single_class_service_is_bit_identical_to_the_legacy_pipeline() {
     let spec = spec();
-    let mut process = PoissonProcess::per_second(0.005, TemplateMix::uniform(spec.num_templates()));
-    let stream = wisedb::runtime::generate_stream(&mut process, 20, 77);
-    for kind in [
-        GoalKind::PerQuery,
-        GoalKind::MaxLatency,
-        GoalKind::AverageLatency,
-    ] {
+    let mix = TemplateMix::uniform(spec.num_templates());
+    let sparse = generate_stream(&mut PoissonProcess::per_second(0.005, mix.clone()), 20, 77);
+    let dense = generate_stream(&mut PoissonProcess::per_second(0.05, mix), 25, 99);
+    let burst: Vec<ArrivingQuery> = sparse[..10]
+        .iter()
+        .map(|q| ArrivingQuery::new(q.template, Millis::ZERO))
+        .collect();
+    let runs = [
+        (GoalKind::PerQuery, Planner::Model),
+        (GoalKind::MaxLatency, Planner::Model),
+        (GoalKind::AverageLatency, Planner::Model),
+        (GoalKind::Percentile, Planner::Model),
+        (GoalKind::MaxLatency, Planner::Optimal),
+    ];
+    for (kind, planner) in runs {
         let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
+        let mut online = config().online;
+        online.planner = planner;
+        let (model, artifacts) =
+            ModelGenerator::new(spec.clone(), goal.clone(), online.training.clone())
+                .train_with_artifacts()
+                .unwrap();
+        let scheduler =
+            || OnlineScheduler::with_model(model.clone(), artifacts.clone(), online.clone());
+        for (name, stream) in [("sparse", &sparse), ("dense", &dense), ("burst", &burst)] {
+            let case = format!("{kind:?}/{planner:?}/{name}");
 
-        // The multi-tenant code path, configured with exactly one class.
-        let mut svc = WorkloadService::train_classes(
-            spec.clone(),
-            vec![SlaClass::solo(goal.clone())],
-            config(),
-        )
-        .unwrap();
-        let report = svc.run_stream(&stream).unwrap();
+            // The multi-tenant code path, configured with exactly one class.
+            let mut config = config();
+            config.online = online.clone();
+            let mut svc = WorkloadService::with_scheduler(scheduler(), config);
+            let report = svc.run_stream(stream).unwrap();
 
-        // The legacy §6.3 batch replayer (untouched single-goal code).
-        let mut replayer =
-            OnlineScheduler::train(spec.clone(), goal.clone(), config().online).unwrap();
-        let batch = replayer.run(&stream).unwrap();
+            // The reference loop over the same planner.
+            let reference = replayer::replay(&mut scheduler(), stream).unwrap();
 
-        let mut by_query = report.completions.clone();
-        by_query.sort_by_key(|c| c.query);
-        assert_eq!(by_query.len(), batch.outcomes.len(), "{kind:?}");
-        for (c, o) in by_query.iter().zip(&batch.outcomes) {
-            assert_eq!(c.query, o.query, "{kind:?}");
-            assert_eq!(c.template, o.template, "{kind:?}");
-            assert_eq!(c.vm_index, o.vm_index, "{kind:?}");
-            assert_eq!(c.start, o.start, "{kind:?}");
-            assert_eq!(c.finish, o.finish, "{kind:?}");
-            assert_eq!(c.class, TenantId::DEFAULT, "{kind:?}");
+            let mut by_query = report.completions.clone();
+            by_query.sort_by_key(|c| c.query);
+            assert_eq!(by_query.len(), reference.outcomes.len(), "{case}");
+            for (c, o) in by_query.iter().zip(&reference.outcomes) {
+                assert_eq!(c.query, o.query, "{case}");
+                assert_eq!(c.template, o.template, "{case}");
+                assert_eq!(c.vm_index, o.vm_index, "{case}");
+                assert_eq!(c.start, o.start, "{case}");
+                assert_eq!(c.finish, o.finish, "{case}");
+                assert_eq!(c.class, TenantId::DEFAULT, "{case}");
+            }
+            assert_eq!(
+                report.last.vms_provisioned as usize,
+                reference.vm_types.len(),
+                "{case}"
+            );
+            let total = report.last.total_cost();
+            let reference_total = reference.total_cost(&spec, &goal);
+            assert!(
+                total.approx_eq(reference_total, 1e-9),
+                "{case}: service {total} vs reference {reference_total}"
+            );
+
+            // The single class row IS the fleet view.
+            assert_eq!(report.last.classes.len(), 1);
+            let row = &report.last.classes[0];
+            assert_eq!(row.completed, report.last.completed);
+            assert_eq!(row.admitted, report.last.admitted);
+            assert_eq!(row.sla_violations, report.last.sla_violations);
+            assert_eq!(row.latency, report.last.latency);
+            assert_eq!(row.queueing, report.last.queueing);
+            assert!(row.billed.approx_eq(report.last.billed, 1e-9));
+            assert!(row.penalty.approx_eq(report.last.penalty, 1e-9));
         }
-        let total = report.last.total_cost();
-        let batch_total = batch.total_cost(&spec, &goal).unwrap();
-        assert!(
-            total.approx_eq(batch_total, 1e-9),
-            "{kind:?}: service {total} vs replayer {batch_total}"
-        );
-
-        // The single class row IS the fleet view.
-        assert_eq!(report.last.classes.len(), 1);
-        let row = &report.last.classes[0];
-        assert_eq!(row.completed, report.last.completed);
-        assert_eq!(row.admitted, report.last.admitted);
-        assert_eq!(row.sla_violations, report.last.sla_violations);
-        assert_eq!(row.latency, report.last.latency);
-        assert_eq!(row.queueing, report.last.queueing);
-        assert!(row.billed.approx_eq(report.last.billed, 1e-9));
-        assert!(row.penalty.approx_eq(report.last.penalty, 1e-9));
     }
 }
 

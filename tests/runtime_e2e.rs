@@ -2,7 +2,7 @@
 //!
 //! * Determinism: a fixed seed reproduces the exact event trace and
 //!   metrics, across runs *and* across training thread counts.
-//! * Billing: with latency noise and start-up delays off, the live
+//! * Billing: with start-up delays off, the live
 //!   cluster's incrementally accrued bill plus the goal penalty equals the
 //!   analytic Eq. 1 cost recomputed from the trace (property-tested over
 //!   goal kinds, stream lengths, and arrival rates).
