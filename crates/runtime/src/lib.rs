@@ -79,6 +79,12 @@ pub mod metrics;
 pub mod service;
 pub mod shard;
 
+/// The independent reference replay of the §6.3 loop, shared with the
+/// integration tests; `service`'s tests compare against it.
+#[cfg(test)]
+#[path = "../../../tests/support/replayer.rs"]
+mod replayer;
+
 pub use admission::{AdmissionPolicy, LoadStatus};
 pub use arrivals::{
     generate_class_stream, generate_stream, merge_streams, ArrivalProcess, DiurnalProcess,

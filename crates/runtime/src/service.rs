@@ -990,6 +990,40 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn service_matches_the_batch_online_replayer() {
+        // The incremental loop must reproduce the reference replay of
+        // §6.3 exactly: same stream, same per-query placements and times.
+        let spec = spec();
+        let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
+        let mut process = PoissonProcess::per_second(0.05, TemplateMix::uniform(2));
+        let stream = generate_stream(&mut process, 25, 99);
+
+        let mut svc = WorkloadService::train(spec.clone(), goal.clone(), config()).unwrap();
+        let report = svc.run_stream(&stream).unwrap();
+
+        let mut replayer =
+            OnlineScheduler::train(spec.clone(), goal.clone(), config().online).unwrap();
+        let batch_report = crate::replayer::replay(&mut replayer, &stream).unwrap();
+
+        let mut by_query = report.completions.clone();
+        by_query.sort_by_key(|c| c.query);
+        assert_eq!(by_query.len(), batch_report.outcomes.len());
+        for (c, o) in by_query.iter().zip(&batch_report.outcomes) {
+            assert_eq!(c.query, o.query);
+            assert_eq!(c.vm_index, o.vm_index);
+            assert_eq!(c.start, o.start);
+            assert_eq!(c.finish, o.finish);
+        }
+        // And the money agrees with the replayer's Eq. 1 analogue.
+        let total = report.last.total_cost();
+        let batch_total = batch_report.total_cost(&spec, &goal);
+        assert!(
+            total.approx_eq(batch_total, 1e-9),
+            "service {total} vs replayer {batch_total}"
+        );
+    }
+
+    #[test]
     fn admission_sheds_load_under_pressure() {
         let spec = spec();
         let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();

@@ -5,11 +5,15 @@
 //! `WorkloadService` drives the same planner against `LiveCluster`; the
 //! identity tests compare the two loops query by query. Nothing here is
 //! shared with the runtime or the simulator, so a bug in either shows up
-//! as a disagreement.
+//! as a disagreement. It imports only `wisedb-core` and `wisedb-advisor`,
+//! so both the integration tests and the runtime crate's unit tests can
+//! include it with `#[path]`.
 
-use wisedb::advisor::{ClusterView, PendingArrival, PlannedStep};
-use wisedb::prelude::*;
-use wisedb_core::{ArrivingQuery, CoreResult, OpenVmView, QueryLatency};
+use wisedb_advisor::{ClusterView, OnlineScheduler, PendingArrival, PlannedStep};
+use wisedb_core::{
+    ArrivingQuery, CoreResult, Millis, Money, OpenVmView, PerformanceGoal, QueryId, QueryLatency,
+    TemplateId, VmTypeId, WorkloadSpec,
+};
 
 /// Where and when one query ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
