@@ -4,7 +4,8 @@
 //! kind), the percentile bound-tightness guard (budgeted exact solve,
 //! certified bound), the percentile-pathology guard (anytime under a
 //! tight budget), batch scheduling, the streaming event loop (with its
-//! scheduler's retrain, cache-hit and shift counters), the multi-tenant consolidation loop (3 SLA classes, shared vs isolated
+//! scheduler's retrain, cache-hit and shift counters, on a stream that
+//! never ages a batch and on two that age them), the multi-tenant consolidation loop (3 SLA classes, shared vs isolated
 //! fleets), the multi-class tick loop (a 3-class `run_ticked` replay),
 //! the serve layer's wire loop
 //! (loopback TCP, admit/shed verdicts), the warm-training guard (cold
@@ -12,7 +13,8 @@
 //! asserted), the tightening ladder (§5 retrains at +20 %, +40 %, +10 %
 //! on the same artifacts: expansions, rows and tree hash), the
 //! paper-figure costs that need no oracle (Fig 12's and
-//! Fig 13's typed cells, in milli-cents), the shape and hash of each goal
+//! Fig 13's typed cells, and Fig 22's realized WiSeDB costs, in
+//! milli-cents), the shape and hash of each goal
 //! kind's default tree, and the observability guard (the
 //! same stream at every tracing level: identical outcomes asserted, trace
 //! shape recorded) —
@@ -175,9 +177,20 @@ fn batch_throughput(scale: Scale, out: &mut Vec<Measurement>) {
     }
 }
 
-fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {
+/// One class's online loop over a seeded Poisson stream: `n` arrivals at
+/// `rate` q/s under `kind`'s paper-default goal, aged in steps of
+/// `quantum`. Records the drained snapshot's completions and VM count and
+/// the scheduler's retrain, cache-hit and shift counters under `bench`.
+fn online_loop(
+    out: &mut Vec<Measurement>,
+    bench: &str,
+    kind: GoalKind,
+    n: usize,
+    rate: f64,
+    quantum: Millis,
+) {
     let spec = wisedb::sim::catalog::tpch_like(10);
-    let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
+    let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
     let training = ModelConfig {
         num_samples: 60,
         sample_size: 9,
@@ -187,13 +200,11 @@ fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {
     let (model, artifacts) = ModelGenerator::new(spec.clone(), goal, training.clone())
         .train_with_artifacts()
         .unwrap();
-    let n = if scale == Scale::Quick { 80 } else { 200 };
-    let mut process = PoissonProcess::per_second(2.0, TemplateMix::uniform(spec.num_templates()));
+    let mut process = PoissonProcess::per_second(rate, TemplateMix::uniform(spec.num_templates()));
     let stream = generate_stream(&mut process, n, 42);
-    let bench = format!("streaming_loop/{n}");
     let online = OnlineConfig {
         training,
-        age_quantum: Millis::from_secs(30),
+        age_quantum: quantum,
         ..OnlineConfig::default()
     };
     let scheduler = OnlineScheduler::with_model(model, artifacts, online);
@@ -202,7 +213,7 @@ fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {
     let work = service.scheduler(TenantId::DEFAULT).unwrap().counters();
     record(
         out,
-        &bench,
+        bench,
         &[
             ("completed", snapshot.completed as f64),
             ("vms_provisioned", snapshot.vms_provisioned as f64),
@@ -215,6 +226,34 @@ fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {
         "  {bench}: {} completed, {} VMs, {} retrains, {} cache hits, {} shifts",
         snapshot.completed, snapshot.vms_provisioned, work.retrains, work.cache_hits, work.shifts
     );
+}
+
+fn streaming_loop_len(scale: Scale) -> usize {
+    if scale == Scale::Quick {
+        80
+    } else {
+        200
+    }
+}
+
+/// A 2 q/s Max-goal stream whose 30 s age quantum no batch reaches: the
+/// loop with no model work.
+fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {
+    let n = streaming_loop_len(scale);
+    let bench = format!("streaming_loop/{n}");
+    let quantum = Millis::from_secs(30);
+    online_loop(out, &bench, GoalKind::MaxLatency, n, 2.0, quantum);
+}
+
+/// A 10 q/s stream with a 1 s age quantum, so recalled batches age: Max
+/// (shiftable) runs the Shift path, Average the Reuse path, and each path
+/// both builds and hits its cache.
+fn streaming_loop_aged(scale: Scale, out: &mut Vec<Measurement>) {
+    let n = streaming_loop_len(scale);
+    for kind in [GoalKind::MaxLatency, GoalKind::AverageLatency] {
+        let bench = format!("streaming_loop_aged/{n}/{}", kind.name());
+        online_loop(out, &bench, kind, n, 10.0, Millis::from_secs(1));
+    }
 }
 
 /// The percentile-pathology guard: an anytime solve of the scenario that
@@ -466,6 +505,26 @@ fn figure_costs(ctx: &mut Context, out: &mut Vec<Measurement>) {
     }
 }
 
+/// Fig 22's WiSeDB column, pinned: the mean realized cost (in milli-cents)
+/// of each goal kind's default model at each prediction error, from the
+/// same [`figures::fig22_cell`] the figure calls. It is the one figure that
+/// executes schedules with true latencies that differ from the predictions
+/// the scheduler planned with. The oracle column is left out, as in
+/// [`figure_costs`].
+fn fig22_realized(ctx: &mut Context, out: &mut Vec<Measurement>) {
+    for kind in GoalKind::ALL {
+        for (i, sigma) in figures::FIG22_SIGMAS.iter().enumerate() {
+            let [wisedb, ..] = figures::fig22_cell(ctx, kind, i, &mut 0.0);
+            let Cell::MilliCents(mc) = wisedb else {
+                panic!("Fig 22's first cell is a cost");
+            };
+            let bench = format!("fig/22/{}/{sigma:.2}", kind.name());
+            out.push(Measurement::new(&bench, "realized_mc", mc));
+        }
+    }
+    eprintln!("  fig/22: {} goal kinds", GoalKind::ALL.len());
+}
+
 /// The learner's output, pinned: each goal kind's default tree (the models
 /// [`figure_costs`] already trained) as node, leaf and depth counts plus
 /// `fp32`, a 32-bit FNV-1a hash of its serialized form. The hash covers
@@ -588,6 +647,7 @@ fn main() {
     strategy_pathology(scale, &mut measurements);
     batch_throughput(scale, &mut measurements);
     streaming_loop(scale, &mut measurements);
+    streaming_loop_aged(scale, &mut measurements);
     multitenant_loop(scale, &mut measurements);
     shard_loop(scale, &mut measurements);
     serve_loop(scale, &mut measurements);
@@ -595,6 +655,7 @@ fn main() {
     adapt_ladder(scale, &mut measurements);
     let mut ctx = Context::new(scale, false);
     figure_costs(&mut ctx, &mut measurements);
+    fig22_realized(&mut ctx, &mut measurements);
     tree_shapes(&mut ctx, &mut measurements);
     // Last: it flips the global tracing level, and nothing after it may
     // record under the instrumented levels.

@@ -446,29 +446,39 @@ fn fig21(ctx: &mut Context) -> Table {
     table
 }
 
+/// Fig 22's prediction errors σ, in column order.
+pub const FIG22_SIGMAS: [f64; 5] = [0.05, 0.10, 0.20, 0.30, 0.40];
+
+/// One Fig 22 cell: the default `kind` model plans on templates perceived
+/// under error `FIG22_SIGMAS[i]` and the schedule executes with the true
+/// latencies; the oracle knows the true templates. Returns
+/// [`Context::gap`]'s cells, WiSeDB's mean realized cost first, and adds
+/// each workload's misassignment rate to `missed`.
+pub fn fig22_cell(ctx: &mut Context, kind: GoalKind, i: usize, missed: &mut f64) -> [Cell; 3] {
+    let sigma = FIG22_SIGMAS[i];
+    let m = ctx.default_model(kind);
+    let (spec, goal) = (m.0.spec(), m.0.goal());
+    let run = |seed| {
+        let w = generator::uniform_workload(spec, 30, seed);
+        let perceived = sim::perceive_workload(spec, &w, sigma, seed);
+        *missed += perceived.misassignment_rate();
+        let schedule = m.0.schedule_batch(&perceived.perceived).expect("schedules");
+        let true_latencies = Some(perceived.true_latencies);
+        let options = SimOptions {
+            true_latencies,
+            ..SimOptions::default()
+        };
+        let trace = sim::execute(spec, &schedule, &options).expect("execution succeeds");
+        (w, trace.total_cost(goal))
+    };
+    ctx.gap(spec, goal, 22_000 + 100 * i as u64, run)
+}
+
 fn fig22(ctx: &mut Context) -> Table {
     let mut missed = [0.0f64; 5];
     let headers = ["5%", "10%", "20%", "30%", "40%"];
-    let sigmas = [0.05, 0.10, 0.20, 0.30, 0.40];
-    let mut table = grid(ctx, &headers, &sigmas, |ctx, kind, i, sigma| {
-        let m = ctx.default_model(kind);
-        let (spec, goal) = (m.0.spec(), m.0.goal());
-        // Plan on the perceived templates, execute with the true
-        // latencies; the oracle knows the true templates.
-        let run = |seed| {
-            let w = generator::uniform_workload(spec, 30, seed);
-            let perceived = sim::perceive_workload(spec, &w, sigma, seed);
-            missed[i] += perceived.misassignment_rate();
-            let schedule = m.0.schedule_batch(&perceived.perceived).expect("schedules");
-            let true_latencies = Some(perceived.true_latencies);
-            let options = SimOptions {
-                true_latencies,
-                ..SimOptions::default()
-            };
-            let trace = sim::execute(spec, &schedule, &options).expect("execution succeeds");
-            (w, trace.total_cost(goal))
-        };
-        pct(ctx.gap(spec, goal, 22_000 + 100 * i as u64, run))
+    let mut table = grid(ctx, &headers, &FIG22_SIGMAS, |ctx, kind, i, _| {
+        pct(fig22_cell(ctx, kind, i, &mut missed[i]))
     });
     let missed = missed.map(|m| m / (ctx.scale.repeats() * GoalKind::ALL.len()) as f64 * 100.0);
     table.note(format!("Mean misassignment per σ (%): {missed:.0?}"));
