@@ -464,10 +464,7 @@ pub fn fig22_cell(ctx: &mut Context, kind: GoalKind, i: usize, missed: &mut f64)
         *missed += perceived.misassignment_rate();
         let schedule = m.0.schedule_batch(&perceived.perceived).expect("schedules");
         let true_latencies = Some(perceived.true_latencies);
-        let options = SimOptions {
-            true_latencies,
-            ..SimOptions::default()
-        };
+        let options = SimOptions { true_latencies };
         let trace = sim::execute(spec, &schedule, &options).expect("execution succeeds");
         (w, trace.total_cost(goal))
     };

@@ -2,9 +2,8 @@
 //!
 //! A VM type has a fixed start-up fee `f_s` paid once per provisioned
 //! instance and a running cost `f_r` per unit of time (§3, Eq. 1). The
-//! start-up *delay* is not part of the analytic cost model — the paper folds
-//! provisioning time into the start-up fee — but the execution simulator can
-//! model it, so it lives here alongside the prices.
+//! paper folds provisioning time into the start-up fee, so a VM type has
+//! no start-up delay.
 
 use std::fmt;
 
@@ -40,9 +39,6 @@ pub struct VmType {
     pub startup_cost: Money,
     /// Running cost `f_r`, expressed per hour of rented time.
     pub rate_per_hour: Money,
-    /// Time between requesting the instance and it accepting queries.
-    /// Ignored by the analytic cost model; honoured by the simulator.
-    pub startup_delay: Millis,
 }
 
 impl VmType {
@@ -53,7 +49,6 @@ impl VmType {
             name: "t2.medium".into(),
             startup_cost: Money::from_dollars(0.0008),
             rate_per_hour: Money::from_dollars(0.052),
-            startup_delay: Millis::from_secs(30),
         }
     }
 
@@ -64,7 +59,6 @@ impl VmType {
             name: "t2.small".into(),
             startup_cost: Money::from_dollars(0.0008),
             rate_per_hour: Money::from_dollars(0.026),
-            startup_delay: Millis::from_secs(30),
         }
     }
 

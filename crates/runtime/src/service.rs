@@ -67,8 +67,6 @@ pub struct RuntimeConfig {
     pub online: OnlineConfig,
     /// The overload valve.
     pub admission: AdmissionPolicy,
-    /// Cluster execution options (start-up delays).
-    pub cluster: LiveOptions,
     /// Seed for arrival generation in
     /// [`run_process`](WorkloadService::run_process).
     pub seed: u64,
@@ -82,7 +80,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             online: OnlineConfig::default(),
             admission: AdmissionPolicy::AcceptAll,
-            cluster: LiveOptions::default(),
             seed: 0x0005_7EA4,
             snapshot_every: 0,
         }
@@ -580,7 +577,7 @@ impl ServiceCore {
     /// collector with one row per class.
     fn new(spec: SpecHandle, classes: Vec<SlaClass>, config: RuntimeConfig) -> Self {
         ServiceCore {
-            cluster: LiveCluster::new(spec, config.cluster.clone()),
+            cluster: LiveCluster::new(spec, LiveOptions::default()),
             metrics: MetricsCollector::with_classes(classes),
             config,
             arrival_of: Vec::new(),

@@ -66,7 +66,6 @@ pub fn tpch_like_k_types(n: usize, k: usize) -> WorkloadSpec {
             name: format!("sim.type{j}"),
             startup_cost: Money::from_dollars(0.0008),
             rate_per_hour: Money::from_dollars(0.052 / (1.0 + 0.35 * j as f64)),
-            startup_delay: Millis::from_secs(30),
         })
         .collect();
     let templates = (0..n)

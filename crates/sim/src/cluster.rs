@@ -1,57 +1,30 @@
-//! The cluster execution simulator: WiSeDB's "IaaS provider".
+//! Batch execution: a finished [`Schedule`] replayed on a fresh
+//! [`LiveCluster`] and billed.
 //!
-//! The paper deploys schedules on a private cloud emulating EC2. Here a
-//! discrete-event simulator plays that role: it provisions the schedule's
-//! VMs, replays each queue front-to-back (optionally honouring start-up
-//! delays, per-query arrival times, and true latencies that differ from the
-//! predictions the scheduler used), and bills rental plus SLA penalties.
-//!
-//! With default options the simulated cost is *exactly* the analytic Eq. 1
-//! cost — asserted by tests — so advisor-level experiments can trust either
-//! path; the extra options exist to measure what prediction error or slow
-//! VM boots would have cost for real.
+//! [`execute`] provisions each of the schedule's VMs at t = 0, queues its
+//! queue in order and drains the session (see [`live`](crate::live) for
+//! the execution semantics). With the predictions as execution times the
+//! realized cost is exactly the analytic Eq. 1 cost; Figure 22 passes true
+//! latencies instead, to price what prediction error costs for real.
 
 use serde::{Deserialize, Serialize};
 
 use wisedb_core::{
-    CoreError, CoreResult, CostBreakdown, Millis, Money, PerformanceGoal, QueryId, QueryLatency,
-    Schedule, TemplateId, VmTypeId, WorkloadSpec,
+    CoreResult, CostBreakdown, Millis, Money, PerformanceGoal, QueryLatency, Schedule, TenantId,
+    VmTypeId, WorkloadSpec,
 };
+
+use crate::live::{Completion, LiveCluster, LiveOptions};
 
 /// Execution options.
 #[derive(Debug, Clone, Default)]
 pub struct SimOptions {
-    /// Delay each VM's first query by the VM type's start-up delay. The
-    /// analytic model folds provisioning time into the start-up *fee*, so
-    /// this defaults to off.
-    pub include_startup_delay: bool,
-    /// Bill wall-clock rental (provision → release) instead of Eq. 1's
-    /// busy-time billing.
-    pub bill_wallclock: bool,
     /// True execution latency per query (indexed by [`QueryId`]), when the
     /// truth differs from the template prediction (Figure 22's setting).
+    /// Queries past the end of the vector run at the prediction.
+    ///
+    /// [`QueryId`]: wisedb_core::QueryId
     pub true_latencies: Option<Vec<Millis>>,
-    /// Arrival time per query (indexed by [`QueryId`]); a query cannot
-    /// start before it arrives, and its SLA latency is measured from
-    /// arrival. Defaults to "all available at t=0".
-    pub arrivals: Option<Vec<Millis>>,
-}
-
-/// What happened to one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QueryTrace {
-    /// The query.
-    pub query: QueryId,
-    /// Template the scheduler believed it was.
-    pub template: TemplateId,
-    /// VM (index into the schedule) that ran it.
-    pub vm_index: usize,
-    /// Wall-clock start.
-    pub start: Millis,
-    /// Wall-clock completion.
-    pub finish: Millis,
-    /// SLA latency: completion minus arrival (or minus zero for batches).
-    pub latency: Millis,
 }
 
 /// What happened to one VM.
@@ -59,8 +32,6 @@ pub struct QueryTrace {
 pub struct VmTrace {
     /// The rented type.
     pub vm_type: VmTypeId,
-    /// When the VM could first run queries.
-    pub ready_at: Millis,
     /// When the VM was released (after its last query).
     pub released_at: Millis,
     /// Total execution time performed.
@@ -74,8 +45,9 @@ pub struct VmTrace {
 /// A full execution record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionTrace {
-    /// Per-query outcomes, in schedule order.
-    pub queries: Vec<QueryTrace>,
+    /// Per-query outcomes, in schedule order. A batch arrives at t = 0, so
+    /// each query's SLA latency is its `finish`.
+    pub queries: Vec<Completion>,
     /// Per-VM outcomes, in provisioning order.
     pub vms: Vec<VmTrace>,
 }
@@ -88,7 +60,7 @@ impl ExecutionTrace {
             .map(|q| QueryLatency {
                 query: q.query,
                 template: q.template,
-                latency: q.latency,
+                latency: q.finish,
             })
             .collect()
     }
@@ -124,67 +96,47 @@ impl ExecutionTrace {
     }
 }
 
-/// Executes `schedule` on the simulated cluster.
+/// Executes `schedule` on a fresh simulated cluster.
 pub fn execute(
     spec: &WorkloadSpec,
     schedule: &Schedule,
     options: &SimOptions,
 ) -> CoreResult<ExecutionTrace> {
-    let mut queries = Vec::with_capacity(schedule.num_queries());
-    let mut vms = Vec::with_capacity(schedule.num_vms());
-
-    for (vm_index, vm) in schedule.vms.iter().enumerate() {
-        let vm_type = spec.vm_type(vm.vm_type)?;
-        let ready_at = if options.include_startup_delay {
-            vm_type.startup_delay
-        } else {
-            Millis::ZERO
-        };
-        let mut clock = ready_at;
-        let mut busy = Millis::ZERO;
+    let mut cluster = LiveCluster::new(spec.clone(), LiveOptions::default());
+    let truth = |i: usize| options.true_latencies.as_ref()?.get(i).copied();
+    for vm in &schedule.vms {
+        let index = cluster.provision(vm.vm_type)?;
         for p in &vm.queue {
-            let predicted =
-                spec.latency(p.template, vm.vm_type)
-                    .ok_or(CoreError::UnsupportedPlacement {
-                        template: p.template,
-                        vm_type: vm.vm_type,
-                    })?;
-            let exec = options
-                .true_latencies
-                .as_ref()
-                .and_then(|l| l.get(p.query.index()).copied())
-                .unwrap_or(predicted);
-            let arrival = options
-                .arrivals
-                .as_ref()
-                .and_then(|a| a.get(p.query.index()).copied())
-                .unwrap_or(Millis::ZERO);
-            let start = clock.max(arrival);
-            let finish = start + exec;
-            queries.push(QueryTrace {
+            let exec = truth(p.query.index());
+            cluster.enqueue_timed(index, p.query, p.template, TenantId::DEFAULT, exec)?;
+        }
+    }
+    // The drain reports in finish order. A VM runs its queue back to back,
+    // so (VM, start, finish) order is queue order; only zero-length runs
+    // tie, and tied entries share their times.
+    let mut done = cluster.drain();
+    done.sort_by_key(|c| (c.vm_index, c.start, c.finish));
+    let mut done = done.into_iter();
+    let mut queries = Vec::with_capacity(done.len());
+    let mut vms = Vec::with_capacity(schedule.num_vms());
+    for vm in &schedule.vms {
+        let (mut busy, mut released_at) = (Millis::ZERO, Millis::ZERO);
+        for (p, c) in vm.queue.iter().zip(done.by_ref()) {
+            busy += c.finish - c.start;
+            released_at = c.finish;
+            queries.push(Completion {
                 query: p.query,
                 template: p.template,
-                vm_index,
-                start,
-                finish,
-                latency: finish.saturating_sub(arrival),
+                ..c
             });
-            busy += exec;
-            clock = finish;
         }
-        let released_at = clock;
-        let rental_cost = if options.bill_wallclock {
-            vm_type.runtime_cost(released_at)
-        } else {
-            vm_type.runtime_cost(busy)
-        };
+        let vm_type = spec.vm_type(vm.vm_type)?;
         vms.push(VmTrace {
             vm_type: vm.vm_type,
-            ready_at,
             released_at,
             busy,
             startup_cost: vm_type.startup_cost,
-            rental_cost,
+            rental_cost: vm_type.runtime_cost(busy),
         });
     }
     Ok(ExecutionTrace { queries, vms })
@@ -195,7 +147,9 @@ mod tests {
     use super::*;
     use crate::catalog::{tpch_like, tpch_like_two_types};
     use crate::generator::uniform_workload;
-    use wisedb_core::{total_cost, GoalKind, Placement, VmInstance, Workload};
+    use wisedb_core::{
+        total_cost, CoreError, GoalKind, Placement, QueryId, TemplateId, VmInstance, Workload,
+    };
     use wisedb_search::Solver;
 
     fn simple_schedule(_spec: &WorkloadSpec, workload: &Workload) -> Schedule {
@@ -240,81 +194,18 @@ mod tests {
     }
 
     #[test]
-    fn startup_delay_shifts_everything() {
-        let spec = tpch_like(2);
-        let workload = Workload::from_counts(&[1, 0]);
-        let schedule = simple_schedule(&spec, &workload);
-        let opts = SimOptions {
-            include_startup_delay: true,
-            ..SimOptions::default()
-        };
-        let trace = execute(&spec, &schedule, &opts).unwrap();
-        assert_eq!(trace.queries[0].start, Millis::from_secs(30));
-        assert_eq!(trace.vms[0].ready_at, Millis::from_secs(30));
-        // Latency includes the boot wait: the SLA clock starts at submission.
-        assert_eq!(
-            trace.queries[0].latency,
-            Millis::from_secs(30) + spec.latency(TemplateId(0), VmTypeId(0)).unwrap()
-        );
-    }
-
-    #[test]
-    fn wallclock_billing_charges_idle_boot_time() {
-        let spec = tpch_like(2);
-        let workload = Workload::from_counts(&[1, 0]);
-        let schedule = simple_schedule(&spec, &workload);
-        let busy_bill = execute(&spec, &schedule, &SimOptions::default())
-            .unwrap()
-            .vms[0]
-            .rental_cost;
-        let wall_bill = execute(
-            &spec,
-            &schedule,
-            &SimOptions {
-                include_startup_delay: true,
-                bill_wallclock: true,
-                ..SimOptions::default()
-            },
-        )
-        .unwrap()
-        .vms[0]
-            .rental_cost;
-        assert!(wall_bill > busy_bill);
-    }
-
-    #[test]
     fn true_latencies_override_predictions() {
         let spec = tpch_like(2);
         let workload = Workload::from_counts(&[1, 0]);
         let schedule = simple_schedule(&spec, &workload);
         let opts = SimOptions {
             true_latencies: Some(vec![Millis::from_secs(999)]),
-            ..SimOptions::default()
         };
         let trace = execute(&spec, &schedule, &opts).unwrap();
-        assert_eq!(trace.queries[0].latency, Millis::from_secs(999));
+        assert_eq!(trace.latencies()[0].latency, Millis::from_secs(999));
         // Billing follows the true execution time, not the prediction.
         let expected = spec.vm_types()[0].runtime_cost(Millis::from_secs(999));
         assert!(trace.vms[0].rental_cost.approx_eq(expected, 1e-12));
-    }
-
-    #[test]
-    fn arrivals_gate_start_times_and_latency() {
-        let spec = tpch_like(2);
-        // Two queries of T1 (120s) on one VM; the second arrives late.
-        let workload = Workload::from_counts(&[2, 0]);
-        let schedule = simple_schedule(&spec, &workload);
-        let opts = SimOptions {
-            arrivals: Some(vec![Millis::ZERO, Millis::from_secs(300)]),
-            ..SimOptions::default()
-        };
-        let trace = execute(&spec, &schedule, &opts).unwrap();
-        // First finishes at 120s; second can't start until 300s.
-        assert_eq!(trace.queries[1].start, Millis::from_secs(300));
-        assert_eq!(trace.queries[1].latency, Millis::from_secs(120));
-        // VM idles between queries; wall-clock billing would cover it.
-        assert_eq!(trace.vms[0].busy, Millis::from_secs(240));
-        assert_eq!(trace.vms[0].released_at, Millis::from_secs(420));
     }
 
     #[test]

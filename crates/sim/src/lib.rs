@@ -7,13 +7,13 @@
 //!   published latencies and EC2 prices (§7.1).
 //! * [`generator`] — uniform training samples, χ²-controlled skewed batches,
 //!   and online arrival processes.
-//! * [`cluster`] — a discrete-event execution simulator that *runs*
-//!   schedules (start-up delays, arrival gating, true-latency overrides)
-//!   and bills them; with default options its cost equals the analytic
-//!   Eq. 1 cost exactly.
-//! * [`live`] — the steppable counterpart: an incremental cluster session
-//!   that provisions, runs, and bills VMs as events fire, for the
-//!   streaming runtime (recallable queues, open-VM view, running bill).
+//! * [`live`] — the cluster simulator: a session that provisions, runs,
+//!   and bills VMs as events fire (recallable queues, open-VM view,
+//!   running bill). The streaming runtime drives it arrival by arrival.
+//! * [`cluster`] — [`execute`], which replays a finished batch schedule
+//!   on a fresh [`LiveCluster`], optionally with true latencies in place
+//!   of the predictions; with the predictions its cost equals the
+//!   analytic Eq. 1 cost exactly.
 //! * [`noise`] — latency-predictor error injection and the closest-latency
 //!   template matching rule (Figure 22).
 //! * [`stats`] — means, percentiles, and the chi-squared machinery
@@ -29,7 +29,7 @@ pub mod live;
 pub mod noise;
 pub mod stats;
 
-pub use cluster::{execute, ExecutionTrace, QueryTrace, SimOptions, VmTrace};
+pub use cluster::{execute, ExecutionTrace, SimOptions, VmTrace};
 pub use generator::{sample_workloads, skewed_workload, uniform_workload, Arrivals};
-pub use live::{Completion, LiveCluster, LiveOptions, OpenVmView, QueuedQuery, RecalledQuery};
+pub use live::{Completion, LiveCluster, LiveOptions, OpenVmView, RecalledQuery};
 pub use noise::{perceive_workload, PerceivedWorkload};

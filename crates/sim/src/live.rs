@@ -1,18 +1,25 @@
-//! A steppable cluster session: the IaaS provider as an *ongoing* process.
+//! The cluster simulator: WiSeDB's IaaS provider as an ongoing process.
 //!
-//! [`cluster`](crate::cluster) replays a finished [`Schedule`] front to
-//! back; the streaming runtime instead needs a cluster it can drive one
-//! event at a time — provision a VM *now*, queue a query behind it, advance
-//! the virtual clock and observe what started/finished, pull unstarted work
-//! back for rescheduling (§6.3's reschedule-on-arrival), and read a running
-//! bill at any instant.
+//! The paper deploys schedules on a private cloud that emulates EC2.
+//! [`LiveCluster`] plays that role one event at a time: provision a VM
+//! *now*, queue a query behind it, advance the virtual clock and observe
+//! what finished, pull unstarted work back for rescheduling (§6.3's
+//! reschedule-on-arrival), and read a running bill at any instant. The
+//! streaming runtime drives it arrival by arrival; [`execute`] drives it
+//! once per finished batch [`Schedule`].
 //!
-//! [`LiveCluster`] is that session. Execution semantics deliberately match
-//! both the analytic Eq. 1 model and the batch simulator: with start-up
-//! delays off, the final bill for the same placements is
-//! exactly `Σ startup + Σ runtime` (asserted by tests and by the runtime's
-//! property suite).
+//! Execution semantics follow Eq. 1. A VM accepts queries from the instant
+//! it is provisioned: the paper folds boot time into the start-up fee
+//! `f_s`, which is paid at provisioning. Each VM runs its queue in order,
+//! back to back; a query starts at the later of the VM's previous finish
+//! and the scheduling pass that queued it. Its execution time is fixed
+//! when it is queued: the spec's prediction, or the true latency
+//! [`execute`] passes for Figure 22. Rental `f_r` is billed for busy time
+//! only, so an idle VM costs nothing and releases itself. For the same
+//! placements the drained bill is `Σ startup + Σ runtime`, Eq. 1's
+//! infrastructure terms.
 //!
+//! [`execute`]: crate::execute
 //! [`Schedule`]: wisedb_core::Schedule
 
 use serde::{Deserialize, Serialize};
@@ -22,29 +29,26 @@ use wisedb_core::{
     WorkloadSpec,
 };
 
-/// Options of a live cluster session.
+/// Options of a live cluster session. There are none: the type stays
+/// only because callers outside the workspace still name it.
 #[derive(Debug, Clone, Default)]
-pub struct LiveOptions {
-    /// Delay each VM's first query by the VM type's start-up delay (off by
-    /// default, matching the analytic model that folds provisioning time
-    /// into the start-up fee).
-    pub include_startup_delay: bool,
-}
+pub struct LiveOptions {}
 
 /// A query queued on a live VM but not yet started.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QueuedQuery {
-    /// Stream-assigned query id.
-    pub query: QueryId,
+#[derive(Debug, Clone, Copy)]
+struct QueuedQuery {
+    query: QueryId,
     /// The template the scheduler believes it is (base template, not an
     /// aged alias).
-    pub template: TemplateId,
+    template: TemplateId,
     /// The virtual time of the scheduling pass that queued it; it cannot
     /// start earlier even if the VM is idle.
-    pub not_before: Millis,
+    not_before: Millis,
     /// The submitting tenant's SLA class (drives recall routing and
     /// rental attribution).
-    pub class: TenantId,
+    class: TenantId,
+    /// Execution time, fixed at enqueue.
+    exec: Millis,
 }
 
 /// A pending query pulled back off the cluster for rescheduling, tagged
@@ -84,8 +88,8 @@ pub use wisedb_core::OpenVmView;
 #[derive(Debug, Clone)]
 struct LiveVm {
     vm_type: VmTypeId,
-    /// When all *committed* (started) work finishes; starts at the VM's
-    /// ready time (provisioning instant, or boot completion with delays on).
+    /// When all *committed* (started) work finishes; starts at the
+    /// provisioning instant.
     avail: Millis,
     /// Total execution time committed so far (drives Eq. 1 billing).
     busy: Millis,
@@ -102,7 +106,6 @@ struct LiveVm {
 #[derive(Debug, Clone)]
 pub struct LiveCluster {
     spec: SpecHandle,
-    options: LiveOptions,
     vms: Vec<LiveVm>,
     /// Indices of the VMs not yet released, ascending. A released VM holds
     /// no work and takes none, so every per-step pass walks only these:
@@ -126,10 +129,9 @@ impl LiveCluster {
     /// Opens a session at virtual time zero. Accepts an owned spec or a
     /// shared [`SpecHandle`] — the runtime passes the scheduler's handle,
     /// so the whole stack shares one spec allocation.
-    pub fn new(spec: impl Into<SpecHandle>, options: LiveOptions) -> Self {
+    pub fn new(spec: impl Into<SpecHandle>, _options: LiveOptions) -> Self {
         LiveCluster {
             spec: spec.into(),
-            options,
             vms: Vec::new(),
             live: Vec::new(),
             now: Millis::ZERO,
@@ -171,18 +173,12 @@ impl LiveCluster {
     /// the SLA class whose plan rented the VM. The VM itself is shared —
     /// any class may queue on it.
     pub fn provision_as(&mut self, vm_type: VmTypeId, class: TenantId) -> CoreResult<usize> {
-        let vt = self.spec.vm_type(vm_type)?;
-        let (startup_cost, startup_delay) = (vt.startup_cost, vt.startup_delay);
-        let ready_at = if self.options.include_startup_delay {
-            self.now + startup_delay
-        } else {
-            self.now
-        };
+        let startup_cost = self.spec.vm_type(vm_type)?.startup_cost;
         self.startup_billed += startup_cost;
         self.charge(class, startup_cost);
         self.vms.push(LiveVm {
             vm_type,
-            avail: ready_at,
+            avail: self.now,
             busy: Millis::ZERO,
             running: Vec::new(),
             pending: Vec::new(),
@@ -222,6 +218,20 @@ impl LiveCluster {
         template: TemplateId,
         class: TenantId,
     ) -> CoreResult<()> {
+        self.enqueue_timed(vm_index, query, template, class, None)
+    }
+
+    /// [`enqueue_as`](Self::enqueue_as) with the execution time fixed to
+    /// `truth` when given, instead of the spec's prediction. The placement
+    /// must be one the spec supports either way.
+    pub(crate) fn enqueue_timed(
+        &mut self,
+        vm_index: usize,
+        query: QueryId,
+        template: TemplateId,
+        class: TenantId,
+        truth: Option<Millis>,
+    ) -> CoreResult<()> {
         let vm = self
             .vms
             .get_mut(vm_index)
@@ -229,17 +239,19 @@ impl LiveCluster {
         if vm.released {
             return Err(CoreError::VmReleased { index: vm_index });
         }
-        if self.spec.latency(template, vm.vm_type).is_none() {
-            return Err(CoreError::UnsupportedPlacement {
-                template,
-                vm_type: vm.vm_type,
-            });
-        }
+        let predicted =
+            self.spec
+                .latency(template, vm.vm_type)
+                .ok_or(CoreError::UnsupportedPlacement {
+                    template,
+                    vm_type: vm.vm_type,
+                })?;
         vm.pending.push(QueuedQuery {
             query,
             template,
             not_before: self.now,
             class,
+            exec: truth.unwrap_or(predicted),
         });
         Ok(())
     }
@@ -307,8 +319,8 @@ impl LiveCluster {
     /// in flight — its completion is emitted by a later advance — so
     /// callers' live gauges never count executing work as done.
     ///
-    /// A pending query starts at `max(vm ready/avail, its queueing time)`;
-    /// its execution time is the spec's predicted latency.
+    /// A pending query starts at `max(vm avail, its queueing time)` and
+    /// runs for the execution time fixed when it was queued.
     pub fn advance_to(&mut self, now: Millis) -> Vec<Completion> {
         let now = now.max(self.now);
         self.now = now;
@@ -322,10 +334,7 @@ impl LiveCluster {
                 if start >= now {
                     break;
                 }
-                let exec = self
-                    .spec
-                    .latency(q.template, vm.vm_type)
-                    .expect("enqueue validated the placement");
+                let exec = q.exec;
                 let finish = start + exec;
                 self.executing.push(Completion {
                     query: q.query,
@@ -394,7 +403,7 @@ impl LiveCluster {
     /// its index (provisioning order) and the planner's view of it.
     ///
     /// The backlog covers committed work *and* queries still queued on the
-    /// VM (predicted latency), and `running` lists both populations: in
+    /// VM (their execution times), and `running` lists both populations: in
     /// the single-class loop the queue is always empty here (everything
     /// unstarted was just recalled), but a multi-tenant replan leaves
     /// other classes' pending in place, and a plan that ignored it would
@@ -405,10 +414,7 @@ impl LiveCluster {
         let mut running: Vec<TemplateId> = vm.running.iter().map(|&(t, _)| t).collect();
         let mut backlog = vm.avail.saturating_sub(self.now);
         for q in &vm.pending {
-            backlog += self
-                .spec
-                .latency(q.template, vm.vm_type)
-                .expect("enqueue validated the placement");
+            backlog += q.exec;
             running.push(q.template);
         }
         Some((
@@ -456,9 +462,8 @@ impl LiveCluster {
     }
 
     /// Infrastructure billed so far: start-up fees of every provisioned VM
-    /// plus rental for committed execution time. With start-up delays
-    /// off, the post-drain value equals Eq. 1's infrastructure terms
-    /// for the same placements.
+    /// plus rental for committed execution time. The post-drain value
+    /// equals Eq. 1's infrastructure terms for the same placements.
     pub fn billed(&self) -> Money {
         self.startup_billed + self.runtime_billed
     }
@@ -577,22 +582,6 @@ mod tests {
             c.enqueue(v, QueryId(1), TemplateId(0)),
             Err(CoreError::VmReleased { .. })
         ));
-    }
-
-    #[test]
-    fn startup_delay_defers_first_start() {
-        let spec = tpch_like(2);
-        let mut c = LiveCluster::new(
-            spec.clone(),
-            LiveOptions {
-                include_startup_delay: true,
-            },
-        );
-        let v = c.provision(VmTypeId(0)).unwrap();
-        c.enqueue(v, QueryId(0), TemplateId(0)).unwrap();
-        let done = c.drain();
-        let delay = spec.vm_type(VmTypeId(0)).unwrap().startup_delay;
-        assert_eq!(done[0].start, delay);
     }
 
     #[test]

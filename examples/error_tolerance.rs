@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &schedule,
             &SimOptions {
                 true_latencies: Some(perceived.true_latencies.clone()),
-                ..SimOptions::default()
             },
         )?;
         let realized = trace.total_cost(&goal);

@@ -97,7 +97,6 @@ proptest! {
             truth.map(|ms| ms.into_iter().map(Millis::from_millis).collect());
         let options = SimOptions {
             true_latencies: true_latencies.clone(),
-            ..SimOptions::default()
         };
         let trace = sim::execute(&spec, &schedule, &options).unwrap();
 

@@ -35,7 +35,7 @@ proptest! {
         cases: 20, .. ProptestConfig::default()
     })]
 
-    /// The simulator's default-mode bill equals Eq. 1 exactly, for any
+    /// The simulator's bill at the predicted latencies equals Eq. 1, for any
     /// schedule the optimal searcher produces under any goal kind.
     #[test]
     fn simulator_agrees_with_analytic_cost(
@@ -54,15 +54,6 @@ proptest! {
         let analytic = total_cost(&spec, &goal, &schedule).unwrap();
         let trace = sim::execute(&spec, &schedule, &SimOptions::default()).unwrap();
         prop_assert!(trace.total_cost(&goal).approx_eq(analytic, 1e-9));
-        // Start-up delays and wall-clock billing can only increase cost.
-        let realistic = sim::execute(&spec, &schedule, &SimOptions {
-            include_startup_delay: true,
-            bill_wallclock: true,
-            ..SimOptions::default()
-        }).unwrap();
-        prop_assert!(
-            realistic.total_cost(&goal).as_dollars() >= analytic.as_dollars() - 1e-9
-        );
     }
 
     /// Cost attribution is a partition of total cost: the per-template

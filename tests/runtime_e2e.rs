@@ -2,10 +2,9 @@
 //!
 //! * Determinism: a fixed seed reproduces the exact event trace and
 //!   metrics, across runs *and* across training thread counts.
-//! * Billing: with start-up delays off, the live
-//!   cluster's incrementally accrued bill plus the goal penalty equals the
-//!   analytic Eq. 1 cost recomputed from the trace (property-tested over
-//!   goal kinds, stream lengths, and arrival rates).
+//! * Billing: the live cluster's incrementally accrued bill plus the goal
+//!   penalty equals the analytic Eq. 1 cost recomputed from the trace
+//!   (property-tested over goal kinds, stream lengths, and arrival rates).
 //! * Parallel training: the worker-pool path is observationally identical
 //!   to the serial path.
 
@@ -183,9 +182,8 @@ proptest! {
         cases: 6, .. ProptestConfig::default()
     })]
 
-    /// With noise and start-up delays off (the defaults), the runtime's
-    /// incrementally accrued bill plus penalty equals Eq. 1 recomputed
-    /// from the trace: `Σ_vm (startup + runtime·busy) + p(R, S)`.
+    /// The runtime's incrementally accrued bill plus penalty equals Eq. 1
+    /// recomputed from the trace: `Σ_vm (startup + runtime·busy) + p(R, S)`.
     #[test]
     fn runtime_billing_matches_analytic_eq1(
         kind_idx in 0usize..4,
