@@ -408,8 +408,11 @@ impl OnlineScheduler {
             // spec's latency tables.
             let pairs = aged_pairs(batch, now, quantum);
             let view = self.augmented_view(&pairs, quantum)?;
-            let use_cache = self.config.reuse && self.config.planner == Planner::Model;
-            let model_ref: &DecisionModel = if use_cache {
+            let model_ref: &DecisionModel = if self.config.planner == Planner::Optimal {
+                // The oracle plans the augmented view with A* and reads no
+                // model: the base model stands in, untouched.
+                &self.base
+            } else if self.config.reuse {
                 if self.reuse_cache.get(&pairs).is_some() {
                     self.counters.cache_hits += 1;
                 } else {

@@ -379,6 +379,10 @@ fn optimal_planner_completes_and_is_no_worse() {
     // Every replan of these small batches is proven optimal.
     assert_eq!(work(&model).oracle_limit_hits, 0);
     assert_eq!(work(&oracle).oracle_limit_hits, 0);
+    // The oracle's placements leave queries waiting, so two of its
+    // batches age; it plans them with A* on the aged view and trains no
+    // model.
+    assert_eq!(work(&oracle).retrains, 0);
 }
 
 #[test]
