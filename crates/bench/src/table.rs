@@ -34,7 +34,13 @@ impl Cell {
             Cell::Text(s) => s.clone(),
             Cell::MilliCents(mc) => format!("{:.3}", mc / 1000.0),
             Cell::Pct { value, proven } => {
-                format!("{value:+.1}%{}", if *proven { "" } else { "*" })
+                // A gap that rounds to zero prints `+0.0`, whatever the sign
+                // of its float rounding error.
+                let mut shown = format!("{value:+.1}");
+                if shown == "-0.0" {
+                    shown = "+0.0".into();
+                }
+                format!("{shown}%{}", if *proven { "" } else { "*" })
             }
             Cell::Count(n) => n.to_string(),
         }
@@ -191,5 +197,20 @@ mod tests {
             t.render()
         );
         assert!(matches!(t.rows()[0][1], Cell::MilliCents(mc) if (mc - 16_290.0).abs() < 1e-6));
+    }
+
+    #[test]
+    fn a_gap_that_rounds_to_zero_prints_plus_zero() {
+        let pct = |value| {
+            Cell::Pct {
+                value,
+                proven: true,
+            }
+            .render()
+        };
+        assert_eq!(pct(2e-14), "+0.0%");
+        assert_eq!(pct(-2e-14), "+0.0%");
+        assert_eq!(pct(-0.06), "-0.1%");
+        assert_eq!(pct(0.06), "+0.1%");
     }
 }
