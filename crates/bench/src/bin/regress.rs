@@ -38,6 +38,7 @@
 use std::path::PathBuf;
 
 use wisedb::advisor::{OnlineConfig, OnlineScheduler, StepSource};
+use wisedb::core::ArrivingQuery;
 use wisedb::prelude::*;
 use wisedb::runtime::generate_stream;
 use wisedb_bench::figures::{self, Context};
@@ -177,18 +178,11 @@ fn batch_throughput(scale: Scale, out: &mut Vec<Measurement>) {
     }
 }
 
-/// One class's online loop over a seeded Poisson stream: `n` arrivals at
-/// `rate` q/s under `kind`'s paper-default goal, aged in steps of
-/// `quantum`. Records the drained snapshot's completions and VM count and
-/// the scheduler's retrain, cache-hit and shift counters under `bench`.
-fn online_loop(
-    out: &mut Vec<Measurement>,
-    bench: &str,
-    kind: GoalKind,
-    n: usize,
-    rate: f64,
-    quantum: Millis,
-) {
+/// A factory of one-class services under `kind`'s paper-default goal on
+/// `tpch_like(10)`: the model is trained once (60 samples of 9 queries),
+/// and each call returns a fresh service whose batches age in steps of
+/// `quantum`.
+fn online_service(kind: GoalKind, quantum: Millis) -> impl Fn() -> WorkloadService {
     let spec = wisedb::sim::catalog::tpch_like(10);
     let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
     let training = ModelConfig {
@@ -197,62 +191,75 @@ fn online_loop(
         seed: 0xC0FFEE,
         ..ModelConfig::fast()
     };
-    let (model, artifacts) = ModelGenerator::new(spec.clone(), goal, training.clone())
+    let (model, artifacts) = ModelGenerator::new(spec, goal, training.clone())
         .train_with_artifacts()
         .unwrap();
-    let mut process = PoissonProcess::per_second(rate, TemplateMix::uniform(spec.num_templates()));
-    let stream = generate_stream(&mut process, n, 42);
     let online = OnlineConfig {
         training,
         age_quantum: quantum,
         ..OnlineConfig::default()
     };
-    let scheduler = OnlineScheduler::with_model(model, artifacts, online);
-    let mut service = WorkloadService::with_scheduler(scheduler, RuntimeConfig::default());
-    let snapshot = service.run_stream(&stream).unwrap().last;
+    move || {
+        let scheduler =
+            OnlineScheduler::with_model(model.clone(), artifacts.clone(), online.clone());
+        WorkloadService::with_scheduler(scheduler, RuntimeConfig::default())
+    }
+}
+
+/// `n` seeded Poisson arrivals at `rate` q/s over ten uniform templates.
+fn poisson_stream(n: usize, rate: f64) -> Vec<ArrivingQuery> {
+    let mut process = PoissonProcess::per_second(rate, TemplateMix::uniform(10));
+    generate_stream(&mut process, n, 42)
+}
+
+/// Runs `stream` through a fresh [`online_service`] and records the
+/// drained snapshot's completions and VM count and the scheduler's
+/// retrain, cache-hit and shift counters under `bench`.
+fn online_loop(
+    bench: &str,
+    kind: GoalKind,
+    stream: &[ArrivingQuery],
+    quantum: Millis,
+) -> Vec<Measurement> {
+    let mut service = online_service(kind, quantum)();
+    let snapshot = service.run_stream(stream).unwrap().last;
     let work = service.scheduler(TenantId::DEFAULT).unwrap().counters();
-    record(
-        out,
-        bench,
-        &[
-            ("completed", snapshot.completed as f64),
-            ("vms_provisioned", snapshot.vms_provisioned as f64),
-            ("retrains", work.retrains as f64),
-            ("cache_hits", work.cache_hits as f64),
-            ("shifts", work.shifts as f64),
-        ],
-    );
     eprintln!(
         "  {bench}: {} completed, {} VMs, {} retrains, {} cache hits, {} shifts",
         snapshot.completed, snapshot.vms_provisioned, work.retrains, work.cache_hits, work.shifts
     );
+    let rows = [
+        ("completed", snapshot.completed as f64),
+        ("vms_provisioned", snapshot.vms_provisioned as f64),
+        ("retrains", work.retrains as f64),
+        ("cache_hits", work.cache_hits as f64),
+        ("shifts", work.shifts as f64),
+    ];
+    rows.iter()
+        .map(|&(metric, value)| Measurement::new(bench, metric, value))
+        .collect()
 }
 
-fn streaming_loop_len(scale: Scale) -> usize {
-    if scale == Scale::Quick {
-        80
-    } else {
-        200
-    }
-}
-
-/// A 2 q/s Max-goal stream whose 30 s age quantum no batch reaches: the
-/// loop with no model work.
-fn streaming_loop(scale: Scale, out: &mut Vec<Measurement>) {
-    let n = streaming_loop_len(scale);
+/// The online loop on two streams of the same length. `streaming_loop`:
+/// 2 q/s under the Max goal, with a 30 s age quantum that no batch
+/// reaches, so the loop does no model work. `streaming_loop_aged`: 10 q/s
+/// with a 1 s quantum, so recalled batches age; Max (shiftable) runs the
+/// Shift path and Average the Reuse path, and each builds and hits its
+/// cache.
+fn streaming_loops(scale: Scale, out: &mut Vec<Measurement>) {
+    let n = if scale == Scale::Quick { 80 } else { 200 };
     let bench = format!("streaming_loop/{n}");
-    let quantum = Millis::from_secs(30);
-    online_loop(out, &bench, GoalKind::MaxLatency, n, 2.0, quantum);
-}
-
-/// A 10 q/s stream with a 1 s age quantum, so recalled batches age: Max
-/// (shiftable) runs the Shift path, Average the Reuse path, and each path
-/// both builds and hits its cache.
-fn streaming_loop_aged(scale: Scale, out: &mut Vec<Measurement>) {
-    let n = streaming_loop_len(scale);
+    let calm = poisson_stream(n, 2.0);
+    out.extend(online_loop(
+        &bench,
+        GoalKind::MaxLatency,
+        &calm,
+        Millis::from_secs(30),
+    ));
+    let busy = poisson_stream(n, 10.0);
     for kind in [GoalKind::MaxLatency, GoalKind::AverageLatency] {
         let bench = format!("streaming_loop_aged/{n}/{}", kind.name());
-        online_loop(out, &bench, kind, n, 10.0, Millis::from_secs(1));
+        out.extend(online_loop(&bench, kind, &busy, Millis::from_secs(1)));
     }
 }
 
@@ -514,12 +521,10 @@ fn figure_costs(ctx: &mut Context, out: &mut Vec<Measurement>) {
 fn fig22_realized(ctx: &mut Context, out: &mut Vec<Measurement>) {
     for kind in GoalKind::ALL {
         for (i, sigma) in figures::FIG22_SIGMAS.iter().enumerate() {
-            let [wisedb, ..] = figures::fig22_cell(ctx, kind, i, &mut 0.0);
-            let Cell::MilliCents(mc) = wisedb else {
-                panic!("Fig 22's first cell is a cost");
-            };
-            let bench = format!("fig/22/{}/{sigma:.2}", kind.name());
-            out.push(Measurement::new(&bench, "realized_mc", mc));
+            if let [Cell::MilliCents(mc), ..] = figures::fig22_cell(ctx, kind, i, &mut 0.0) {
+                let bench = format!("fig/22/{}/{sigma:.2}", kind.name());
+                out.push(Measurement::new(&bench, "realized_mc", mc));
+            }
         }
     }
     eprintln!("  fig/22: {} goal kinds", GoalKind::ALL.len());
@@ -561,34 +566,16 @@ fn tree_shapes(ctx: &mut Context, out: &mut Vec<Measurement>) {
 ///   run is virtual-clocked and single-threaded, so an accidental extra
 ///   span in a hot loop fails the diff on any machine.
 fn obs_guard(scale: Scale, out: &mut Vec<Measurement>) {
-    let spec = wisedb::sim::catalog::tpch_like(10);
-    let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
-    let training = ModelConfig {
-        num_samples: 60,
-        sample_size: 9,
-        seed: 0xC0FFEE,
-        ..ModelConfig::fast()
-    };
-    let (model, artifacts) = ModelGenerator::new(spec.clone(), goal, training.clone())
-        .train_with_artifacts()
-        .unwrap();
+    let service = online_service(GoalKind::MaxLatency, Millis::from_secs(30));
     let n = if scale == Scale::Quick { 80 } else { 200 };
-    let mut process = PoissonProcess::per_second(2.0, TemplateMix::uniform(spec.num_templates()));
-    let stream = generate_stream(&mut process, n, 42);
+    let stream = poisson_stream(n, 2.0);
     let bench = format!("obs/{n}");
 
     // The only non-deterministic snapshot fields are the wall-clock
     // decision times; everything else must be byte-identical across
     // tracing levels.
     let run_once = || {
-        let online = OnlineConfig {
-            training: training.clone(),
-            age_quantum: Millis::from_secs(30),
-            ..OnlineConfig::default()
-        };
-        let scheduler = OnlineScheduler::with_model(model.clone(), artifacts.clone(), online);
-        let mut svc = WorkloadService::with_scheduler(scheduler, RuntimeConfig::default());
-        let mut snapshot = svc.run_stream(&stream).unwrap().last;
+        let mut snapshot = service().run_stream(&stream).unwrap().last;
         snapshot.mean_decision_secs = 0.0;
         snapshot.p95_decision_secs = 0.0;
         snapshot
@@ -646,8 +633,7 @@ fn main() {
     bound_tight(scale, &mut measurements);
     strategy_pathology(scale, &mut measurements);
     batch_throughput(scale, &mut measurements);
-    streaming_loop(scale, &mut measurements);
-    streaming_loop_aged(scale, &mut measurements);
+    streaming_loops(scale, &mut measurements);
     multitenant_loop(scale, &mut measurements);
     shard_loop(scale, &mut measurements);
     serve_loop(scale, &mut measurements);

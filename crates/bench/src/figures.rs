@@ -451,9 +451,9 @@ pub const FIG22_SIGMAS: [f64; 5] = [0.05, 0.10, 0.20, 0.30, 0.40];
 
 /// One Fig 22 cell: the default `kind` model plans on templates perceived
 /// under error `FIG22_SIGMAS[i]` and the schedule executes with the true
-/// latencies; the oracle knows the true templates. Returns
-/// [`Context::gap`]'s cells, WiSeDB's mean realized cost first, and adds
-/// each workload's misassignment rate to `missed`.
+/// latencies; the oracle knows the true templates. Returns WiSeDB's mean
+/// realized cost, the oracle's and the gap (both `-` without an oracle),
+/// and adds each workload's misassignment rate to `missed`.
 pub fn fig22_cell(ctx: &mut Context, kind: GoalKind, i: usize, missed: &mut f64) -> [Cell; 3] {
     let sigma = FIG22_SIGMAS[i];
     let m = ctx.default_model(kind);

@@ -32,9 +32,8 @@ pub struct SimOptions {
 pub struct VmTrace {
     /// The rented type.
     pub vm_type: VmTypeId,
-    /// When the VM was released (after its last query).
-    pub released_at: Millis,
-    /// Total execution time performed.
+    /// Total execution time performed. The VM runs its queue back to back
+    /// from t = 0, so this is also when it is released.
     pub busy: Millis,
     /// Start-up fee paid.
     pub startup_cost: Money,
@@ -65,11 +64,6 @@ impl ExecutionTrace {
             .collect()
     }
 
-    /// The SLA penalty of the realized latencies.
-    pub fn penalty(&self, goal: &PerformanceGoal) -> Money {
-        goal.penalty(&self.latencies())
-    }
-
     /// Cost breakdown: start-up fees, rental, and penalty.
     pub fn breakdown(&self, goal: &PerformanceGoal) -> CostBreakdown {
         let startup: Money = self.vms.iter().map(|v| v.startup_cost).sum();
@@ -77,7 +71,7 @@ impl ExecutionTrace {
         CostBreakdown {
             startup,
             runtime: rental,
-            penalty: self.penalty(goal),
+            penalty: goal.penalty(&self.latencies()),
         }
     }
 
@@ -120,10 +114,9 @@ pub fn execute(
     let mut queries = Vec::with_capacity(done.len());
     let mut vms = Vec::with_capacity(schedule.num_vms());
     for vm in &schedule.vms {
-        let (mut busy, mut released_at) = (Millis::ZERO, Millis::ZERO);
+        let mut busy = Millis::ZERO;
         for (p, c) in vm.queue.iter().zip(done.by_ref()) {
             busy += c.finish - c.start;
-            released_at = c.finish;
             queries.push(Completion {
                 query: p.query,
                 template: p.template,
@@ -133,7 +126,6 @@ pub fn execute(
         let vm_type = spec.vm_type(vm.vm_type)?;
         vms.push(VmTrace {
             vm_type: vm.vm_type,
-            released_at,
             busy,
             startup_cost: vm_type.startup_cost,
             rental_cost: vm_type.runtime_cost(busy),
@@ -190,7 +182,7 @@ mod tests {
             assert_eq!(w[1].start, w[0].finish);
         }
         assert_eq!(trace.makespan(), trace.queries.last().unwrap().finish);
-        assert_eq!(trace.vms[0].busy, trace.vms[0].released_at);
+        assert_eq!(trace.vms[0].busy, trace.makespan());
     }
 
     #[test]

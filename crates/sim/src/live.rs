@@ -91,8 +91,6 @@ struct LiveVm {
     /// When all *committed* (started) work finishes; starts at the
     /// provisioning instant.
     avail: Millis,
-    /// Total execution time committed so far (drives Eq. 1 billing).
-    busy: Millis,
     /// Committed queries still executing: (template, finish).
     running: Vec<(TemplateId, Millis)>,
     /// Queued but not started; recallable.
@@ -179,7 +177,6 @@ impl LiveCluster {
         self.vms.push(LiveVm {
             vm_type,
             avail: self.now,
-            busy: Millis::ZERO,
             running: Vec::new(),
             pending: Vec::new(),
             released: false,
@@ -334,8 +331,7 @@ impl LiveCluster {
                 if start >= now {
                     break;
                 }
-                let exec = q.exec;
-                let finish = start + exec;
+                let finish = start + q.exec;
                 self.executing.push(Completion {
                     query: q.query,
                     template: q.template,
@@ -344,12 +340,11 @@ impl LiveCluster {
                     start,
                     finish,
                 });
-                vm.busy += exec;
                 let rental = self
                     .spec
                     .vm_type(vm.vm_type)
                     .expect("provision validated the type")
-                    .runtime_cost(exec);
+                    .runtime_cost(q.exec);
                 self.runtime_billed += rental;
                 // Rental attribution: the executing query's class pays.
                 if by_class.len() <= q.class.index() {

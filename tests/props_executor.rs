@@ -124,7 +124,6 @@ proptest! {
             let billed = &trace.vms[vm_index];
             prop_assert_eq!(billed.vm_type, vm.vm_type);
             prop_assert_eq!(billed.busy, clock);
-            prop_assert_eq!(billed.released_at, clock);
             prop_assert!(billed.rental_cost.approx_eq(vm_type.runtime_cost(clock), 1e-9));
             prop_assert!(billed.startup_cost.approx_eq(vm_type.startup_cost, 1e-9));
             eq1 += vm_type.startup_cost + vm_type.runtime_cost(clock);
