@@ -1,17 +1,17 @@
-//! Batch execution: a finished [`Schedule`] replayed on a fresh
-//! [`LiveCluster`] and billed.
+//! Batch execution: a finished [`Schedule`] replayed on the
+//! [`LiveCluster`] simulator and billed.
 //!
-//! [`execute`] provisions each of the schedule's VMs at t = 0, queues its
-//! queue in order and drains the session (see [`live`](crate::live) for
-//! the execution semantics). With the predictions as execution times the
+//! [`execute`] provisions each of the schedule's VMs at t = 0 on a session
+//! of its own, queues its queue in order and drains the session (see
+//! [`live`](crate::live) for the execution semantics). With the predictions as execution times the
 //! realized cost is exactly the analytic Eq. 1 cost; Figure 22 passes true
 //! latencies instead, to price what prediction error costs for real.
 
 use serde::{Deserialize, Serialize};
 
 use wisedb_core::{
-    CoreResult, CostBreakdown, Millis, Money, PerformanceGoal, QueryLatency, Schedule, TenantId,
-    VmTypeId, WorkloadSpec,
+    CoreResult, CostBreakdown, Millis, Money, PerformanceGoal, QueryLatency, Schedule, SpecHandle,
+    TenantId, VmTypeId, WorkloadSpec,
 };
 
 use crate::live::{Completion, LiveCluster, LiveOptions};
@@ -90,36 +90,38 @@ impl ExecutionTrace {
     }
 }
 
-/// Executes `schedule` on a fresh simulated cluster.
+/// Executes `schedule` on the simulated cluster.
 pub fn execute(
     spec: &WorkloadSpec,
     schedule: &Schedule,
     options: &SimOptions,
 ) -> CoreResult<ExecutionTrace> {
-    let mut cluster = LiveCluster::new(spec.clone(), LiveOptions::default());
+    let handle = SpecHandle::from(spec.clone());
     let truth = |i: usize| options.true_latencies.as_ref()?.get(i).copied();
-    for vm in &schedule.vms {
+    let mut queries = Vec::with_capacity(schedule.num_queries());
+    let mut vms = Vec::with_capacity(schedule.num_vms());
+    // Every VM starts at t = 0 and shares nothing with the others, so each
+    // runs on a session of its own: the replay holds one VM's state at a
+    // time, not the whole schedule's.
+    for (vm_index, vm) in schedule.vms.iter().enumerate() {
+        let mut cluster = LiveCluster::new(handle.clone(), LiveOptions::default());
         let index = cluster.provision(vm.vm_type)?;
         for p in &vm.queue {
             let exec = truth(p.query.index());
             cluster.enqueue_timed(index, p.query, p.template, TenantId::DEFAULT, exec)?;
         }
-    }
-    // The drain reports in finish order. A VM runs its queue back to back,
-    // so (VM, start, finish) order is queue order; only zero-length runs
-    // tie, and tied entries share their times.
-    let mut done = cluster.drain();
-    done.sort_by_key(|c| (c.vm_index, c.start, c.finish));
-    let mut done = done.into_iter();
-    let mut queries = Vec::with_capacity(done.len());
-    let mut vms = Vec::with_capacity(schedule.num_vms());
-    for vm in &schedule.vms {
+        // The drain reports in finish order. A queue that runs back to back
+        // is in (start, finish) order; only zero-length runs tie, and tied
+        // entries share their times.
+        let mut done = cluster.drain();
+        done.sort_unstable_by_key(|c| (c.start, c.finish));
         let mut busy = Millis::ZERO;
-        for (p, c) in vm.queue.iter().zip(done.by_ref()) {
+        for (p, c) in vm.queue.iter().zip(done) {
             busy += c.finish - c.start;
             queries.push(Completion {
                 query: p.query,
                 template: p.template,
+                vm_index,
                 ..c
             });
         }

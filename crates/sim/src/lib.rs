@@ -11,8 +11,8 @@
 //!   and bills VMs as events fire (recallable queues, open-VM view,
 //!   running bill). The streaming runtime drives it arrival by arrival.
 //! * [`cluster`] — [`execute`], which replays a finished batch schedule
-//!   on a fresh [`LiveCluster`], optionally with true latencies in place
-//!   of the predictions; with the predictions its cost equals the
+//!   on [`LiveCluster`] sessions, one per VM, optionally with true
+//!   latencies in place of the predictions; with the predictions its cost equals the
 //!   analytic Eq. 1 cost exactly.
 //! * [`noise`] — latency-predictor error injection and the closest-latency
 //!   template matching rule (Figure 22).

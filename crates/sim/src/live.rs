@@ -5,8 +5,8 @@
 //! *now*, queue a query behind it, advance the virtual clock and observe
 //! what finished, pull unstarted work back for rescheduling (§6.3's
 //! reschedule-on-arrival), and read a running bill at any instant. The
-//! streaming runtime drives it arrival by arrival; [`execute`] drives it
-//! once per finished batch [`Schedule`].
+//! streaming runtime drives it arrival by arrival; [`execute`] replays a
+//! finished batch [`Schedule`] on it, one session per VM.
 //!
 //! Execution semantics follow Eq. 1. A VM accepts queries from the instant
 //! it is provisioned: the paper folds boot time into the start-up fee
