@@ -242,10 +242,12 @@ fn online_loop(
 
 /// The online loop on two streams of the same length. `streaming_loop`:
 /// 2 q/s under the Max goal, with a 30 s age quantum that no batch
-/// reaches, so the loop does no model work. `streaming_loop_aged`: 10 q/s
-/// with a 1 s quantum, so recalled batches age; Max (shiftable) runs the
-/// Shift path and Average the Reuse path, and each builds and hits its
-/// cache.
+/// reaches, so the loop does no model work. `streaming_loop_default`: the
+/// same stream under the Average goal at the default age quantum, the
+/// path `serve-aged`'s bronze class takes, which pins how often its Reuse
+/// cache hits. `streaming_loop_aged`: 10 q/s with a 1 s quantum, so
+/// recalled batches age; Max (shiftable) runs the Shift path and Average
+/// the Reuse path, and each builds and hits its cache.
 fn streaming_loops(scale: Scale, out: &mut Vec<Measurement>) {
     let n = if scale == Scale::Quick { 80 } else { 200 };
     let bench = format!("streaming_loop/{n}");
@@ -255,6 +257,14 @@ fn streaming_loops(scale: Scale, out: &mut Vec<Measurement>) {
         GoalKind::MaxLatency,
         &calm,
         Millis::from_secs(30),
+    ));
+    let kind = GoalKind::AverageLatency;
+    let bench = format!("streaming_loop_default/{n}/{}", kind.name());
+    out.extend(online_loop(
+        &bench,
+        kind,
+        &calm,
+        OnlineConfig::default().age_quantum,
     ));
     let busy = poisson_stream(n, 10.0);
     for kind in [GoalKind::MaxLatency, GoalKind::AverageLatency] {
