@@ -444,7 +444,13 @@ impl ModelGenerator {
         let search = self.config.search_for(&self.goal);
         let solved = self.fan_out(&mut missing, |sig| {
             let solver = Solver::new(&self.spec, &self.goal).with_config(search.clone());
-            let (solved, explored) = solver.solve_with_explored(&Workload::from_counts(sig))?;
+            let workload = Workload::from_counts(sig);
+            // Only a monotone goal's settled vertices can seed a memo.
+            let (solved, explored) = if self.goal.is_monotone() {
+                solver.solve_with_explored(&workload)?
+            } else {
+                (solver.solve(&workload)?, ExploredStates::default())
+            };
             wisedb_obs::counter_add("wisedb_train_solves_total", 1);
             Ok(Arc::new(SolvedEntry::from_solve(
                 &self.spec, &self.goal, &schema, &solved, explored,
@@ -813,6 +819,24 @@ mod tests {
         assert!(cold.stats().cache_hits > 0);
         assert_eq!(tightened.stats().solves, cold.stats().solves);
         assert_eq!(warm.stats().solves, 0);
+    }
+
+    #[test]
+    fn cold_trains_cache_settled_vertices_only_where_a_memo_reads_them() {
+        let spec = small_spec();
+        for (kind, kept) in [
+            (GoalKind::AverageLatency, false),
+            (GoalKind::MaxLatency, true),
+        ] {
+            let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
+            let (_, artifacts) = ModelGenerator::new(spec.clone(), goal, tiny_config())
+                .train_with_artifacts()
+                .unwrap();
+            for entry in &artifacts.entries {
+                assert_eq!(entry.seeds_memo, kept, "{kind:?}");
+                assert_eq!(!entry.explored.is_empty(), kept, "{kind:?}");
+            }
+        }
     }
 
     #[test]

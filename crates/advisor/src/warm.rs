@@ -52,7 +52,8 @@ pub struct SolvedEntry {
     /// The solve's search counters.
     pub stats: SearchStats,
     /// The g-values of every settled vertex, for warming the adaptive
-    /// searcher of a tightened retrain (§5).
+    /// searcher of a tightened retrain (§5). Empty unless
+    /// [`seeds_memo`](Self::seeds_memo): no memo reads them otherwise.
     pub explored: ExploredStates,
     /// Whether this solve may seed reuse memos: the goal was monotone and
     /// the result provably optimal (Lemma 5.1's premises).
@@ -60,9 +61,10 @@ pub struct SolvedEntry {
 }
 
 impl SolvedEntry {
-    /// Extracts a cacheable entry from one solve. Pure in
-    /// `(spec, goal, schema, solve)` — duplicates of the same signature
-    /// always produce identical entries.
+    /// Extracts a cacheable entry from one solve, keeping `explored` only
+    /// when the solve may seed memos. Pure in `(spec, goal, schema,
+    /// solve)` — duplicates of the same signature always produce identical
+    /// entries.
     pub fn from_solve(
         spec: &WorkloadSpec,
         goal: &PerformanceGoal,
@@ -76,13 +78,18 @@ impl SolvedEntry {
             rows.push(schema.extract(spec, goal, &step.state));
             labels.push(step.decision.label(schema.num_templates));
         }
+        let seeds_memo = goal.is_monotone() && solved.stats.optimal;
         SolvedEntry {
             rows,
             labels,
             cost_dollars: solved.cost.as_dollars(),
             stats: solved.stats,
-            explored,
-            seeds_memo: goal.is_monotone() && solved.stats.optimal,
+            explored: if seeds_memo {
+                explored
+            } else {
+                ExploredStates::default()
+            },
+            seeds_memo,
         }
     }
 

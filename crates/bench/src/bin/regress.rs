@@ -8,7 +8,8 @@
 //! never ages a batch and on two that age them), the multi-tenant consolidation loop (3 SLA classes, shared vs isolated
 //! fleets), the multi-class tick loop (a 3-class `run_ticked` replay),
 //! the serve layer's wire loop
-//! (loopback TCP, admit/shed verdicts), the warm-training guard (cold
+//! (loopback TCP, admit/shed verdicts, server and client totals
+//! asserted equal), the warm-training guard (cold
 //! train vs warm retrain through the solve cache, zero-solve warm retrain
 //! asserted), the tightening ladder (§5 retrains at +20 %, +40 %, +10 %
 //! on the same artifacts: expansions, rows and tree hash), the
@@ -374,7 +375,8 @@ fn shard_loop(scale: Scale, out: &mut Vec<Measurement>) {
 }
 
 /// The serve layer over loopback: a seeded hot trace replayed through one
-/// wire connection (see [`wisedb_bench::serve_load`]). The sequential
+/// wire connection (see [`wisedb_bench::serve_load`]), which panics unless
+/// the server's admit/shed totals equal the client's. The sequential
 /// replay keeps admission deterministic, so `admitted`/`shed`/`shed_rate`
 /// are exact counters; round-trip latency is `benchmark/`'s to measure.
 fn serve_loop(scale: Scale, out: &mut Vec<Measurement>) {

@@ -1,14 +1,14 @@
 //! # wisedb-bench
 //!
-//! What only this crate does, in three binaries: `fig`, the table
+//! What only this crate does, in two binaries: `fig`, the table
 //! registry ([`figures`]: §7's Figures 9–22, then the feature ablation,
 //! the streaming runtime, multi-tenant consolidation, the search-strategy
 //! shoot-out and warm retraining, the last two gated in-run —
-//! `cargo run -p wisedb-bench --release --bin fig -- 9 13`); `loadgen`,
-//! the wire-protocol load generator with its conservation asserts; and
+//! `cargo run -p wisedb-bench --release --bin fig -- 9 13`); and
 //! `regress`, which compares exact work counters against
-//! `BENCH_baseline.json`. Only `loadgen` prints times, as a report that
-//! nothing gates on: the repo's one timing instrument is `benchmark/` (see
+//! `BENCH_baseline.json` and replays the serve trace over loopback TCP
+//! ([`serve_load`]) with its conservation asserts. Nothing here reads a
+//! clock: the repo's one timing instrument is `benchmark/` (see
 //! `BENCHMARK.json`).
 //!
 //! Scale is controlled by the `WISEDB_SCALE` environment variable:
@@ -112,47 +112,6 @@ pub fn pct_above(x: Money, reference: Money) -> f64 {
         return 0.0;
     }
     (x.as_dollars() / reference.as_dollars() - 1.0) * 100.0
-}
-
-/// The Chrome-trace output path requested for this bench run, if any:
-/// `--trace <path>` or `--trace=<path>`. An absent value aborts — a CI
-/// smoke must not silently run untraced.
-pub fn trace_path_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--trace")
-        .map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("--trace requires a path"))
-                .clone()
-        })
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--trace=").map(str::to_string))
-        })
-        .map(std::path::PathBuf::from)
-}
-
-/// If `--trace` was passed, installs a full-span `wisedb-obs` collector
-/// and returns it with the output path. Call [`finish_trace`] when the
-/// measured section is over.
-pub fn trace_collector_from_args() -> Option<(wisedb_obs::Collector, std::path::PathBuf)> {
-    let path = trace_path_from_args()?;
-    Some((wisedb_obs::install(wisedb_obs::Level::Spans), path))
-}
-
-/// Finishes a collector started by [`trace_collector_from_args`], writes
-/// the Chrome trace to its path, and reports the span totals to stderr.
-pub fn finish_trace(collector: wisedb_obs::Collector, path: &std::path::Path) {
-    let trace = collector.finish();
-    let chrome = trace.to_chrome();
-    std::fs::write(path, &chrome).unwrap_or_else(|e| panic!("writing {path:?} failed: {e}"));
-    eprintln!(
-        "trace: {} events -> {} ({} bytes)",
-        trace.events.len(),
-        path.display(),
-        chrome.len()
-    );
 }
 
 /// The oracle's solver configuration: exact A* with a 2 M-expansion

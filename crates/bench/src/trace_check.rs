@@ -1,8 +1,8 @@
 //! Chrome-trace validation: parse a trace produced by `wisedb-obs`'s
 //! exporter back through the vendored JSON parser and check the
 //! structural invariants a real viewer (Perfetto, `chrome://tracing`)
-//! relies on. Used by the `--trace` CI smoke and the obs e2e tests, so a
-//! malformed export fails a gate instead of silently rendering wrong.
+//! relies on. Used by the obs and serve e2e tests, so a malformed export
+//! fails a test instead of silently rendering wrong.
 //!
 //! Checked invariants:
 //!
@@ -35,22 +35,13 @@ pub struct SpanStat {
 pub struct TraceCheck {
     /// Events in the `traceEvents` array.
     pub events: usize,
-    /// Instant (`i`) events.
+    /// `i` (instant) events.
     pub instants: usize,
     /// Per-name span statistics (`B`/`E` pairs and `X` events).
     pub spans: BTreeMap<String, SpanStat>,
 }
 
 impl TraceCheck {
-    /// Total span duration (µs) across every name matching `prefix`.
-    pub fn total_us_with_prefix(&self, prefix: &str) -> u64 {
-        self.spans
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, s)| s.total_us)
-            .sum()
-    }
-
     /// The statistics for one span name (zero if absent).
     pub fn span(&self, name: &str) -> SpanStat {
         self.spans.get(name).copied().unwrap_or_default()
@@ -194,7 +185,6 @@ mod tests {
                 total_us: 7
             }
         );
-        assert_eq!(check.total_us_with_prefix("in"), 10);
     }
 
     #[test]

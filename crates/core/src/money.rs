@@ -168,11 +168,6 @@ impl PenaltyRate {
     pub fn for_violation(&self, duration: Millis) -> Money {
         self.per_second * duration.as_secs_f64()
     }
-
-    /// The underlying per-second amount.
-    pub fn rate_per_second(&self) -> Money {
-        self.per_second
-    }
 }
 
 #[cfg(test)]

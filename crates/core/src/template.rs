@@ -78,11 +78,6 @@ impl QueryTemplate {
     pub fn max_latency(&self) -> Option<Millis> {
         self.latencies.iter().flatten().copied().max()
     }
-
-    /// Number of VM types this template has entries for (supported or not).
-    pub fn num_vm_entries(&self) -> usize {
-        self.latencies.len()
-    }
 }
 
 #[cfg(test)]

@@ -66,11 +66,6 @@ impl Millis {
         self.0 as f64 / 1_000.0
     }
 
-    /// Duration in fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60_000.0
-    }
-
     /// Duration in fractional hours.
     pub fn as_hours_f64(self) -> f64 {
         self.0 as f64 / 3_600_000.0

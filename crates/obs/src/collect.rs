@@ -16,12 +16,11 @@
 //! mutex hand-off) orders the two threads' subsequent `fetch_add`s.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::event::{Event, Phase};
+use crate::event::Event;
 use crate::{export, registry, set_level, Level};
 
 type Buffer = Arc<Mutex<Vec<Event>>>;
@@ -152,68 +151,18 @@ pub struct Trace {
     pub events: Vec<Event>,
 }
 
-/// Aggregate extent of one span name in a [`Trace`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanTotal {
-    /// Closed spans observed (Begin/End pairs plus Complete events).
-    pub count: u64,
-    /// Total microseconds across those spans.
-    pub total_us: u64,
-}
-
 impl Trace {
     /// Renders Chrome trace-event JSON (open in Perfetto or
     /// `chrome://tracing`).
     pub fn to_chrome(&self) -> String {
         export::chrome_trace(&self.events)
     }
-
-    /// Renders the JSONL structured event log: one JSON object per line,
-    /// in sequence order.
-    pub fn to_jsonl(&self) -> String {
-        export::jsonl(&self.events)
-    }
-
-    /// Sums closed-span extents per name, matching Begin/End pairs on a
-    /// per-thread stack (unbalanced leftovers are ignored) and adding
-    /// Complete events directly. This is what the loadgen's span-coverage
-    /// report is computed from.
-    pub fn span_totals(&self) -> BTreeMap<&'static str, SpanTotal> {
-        let mut totals: BTreeMap<&'static str, SpanTotal> = BTreeMap::new();
-        let mut stacks: BTreeMap<u64, Vec<(&'static str, u64)>> = BTreeMap::new();
-        for event in &self.events {
-            match event.phase {
-                Phase::Begin => {
-                    stacks
-                        .entry(event.tid)
-                        .or_default()
-                        .push((event.name, event.wall_us));
-                }
-                Phase::End => {
-                    if let Some(stack) = stacks.get_mut(&event.tid) {
-                        if let Some(pos) = stack.iter().rposition(|(n, _)| *n == event.name) {
-                            let (_, begin_us) = stack.remove(pos);
-                            let t = totals.entry(event.name).or_default();
-                            t.count += 1;
-                            t.total_us += event.wall_us.saturating_sub(begin_us);
-                        }
-                    }
-                }
-                Phase::Complete { dur_us } => {
-                    let t = totals.entry(event.name).or_default();
-                    t.count += 1;
-                    t.total_us += dur_us;
-                }
-                Phase::Instant => {}
-            }
-        }
-        totals
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Phase;
     use crate::{instant, span, test_lock};
 
     #[test]
@@ -232,8 +181,12 @@ mod tests {
         let trace = collector.finish();
         assert_eq!(trace.events.len(), 4 * 25 * 2);
         assert!(trace.events.windows(2).all(|w| w[0].seq < w[1].seq));
-        let totals = trace.span_totals();
-        assert_eq!(totals["worker"].count, 100);
+        let begins = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "worker" && matches!(e.phase, Phase::Begin))
+            .count();
+        assert_eq!(begins, 100);
     }
 
     #[test]

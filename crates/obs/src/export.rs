@@ -1,6 +1,6 @@
-//! Trace exporters: Chrome trace-event JSON and the JSONL event log.
+//! The trace exporter: Chrome trace-event JSON.
 //!
-//! Both are written by hand (the vendored `serde_json` is available to
+//! It is written by hand (the vendored `serde_json` is available to
 //! *consumers* for parse-back, but the exporter keeps `wisedb-obs`
 //! dependency-light): the only subtlety is string escaping, which is
 //! property-tested round-trip through `serde_json` in the workspace
@@ -90,43 +90,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
     )
 }
 
-/// Renders the JSONL structured event log: one object per line, in
-/// sequence order — `grep`- and `jq`-friendly.
-pub fn jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for event in events {
-        let ph = match event.phase {
-            Phase::Begin => "B",
-            Phase::End => "E",
-            Phase::Complete { .. } => "X",
-            Phase::Instant => "i",
-        };
-        let mut fields = vec![
-            format!("\"seq\":{}", event.seq),
-            format!("\"ph\":\"{ph}\""),
-            format!("\"name\":\"{}\"", escape_json(event.name)),
-            format!("\"tid\":{}", event.tid),
-            format!("\"wall_us\":{}", event.wall_us),
-        ];
-        if let Phase::Complete { dur_us } = event.phase {
-            fields.push(format!("\"dur_us\":{dur_us}"));
-        }
-        if let Some(virt) = event.virt_ms {
-            fields.push(format!("\"virt_ms\":{virt}"));
-        }
-        if !event.attrs.is_empty() {
-            let attrs: Vec<String> = event
-                .attrs
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{}", escape_json(k), attr_value_json(v)))
-                .collect();
-            fields.push(format!("\"attrs\":{{{}}}", attrs.join(",")));
-        }
-        out.push_str(&format!("{{{}}}\n", fields.join(",")));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,16 +126,6 @@ mod tests {
         assert!(json.contains("\"bound\":\"+Inf\""));
         assert!(json.contains("say \\\"hi\\\"\\n"));
         assert!(json.contains("\"virt_ms\":7"));
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let text = jsonl(&[event(Phase::Instant, "shed"), event(Phase::Begin, "plan")]);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
     }
 
     #[test]

@@ -38,12 +38,12 @@
 //!   deterministic and can be lined up across runs.
 //!
 //! [`Collector::finish`] flips the level off, drains the per-thread
-//! buffers once, and hands back a [`Trace`] with three exporters:
-//! [`Trace::to_chrome`] (Chrome trace-event JSON, loadable in Perfetto /
-//! `chrome://tracing`), [`Trace::to_jsonl`] (one JSON object per event),
-//! and — independent of any trace — [`telemetry_text`] renders the
-//! metrics registry as a Prometheus-style text exposition (the payload of
-//! the serve layer's `Telemetry` wire request).
+//! buffers once, and hands back a [`Trace`]. There are two exports:
+//! [`Trace::to_chrome`] renders a trace as Chrome trace-event JSON
+//! (loadable in Perfetto / `chrome://tracing`), and — independent of any
+//! trace — [`telemetry_text`] renders the metrics registry as a
+//! Prometheus-style text exposition (the payload of the serve layer's
+//! `Telemetry` wire request).
 //!
 //! Span guards keep a thread-local span stack, so Begin/End pairs nest
 //! per thread (what the Chrome `B`/`E` phases require) and each Begin
@@ -64,7 +64,7 @@ mod event;
 mod export;
 mod registry;
 
-pub use collect::{install, now_if_spans, Collector, SpanTotal, Trace};
+pub use collect::{install, now_if_spans, Collector, Trace};
 pub use event::{
     complete, current_span, current_tid, instant, span, AttrValue, Event, EventBuilder, Phase, Span,
 };

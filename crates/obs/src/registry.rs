@@ -2,10 +2,9 @@
 //! rendered as a Prometheus-style text exposition.
 //!
 //! Histograms reuse [`wisedb_core::LatencyHistogram`] — the same
-//! nearest-rank implementation behind `MetricsCollector` and the loadgen
-//! percentiles — with the tick reinterpreted as **microseconds** (the
-//! histogram is unit-agnostic integer ticks; serve-path latencies are
-//! µs-scale).
+//! nearest-rank implementation behind `MetricsCollector` — with the tick
+//! reinterpreted as **microseconds** (the histogram is unit-agnostic
+//! integer ticks; serve-path latencies are µs-scale).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

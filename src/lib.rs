@@ -36,8 +36,8 @@
 //!   graceful shedding, and hot model swaps over the wire.
 //! * [`obs`] — the observability layer: near-zero-overhead
 //!   tracing spans and events threaded through every crate above, a
-//!   metrics registry, and Chrome-trace / JSONL / Prometheus-style
-//!   exporters (see ARCHITECTURE.md's span taxonomy).
+//!   metrics registry, and Chrome-trace and Prometheus-style exporters
+//!   (see ARCHITECTURE.md's span taxonomy).
 //!
 //! ## Building and running
 //!

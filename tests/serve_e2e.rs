@@ -14,12 +14,21 @@
 //!    frames get one `Error` frame and a close; garbage payloads fail
 //!    only their own request; truncated frames are dropped silently — and
 //!    in every case the listener keeps accepting fresh connections.
+//!
+//! A fourth test checks what the server records about itself: a traced
+//! replay emits every serve pipeline span, its Chrome export validates,
+//! and the wire `Telemetry` request returns the serve counters. The
+//! tracing level is process-global, so every test here that spawns a
+//! server holds [`wisedb::obs::testing::hold`]: another test's server
+//! must not leave half-open spans in the traced replay.
 
 use std::io::Write as _;
 use std::net::TcpStream;
 
+use wisedb::obs::{self, Level};
 use wisedb::prelude::*;
 use wisedb::runtime::{generate_class_stream, generate_stream, OfferOutcome};
+use wisedb_bench::trace_check;
 use wisedb_core::ArrivingQuery;
 use wisedb_serve::frame::{read_frame, write_frame, FrameKind, FrameRead};
 use wisedb_serve::wire::{decode_response, Response};
@@ -82,6 +91,7 @@ fn replay_over_wire(
 /// completion by completion, and in the final metrics snapshot.
 #[test]
 fn wire_replay_is_bit_identical_to_in_process() {
+    let _hold = obs::testing::hold();
     let spec = spec();
     let mut process = PoissonProcess::per_second(0.02, TemplateMix::uniform(spec.num_templates()));
     let stream = generate_stream(&mut process, 14, 0x5E12E);
@@ -131,6 +141,7 @@ fn wire_replay_is_bit_identical_to_in_process() {
 /// pattern is exactly what the in-process service produces.
 #[test]
 fn overload_sheds_bronze_but_not_gold_over_the_wire() {
+    let _hold = obs::testing::hold();
     let spec = spec();
     let classes = vec![
         SlaClass::new(
@@ -199,6 +210,46 @@ fn quick_service() -> WorkloadService {
     let spec = spec();
     let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
     WorkloadService::train(spec, goal, config()).unwrap()
+}
+
+/// Under full spans, a loopback replay records all six serve pipeline
+/// spans, its Chrome export passes the structural validation, and the
+/// wire `Telemetry` request exposes the serve counters.
+#[test]
+fn traced_replay_records_the_serve_pipeline_and_serves_telemetry() {
+    let _hold = obs::testing::hold();
+    let service = quick_service();
+    let mut process = PoissonProcess::per_second(2.0, TemplateMix::uniform(spec().num_templates()));
+    let stream = generate_stream(&mut process, 16, 0x10AD);
+
+    // Installed after training, so the trace covers the replay alone.
+    let collector = obs::install(Level::Spans);
+    let handle = Server::spawn(service, ServeConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for q in &stream {
+        client.offer(q.class, q.template, q.arrival).unwrap();
+    }
+    let telemetry = client.telemetry().unwrap();
+    client.shutdown().unwrap();
+    handle.join();
+    let trace = collector.finish();
+
+    let check = trace_check::validate_chrome_trace(&trace.to_chrome())
+        .unwrap_or_else(|e| panic!("chrome export failed validation: {e}"));
+    for span in [
+        "serve.decode",
+        "serve.dispatch",
+        "serve.encode",
+        "serve.tick",
+        "serve.plan",
+        "serve.queue_wait",
+    ] {
+        assert!(check.span(span).count > 0, "the trace has no {span} spans");
+    }
+    assert!(
+        telemetry.contains("wisedb_serve_connections_total"),
+        "wire telemetry did not expose the serve counters:\n{telemetry}"
+    );
 }
 
 /// Reads the one frame a raw-socket experiment expects back.

@@ -7,9 +7,10 @@
 //!    per-class metric rows sum to the fleet totals.
 //! 2. **The wire keeps the verdicts.** A server replays a lockstep trace
 //!    verdict-for-verdict like the in-process service.
-//! 3. **Overflow is shed, not dropped.** A tiny command-queue depth
-//!    converts overflow into typed `Shed` frames — every concurrent
-//!    request gets exactly one answer, never a dropped connection.
+//! 3. **Overflow is shed, not dropped.** A tiny command-queue depth or
+//!    an admission cap converts overflow into typed `Shed` frames — every
+//!    concurrent request gets exactly one answer, never a dropped
+//!    connection, and the server's totals equal the clients'.
 
 use wisedb::prelude::*;
 use wisedb::runtime::{generate_class_stream, OfferOutcome};
@@ -146,71 +147,91 @@ fn sharded_server_matches_in_process_unsharded_replay() {
     assert_eq!(scrub(snapshot), scrub(local.snapshot()));
 }
 
-/// Guarantee 3: with the command queue bounded to a single slot, a
-/// concurrent burst from several connections still gets exactly one
-/// answer per request — `Admitted` or a typed `Shed`, never a hang or a
-/// dropped connection — and the server keeps serving afterwards. The
-/// conservation law (server totals == client totals) holds through the
-/// overflow path.
+/// Guarantee 3: a concurrent burst from several connections gets exactly
+/// one answer per request — `Admitted` or a typed `Shed`, never a hang or
+/// a dropped connection — and the server keeps serving afterwards. Two
+/// inputs: a command queue bounded to a single slot, whose overflow sheds
+/// before the scheduler sees it, and the default queue depth under an
+/// admission cap, where every shed is the scheduler's. The conservation
+/// law (server totals == client totals) holds on both paths.
 #[test]
 fn tiny_queue_depth_sheds_overflow_without_dropping_requests() {
     let spec = spec();
-    let service =
-        WorkloadService::train_classes(spec.clone(), three_classes(&spec), config()).unwrap();
-    let handle = Server::spawn(
-        service,
-        ServeConfig {
-            queue_depth: 1,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = handle.addr();
+    let inputs = [
+        (1, AdmissionPolicy::AcceptAll),
+        (
+            ServeConfig::default().queue_depth,
+            AdmissionPolicy::MaxInFlight(6),
+        ),
+    ];
+    for (queue_depth, admission) in inputs {
+        let config = RuntimeConfig {
+            admission,
+            ..config()
+        };
+        let service =
+            WorkloadService::train_classes(spec.clone(), three_classes(&spec), config).unwrap();
+        let handle = Server::spawn(
+            service,
+            ServeConfig {
+                queue_depth,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = handle.addr();
 
-    const CLIENTS: usize = 4;
-    const PER_CLIENT: u64 = 12;
-    let per_client: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        (0..CLIENTS)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).unwrap();
-                    let (mut admitted, mut shed) = (0u64, 0u64);
-                    for i in 0..PER_CLIENT {
-                        // Monotone per-connection virtual times; the live
-                        // cluster clamps cross-client staleness.
-                        let at = Millis::from_secs(10 + i * 60);
-                        match client
-                            .offer(TenantId(c as u32 % 3), TemplateId(0), at)
-                            .unwrap()
-                        {
-                            OfferOutcome::Admitted => admitted += 1,
-                            OfferOutcome::Shed => shed += 1,
+        const CLIENTS: usize = 4;
+        const PER_CLIENT: u64 = 12;
+        let per_client: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            (0..CLIENTS)
+                .map(|c| {
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr).unwrap();
+                        let (mut admitted, mut shed) = (0u64, 0u64);
+                        for i in 0..PER_CLIENT {
+                            // Monotone per-connection virtual times; the
+                            // live cluster clamps cross-client staleness.
+                            let at = Millis::from_secs(10 + i * 60);
+                            match client
+                                .offer(TenantId(c as u32 % 3), TemplateId(0), at)
+                                .unwrap()
+                            {
+                                OfferOutcome::Admitted => admitted += 1,
+                                OfferOutcome::Shed => shed += 1,
+                            }
                         }
-                    }
-                    (admitted, shed)
+                        (admitted, shed)
+                    })
                 })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("client threads do not panic"))
-            .collect()
-    });
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("client threads do not panic"))
+                .collect()
+        });
 
-    let answered: u64 = per_client.iter().map(|(a, s)| a + s).sum();
-    assert_eq!(
-        answered,
-        (CLIENTS as u64) * PER_CLIENT,
-        "every request must get exactly one verdict"
-    );
+        let answered: u64 = per_client.iter().map(|(a, s)| a + s).sum();
+        assert_eq!(
+            answered,
+            (CLIENTS as u64) * PER_CLIENT,
+            "queue depth {queue_depth}: every request must get exactly one verdict"
+        );
 
-    // The server is still healthy: a fresh connection gets a snapshot
-    // whose totals match what the clients saw (queue sheds answer the
-    // client without reaching the scheduler's admission books, so the
-    // snapshot's admitted count can only be bounded by the client sum).
-    let mut control = Client::connect(addr).unwrap();
-    let snapshot = control.metrics().unwrap();
-    let admitted: u64 = per_client.iter().map(|(a, _)| a).sum();
-    assert_eq!(snapshot.admitted, admitted);
-    control.shutdown().unwrap();
-    handle.join();
+        // The server is still healthy: a fresh connection gets a snapshot
+        // whose totals match what the clients saw. Queue sheds answer the
+        // client without reaching the scheduler's admission books, so
+        // `rejected` matches the clients' sheds only when the queue never
+        // overflows.
+        let mut control = Client::connect(addr).unwrap();
+        let snapshot = control.metrics().unwrap();
+        let admitted: u64 = per_client.iter().map(|(a, _)| a).sum();
+        assert_eq!(snapshot.admitted, admitted, "queue depth {queue_depth}");
+        if queue_depth > 1 {
+            let shed: u64 = per_client.iter().map(|(_, s)| s).sum();
+            assert!(shed > 0, "the admission cap must shed part of the burst");
+            assert_eq!(snapshot.rejected, shed, "queue depth {queue_depth}");
+        }
+        control.shutdown().unwrap();
+        handle.join();
+    }
 }
