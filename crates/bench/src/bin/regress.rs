@@ -5,7 +5,7 @@
 //! certified bound), the percentile-pathology guard (anytime under a
 //! tight budget), batch scheduling, the streaming event loop (with its
 //! scheduler's retrain, cache-hit and shift counters, on a stream that
-//! never ages a batch and on two that age them), the multi-tenant consolidation loop (3 SLA classes, shared vs isolated
+//! never ages a batch and on three that age them), the multi-tenant consolidation loop (3 SLA classes, shared vs isolated
 //! fleets), the multi-class tick loop (a 3-class `run_ticked` replay),
 //! the serve layer's wire loop
 //! (loopback TCP, admit/shed verdicts, server and client totals
