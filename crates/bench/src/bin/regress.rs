@@ -214,8 +214,9 @@ fn poisson_stream(n: usize, rate: f64) -> Vec<ArrivingQuery> {
 }
 
 /// Runs `stream` through a fresh [`online_service`] and records the
-/// drained snapshot's completions and VM count and the scheduler's
-/// retrain, cache-hit and shift counters under `bench`.
+/// drained snapshot's completions and VM count, the scheduler's retrain,
+/// cache-hit and shift counters, and its final (Reuse, Shift, augmented
+/// view) cache sizes under `bench`.
 fn online_loop(
     bench: &str,
     kind: GoalKind,
@@ -224,7 +225,9 @@ fn online_loop(
 ) -> Vec<Measurement> {
     let mut service = online_service(kind, quantum)();
     let snapshot = service.run_stream(stream).unwrap().last;
-    let work = service.scheduler(TenantId::DEFAULT).unwrap().counters();
+    let scheduler = service.scheduler(TenantId::DEFAULT).unwrap();
+    let work = scheduler.counters();
+    let (reuse, shift, augment) = scheduler.cache_sizes();
     eprintln!(
         "  {bench}: {} completed, {} VMs, {} retrains, {} cache hits, {} shifts",
         snapshot.completed, snapshot.vms_provisioned, work.retrains, work.cache_hits, work.shifts
@@ -235,6 +238,9 @@ fn online_loop(
         ("retrains", work.retrains as f64),
         ("cache_hits", work.cache_hits as f64),
         ("shifts", work.shifts as f64),
+        ("reuse_entries", reuse as f64),
+        ("shift_entries", shift as f64),
+        ("augment_entries", augment as f64),
     ];
     rows.iter()
         .map(|&(metric, value)| Measurement::new(bench, metric, value))

@@ -381,8 +381,12 @@ fn optimal_planner_completes_and_is_no_worse() {
     assert_eq!(work(&oracle).oracle_limit_hits, 0);
     // The oracle's placements leave queries waiting, so two of its
     // batches age; it plans them with A* on the aged view and trains no
-    // model.
+    // model: the augmented-view cache holds those views and the Reuse
+    // and Shift caches stay empty.
     assert_eq!(work(&oracle).retrains, 0);
+    let (reuse, shift, views) = oracle.scheduler(TenantId::DEFAULT).unwrap().cache_sizes();
+    assert_eq!((reuse, shift), (0, 0));
+    assert!(views >= 1, "aged oracle batches cache their views");
 }
 
 #[test]
@@ -439,6 +443,9 @@ fn bounded_caches_hold_capacity_and_keep_the_reuse_win() {
     assert!(reuse <= capacity, "reuse cache leaked: {reuse}");
     assert!(shift <= capacity, "shift cache leaked: {shift}");
     assert!(augment <= capacity, "augment cache leaked: {augment}");
+    // Every aged batch on the Reuse path caches its view and its model
+    // under one key, so the two caches hold the same entries.
+    assert_eq!(reuse, augment);
     // The Figure 19 win survives bounding: repeated signatures hit.
     let hits = scheduler.counters().cache_hits;
     assert!(hits > 0, "bounded cache must still hit");
