@@ -57,7 +57,7 @@ pub struct BatchPlan {
 /// whose open-VM queue is in canonical order, so letting runtime stray off
 /// that manifold would feed the tree feature combinations it never trained
 /// on. Off-order suggestions are handled by the guard instead.
-pub fn plan_with_tree(
+pub(crate) fn plan_with_tree(
     spec: &WorkloadSpec,
     goal: &PerformanceGoal,
     schema: &FeatureSchema,

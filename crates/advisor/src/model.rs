@@ -60,7 +60,7 @@ pub struct ModelConfig {
     #[serde(default)]
     pub search: SearchConfig,
     /// Capacity of the per-generator [`SolveCache`] in distinct sample
-    /// signatures (`0` means [`DEFAULT_CACHE_CAPACITY`]). Training
+    /// signatures (`0` means the default, 8192). Training
     /// canonicalizes every sample to its template multiset and memoizes the
     /// solve, so duplicate samples — within one `train` call or across the
     /// retrains a drift loop performs via
@@ -140,7 +140,7 @@ impl ModelConfig {
     }
 
     /// The effective solve-cache capacity (`0` resolves to the default).
-    pub fn resolved_cache_capacity(&self) -> usize {
+    pub(crate) fn resolved_cache_capacity(&self) -> usize {
         if self.cache_capacity == 0 {
             DEFAULT_CACHE_CAPACITY
         } else {

@@ -108,11 +108,6 @@ impl MultiScheduler {
         &self.classes
     }
 
-    /// Number of SLA classes.
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
     /// One class's definition.
     pub fn class(&self, class: TenantId) -> CoreResult<&SlaClass> {
         self.classes
@@ -224,7 +219,7 @@ mod tests {
     fn trains_one_scheduler_per_class_on_one_spec() {
         let spec = spec();
         let multi = MultiScheduler::train(spec.clone(), classes(&spec), tiny()).unwrap();
-        assert_eq!(multi.num_classes(), 2);
+        assert_eq!(multi.classes().len(), 2);
         assert_eq!(multi.class(TenantId(0)).unwrap().name, "gold");
         // Every class model shares the interned spec allocation.
         for id in 0..2 {

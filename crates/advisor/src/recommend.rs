@@ -74,7 +74,7 @@ impl CostEstimator {
     }
 
     /// The profile EMD pruning compares.
-    pub fn profile(&self) -> Vec<f64> {
+    pub(crate) fn profile(&self) -> Vec<f64> {
         self.per_template_avg
             .iter()
             .map(|m| m.as_dollars().max(0.0))

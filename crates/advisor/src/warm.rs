@@ -31,18 +31,18 @@ use wisedb_learn::FeatureSchema;
 use wisedb_search::{ExploredStates, HeuristicMemo, OptimalSchedule, SearchConfig, SearchStats};
 
 /// A sample workload's canonical identity: its per-template query counts.
-pub type Signature = Vec<u32>;
+pub(crate) type Signature = Vec<u32>;
 
 /// Default [`SolveCache`] capacity (distinct signatures) when
 /// [`ModelConfig::cache_capacity`](crate::model::ModelConfig::cache_capacity)
 /// is left at `0`.
-pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
+pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 8192;
 
 /// Everything memoized about one signature's optimal solve. The rows are
 /// already feature-extracted, so a cache hit skips both the A* search and
 /// the per-step feature extraction.
 #[derive(Debug, Clone)]
-pub struct SolvedEntry {
+pub(crate) struct SolvedEntry {
     /// Feature vectors, one per decision along the optimal path.
     pub rows: Vec<Vec<f64>>,
     /// The decision label taken at each row.
@@ -65,7 +65,7 @@ impl SolvedEntry {
     /// when the solve may seed memos. Pure in `(spec, goal, schema,
     /// solve)` — duplicates of the same signature always produce identical
     /// entries.
-    pub fn from_solve(
+    pub(crate) fn from_solve(
         spec: &WorkloadSpec,
         goal: &PerformanceGoal,
         schema: &FeatureSchema,
@@ -96,7 +96,7 @@ impl SolvedEntry {
     /// The adaptive-searcher memo this solve would have produced had it run
     /// uncached: `h = f* − g` for every settled vertex with positive
     /// cost-to-go, empty unless [`SolvedEntry::seeds_memo`].
-    pub fn searcher_memo(&self) -> HeuristicMemo {
+    pub(crate) fn searcher_memo(&self) -> HeuristicMemo {
         let mut memo = HeuristicMemo::new();
         if self.seeds_memo {
             for (key, g) in self.explored.iter() {
@@ -128,9 +128,10 @@ struct CacheInner {
     solves: u64,
 }
 
-/// A capacity-bounded, thread-safe map from sample [`Signature`]s to their
-/// memoized optimal solves. One cache serves one `(spec, goal, search
-/// config)` triple; see the module docs for the determinism contract.
+/// A capacity-bounded, thread-safe map from sample signatures (per-template
+/// query counts) to their memoized optimal solves. One cache serves one
+/// `(spec, goal, search config)` triple; see the module docs for the
+/// determinism contract.
 pub struct SolveCache {
     inner: Mutex<CacheInner>,
 }

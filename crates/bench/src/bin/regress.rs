@@ -70,7 +70,7 @@ fn astar_kernel(scale: Scale, out: &mut Vec<Measurement>) {
     let spec = wisedb::sim::catalog::tpch_like(10);
     for kind in GoalKind::ALL {
         let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
-        let workload = wisedb::sim::generator::uniform_workload(&spec, astar_size(scale, kind), 7);
+        let workload = wisedb::sim::uniform_workload(&spec, astar_size(scale, kind), 7);
         let bench = format!("astar_kernel/{}", kind.name());
         let stats = Solver::new(&spec, &goal).solve(&workload).unwrap().stats;
         record(
@@ -96,7 +96,7 @@ fn bound_tight(scale: Scale, out: &mut Vec<Measurement>) {
     let goal = PerformanceGoal::paper_default(GoalKind::Percentile, &spec).unwrap();
     let queries = astar_size(scale, GoalKind::Percentile) + 2;
     let budget = 30_000usize;
-    let workload = wisedb::sim::generator::uniform_workload(&spec, queries, 7);
+    let workload = wisedb::sim::uniform_workload(&spec, queries, 7);
     let bench = format!("bound_tight/{queries}q");
     let stats = Solver::new(&spec, &goal)
         .with_config(SearchConfig {
@@ -130,7 +130,7 @@ fn bound_tight(scale: Scale, out: &mut Vec<Measurement>) {
 fn batch_throughput(scale: Scale, out: &mut Vec<Measurement>) {
     let spec = wisedb::sim::catalog::tpch_like(10);
     let size = if scale == Scale::Quick { 2_000 } else { 10_000 };
-    let workload = wisedb::sim::generator::uniform_workload(&spec, size, 99);
+    let workload = wisedb::sim::uniform_workload(&spec, size, 99);
     for kind in GoalKind::ALL {
         let goal = PerformanceGoal::paper_default(kind, &spec).unwrap();
         let model = ModelGenerator::new(
@@ -292,7 +292,7 @@ fn strategy_pathology(scale: Scale, out: &mut Vec<Measurement>) {
         Scale::Quick => (14usize, 20_000usize),
         _ => (18, 50_000),
     };
-    let workload = wisedb::sim::generator::uniform_workload(&spec, queries, 42);
+    let workload = wisedb::sim::uniform_workload(&spec, queries, 42);
     let bench = format!("strategy_pathology/anytime{queries}q");
     let config = SearchConfig {
         node_limit: budget,

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use wisedb::advisor::{self, OnlineCounters, Planner, StepSource, TrainingArtifacts};
 use wisedb::prelude::*;
 use wisedb::runtime::generate_stream;
-use wisedb::sim::{self, catalog, generator, stats, Arrivals, SimOptions};
+use wisedb::sim::{self, catalog, stats, Arrivals, SimOptions};
 use wisedb_core::ArrivingQuery;
 use wisedb_learn::{Dataset, DecisionTree, FeatureKind, TreeParams};
 use wisedb_search::SearchStats;
@@ -182,7 +182,7 @@ fn model_cost(model: &DecisionModel, workload: &Workload) -> Money {
 /// A [`Context::gap`] `run`: `model` on a `size`-query uniform workload.
 fn uniform(model: &DecisionModel, size: usize) -> impl FnMut(u64) -> (Workload, Money) + '_ {
     move |seed| {
-        let workload = generator::uniform_workload(model.spec(), size, seed);
+        let workload = sim::uniform_workload(model.spec(), size, seed);
         let cost = model_cost(model, &workload);
         (workload, cost)
     }
@@ -260,7 +260,7 @@ fn fig13(ctx: &mut Context) -> Table {
         let (spec, goal, n) = (m.0.spec(), m.0.goal(), ctx.scale.repeats());
         let mut sums = [Money::ZERO; 4];
         for seed in 13_000..13_000 + n as u64 {
-            let w = generator::uniform_workload(spec, 5000, seed);
+            let w = sim::uniform_workload(spec, 5000, seed);
             for (sum, h) in sums.iter_mut().zip(Heuristic::ALL) {
                 let s = h.schedule(spec, goal, &w).expect("baseline schedules");
                 *sum += total_cost(spec, goal, &s).expect("cost computes");
@@ -324,7 +324,7 @@ fn fig17(ctx: &mut Context) -> Table {
     let m = ctx.default_model(GoalKind::MaxLatency);
     let mut table = Table::new("", &["batch size", "decisions", "from tree", "VMs"]);
     for size in [10_000usize, 20_000, 30_000] {
-        let w = generator::uniform_workload(&ctx.spec, size, 17_000);
+        let w = sim::uniform_workload(&ctx.spec, size, 17_000);
         let (schedule, plan) = m.0.schedule_batch_with_plan(&w).expect("schedules");
         schedule.validate_complete(&w).expect("complete schedule");
         let sources = plan.decisions.iter().map(|(_, source)| source);
@@ -361,7 +361,7 @@ fn fig18(ctx: &mut Context) -> Table {
     let delays = [0.0, 0.25, 0.5, 0.75, 1.0];
     grid(ctx, &headers, &delays, |ctx, kind, _, delay| {
         let m = ctx.default_model(kind);
-        let w = generator::uniform_workload(m.0.spec(), 30, 18_000 + (delay * 100.0) as u64);
+        let w = sim::uniform_workload(m.0.spec(), 30, 18_000 + (delay * 100.0) as u64);
         let stream = stream(&w, (0..).map(|i| Millis::from_secs_f64(delay * i as f64)));
         let replay_with = |planner| {
             let mut config = base.clone();
@@ -386,7 +386,7 @@ fn fig19(ctx: &mut Context) -> Table {
         training,
         ..OnlineConfig::default()
     };
-    let w = generator::uniform_workload(&ctx.spec, 30, 19_001);
+    let w = sim::uniform_workload(&ctx.spec, 30, 19_001);
     let normal = Arrivals::Normal {
         mean_secs: 0.25,
         std_secs: 0.125,
@@ -415,7 +415,7 @@ fn fig20(ctx: &mut Context) -> Table {
         let m = ctx.default_model(kind);
         let spec = m.0.spec();
         let run = |seed| {
-            let w = generator::skewed_workload(spec, 30, skew, seed);
+            let w = sim::skewed_workload(spec, 30, skew, seed);
             let chi2 = stats::chi_squared_stat(&w.template_counts(spec.num_templates()));
             conf[i] += stats::chi_squared_confidence(chi2, spec.num_templates() - 1);
             let cost = model_cost(&m.0, &w);
@@ -434,7 +434,7 @@ fn fig21(ctx: &mut Context) -> Table {
     let per_level: u64 = [60, 200, 1000][ctx.scale as usize];
     let mut table = Table::new("", &["skew", "mean", "min", "max", "std"]);
     for skew in [0.0f64, 0.25, 0.5, 0.75, 1.0] {
-        let workload = |rep| generator::skewed_workload(&ctx.spec, 30, skew, 21_000 + rep);
+        let workload = |rep| sim::skewed_workload(&ctx.spec, 30, skew, 21_000 + rep);
         let dollars = |rep| model_cost(&m.0, &workload(rep)).as_dollars();
         let costs: Vec<f64> = (0..per_level).map(dollars).collect();
         let min = costs.iter().copied().fold(f64::INFINITY, f64::min);
@@ -459,7 +459,7 @@ pub fn fig22_cell(ctx: &mut Context, kind: GoalKind, i: usize, missed: &mut f64)
     let m = ctx.default_model(kind);
     let (spec, goal) = (m.0.spec(), m.0.goal());
     let run = |seed| {
-        let w = generator::uniform_workload(spec, 30, seed);
+        let w = sim::uniform_workload(spec, 30, seed);
         let perceived = sim::perceive_workload(spec, &w, sigma, seed);
         *missed += perceived.misassignment_rate();
         let schedule = m.0.schedule_batch(&perceived.perceived).expect("schedules");
@@ -515,7 +515,7 @@ fn ablation(ctx: &mut Context) -> Table {
         }
         let tree = DecisionTree::train(&dataset, &TreeParams::default());
         let run = |seed| {
-            let w = generator::uniform_workload(spec, 30, seed);
+            let w = sim::uniform_workload(spec, 30, seed);
             let planned = advisor::schedule_batch(spec, &goal, &base.schema, &tree, &w);
             let (schedule, _) = planned.expect("scheduling succeeds");
             let cost = total_cost(spec, &goal, &schedule).expect("cost computes");
@@ -782,7 +782,7 @@ fn strategies(ctx: &mut Context) -> Table {
         "incumb",
     ];
     let mut table = Table::new("", &headers);
-    let workload = generator::uniform_workload(&ctx.spec, PATHOLOGY_QUERIES, 42);
+    let workload = sim::uniform_workload(&ctx.spec, PATHOLOGY_QUERIES, 42);
     for kind in GoalKind::ALL {
         let goal = default_goal(kind, &ctx.spec);
         for &(arm, strategy, node_limit) in &arms {
@@ -925,7 +925,7 @@ mod tests {
     fn the_pathology_gate_bounds_expansions_and_the_certified_bound() {
         let spec = catalog::tpch_like(10);
         let goal = default_goal(GoalKind::Percentile, &spec);
-        let w = generator::uniform_workload(&spec, 4, 42);
+        let w = sim::uniform_workload(&spec, 4, 42);
         let solver = Solver::new(&spec, &goal).with_strategy(SearchStrategy::Anytime);
         let ok = solver.solve(&w).unwrap().stats;
         assert_eq!(pathology_gate(&ok), Ok(()));

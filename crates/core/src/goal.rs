@@ -430,11 +430,26 @@ impl PercentileDigest {
     }
 
     /// Nearest-rank percentile index: `k = ⌈percent/100 · n⌉` clamped to
-    /// `1..=n` — the rank whose value is the latency within which
-    /// `percent`% of `n` completions finished. Shared by the penalty
-    /// tracker and the search heuristics so the two can never disagree on
-    /// which order statistic an SLA prices.
+    /// `1..=n` (`n > 0`) — the rank whose value is the latency within which
+    /// `percent`% of `n` completions finished. The one nearest-rank rule:
+    /// the penalty tracker, the search heuristics, the latency summaries
+    /// ([`percentile_sorted`](crate::percentile_sorted),
+    /// [`LatencyHistogram`](crate::LatencyHistogram)) and the runtime's
+    /// decision-latency p95 all call it, so none can disagree on which
+    /// order statistic a percentile names.
+    ///
+    /// **Contract:** `percent` is interpreted in `(0, 100]`; `percent ≤ 0`
+    /// clamps to rank 1 (the minimum), `percent > 100` clamps to rank `n`
+    /// (the maximum), and a NaN `percent` — which would otherwise flow
+    /// through the index arithmetic and silently select the minimum — is
+    /// answered conservatively with the maximum. Goal validation admits
+    /// only `(0, 100]`, so every goal's rank is unaffected by the clamps.
     pub fn nearest_rank(percent: f64, n: u64) -> u64 {
+        if percent.is_nan() || percent > 100.0 {
+            return n;
+        }
+        // `percent ≤ 0` makes k ≤ 0; the saturating float→int cast plus
+        // the clamp pins it to rank 1.
         (((percent / 100.0) * n as f64).ceil() as u64).clamp(1, n)
     }
 }
@@ -530,7 +545,7 @@ impl<'a> DigestBuckets<'a> {
     /// returns after a push, without the push. Inserting `ms` leaves the
     /// ranks below it alone and shifts the ranks above it up by one, so
     /// the answer is `ms` clamped between the old ranks `k - 1` and `k`.
-    pub fn value_at_rank_with(&self, k: u64, ms: u64) -> u64 {
+    pub(crate) fn value_at_rank_with(&self, k: u64, ms: u64) -> u64 {
         debug_assert!(
             k >= 1 && k <= self.total + 1,
             "rank {k} of {}+1",

@@ -19,7 +19,7 @@
 //!   WiSeDB ultimately produces.
 //! * [`PerformanceGoal`] — the four SLA classes (per-query, max, average,
 //!   percentile) with violation-period penalty semantics (§3).
-//! * [`cost::total_cost`] — Equation 1, the quantity everything minimizes.
+//! * [`total_cost`] — Equation 1, the quantity everything minimizes.
 //! * [`ArrivingQuery`] / [`MetricsSnapshot`] — online arrivals (§6.3) and
 //!   the live health metrics of the streaming runtime.
 //! * [`TenantId`] / [`SlaClass`] / [`ClassMetrics`] — tenant SLA classes:
@@ -27,21 +27,22 @@
 //!   per-class metrics and dollar attribution.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
-pub mod cost;
-pub mod error;
-pub mod goal;
-pub mod handle;
-pub mod money;
-pub mod schedule;
-pub mod spec;
-pub mod stream;
-pub mod template;
-pub mod tenant;
-pub mod time;
-pub mod vm;
-pub mod workload;
+mod cost;
+mod error;
+mod goal;
+mod handle;
+mod money;
+mod schedule;
+mod spec;
+mod stream;
+mod template;
+mod tenant;
+mod time;
+mod vm;
+mod workload;
 
 pub use cost::{cost_breakdown, total_cost, CostBreakdown};
 pub use error::{CoreError, CoreResult};

@@ -10,7 +10,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CoreError, CoreResult};
-use crate::money::Money;
 use crate::spec::WorkloadSpec;
 use crate::template::TemplateId;
 use crate::time::Millis;
@@ -45,7 +44,7 @@ impl VmInstance {
     }
 
     /// Total busy time: the sum of the queue's latencies on this VM type.
-    pub fn busy_time(&self, spec: &WorkloadSpec) -> CoreResult<Millis> {
+    pub(crate) fn busy_time(&self, spec: &WorkloadSpec) -> CoreResult<Millis> {
         let mut total = Millis::ZERO;
         for p in &self.queue {
             total +=
@@ -118,18 +117,6 @@ impl Schedule {
             }
         }
         Ok(out)
-    }
-
-    /// Provisioning + processing cost (Eq. 1 without the penalty term):
-    /// `Σ_vm [f_s + Σ_q f_r * l(q, i)]`.
-    pub fn provisioning_cost(&self, spec: &WorkloadSpec) -> CoreResult<Money> {
-        let mut total = Money::ZERO;
-        for vm in &self.vms {
-            let vm_type = spec.vm_type(vm.vm_type)?;
-            total += vm_type.startup_cost;
-            total += vm_type.runtime_cost(vm.busy_time(spec)?);
-        }
-        Ok(total)
     }
 
     /// Checks the schedule is a *complete* schedule of `workload`: every
@@ -211,6 +198,7 @@ impl fmt::Display for Schedule {
 mod tests {
     use super::*;
     use crate::vm::VmType;
+    use crate::{GoalKind, Money, PerformanceGoal};
 
     fn spec() -> WorkloadSpec {
         // T1: 2 minutes, T2: 1 minute — the Figure 3 configuration.
@@ -273,10 +261,11 @@ mod tests {
     fn provisioning_cost_matches_equation_one() {
         let (_, schedule) = scenario_two();
         let spec = spec();
-        let cost = schedule.provisioning_cost(&spec).unwrap();
+        let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
+        let cost = crate::cost_breakdown(&spec, &goal, &schedule).unwrap();
         // vm1 busy 3 minutes, vm2 busy 2: 2 startups + 5 query-minutes.
         let expected = Money::from_dollars(2.0 * 0.0008 + 0.052 * 5.0 / 60.0);
-        assert!(cost.approx_eq(expected, 1e-9));
+        assert!((cost.startup + cost.runtime).approx_eq(expected, 1e-9));
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl WorkloadSpec {
     /// The largest `min_latency` across templates: the fastest possible
     /// execution of the slowest template. No deadline below this is
     /// achievable, so goal tightening uses it as the strictness floor.
-    pub fn strictest_feasible_deadline(&self) -> Millis {
+    pub(crate) fn strictest_feasible_deadline(&self) -> Millis {
         self.templates
             .iter()
             .filter_map(QueryTemplate::min_latency)
@@ -154,7 +154,7 @@ impl WorkloadSpec {
 
     /// Mean of per-template minimum latencies; floor for average-latency
     /// goals.
-    pub fn mean_min_latency(&self) -> Millis {
+    pub(crate) fn mean_min_latency(&self) -> Millis {
         if self.templates.is_empty() {
             return Millis::ZERO;
         }

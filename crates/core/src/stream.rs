@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::goal::PerformanceGoal;
+use crate::goal::{PercentileDigest, PerformanceGoal};
 use crate::money::Money;
 use crate::template::TemplateId;
 use crate::tenant::{ClassMetrics, TenantId};
@@ -61,23 +61,6 @@ pub struct OpenVmView {
     pub backlog: Millis,
 }
 
-/// The 1-based nearest rank of percentile `p` in a population of `count`
-/// observations (`count > 0`), applying the documented clamping contract:
-/// `p` is interpreted in `(0, 100]`; `p ≤ 0` clamps to rank 1 (the
-/// minimum), `p > 100` clamps to rank `count` (the maximum), and a NaN
-/// `p` — which would otherwise flow through the index arithmetic and
-/// silently select the minimum — is answered conservatively with the
-/// maximum.
-fn percentile_rank(p: f64, count: u64) -> u64 {
-    if p.is_nan() || p > 100.0 {
-        return count;
-    }
-    // `p ≤ 0` makes k ≤ 0; the saturating float→int cast plus the clamp
-    // pins it to rank 1.
-    let k = ((p / 100.0) * count as f64).ceil() as u64;
-    k.clamp(1, count)
-}
-
 /// Nearest-rank percentile of a set of durations. An empty slice yields
 /// zero; `sorted` must be ascending.
 ///
@@ -91,7 +74,7 @@ pub fn percentile_sorted(sorted: &[Millis], p: f64) -> Millis {
     if sorted.is_empty() {
         return Millis::ZERO;
     }
-    sorted[percentile_rank(p, sorted.len() as u64) as usize - 1]
+    sorted[PercentileDigest::nearest_rank(p, sorted.len() as u64) as usize - 1]
 }
 
 /// Order statistics of a latency population.
@@ -171,7 +154,7 @@ impl LatencyHistogram {
 
     /// An empty histogram whose keys round down to multiples of
     /// `resolution` (must be non-zero).
-    pub fn with_resolution(resolution: Millis) -> Self {
+    pub(crate) fn with_resolution(resolution: Millis) -> Self {
         assert!(!resolution.is_zero(), "histogram resolution must be > 0");
         LatencyHistogram {
             counts: std::collections::BTreeMap::new(),
@@ -206,7 +189,7 @@ impl LatencyHistogram {
         if self.count == 0 {
             return Millis::ZERO;
         }
-        let k = percentile_rank(p, self.count);
+        let k = PercentileDigest::nearest_rank(p, self.count);
         let mut seen = 0u64;
         for (&value, &n) in &self.counts {
             seen += n;

@@ -60,13 +60,8 @@ impl QueryTemplate {
     }
 
     /// Latency on the given VM type, or `None` if unsupported.
-    pub fn latency_on(&self, vm: VmTypeId) -> Option<Millis> {
+    pub(crate) fn latency_on(&self, vm: VmTypeId) -> Option<Millis> {
         self.latencies.get(vm.index()).copied().flatten()
-    }
-
-    /// `true` iff the given VM type can process this template.
-    pub fn supported_on(&self, vm: VmTypeId) -> bool {
-        self.latency_on(vm).is_some()
     }
 
     /// The smallest latency across all supporting VM types.
@@ -98,8 +93,6 @@ mod tests {
         };
         assert_eq!(t.latency_on(VmTypeId(0)), Some(Millis::from_secs(10)));
         assert_eq!(t.latency_on(VmTypeId(1)), None);
-        assert!(t.supported_on(VmTypeId(0)));
-        assert!(!t.supported_on(VmTypeId(1)));
         // Out-of-range VM ids are simply unsupported, not a panic.
         assert_eq!(t.latency_on(VmTypeId(7)), None);
     }

@@ -26,9 +26,6 @@ impl Millis {
     /// One second.
     pub const SECOND: Millis = Millis(1_000);
 
-    /// One minute.
-    pub const MINUTE: Millis = Millis(60_000);
-
     /// One hour.
     pub const HOUR: Millis = Millis(3_600_000);
 

@@ -109,13 +109,6 @@ impl Workload {
         }
         Ok(())
     }
-
-    /// Appends a query with the next id and returns its id.
-    pub fn push_template(&mut self, template: TemplateId) -> QueryId {
-        let id = QueryId(self.queries.len() as u32);
-        self.queries.push(Query { id, template });
-        id
-    }
 }
 
 impl fmt::Display for Workload {
@@ -152,17 +145,8 @@ mod tests {
         let w = Workload::from_templates([TemplateId(1), TemplateId(0)]);
         assert_eq!(w.queries()[0].id, QueryId(0));
         assert_eq!(w.queries()[1].id, QueryId(1));
-    }
-
-    #[test]
-    fn push_assigns_next_id() {
-        let mut w = Workload::empty();
-        assert!(w.is_empty());
-        let id = w.push_template(TemplateId(4));
-        assert_eq!(id, QueryId(0));
-        let id = w.push_template(TemplateId(2));
-        assert_eq!(id, QueryId(1));
         assert_eq!(w.len(), 2);
+        assert!(Workload::empty().is_empty());
     }
 
     #[test]

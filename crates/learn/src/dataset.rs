@@ -38,7 +38,7 @@ impl Dataset {
     }
 
     /// Appends every decision of one optimal path.
-    pub fn push_path(
+    pub(crate) fn push_path(
         &mut self,
         spec: &WorkloadSpec,
         goal: &PerformanceGoal,
@@ -63,17 +63,6 @@ impl Dataset {
             ds.push_path(spec, goal, p);
         }
         ds
-    }
-
-    /// How often each label occurs.
-    pub fn label_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.schema.num_labels()];
-        for &l in &self.labels {
-            if l < hist.len() {
-                hist[l] += 1;
-            }
-        }
-        hist
     }
 }
 
@@ -101,10 +90,11 @@ mod tests {
         assert!(!ds.is_empty());
         // Labels are within the decision domain |T| + |V|.
         assert!(ds.labels.iter().all(|&l| l < ds.schema.num_labels()));
-        // The histogram accounts for every example.
-        assert_eq!(ds.label_histogram().iter().sum::<usize>(), ds.len());
         // Placements of T1, T2 and VM creations all appear.
-        let hist = ds.label_histogram();
+        let mut hist = vec![0usize; ds.schema.num_labels()];
+        for &l in &ds.labels {
+            hist[l] += 1;
+        }
         assert_eq!(hist[0], 1); // one T1 placement
         assert_eq!(hist[1], 2); // two T2 placements
         assert!(hist[2] >= 1); // at least one VM creation

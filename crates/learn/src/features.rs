@@ -93,11 +93,6 @@ impl FeatureSchema {
         }
     }
 
-    /// Column index of `wait-time`.
-    pub fn wait_time_index(&self) -> usize {
-        0
-    }
-
     /// Column index of `proportion-of-t`.
     pub fn proportion_index(&self, t: TemplateId) -> usize {
         1 + t.index()
@@ -239,7 +234,7 @@ mod tests {
         let schema = FeatureSchema::for_spec(&spec);
         let state = SearchState::initial(vec![1, 2], &goal);
         let f = schema.extract(&spec, &goal, &state);
-        assert_eq!(f[schema.wait_time_index()], 0.0);
+        assert_eq!(f[0], 0.0);
         // No VM yet: nothing supported, placement impossible (infinite cost).
         assert_eq!(f[schema.supports_index(TemplateId(0))], 0.0);
         assert!(f[schema.cost_index(TemplateId(0))].is_infinite());
@@ -263,7 +258,7 @@ mod tests {
             .unwrap();
 
         let f = schema.extract(&spec, &goal, &state);
-        assert_eq!(f[schema.wait_time_index()], 60.0);
+        assert_eq!(f[0], 60.0);
         assert_eq!(f[schema.proportion_index(TemplateId(0))], 0.0);
         assert_eq!(f[schema.proportion_index(TemplateId(1))], 1.0);
         assert_eq!(f[schema.supports_index(TemplateId(0))], 1.0);

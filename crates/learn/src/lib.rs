@@ -5,12 +5,12 @@
 //!
 //! The pipeline is:
 //!
-//! 1. [`features::FeatureSchema`] summarizes each vertex of an optimal path
+//! 1. [`FeatureSchema`] summarizes each vertex of an optimal path
 //!    with the paper's workload-size-agnostic features (`wait-time`,
 //!    `proportion-of-X`, `supports-X`, `cost-of-X`, `have-X`).
-//! 2. [`dataset::Dataset`] collects `(features, decision)` pairs across all
+//! 2. [`Dataset`] collects `(features, decision)` pairs across all
 //!    sample workloads.
-//! 3. [`tree::DecisionTree`] — a from-scratch C4.5/J48-style learner
+//! 3. [`DecisionTree`] — a from-scratch C4.5/J48-style learner
 //!    (gain-ratio binary splits, pessimistic pruning) — generalizes those
 //!    pairs into a workload-management strategy.
 //!
@@ -20,11 +20,12 @@
 //! faithful reimplementation is both feasible and auditable.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
-pub mod dataset;
-pub mod features;
-pub mod tree;
+mod dataset;
+mod features;
+mod tree;
 
 pub use dataset::Dataset;
 pub use features::{hypothetical_placement_cost, FeatureKind, FeatureSchema};

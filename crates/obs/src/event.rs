@@ -71,12 +71,12 @@ thread_local! {
 }
 
 /// This thread's small dense id (1-based, in first-use order).
-pub fn current_tid() -> u64 {
+pub(crate) fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
 /// The innermost open span on this thread, if any.
-pub fn current_span() -> Option<&'static str> {
+pub(crate) fn current_span() -> Option<&'static str> {
     SPAN_STACK.with(|s| s.borrow().last().copied())
 }
 

@@ -67,7 +67,7 @@ fn args_json(event: &Event) -> String {
 /// Span Begin/End map to `B`/`E` (balanced per thread by the guard
 /// discipline), retroactive closed spans to `X` with `dur`, instants to
 /// `i`.
-pub fn chrome_trace(events: &[Event]) -> String {
+pub(crate) fn chrome_trace(events: &[Event]) -> String {
     let mut rows = Vec::with_capacity(events.len());
     for event in events {
         let (ph, extra) = match event.phase {

@@ -57,6 +57,7 @@
 //! that install a collector serialize on a shared mutex.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
 mod collect;
@@ -65,13 +66,10 @@ mod export;
 mod registry;
 
 pub use collect::{install, now_if_spans, Collector, Trace};
-pub use event::{
-    complete, current_span, current_tid, instant, span, AttrValue, Event, EventBuilder, Phase, Span,
-};
+pub use event::{complete, instant, span, AttrValue, Event, EventBuilder, Phase, Span};
 pub use export::escape_json;
 pub use registry::{
-    counter_add, gauge_set, observe_us, render_prometheus, snapshot_metrics, telemetry_text,
-    RegistrySnapshot,
+    counter_add, gauge_set, observe_us, snapshot_metrics, telemetry_text, RegistrySnapshot,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -93,7 +93,7 @@ pub fn snapshot_metrics() -> RegistrySnapshot {
 
 /// Renders a snapshot as a Prometheus-style text exposition: `# TYPE`
 /// lines, cumulative `_bucket{le="..."}` series, `_sum`/`_count`.
-pub fn render_prometheus(snapshot: &RegistrySnapshot) -> String {
+pub(crate) fn render_prometheus(snapshot: &RegistrySnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snapshot.counters {
         out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));

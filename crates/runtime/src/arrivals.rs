@@ -92,7 +92,7 @@ impl TemplateMix {
     }
 
     /// The pointwise interpolation `(1 − f)·a + f·b` (arities must match).
-    pub fn lerp(a: &TemplateMix, b: &TemplateMix, f: f64) -> TemplateMix {
+    pub(crate) fn lerp(a: &TemplateMix, b: &TemplateMix, f: f64) -> TemplateMix {
         assert_eq!(
             a.num_templates(),
             b.num_templates(),
@@ -242,7 +242,7 @@ impl DiurnalProcess {
     }
 
     /// The instantaneous arrival rate at virtual time `t`.
-    pub fn rate_at(&self, t: Millis) -> f64 {
+    pub(crate) fn rate_at(&self, t: Millis) -> f64 {
         let phase = 2.0 * std::f64::consts::PI * t.as_secs_f64() / self.period.as_secs_f64();
         self.base_rate_per_sec * (1.0 + self.amplitude * phase.sin())
     }
@@ -295,7 +295,7 @@ impl DriftProcess {
     }
 
     /// The mix in force at virtual time `t`.
-    pub fn mix_at(&self, t: Millis) -> TemplateMix {
+    pub(crate) fn mix_at(&self, t: Millis) -> TemplateMix {
         let f = (t.as_secs_f64() / self.horizon.as_secs_f64()).clamp(0.0, 1.0);
         TemplateMix::lerp(&self.start, &self.end, f)
     }

@@ -5,16 +5,17 @@
 //! continuously against a live (simulated) IaaS cluster, instead of
 //! replaying a pre-recorded arrival list batch-at-a-time.
 //!
-//! * [`arrivals`] — pluggable arrival processes: Poisson, bursty ON-OFF,
+//! * `arrivals` — pluggable arrival processes ([`ArrivalProcess`]): Poisson, bursty ON-OFF,
 //!   diurnal (sinusoidal rate), and template-mix drift, all deterministic
 //!   under a seed.
-//! * [`admission`] — overload control: shed arrivals when queues, flight
-//!   counts, or fleet size cross a limit (or any custom hook).
-//! * [`metrics`] — live accounting; emits
+//! * `admission` — overload control ([`AdmissionPolicy`]): shed arrivals
+//!   when queues, flight counts, or fleet size cross a limit (or any
+//!   custom hook).
+//! * `metrics` — live accounting; emits
 //!   [`MetricsSnapshot`](wisedb_core::MetricsSnapshot)s with p50/p95/p99
 //!   latency, SLA-violation rate, $/hour, fleet gauges, and scheduler
 //!   decision latency.
-//! * [`service`] — [`WorkloadService`], the virtual-clock event loop
+//! * `service` — [`WorkloadService`], the virtual-clock event loop
 //!   wiring per-class `OnlineScheduler`s (incremental planning,
 //!   LRU-bounded Reuse/Shift caches, parallel retraining, hot model
 //!   swaps) to `LiveCluster` (incremental provisioning, execution,
@@ -33,14 +34,14 @@
 //!   [`offer_tick`](WorkloadService::offer_tick) admits every group, takes
 //!   one epoch view, and plans and merges each group against it in tick
 //!   order, all on the calling thread.
-//! * [`shard`] — the names `benchmark/` still uses from the sharding era
+//! * `shard` — the names `benchmark/` still uses from the sharding era
 //!   ([`ShardedService`], [`ShardConfig`], [`LoadSignal`], [`ShardStats`],
 //!   `into_sharded`), accepted and ignored.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use wisedb_runtime::prelude::*;
+//! use wisedb_runtime::{PoissonProcess, RuntimeConfig, TemplateMix, WorkloadService};
 //! use wisedb_advisor::{ModelConfig, OnlineConfig};
 //! use wisedb_core::{GoalKind, Millis, PerformanceGoal, VmType, WorkloadSpec};
 //!
@@ -71,17 +72,20 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
-pub mod admission;
-pub mod arrivals;
-pub mod metrics;
-pub mod service;
-pub mod shard;
+mod admission;
+mod arrivals;
+mod metrics;
+mod service;
+mod shard;
 
 /// The independent reference replay of the §6.3 loop, shared with the
-/// integration tests; `service`'s tests compare against it.
+/// integration tests; `service`'s tests compare against it. Its items are
+/// `pub` because the integration tests under `tests/` use the same file.
 #[cfg(test)]
+#[allow(unreachable_pub)]
 #[path = "../../../tests/support/replayer.rs"]
 mod replayer;
 
@@ -90,22 +94,7 @@ pub use arrivals::{
     generate_class_stream, generate_stream, merge_streams, ArrivalProcess, DiurnalProcess,
     DriftProcess, OnOffProcess, PoissonProcess, TemplateMix,
 };
-pub use metrics::MetricsCollector;
 pub use service::{
     OfferOutcome, RuntimeConfig, StreamReport, TickGroup, TickStats, WorkloadService,
 };
 pub use shard::{LoadSignal, ShardConfig, ShardStats, ShardedService};
-
-/// One-stop imports for driving the streaming runtime.
-pub mod prelude {
-    pub use crate::admission::{AdmissionPolicy, LoadStatus};
-    pub use crate::arrivals::{
-        generate_class_stream, generate_stream, merge_streams, ArrivalProcess, DiurnalProcess,
-        DriftProcess, OnOffProcess, PoissonProcess, TemplateMix,
-    };
-    pub use crate::metrics::MetricsCollector;
-    pub use crate::service::{
-        OfferOutcome, RuntimeConfig, StreamReport, TickStats, WorkloadService,
-    };
-    pub use wisedb_core::{ClassMetrics, LatencySummary, MetricsSnapshot, SlaClass, TenantId};
-}

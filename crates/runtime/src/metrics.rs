@@ -21,12 +21,10 @@
 //!   quadratic. Percentiles are bit-identical to the naive sort.
 
 use wisedb_core::{
-    ClassMetrics, GoalHandle, LatencyHistogram, Millis, Money, PenaltyTracker, SlaClass,
-    TemplateId, TenantId,
+    ClassMetrics, LatencyHistogram, MetricsSnapshot, Millis, Money, PenaltyTracker,
+    PercentileDigest, SlaClass, TenantId,
 };
 use wisedb_sim::Completion;
-
-use wisedb_core::MetricsSnapshot;
 
 /// One SLA class's running accounts.
 #[derive(Debug, Clone)]
@@ -77,14 +75,14 @@ impl DecisionStats {
     }
 
     /// `(mean, p95)` in seconds; zeros when empty. The percentile is
-    /// nearest-rank over the microsecond-quantized population (matching
-    /// `wisedb_sim::stats::percentile` up to the 1 µs quantization, far
-    /// below wall-clock measurement noise).
+    /// nearest-rank ([`PercentileDigest::nearest_rank`]) over the
+    /// microsecond-quantized population; the 1 µs quantization is far
+    /// below wall-clock measurement noise.
     fn mean_and_p95(&self) -> (f64, f64) {
         if self.count == 0 {
             return (0.0, 0.0);
         }
-        let k = ((0.95 * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let k = PercentileDigest::nearest_rank(95.0, self.count);
         let mut seen = 0u64;
         let mut p95 = 0u64;
         for (&micros, &n) in &self.counts {
@@ -100,7 +98,7 @@ impl DecisionStats {
 
 /// Accumulates per-query outcomes and scheduler timings, per SLA class.
 #[derive(Debug, Clone)]
-pub struct MetricsCollector {
+pub(crate) struct MetricsCollector {
     /// One row per class, indexed by [`TenantId`].
     classes: Vec<ClassState>,
     /// Fleet-wide latency population (the per-class populations partition
@@ -112,15 +110,9 @@ pub struct MetricsCollector {
 }
 
 impl MetricsCollector {
-    /// A single-class collector judging violations and penalties under
-    /// `goal` (owned or a shared handle) — the legacy single-goal shape.
-    pub fn new(goal: impl Into<GoalHandle>) -> Self {
-        MetricsCollector::with_classes(vec![SlaClass::solo(goal.into())])
-    }
-
     /// A collector with one accounting row per SLA class (`classes[i]` is
     /// [`TenantId`]`(i)`; must be non-empty).
-    pub fn with_classes(classes: Vec<SlaClass>) -> Self {
+    pub(crate) fn with_classes(classes: Vec<SlaClass>) -> Self {
         assert!(!classes.is_empty(), "metrics need at least one SLA class");
         MetricsCollector {
             classes: classes.into_iter().map(ClassState::new).collect(),
@@ -136,35 +128,25 @@ impl MetricsCollector {
             .expect("completions and admissions carry configured classes")
     }
 
-    /// Records an admitted arrival of the default class.
-    pub fn admit(&mut self) {
-        self.admit_as(TenantId::DEFAULT);
-    }
-
     /// Records an admitted arrival of one class.
-    pub fn admit_as(&mut self, class: TenantId) {
+    pub(crate) fn admit_as(&mut self, class: TenantId) {
         self.class_mut(class).admitted += 1;
     }
 
-    /// Records a rejected arrival of the default class.
-    pub fn reject(&mut self) {
-        self.reject_as(TenantId::DEFAULT);
-    }
-
     /// Records a rejected arrival of one class.
-    pub fn reject_as(&mut self, class: TenantId) {
+    pub(crate) fn reject_as(&mut self, class: TenantId) {
         self.class_mut(class).rejected += 1;
     }
 
     /// Records the scheduler's wall-clock overhead for one arrival.
-    pub fn decision(&mut self, secs: f64) {
+    pub(crate) fn decision(&mut self, secs: f64) {
         self.decisions.push(secs);
     }
 
     /// Records one completed execution. `arrival` is the query's original
     /// arrival time; its SLA latency is `finish − arrival`, judged under
     /// the goal of the completion's class.
-    pub fn complete(&mut self, completion: &Completion, arrival: Millis) {
+    pub(crate) fn complete(&mut self, completion: &Completion, arrival: Millis) {
         let latency = completion.finish.saturating_sub(arrival);
         let queueing = completion.start.saturating_sub(arrival);
         self.latency.push(latency);
@@ -180,64 +162,32 @@ impl MetricsCollector {
     }
 
     /// Queries completed so far, fleet-wide.
-    pub fn completed(&self) -> u64 {
+    pub(crate) fn completed(&self) -> u64 {
         self.latency.count()
     }
 
     /// Arrivals admitted so far, fleet-wide.
-    pub fn admitted(&self) -> u64 {
+    pub(crate) fn admitted(&self) -> u64 {
         self.classes.iter().map(|c| c.admitted).sum()
     }
 
     /// The SLA penalty accrued by completions so far, fleet-wide (the sum
     /// of the per-class trackers).
-    pub fn penalty(&self) -> Money {
+    pub(crate) fn penalty(&self) -> Money {
         self.classes
             .iter()
             .map(|c| c.penalty.penalty(&c.class.goal))
             .sum()
     }
 
-    /// Per-query violation of `template` at `latency` under the *default*
-    /// class's goal (exposed for tests).
-    pub fn violates(&self, template: TemplateId, latency: Millis) -> bool {
-        self.violates_for(TenantId::DEFAULT, template, latency)
-    }
-
-    /// Per-query violation judged under one class's goal.
-    pub fn violates_for(&self, class: TenantId, template: TemplateId, latency: Millis) -> bool {
-        let state = &self.classes[class.index()];
-        latency > state.class.goal.per_query_bound(template)
-    }
-
     /// Snapshots the current state. The cluster-side inputs (`billed`,
-    /// fleet gauges) come from the live cluster at the same instant; a
-    /// single-class collector attributes the whole bill to its class.
-    ///
-    /// **Multi-class callers must use
-    /// [`snapshot_with_billing`](Self::snapshot_with_billing)** (what
-    /// `WorkloadService::snapshot` does): without the cluster's per-class
-    /// ledger this method cannot attribute dollars, so on a collector with
-    /// two or more classes every row's `billed`/`dollars_per_hour` reads
-    /// zero while the fleet-level `billed` is still correct.
-    pub fn snapshot(
-        &self,
-        now: Millis,
-        billed: Money,
-        vms_in_flight: usize,
-        vms_provisioned: usize,
-    ) -> MetricsSnapshot {
-        let solo = [billed];
-        let by_class: &[Money] = if self.classes.len() == 1 { &solo } else { &[] };
-        self.snapshot_with_billing(now, billed, by_class, vms_in_flight, vms_provisioned)
-    }
-
-    /// [`snapshot`](Self::snapshot) with explicit per-class dollar
-    /// attribution (what [`LiveCluster::billed_by_class`] reports; short
-    /// slices read as zero for the missing classes).
+    /// fleet gauges) come from the live cluster at the same instant, and
+    /// `billed_by_class` is the per-class dollar attribution (what
+    /// [`LiveCluster::billed_by_class`] reports; short slices read as zero
+    /// for the missing classes).
     ///
     /// [`LiveCluster::billed_by_class`]: wisedb_sim::LiveCluster::billed_by_class
-    pub fn snapshot_with_billing(
+    pub(crate) fn snapshot(
         &self,
         now: Millis,
         billed: Money,
@@ -317,13 +267,18 @@ impl MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wisedb_core::{LatencySummary, PenaltyRate, PerformanceGoal, QueryId};
+    use wisedb_core::{LatencySummary, PenaltyRate, PerformanceGoal, QueryId, TemplateId};
 
     fn goal() -> PerformanceGoal {
         PerformanceGoal::MaxLatency {
             deadline: Millis::from_mins(2),
             rate: PenaltyRate::CENT_PER_SECOND,
         }
+    }
+
+    /// A single-class collector under [`goal`].
+    fn solo() -> MetricsCollector {
+        MetricsCollector::with_classes(vec![SlaClass::solo(goal())])
     }
 
     fn completion(q: u32, start_s: u64, finish_s: u64) -> Completion {
@@ -339,15 +294,16 @@ mod tests {
 
     #[test]
     fn violations_and_penalty_track_the_goal() {
-        let mut m = MetricsCollector::new(goal());
-        m.admit();
-        m.admit();
+        let mut m = solo();
+        m.admit_as(TenantId::DEFAULT);
+        m.admit_as(TenantId::DEFAULT);
         // On time: 60 s latency.
         m.complete(&completion(0, 10, 70), Millis::from_secs(10));
         // Violation: 180 s latency, 60 s over → $0.60 at 1 cent/s.
         m.complete(&completion(1, 100, 200), Millis::from_secs(20));
         assert_eq!(m.completed(), 2);
-        let s = m.snapshot(Millis::from_mins(10), Money::from_dollars(1.0), 1, 2);
+        let billed = Money::from_dollars(1.0);
+        let s = m.snapshot(Millis::from_mins(10), billed, &[billed], 1, 2);
         assert_eq!(s.sla_violations, 1);
         assert!((s.violation_rate - 0.5).abs() < 1e-12);
         assert!(s.penalty.approx_eq(Money::from_dollars(0.60), 1e-9));
@@ -368,8 +324,8 @@ mod tests {
 
     #[test]
     fn empty_collector_snapshots_zeroes() {
-        let m = MetricsCollector::new(goal());
-        let s = m.snapshot(Millis::ZERO, Money::ZERO, 0, 0);
+        let m = solo();
+        let s = m.snapshot(Millis::ZERO, Money::ZERO, &[], 0, 0);
         assert_eq!(s.completed, 0);
         assert_eq!(s.violation_rate, 0.0);
         assert_eq!(s.dollars_per_hour, 0.0);
@@ -379,11 +335,11 @@ mod tests {
 
     #[test]
     fn decision_latency_percentiles() {
-        let mut m = MetricsCollector::new(goal());
+        let mut m = solo();
         for i in 1..=100 {
             m.decision(i as f64 / 1000.0);
         }
-        let s = m.snapshot(Millis::from_secs(1), Money::ZERO, 0, 0);
+        let s = m.snapshot(Millis::from_secs(1), Money::ZERO, &[], 0, 0);
         assert!((s.mean_decision_secs - 0.0505).abs() < 1e-9);
         assert!((s.p95_decision_secs - 0.095).abs() < 1e-12);
     }
@@ -412,11 +368,8 @@ mod tests {
         slow.query = QueryId(1);
         m.complete(&slow, Millis::ZERO);
 
-        assert!(m.violates_for(TenantId(0), TemplateId(0), Millis::from_mins(3)));
-        assert!(!m.violates_for(TenantId(1), TemplateId(0), Millis::from_mins(3)));
-
         let by_class = [Money::from_dollars(0.25), Money::from_dollars(0.75)];
-        let s = m.snapshot_with_billing(
+        let s = m.snapshot(
             Millis::from_mins(30),
             Money::from_dollars(1.0),
             &by_class,
@@ -450,7 +403,7 @@ mod tests {
     fn incremental_summaries_match_naive_resort() {
         // The histogram path must agree with LatencySummary::of on the
         // full history at every interim snapshot.
-        let mut m = MetricsCollector::new(goal());
+        let mut m = solo();
         let mut latencies = Vec::new();
         let mut queueings = Vec::new();
         let mut x: u64 = 42;
@@ -458,7 +411,7 @@ mod tests {
             x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
             let start = x % 400;
             let exec = 1 + x % 300;
-            m.admit();
+            m.admit_as(TenantId::DEFAULT);
             m.complete(
                 &completion(q, start, start + exec),
                 Millis::from_secs(x % 37),
@@ -467,7 +420,7 @@ mod tests {
             latencies.push(Millis::from_secs(start + exec).saturating_sub(arrival));
             queueings.push(Millis::from_secs(start).saturating_sub(arrival));
             if q % 97 == 0 || q == 499 {
-                let s = m.snapshot(Millis::from_secs(1), Money::ZERO, 0, 0);
+                let s = m.snapshot(Millis::from_secs(1), Money::ZERO, &[], 0, 0);
                 assert_eq!(s.latency, LatencySummary::of(&latencies));
                 assert_eq!(s.queueing, LatencySummary::of(&queueings));
                 assert_eq!(s.classes[0].latency, s.latency);

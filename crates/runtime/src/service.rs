@@ -44,11 +44,10 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use wisedb_advisor::multi::MultiScheduler;
-use wisedb_advisor::online::{
-    ClusterView, OnlineConfig, OnlineScheduler, PendingArrival, PlannedStep,
+use wisedb_advisor::{
+    ClusterView, DecisionModel, MultiScheduler, OnlineConfig, OnlineScheduler, PendingArrival,
+    PlannedStep, TrainingArtifacts,
 };
-use wisedb_advisor::{DecisionModel, TrainingArtifacts};
 use wisedb_core::{
     ArrivingQuery, CoreError, CoreResult, GoalHandle, MetricsSnapshot, Millis, QueryId, SlaClass,
     SpecHandle, TemplateId, TenantId, VmTypeId, WorkloadSpec,
@@ -863,7 +862,7 @@ impl ServiceCore {
     /// A metrics snapshot at the current virtual instant, with per-class
     /// rows carrying the cluster's dollar attribution.
     fn snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot_with_billing(
+        self.metrics.snapshot(
             self.cluster.now(),
             self.cluster.billed(),
             self.cluster.billed_by_class(),

@@ -37,11 +37,6 @@ impl Decision {
             Decision::CreateVm(VmTypeId((label - num_templates) as u32))
         }
     }
-
-    /// Total number of distinct labels.
-    pub fn label_count(num_templates: usize, num_vm_types: usize) -> usize {
-        num_templates + num_vm_types
-    }
 }
 
 impl fmt::Display for Decision {
@@ -60,7 +55,8 @@ mod tests {
     #[test]
     fn label_round_trip() {
         let nt = 5;
-        for label in 0..Decision::label_count(nt, 3) {
+        // Labels cover |T| templates then |V| = 3 VM types.
+        for label in 0..nt + 3 {
             let d = Decision::from_label(label, nt);
             assert_eq!(d.label(nt), label);
         }

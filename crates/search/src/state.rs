@@ -57,7 +57,7 @@ impl TemplateStack {
     }
 
     /// Builds a queue holding `templates` in placement order.
-    pub fn from_slice(templates: &[TemplateId]) -> Self {
+    pub(crate) fn from_slice(templates: &[TemplateId]) -> Self {
         let mut stack = TemplateStack::new();
         for &t in templates {
             stack.push(t);

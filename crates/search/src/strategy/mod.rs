@@ -276,7 +276,7 @@ pub struct Solver<'a> {
 impl<'a> Solver<'a> {
     /// Creates a solver with the default configuration (exact A*). When
     /// the goal admits it, the optimality-preserving canonical-SPT
-    /// reduction (see [`crate::canonical`]) is enabled automatically.
+    /// reduction (see [`CanonicalOrder`](crate::CanonicalOrder)) is enabled automatically.
     pub fn new(spec: &'a WorkloadSpec, goal: &'a PerformanceGoal) -> Self {
         Solver {
             spec,
@@ -302,7 +302,7 @@ impl<'a> Solver<'a> {
 
     /// Layers an adaptive-A* heuristic memo over the base heuristic:
     /// `h'(v) = max(h(v), memo[v])` (§5).
-    pub fn with_memo(mut self, memo: &'a HeuristicMemo) -> Self {
+    pub(crate) fn with_memo(mut self, memo: &'a HeuristicMemo) -> Self {
         self.memo = Some(memo);
         self
     }
@@ -450,17 +450,6 @@ fn finish_schedule(raw: SearchOutcome, workload: &Workload) -> OptimalSchedule {
         steps: raw.steps,
         stats: raw.stats,
     }
-}
-
-/// Convenience: builds a template-id workload and solves it with the
-/// default (exact) configuration.
-pub fn solve_counts(
-    spec: &WorkloadSpec,
-    goal: &PerformanceGoal,
-    counts: &[u32],
-) -> CoreResult<OptimalSchedule> {
-    let workload = Workload::from_counts(counts);
-    Solver::new(spec, goal).solve(&workload)
 }
 
 #[cfg(test)]

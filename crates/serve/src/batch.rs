@@ -26,10 +26,10 @@ use crate::wire::Response;
 /// How many commands one wakeup may drain into a single batch. Bounds
 /// both the coalesced burst size and how long early requests wait for
 /// stragglers draining behind them.
-pub const MAX_DRAIN: usize = 64;
+pub(crate) const MAX_DRAIN: usize = 64;
 
 /// One unit of work for the scheduler thread.
-pub enum Command {
+pub(crate) enum Command {
     /// Offer an arrival; the outcome goes back over `reply`.
     Offer {
         /// The arrival's SLA class.
@@ -70,7 +70,7 @@ pub enum Command {
 }
 
 /// One offer inside a coalesced group, reply channel and all.
-pub struct OfferEntry {
+pub(crate) struct OfferEntry {
     /// The arriving query's template.
     pub template: TemplateId,
     /// The arrival's virtual-clock instant.
@@ -83,7 +83,7 @@ pub struct OfferEntry {
 
 /// Drains the queue without blocking: `first` (already received) plus
 /// whatever else is waiting, up to [`MAX_DRAIN`] commands.
-pub fn drain(rx: &Receiver<Command>, first: Command) -> Vec<Command> {
+pub(crate) fn drain(rx: &Receiver<Command>, first: Command) -> Vec<Command> {
     let mut commands = vec![first];
     while commands.len() < MAX_DRAIN {
         match rx.try_recv() {
@@ -98,7 +98,7 @@ pub fn drain(rx: &Receiver<Command>, first: Command) -> Vec<Command> {
 /// commands folds into one scheduling tick (grouped per class), so a
 /// multi-tenant backlog becomes one `offer_tick` instead of one plan call
 /// per request.
-pub enum Work {
+pub(crate) enum Work {
     /// All offers up to the next non-offer command, grouped by class in
     /// first-appearance order. Within a class, queue order is preserved.
     Tick(Vec<(TenantId, Vec<OfferEntry>)>),
@@ -112,7 +112,7 @@ pub enum Work {
 /// same-class offers is preserved exactly; cross-class order within one
 /// tick is resolved by the service's admit phase, which walks groups in
 /// this first-appearance order.
-pub fn coalesce(commands: Vec<Command>) -> Vec<Work> {
+pub(crate) fn coalesce(commands: Vec<Command>) -> Vec<Work> {
     let mut work: Vec<Work> = Vec::new();
     for cmd in commands {
         match cmd {

@@ -45,7 +45,7 @@ pub enum ServeError {
 }
 
 /// Shorthand result for serve-layer operations.
-pub type ServeResult<T> = Result<T, ServeError>;
+pub(crate) type ServeResult<T> = Result<T, ServeError>;
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

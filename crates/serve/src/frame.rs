@@ -5,9 +5,9 @@
 //! | offset | size | field       | value                                  |
 //! |-------:|-----:|-------------|----------------------------------------|
 //! |      0 |    2 | magic       | `0x5744` (`"WD"`)                      |
-//! |      2 |    1 | version     | [`VERSION`]                            |
+//! |      2 |    1 | version     | `1`                                    |
 //! |      3 |    1 | kind        | [`FrameKind`] discriminant             |
-//! |      4 |    4 | payload len | at most [`MAX_PAYLOAD`]                |
+//! |      4 |    4 | payload len | at most 4 MiB                          |
 //! |      8 |    n | payload     | JSON body (see [`crate::wire`])        |
 //!
 //! The header is validated field by field on read; any violation is a
@@ -23,15 +23,15 @@ use byteorder::{BigEndian, ReadBytesExt, WriteBytesExt};
 use crate::error::{ServeError, ServeResult};
 
 /// `"WD"` — the first two bytes of every frame.
-pub const MAGIC: u16 = 0x5744;
+pub(crate) const MAGIC: u16 = 0x5744;
 
 /// Protocol version this build speaks. A peer announcing any other
 /// version is rejected with a framing error.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 
 /// Upper bound on a frame's payload, guarding the server against a
 /// hostile or corrupt length field allocating gigabytes.
-pub const MAX_PAYLOAD: u32 = 4 * 1024 * 1024;
+pub(crate) const MAX_PAYLOAD: u32 = 4 * 1024 * 1024;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

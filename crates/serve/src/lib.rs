@@ -13,15 +13,16 @@
 //!   `Metrics`, `SwapModel`, `Shutdown` / `Admitted`, `Shed`,
 //!   `Metrics`, `Ok`, `Error`), built on the workspace's serde'd core
 //!   types.
-//! * [`batch`] — the scheduler thread's command queue plus the
+//! * `batch` — the scheduler thread's command queue plus the
 //!   drain-and-coalesce policy: under load, the offers between two
 //!   control commands plan as one per-class-grouped `offer_tick`.
-//! * [`server`] — accept loop, bounded worker pool, ONE scheduler
+//! * `server` — accept loop, bounded worker pool, ONE scheduler
 //!   thread owning the service (determinism preserved), background
-//!   trainer threads for hot model swaps.
-//! * [`client`] — a blocking client mirroring the in-process surface.
-//! * [`error`] — the per-layer error taxonomy; nothing on the request
-//!   path panics the server.
+//!   trainer threads for hot model swaps ([`Server`], [`ServeConfig`],
+//!   [`ServerHandle`]).
+//! * `client` — a blocking [`Client`] mirroring the in-process surface.
+//! * `error` — the per-layer error taxonomy ([`ServeError`]); nothing on
+//!   the request path panics the server.
 //!
 //! ## Service-level objective
 //!
@@ -35,7 +36,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use wisedb_serve::prelude::*;
+//! use wisedb_serve::{Client, ServeConfig, Server};
 //! use wisedb_advisor::{ModelConfig, OnlineConfig};
 //! use wisedb_core::{GoalKind, Millis, PerformanceGoal, TemplateId, TenantId, VmType, WorkloadSpec};
 //! use wisedb_runtime::{OfferOutcome, RuntimeConfig, WorkloadService};
@@ -69,24 +70,17 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
-pub mod client;
-pub mod error;
+mod batch;
+mod client;
+mod error;
 pub mod frame;
-pub mod server;
+mod server;
 pub mod wire;
 
 pub use client::Client;
-pub use error::{ServeError, ServeResult};
+pub use error::ServeError;
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use wire::{Request, Response};
-
-/// One-stop imports for serving and talking to a scheduler over TCP.
-pub mod prelude {
-    pub use crate::client::Client;
-    pub use crate::error::{ServeError, ServeResult};
-    pub use crate::server::{ServeConfig, Server, ServerHandle};
-    pub use crate::wire::{Request, Response};
-}

@@ -14,7 +14,7 @@ use wisedb_core::{Millis, Money, QueryTemplate, VmType, WorkloadSpec};
 
 /// Latency of template `i` out of `n` on the reference (`t2.medium`) VM:
 /// evenly spaced over 120–360 seconds.
-pub fn reference_latency(i: usize, n: usize) -> Millis {
+pub(crate) fn reference_latency(i: usize, n: usize) -> Millis {
     if n <= 1 {
         return Millis::from_secs(240);
     }

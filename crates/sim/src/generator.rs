@@ -16,7 +16,7 @@ pub fn uniform_workload(spec: &WorkloadSpec, m: usize, seed: u64) -> Workload {
 }
 
 /// Uniform workload from a caller-managed RNG.
-pub fn uniform_workload_rng(spec: &WorkloadSpec, m: usize, rng: &mut StdRng) -> Workload {
+pub(crate) fn uniform_workload_rng(spec: &WorkloadSpec, m: usize, rng: &mut StdRng) -> Workload {
     let nt = spec.num_templates() as u32;
     Workload::from_templates((0..m).map(|_| TemplateId(rng.gen_range(0..nt))))
 }
@@ -118,14 +118,14 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
 
 /// A reusable Gaussian sampler for noise models.
 #[derive(Debug, Clone)]
-pub struct Gaussian {
+pub(crate) struct Gaussian {
     mean: f64,
     std: f64,
 }
 
 impl Gaussian {
     /// A normal distribution with the given moments.
-    pub fn new(mean: f64, std: f64) -> Self {
+    pub(crate) fn new(mean: f64, std: f64) -> Self {
         assert!(std >= 0.0, "standard deviation must be non-negative");
         Gaussian { mean, std }
     }

@@ -52,7 +52,7 @@ struct QueuedQuery {
 }
 
 /// A pending query pulled back off the cluster for rescheduling, tagged
-/// with the VM it came from (see [`LiveCluster::recall_pending`]).
+/// with the VM it came from (see [`LiveCluster::recall_pending_of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecalledQuery {
     /// Index of the VM the query was queued on.
@@ -253,31 +253,13 @@ impl LiveCluster {
         Ok(())
     }
 
-    /// Pulls every not-yet-started query back off the cluster for
-    /// rescheduling, in queue order. The §6.3 loop calls this on each
+    /// Pulls back `class`'s not-yet-started queries for rescheduling, in
+    /// queue order, leaving other classes' pending work in place — the
+    /// multi-tenant recall discipline: one class's replan never perturbs
+    /// another's queued placements. The §6.3 loop calls this on each
     /// arrival: everything unstarted is fair game for a better plan. Each
     /// entry names the VM it was recalled from, so a caller whose replan
     /// fails can restore the previous assignment.
-    pub fn recall_pending(&mut self) -> Vec<RecalledQuery> {
-        let mut out = Vec::new();
-        for &vm_index in &self.live {
-            for q in self.vms[vm_index].pending.drain(..) {
-                out.push(RecalledQuery {
-                    vm_index,
-                    query: q.query,
-                    template: q.template,
-                    class: q.class,
-                });
-            }
-        }
-        out
-    }
-
-    /// Pulls back only `class`'s not-yet-started queries, in queue order,
-    /// leaving other classes' pending work in place — the multi-tenant
-    /// recall discipline: one class's replan never perturbs another's
-    /// queued placements. For a single-class session this is exactly
-    /// [`recall_pending`](Self::recall_pending).
     pub fn recall_pending_of(&mut self, class: TenantId) -> Vec<RecalledQuery> {
         let mut out = Vec::new();
         for &vm_index in &self.live {
@@ -471,14 +453,6 @@ impl LiveCluster {
     pub fn billed_by_class(&self) -> &[Money] {
         &self.billed_by_class
     }
-
-    /// One class's dollar attribution.
-    pub fn billed_for(&self, class: TenantId) -> Money {
-        self.billed_by_class
-            .get(class.index())
-            .copied()
-            .unwrap_or(Money::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -543,7 +517,7 @@ mod tests {
         c.enqueue(v, QueryId(1), TemplateId(1)).unwrap();
         // Move a little: query 0 starts (it's committed), query 1 waits.
         c.advance_to(Millis::from_secs(1));
-        let recalled = c.recall_pending();
+        let recalled = c.recall_pending_of(TenantId::DEFAULT);
         assert_eq!(
             recalled,
             vec![RecalledQuery {
@@ -639,15 +613,13 @@ mod tests {
         let vt = spec.vm_type(VmTypeId(0)).unwrap();
         let l0 = spec.latency(TemplateId(0), VmTypeId(0)).unwrap();
         let l1 = spec.latency(TemplateId(1), VmTypeId(0)).unwrap();
-        assert!(c
-            .billed_for(TenantId(0))
-            .approx_eq(vt.runtime_cost(l0), 1e-9));
-        assert!(c
-            .billed_for(TenantId(1))
-            .approx_eq(vt.startup_cost + vt.runtime_cost(l1), 1e-9));
-        let attributed: Money = c.billed_by_class().iter().copied().sum();
+        let by_class = c.billed_by_class();
+        assert!(by_class[0].approx_eq(vt.runtime_cost(l0), 1e-9));
+        assert!(by_class[1].approx_eq(vt.startup_cost + vt.runtime_cost(l1), 1e-9));
+        let attributed: Money = by_class.iter().copied().sum();
         assert!(attributed.approx_eq(c.billed(), 1e-9));
-        assert_eq!(c.billed_for(TenantId(9)), Money::ZERO);
+        // Classes that were never charged have no entry.
+        assert_eq!(by_class.len(), 2);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Small statistics toolbox: moments, percentiles, and the chi-squared
+//! Small statistics toolbox: moments and the chi-squared
 //! skewness measure used by §7.5.
 //!
 //! The paper quantifies workload skew by the confidence with which a
@@ -22,16 +22,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     }
     let m = mean(xs);
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
-/// Nearest-rank percentile of an unsorted slice (`p` in (0, 100]).
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!(!xs.is_empty(), "percentile of an empty slice");
-    assert!(p > 0.0 && p <= 100.0, "percentile p out of range: {p}");
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let k = (((p / 100.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[k - 1]
 }
 
 /// Pearson's chi-squared statistic of observed template counts against the
@@ -62,7 +52,7 @@ pub fn chi_squared_confidence(stat: f64, dof: usize) -> f64 {
 }
 
 /// Regularized lower incomplete gamma `P(s, x) = γ(s, x) / Γ(s)`.
-pub fn lower_regularized_gamma(s: f64, x: f64) -> f64 {
+pub(crate) fn lower_regularized_gamma(s: f64, x: f64) -> f64 {
     assert!(s > 0.0, "shape must be positive");
     if x <= 0.0 {
         return 0.0;
@@ -111,7 +101,7 @@ pub fn lower_regularized_gamma(s: f64, x: f64) -> f64 {
 }
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma domain is x > 0");
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -148,15 +138,6 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
         assert_eq!(std_dev(&[5.0]), 0.0);
         assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let xs: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        assert_eq!(percentile(&xs, 90.0), 9.0);
-        assert_eq!(percentile(&xs, 100.0), 10.0);
-        assert_eq!(percentile(&xs, 1.0), 1.0);
-        assert_eq!(percentile(&[7.0], 50.0), 7.0);
     }
 
     #[test]

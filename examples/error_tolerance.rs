@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )
     .train()?;
 
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 60, 17);
+    let workload = wisedb::sim::uniform_workload(&spec, 60, 17);
 
     println!(
         "{:>8} {:>14} {:>16} {:>16} {:>12}",

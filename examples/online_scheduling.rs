@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec)?;
 
     // 30 queries arriving ~4/s (mean gap 250 ms, std 125 ms), as in §7.4.
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 30, 5);
+    let workload = wisedb::sim::uniform_workload(&spec, 30, 5);
     let times = Arrivals::Normal {
         mean_secs: 0.25,
         std_secs: 0.125,

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Schedule an incoming batch of 30 queries.
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 30, 42);
+    let workload = wisedb::sim::uniform_workload(&spec, 30, 42);
     let schedule = model.schedule_batch(&workload)?;
     let breakdown = cost_breakdown(&spec, &goal, &schedule)?;
     println!(

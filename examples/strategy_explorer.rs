@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Schedule one real batch under the middle strategy and compare the
     // estimate with the realized cost.
     let chosen = &strategies[strategies.len() / 2];
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 500, 99);
+    let workload = wisedb::sim::uniform_workload(&spec, 500, 99);
     let counts = workload.template_counts(spec.num_templates());
     let estimated = chosen.estimator.estimate(&counts);
     let schedule = chosen.model.schedule_batch(&workload)?;

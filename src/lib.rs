@@ -73,7 +73,7 @@
 //!     .unwrap();
 //!
 //! // Schedule an incoming batch of 30 queries.
-//! let workload = wisedb::sim::generator::uniform_workload(&spec, 30, 42);
+//! let workload = wisedb::sim::uniform_workload(&spec, 30, 42);
 //! let schedule = model.schedule_batch(&workload).unwrap();
 //! let cost = total_cost(&spec, &goal, &schedule).unwrap();
 //! assert!(schedule.num_vms() >= 1);
@@ -123,23 +123,18 @@ pub use wisedb_sim as sim;
 
 /// One-stop imports for applications using the advisor.
 pub mod prelude {
-    pub use wisedb_advisor::baselines::{self, Heuristic};
-    pub use wisedb_advisor::model::{DecisionModel, ModelConfig, ModelGenerator};
-    pub use wisedb_advisor::multi::MultiScheduler;
-    pub use wisedb_advisor::online::{OnlineConfig, OnlineScheduler};
-    pub use wisedb_advisor::recommend::{RecommenderConfig, StrategyRecommender};
+    pub use wisedb_advisor::{
+        DecisionModel, Heuristic, ModelConfig, ModelGenerator, OnlineConfig, OnlineScheduler,
+    };
     pub use wisedb_core::{
-        cost_breakdown, total_cost, ClassMetrics, CostBreakdown, GoalHandle, GoalKind,
-        LatencySummary, MetricsSnapshot, Millis, Money, PenaltyRate, PerformanceGoal, Query,
-        QueryId, QueryTemplate, Schedule, SlaClass, SpecHandle, TemplateId, TenantId, VmType,
-        VmTypeId, Workload, WorkloadSpec,
+        cost_breakdown, total_cost, ClassMetrics, GoalKind, LatencySummary, MetricsSnapshot,
+        Millis, Money, PerformanceGoal, Query, QueryId, QueryTemplate, Schedule, SlaClass,
+        TemplateId, TenantId, VmType, VmTypeId, Workload, WorkloadSpec,
     };
     pub use wisedb_runtime::{
         generate_class_stream, merge_streams, AdmissionPolicy, ArrivalProcess, DiurnalProcess,
         DriftProcess, OnOffProcess, PoissonProcess, RuntimeConfig, StreamReport, TemplateMix,
         WorkloadService,
     };
-    pub use wisedb_search::strategy::{OptimalSchedule, SearchConfig, SearchStrategy, Solver};
-    pub use wisedb_serve::{Client, ServeConfig, Server, ServerHandle};
-    pub use wisedb_sim::{LiveCluster, LiveOptions};
+    pub use wisedb_search::{SearchConfig, SearchStrategy, Solver};
 }

@@ -26,7 +26,7 @@ fn full_pipeline_for_every_goal_kind() {
             .train()
             .unwrap();
 
-        let workload = wisedb::sim::generator::uniform_workload(&spec, 16, 5);
+        let workload = wisedb::sim::uniform_workload(&spec, 16, 5);
         let schedule = model.schedule_batch(&workload).unwrap();
         schedule.validate_complete(&workload).unwrap();
 
@@ -58,7 +58,7 @@ fn model_vs_baselines_on_larger_batches() {
         .train()
         .unwrap();
 
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 120, 11);
+    let workload = wisedb::sim::uniform_workload(&spec, 120, 11);
     let model_schedule = model.schedule_batch(&workload).unwrap();
     model_schedule.validate_complete(&workload).unwrap();
     let model_cost = total_cost(&spec, &goal, &model_schedule).unwrap();
@@ -90,7 +90,7 @@ fn model_round_trips_through_json() {
         .unwrap();
     let json = model.to_json().unwrap();
     let restored = wisedb::advisor::DecisionModel::from_json(&json).unwrap();
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 25, 3);
+    let workload = wisedb::sim::uniform_workload(&spec, 25, 3);
     assert_eq!(
         model.schedule_batch(&workload).unwrap(),
         restored.schedule_batch(&workload).unwrap()
@@ -107,7 +107,7 @@ fn multi_vm_type_pipeline() {
     let model = ModelGenerator::new(spec.clone(), goal.clone(), training())
         .train()
         .unwrap();
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 30, 9);
+    let workload = wisedb::sim::uniform_workload(&spec, 30, 9);
     let schedule = model.schedule_batch(&workload).unwrap();
     schedule.validate_complete(&workload).unwrap();
     // Placements are always supported (query_latencies errors otherwise).
@@ -131,7 +131,7 @@ fn skewed_batches_remain_competitive() {
         .train()
         .unwrap();
     for skew in [0.0, 0.5, 1.0] {
-        let workload = wisedb::sim::generator::skewed_workload(&spec, 18, skew, 31);
+        let workload = wisedb::sim::skewed_workload(&spec, 18, skew, 31);
         let schedule = model.schedule_batch(&workload).unwrap();
         schedule.validate_complete(&workload).unwrap();
         let cost = total_cost(&spec, &goal, &schedule).unwrap();

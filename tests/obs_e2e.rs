@@ -26,7 +26,7 @@ use wisedb_bench::trace_check;
 fn instance() -> (WorkloadSpec, PerformanceGoal, Workload) {
     let spec = wisedb::sim::catalog::tpch_like(4);
     let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec).unwrap();
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 8, 42);
+    let workload = wisedb::sim::uniform_workload(&spec, 8, 42);
     (spec, goal, workload)
 }
 
@@ -66,7 +66,7 @@ fn exports_parse_back_well_formed() {
 
 /// Invariant 3: tracing level and collector lifecycle leave the solver's
 /// outputs bit-identical — schedule, cost, and every counter in
-/// [`SearchStats`](wisedb::search::strategy::SearchStats).
+/// [`SearchStats`](wisedb::search::SearchStats).
 #[test]
 fn full_span_tracing_never_changes_solver_results() {
     let _hold = obs::testing::hold();

@@ -22,7 +22,7 @@ fn training() -> ModelConfig {
 }
 
 fn stream(spec: &WorkloadSpec, n: usize, arrivals: Arrivals, seed: u64) -> Vec<ArrivingQuery> {
-    let workload = wisedb::sim::generator::uniform_workload(spec, n, seed);
+    let workload = wisedb::sim::uniform_workload(spec, n, seed);
     let times = arrivals.times(n, seed);
     workload
         .queries()

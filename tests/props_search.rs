@@ -183,7 +183,7 @@ fn adaptive_reuse_survives_a_loosening_shift_sequence() {
     let loose = base.shift(Millis::from_secs(120)).unwrap();
     let mut costlier = Vec::new();
     for seed in 0..600u64 {
-        let workload = wisedb::sim::generator::uniform_workload(&spec, 9, seed);
+        let workload = wisedb::sim::uniform_workload(&spec, 9, seed);
         let mut adaptive = AdaptiveSearcher::new();
         adaptive
             .solve(&spec, &strict, &workload, SearchConfig::default())

@@ -146,7 +146,7 @@ fn parallel_training_is_observationally_serial() {
             parallel.stats().search_expanded
         );
         for seed in [1u64, 2, 3] {
-            let w = wisedb::sim::generator::uniform_workload(&spec, 12, seed);
+            let w = wisedb::sim::uniform_workload(&spec, 12, seed);
             assert_eq!(
                 serial.schedule_batch(&w).unwrap(),
                 parallel.schedule_batch(&w).unwrap()

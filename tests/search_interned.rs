@@ -82,7 +82,7 @@ fn golden_section_three_interleaving() {
 #[test]
 fn golden_catalog_costs_match_brute_force_for_every_goal() {
     let spec = wisedb::sim::catalog::tpch_like(4);
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 5, 1234);
+    let workload = wisedb::sim::uniform_workload(&spec, 5, 1234);
     for kind in GoalKind::ALL {
         let goal = PerformanceGoal::paper_default(kind, &spec)
             .unwrap()

@@ -48,7 +48,7 @@ fn counters(stats: &SearchStats) -> (u64, u64, u64, u64) {
 #[test]
 fn exact_strategy_is_bit_identical_to_default() {
     let catalog = wisedb::sim::catalog::tpch_like(4);
-    let catalog_workload = wisedb::sim::generator::uniform_workload(&catalog, 5, 1234);
+    let catalog_workload = wisedb::sim::uniform_workload(&catalog, 5, 1234);
     let fig3 = fig3_spec();
     let fig3_workload = Workload::from_counts(&[1, 3]);
     for (spec, workload) in [(&catalog, &catalog_workload), (&fig3, &fig3_workload)] {
@@ -99,7 +99,7 @@ fn exact_strategy_reproduces_figure_three_golden() {
 #[test]
 fn inexact_strategies_bound_the_optimum() {
     let spec = wisedb::sim::catalog::tpch_like(4);
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 6, 99);
+    let workload = wisedb::sim::uniform_workload(&spec, 6, 99);
     for kind in GoalKind::ALL {
         let goal = PerformanceGoal::paper_default(kind, &spec)
             .unwrap()
@@ -166,7 +166,7 @@ fn unbudgeted_anytime_proves_optimality() {
 #[test]
 fn budget_outcomes_are_observable_and_complete() {
     let spec = wisedb::sim::catalog::tpch_like(4);
-    let workload = wisedb::sim::generator::uniform_workload(&spec, 8, 7);
+    let workload = wisedb::sim::uniform_workload(&spec, 8, 7);
     let goal = PerformanceGoal::paper_default(GoalKind::Percentile, &spec).unwrap();
     for strategy in [SearchStrategy::Exact, SearchStrategy::Anytime] {
         let result = Solver::new(&spec, &goal)
