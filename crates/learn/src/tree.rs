@@ -93,8 +93,7 @@ const LEAF: u32 = u32::MAX;
 /// `features[feature] < threshold`, the left (`<`) child is at `i + 1` and
 /// the right child at `right[i]`. `samples`/`errors` carry the per-leaf
 /// training statistics shown by [`DecisionTree::render`] (splits store their
-/// sample count and zero errors by convention, so trees rebuilt from the
-/// legacy recursive JSON form compare equal to freshly trained ones).
+/// sample count and zero errors by convention).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     feature: Vec<u32>,
@@ -345,7 +344,7 @@ impl DecisionTree {
 }
 
 // ---------------------------------------------------------------------------
-// Serde: flat format out, flat *or* legacy recursive format in
+// Serde: the flat preorder arrays, validated on the way in
 // ---------------------------------------------------------------------------
 
 impl Serialize for DecisionTree {
@@ -379,53 +378,13 @@ impl Deserialize for DecisionTree {
             num_features,
             num_labels,
         };
-        if let Some(root) = v.get("root") {
-            // Legacy recursive format: `{"root": {"Split"|"Leaf": {..}}, ..}`
-            // as written by models serialized before the flat representation.
-            flatten_legacy(root, &mut tree)?;
-        } else {
-            tree.feature = Vec::from_value(field("feature")?)?;
-            tree.threshold = Vec::from_value(field("threshold")?)?;
-            tree.right = Vec::from_value(field("right")?)?;
-            tree.samples = Vec::from_value(field("samples")?)?;
-            tree.errors = Vec::from_value(field("errors")?)?;
-        }
+        tree.feature = Vec::from_value(field("feature")?)?;
+        tree.threshold = Vec::from_value(field("threshold")?)?;
+        tree.right = Vec::from_value(field("right")?)?;
+        tree.samples = Vec::from_value(field("samples")?)?;
+        tree.errors = Vec::from_value(field("errors")?)?;
         tree.validate()?;
         Ok(tree)
-    }
-}
-
-/// Rebuilds the flat preorder arrays from a legacy externally-tagged
-/// `TreeNode` value (`{"Leaf": {...}}` / `{"Split": {...}}`). Split nodes
-/// recover their sample count as the sum of the children's (identical to
-/// what training records) and store zero errors, matching the convention in
-/// [`DecisionTree::push_split`].
-fn flatten_legacy(node: &Value, tree: &mut DecisionTree) -> Result<(), serde::Error> {
-    let field = |obj: &Value, name: &str| -> Result<Value, serde::Error> {
-        obj.get(name)
-            .cloned()
-            .ok_or_else(|| serde::Error::custom(format!("legacy tree node missing `{name}`")))
-    };
-    if let Some(leaf) = node.get("Leaf") {
-        let label = usize::from_value(&field(leaf, "label")?)?;
-        let samples = usize::from_value(&field(leaf, "samples")?)?;
-        let errors = usize::from_value(&field(leaf, "errors")?)?;
-        tree.push_leaf(label, samples, errors);
-        Ok(())
-    } else if let Some(split) = node.get("Split") {
-        let feature = usize::from_value(&field(split, "feature")?)?;
-        let threshold = f64::from_value(&field(split, "threshold")?)?;
-        let at = tree.push_split(feature, threshold, 0);
-        flatten_legacy(&field(split, "left")?, tree)?;
-        let right = tree.feature.len();
-        flatten_legacy(&field(split, "right")?, tree)?;
-        tree.right[at] = right as u32;
-        tree.samples[at] = tree.samples[at + 1] + tree.samples[right];
-        Ok(())
-    } else {
-        Err(serde::Error::custom(
-            "legacy tree node is neither `Leaf` nor `Split`",
-        ))
     }
 }
 
@@ -1087,47 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_recursive_json_still_loads() {
-        // A model serialized by the pre-flat representation: recursive
-        // externally-tagged nodes under `root`.
-        let legacy = r#"{
-            "root": {"Split": {
-                "feature": 0,
-                "threshold": 4.5,
-                "left": {"Leaf": {"label": 0, "samples": 5, "errors": 0}},
-                "right": {"Split": {
-                    "feature": 1,
-                    "threshold": 2.0,
-                    "left": {"Leaf": {"label": 1, "samples": 3, "errors": 1}},
-                    "right": {"Leaf": {"label": 2, "samples": 4, "errors": 0}}
-                }}
-            }},
-            "num_features": 9,
-            "num_labels": 3
-        }"#;
-        let tree: DecisionTree = serde_json::from_str(legacy).unwrap();
-        assert_eq!(tree.num_nodes(), 5);
-        assert_eq!(tree.num_leaves(), 3);
-        assert_eq!(tree.depth(), 2);
-        assert_eq!(tree.root_split(), Some((0, 4.5)));
-        let nf = tree.num_features;
-        let mut row = vec![0.0; nf];
-        assert_eq!(tree.predict(&row), 0);
-        row[0] = 5.0;
-        row[1] = 1.0;
-        assert_eq!(tree.predict(&row), 1);
-        row[1] = 3.0;
-        assert_eq!(tree.predict(&row), 2);
-        // Legacy loads re-serialize in the flat format and round-trip.
-        let json = serde_json::to_string(&tree).unwrap();
-        let back: DecisionTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, tree);
-        // Render shows per-leaf stats preserved from the legacy form.
-        let text = tree.render(&|f| format!("f{f}"), &|l| format!("a{l}"));
-        assert!(text.contains("(3 samples, 1 errors)"));
-    }
-
-    #[test]
     fn malformed_trees_are_rejected() {
         // Right child pointing backwards must not deserialize (it would make
         // `predict` loop forever).
@@ -1205,5 +1123,7 @@ mod tests {
         assert!(text.contains("f0 <"));
         assert!(text.contains("action0"));
         assert!(text.contains("action1"));
+        // Each leaf shows its training statistics.
+        assert!(text.contains("(5 samples, 0 errors)"));
     }
 }

@@ -18,7 +18,7 @@
 //!   the identical model: eviction affects cost, never results.
 //! * **Flat predict correctness** — the iterative flat-array `predict`
 //!   agrees with a recursive reference evaluator walking the serialized
-//!   node arrays, and with trees rebuilt from the legacy recursive JSON.
+//!   node arrays.
 
 use proptest::prelude::*;
 
@@ -261,40 +261,5 @@ fn flat_predict_matches_recursive_reference() {
             model.tree().predict(&features),
             predict_recursive(&arrays, &features, 0),
         );
-    }
-}
-
-#[test]
-fn legacy_recursive_model_json_predicts_identically() {
-    // A tree serialized by the pre-flat representation (recursive
-    // externally-tagged nodes). Loading it must rebuild the preorder
-    // arrays; predictions then agree with the recursive reference again.
-    let legacy = r#"{
-        "root": {"Split": {
-            "feature": 0,
-            "threshold": 3.5,
-            "left": {"Leaf": {"label": 0, "samples": 6, "errors": 1}},
-            "right": {"Split": {
-                "feature": 2,
-                "threshold": 10.0,
-                "left": {"Leaf": {"label": 1, "samples": 4, "errors": 0}},
-                "right": {"Leaf": {"label": 2, "samples": 5, "errors": 2}}
-            }}
-        }},
-        "num_features": 4,
-        "num_labels": 3
-    }"#;
-    let tree: DecisionTree = serde_json::from_str(legacy).unwrap();
-    assert_eq!(tree.num_nodes(), 5);
-    assert_eq!(tree.root_split(), Some((0, 3.5)));
-    let arrays = extract_arrays(&tree);
-    for a in 0..8 {
-        for b in 0..16 {
-            let features = vec![a as f64, 0.0, b as f64, 1.0];
-            assert_eq!(
-                tree.predict(&features),
-                predict_recursive(&arrays, &features, 0),
-            );
-        }
     }
 }
