@@ -127,7 +127,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruCache<K, V> {
     }
 
     /// Looks up and marks the entry as most recently used.
-    fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    fn get<Q>(&mut self, key: &Q) -> Option<&mut V>
     where
         K: std::borrow::Borrow<Q>,
         Q: std::hash::Hash + Eq + ?Sized,
@@ -136,8 +136,13 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruCache<K, V> {
         let clock = self.clock;
         self.map.get_mut(key).map(|(stamp, value)| {
             *stamp = clock;
-            &*value
+            value
         })
+    }
+
+    /// The cached values, in no particular order.
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|(_, value)| value)
     }
 
     /// Looks up without touching recency (no `&mut` borrow of the map's
@@ -240,6 +245,10 @@ struct AugmentedView {
     map: Arc<HashMap<(u32, u64), TemplateId>>,
 }
 
+/// One aged-batch cache entry: the augmented view and, once the Reuse path
+/// has trained it, the view's model.
+type AgedEntry = (AugmentedView, Option<DecisionModel>);
+
 /// The online scheduler: owns the base model, the ω-keyed model cache, and
 /// the shift ladder.
 pub struct OnlineScheduler {
@@ -249,19 +258,16 @@ pub struct OnlineScheduler {
     base: DecisionModel,
     generator: ModelGenerator,
     artifacts: TrainingArtifacts,
-    /// Reuse cache (the ω mapping): aged (template, age-bucket) pairs →
-    /// model. Keyed identically to `augment_cache` — the trained model is
-    /// a pure function of the augmented (spec, goal), which fresh
-    /// templates do not affect, so batches differing only in fresh
-    /// arrivals share one model. LRU-bounded by
+    /// Aged-batch cache: the batch's aged (template, age-bucket) pairs →
+    /// its augmented spec/goal view and, on the Reuse path, the model
+    /// trained on that view (the ω mapping). The model is a pure function
+    /// of the augmented (spec, goal), which fresh templates do not affect,
+    /// so batches differing only in fresh arrivals share one entry. The
+    /// no-reuse and oracle aged paths cache only the view. LRU-bounded by
     /// [`OnlineConfig::cache_capacity`].
-    reuse_cache: LruCache<Vec<(u32, u64)>, DecisionModel>,
+    aged_cache: LruCache<Vec<(u32, u64)>, AgedEntry>,
     /// Shift cache: ω bucket → model for the shifted goal (LRU-bounded).
     shift_cache: LruCache<u64, DecisionModel>,
-    /// Augmented spec/goal views keyed by the batch's aged (template,
-    /// bucket) pairs — shared by the Reuse-cached, no-reuse, and oracle
-    /// aged paths (LRU-bounded).
-    augment_cache: LruCache<Vec<(u32, u64)>, AugmentedView>,
     counters: OnlineCounters,
 }
 
@@ -284,9 +290,8 @@ impl OnlineScheduler {
             base,
             generator,
             artifacts,
-            reuse_cache: LruCache::new(capacity),
+            aged_cache: LruCache::new(capacity),
             shift_cache: LruCache::new(capacity),
-            augment_cache: LruCache::new(capacity),
             counters: OnlineCounters::default(),
         })
     }
@@ -308,9 +313,8 @@ impl OnlineScheduler {
             base,
             generator,
             artifacts,
-            reuse_cache: LruCache::new(capacity),
+            aged_cache: LruCache::new(capacity),
             shift_cache: LruCache::new(capacity),
-            augment_cache: LruCache::new(capacity),
             counters: OnlineCounters::default(),
         }
     }
@@ -328,14 +332,17 @@ impl OnlineScheduler {
         self.artifacts.warm_start()
     }
 
-    /// Current sizes of the (Reuse, Shift, augmented-view) caches — each
-    /// is held at [`OnlineConfig::cache_capacity`] by LRU eviction.
+    /// Current cache sizes: (Reuse models, Shift models, augmented views).
+    /// A Reuse model shares its entry with its view, so the first count
+    /// never exceeds the third; each cache is held at
+    /// [`OnlineConfig::cache_capacity`] by LRU eviction.
     pub fn cache_sizes(&self) -> (usize, usize, usize) {
-        (
-            self.reuse_cache.len(),
-            self.shift_cache.len(),
-            self.augment_cache.len(),
-        )
+        let reuse = self
+            .aged_cache
+            .values()
+            .filter(|(_, model)| model.is_some())
+            .count();
+        (reuse, self.shift_cache.len(), self.aged_cache.len())
     }
 
     /// The model work of every [`plan_arrivals`](Self::plan_arrivals)
@@ -401,11 +408,11 @@ impl OnlineScheduler {
                     .expect("hit or just inserted"),
             )
         } else {
-            // Aged-template path (with optional Reuse caching). Both
-            // caches key on the batch's aged (template, bucket) pairs —
-            // one cached view and one trained model per distinct ageing
-            // pattern; a warm loop reaches here without touching the
-            // spec's latency tables.
+            // Aged-template path (with optional Reuse caching). The cache
+            // keys on the batch's aged (template, bucket) pairs — one view
+            // and at most one trained model per distinct ageing pattern; a
+            // warm loop reaches here without touching the spec's latency
+            // tables.
             let pairs = aged_pairs(batch, now, quantum);
             let view = self.augmented_view(&pairs, quantum)?;
             let model_ref: &DecisionModel = if self.config.planner == Planner::Optimal {
@@ -413,7 +420,13 @@ impl OnlineScheduler {
                 // model: the base model stands in, untouched.
                 &self.base
             } else if self.config.reuse {
-                if self.reuse_cache.get(&pairs).is_some() {
+                // `augmented_view` just made this the most recent entry,
+                // so looking it up again leaves the LRU order unchanged.
+                let (_, cached) = self
+                    .aged_cache
+                    .get(pairs.as_slice())
+                    .expect("augmented_view cached this key");
+                if cached.is_some() {
                     self.counters.cache_hits += 1;
                 } else {
                     let generator = ModelGenerator::new(
@@ -421,11 +434,10 @@ impl OnlineScheduler {
                         view.goal.clone(),
                         self.config.training.clone(),
                     );
-                    let model = generator.train()?;
+                    *cached = Some(generator.train()?);
                     self.counters.retrains += 1;
-                    self.reuse_cache.insert(pairs.clone(), model);
                 }
-                self.reuse_cache.peek(&pairs).expect("hit or just inserted")
+                cached.as_ref().expect("hit or just trained")
             } else {
                 // Reuse disabled: pay for a fresh model every time (the
                 // "None" arm of Figure 19).
@@ -534,9 +546,10 @@ impl OnlineScheduler {
     ///
     /// Views are pure functions of the batch's aged (template, bucket)
     /// pairs, so they are cached: a repeated ageing pattern returns the
-    /// shared handles without cloning the spec or goal.
+    /// shared handles without cloning the spec or goal. A new view enters
+    /// the cache without a model.
     fn augmented_view(&mut self, pairs: &[(u32, u64)], quantum: u64) -> CoreResult<AugmentedView> {
-        if let Some(view) = self.augment_cache.get(pairs) {
+        if let Some((view, _)) = self.aged_cache.get(pairs) {
             return Ok(view.clone());
         }
 
@@ -562,7 +575,7 @@ impl OnlineScheduler {
             goal: GoalHandle::new(goal),
             map: Arc::new(map),
         };
-        self.augment_cache.insert(pairs.to_vec(), view.clone());
+        self.aged_cache.insert(pairs.to_vec(), (view.clone(), None));
         Ok(view)
     }
 }
@@ -575,7 +588,7 @@ fn age_bucket(age: Millis, quantum: u64) -> u64 {
 }
 
 /// The batch's distinct aged (template, age-bucket) pairs, sorted — the
-/// shared cache key of the augmented views and the Reuse model cache.
+/// key of the aged-batch cache (augmented views and Reuse models).
 fn aged_pairs(batch: &[PendingArrival], now: Millis, quantum: u64) -> Vec<(u32, u64)> {
     let mut pairs: Vec<(u32, u64)> = batch
         .iter()
@@ -600,7 +613,7 @@ mod tests {
         lru.insert(2, 20);
         assert_eq!(lru.len(), 2);
         // Touch 1 so 2 becomes the LRU entry, then overflow.
-        assert_eq!(lru.get(&1), Some(&10));
+        assert_eq!(lru.get(&1), Some(&mut 10));
         lru.insert(3, 30);
         assert_eq!(lru.len(), 2);
         assert_eq!(lru.peek(&2), None, "LRU entry evicted");
