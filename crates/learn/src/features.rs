@@ -63,7 +63,7 @@ impl FeatureSchema {
 
     /// Number of decision labels: one placement per template plus one
     /// start-up per VM type.
-    pub fn num_labels(&self) -> usize {
+    pub(crate) fn num_labels(&self) -> usize {
         self.num_templates + self.num_vm_types
     }
 

@@ -205,11 +205,6 @@ impl DecisionTree {
         self.feature.len()
     }
 
-    /// Number of decision labels the tree can emit.
-    pub fn num_labels(&self) -> usize {
-        self.num_labels
-    }
-
     /// The `(feature, threshold)` tested at the root, or `None` if the tree
     /// is a single leaf. Inspection hook for tests and tools now that the
     /// recursive node form is gone.

@@ -5,9 +5,9 @@
 //! continuously against a live (simulated) IaaS cluster, instead of
 //! replaying a pre-recorded arrival list batch-at-a-time.
 //!
-//! * `arrivals` — pluggable arrival processes ([`ArrivalProcess`]): Poisson, bursty ON-OFF,
-//!   diurnal (sinusoidal rate), and template-mix drift, all deterministic
-//!   under a seed.
+//! * `arrivals` — pluggable arrival processes ([`ArrivalProcess`]):
+//!   Poisson, bursty ON-OFF, diurnal (sinusoidal rate), and template-mix
+//!   drift, all deterministic under a seed.
 //! * `admission` — overload control ([`AdmissionPolicy`]): shed arrivals
 //!   when queues, flight counts, or fleet size cross a limit (or any
 //!   custom hook).

@@ -276,7 +276,8 @@ pub struct Solver<'a> {
 impl<'a> Solver<'a> {
     /// Creates a solver with the default configuration (exact A*). When
     /// the goal admits it, the optimality-preserving canonical-SPT
-    /// reduction (see [`CanonicalOrder`](crate::CanonicalOrder)) is enabled automatically.
+    /// reduction (see [`CanonicalOrder`](crate::CanonicalOrder)) is
+    /// enabled automatically.
     pub fn new(spec: &'a WorkloadSpec, goal: &'a PerformanceGoal) -> Self {
         Solver {
             spec,

@@ -5,17 +5,18 @@
 //!
 //! * [`catalog`] — TPC-H-like template catalogs calibrated to the paper's
 //!   published latencies and EC2 prices (§7.1).
-//! * `generator` — uniform training samples ([`uniform_workload`]), χ²-controlled skewed batches,
-//!   and online arrival processes.
-//! * `live` — the cluster simulator ([`LiveCluster`]): a session that provisions, runs,
-//!   and bills VMs as events fire (recallable queues, open-VM view,
-//!   running bill). The streaming runtime drives it arrival by arrival.
+//! * `generator` — uniform training samples ([`uniform_workload`]),
+//!   χ²-controlled skewed batches, and online arrival processes.
+//! * `live` — the cluster simulator ([`LiveCluster`]): a session that
+//!   provisions, runs, and bills VMs as events fire (recallable queues,
+//!   open-VM view, running bill). The streaming runtime drives it arrival
+//!   by arrival.
 //! * `cluster` — [`execute`], which replays a finished batch schedule
 //!   on [`LiveCluster`] sessions, one per VM, optionally with true
-//!   latencies in place of the predictions; with the predictions its cost equals the
-//!   analytic Eq. 1 cost exactly.
-//! * `noise` — latency-predictor error injection ([`perceive_workload`]) and the closest-latency
-//!   template matching rule (Figure 22).
+//!   latencies in place of the predictions; with the predictions its cost
+//!   equals the analytic Eq. 1 cost exactly.
+//! * `noise` — latency-predictor error injection ([`perceive_workload`])
+//!   and the closest-latency template matching rule (Figure 22).
 //! * [`stats`] — means, deviations, and the chi-squared machinery
 //!   (hand-rolled regularized incomplete gamma) behind Figures 20–21.
 
