@@ -145,8 +145,19 @@ mod tests {
         let w = Workload::from_templates([TemplateId(1), TemplateId(0)]);
         assert_eq!(w.queries()[0].id, QueryId(0));
         assert_eq!(w.queries()[1].id, QueryId(1));
-        assert_eq!(w.len(), 2);
+    }
+
+    #[test]
+    fn push_assigns_next_id() {
         assert!(Workload::empty().is_empty());
+        let templates = [TemplateId(4), TemplateId(2), TemplateId(4)];
+        for n in 1..=templates.len() {
+            let w = Workload::from_templates(templates[..n].iter().copied());
+            assert_eq!(w.len(), n);
+            let last = w.queries()[n - 1];
+            assert_eq!(last.id, QueryId(n as u32 - 1));
+            assert_eq!(last.template, templates[n - 1]);
+        }
     }
 
     #[test]
