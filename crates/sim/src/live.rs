@@ -19,8 +19,23 @@
 //! placements the drained bill is `Σ startup + Σ runtime`, Eq. 1's
 //! infrastructure terms.
 //!
+//! The session is event-driven, so a step costs what is due, not the size
+//! of the fleet. Each unreleased VM has one next event in a min-heap: the
+//! start of its queue's head, or its release once the queue is empty. An
+//! advance pops the due events and steps those VMs in ascending index
+//! order; started queries wait in a second heap ordered by
+//! `(finish, query)` until the clock passes their finish. Pending counts
+//! are counters, and a recall visits only the VMs with queued work.
+//! Results, bills included, are those of walking every VM in index order
+//! on each advance (`tests/props_live.rs` checks this against such a
+//! walk): `Money` is an `f64`, so the order of the sums is part of the
+//! result.
+//!
 //! [`execute`]: crate::execute
 //! [`Schedule`]: wisedb_core::Schedule
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -84,6 +99,19 @@ pub struct Completion {
 
 pub use wisedb_core::OpenVmView;
 
+/// What a VM's next event does. At one instant a release sorts before a
+/// start: an advance *to* `t` releases a VM idle since `t` but starts
+/// only work due strictly before `t`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Due {
+    Release,
+    Start,
+}
+
+/// A VM's next event: when, and what. An advance to `now` steps every VM
+/// whose event sorts before `(now, Start)`.
+type Event = (Millis, Due);
+
 /// One rented VM of the live session.
 #[derive(Debug, Clone)]
 struct LiveVm {
@@ -91,12 +119,55 @@ struct LiveVm {
     /// When all *committed* (started) work finishes; starts at the
     /// provisioning instant.
     avail: Millis,
-    /// Committed queries still executing: (template, finish).
+    /// Committed queries in start order: (template, finish). Entries whose
+    /// finish has passed are pruned when the VM next starts work, and
+    /// skipped by readers until then.
     running: Vec<(TemplateId, Millis)>,
     /// Queued but not started; recallable.
     pending: Vec<QueuedQuery>,
-    /// Released VMs accept no further work.
+    /// Released VMs hold no work and accept none.
     released: bool,
+    /// The event this VM's live heap entry carries; other entries for it
+    /// are stale. `None` while it is being stepped and once released.
+    event: Option<Event>,
+}
+
+impl LiveVm {
+    /// The VM's next event: its queue head's start, or its release.
+    fn next_event(&self) -> Event {
+        match self.pending.first() {
+            Some(q) => (self.avail.max(q.not_before), Due::Start),
+            None => (self.avail, Due::Release),
+        }
+    }
+}
+
+/// A started query waiting for the clock to pass its finish. Ordered by
+/// `(finish, query)`, ties by start order, which is the order the
+/// completions are reported in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct InFlight {
+    /// Start order across the session.
+    seq: u64,
+    completion: Completion,
+}
+
+impl InFlight {
+    fn key(&self) -> (Millis, QueryId, u64) {
+        (self.completion.finish, self.completion.query, self.seq)
+    }
+}
+
+impl Ord for InFlight {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl PartialOrd for InFlight {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// An event-driven cluster session that provisions, runs, and bills VMs as
@@ -105,14 +176,26 @@ struct LiveVm {
 pub struct LiveCluster {
     spec: SpecHandle,
     vms: Vec<LiveVm>,
-    /// Indices of the VMs not yet released, ascending. A released VM holds
-    /// no work and takes none, so every per-step pass walks only these:
-    /// the fleet ever rented grows with the session, the live one does not.
-    live: Vec<usize>,
     now: Millis,
-    /// Queries that have started executing but whose finish lies beyond
-    /// the clock: their [`Completion`] is emitted once the clock passes it.
-    executing: Vec<Completion>,
+    /// Each unreleased VM's next event, earliest first, with stale
+    /// entries (see [`LiveVm::event`]) skipped when popped.
+    events: BinaryHeap<Reverse<(Event, usize)>>,
+    /// Scratch for the VMs one advance steps.
+    due: Vec<usize>,
+    /// Indices of the VMs with queued work, ascending.
+    queued: Vec<usize>,
+    /// Started queries whose [`Completion`] is emitted once the clock
+    /// passes their finish, earliest first.
+    in_flight: BinaryHeap<Reverse<InFlight>>,
+    /// Queries started so far (the next [`InFlight::seq`]).
+    started: u64,
+    /// VMs provisioned and not yet released.
+    vms_in_flight: usize,
+    /// Queries queued but not started, in total and per SLA class.
+    pending: usize,
+    pending_by_class: Vec<usize>,
+    /// The latest `avail` of any VM: where a drain leaves the clock.
+    last_avail: Millis,
     /// Start-up fees of every provisioned VM (paid at provision time).
     startup_billed: Money,
     /// Rental billed for committed execution time.
@@ -123,6 +206,25 @@ pub struct LiveCluster {
     billed_by_class: Vec<Money>,
 }
 
+/// Adds `amount` to `class`'s dollar attribution, growing the ledger on
+/// first sight of a class.
+fn charge(ledger: &mut Vec<Money>, class: TenantId, amount: Money) {
+    let i = class.index();
+    if ledger.len() <= i {
+        ledger.resize(i + 1, Money::ZERO);
+    }
+    ledger[i] += amount;
+}
+
+/// Files VM `v`'s next event if it changed; the old entry goes stale.
+fn reschedule(events: &mut BinaryHeap<Reverse<(Event, usize)>>, vm: &mut LiveVm, v: usize) {
+    let next = vm.next_event();
+    if vm.event != Some(next) {
+        vm.event = Some(next);
+        events.push(Reverse((next, v)));
+    }
+}
+
 impl LiveCluster {
     /// Opens a session at virtual time zero. Accepts an owned spec or a
     /// shared [`SpecHandle`] — the runtime passes the scheduler's handle,
@@ -131,23 +233,20 @@ impl LiveCluster {
         LiveCluster {
             spec: spec.into(),
             vms: Vec::new(),
-            live: Vec::new(),
             now: Millis::ZERO,
-            executing: Vec::new(),
+            events: BinaryHeap::new(),
+            due: Vec::new(),
+            queued: Vec::new(),
+            in_flight: BinaryHeap::new(),
+            started: 0,
+            vms_in_flight: 0,
+            pending: 0,
+            pending_by_class: Vec::new(),
+            last_avail: Millis::ZERO,
             startup_billed: Money::ZERO,
             runtime_billed: Money::ZERO,
             billed_by_class: Vec::new(),
         }
-    }
-
-    /// Adds `amount` to `class`'s dollar attribution, growing the ledger
-    /// on first sight of a class.
-    fn charge(&mut self, class: TenantId, amount: Money) {
-        let i = class.index();
-        if self.billed_by_class.len() <= i {
-            self.billed_by_class.resize(i + 1, Money::ZERO);
-        }
-        self.billed_by_class[i] += amount;
     }
 
     /// The session's workload specification.
@@ -173,23 +272,30 @@ impl LiveCluster {
     pub fn provision_as(&mut self, vm_type: VmTypeId, class: TenantId) -> CoreResult<usize> {
         let startup_cost = self.spec.vm_type(vm_type)?.startup_cost;
         self.startup_billed += startup_cost;
-        self.charge(class, startup_cost);
-        self.vms.push(LiveVm {
+        charge(&mut self.billed_by_class, class, startup_cost);
+        let index = self.vms.len();
+        let mut vm = LiveVm {
             vm_type,
             avail: self.now,
             running: Vec::new(),
             pending: Vec::new(),
             released: false,
-        });
-        self.live.push(self.vms.len() - 1);
+            event: None,
+        };
+        // Idle from the start: it releases at the next advance unless
+        // work is queued first.
+        reschedule(&mut self.events, &mut vm, index);
+        self.vms.push(vm);
+        self.vms_in_flight += 1;
+        self.last_avail = self.last_avail.max(self.now);
         wisedb_obs::counter_add("wisedb_cluster_vms_provisioned_total", 1);
         wisedb_obs::instant("cluster.provision")
             .virt(self.now)
             .attr_u64("vm_type", vm_type.index() as u64)
             .attr_u64("class", class.index() as u64)
-            .attr_u64("vm_index", (self.vms.len() - 1) as u64)
+            .attr_u64("vm_index", index as u64)
             .emit();
-        Ok(self.vms.len() - 1)
+        Ok(index)
     }
 
     /// Queues `query` on VM `vm_index` behind its existing work, under the
@@ -250,6 +356,19 @@ impl LiveCluster {
             class,
             exec: truth.unwrap_or(predicted),
         });
+        if vm.pending.len() == 1 {
+            // The queue was empty: the pending release becomes a start.
+            reschedule(&mut self.events, vm, vm_index);
+            if let Err(at) = self.queued.binary_search(&vm_index) {
+                self.queued.insert(at, vm_index);
+            }
+        }
+        self.pending += 1;
+        let i = class.index();
+        if self.pending_by_class.len() <= i {
+            self.pending_by_class.resize(i + 1, 0);
+        }
+        self.pending_by_class[i] += 1;
         Ok(())
     }
 
@@ -261,102 +380,157 @@ impl LiveCluster {
     /// entry names the VM it was recalled from, so a caller whose replan
     /// fails can restore the previous assignment.
     pub fn recall_pending_of(&mut self, class: TenantId) -> Vec<RecalledQuery> {
-        let mut out = Vec::new();
-        for &vm_index in &self.live {
-            let vm = &mut self.vms[vm_index];
-            let mut kept = Vec::with_capacity(vm.pending.len());
-            for q in vm.pending.drain(..) {
-                if q.class == class {
-                    out.push(RecalledQuery {
-                        vm_index,
-                        query: q.query,
-                        template: q.template,
-                        class: q.class,
-                    });
-                } else {
-                    kept.push(q);
-                }
+        let count = self.pending_of(class);
+        if count == 0 {
+            return Vec::new();
+        }
+        let mut out = Vec::with_capacity(count);
+        let LiveCluster {
+            vms,
+            events,
+            queued,
+            ..
+        } = self;
+        queued.retain(|&vm_index| {
+            if out.len() == count {
+                return true;
             }
-            vm.pending = kept;
-        }
-        if !out.is_empty() {
-            wisedb_obs::counter_add("wisedb_cluster_recalled_total", out.len() as u64);
-            wisedb_obs::instant("cluster.recall")
-                .virt(self.now)
-                .attr_u64("class", class.index() as u64)
-                .attr_u64("queries", out.len() as u64)
-                .emit();
-        }
+            let vm = &mut vms[vm_index];
+            let before = out.len();
+            vm.pending.retain(|q| {
+                if q.class != class {
+                    return true;
+                }
+                out.push(RecalledQuery {
+                    vm_index,
+                    query: q.query,
+                    template: q.template,
+                    class,
+                });
+                false
+            });
+            if out.len() > before {
+                reschedule(events, vm, vm_index);
+            }
+            !vm.pending.is_empty()
+        });
+        self.pending -= count;
+        self.pending_by_class[class.index()] = 0;
+        wisedb_obs::counter_add("wisedb_cluster_recalled_total", count as u64);
+        wisedb_obs::instant("cluster.recall")
+            .virt(self.now)
+            .attr_u64("class", class.index() as u64)
+            .attr_u64("queries", count as u64)
+            .emit();
         out
     }
 
     /// Advances the virtual clock to `now` (monotone; earlier times are
     /// clamped to the current clock). Starts pending queries whose start
-    /// time falls strictly before `now`, retires finished work, releases
-    /// idle VMs, and returns the queries that **finished** by `now`, in
-    /// finish order. A query that has started but not yet finished stays
-    /// in flight — its completion is emitted by a later advance — so
-    /// callers' live gauges never count executing work as done.
+    /// time falls strictly before `now`, releases idle VMs, and returns
+    /// the queries that **finished** by `now`, in finish order (ties by
+    /// query id, then start order). A query that has started but not yet
+    /// finished stays in flight — its completion is emitted by a later
+    /// advance — so callers' live gauges never count executing work as
+    /// done.
     ///
     /// A pending query starts at `max(vm avail, its queueing time)` and
-    /// runs for the execution time fixed when it was queued.
+    /// runs for the execution time fixed when it was queued. Only VMs
+    /// with an event due are touched, in ascending index order.
     pub fn advance_to(&mut self, now: Millis) -> Vec<Completion> {
         let now = now.max(self.now);
         self.now = now;
-        let mut by_class = std::mem::take(&mut self.billed_by_class);
-        for &v in &self.live {
+        let horizon = (now, Due::Start);
+        while let Some(&Reverse((event, v))) = self.events.peek() {
+            if event >= horizon {
+                break;
+            }
+            self.events.pop();
             let vm = &mut self.vms[v];
-            vm.running.retain(|&(_, finish)| finish > now);
-            let mut started = 0;
-            for q in &vm.pending {
-                let start = vm.avail.max(q.not_before);
-                if start >= now {
-                    break;
-                }
-                let finish = start + q.exec;
-                self.executing.push(Completion {
+            if vm.event == Some(event) {
+                vm.event = None;
+                self.due.push(v);
+            }
+        }
+        // Ascending index order keeps the f64 bills summed as a walk over
+        // the whole fleet would sum them.
+        self.due.sort_unstable();
+        let due = std::mem::take(&mut self.due);
+        for &v in &due {
+            self.step(v, now);
+        }
+        self.due = due;
+        self.due.clear();
+        let mut completions = Vec::new();
+        while let Some(Reverse(next)) = self.in_flight.peek() {
+            if next.completion.finish > now {
+                break;
+            }
+            completions.push(next.completion);
+            self.in_flight.pop();
+        }
+        completions
+    }
+
+    /// Steps VM `v`, whose event is due at `now`: starts its queued
+    /// queries that can start before `now`, billing them, then releases
+    /// it if it is idle, or files its next event.
+    fn step(&mut self, v: usize, now: Millis) {
+        let vm = &mut self.vms[v];
+        let vm_type = self
+            .spec
+            .vm_type(vm.vm_type)
+            .expect("provision validated the type");
+        vm.running.retain(|&(_, finish)| finish > now);
+        let mut started = 0;
+        for q in &vm.pending {
+            let start = vm.avail.max(q.not_before);
+            if start >= now {
+                break;
+            }
+            let finish = start + q.exec;
+            self.in_flight.push(Reverse(InFlight {
+                seq: self.started,
+                completion: Completion {
                     query: q.query,
                     template: q.template,
                     class: q.class,
                     vm_index: v,
                     start,
                     finish,
-                });
-                let rental = self
-                    .spec
-                    .vm_type(vm.vm_type)
-                    .expect("provision validated the type")
-                    .runtime_cost(q.exec);
-                self.runtime_billed += rental;
-                // Rental attribution: the executing query's class pays.
-                if by_class.len() <= q.class.index() {
-                    by_class.resize(q.class.index() + 1, Money::ZERO);
-                }
-                by_class[q.class.index()] += rental;
-                vm.avail = finish;
-                if finish > now {
-                    vm.running.push((q.template, finish));
-                }
-                started += 1;
+                },
+            }));
+            self.started += 1;
+            let rental = vm_type.runtime_cost(q.exec);
+            self.runtime_billed += rental;
+            // Rental attribution: the executing query's class pays.
+            charge(&mut self.billed_by_class, q.class, rental);
+            self.pending_by_class[q.class.index()] -= 1;
+            vm.avail = finish;
+            if finish > now {
+                vm.running.push((q.template, finish));
             }
-            vm.pending.drain(..started);
-            if vm.pending.is_empty() && vm.avail <= now && !vm.released {
+            started += 1;
+        }
+        vm.pending.drain(..started);
+        self.pending -= started;
+        self.last_avail = self.last_avail.max(vm.avail);
+        if vm.pending.is_empty() {
+            if started > 0 {
+                if let Ok(at) = self.queued.binary_search(&v) {
+                    self.queued.remove(at);
+                }
+            }
+            if vm.avail <= now {
+                // Idle: release it and free its buffers.
                 vm.released = true;
+                vm.running = Vec::new();
+                vm.pending = Vec::new();
+                self.vms_in_flight -= 1;
+                return;
             }
         }
-        self.billed_by_class = by_class;
-        self.live.retain(|&v| !self.vms[v].released);
-        let mut completions: Vec<Completion> = Vec::new();
-        self.executing.retain(|c| {
-            if c.finish <= now {
-                completions.push(*c);
-                false
-            } else {
-                true
-            }
-        });
-        completions.sort_by_key(|c| (c.finish, c.query));
-        completions
+        reschedule(&mut self.events, vm, v);
     }
 
     /// Runs everything still queued to completion and returns the final
@@ -366,13 +540,7 @@ impl LiveCluster {
         let completions = self.advance_to(Millis::from_millis(u64::MAX));
         // The drain pass moved the clock to the sentinel; settle it back to
         // the true end of work so dollars-per-hour stays meaningful.
-        let last_activity = self
-            .vms
-            .iter()
-            .map(|vm| vm.avail)
-            .max()
-            .unwrap_or(Millis::ZERO);
-        self.now = before.max(last_activity);
+        self.now = before.max(self.last_avail);
         completions
     }
 
@@ -388,7 +556,12 @@ impl LiveCluster {
     pub fn open_vm(&self) -> Option<(usize, OpenVmView)> {
         let index = self.vms.len().checked_sub(1)?;
         let vm = self.vms.last().filter(|vm| !vm.released)?;
-        let mut running: Vec<TemplateId> = vm.running.iter().map(|&(t, _)| t).collect();
+        let mut running: Vec<TemplateId> = vm
+            .running
+            .iter()
+            .filter(|&&(_, finish)| finish > self.now)
+            .map(|&(t, _)| t)
+            .collect();
         let mut backlog = vm.avail.saturating_sub(self.now);
         for q in &vm.pending {
             backlog += q.exec;
@@ -406,7 +579,7 @@ impl LiveCluster {
 
     /// VMs provisioned and not yet released.
     pub fn vms_in_flight(&self) -> usize {
-        self.live.len()
+        self.vms_in_flight
     }
 
     /// VMs ever provisioned.
@@ -421,21 +594,15 @@ impl LiveCluster {
 
     /// Queries queued but not started, across all VMs.
     pub fn pending(&self) -> usize {
-        self.live.iter().map(|&v| self.vms[v].pending.len()).sum()
+        self.pending
     }
 
     /// Queries of one SLA class queued but not started, across all VMs.
     pub fn pending_of(&self, class: TenantId) -> usize {
-        self.live
-            .iter()
-            .flat_map(|&v| &self.vms[v].pending)
-            .filter(|q| q.class == class)
-            .count()
-    }
-
-    /// Queries started but not yet finished at the current clock.
-    pub fn executing(&self) -> usize {
-        self.executing.len()
+        self.pending_by_class
+            .get(class.index())
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Infrastructure billed so far: start-up fees of every provisioned VM
@@ -459,6 +626,7 @@ impl LiveCluster {
 mod tests {
     use super::*;
     use crate::catalog::{tpch_like, tpch_like_two_types};
+    use wisedb_core::{QueryTemplate, VmType};
 
     fn cluster(n: usize) -> LiveCluster {
         LiveCluster::new(tpch_like(n), LiveOptions::default())
@@ -495,18 +663,21 @@ mod tests {
         // Advancing *to* the queueing instant starts nothing (start >= now).
         assert!(c.advance_to(Millis::ZERO).is_empty());
         assert_eq!(c.pending(), 1);
-        assert_eq!(c.executing(), 0);
-        // One tick later the query has started but is far from finished:
-        // no completion is emitted until the clock passes its finish.
+        // One tick later the query has started (it is no longer pending)
+        // but is far from finished: no completion is emitted until the
+        // clock passes its finish, and the VM stays in flight.
         assert!(c.advance_to(Millis::from_millis(1)).is_empty());
         assert_eq!(c.pending(), 0);
-        assert_eq!(c.executing(), 1);
+        assert_eq!(c.vms_in_flight(), 1);
         let exec = c.spec().latency(TemplateId(0), VmTypeId(0)).unwrap();
+        assert!(c.advance_to(exec - Millis::from_millis(1)).is_empty());
+        // The clock reaching the finish emits the completion exactly once.
         let done = c.advance_to(exec);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].start, Millis::ZERO);
         assert_eq!(done[0].finish, exec);
-        assert_eq!(c.executing(), 0);
+        assert!(c.advance_to(exec + Millis::SECOND).is_empty());
+        assert_eq!(c.vms_in_flight(), 0);
     }
 
     #[test]
@@ -620,6 +791,42 @@ mod tests {
         assert!(attributed.approx_eq(c.billed(), 1e-9));
         // Classes that were never charged have no entry.
         assert_eq!(by_class.len(), 2);
+    }
+
+    #[test]
+    fn one_advance_bills_due_vms_in_index_order() {
+        // Rentals of 0.2 and 0.4 dollars (one hour at those rates) on top
+        // of a 0.1 start-up fee: f64 sums whose result depends on order.
+        let vm_type = |name: &str, rate: f64| VmType {
+            name: name.into(),
+            startup_cost: Money::from_dollars(0.1),
+            rate_per_hour: Money::from_dollars(rate),
+        };
+        let spec = WorkloadSpec::new(
+            vec![QueryTemplate {
+                name: "hour".into(),
+                latencies: vec![Some(Millis::HOUR), Some(Millis::HOUR)],
+            }],
+            vec![vm_type("a", 0.2), vm_type("b", 0.4)],
+        )
+        .unwrap();
+        let mut c = LiveCluster::new(spec, LiveOptions::default());
+        let class = TenantId(1);
+        let a = c.provision_as(VmTypeId(0), TenantId(0)).unwrap();
+        c.enqueue_as(a, QueryId(0), TemplateId(0), TenantId(0))
+            .unwrap();
+        c.advance_to(Millis::from_millis(1));
+        // VM `a` is busy for an hour, so its next start is due after VM
+        // `b`'s: the event heap yields `b` first.
+        c.enqueue_as(a, QueryId(1), TemplateId(0), class).unwrap();
+        let b = c.provision_as(VmTypeId(1), class).unwrap();
+        c.enqueue_as(b, QueryId(2), TemplateId(0), class).unwrap();
+        c.advance_to(Millis::HOUR + Millis::SECOND);
+        let fee = Money::from_dollars(0.1);
+        let (ra, rb) = (Money::from_dollars(0.2), Money::from_dollars(0.4));
+        let in_index_order = fee + ra + rb;
+        assert_ne!(in_index_order, fee + rb + ra, "the order must matter");
+        assert_eq!(c.billed_by_class()[1], in_index_order);
     }
 
     #[test]
