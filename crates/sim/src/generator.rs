@@ -110,7 +110,7 @@ impl Arrivals {
 }
 
 /// A standard normal draw via Box–Muller (keeps us off extra crates).
-fn standard_normal(rng: &mut StdRng) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -133,10 +133,7 @@ impl Gaussian {
 
 impl Distribution<f64> for Gaussian {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        self.mean + self.std * z
+        self.mean + self.std * standard_normal(rng)
     }
 }
 
