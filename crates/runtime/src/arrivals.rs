@@ -73,11 +73,6 @@ impl TemplateMix {
         self.weights.len()
     }
 
-    /// The normalized weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Draws one template.
     pub fn sample(&self, rng: &mut StdRng) -> TemplateId {
         let u: f64 = rng.gen_range(0.0..1.0);
@@ -471,6 +466,6 @@ mod tests {
         let a = TemplateMix::new(vec![1.0, 0.0]);
         let b = TemplateMix::new(vec![0.0, 1.0]);
         let mid = TemplateMix::lerp(&a, &b, 0.5);
-        assert!((mid.weights()[0] - 0.5).abs() < 1e-12);
+        assert!((mid.weights[0] - 0.5).abs() < 1e-12);
     }
 }
