@@ -194,8 +194,6 @@ pub struct LiveCluster {
     /// Queries queued but not started, in total and per SLA class.
     pending: usize,
     pending_by_class: Vec<usize>,
-    /// The latest `avail` of any VM: where a drain leaves the clock.
-    last_avail: Millis,
     /// Start-up fees of every provisioned VM (paid at provision time).
     startup_billed: Money,
     /// Rental billed for committed execution time.
@@ -206,14 +204,14 @@ pub struct LiveCluster {
     billed_by_class: Vec<Money>,
 }
 
-/// Adds `amount` to `class`'s dollar attribution, growing the ledger on
-/// first sight of a class.
-fn charge(ledger: &mut Vec<Money>, class: TenantId, amount: Money) {
+/// `class`'s entry of a per-class ledger, growing the ledger on first
+/// sight of a class.
+fn slot<T: Clone + Default>(ledger: &mut Vec<T>, class: TenantId) -> &mut T {
     let i = class.index();
     if ledger.len() <= i {
-        ledger.resize(i + 1, Money::ZERO);
+        ledger.resize(i + 1, T::default());
     }
-    ledger[i] += amount;
+    &mut ledger[i]
 }
 
 /// Files VM `v`'s next event if it changed; the old entry goes stale.
@@ -242,7 +240,6 @@ impl LiveCluster {
             vms_in_flight: 0,
             pending: 0,
             pending_by_class: Vec::new(),
-            last_avail: Millis::ZERO,
             startup_billed: Money::ZERO,
             runtime_billed: Money::ZERO,
             billed_by_class: Vec::new(),
@@ -272,7 +269,7 @@ impl LiveCluster {
     pub fn provision_as(&mut self, vm_type: VmTypeId, class: TenantId) -> CoreResult<usize> {
         let startup_cost = self.spec.vm_type(vm_type)?.startup_cost;
         self.startup_billed += startup_cost;
-        charge(&mut self.billed_by_class, class, startup_cost);
+        *slot(&mut self.billed_by_class, class) += startup_cost;
         let index = self.vms.len();
         let mut vm = LiveVm {
             vm_type,
@@ -287,7 +284,6 @@ impl LiveCluster {
         reschedule(&mut self.events, &mut vm, index);
         self.vms.push(vm);
         self.vms_in_flight += 1;
-        self.last_avail = self.last_avail.max(self.now);
         wisedb_obs::counter_add("wisedb_cluster_vms_provisioned_total", 1);
         wisedb_obs::instant("cluster.provision")
             .virt(self.now)
@@ -364,11 +360,7 @@ impl LiveCluster {
             }
         }
         self.pending += 1;
-        let i = class.index();
-        if self.pending_by_class.len() <= i {
-            self.pending_by_class.resize(i + 1, 0);
-        }
-        self.pending_by_class[i] += 1;
+        *slot(&mut self.pending_by_class, class) += 1;
         Ok(())
     }
 
@@ -455,11 +447,9 @@ impl LiveCluster {
         // Ascending index order keeps the f64 bills summed as a walk over
         // the whole fleet would sum them.
         self.due.sort_unstable();
-        let due = std::mem::take(&mut self.due);
-        for &v in &due {
-            self.step(v, now);
+        for i in 0..self.due.len() {
+            self.step(self.due[i], now);
         }
-        self.due = due;
         self.due.clear();
         let mut completions = Vec::new();
         while let Some(Reverse(next)) = self.in_flight.peek() {
@@ -504,7 +494,7 @@ impl LiveCluster {
             let rental = vm_type.runtime_cost(q.exec);
             self.runtime_billed += rental;
             // Rental attribution: the executing query's class pays.
-            charge(&mut self.billed_by_class, q.class, rental);
+            *slot(&mut self.billed_by_class, q.class) += rental;
             self.pending_by_class[q.class.index()] -= 1;
             vm.avail = finish;
             if finish > now {
@@ -514,7 +504,6 @@ impl LiveCluster {
         }
         vm.pending.drain(..started);
         self.pending -= started;
-        self.last_avail = self.last_avail.max(vm.avail);
         if vm.pending.is_empty() {
             if started > 0 {
                 if let Ok(at) = self.queued.binary_search(&v) {
@@ -540,7 +529,13 @@ impl LiveCluster {
         let completions = self.advance_to(Millis::from_millis(u64::MAX));
         // The drain pass moved the clock to the sentinel; settle it back to
         // the true end of work so dollars-per-hour stays meaningful.
-        self.now = before.max(self.last_avail);
+        let last_activity = self
+            .vms
+            .iter()
+            .map(|vm| vm.avail)
+            .max()
+            .unwrap_or(Millis::ZERO);
+        self.now = before.max(last_activity);
         completions
     }
 
