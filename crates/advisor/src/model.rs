@@ -297,10 +297,13 @@ impl DecisionModel {
 
 /// Everything kept from training that adaptive re-training (§5) can reuse:
 /// the distinct sample signatures with their solves, one adaptive searcher
-/// per signature, and the solve cache the run was trained through. Cloning
-/// copies the warmed search memos but *shares* the solve cache, so
-/// independent consumers (e.g. several online schedulers over one base
-/// model) each keep adapting cheaply while warm retrains keep deduplicating
+/// per signature, the solve cache the run was trained through, and the
+/// lineage that fixes all of them (the training run and every tightening
+/// step since). Cloning is a handful of reference
+/// bumps: the searchers are copied on write, when a clone's tightened
+/// retrain first changes them, so independent consumers (e.g. several
+/// online schedulers over one base model) each keep adapting cheaply, and
+/// the solve cache stays shared, so warm retrains keep deduplicating
 /// against one signature store.
 #[derive(Clone)]
 pub struct TrainingArtifacts {
@@ -314,9 +317,11 @@ pub struct TrainingArtifacts {
     /// tightened retrain builds them from `entries`: most artifacts never
     /// retrain, and the rebuilt memo is exactly the one the signature's own
     /// solve would have left behind.
-    searchers: Vec<AdaptiveSearcher>,
+    searchers: Arc<Vec<AdaptiveSearcher>>,
     /// The solve cache this model was trained through.
     warm: WarmStart,
+    /// What the memos above are a function of.
+    lineage: Arc<Lineage>,
 }
 
 impl TrainingArtifacts {
@@ -325,6 +330,38 @@ impl TrainingArtifacts {
     /// sample signature.
     pub fn warm_start(&self) -> WarmStart {
         self.warm.clone()
+    }
+
+    /// What fixes these artifacts' memos.
+    pub(crate) fn lineage(&self) -> &Arc<Lineage> {
+        &self.lineage
+    }
+}
+
+/// What fixes a [`TrainingArtifacts`]' samples, solves and search memos:
+/// the (spec, goal, [`ModelConfig`]) it was trained from and, in order,
+/// every step [`ModelGenerator::retrain_tightened`] has applied since (the
+/// goal and the search configuration it solved under). Training and
+/// tightening are deterministic, so two artifacts with equal lineages hold
+/// equal memos, and one tightening step takes them to equal memos again.
+/// Compared by value.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Lineage {
+    spec: SpecHandle,
+    goal: GoalHandle,
+    config: ModelConfig,
+    steps: Vec<(PerformanceGoal, SearchConfig)>,
+}
+
+impl Lineage {
+    /// Whether `later` extends this lineage by at least one step: the
+    /// artifacts at `later` can be reached from here by tightening.
+    pub(crate) fn precedes(&self, later: &Lineage) -> bool {
+        self.steps.len() < later.steps.len()
+            && later.steps[..self.steps.len()] == self.steps[..]
+            && self.spec == later.spec
+            && self.goal == later.goal
+            && self.config == later.config
     }
 }
 
@@ -476,8 +513,14 @@ impl ModelGenerator {
             of_sample,
             signatures,
             entries,
-            searchers: Vec::new(),
+            searchers: Arc::default(),
             warm: WarmStart::new(cache),
+            lineage: Arc::new(Lineage {
+                spec: self.spec.clone(),
+                goal: self.goal.clone(),
+                config: self.config.clone(),
+                steps: Vec::new(),
+            }),
         };
         Ok((model, artifacts))
     }
@@ -531,7 +574,8 @@ impl ModelGenerator {
     /// were produced under, reusing each signature's search memo (§5). The
     /// generator's own goal is *not* consulted; `goal` rules. Each distinct
     /// signature is solved once, like a cold train, and duplicate samples
-    /// repeat its rows.
+    /// repeat its rows. The artifacts' lineage gains the step; searchers
+    /// shared with a clone are copied first.
     pub fn retrain_tightened(
         &self,
         goal: &PerformanceGoal,
@@ -546,18 +590,21 @@ impl ModelGenerator {
         }
 
         if artifacts.searchers.is_empty() {
-            artifacts.searchers = artifacts
-                .entries
-                .iter()
-                .map(|e| AdaptiveSearcher::warmed(e.searcher_memo()))
-                .collect();
+            artifacts.searchers = Arc::new(
+                artifacts
+                    .entries
+                    .iter()
+                    .map(|e| AdaptiveSearcher::warmed(e.searcher_memo()))
+                    .collect(),
+            );
         }
         let mut jobs: Vec<_> = artifacts
             .signatures
             .iter()
-            .zip(&mut artifacts.searchers)
+            .zip(Arc::make_mut(&mut artifacts.searchers))
             .collect();
         let search = self.config.search_for(goal);
+        let lineage = self.tightened_lineage(goal, &artifacts.lineage);
         let entries = self.fan_out(&mut jobs, |(sig, searcher)| {
             let solved = searcher.solve(
                 &self.spec,
@@ -575,6 +622,7 @@ impl ModelGenerator {
                 ExploredStates::default(),
             )))
         })?;
+        artifacts.lineage = Arc::new(lineage);
 
         let generator = ModelGenerator {
             spec: self.spec.clone(),
@@ -590,6 +638,16 @@ impl ModelGenerator {
             &fresh,
             start,
         ))
+    }
+
+    /// The lineage artifacts at `from` have after
+    /// [`retrain_tightened`](Self::retrain_tightened) applies `goal`.
+    pub(crate) fn tightened_lineage(&self, goal: &PerformanceGoal, from: &Lineage) -> Lineage {
+        let mut lineage = from.clone();
+        lineage
+            .steps
+            .push((goal.clone(), self.config.search_for(goal)));
+        lineage
     }
 
     /// Assembles the dataset in sample order (a duplicate sample repeats

@@ -11,6 +11,16 @@
 //!   [`SlaClass`], all sharing a single interned [`SpecHandle`] — the
 //!   PR-3 handle machinery means `k` class models cost one spec
 //!   allocation, not `k`;
+//! * one Shift ladder per set of *sibling* classes: classes whose
+//!   schedulers have the same inputs (the same goal, spec and training
+//!   configuration, and artifacts of the same lineage; a provider's
+//!   tenants on one SLA tier). A tightened model (§5) one sibling builds
+//!   is handed to the others when their own ladders reach the same step,
+//!   with its post-retrain memos shared copy-on-write, so the step is
+//!   trained and held once. Each class still plans with exactly the model
+//!   its own ladder would have built, and counts it as its own shift;
+//!   [`OnlineCounters::sibling_shifts`](crate::OnlineCounters::sibling_shifts)
+//!   counts the ones taken;
 //! * one shared [`ClusterView`]: every class's placements contend for the
 //!   same open VM and the same fleet counter, so consolidation happens
 //!   naturally (a gold-class plan can stack work behind a bronze-class
@@ -24,11 +34,13 @@
 //! `OnlineScheduler` over the full spec — bit-identical to the legacy
 //! single-goal pipeline (asserted by `tests/multitenant_e2e.rs`).
 
+use std::sync::Arc;
+
 use wisedb_core::{
-    validate_classes, CoreError, CoreResult, Millis, SlaClass, SpecHandle, TenantId,
+    validate_classes, CoreError, CoreResult, GoalHandle, Millis, SlaClass, SpecHandle, TenantId,
 };
 
-use crate::model::{DecisionModel, TrainingArtifacts};
+use crate::model::{DecisionModel, Lineage, ModelGenerator, TrainingArtifacts};
 use crate::online::{ClusterView, OnlineConfig, OnlineScheduler, PendingArrival, PlannedStep};
 
 /// Per-class online schedulers multiplexed over one shared cluster view.
@@ -38,11 +50,15 @@ pub struct MultiScheduler {
     /// One scheduler per class, indexed by [`TenantId`].
     schedulers: Vec<OnlineScheduler>,
     config: OnlineConfig,
+    /// The Shift ladder steps sibling classes hand each other.
+    ladder: LadderStore,
 }
 
 impl MultiScheduler {
-    /// Trains one base model per class against the shared `spec`. Classes
-    /// are identified by their index: `classes[i]` is [`TenantId`]`(i)`.
+    /// Trains one base model per distinct class goal against the shared
+    /// `spec`; classes with equal goals get clones of one model, so they
+    /// are siblings from the start. Classes are identified by their index:
+    /// `classes[i]` is [`TenantId`]`(i)`.
     pub fn train(
         spec: impl Into<SpecHandle>,
         classes: Vec<SlaClass>,
@@ -50,11 +66,30 @@ impl MultiScheduler {
     ) -> CoreResult<Self> {
         let spec = spec.into();
         validate_classes(&classes, &spec)?;
-        let schedulers = classes
-            .iter()
-            .map(|class| OnlineScheduler::train(spec.clone(), class.goal.clone(), config.clone()))
-            .collect::<CoreResult<Vec<_>>>()?;
+        let mut trained: Vec<(&GoalHandle, DecisionModel, TrainingArtifacts)> = Vec::new();
+        let mut schedulers = Vec::with_capacity(classes.len());
+        for class in &classes {
+            let (model, artifacts) = match trained.iter().find(|(goal, ..)| **goal == class.goal) {
+                Some((_, model, artifacts)) => (model.clone(), artifacts.clone()),
+                None => {
+                    let generator = ModelGenerator::new(
+                        spec.clone(),
+                        class.goal.clone(),
+                        config.training.clone(),
+                    );
+                    let (model, artifacts) = generator.train_with_artifacts()?;
+                    trained.push((&class.goal, model.clone(), artifacts.clone()));
+                    (model, artifacts)
+                }
+            };
+            schedulers.push(OnlineScheduler::with_model(
+                model,
+                artifacts,
+                config.clone(),
+            ));
+        }
         Ok(MultiScheduler {
+            ladder: LadderStore::new(&schedulers),
             spec,
             classes,
             schedulers,
@@ -91,6 +126,7 @@ impl MultiScheduler {
         }
         validate_classes(&classes, &spec)?;
         Ok(MultiScheduler {
+            ladder: LadderStore::new(&schedulers),
             spec,
             classes,
             schedulers,
@@ -122,6 +158,13 @@ impl MultiScheduler {
             .ok_or(CoreError::UnknownTenantClass { class })
     }
 
+    /// Shift ladder steps that one class built and a sibling can still
+    /// take: each is held until every sibling that can reach it has taken
+    /// it or moved past it. Always zero without sibling classes.
+    pub fn shared_steps(&self) -> usize {
+        self.ladder.steps.len()
+    }
+
     /// Plans one batch of class `class` against the shared cluster view.
     /// The batch must be that class's arrivals (the newcomer plus its
     /// recalled same-class pending); model selection runs entirely inside
@@ -137,14 +180,15 @@ impl MultiScheduler {
             .schedulers
             .get_mut(class.index())
             .ok_or(CoreError::UnknownTenantClass { class })?;
-        scheduler.plan_arrivals(view, batch, now)
+        scheduler.plan(view, batch, now, self.ladder.siblings(class.index()))
     }
 
     /// Hot-swaps one class's decision model — the background-retraining
     /// hook: a drift-adapted model trained off the event loop replaces the
     /// class's scheduler (fresh caches) and takes effect on the next
     /// arrival. In-flight and queued work is untouched; only future plans
-    /// consult the new model.
+    /// consult the new model. The class leaves its siblings and joins any
+    /// class whose scheduler now has the same inputs.
     ///
     /// The model must be trained for the service's spec and the class's
     /// goal; anything else is a [`CoreError::ModelMismatch`].
@@ -170,14 +214,180 @@ impl MultiScheduler {
         }
         self.schedulers[class.index()] =
             OnlineScheduler::with_model(model, artifacts, self.config.clone());
+        self.ladder.regroup(class.index(), &self.schedulers);
         Ok(())
+    }
+}
+
+/// The Shift ladder steps sibling classes hand each other, keyed by the
+/// lineage each step leads to. A step is held for the siblings whose
+/// lineage precedes it, the ones that may still reach it, and dropped
+/// once each has taken it or moved past it.
+struct LadderStore {
+    /// Each class's sibling group and current lineage; `None` for a class
+    /// without siblings, which never touches the store.
+    members: Vec<Option<Member>>,
+    steps: Vec<SharedStep>,
+    /// The id the next group formed by a swap gets.
+    next_group: usize,
+}
+
+struct Member {
+    group: usize,
+    at: Arc<Lineage>,
+}
+
+/// One built step: the tightened model and the post-retrain artifacts,
+/// whose lineage is the step's.
+struct SharedStep {
+    group: usize,
+    model: DecisionModel,
+    artifacts: TrainingArtifacts,
+    /// The siblings that may still take it.
+    takers: Vec<usize>,
+}
+
+impl LadderStore {
+    /// Groups the classes whose schedulers have the same inputs; a group
+    /// is named by its first class.
+    fn new(schedulers: &[OnlineScheduler]) -> Self {
+        let first: Vec<usize> = (0..schedulers.len())
+            .map(|i| {
+                (0..i)
+                    .find(|&j| schedulers[j].same_inputs(&schedulers[i]))
+                    .unwrap_or(i)
+            })
+            .collect();
+        let members = (0..schedulers.len())
+            .map(|i| {
+                let siblings = first.iter().filter(|&&g| g == first[i]).count();
+                (siblings > 1).then(|| Member {
+                    group: first[i],
+                    at: Arc::clone(schedulers[i].lineage()),
+                })
+            })
+            .collect();
+        LadderStore {
+            members,
+            steps: Vec::new(),
+            next_group: schedulers.len(),
+        }
+    }
+
+    /// The store as `class`'s scheduler sees it, if the class has siblings.
+    fn siblings(&mut self, class: usize) -> Option<Siblings<'_>> {
+        self.members[class]
+            .is_some()
+            .then_some(Siblings { store: self, class })
+    }
+
+    /// After `class`'s scheduler was replaced: it leaves its group, and
+    /// joins the group of a class with the same inputs, if there is one.
+    fn regroup(&mut self, class: usize, schedulers: &[OnlineScheduler]) {
+        if self.members[class].take().is_some() {
+            for step in &mut self.steps {
+                step.takers.retain(|&k| k != class);
+            }
+            self.steps.retain(|step| !step.takers.is_empty());
+        }
+        let Some(peer) = (0..schedulers.len())
+            .find(|&k| k != class && schedulers[k].same_inputs(&schedulers[class]))
+        else {
+            return;
+        };
+        let group = match &self.members[peer] {
+            Some(member) => member.group,
+            None => {
+                let group = self.next_group;
+                self.next_group += 1;
+                self.members[peer] = Some(Member {
+                    group,
+                    at: Arc::clone(schedulers[peer].lineage()),
+                });
+                group
+            }
+        };
+        let at = Arc::clone(schedulers[class].lineage());
+        for step in &mut self.steps {
+            if step.group == group && at.precedes(step.artifacts.lineage()) {
+                step.takers.push(class);
+            }
+        }
+        self.members[class] = Some(Member { group, at });
+    }
+
+    fn group_of(&self, class: usize) -> usize {
+        self.members[class]
+            .as_ref()
+            .expect("only sibling classes reach the store")
+            .group
+    }
+
+    /// Records that `class` moved to lineage `to`: it stops waiting for
+    /// every step it can no longer reach, and steps nobody waits for go.
+    fn moved(&mut self, class: usize, to: &Arc<Lineage>) {
+        let group = self.group_of(class);
+        for step in &mut self.steps {
+            if step.group == group && !to.precedes(step.artifacts.lineage()) {
+                step.takers.retain(|&k| k != class);
+            }
+        }
+        self.steps.retain(|step| !step.takers.is_empty());
+        if let Some(member) = &mut self.members[class] {
+            member.at = Arc::clone(to);
+        }
+    }
+}
+
+/// One sibling class's view of the [`LadderStore`], handed to its
+/// scheduler's Shift path.
+pub(crate) struct Siblings<'a> {
+    store: &'a mut LadderStore,
+    class: usize,
+}
+
+impl Siblings<'_> {
+    /// The step leading to lineage `to`, if a sibling built it: the model
+    /// and the artifacts after it (memos shared until either side
+    /// tightens again).
+    pub(crate) fn take(&mut self, to: &Lineage) -> Option<(DecisionModel, TrainingArtifacts)> {
+        let (class, group) = (self.class, self.store.group_of(self.class));
+        let step = self.store.steps.iter().position(|step| {
+            step.group == group && step.takers.contains(&class) && **step.artifacts.lineage() == *to
+        })?;
+        let shared = &self.store.steps[step];
+        let taken = (shared.model.clone(), shared.artifacts.clone());
+        self.store.moved(class, taken.1.lineage());
+        Some(taken)
+    }
+
+    /// Offers the step this class just built, `model` with `artifacts`
+    /// after it, to the siblings that may still reach it.
+    pub(crate) fn offer(&mut self, model: &DecisionModel, artifacts: &TrainingArtifacts) {
+        let (class, group) = (self.class, self.store.group_of(self.class));
+        let to = artifacts.lineage();
+        let takers: Vec<usize> = (self.store.members.iter().enumerate())
+            .filter_map(|(k, member)| {
+                let member = member.as_ref()?;
+                (k != class && member.group == group && member.at.precedes(to)).then_some(k)
+            })
+            .collect();
+        if !takers.is_empty() {
+            self.store.steps.push(SharedStep {
+                group,
+                model: model.clone(),
+                artifacts: artifacts.clone(),
+                takers,
+            });
+        }
+        self.store.moved(class, to);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ModelConfig, ModelGenerator};
+    use crate::model::ModelConfig;
     use crate::online::Planner;
     use wisedb_core::{GoalKind, PerformanceGoal, QueryId, TemplateId, VmType, WorkloadSpec};
 
@@ -215,14 +425,28 @@ mod tests {
         ]
     }
 
+    /// `classes` plus a second class on gold's goal.
+    fn with_twin(spec: &WorkloadSpec) -> Vec<SlaClass> {
+        let mut set = classes(spec);
+        set.push(SlaClass::new("gold-2", set[0].goal.clone()));
+        set
+    }
+
+    /// Each class's sibling group, `None` without siblings.
+    fn groups(multi: &MultiScheduler) -> Vec<Option<usize>> {
+        (multi.ladder.members.iter())
+            .map(|m| m.as_ref().map(|m| m.group))
+            .collect()
+    }
+
     #[test]
     fn trains_one_scheduler_per_class_on_one_spec() {
         let spec = spec();
-        let multi = MultiScheduler::train(spec.clone(), classes(&spec), tiny()).unwrap();
-        assert_eq!(multi.classes().len(), 2);
+        let multi = MultiScheduler::train(spec.clone(), with_twin(&spec), tiny()).unwrap();
+        assert_eq!(multi.classes().len(), 3);
         assert_eq!(multi.class(TenantId(0)).unwrap().name, "gold");
         // Every class model shares the interned spec allocation.
-        for id in 0..2 {
+        for id in 0..3 {
             assert!(multi
                 .scheduler(TenantId(id))
                 .unwrap()
@@ -230,10 +454,101 @@ mod tests {
                 .spec_handle()
                 .ptr_eq(multi.spec_handle()));
         }
+        // The twin's model is gold's, trained once (one solve cache), and
+        // the one a training of its own would produce.
+        let (gold, twin) = (
+            multi.scheduler(TenantId(0)).unwrap(),
+            multi.scheduler(TenantId(2)).unwrap(),
+        );
+        assert!(Arc::ptr_eq(
+            gold.warm_start().cache(),
+            twin.warm_start().cache()
+        ));
+        let solo = OnlineScheduler::train(
+            spec.clone(),
+            gold.base_model().goal_handle().clone(),
+            tiny(),
+        )
+        .unwrap();
+        assert_eq!(twin.base_model().tree(), solo.base_model().tree());
+        assert!(twin.same_inputs(&solo));
+        assert_eq!(groups(&multi), [Some(0), None, Some(0)]);
         assert!(matches!(
             multi.class(TenantId(7)),
             Err(CoreError::UnknownTenantClass { .. })
         ));
+    }
+
+    #[test]
+    fn siblings_share_a_shift_step_and_regroup_on_swap() {
+        let spec = spec();
+        let mut multi = MultiScheduler::train(spec.clone(), with_twin(&spec), tiny()).unwrap();
+        // Waited 10 s: both gold classes shift to the same tightened goal.
+        let aged = |id| {
+            [PendingArrival {
+                id: QueryId(id),
+                template: TemplateId(0),
+                arrival: Millis::ZERO,
+            }]
+        };
+        let now = Millis::from_secs(10);
+        let view = ClusterView::default();
+        let work =
+            |multi: &MultiScheduler, class| multi.scheduler(TenantId(class)).unwrap().counters();
+        let first = multi
+            .plan_arrivals(TenantId(0), &view, &aged(0), now)
+            .unwrap();
+        assert_eq!(multi.shared_steps(), 1, "held for gold-2");
+        let second = multi
+            .plan_arrivals(TenantId(2), &view, &aged(1), now)
+            .unwrap();
+        assert_eq!(first.len(), second.len());
+        assert_eq!(multi.shared_steps(), 0, "taken by the last sibling");
+        assert_eq!(
+            (work(&multi, 0).shifts, work(&multi, 0).sibling_shifts),
+            (1, 0)
+        );
+        assert_eq!(
+            (work(&multi, 2).shifts, work(&multi, 2).sibling_shifts),
+            (1, 1)
+        );
+        assert_eq!(groups(&multi), [Some(0), None, Some(0)]);
+
+        // A model of another seed has other inputs: gold-2 leaves.
+        let shared = multi.spec_handle().clone();
+        let goal = multi.class(TenantId(0)).unwrap().goal.clone();
+        let train = |seed| {
+            ModelGenerator::new(
+                shared.clone(),
+                goal.clone(),
+                tiny().training.with_seed(seed),
+            )
+            .train_with_artifacts()
+            .unwrap()
+        };
+        let (model, artifacts) = train(99);
+        multi.swap_model(TenantId(2), model, artifacts).unwrap();
+        assert_eq!(groups(&multi), [Some(0), None, None]);
+        multi
+            .plan_arrivals(TenantId(0), &view, &aged(2), now + now)
+            .unwrap();
+        assert_eq!(multi.shared_steps(), 0, "no sibling left to take it");
+
+        // Gold swapped to gold-2's inputs: siblings again, in a new group.
+        let (model, artifacts) = train(99);
+        multi.swap_model(TenantId(0), model, artifacts).unwrap();
+        assert_eq!(groups(&multi), [Some(3), None, Some(3)]);
+        multi
+            .plan_arrivals(TenantId(2), &view, &aged(3), now)
+            .unwrap();
+        multi
+            .plan_arrivals(TenantId(0), &view, &aged(4), now)
+            .unwrap();
+        assert_eq!(
+            (work(&multi, 0).shifts, work(&multi, 0).sibling_shifts),
+            (1, 1)
+        );
+        assert_eq!(multi.shared_steps(), 0);
     }
 
     #[test]

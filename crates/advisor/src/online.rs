@@ -42,7 +42,8 @@ use wisedb_core::{
 use wisedb_search::{Decision, LastVm, SearchConfig, SearchState, Solver};
 
 use crate::batch::plan_with_tree;
-use crate::model::{DecisionModel, ModelConfig, ModelGenerator, TrainingArtifacts};
+use crate::model::{DecisionModel, Lineage, ModelConfig, ModelGenerator, TrainingArtifacts};
+use crate::multi::Siblings;
 
 /// Which planner schedules each online batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -222,6 +223,10 @@ pub struct OnlineCounters {
     pub cache_hits: usize,
     /// Shift-derived models built via adaptive retraining.
     pub shifts: usize,
+    /// Shift models among [`shifts`](Self::shifts) that a sibling class
+    /// of a [`MultiScheduler`](crate::MultiScheduler) had already built
+    /// from the same inputs, taken instead of retrained.
+    pub sibling_shifts: usize,
     /// Oracle batch plans ([`Planner::Optimal`]) that stopped on
     /// [`oracle_search`](OnlineConfig::oracle_search)'s expansion budget
     /// ([`SearchStats::limit_hit`](wisedb_search::SearchStats::limit_hit))
@@ -352,6 +357,21 @@ impl OnlineScheduler {
         self.counters
     }
 
+    /// Whether `other` builds exactly the Shift ladder steps this
+    /// scheduler builds: the same artifacts lineage and an equal generator
+    /// (spec, goal and training configuration).
+    pub(crate) fn same_inputs(&self, other: &OnlineScheduler) -> bool {
+        self.artifacts.lineage() == other.artifacts.lineage()
+            && self.spec == other.spec
+            && self.goal == other.goal
+            && self.config.training == other.config.training
+    }
+
+    /// The lineage of this scheduler's current artifacts.
+    pub(crate) fn lineage(&self) -> &Arc<Lineage> {
+        self.artifacts.lineage()
+    }
+
     /// Plans one online batch against an externally owned cluster (§6.3):
     /// the incremental entry point the streaming runtime drives.
     ///
@@ -366,6 +386,19 @@ impl OnlineScheduler {
         view: &ClusterView,
         batch: &[PendingArrival],
         now: Millis,
+    ) -> CoreResult<Vec<PlannedStep>> {
+        self.plan(view, batch, now, None)
+    }
+
+    /// [`plan_arrivals`](Self::plan_arrivals), with the Shift ladder steps
+    /// of this scheduler's sibling classes, if it has any, to take from
+    /// and to offer to.
+    pub(crate) fn plan(
+        &mut self,
+        view: &ClusterView,
+        batch: &[PendingArrival],
+        now: Millis,
+        siblings: Option<Siblings<'_>>,
     ) -> CoreResult<Vec<PlannedStep>> {
         let quantum = self.config.age_quantum.as_millis().max(1);
         let bucket_of = |q: &PendingArrival| age_bucket(now.saturating_sub(q.arrival), quantum);
@@ -396,9 +429,7 @@ impl OnlineScheduler {
                     .goal
                     .shift(shift)
                     .expect("shiftable goals always shift");
-                let model = self
-                    .generator
-                    .retrain_tightened(&shifted_goal, &mut self.artifacts)?;
+                let model = self.shift_step(&shifted_goal, siblings)?;
                 self.shift_cache.insert(max_bucket, model);
                 self.counters.shifts += 1;
             }
@@ -536,6 +567,33 @@ impl OnlineScheduler {
             })
             .collect();
         Ok(steps)
+    }
+
+    /// The model for the Shift ladder's next step, `goal`: a sibling's if
+    /// one built it from the same lineage, else retrained here (§5) and
+    /// offered to the siblings. Either way the artifacts move to the step's
+    /// lineage.
+    fn shift_step(
+        &mut self,
+        goal: &PerformanceGoal,
+        siblings: Option<Siblings<'_>>,
+    ) -> CoreResult<DecisionModel> {
+        let Some(mut siblings) = siblings else {
+            return self.generator.retrain_tightened(goal, &mut self.artifacts);
+        };
+        let to = self
+            .generator
+            .tightened_lineage(goal, self.artifacts.lineage());
+        if let Some((model, artifacts)) = siblings.take(&to) {
+            self.artifacts = artifacts;
+            self.counters.sibling_shifts += 1;
+            return Ok(model);
+        }
+        let model = self
+            .generator
+            .retrain_tightened(goal, &mut self.artifacts)?;
+        siblings.offer(&model, &self.artifacts);
+        Ok(model)
     }
 
     /// The augmented scheduling view for a batch with waited queries: one

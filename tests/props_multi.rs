@@ -10,10 +10,17 @@
 //! caches, the multiplexed scheduler must plan every batch exactly like
 //! the class's own scheduler, and agree on every class's counters and
 //! cache sizes.
+//!
+//! The siblings share one Shift ladder. Each class's own ladder (the
+//! shifted goals its independent scheduler retrained for, in order) is
+//! tracked here, and after every call the sharing is checked against it:
+//! no ladder step (a lineage of goals) is built twice among the siblings,
+//! a class without siblings takes nothing, and the shared store holds
+//! exactly the built steps that some sibling's ladder still precedes.
 
 use proptest::prelude::*;
 
-use wisedb::advisor::{ClusterView, MultiScheduler, PendingArrival};
+use wisedb::advisor::{ClusterView, MultiScheduler, OnlineCounters, PendingArrival};
 use wisedb::prelude::*;
 
 const QUANTUM: Millis = Millis::from_secs(60);
@@ -55,9 +62,28 @@ fn classes(spec: &WorkloadSpec, siblings: usize, distinct: GoalKind) -> Vec<SlaC
     classes
 }
 
+/// Every ladder step the siblings reached, once: each non-empty prefix
+/// of a sibling's ladder.
+fn built_steps(ladders: &[&[PerformanceGoal]]) -> Vec<Vec<PerformanceGoal>> {
+    let mut steps: Vec<Vec<PerformanceGoal>> = Vec::new();
+    for ladder in ladders {
+        for len in 1..=ladder.len() {
+            if !steps.iter().any(|step| step[..] == ladder[..len]) {
+                steps.push(ladder[..len].to_vec());
+            }
+        }
+    }
+    steps
+}
+
+/// A wait in quanta.
+fn wait() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..=2, 0u32..=12]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 40, .. ProptestConfig::default()
+        cases: 64, .. ProptestConfig::default()
     })]
 
     #[test]
@@ -68,9 +94,10 @@ proptest! {
         bounded in prop_oneof![Just(false), Just(true)],
         // One planning call each: a class pick, the clock step before it
         // in seconds, and the batch as (template, wait in quanta). Waits
-        // reach 12 quanta; the longest deadline is 9.
+        // reach 12 quanta (the longest deadline is 9); half stay within
+        // two, so the siblings' ladders often agree for a while.
         ops in collection::vec(
-            (0u32..1_000, 0u32..200, collection::vec((0u32..3, 0u32..=12), 1..=3)),
+            (0u32..1_000, 0u32..200, collection::vec((0u32..3, wait()), 1..=3)),
             1..=24,
         ),
     ) {
@@ -92,9 +119,11 @@ proptest! {
         let view = ClusterView::default();
         let mut now = Millis::HOUR;
         let mut next_id = 0u32;
+        let sibling_ids: Vec<usize> = (0..class_set.len()).filter(|&c| c != 1).collect();
+        let mut ladders: Vec<Vec<PerformanceGoal>> = vec![Vec::new(); class_set.len()];
         for (pick, step, queries) in &ops {
             let class = *pick as usize % class_set.len();
-            now = now + Millis::from_secs(u64::from(*step));
+            now += Millis::from_secs(u64::from(*step));
             let batch: Vec<PendingArrival> = queries
                 .iter()
                 .map(|&(template, wait)| {
@@ -106,15 +135,49 @@ proptest! {
                     }
                 })
                 .collect();
+            let shifts = reference[class].counters().shifts;
             let expected = reference[class].plan_arrivals(&view, &batch, now).unwrap();
             let planned = multi
                 .plan_arrivals(TenantId(class as u32), &view, &batch, now)
                 .unwrap();
             prop_assert_eq!(planned, expected, "class {} at {}", class, now);
+            if reference[class].counters().shifts > shifts {
+                // Waits are whole quanta, so the oldest wait is the bucket.
+                let bucket = queries.iter().map(|&(_, wait)| wait).max().unwrap_or(0);
+                let shift = QUANTUM * u64::from(bucket);
+                ladders[class].push(class_set[class].goal.shift(shift).unwrap());
+            }
+
+            // Each step is built once, by the first sibling to reach it.
+            let siblings: Vec<&[PerformanceGoal]> =
+                sibling_ids.iter().map(|&c| &ladders[c][..]).collect();
+            let steps = built_steps(&siblings);
+            let built: usize = sibling_ids
+                .iter()
+                .map(|&c| {
+                    let work = multi.scheduler(TenantId(c as u32)).unwrap().counters();
+                    work.shifts - work.sibling_shifts
+                })
+                .sum();
+            prop_assert_eq!(built, steps.len());
+            let distinct = multi.scheduler(TenantId(1)).unwrap().counters();
+            prop_assert_eq!(distinct.sibling_shifts, 0);
+            // Held: the steps some sibling's ladder is a strict prefix of.
+            let waiting = steps
+                .iter()
+                .filter(|step| {
+                    (siblings.iter()).any(|at| at.len() < step.len() && step.starts_with(at))
+                })
+                .count();
+            prop_assert_eq!(multi.shared_steps(), waiting);
         }
         for (c, solo) in reference.iter().enumerate() {
             let shared = multi.scheduler(TenantId(c as u32)).unwrap();
-            prop_assert_eq!(shared.counters(), solo.counters(), "class {}", c);
+            let counters = OnlineCounters {
+                sibling_shifts: 0,
+                ..shared.counters()
+            };
+            prop_assert_eq!(counters, solo.counters(), "class {}", c);
             prop_assert_eq!(shared.cache_sizes(), solo.cache_sizes(), "class {}", c);
         }
     }
