@@ -37,7 +37,7 @@
 use std::sync::Arc;
 
 use wisedb_core::{
-    validate_classes, CoreError, CoreResult, GoalHandle, Millis, SlaClass, SpecHandle, TenantId,
+    validate_classes, CoreError, CoreResult, Millis, SlaClass, SpecHandle, TenantId,
 };
 
 use crate::model::{DecisionModel, Lineage, ModelGenerator, TrainingArtifacts};
@@ -66,20 +66,16 @@ impl MultiScheduler {
     ) -> CoreResult<Self> {
         let spec = spec.into();
         validate_classes(&classes, &spec)?;
-        let mut trained: Vec<(&GoalHandle, DecisionModel, TrainingArtifacts)> = Vec::new();
-        let mut schedulers = Vec::with_capacity(classes.len());
-        for class in &classes {
-            let (model, artifacts) = match trained.iter().find(|(goal, ..)| **goal == class.goal) {
-                Some((_, model, artifacts)) => (model.clone(), artifacts.clone()),
+        let mut schedulers: Vec<OnlineScheduler> = Vec::with_capacity(classes.len());
+        for (i, class) in classes.iter().enumerate() {
+            let (model, artifacts) = match classes[..i].iter().position(|c| c.goal == class.goal) {
+                Some(j) => (
+                    schedulers[j].base_model().clone(),
+                    schedulers[j].artifacts().clone(),
+                ),
                 None => {
-                    let generator = ModelGenerator::new(
-                        spec.clone(),
-                        class.goal.clone(),
-                        config.training.clone(),
-                    );
-                    let (model, artifacts) = generator.train_with_artifacts()?;
-                    trained.push((&class.goal, model.clone(), artifacts.clone()));
-                    (model, artifacts)
+                    ModelGenerator::new(spec.clone(), class.goal.clone(), config.training.clone())
+                        .train_with_artifacts()?
                 }
             };
             schedulers.push(OnlineScheduler::with_model(
@@ -263,7 +259,7 @@ impl LadderStore {
                 let siblings = first.iter().filter(|&&g| g == first[i]).count();
                 (siblings > 1).then(|| Member {
                     group: first[i],
-                    at: Arc::clone(schedulers[i].lineage()),
+                    at: Arc::clone(schedulers[i].artifacts().lineage()),
                 })
             })
             .collect();
@@ -302,12 +298,12 @@ impl LadderStore {
                 self.next_group += 1;
                 self.members[peer] = Some(Member {
                     group,
-                    at: Arc::clone(schedulers[peer].lineage()),
+                    at: Arc::clone(schedulers[peer].artifacts().lineage()),
                 });
                 group
             }
         };
-        let at = Arc::clone(schedulers[class].lineage());
+        let at = Arc::clone(schedulers[class].artifacts().lineage());
         for step in &mut self.steps {
             if step.group == group && at.precedes(step.artifacts.lineage()) {
                 step.takers.push(class);
@@ -352,9 +348,11 @@ impl Siblings<'_> {
     /// tightens again).
     pub(crate) fn take(&mut self, to: &Lineage) -> Option<(DecisionModel, TrainingArtifacts)> {
         let (class, group) = (self.class, self.store.group_of(self.class));
-        let step = self.store.steps.iter().position(|step| {
-            step.group == group && step.takers.contains(&class) && **step.artifacts.lineage() == *to
-        })?;
+        let step = self
+            .store
+            .steps
+            .iter()
+            .position(|step| step.group == group && **step.artifacts.lineage() == *to)?;
         let shared = &self.store.steps[step];
         let taken = (shared.model.clone(), shared.artifacts.clone());
         self.store.moved(class, taken.1.lineage());

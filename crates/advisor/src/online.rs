@@ -42,7 +42,7 @@ use wisedb_core::{
 use wisedb_search::{Decision, LastVm, SearchConfig, SearchState, Solver};
 
 use crate::batch::plan_with_tree;
-use crate::model::{DecisionModel, Lineage, ModelConfig, ModelGenerator, TrainingArtifacts};
+use crate::model::{DecisionModel, ModelConfig, ModelGenerator, TrainingArtifacts};
 use crate::multi::Siblings;
 
 /// Which planner schedules each online batch.
@@ -367,9 +367,9 @@ impl OnlineScheduler {
             && self.config.training == other.config.training
     }
 
-    /// The lineage of this scheduler's current artifacts.
-    pub(crate) fn lineage(&self) -> &Arc<Lineage> {
-        self.artifacts.lineage()
+    /// The artifacts the Shift ladder's next step starts from.
+    pub(crate) fn artifacts(&self) -> &TrainingArtifacts {
+        &self.artifacts
     }
 
     /// Plans one online batch against an externally owned cluster (§6.3):
