@@ -380,6 +380,57 @@ fn shard_loop(scale: Scale, out: &mut Vec<Measurement>) {
     );
 }
 
+/// The duplicated-SLA tick loop: two PerQuery and two Average classes
+/// ([`regress::sibling_service`]) replayed through `run_ticked` in ticks
+/// of 16, each class arriving about once a minute, with a ten-minute age
+/// quantum, so every PerQuery class shifts. The two PerQuery classes are
+/// siblings: the Shift step one builds, the other takes instead of
+/// retraining. Records the decision count, completions
+/// and the Eq. 1 cost in milli-cents, then per class (`c<i>_`) its
+/// shifts, the shifts it took from a sibling and its retrains.
+fn sibling_loop(scale: Scale, out: &mut Vec<Measurement>) {
+    let classes = 4;
+    let queries = if scale == Scale::Quick { 200 } else { 400 };
+    let bench = format!("siblings/{queries}x{classes}");
+    let spec = wisedb::sim::catalog::tpch_like(10);
+    let mut service = regress::sibling_service(&spec);
+    let report = service
+        .run_ticked(&regress::class_trace(classes, queries, 60.0), 16)
+        .expect("the generated trace replays cleanly");
+    let last = report.last;
+    record(
+        out,
+        &bench,
+        &[
+            ("decisions", service.stats().decisions as f64),
+            ("completed", last.completed as f64),
+            ("cost_mc", last.total_cost().as_cents() * 1000.0),
+        ],
+    );
+    for c in 0..classes {
+        let work = service.scheduler(TenantId(c as u32)).unwrap().counters();
+        record(
+            out,
+            &bench,
+            &[
+                (&format!("c{c}_shifts"), work.shifts as f64),
+                (&format!("c{c}_sibling_shifts"), work.sibling_shifts as f64),
+                (&format!("c{c}_retrains"), work.retrains as f64),
+            ],
+        );
+        eprintln!(
+            "  {bench}: class {c}: {} shifts ({} from a sibling), {} retrains, {} hits",
+            work.shifts, work.sibling_shifts, work.retrains, work.cache_hits
+        );
+    }
+    eprintln!(
+        "  {bench}: {} decisions, {} completed, {:.1} mc",
+        service.stats().decisions,
+        last.completed,
+        last.total_cost().as_cents() * 1000.0
+    );
+}
+
 /// The serve layer over loopback: a seeded hot trace replayed through one
 /// wire connection (see [`wisedb_bench::serve_load`]), which panics unless
 /// the server's admit/shed totals equal the client's. The sequential
@@ -654,6 +705,7 @@ fn main() {
     streaming_loops(scale, &mut measurements);
     multitenant_loop(scale, &mut measurements);
     shard_loop(scale, &mut measurements);
+    sibling_loop(scale, &mut measurements);
     serve_loop(scale, &mut measurements);
     train_warm(scale, &mut measurements);
     adapt_ladder(scale, &mut measurements);

@@ -314,16 +314,6 @@ pub fn tick_service(spec: &WorkloadSpec, classes: usize, scale: Scale) -> Worklo
         GoalKind::PerQuery,
         GoalKind::AverageLatency,
     ];
-    let class_set: Vec<SlaClass> = (0..classes)
-        .map(|i| {
-            let kind = kinds[i % kinds.len()];
-            SlaClass::new(
-                format!("tenant-{i}"),
-                PerformanceGoal::paper_default(kind, spec).expect("defaults exist"),
-            )
-            .with_priority((classes - 1 - i) as u8)
-        })
-        .collect();
     let online = OnlineConfig {
         training: ModelConfig {
             num_samples: 150,
@@ -334,16 +324,64 @@ pub fn tick_service(spec: &WorkloadSpec, classes: usize, scale: Scale) -> Worklo
         age_quantum: Millis::from_secs(3600),
         ..OnlineConfig::default()
     };
+    let kinds: Vec<GoalKind> = (0..classes).map(|i| kinds[i % kinds.len()]).collect();
+    class_service(spec, &kinds, scale.training().with_seed(0x5CA1E), online)
+}
+
+/// The `siblings/*` suite's service: two PerQuery and two Average classes
+/// over `spec`, interleaved as on the benchmark's tenants-ticked, each
+/// class trained on its own from the same configuration, so the two
+/// PerQuery classes are siblings that share one Shift ladder. The
+/// ten-minute age quantum puts the PerQuery classes' long waits in bucket
+/// 1, so each shifts once, to the same goal.
+/// Training does not grow with the scale: a saturating shift's retrain
+/// costs far more A* work per sample than the cold train did.
+pub fn sibling_service(spec: &WorkloadSpec) -> WorkloadService {
+    let training = ModelConfig {
+        num_samples: 60,
+        sample_size: 9,
+        seed: 0x51B,
+        ..ModelConfig::fast()
+    };
+    let online = OnlineConfig {
+        training: training.clone(),
+        age_quantum: Millis::from_secs(600),
+        ..OnlineConfig::default()
+    };
+    let kinds = [
+        GoalKind::PerQuery,
+        GoalKind::AverageLatency,
+        GoalKind::PerQuery,
+        GoalKind::AverageLatency,
+    ];
+    class_service(spec, &kinds, training, online)
+}
+
+/// One class per goal kind in `kinds` (`tenant-<i>`, priorities falling
+/// with the index), each with a base model trained on its own under
+/// `base`, planned under `online`.
+fn class_service(
+    spec: &WorkloadSpec,
+    kinds: &[GoalKind],
+    base: ModelConfig,
+    online: OnlineConfig,
+) -> WorkloadService {
+    let class_set: Vec<SlaClass> = (kinds.iter().enumerate())
+        .map(|(i, &kind)| {
+            SlaClass::new(
+                format!("tenant-{i}"),
+                PerformanceGoal::paper_default(kind, spec).expect("defaults exist"),
+            )
+            .with_priority((kinds.len() - 1 - i) as u8)
+        })
+        .collect();
     let schedulers: Vec<OnlineScheduler> = class_set
         .iter()
         .map(|class| {
-            let (model, artifacts) = wisedb_advisor::ModelGenerator::new(
-                spec.clone(),
-                class.goal.clone(),
-                scale.training().with_seed(0x5CA1E),
-            )
-            .train_with_artifacts()
-            .expect("training on catalog specs succeeds");
+            let (model, artifacts) =
+                wisedb_advisor::ModelGenerator::new(spec.clone(), class.goal.clone(), base.clone())
+                    .train_with_artifacts()
+                    .expect("training on catalog specs succeeds");
             OnlineScheduler::with_model(model, artifacts, online.clone())
         })
         .collect();
@@ -362,10 +400,16 @@ pub fn tick_service(spec: &WorkloadSpec, classes: usize, scale: Scale) -> Worklo
 /// (queries run minutes, the gaps keep recall batches bounded), merged by
 /// arrival time, `queries` in all.
 pub fn tick_trace(classes: usize, queries: usize) -> Vec<ArrivingQuery> {
+    class_trace(classes, queries, 250.0)
+}
+
+/// One Poisson sub-stream per class, class `c` with a mean gap of
+/// `gap_s + 25·c` seconds, merged by arrival time, `queries` in all.
+pub fn class_trace(classes: usize, queries: usize, gap_s: f64) -> Vec<ArrivingQuery> {
     let streams = (0..classes)
         .map(|c| {
             let mut process = PoissonProcess::per_second(
-                1.0 / (250.0 + 25.0 * c as f64),
+                1.0 / (gap_s + 25.0 * c as f64),
                 TemplateMix::uniform(10),
             );
             wisedb_runtime::generate_class_stream(
