@@ -95,7 +95,7 @@ pub fn set_level(level: Level) {
 }
 
 /// The current enable level.
-pub fn level() -> Level {
+pub(crate) fn level() -> Level {
     match LEVEL.load(Ordering::Relaxed) {
         0 => Level::Off,
         1 => Level::Counters,

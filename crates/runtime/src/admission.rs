@@ -69,7 +69,7 @@ pub enum AdmissionPolicy {
 
 impl AdmissionPolicy {
     /// Whether an arrival observed under `status` is admitted.
-    pub fn admits(&self, status: &LoadStatus) -> bool {
+    pub(crate) fn admits(&self, status: &LoadStatus) -> bool {
         match self {
             AdmissionPolicy::AcceptAll => true,
             AdmissionPolicy::MaxPending(limit) => status.pending < *limit,
