@@ -299,12 +299,12 @@ impl DecisionModel {
 /// the distinct sample signatures with their solves, one adaptive searcher
 /// per signature, the solve cache the run was trained through, and the
 /// lineage that fixes all of them (the training run and every tightening
-/// step since). Cloning is a handful of reference
-/// bumps: the searchers are copied on write, when a clone's tightened
-/// retrain first changes them, so independent consumers (e.g. several
-/// online schedulers over one base model) each keep adapting cheaply, and
-/// the solve cache stays shared, so warm retrains keep deduplicating
-/// against one signature store.
+/// step since). Cloning is a handful of reference bumps: the searchers
+/// are copied on write, when a clone's tightened retrain first changes
+/// them, so independent consumers (e.g. several online schedulers over
+/// one base model) each keep adapting cheaply, and the solve cache stays
+/// shared, so warm retrains keep deduplicating against one signature
+/// store.
 #[derive(Clone)]
 pub struct TrainingArtifacts {
     /// Each sample's index into `signatures`, in sample order.

@@ -333,9 +333,9 @@ pub fn tick_service(spec: &WorkloadSpec, classes: usize, scale: Scale) -> Worklo
 /// class trained on its own from the same configuration, so the two
 /// PerQuery classes are siblings that share one Shift ladder. The
 /// ten-minute age quantum puts the PerQuery classes' long waits in bucket
-/// 1, so each shifts once, to the same goal.
-/// Training does not grow with the scale: a saturating shift's retrain
-/// costs far more A* work per sample than the cold train did.
+/// 1, so each shifts once, to the same goal. Training does not grow with
+/// the scale: a shifted retrain can cost far more A* work per sample than
+/// the cold train did (ROADMAP 10(b)).
 pub fn sibling_service(spec: &WorkloadSpec) -> WorkloadService {
     let training = ModelConfig {
         num_samples: 60,
