@@ -296,32 +296,42 @@ impl DecisionModel {
 }
 
 /// Everything kept from training that adaptive re-training (§5) can reuse:
-/// the distinct sample signatures with their solves, one adaptive searcher
-/// per signature, the solve cache the run was trained through, and the
-/// lineage that fixes all of them (the training run and every tightening
-/// step since). Cloning is a handful of reference bumps: the searchers
-/// are copied on write, when a clone's tightened retrain first changes
-/// them, so independent consumers (e.g. several online schedulers over
-/// one base model) each keep adapting cheaply, and the solve cache stays
-/// shared, so warm retrains keep deduplicating against one signature
-/// store.
+/// the training run (the distinct sample signatures with their solves),
+/// one adaptive searcher per signature, and the solve cache the run was
+/// trained through. Cloning bumps three reference counts: the run never
+/// changes once trained, the searchers are copied on write, when a
+/// clone's tightened retrain first changes them, so independent consumers
+/// (e.g. several online schedulers over one base model) each keep
+/// adapting cheaply, and the solve cache stays shared, so warm retrains
+/// keep deduplicating against one signature store.
 #[derive(Clone)]
 pub struct TrainingArtifacts {
+    /// What the training run produced; fixed once it ends.
+    run: Arc<TrainingRun>,
+    /// One adaptive searcher per signature. Empty until the first
+    /// tightened retrain builds them from the run's entries: most
+    /// artifacts never retrain, and the rebuilt memo is exactly the one
+    /// the signature's own solve would have left behind.
+    searchers: Arc<Vec<AdaptiveSearcher>>,
+    /// The solve cache this model was trained through.
+    warm: WarmStart,
+    /// Whether a tightened retrain has changed the searchers since
+    /// training.
+    tightened: bool,
+}
+
+/// One training run: what it was trained from and what it solved.
+struct TrainingRun {
+    /// The spec, goal and configuration the run trained under.
+    spec: SpecHandle,
+    goal: GoalHandle,
+    config: ModelConfig,
     /// Each sample's index into `signatures`, in sample order.
     of_sample: Vec<usize>,
     /// The distinct sample signatures, in first-occurrence order.
     signatures: Vec<Signature>,
     /// Each signature's solve from the training run.
     entries: Vec<Arc<SolvedEntry>>,
-    /// One adaptive searcher per signature. Empty until the first
-    /// tightened retrain builds them from `entries`: most artifacts never
-    /// retrain, and the rebuilt memo is exactly the one the signature's own
-    /// solve would have left behind.
-    searchers: Arc<Vec<AdaptiveSearcher>>,
-    /// The solve cache this model was trained through.
-    warm: WarmStart,
-    /// What the memos above are a function of.
-    lineage: Arc<Lineage>,
 }
 
 impl TrainingArtifacts {
@@ -332,36 +342,25 @@ impl TrainingArtifacts {
         self.warm.clone()
     }
 
-    /// What fixes these artifacts' memos.
-    pub(crate) fn lineage(&self) -> &Arc<Lineage> {
-        &self.lineage
+    /// Whether both artifacts still hold the memos of equal training runs
+    /// (the same spec, goal and [`ModelConfig`]), untightened. Training
+    /// is deterministic, so such artifacts are interchangeable, and equal
+    /// tightening steps keep them so.
+    pub(crate) fn same_untightened(&self, other: &TrainingArtifacts) -> bool {
+        let (a, b) = (&self.run, &other.run);
+        !self.tightened
+            && !other.tightened
+            && (Arc::ptr_eq(a, b) || (a.spec == b.spec && a.goal == b.goal && a.config == b.config))
     }
-}
 
-/// What fixes a [`TrainingArtifacts`]' samples, solves and search memos:
-/// the (spec, goal, [`ModelConfig`]) it was trained from and, in order,
-/// every step [`ModelGenerator::retrain_tightened`] has applied since (the
-/// goal and the search configuration it solved under). Training and
-/// tightening are deterministic, so two artifacts with equal lineages hold
-/// equal memos, and one tightening step takes them to equal memos again.
-/// Compared by value.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Lineage {
-    spec: SpecHandle,
-    goal: GoalHandle,
-    config: ModelConfig,
-    steps: Vec<(PerformanceGoal, SearchConfig)>,
-}
-
-impl Lineage {
-    /// Whether `later` extends this lineage by at least one step: the
-    /// artifacts at `later` can be reached from here by tightening.
-    pub(crate) fn precedes(&self, later: &Lineage) -> bool {
-        self.steps.len() < later.steps.len()
-            && later.steps[..self.steps.len()] == self.steps[..]
-            && self.spec == later.spec
-            && self.goal == later.goal
-            && self.config == later.config
+    /// Moves to `step`, a sibling's artifacts after a tightening step
+    /// these artifacts would have taken to the same memos, keeping this
+    /// side's own solve cache (a tightened retrain never touches it).
+    pub(crate) fn adopt(&mut self, step: TrainingArtifacts) {
+        *self = TrainingArtifacts {
+            warm: self.warm.clone(),
+            ..step
+        };
     }
 }
 
@@ -510,17 +509,17 @@ impl ModelGenerator {
 
         let model = self.fit_samples(&mut span, schema, &of_sample, &entries, &fresh, start);
         let artifacts = TrainingArtifacts {
-            of_sample,
-            signatures,
-            entries,
-            searchers: Arc::default(),
-            warm: WarmStart::new(cache),
-            lineage: Arc::new(Lineage {
+            run: Arc::new(TrainingRun {
                 spec: self.spec.clone(),
                 goal: self.goal.clone(),
                 config: self.config.clone(),
-                steps: Vec::new(),
+                of_sample,
+                signatures,
+                entries,
             }),
+            searchers: Arc::default(),
+            warm: WarmStart::new(cache),
+            tightened: false,
         };
         Ok((model, artifacts))
     }
@@ -574,8 +573,7 @@ impl ModelGenerator {
     /// were produced under, reusing each signature's search memo (§5). The
     /// generator's own goal is *not* consulted; `goal` rules. Each distinct
     /// signature is solved once, like a cold train, and duplicate samples
-    /// repeat its rows. The artifacts' lineage gains the step; searchers
-    /// shared with a clone are copied first.
+    /// repeat its rows. Searchers shared with a clone are copied first.
     pub fn retrain_tightened(
         &self,
         goal: &PerformanceGoal,
@@ -589,22 +587,22 @@ impl ModelGenerator {
             span.attr_str("kind", "tightened");
         }
 
+        let run = Arc::clone(&artifacts.run);
         if artifacts.searchers.is_empty() {
             artifacts.searchers = Arc::new(
-                artifacts
-                    .entries
+                run.entries
                     .iter()
                     .map(|e| AdaptiveSearcher::warmed(e.searcher_memo()))
                     .collect(),
             );
         }
-        let mut jobs: Vec<_> = artifacts
+        artifacts.tightened = true;
+        let mut jobs: Vec<_> = run
             .signatures
             .iter()
             .zip(Arc::make_mut(&mut artifacts.searchers))
             .collect();
         let search = self.config.search_for(goal);
-        let lineage = self.tightened_lineage(goal, &artifacts.lineage);
         let entries = self.fan_out(&mut jobs, |(sig, searcher)| {
             let solved = searcher.solve(
                 &self.spec,
@@ -622,7 +620,6 @@ impl ModelGenerator {
                 ExploredStates::default(),
             )))
         })?;
-        artifacts.lineage = Arc::new(lineage);
 
         let generator = ModelGenerator {
             spec: self.spec.clone(),
@@ -630,24 +627,7 @@ impl ModelGenerator {
             config: self.config.clone(),
         };
         let fresh = vec![true; entries.len()];
-        Ok(generator.fit_samples(
-            &mut span,
-            schema,
-            &artifacts.of_sample,
-            &entries,
-            &fresh,
-            start,
-        ))
-    }
-
-    /// The lineage artifacts at `from` have after
-    /// [`retrain_tightened`](Self::retrain_tightened) applies `goal`.
-    pub(crate) fn tightened_lineage(&self, goal: &PerformanceGoal, from: &Lineage) -> Lineage {
-        let mut lineage = from.clone();
-        lineage
-            .steps
-            .push((goal.clone(), self.config.search_for(goal)));
-        lineage
+        Ok(generator.fit_samples(&mut span, schema, &run.of_sample, &entries, &fresh, start))
     }
 
     /// Assembles the dataset in sample order (a duplicate sample repeats
@@ -890,7 +870,7 @@ mod tests {
             let (_, artifacts) = ModelGenerator::new(spec.clone(), goal, tiny_config())
                 .train_with_artifacts()
                 .unwrap();
-            for entry in &artifacts.entries {
+            for entry in &artifacts.run.entries {
                 assert_eq!(entry.seeds_memo, kept, "{kind:?}");
                 assert_eq!(!entry.explored.is_empty(), kept, "{kind:?}");
             }

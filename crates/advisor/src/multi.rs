@@ -13,11 +13,12 @@
 //!   allocation, not `k`;
 //! * one Shift ladder per set of *sibling* classes: classes whose
 //!   schedulers have the same inputs (the same goal, spec and training
-//!   configuration, and artifacts of the same lineage; a provider's
-//!   tenants on one SLA tier). A tightened model (§5) one sibling builds
-//!   is handed to the others when their own ladders reach the same step,
-//!   with its post-retrain memos shared copy-on-write, so the step is
-//!   trained and held once. Each class still plans with exactly the model
+//!   configuration, and untightened artifacts of equal training runs; a
+//!   provider's tenants on one SLA tier). A tightened model (§5) one
+//!   sibling builds is held for the siblings still at the ladder state it
+//!   was built from, and handed over, with its post-retrain memos shared
+//!   copy-on-write, when their own ladders take the same step, so the step
+//!   is trained and held once. Each class still plans with exactly the model
 //!   its own ladder would have built, and counts it as its own shift;
 //!   [`OnlineCounters::sibling_shifts`](crate::OnlineCounters::sibling_shifts)
 //!   counts the ones taken;
@@ -34,13 +35,12 @@
 //! `OnlineScheduler` over the full spec — bit-identical to the legacy
 //! single-goal pipeline (asserted by `tests/multitenant_e2e.rs`).
 
-use std::sync::Arc;
-
 use wisedb_core::{
-    validate_classes, CoreError, CoreResult, Millis, SlaClass, SpecHandle, TenantId,
+    validate_classes, CoreError, CoreResult, Millis, PerformanceGoal, SlaClass, SpecHandle,
+    TenantId,
 };
 
-use crate::model::{DecisionModel, Lineage, ModelGenerator, TrainingArtifacts};
+use crate::model::{DecisionModel, ModelGenerator, TrainingArtifacts};
 use crate::online::{ClusterView, OnlineConfig, OnlineScheduler, PendingArrival, PlannedStep};
 
 /// Per-class online schedulers multiplexed over one shared cluster view.
@@ -155,8 +155,10 @@ impl MultiScheduler {
     }
 
     /// Shift ladder steps that one class built and a sibling can still
-    /// take: each is held until every sibling that can reach it has taken
-    /// it or moved past it. Always zero without sibling classes.
+    /// take: each is held while a sibling sits at the ladder state it was
+    /// built from. Always zero without sibling classes, and at most
+    /// `n(n-1)/2` for a group of `n` siblings. For tests.
+    #[doc(hidden)]
     pub fn shared_steps(&self) -> usize {
         self.ladder.steps.len()
     }
@@ -215,32 +217,47 @@ impl MultiScheduler {
     }
 }
 
-/// The Shift ladder steps sibling classes hand each other, keyed by the
-/// lineage each step leads to. A step is held for the siblings whose
-/// lineage precedes it, the ones that may still reach it, and dropped
-/// once each has taken it or moved past it.
+/// The Shift ladder steps sibling classes hand each other.
+///
+/// Every sibling sits at a *ladder state*, a number that stands for the
+/// memos its artifacts hold: siblings start at their group's base state,
+/// and a step, a tightened retrain for a goal, leads from one state to a
+/// new one. A step a class builds is held only while a sibling sits at
+/// the state it was built from, keyed by that state and the goal; the
+/// sibling takes it on reaching the same goal, or leaves it behind by
+/// taking another. A class's states only grow while it stays in its
+/// group, and a class that leaves (a swap) takes the steps it built with
+/// it, so each held step pairs its builder with a sibling still waiting
+/// at its start, a pair no other held step has: a group of `n` siblings
+/// holds at most `n(n-1)/2` steps, however long it runs. A sibling that
+/// reaches a step only after its builder moved on retrains it itself.
 struct LadderStore {
-    /// Each class's sibling group and current lineage; `None` for a class
+    /// Each class's sibling group and ladder state; `None` for a class
     /// without siblings, which never touches the store.
     members: Vec<Option<Member>>,
     steps: Vec<SharedStep>,
-    /// The id the next group formed by a swap gets.
-    next_group: usize,
+    /// The number the next ladder state (or group) gets.
+    next_state: usize,
 }
 
+#[derive(Clone, Copy)]
 struct Member {
+    /// The group's base state.
     group: usize,
-    at: Arc<Lineage>,
+    /// The ladder state the class's artifacts are at.
+    at: usize,
 }
 
-/// One built step: the tightened model and the post-retrain artifacts,
-/// whose lineage is the step's.
+/// One built step, held for the siblings at `from`: the tightened model
+/// and the artifacts after it, at state `to`.
 struct SharedStep {
-    group: usize,
+    /// The class that built it.
+    builder: usize,
+    from: usize,
+    goal: PerformanceGoal,
+    to: usize,
     model: DecisionModel,
     artifacts: TrainingArtifacts,
-    /// The siblings that may still take it.
-    takers: Vec<usize>,
 }
 
 impl LadderStore {
@@ -257,16 +274,16 @@ impl LadderStore {
         let members = (0..schedulers.len())
             .map(|i| {
                 let siblings = first.iter().filter(|&&g| g == first[i]).count();
-                (siblings > 1).then(|| Member {
+                (siblings > 1).then_some(Member {
                     group: first[i],
-                    at: Arc::clone(schedulers[i].artifacts().lineage()),
+                    at: first[i],
                 })
             })
             .collect();
         LadderStore {
             members,
             steps: Vec::new(),
-            next_group: schedulers.len(),
+            next_state: schedulers.len(),
         }
     }
 
@@ -277,61 +294,56 @@ impl LadderStore {
             .then_some(Siblings { store: self, class })
     }
 
-    /// After `class`'s scheduler was replaced: it leaves its group, and
-    /// joins the group of a class with the same inputs, if there is one.
+    /// After `class`'s scheduler was replaced: it leaves its group, with
+    /// the steps it built, and joins the group of a class with the same
+    /// inputs, if there is one.
     fn regroup(&mut self, class: usize, schedulers: &[OnlineScheduler]) {
-        if self.members[class].take().is_some() {
-            for step in &mut self.steps {
-                step.takers.retain(|&k| k != class);
+        if let Some(left) = self.members[class].take() {
+            let rest: Vec<usize> = (0..self.members.len())
+                .filter(|&k| matches!(&self.members[k], Some(m) if m.group == left.group))
+                .collect();
+            if let [alone] = rest[..] {
+                self.members[alone] = None;
             }
-            self.steps.retain(|step| !step.takers.is_empty());
+            self.steps.retain(|step| step.builder != class);
+            self.drop_unreachable();
         }
         let Some(peer) = (0..schedulers.len())
             .find(|&k| k != class && schedulers[k].same_inputs(&schedulers[class]))
         else {
             return;
         };
-        let group = match &self.members[peer] {
-            Some(member) => member.group,
+        // Same inputs: the peer is untightened, still at its base state.
+        let member = match self.members[peer] {
+            Some(member) => member,
             None => {
-                let group = self.next_group;
-                self.next_group += 1;
-                self.members[peer] = Some(Member {
-                    group,
-                    at: Arc::clone(schedulers[peer].artifacts().lineage()),
-                });
-                group
+                let base = self.fresh_state();
+                Member {
+                    group: base,
+                    at: base,
+                }
             }
         };
-        let at = Arc::clone(schedulers[class].artifacts().lineage());
-        for step in &mut self.steps {
-            if step.group == group && at.precedes(step.artifacts.lineage()) {
-                step.takers.push(class);
-            }
-        }
-        self.members[class] = Some(Member { group, at });
+        self.members[peer] = Some(member);
+        self.members[class] = Some(member);
     }
 
-    fn group_of(&self, class: usize) -> usize {
+    fn fresh_state(&mut self) -> usize {
+        self.next_state += 1;
+        self.next_state - 1
+    }
+
+    fn member(&mut self, class: usize) -> &mut Member {
         self.members[class]
-            .as_ref()
+            .as_mut()
             .expect("only sibling classes reach the store")
-            .group
     }
 
-    /// Records that `class` moved to lineage `to`: it stops waiting for
-    /// every step it can no longer reach, and steps nobody waits for go.
-    fn moved(&mut self, class: usize, to: &Arc<Lineage>) {
-        let group = self.group_of(class);
-        for step in &mut self.steps {
-            if step.group == group && !to.precedes(step.artifacts.lineage()) {
-                step.takers.retain(|&k| k != class);
-            }
-        }
-        self.steps.retain(|step| !step.takers.is_empty());
-        if let Some(member) = &mut self.members[class] {
-            member.at = Arc::clone(to);
-        }
+    /// Drops the steps no sibling sits at the start of.
+    fn drop_unreachable(&mut self) {
+        let members = &self.members;
+        self.steps
+            .retain(|step| members.iter().flatten().any(|m| m.at == step.from));
     }
 }
 
@@ -343,47 +355,52 @@ pub(crate) struct Siblings<'a> {
 }
 
 impl Siblings<'_> {
-    /// The step leading to lineage `to`, if a sibling built it: the model
-    /// and the artifacts after it (memos shared until either side
-    /// tightens again).
-    pub(crate) fn take(&mut self, to: &Lineage) -> Option<(DecisionModel, TrainingArtifacts)> {
-        let (class, group) = (self.class, self.store.group_of(self.class));
-        let step = self
-            .store
-            .steps
-            .iter()
-            .position(|step| step.group == group && **step.artifacts.lineage() == *to)?;
-        let shared = &self.store.steps[step];
-        let taken = (shared.model.clone(), shared.artifacts.clone());
-        self.store.moved(class, taken.1.lineage());
+    /// The step from this class's ladder state to `goal`, if a sibling
+    /// built it there: the model and the artifacts after it (memos shared
+    /// until either side tightens again). The class moves to its state.
+    pub(crate) fn take(
+        &mut self,
+        goal: &PerformanceGoal,
+    ) -> Option<(DecisionModel, TrainingArtifacts)> {
+        let from = self.store.member(self.class).at;
+        let step =
+            (self.store.steps.iter()).find(|step| step.from == from && step.goal == *goal)?;
+        let (to, taken) = (step.to, (step.model.clone(), step.artifacts.clone()));
+        self.store.member(self.class).at = to;
+        self.store.drop_unreachable();
         Some(taken)
     }
 
-    /// Offers the step this class just built, `model` with `artifacts`
-    /// after it, to the siblings that may still reach it.
-    pub(crate) fn offer(&mut self, model: &DecisionModel, artifacts: &TrainingArtifacts) {
-        let (class, group) = (self.class, self.store.group_of(self.class));
-        let to = artifacts.lineage();
-        let takers: Vec<usize> = (self.store.members.iter().enumerate())
-            .filter_map(|(k, member)| {
-                let member = member.as_ref()?;
-                (k != class && member.group == group && member.at.precedes(to)).then_some(k)
-            })
-            .collect();
-        if !takers.is_empty() {
+    /// Records the step to `goal` this class just built, `model` with
+    /// `artifacts` after it, and holds it for the siblings at the state it
+    /// started from.
+    pub(crate) fn offer(
+        &mut self,
+        goal: &PerformanceGoal,
+        model: &DecisionModel,
+        artifacts: &TrainingArtifacts,
+    ) {
+        let to = self.store.fresh_state();
+        let member = self.store.member(self.class);
+        let from = std::mem::replace(&mut member.at, to);
+        if (self.store.members.iter().flatten()).any(|m| m.at == from) {
             self.store.steps.push(SharedStep {
-                group,
+                builder: self.class,
+                from,
+                goal: goal.clone(),
+                to,
                 model: model.clone(),
                 artifacts: artifacts.clone(),
-                takers,
             });
         }
-        self.store.moved(class, to);
+        self.store.drop_unreachable();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::model::ModelConfig;
     use crate::online::Planner;
@@ -526,7 +543,7 @@ mod tests {
         };
         let (model, artifacts) = train(99);
         multi.swap_model(TenantId(2), model, artifacts).unwrap();
-        assert_eq!(groups(&multi), [Some(0), None, None]);
+        assert_eq!(groups(&multi), [None, None, None], "gold is left alone");
         multi
             .plan_arrivals(TenantId(0), &view, &aged(2), now + now)
             .unwrap();
@@ -535,7 +552,7 @@ mod tests {
         // Gold swapped to gold-2's inputs: siblings again, in a new group.
         let (model, artifacts) = train(99);
         multi.swap_model(TenantId(0), model, artifacts).unwrap();
-        assert_eq!(groups(&multi), [Some(3), None, Some(3)]);
+        assert_eq!(groups(&multi), [Some(4), None, Some(4)]);
         multi
             .plan_arrivals(TenantId(2), &view, &aged(3), now)
             .unwrap();
@@ -547,6 +564,86 @@ mod tests {
             (1, 1)
         );
         assert_eq!(multi.shared_steps(), 0);
+        // Gold took gold-2's step but keeps its own solve cache.
+        assert!(!Arc::ptr_eq(
+            multi.scheduler(TenantId(0)).unwrap().warm_start().cache(),
+            multi.scheduler(TenantId(2)).unwrap().warm_start().cache()
+        ));
+    }
+
+    #[test]
+    fn an_idle_sibling_holds_one_step_however_far_the_busy_one_climbs() {
+        let spec = spec();
+        // One Shift cache entry: alternating waits miss every time.
+        let config = OnlineConfig {
+            cache_capacity: 1,
+            ..tiny()
+        };
+        let mut multi = MultiScheduler::train(spec.clone(), with_twin(&spec), config).unwrap();
+        let view = ClusterView::default();
+        let aged = |id| {
+            [PendingArrival {
+                id: QueryId(id),
+                template: TemplateId(0),
+                arrival: Millis::ZERO,
+            }]
+        };
+        let waits = |i| Millis::from_secs(if i % 2 == 0 { 10 } else { 20 });
+        for i in 0..16 {
+            multi
+                .plan_arrivals(TenantId(0), &view, &aged(i), waits(i))
+                .unwrap();
+            assert_eq!(multi.shared_steps(), 1, "only gold's first step waits");
+        }
+        assert_eq!(multi.scheduler(TenantId(0)).unwrap().counters().shifts, 16);
+        multi
+            .plan_arrivals(TenantId(2), &view, &aged(16), waits(0))
+            .unwrap();
+        let twin = multi.scheduler(TenantId(2)).unwrap().counters();
+        assert_eq!((twin.shifts, twin.sibling_shifts), (1, 1));
+        assert_eq!(multi.shared_steps(), 0);
+    }
+
+    #[test]
+    fn a_swapped_sibling_takes_the_steps_it_built_along() {
+        let spec = spec();
+        let mut set = with_twin(&spec);
+        set.push(SlaClass::new("gold-3", set[0].goal.clone()));
+        let mut multi = MultiScheduler::train(spec.clone(), set, tiny()).unwrap();
+        let view = ClusterView::default();
+        let aged = |id| {
+            [PendingArrival {
+                id: QueryId(id),
+                template: TemplateId(0),
+                arrival: Millis::ZERO,
+            }]
+        };
+        let now = Millis::from_secs(10);
+        multi
+            .plan_arrivals(TenantId(3), &view, &aged(0), now)
+            .unwrap();
+        assert_eq!(multi.shared_steps(), 1, "held for gold and gold-2");
+
+        // Retrained on the same inputs: gold-3 rejoins at the base state,
+        // and the step it built before goes with it.
+        let goal = multi.class(TenantId(3)).unwrap().goal.clone();
+        let (model, artifacts) =
+            ModelGenerator::new(multi.spec_handle().clone(), goal, tiny().training)
+                .train_with_artifacts()
+                .unwrap();
+        multi.swap_model(TenantId(3), model, artifacts).unwrap();
+        assert_eq!(groups(&multi), [Some(0), None, Some(0), Some(0)]);
+        assert_eq!(multi.shared_steps(), 0);
+
+        multi
+            .plan_arrivals(TenantId(0), &view, &aged(1), now)
+            .unwrap();
+        multi
+            .plan_arrivals(TenantId(3), &view, &aged(2), now)
+            .unwrap();
+        let work = multi.scheduler(TenantId(3)).unwrap().counters();
+        assert_eq!((work.shifts, work.sibling_shifts), (1, 1));
+        assert_eq!(multi.shared_steps(), 1, "held for gold-2");
     }
 
     #[test]

@@ -357,11 +357,12 @@ impl OnlineScheduler {
         self.counters
     }
 
-    /// Whether `other` builds exactly the Shift ladder steps this
-    /// scheduler builds: the same artifacts lineage and an equal generator
-    /// (spec, goal and training configuration).
+    /// Whether `other` starts the same Shift ladder as this scheduler:
+    /// untightened artifacts of equal training runs and an equal generator
+    /// (spec, goal and training configuration), so equal ladder steps
+    /// build equal models and memos on both.
     pub(crate) fn same_inputs(&self, other: &OnlineScheduler) -> bool {
-        self.artifacts.lineage() == other.artifacts.lineage()
+        self.artifacts.same_untightened(&other.artifacts)
             && self.spec == other.spec
             && self.goal == other.goal
             && self.config.training == other.config.training
@@ -570,9 +571,9 @@ impl OnlineScheduler {
     }
 
     /// The model for the Shift ladder's next step, `goal`: a sibling's if
-    /// one built it from the same lineage, else retrained here (§5) and
-    /// offered to the siblings. Either way the artifacts move to the step's
-    /// lineage.
+    /// one built it from this scheduler's ladder state, else retrained
+    /// here (§5) and offered to the siblings. Either way the artifacts
+    /// move to the step's state.
     fn shift_step(
         &mut self,
         goal: &PerformanceGoal,
@@ -581,18 +582,15 @@ impl OnlineScheduler {
         let Some(mut siblings) = siblings else {
             return self.generator.retrain_tightened(goal, &mut self.artifacts);
         };
-        let to = self
-            .generator
-            .tightened_lineage(goal, self.artifacts.lineage());
-        if let Some((model, artifacts)) = siblings.take(&to) {
-            self.artifacts = artifacts;
+        if let Some((model, artifacts)) = siblings.take(goal) {
+            self.artifacts.adopt(artifacts);
             self.counters.sibling_shifts += 1;
             return Ok(model);
         }
         let model = self
             .generator
             .retrain_tightened(goal, &mut self.artifacts)?;
-        siblings.offer(&model, &self.artifacts);
+        siblings.offer(goal, &model, &self.artifacts);
         Ok(model)
     }
 

@@ -11,12 +11,15 @@
 //! the class's own scheduler, and agree on every class's counters and
 //! cache sizes.
 //!
-//! The siblings share one Shift ladder. Each class's own ladder (the
-//! shifted goals its independent scheduler retrained for, in order) is
-//! tracked here, and after every call the sharing is checked against it:
-//! no ladder step (a lineage of goals) is built twice among the siblings,
-//! a class without siblings takes nothing, and the shared store holds
-//! exactly the built steps that some sibling's ladder still precedes.
+//! The siblings share one Shift ladder. A model of the sharing rule runs
+//! beside them, fed each class's own ladder (the shifted goals its
+//! independent scheduler retrained for, in order): every sibling sits at
+//! a ladder state; a step built from a state is held while a sibling
+//! still sits there, and a sibling reaching the same goal from that state
+//! takes it instead of retraining. After every call the multiplexed
+//! scheduler must agree with the model on each class's taken shifts and
+//! on the held steps, and hold at most one step per pair of siblings; a
+//! class without siblings takes nothing.
 
 use proptest::prelude::*;
 
@@ -62,18 +65,51 @@ fn classes(spec: &WorkloadSpec, siblings: usize, distinct: GoalKind) -> Vec<SlaC
     classes
 }
 
-/// Every ladder step the siblings reached, once: each non-empty prefix
-/// of a sibling's ladder.
-fn built_steps(ladders: &[&[PerformanceGoal]]) -> Vec<Vec<PerformanceGoal>> {
-    let mut steps: Vec<Vec<PerformanceGoal>> = Vec::new();
-    for ladder in ladders {
-        for len in 1..=ladder.len() {
-            if !steps.iter().any(|step| step[..] == ladder[..len]) {
-                steps.push(ladder[..len].to_vec());
-            }
+/// The sharing rule over the siblings' ladder states (numbers, fresh for
+/// each built step).
+struct LadderModel {
+    /// Each sibling's state, `None` for the other classes.
+    at: Vec<Option<usize>>,
+    /// Held steps: (from, goal, to).
+    held: Vec<(usize, PerformanceGoal, usize)>,
+    next: usize,
+    /// Each class's shifts taken from a sibling.
+    taken: Vec<usize>,
+}
+
+impl LadderModel {
+    fn new(siblings: &[usize], classes: usize) -> Self {
+        let grouped = siblings.len() > 1;
+        LadderModel {
+            at: (0..classes)
+                .map(|c| (grouped && siblings.contains(&c)).then_some(0))
+                .collect(),
+            held: Vec::new(),
+            next: 1,
+            taken: vec![0; classes],
         }
     }
-    steps
+
+    /// `class` shifted to `goal`.
+    fn shift(&mut self, class: usize, goal: PerformanceGoal) {
+        let Some(from) = self.at[class] else { return };
+        let to = match self.held.iter().find(|(f, g, _)| *f == from && *g == goal) {
+            Some(&(_, _, to)) => {
+                self.taken[class] += 1;
+                to
+            }
+            None => {
+                self.next += 1;
+                if (self.at.iter().enumerate()).any(|(c, at)| c != class && *at == Some(from)) {
+                    self.held.push((from, goal, self.next));
+                }
+                self.next
+            }
+        };
+        self.at[class] = Some(to);
+        let at = &self.at;
+        self.held.retain(|(f, _, _)| at.contains(&Some(*f)));
+    }
 }
 
 /// A wait in quanta.
@@ -120,7 +156,8 @@ proptest! {
         let mut now = Millis::HOUR;
         let mut next_id = 0u32;
         let sibling_ids: Vec<usize> = (0..class_set.len()).filter(|&c| c != 1).collect();
-        let mut ladders: Vec<Vec<PerformanceGoal>> = vec![Vec::new(); class_set.len()];
+        let mut ladder = LadderModel::new(&sibling_ids, class_set.len());
+        let most_held = sibling_ids.len() * (sibling_ids.len() - 1) / 2;
         for (pick, step, queries) in &ops {
             let class = *pick as usize % class_set.len();
             now += Millis::from_secs(u64::from(*step));
@@ -145,31 +182,15 @@ proptest! {
                 // Waits are whole quanta, so the oldest wait is the bucket.
                 let bucket = queries.iter().map(|&(_, wait)| wait).max().unwrap_or(0);
                 let shift = QUANTUM * u64::from(bucket);
-                ladders[class].push(class_set[class].goal.shift(shift).unwrap());
+                ladder.shift(class, class_set[class].goal.shift(shift).unwrap());
             }
 
-            // Each step is built once, by the first sibling to reach it.
-            let siblings: Vec<&[PerformanceGoal]> =
-                sibling_ids.iter().map(|&c| &ladders[c][..]).collect();
-            let steps = built_steps(&siblings);
-            let built: usize = sibling_ids
-                .iter()
-                .map(|&c| {
-                    let work = multi.scheduler(TenantId(c as u32)).unwrap().counters();
-                    work.shifts - work.sibling_shifts
-                })
-                .sum();
-            prop_assert_eq!(built, steps.len());
-            let distinct = multi.scheduler(TenantId(1)).unwrap().counters();
-            prop_assert_eq!(distinct.sibling_shifts, 0);
-            // Held: the steps some sibling's ladder is a strict prefix of.
-            let waiting = steps
-                .iter()
-                .filter(|step| {
-                    (siblings.iter()).any(|at| at.len() < step.len() && step.starts_with(at))
-                })
-                .count();
-            prop_assert_eq!(multi.shared_steps(), waiting);
+            for c in 0..class_set.len() {
+                let work = multi.scheduler(TenantId(c as u32)).unwrap().counters();
+                prop_assert_eq!(work.sibling_shifts, ladder.taken[c], "class {}", c);
+            }
+            prop_assert_eq!(multi.shared_steps(), ladder.held.len());
+            prop_assert!(multi.shared_steps() <= most_held);
         }
         for (c, solo) in reference.iter().enumerate() {
             let shared = multi.scheduler(TenantId(c as u32)).unwrap();
